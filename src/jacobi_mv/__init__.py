@@ -44,7 +44,7 @@ from .moments import (
     gaussian_functional,
     table_functional,
 )
-from .orthodecomp import Decomposition, Level, decompose, decompose_float, project
+from .orthodecomp import Decomposition, Level, decompose, decompose_float
 from .cap_operators import (
     AdjointReport,
     CAPSystem,
@@ -140,7 +140,6 @@ __all__ = [
     "master_omega",
     "monomial_basis",
     "monomials_of_degree",
-    "project",
     "rank_profile",
     "reconstruct_moment_table",
     "reconstruct_moments",

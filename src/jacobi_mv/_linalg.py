@@ -64,9 +64,6 @@ def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 def mat_add(a, b) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
-def mat_sub(a, b) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
 
 def mat_scale(a, s) -> Matrix:
     s = Fraction(s)
@@ -150,30 +147,6 @@ def solve_consistent(
     return x
 
 
-def solve_vector(a, v: Sequence[Fraction]) -> Optional[Vector]:
-    x = solve_consistent(a, [[value] for value in v])
-    if x is None:
-        return None
-    return [row[0] for row in x]
-
-
-def kernel_basis(a: Sequence[Sequence[Fraction]]) -> List[Vector]:
-    """A basis of the null space {x : A x = 0}, deterministic order."""
-    if not a or not a[0]:
-        return []
-    n = len(a[0])
-    reduced, pivots = rref(a)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [ZERO] * n
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
-        basis.append(vec)
-    return basis
-
-
 @dataclass(frozen=True)
 class PSDReport:
     """Outcome of the exact LDL^T positivity test."""
@@ -182,11 +155,6 @@ class PSDReport:
     rank: int
     pivots: tuple
     witness: Optional[tuple]  # x with x^T A x < 0 when psd is False
-
-    def witness_value(self, a) -> Optional[Fraction]:
-        if self.witness is None:
-            return None
-        return _dot(self.witness, mat_vec(a, list(self.witness)))
 
 
 def ldlt_psd(a: Sequence[Sequence[Fraction]]) -> PSDReport:
@@ -203,7 +171,6 @@ def ldlt_psd(a: Sequence[Sequence[Fraction]]) -> PSDReport:
     c = identity(n)
     remaining = list(range(n))
     pivots: list[Fraction] = []
-    negative_at: Optional[int] = None
 
     while remaining:
         k = next((i for i in remaining if m[i][i] != 0), None)
@@ -249,7 +216,3 @@ def ldlt_psd(a: Sequence[Sequence[Fraction]]) -> PSDReport:
 def to_string_matrix(a) -> list[list[str]]:
     """Render every entry as an exact "p/q" string (for JSON emission)."""
     return [[str(x) for x in row] for row in a]
-
-
-def from_string_matrix(rows: Sequence[Sequence[str]]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]

@@ -26,14 +26,15 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import _linalg
-from ._linalg import Matrix
+from ._linalg import ZERO, Matrix
 from .errors import (
     InsufficientMomentsError,
     InternalConsistencyError,
     InvalidIndexError,
     NotAStateError,
 )
-from .orthodecomp import Decomposition
+from .multiindex import MultiIndex, shift
+from .orthodecomp import Decomposition, MomentMatrix
 from .polyring import Polynomial
 
 
@@ -122,21 +123,35 @@ class CAPSystem:
         return out
 
 
-def _column(rows: List[List[Fraction]], k: int) -> List[Fraction]:
-    return [row[k] for row in rows]
+def _times(moments: MomentMatrix, column: List[Fraction], unit: MultiIndex) -> List[Fraction]:
+    """Coefficient vector of x^unit * b for the polynomial b with this column."""
+    out = [ZERO] * len(moments.basis)
+    for a, c in enumerate(column):
+        if c:
+            out[moments.position[shift(moments.basis[a], unit)]] = c
+    return out
+
+
+def _localized_pairings(
+    moments: MomentMatrix, columns: List[List[Fraction]], unit: MultiIndex
+) -> Matrix:
+    """b_i^T L b_k with L[a][b] = phi(x^unit x^(a+b)), moments fetched lazily."""
+    shifted = [shift(beta, unit) for beta in moments.basis[: len(columns[-1])]]
+    rows = [[moments.pair(b, beta) for beta in shifted] for b in columns]
+    return _linalg.transpose([_linalg.mat_vec(rows, col) for col in columns])
 
 
 def build(decomposition: Decomposition) -> CAPSystem:
     """Compute all operator matrices for the given decomposition.
 
-    Below the top level the three blocks are read off the direct-sum
-    decomposition of x_j*p, which needs no moments beyond those already
-    inside the basis; components outside degrees n-1..n+1 are checked to
-    vanish.  Preservation at the top level needs moments one degree beyond
-    what the decomposition itself used; with a finite moment table it is
-    left unset and raises only if accessed.
+    Below the top level the blocks are the coordinates of x_j*p, found by
+    back substitution through the coefficient columns; components outside
+    degrees n-1..n+1 are checked to vanish.  Top-level preservation pairs
+    x_j*p with the level through phi(x_j x^(a+b)), one degree beyond what
+    the decomposition used; a finite moment table leaves it unset, to raise
+    only if accessed.
     """
-    phi = decomposition.functional
+    moments = decomposition.moments
     d = decomposition.d
     top = decomposition.max_degree
     plus: Dict[Tuple[int, int], Matrix] = {}
@@ -144,69 +159,45 @@ def build(decomposition: Decomposition) -> CAPSystem:
     minus: Dict[Tuple[int, int], Matrix] = {}
     for n in range(top + 1):
         lv = decomposition.level(n)
-        size = len(lv)
+        columns = decomposition.level_columns(n)
         for j in range(1, d + 1):
-            images = [b.mul_by_variable(j) for b in lv.polynomials]
+            unit = tuple(int(i == j - 1) for i in range(d))
             if n < top:
-                up = len(decomposition.level(n + 1))
-                down = len(decomposition.level(n - 1)) if n >= 1 else 0
-                p_block = [[Fraction(0)] * size for _ in range(up)]
-                z_block = [[Fraction(0)] * size for _ in range(size)]
-                m_block = [[Fraction(0)] * size for _ in range(down)]
-                for k, img in enumerate(images):
-                    coords = decomposition.coordinates(img)
+                images = [decomposition.split(_times(moments, col, unit)) for col in columns]
+                for k, coords in enumerate(images):
                     for m, c in enumerate(coords):
-                        if m == n + 1:
-                            for i, value in enumerate(c):
-                                p_block[i][k] = value
-                        elif m == n:
-                            for i, value in enumerate(c):
-                                z_block[i][k] = value
-                        elif m == n - 1:
-                            for i, value in enumerate(c):
-                                m_block[i][k] = value
-                        elif any(c):
+                        if abs(m - n) > 1 and any(c):
                             raise InternalConsistencyError(
                                 f"x_{j} * (basis vector {k} of degree {n}) has "
                                 f"a nonzero component at degree {m}; the "
                                 "three-term degree structure is violated"
                             )
-                plus[(j, n)] = p_block
-                zero[(j, n)] = z_block
-                minus[(j, n)] = m_block if n >= 1 else []
+                plus[(j, n)] = _linalg.transpose([c[n + 1] for c in images])
+                zero[(j, n)] = _linalg.transpose([c[n] for c in images])
+                minus[(j, n)] = _linalg.transpose([c[n - 1] for c in images]) if n else []
                 continue
-            # top level: the degree-(n+1) component is not representable, so
-            # preservation and annihilation come from the pairing
             try:
-                pairings = [
-                    [phi.inner_product(b, img) for img in images]
-                    for b in lv.polynomials
-                ]
+                pairings = _localized_pairings(moments, columns, unit)
             except InsufficientMomentsError:
                 zero[(j, n)] = None
             else:
-                z = _linalg.solve_consistent(lv.gram_matrix(), pairings)
-                if z is None:
+                zero[(j, n)] = _linalg.solve_consistent(lv.gram_matrix(), pairings)
+                if zero[(j, n)] is None:
                     raise NotAStateError(
                         f"preservation system at level {n}, coordinate {j} is "
                         "inconsistent; no positive functional has these moments"
                     )
-                zero[(j, n)] = z
             if n == 0:
                 minus[(j, n)] = []
                 continue
-            prev = decomposition.level(n - 1)
-            pairings_down = [
-                [phi.inner_product(b, img) for img in images]
-                for b in prev.polynomials
-            ]
-            m = _linalg.solve_consistent(prev.gram_matrix(), pairings_down)
-            if m is None:
+            # <b', x_j b> = <x_j b', b> only sees the creation image of b'
+            rhs = _linalg.mat_mul(_linalg.transpose(plus[(j, n - 1)]), lv.gram_matrix())
+            minus[(j, n)] = _linalg.solve_consistent(decomposition.level(n - 1).gram_matrix(), rhs)
+            if minus[(j, n)] is None:
                 raise NotAStateError(
                     f"annihilation system at level {n}, coordinate {j} is "
                     "inconsistent; no positive functional has these moments"
                 )
-            minus[(j, n)] = m
     return CAPSystem(decomposition, plus, zero, minus)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,12 +20,11 @@ from typing import List, Optional, Tuple
 from . import _linalg
 from .closed_forms import FAMILIES, family_spec, verify_family
 from .errors import Error, InputError, InsufficientMomentsError
-from .jacobi_sequences import compute, detect_atoms, reconstruct_moments
+from .jacobi_sequences import compute, detect_atoms, reconstruct_moment_table
 from .cap_operators import build
 from .moments import MomentFunctional, functional_from_json
 from .orthodecomp import decompose
-from .polyring import monomial_basis
-from .symbolic import ONE, GammaProduct
+from .symbolic import ONE
 
 COMMANDS = ("decompose", "cap", "omega", "alpha", "verify", "atoms", "reconstruct")
 
@@ -59,21 +57,6 @@ def _parse_rationals(text: str, what: str) -> Tuple[Fraction, ...]:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad {what} value {piece!r}: expected a rational like 3 or 1/2") from exc
     return tuple(out)
-
-
-def _threads() -> int:
-    raw = os.environ.get("JACOBI_MV_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise InputError(
-            f"JACOBI_MV_THREADS must be a positive integer, got {raw!r}"
-        )
-    return value
 
 
 def _load_measure(path: str) -> MomentFunctional:
@@ -172,7 +155,7 @@ def _cmd_cap(config: RunConfig) -> Tuple[int, str]:
     return 0, _dump_json(doc)
 
 
-def _omega_levels(config: RunConfig):
+def _cmd_omega(config: RunConfig) -> Tuple[int, str]:
     functional, _ = _resolve(config)
     decomp = decompose(functional, config.max_level)
     seq = compute(build(decomp), config.max_level)
@@ -182,39 +165,33 @@ def _omega_levels(config: RunConfig):
         fold, symbolic = mass.rational_part(), mass.irrational_part()
     else:
         fold, symbolic = Fraction(1), ONE
-    levels = []
-    for n in range(config.max_level + 1):
-        om = _linalg.mat_scale(seq.omega_matrix(n), fold)
-        levels.append(
-            {
-                "n": n,
-                "classes": [list(c) for c in seq.classes(n).classes],
-                "omega": _linalg.to_string_matrix(om),
-                "convention": config.convention,
-                "mass_factor": symbolic.compact_str(),
-                "mass_factor_struct": symbolic.to_json_dict(),
-            }
-        )
-    return seq, levels
-
-
-def _cmd_omega(config: RunConfig) -> Tuple[int, str]:
-    seq, levels = _omega_levels(config)
+    omegas = [
+        _linalg.mat_scale(seq.omega_matrix(n), fold)
+        for n in range(config.max_level + 1)
+    ]
     if config.format == "csv":
         lines = ["n,class,value,mass_factor"]
-        for lv in levels:
-            matrix = _linalg.from_string_matrix(lv["omega"])
+        for n, matrix in enumerate(omegas):
             if not _linalg.is_diagonal(matrix):
                 raise InputError(
-                    f"omega at level {lv['n']} is not diagonal; csv flattens "
+                    f"omega at level {n} is not diagonal; csv flattens "
                     "diagonal matrices only, use --format json"
                 )
-            for k, cls in enumerate(lv["classes"]):
+            for k, cls in enumerate(seq.classes(n).classes):
                 label = "|".join(str(v) for v in cls)
-                lines.append(
-                    f"{lv['n']},{label},{matrix[k][k]},{lv['mass_factor']}"
-                )
+                lines.append(f"{n},{label},{matrix[k][k]},{symbolic.compact_str()}")
         return 0, "\n".join(lines)
+    levels = [
+        {
+            "n": n,
+            "classes": [list(c) for c in seq.classes(n).classes],
+            "omega": _linalg.to_string_matrix(matrix),
+            "convention": config.convention,
+            "mass_factor": symbolic.compact_str(),
+            "mass_factor_struct": symbolic.to_json_dict(),
+        }
+        for n, matrix in enumerate(omegas)
+    ]
     doc = {"d": seq.d, "max_level": config.max_level, "levels": levels}
     return 0, _dump_json(doc)
 
@@ -223,37 +200,36 @@ def _cmd_alpha(config: RunConfig) -> Tuple[int, str]:
     functional, _ = _resolve(config)
     decomp = decompose(functional, config.max_level)
     seq = compute(build(decomp), config.max_level)
-    levels = []
-    for n in range(config.max_level + 1):
-        classes = [list(c) for c in seq.classes(n).classes]
-        entries = []
-        for j in range(1, seq.d + 1):
-            entries.append(
-                {"j": j, "matrix": _linalg.to_string_matrix(seq.alpha_matrix(j, n))}
-            )
-        levels.append(
-            {
-                "n": n,
-                "classes": classes,
-                "alpha": entries,
-                "convention": config.convention,
-                "mass_factor": "1",
-            }
-        )
+    alphas = [
+        [seq.alpha_matrix(j, n) for j in range(1, seq.d + 1)]
+        for n in range(config.max_level + 1)
+    ]
     if config.format == "csv":
         lines = ["n,j,class,value"]
-        for lv in levels:
-            for entry in lv["alpha"]:
-                matrix = _linalg.from_string_matrix(entry["matrix"])
+        for n, per_level in enumerate(alphas):
+            for j, matrix in enumerate(per_level, start=1):
                 if not _linalg.is_diagonal(matrix):
                     raise InputError(
-                        f"alpha_{entry['j']} at level {lv['n']} is not diagonal; "
+                        f"alpha_{j} at level {n} is not diagonal; "
                         "csv flattens diagonal matrices only, use --format json"
                     )
-                for k, cls in enumerate(lv["classes"]):
+                for k, cls in enumerate(seq.classes(n).classes):
                     label = "|".join(str(v) for v in cls)
-                    lines.append(f"{lv['n']},{entry['j']},{label},{matrix[k][k]}")
+                    lines.append(f"{n},{j},{label},{matrix[k][k]}")
         return 0, "\n".join(lines)
+    levels = [
+        {
+            "n": n,
+            "classes": [list(c) for c in seq.classes(n).classes],
+            "alpha": [
+                {"j": j, "matrix": _linalg.to_string_matrix(matrix)}
+                for j, matrix in enumerate(per_level, start=1)
+            ],
+            "convention": config.convention,
+            "mass_factor": "1",
+        }
+        for n, per_level in enumerate(alphas)
+    ]
     doc = {"d": seq.d, "max_level": config.max_level, "levels": levels}
     return 0, _dump_json(doc)
 
@@ -262,9 +238,7 @@ def _cmd_verify(config: RunConfig) -> Tuple[int, str]:
     if config.family is None:
         raise InputError("verify compares against closed forms; it needs --family")
     _, spec = _resolve(config)
-    report = verify_family(
-        spec, config.max_level, threads=_threads(), variant=config.variant
-    )
+    report = verify_family(spec, config.max_level, variant=config.variant)
     if config.format == "csv":
         raise InputError("verify reports are nested; use --format json")
     return (0 if report.ok else 1), _dump_json(report.to_json_dict())
@@ -288,8 +262,7 @@ def _cmd_reconstruct(config: RunConfig) -> Tuple[int, str]:
     seq = compute(build(decomp), config.max_level)
     rows = []
     ok = True
-    for beta in monomial_basis(functional.d, config.max_level):
-        value = reconstruct_moments(seq, beta)
+    for beta, value in reconstruct_moment_table(seq, config.max_level).items():
         expected = functional.moment(beta)
         match = value == expected
         ok = ok and match
@@ -438,8 +411,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(text, file=sys.stderr)
         return status
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(config.output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write output file {config.output}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     else:
         print(text)
     return status

@@ -26,21 +26,20 @@ cancels the Gamma cores and yields the exact rational for the normalized
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from . import _linalg
 from ._linalg import Matrix
-from .cap_operators import CAPSystem, build
+from .cap_operators import build
 from .errors import (
     InvalidDimensionError,
     InvalidIndexError,
     SingularParameterError,
     UnsupportedParameterError,
 )
-from .jacobi_sequences import JacobiSequencePair, compute
+from .jacobi_sequences import compute
 from .moments import (
     BetaFunctional,
     GammaFunctional,
@@ -655,7 +654,6 @@ def _closed_omega_matrix(
 def verify_family(
     spec: FamilySpec,
     max_level: int,
-    threads: int = 1,
     variant: str = "master",
 ) -> FamilyReport:
     """Compare the arithmetic pipeline against the closed forms, exactly.
@@ -664,8 +662,7 @@ def verify_family(
     "master" (the jacobi parameter substitution, expected to match) or
     "stated" (the per-family quoted forms, two of which are expected to
     mismatch).  Mismatches are reported with both matrices as witness,
-    never raised.  threads > 1 evaluates the per-level comparisons in a
-    thread pool; output is identical either way.
+    never raised.
     """
     if variant not in ("master", "stated"):
         raise UnsupportedParameterError(f"unknown variant {variant!r}")
@@ -696,12 +693,7 @@ def verify_family(
             notes,
         )
 
-    level_range = range(max_level + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            levels = tuple(pool.map(compare_level, level_range))
-    else:
-        levels = tuple(compare_level(n) for n in level_range)
+    levels = tuple(compare_level(n) for n in range(max_level + 1))
 
     lemma_checks = []
     bases = [tuple([0] * spec.d)]

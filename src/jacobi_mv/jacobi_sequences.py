@@ -41,8 +41,8 @@ from .errors import (
 )
 from .moments import MomentFunctional
 from .multiindex import ClassBasis, MultiIndex, degree, enumerate_classes, shift
-from .orthodecomp import Decomposition, decompose, decompose_float
-from .polyring import Polynomial
+from .orthodecomp import decompose, decompose_float
+from .polyring import monomials_of_degree
 
 
 class JacobiSequencePair:
@@ -105,8 +105,13 @@ class JacobiSequencePair:
         return out
 
 
+def _congruence(c: Sequence[Fraction], m) -> Matrix:
+    """C^T m C for the diagonal matrix C = diag(c)."""
+    return [[ci * x * ck for x, ck in zip(row, c)] for ci, row in zip(c, m)]
+
+
 def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
-    """Build the sequences from creation chains through the operator set."""
+    """Build the sequences from the level Grams and the preservation blocks."""
     if max_level < 0:
         raise InvalidIndexError(f"max_level must be >= 0, got {max_level}")
     if ops.max_degree < max_level:
@@ -121,27 +126,14 @@ def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
             raise InternalConsistencyError(
                 f"class order and monomial order disagree at level {n}"
             )
-    # chain coordinates: column for class nbar holds U_n e_nbar in the level basis
-    vacuum = decomp.coordinates(Polynomial.one(d))[0]
-    chains: List[Matrix] = [[[vacuum[0]]]]
-    for n in range(max_level):
-        src = chains[n]
-        nxt = class_bases[n + 1]
-        cols: List[List[Fraction]] = []
-        for nbar in nxt.classes:
-            j = max(i for i in range(1, d + 1) if nbar[i - 1] > 0)
-            parent = shift(nbar, tuple(-1 if i == j - 1 else 0 for i in range(d)))
-            parent_col = [row[class_bases[n].index(parent)] for row in src]
-            cols.append(_linalg.mat_vec(ops.plus_matrix(j, n), parent_col))
-        chains.append([[col[i] for col in cols] for i in range(len(cols[0]))])
+    # creation only shifts leading monomials, so the chain U_n e_nbar is the
+    # basis polynomial of x^nbar over its leading coefficient: C is diagonal
     omega: List[Matrix] = []
     alpha: List[List[Optional[Matrix]]] = []
     for n in range(max_level + 1):
-        c = chains[n]
-        g = decomp.level(n).gram_matrix()
-        ct = _linalg.transpose(c)
-        ctg = _linalg.mat_mul(ct, g)
-        om = _linalg.mat_mul(ctg, c)
+        c = [1 / col[-1] for col in decomp.level_columns(n)]
+        g = decomp.level(n).gram
+        om = _congruence(c, g)
         omega.append(om)
         per_level: List[Optional[Matrix]] = []
         for j in range(1, d + 1):
@@ -150,8 +142,7 @@ def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
             except InsufficientMomentsError:
                 per_level.append(None)
                 continue
-            rhs = _linalg.mat_mul(ctg, _linalg.mat_mul(z, c))
-            a = _linalg.solve_consistent(om, rhs)
+            a = _linalg.solve_consistent(om, _congruence(c, _linalg.mat_mul(g, z)))
             if a is None:
                 raise RepresentationError(
                     f"preservation image at level {n}, coordinate {j} leaves "
@@ -242,14 +233,7 @@ def _occupation_shift(d: int, j: int, src: ClassBasis, dst: ClassBasis) -> Matri
     return m
 
 
-def reconstruct_moments(seq: JacobiSequencePair, beta: MultiIndex) -> Fraction:
-    """Vacuum expectation of prod_j (A+_{e_j} + alpha_{e_j} + A-_{e_j})^beta_j.
-
-    Exact converse of compute: for sequences computed from a functional
-    this returns that functional's moment at beta.  The ladder is
-    truncated at max_level, so |beta| <= max_level is required
-    (InsufficientDepthError otherwise).
-    """
+def _check_multi_index(seq: JacobiSequencePair, beta: MultiIndex) -> None:
     d = seq.d
     if len(beta) != d:
         raise InvalidIndexError(
@@ -263,6 +247,11 @@ def reconstruct_moments(seq: JacobiSequencePair, beta: MultiIndex) -> Fraction:
             f"moment of degree {total} needs an operator chain through level "
             f"{total}, beyond the truncation at {seq.max_level}"
         )
+
+
+def _ladder(seq: JacobiSequencePair) -> Tuple[dict, dict]:
+    """A+ (the occupation shifts) and A- (their Omega-adjoints) of one pair."""
+    d = seq.d
     bases = seq.class_bases
     plus: dict = {}
     minus: dict = {}
@@ -280,12 +269,20 @@ def reconstruct_moments(seq: JacobiSequencePair, beta: MultiIndex) -> Fraction:
                     "is inconsistent with the omega sequence"
                 )
             minus[(j, n)] = sol
+    return plus, minus
+
+
+def _expectation(
+    seq: JacobiSequencePair, ladder: Tuple[dict, dict], beta: MultiIndex
+) -> Fraction:
+    plus, minus = ladder
+    bases = seq.class_bases
     state: List[List[Fraction]] = [
         [Fraction(0)] * len(bases[n]) for n in range(seq.max_level + 1)
     ]
     state[0][0] = Fraction(1)
     support = 0
-    for j in range(1, d + 1):
+    for j in range(1, seq.d + 1):
         for _ in range(beta[j - 1]):
             new = [[Fraction(0)] * len(bases[n]) for n in range(seq.max_level + 1)]
             for n in range(support + 1):
@@ -312,16 +309,32 @@ def reconstruct_moments(seq: JacobiSequencePair, beta: MultiIndex) -> Fraction:
     return seq.omega_matrix(0)[0][0] * state[0][0]
 
 
+def reconstruct_moments(seq: JacobiSequencePair, beta: MultiIndex) -> Fraction:
+    """Vacuum expectation of prod_j (A+_{e_j} + alpha_{e_j} + A-_{e_j})^beta_j.
+
+    Exact converse of compute: for sequences computed from a functional
+    this returns that functional's moment at beta.  The ladder is
+    truncated at max_level, so |beta| <= max_level is required
+    (InsufficientDepthError otherwise).
+    """
+    _check_multi_index(seq, beta)
+    return _expectation(seq, _ladder(seq), beta)
+
+
 def reconstruct_moment_table(
     seq: JacobiSequencePair, max_degree: int
 ) -> dict:
-    """All moments with |beta| <= max_degree, keyed by multi-index."""
-    from .polyring import monomials_of_degree
+    """All moments with |beta| <= max_degree, keyed by multi-index.
 
+    The ladder operators are built once for the whole table.
+    """
     out = {}
+    ladder = None
     for n in range(max_degree + 1):
         for beta in monomials_of_degree(seq.d, n):
-            out[beta] = reconstruct_moments(seq, beta)
+            _check_multi_index(seq, beta)
+            ladder = ladder or _ladder(seq)
+            out[beta] = _expectation(seq, ladder, beta)
     return out
 
 

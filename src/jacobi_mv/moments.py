@@ -21,7 +21,6 @@ NoMassFactorError for them.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,6 +34,13 @@ from .errors import (
 from .multiindex import MultiIndex, degree
 from .polyring import Polynomial
 from .symbolic import GammaProduct
+
+
+def _field(doc, key: str, what: str):
+    """doc[key] of a JSON object, or a named error when it is missing."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise UnsupportedParameterError(f"{what} needs a {key!r} field")
+    return doc[key]
 
 
 def _exact(value, what: str) -> Fraction:
@@ -106,15 +112,11 @@ class _Sequence1D:
 
     def __init__(self):
         self._cache: List[Fraction] = [Fraction(1)]
-        self._lock = threading.Lock()
 
     def value(self, k: int) -> Fraction:
-        if k < len(self._cache):
-            return self._cache[k]
-        with self._lock:
-            while len(self._cache) <= k:
-                self._cache.append(self._next(len(self._cache)))
-            return self._cache[k]
+        while len(self._cache) <= k:
+            self._cache.append(self._next(len(self._cache)))
+        return self._cache[k]
 
     def _next(self, k: int) -> Fraction:
         raise NotImplementedError
@@ -281,7 +283,10 @@ class AtomicFunctional(MomentFunctional):
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AtomicFunctional":
-        atoms = [(entry["x"], entry["w"]) for entry in doc["atoms"]]
+        atoms = [
+            (_field(entry, "x", "atom entry"), _field(entry, "w", "atom entry"))
+            for entry in doc["atoms"]
+        ]
         return cls(atoms, d=doc.get("d"))
 
 
@@ -322,8 +327,12 @@ class TableFunctional(MomentFunctional):
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TableFunctional":
-        moments = {tuple(e["beta"]): e["value"] for e in doc["moments"]}
-        return cls(int(doc["d"]), int(doc["max_degree"]), moments)
+        moments = {
+            tuple(_field(e, "beta", "moment entry")): _field(e, "value", "moment entry")
+            for e in doc["moments"]
+        }
+        d = _field(doc, "d", "moment table")
+        return cls(int(d), int(_field(doc, "max_degree", "moment table")), moments)
 
 
 # --------------------------------------------------------------------------
@@ -353,9 +362,9 @@ def table_functional(d: int, max_degree: int, moments: Dict) -> TableFunctional:
 
 def functional_from_json(doc: dict) -> MomentFunctional:
     """Dispatch on the document shape: atom list or moment table."""
-    if "atoms" in doc:
+    if isinstance(doc, dict) and "atoms" in doc:
         return AtomicFunctional.from_json_dict(doc)
-    if "moments" in doc:
+    if isinstance(doc, dict) and "moments" in doc:
         return TableFunctional.from_json_dict(doc)
     raise UnsupportedParameterError(
         "functional document needs an 'atoms' or 'moments' field"

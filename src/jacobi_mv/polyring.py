@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Mapping, Sequence
 
 from .errors import DimensionMismatchError, InvalidIndexError
 from .multiindex import MultiIndex, canonical_key, degree as index_degree
@@ -196,19 +196,6 @@ class Polynomial:
         d = doc["d"]
         terms = {tuple(entry["beta"]): Fraction(entry["c"]) for entry in doc["terms"]}
         return cls(d, terms)
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Ring product; operands must share the dimension."""
-    return p * q
-
-
-def mul_by_variable(p: Polynomial, j: int) -> Polynomial:
-    return p.mul_by_variable(j)
-
-
-def evaluate(p: Polynomial, x: Sequence) -> Fraction:
-    return p.evaluate(x)
 
 
 def monomials_of_degree(d: int, n: int) -> list[MultiIndex]:

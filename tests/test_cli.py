@@ -163,6 +163,36 @@ def test_library_errors_surface_with_type_name(tmp_path):
     assert status == 2 and text.startswith("error: UnsupportedParameterError")
 
 
+@pytest.mark.parametrize(
+    "doc,cause",
+    [
+        ({"d": 2, "atoms": [{"x": ["0", "0"]}]}, "atom entry needs a 'w' field"),
+        (
+            {"d": 1, "moments": [{"beta": [0], "value": "1"}]},
+            "moment table needs a 'max_degree' field",
+        ),
+        (5, "needs an 'atoms' or 'moments' field"),
+    ],
+)
+def test_malformed_measure_file_exits_2_with_its_cause(tmp_path, capsys, doc, cause):
+    path = _write(tmp_path, "bad.json", doc)
+    code = main(["atoms", "--measure", path, "--max-level", "1"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: UnsupportedParameterError: ")
+    assert cause in out.err
+
+
+def test_output_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "doc.json"
+    code = main(["atoms", "--family", "hermite", "--d", "1", "--max-level", "1",
+                 "--output", str(target)])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith(f"error: cannot write output file {target}")
+    assert not target.exists()
+
+
 def test_paper_convention_limited_to_omega_alpha(tmp_path):
     status, text = run(
         RunConfig("decompose", family="hermite", d=1, max_level=1, convention="paper")
@@ -238,19 +268,6 @@ def test_reconstruct_round_trip_and_csv():
         "1,0,0,true",
         "2,1/2,1/2,true",
     ]
-
-
-def test_thread_env_validation(monkeypatch):
-    config = RunConfig("verify", family="hermite", d=1, max_level=2)
-    for bad in ("0", "-3", "two"):
-        monkeypatch.setenv("JACOBI_MV_THREADS", bad)
-        status, text = run(config)
-        assert status == 2 and "JACOBI_MV_THREADS" in text
-    monkeypatch.setenv("JACOBI_MV_THREADS", "2")
-    baseline = run(config)
-    monkeypatch.delenv("JACOBI_MV_THREADS")
-    assert run(config) == baseline
-    assert baseline[0] == 0
 
 
 def test_decompose_and_cap_document_shapes():

@@ -238,13 +238,6 @@ def test_verify_family_stated_green_for_exact_specializations():
         assert verify_family(spec, 2, variant="stated").ok
 
 
-def test_verify_family_threaded_output_identical():
-    spec = family_spec("laguerre", alpha=[0, "1/2"])
-    single = verify_family(spec, 2, threads=1)
-    pooled = verify_family(spec, 2, threads=2)
-    assert single.to_json_dict() == pooled.to_json_dict()
-
-
 def test_verify_family_rejects_unknown_variant():
     with pytest.raises(UnsupportedParameterError):
         verify_family(HERMITE1, 1, variant="bogus")

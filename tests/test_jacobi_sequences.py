@@ -168,6 +168,18 @@ def test_reconstruct_moment_table_matches():
         assert value == f.moment(beta)
 
 
+def test_reconstruct_moment_table_builds_the_ladder_once(monkeypatch):
+    import jacobi_mv.jacobi_sequences as sequences
+
+    built = []
+    ladder = sequences._ladder
+    monkeypatch.setattr(sequences, "_ladder", lambda seq: built.append(seq) or ladder(seq))
+    seq = compute_from_functional(atomic_functional(TWO_ATOMS), 3)
+    table = reconstruct_moment_table(seq, 3)
+    assert len(built) == 1 and len(table) == 10
+    assert all(reconstruct_moments(seq, beta) == v for beta, v in table.items())
+
+
 def test_reconstruct_depth_and_index_validation():
     seq = compute_from_functional(gaussian_functional(1), 2)
     with pytest.raises(InsufficientDepthError):
