@@ -6,7 +6,7 @@ multiplication operators split into creation/preservation/annihilation
 blocks (cap_operators); pushing those through the symmetric tensor
 chains yields the Jacobi sequence pair (omega, alpha) per level
 (jacobi_sequences).  Everything is exact rational arithmetic.  The
-closed_forms module carries the explicit diagonal answers for the six
+closed_forms module carries the explicit diagonal answers for the seven
 classical weight families and a verification harness; cli is the
 command-line front end.
 """
@@ -44,7 +44,7 @@ from .moments import (
     gaussian_functional,
     table_functional,
 )
-from .orthodecomp import Decomposition, Level, decompose, decompose_float
+from .orthodecomp import Decomposition, Level, decompose
 from .cap_operators import (
     AdjointReport,
     CAPSystem,
@@ -59,7 +59,6 @@ from .jacobi_sequences import (
     compute,
     compute_from_functional,
     detect_atoms,
-    detect_atoms_float,
     rank_profile,
     reconstruct_moment_table,
     reconstruct_moments,
@@ -126,10 +125,8 @@ __all__ = [
     "compute_from_functional",
     "creation_power",
     "decompose",
-    "decompose_float",
     "degree",
     "detect_atoms",
-    "detect_atoms_float",
     "enumerate_classes",
     "family_norm_squared",
     "family_polynomial",

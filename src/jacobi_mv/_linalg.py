@@ -58,7 +58,7 @@ def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
 
 
 def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(u, v)), ZERO)
+    return sum((x * y for x, y in zip(u, v) if x and y), ZERO)
 
 
 def mat_add(a, b) -> Matrix:

@@ -1,4 +1,4 @@
-"""Closed forms for six classical weight families, and their verification.
+"""Closed forms for seven classical weight families, and their verification.
 
 Families: hermite (exp(-|x|^2)), laguerre (x^alpha exp(-|x|_1)), jacobi
 ((1-x_j)^a_j (1+x_j)^b_j), and the symmetric jacobi specializations

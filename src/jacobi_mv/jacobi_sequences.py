@@ -13,9 +13,10 @@ identifies it with a spanning family of P_n, and
   free variables set to zero (entries on null directions are 0 by
   convention).
 
-A functional is finitely atomic exactly when some Omega_{n0} vanishes;
-the number of atoms is then at most the dimension of the polynomials of
-degree < n0.  Conversely the sequences determine the moments: the
+A functional is finitely atomic exactly when some Omega_{n0} vanishes,
+which detect_atoms decides in exact arithmetic; the number of atoms is
+then at most the dimension of the polynomials of degree < n0.
+Conversely the sequences determine the moments: the
 truncated interacting Fock space over the class spaces with level inner
 products <xi, Omega_n eta> carries commuting operators
 A+_{e_j} + alpha_{e_j} + A-_{e_j} whose vacuum expectations reproduce
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import Matrix
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .moments import MomentFunctional
 from .multiindex import ClassBasis, MultiIndex, degree, enumerate_classes, shift
-from .orthodecomp import decompose, decompose_float
+from .orthodecomp import decompose
 from .polyring import monomials_of_degree
 
 
@@ -337,35 +338,3 @@ def reconstruct_moment_table(
             out[beta] = _expectation(seq, ladder, beta)
     return out
 
-
-# --------------------------------------------------------------------------
-# floating point diagnostic
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FloatAtomReport:
-    found: bool
-    n0: Optional[int]
-    atom_bound: Optional[int]
-    ranks: Tuple[int, ...]
-    rel_tol: float
-
-
-def detect_atoms_float(
-    d: int,
-    moment: Callable[[MultiIndex], float],
-    max_level: int,
-    rel_tol: float = 1e-10,
-) -> FloatAtomReport:
-    """Tolerance-based counterpart of detect_atoms; diagnostic only."""
-    fd = decompose_float(d, moment, max_level, rel_tol=rel_tol)
-    ranks = tuple(fd.rank_profile())
-    n0 = None
-    for n, r in enumerate(ranks):
-        if r == 0:
-            n0 = n
-            break
-    if n0 is None:
-        return FloatAtomReport(False, None, None, ranks, rel_tol)
-    return FloatAtomReport(True, n0, math.comb(n0 - 1 + d, d), ranks, rel_tol)

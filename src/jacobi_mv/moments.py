@@ -36,11 +36,21 @@ from .polyring import Polynomial
 from .symbolic import GammaProduct
 
 
-def _field(doc, key: str, what: str):
-    """doc[key] of a JSON object, or a named error when it is missing."""
+_KINDS = {int: "an integer", list: "a list"}
+
+
+def _field(doc, key: str, what: str, kind: type = object):
+    """doc[key] of a JSON object, or a named error when it is missing or mistyped."""
     if not isinstance(doc, dict) or key not in doc:
         raise UnsupportedParameterError(f"{what} needs a {key!r} field")
-    return doc[key]
+    return _typed(doc[key], kind, f"{what} field {key!r}")
+
+
+def _typed(value, kind: type, what: str):
+    # JSON true/false parse to bool, an int subclass; they are no count
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise UnsupportedParameterError(f"{what} must be {_KINDS[kind]}, got {value!r}")
 
 
 def _exact(value, what: str) -> Fraction:
@@ -65,9 +75,6 @@ class MomentFunctional:
 
     def moment(self, beta: MultiIndex) -> Fraction:
         raise NotImplementedError
-
-    def moment_float(self, beta: MultiIndex) -> float:
-        return float(self.moment(beta))
 
     def _check_beta(self, beta: MultiIndex) -> None:
         if len(beta) != self.d:
@@ -284,10 +291,10 @@ class AtomicFunctional(MomentFunctional):
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AtomicFunctional":
         atoms = [
-            (_field(entry, "x", "atom entry"), _field(entry, "w", "atom entry"))
-            for entry in doc["atoms"]
+            (_field(entry, "x", "atom entry", list), _field(entry, "w", "atom entry"))
+            for entry in _field(doc, "atoms", "atom list", list)
         ]
-        return cls(atoms, d=doc.get("d"))
+        return cls(atoms, d=_field(doc, "d", "atom list", int) if "d" in doc else None)
 
 
 class TableFunctional(MomentFunctional):
@@ -328,11 +335,14 @@ class TableFunctional(MomentFunctional):
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TableFunctional":
         moments = {
-            tuple(_field(e, "beta", "moment entry")): _field(e, "value", "moment entry")
-            for e in doc["moments"]
+            tuple(
+                _typed(b, int, "moment entry 'beta' index")
+                for b in _field(e, "beta", "moment entry", list)
+            ): _field(e, "value", "moment entry")
+            for e in _field(doc, "moments", "moment table", list)
         }
-        d = _field(doc, "d", "moment table")
-        return cls(int(d), int(_field(doc, "max_degree", "moment table")), moments)
+        d = _field(doc, "d", "moment table", int)
+        return cls(d, _field(doc, "max_degree", "moment table", int), moments)
 
 
 # --------------------------------------------------------------------------

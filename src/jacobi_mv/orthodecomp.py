@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import ZERO, Matrix
@@ -239,83 +239,3 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
         blocks.append(block)
     return Decomposition(moments, levels, [col for block in blocks for col in block])
 
-
-# --------------------------------------------------------------------------
-# floating point variant (diagnostic only; the exact path is authoritative)
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FloatLevel:
-    n: int
-    monomials: Tuple[MultiIndex, ...]
-    gram: "object"  # numpy ndarray
-    rank: int
-
-
-class FloatDecomposition:
-    def __init__(self, d: int, levels: Sequence[FloatLevel], rel_tol: float):
-        self.d = d
-        self.levels = list(levels)
-        self.max_degree = len(self.levels) - 1
-        self.rel_tol = rel_tol
-
-    def level(self, n: int) -> FloatLevel:
-        return self.levels[n]
-
-    def rank_profile(self) -> List[int]:
-        return [lv.rank for lv in self.levels]
-
-
-def decompose_float(
-    d: int,
-    moment: Callable[[MultiIndex], float],
-    max_degree: int,
-    rel_tol: float = 1e-10,
-) -> FloatDecomposition:
-    """Floating point level Grams via Schur complements of the moment matrix.
-
-    ``moment`` maps a multi-index to a float.  Level ranks come from SVD
-    with threshold rel_tol relative to the scale of the moment matrix.
-    """
-    import numpy as np
-
-    if max_degree < 0:
-        raise InvalidIndexError(f"max_degree must be >= 0, got {max_degree}")
-    slices = [monomials_of_degree(d, n) for n in range(max_degree + 1)]
-    lower: List[MultiIndex] = []
-    moment_cache = {}
-
-    def m(beta: MultiIndex) -> float:
-        if beta not in moment_cache:
-            moment_cache[beta] = float(moment(beta))
-        return moment_cache[beta]
-
-    def pairing(rows, cols):
-        return np.array(
-            [
-                [m(tuple(a + b for a, b in zip(r, c))) for c in cols]
-                for r in rows
-            ],
-            dtype=float,
-        )
-
-    levels: List[FloatLevel] = []
-    scale = max(1.0, abs(m(tuple([0] * d))))
-    for n in range(max_degree + 1):
-        monos = slices[n]
-        a_nn = pairing(monos, monos)
-        if lower:
-            a_ll = pairing(lower, lower)
-            a_ln = pairing(lower, monos)
-            sol, *_ = np.linalg.lstsq(a_ll, a_ln, rcond=None)
-            gram = a_nn - a_ln.T @ sol
-            scale = max(scale, float(np.linalg.norm(a_ll, 2)))
-        else:
-            gram = a_nn
-        gram = (gram + gram.T) / 2.0
-        sv = np.linalg.svd(gram, compute_uv=False) if gram.size else np.array([])
-        rank = int((sv > rel_tol * scale).sum())
-        levels.append(FloatLevel(n, tuple(monos), gram, rank))
-        lower.extend(monos)
-    return FloatDecomposition(d, levels, rel_tol)

@@ -172,6 +172,31 @@ def test_library_errors_surface_with_type_name(tmp_path):
             "moment table needs a 'max_degree' field",
         ),
         (5, "needs an 'atoms' or 'moments' field"),
+        (
+            {"d": "x", "max_degree": 2, "moments": []},
+            "moment table field 'd' must be an integer, got 'x'",
+        ),
+        (
+            {"d": 1, "max_degree": 2, "moments": 3},
+            "moment table field 'moments' must be a list, got 3",
+        ),
+        (
+            {"d": 1, "max_degree": 2, "moments": [{"beta": 3, "value": "1"}]},
+            "moment entry field 'beta' must be a list, got 3",
+        ),
+        ({"d": 2, "atoms": 7}, "atom list field 'atoms' must be a list, got 7"),
+        (
+            {"d": 1, "atoms": [{"x": 5, "w": "1"}]},
+            "atom entry field 'x' must be a list, got 5",
+        ),
+        (
+            {"d": "x", "atoms": [{"x": ["1"], "w": "1"}]},
+            "atom list field 'd' must be an integer, got 'x'",
+        ),
+        (
+            {"d": 1.5, "max_degree": 2, "moments": []},
+            "moment table field 'd' must be an integer, got 1.5",
+        ),
     ],
 )
 def test_malformed_measure_file_exits_2_with_its_cause(tmp_path, capsys, doc, cause):

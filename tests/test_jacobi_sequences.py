@@ -17,7 +17,6 @@ from jacobi_mv.jacobi_sequences import (
     compute,
     compute_from_functional,
     detect_atoms,
-    detect_atoms_float,
     rank_profile,
     reconstruct_moment_table,
     reconstruct_moments,
@@ -218,8 +217,3 @@ def test_basis_independence_of_omega_and_alpha():
         assert base.omega_matrix(n) == other.omega_matrix(n)
         for j in (1, 2):
             assert base.alpha_matrix(j, n) == other.alpha_matrix(j, n)
-
-
-def test_float_detection_agrees_on_atomic_example():
-    report = detect_atoms_float(2, atomic_functional(TWO_ATOMS).moment_float, 4)
-    assert report.found and report.n0 == 2 and report.atom_bound == 3

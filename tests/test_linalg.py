@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from jacobi_mv import _linalg
+from jacobi_mv._linalg import ZERO
 
 
 def _m(rows):
@@ -97,6 +98,48 @@ def test_gram_of_anything_is_psd(a):
     report = _linalg.ldlt_psd(gram)
     assert report.psd
     assert report.rank == _linalg.rank(a)
+
+
+@st.composite
+def _symmetric(draw):
+    """A Gram (PSD, often singular), a symmetrized square, or one with zero diagonal.
+
+    The last kind reaches the branch of ldlt_psd that finds no nonzero pivot.
+    """
+    n = draw(st.integers(1, 4))
+    a = draw(_square(n))
+    kind = draw(st.sampled_from(["gram", "sum", "hollow"]))
+    if kind == "gram":
+        rows = a[: draw(st.integers(1, n))]
+        return _linalg.mat_mul(_linalg.transpose(rows), rows)
+    return [
+        [ZERO if kind == "hollow" and i == j else a[i][j] + a[j][i] for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@given(_symmetric())
+def test_ldlt_psd_certificate_on_any_symmetric_matrix(a):
+    n = len(a)
+    report = _linalg.ldlt_psd(a)
+    if report.psd:
+        assert report.rank == _linalg.rank(a)
+        for mask in range(1, 2**n):
+            rows = [i for i in range(n) if mask >> i & 1]
+            assert _det([[a[i][j] for j in rows] for i in rows]) >= 0
+    else:
+        x = report.witness
+        assert sum(x[i] * a[i][j] * x[j] for i in range(n) for j in range(n)) < 0
+
+
+def _det(a):
+    """Laplace expansion along the first row; fine for n <= 4."""
+    if not a:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * a[0][j] * _det([row[:j] + row[j + 1 :] for row in a[1:]])
+        for j in range(len(a))
+    )
 
 
 @given(_square())

@@ -14,7 +14,7 @@ from jacobi_mv.moments import (
     gaussian_functional,
     table_functional,
 )
-from jacobi_mv.orthodecomp import decompose, decompose_float
+from jacobi_mv.orthodecomp import decompose
 from jacobi_mv.polyring import Polynomial
 
 
@@ -174,10 +174,3 @@ def test_psd_certificate_on_valid_states():
         for n in range(4):
             report = _linalg.ldlt_psd([list(r) for r in dec.level(n).gram])
             assert report.psd
-
-
-def test_float_mode_rank_profile_matches_exact():
-    mu = atomic_functional([(("0", "0"), "1/2"), (("1", "1"), "1/2")])
-    exact = decompose(mu, 3)
-    approx = decompose_float(2, mu.moment_float, 3)
-    assert approx.rank_profile() == [exact.level(n).rank for n in range(4)]
