@@ -132,13 +132,30 @@ def _times(moments: MomentMatrix, column: List[Fraction], unit: MultiIndex) -> L
     return out
 
 
-def _localized_pairings(
-    moments: MomentMatrix, columns: List[List[Fraction]], unit: MultiIndex
+def _top_pairings(
+    decomposition: Decomposition, unit: MultiIndex, rows: Dict[MultiIndex, List[Fraction]]
 ) -> Matrix:
-    """b_i^T L b_k with L[a][b] = phi(x^unit x^(a+b)), moments fetched lazily."""
-    shifted = [shift(beta, unit) for beta in moments.basis[: len(columns[-1])]]
-    rows = [[moments.pair(b, beta) for beta in shifted] for b in columns]
-    return _linalg.transpose([_linalg.mat_vec(rows, col) for col in columns])
+    """<b_i, x^unit b_k> over the top level N, as a matrix indexed (i, k).
+
+    x^unit b_k = c_k x^(beta_k+unit) + r with c_k the leading coefficient and
+    deg r <= N.  b_i is orthogonal to the lower levels, so the pairing is
+    c_k <b_i, x^(beta_k+unit)> + (G_N split(r)[N])_i.  rows caches the moment
+    row <b_i, x^gamma> per degree-(N+1) monomial gamma, across coordinates.
+    """
+    moments = decomposition.moments
+    n = decomposition.max_degree
+    lv = decomposition.level(n)
+    columns = decomposition.level_columns(n)
+    pairings = []
+    for beta, col in zip(lv.monomials, columns):
+        gamma = shift(beta, unit)
+        if gamma not in rows:
+            rows[gamma] = [moments.pair(b, gamma) for b in columns]
+        coords = decomposition.split(_times(moments, col[:-1], unit))[n]
+        pairings.append(
+            [col[-1] * p + q for p, q in zip(rows[gamma], _linalg.mat_vec(lv.gram, coords))]
+        )
+    return _linalg.transpose(pairings)
 
 
 def build(decomposition: Decomposition) -> CAPSystem:
@@ -147,9 +164,9 @@ def build(decomposition: Decomposition) -> CAPSystem:
     Below the top level the blocks are the coordinates of x_j*p, found by
     back substitution through the coefficient columns; components outside
     degrees n-1..n+1 are checked to vanish.  Top-level preservation pairs
-    x_j*p with the level through phi(x_j x^(a+b)), one degree beyond what
-    the decomposition used; a finite moment table leaves it unset, to raise
-    only if accessed.
+    x_j*p with the level (see _top_pairings); its moment rows are one degree
+    beyond what the decomposition used, so a finite moment table leaves it
+    unset, to raise only if accessed.
     """
     moments = decomposition.moments
     d = decomposition.d
@@ -157,6 +174,7 @@ def build(decomposition: Decomposition) -> CAPSystem:
     plus: Dict[Tuple[int, int], Matrix] = {}
     zero: Dict[Tuple[int, int], Optional[Matrix]] = {}
     minus: Dict[Tuple[int, int], Matrix] = {}
+    rows: Dict[MultiIndex, List[Fraction]] = {}
     for n in range(top + 1):
         lv = decomposition.level(n)
         columns = decomposition.level_columns(n)
@@ -177,7 +195,7 @@ def build(decomposition: Decomposition) -> CAPSystem:
                 minus[(j, n)] = _linalg.transpose([c[n - 1] for c in images]) if n else []
                 continue
             try:
-                pairings = _localized_pairings(moments, columns, unit)
+                pairings = _top_pairings(decomposition, unit, rows)
             except InsufficientMomentsError:
                 zero[(j, n)] = None
             else:

@@ -705,11 +705,10 @@ def verify_family(
             continue
         seen.add(base)
         for i in range(1, spec.d + 1):
+            lhs = family_polynomial(spec, base)
             for m in range(1, max_level - degree(base) + 1):
                 factor, result = creation_power(spec, base, i, m)
-                lhs = family_polynomial(spec, base)
-                for _ in range(m):
-                    lhs = ops.creation(i, lhs)
+                lhs = ops.creation(i, lhs)  # (a+_i)^m F_base
                 rhs = family_polynomial(spec, result).scale(factor)
                 lemma_checks.append(
                     LemmaCheck(i, base, m, factor, lhs == rhs)

@@ -306,7 +306,7 @@ class TableFunctional(MomentFunctional):
         super().__init__(d, max_degree=max_degree)
         self._table: Dict[MultiIndex, Fraction] = {}
         for beta, value in moments.items():
-            beta = tuple(int(b) for b in beta)
+            beta = tuple(_typed(b, int, "moment entry 'beta' index") for b in beta)
             if len(beta) != d or any(b < 0 for b in beta):
                 raise DimensionMismatchError(f"bad multi-index {beta} for dimension {d}")
             if degree(beta) > max_degree:

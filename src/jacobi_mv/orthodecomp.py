@@ -10,9 +10,10 @@ degree-n monomial x^beta is
 
 so every b_beta is monic with leading monomial x^beta.  The pairing
 phi(p*q) may be degenerate; projections then solve the (singular) Gram
-systems with free variables set to zero.  An inconsistent projection
-system certifies that the moment data is not positive semidefinite, which
-raises NotAStateError.
+systems with free variables set to zero, one elimination per lower level
+for all monomials of a degree.  An inconsistent projection system
+certifies that the moment data is not positive semidefinite, which raises
+NotAStateError.
 
 Everything is read from one object, the moment matrix
 M[a][b] = phi(x^(a+b)) over the graded monomial basis, together with the
@@ -197,6 +198,19 @@ class Decomposition:
         return Decomposition(self.moments, new_levels, new_columns)
 
 
+def _raise_first_inconsistent(
+    levels: Sequence[Level], monos: Sequence[MultiIndex], rhs: List[List[List[Fraction]]]
+) -> None:
+    """Name the first inconsistent projection, monomial by monomial."""
+    for beta, per_level in zip(monos, rhs):
+        for lv, r in zip(levels, per_level):
+            if _linalg.solve_consistent(lv.gram_matrix(), [[v] for v in r]) is None:
+                raise NotAStateError(
+                    f"projection of x^{tuple(beta)} onto degree {lv.n} is "
+                    "inconsistent; the moments are not positive semidefinite"
+                )
+
+
 def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
     """Orthogonalize the monomials degree by degree against the functional.
 
@@ -209,22 +223,23 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
     levels: List[Level] = []
     for n in range(max_degree + 1):
         monos = monomials_of_degree(functional.d, n)
-        block = []
-        for beta in monos:
-            col = [ZERO] * moments.position[beta] + [Fraction(1)]
-            for lv, lower in zip(levels, blocks):
-                rhs = [[moments.pair(b, beta)] for b in lower]
-                sol = _linalg.solve_consistent(lv.gram_matrix(), rhs)
-                if sol is None:
-                    raise NotAStateError(
-                        f"projection of x^{tuple(beta)} onto degree {lv.n} is "
-                        "inconsistent; the moments are not positive semidefinite"
-                    )
-                for (coeff,), b in zip(sol, lower):
-                    for a, value in enumerate(b):
-                        if coeff and value:
-                            col[a] -= coeff * value
-            block.append(col)
+        # rhs[k][m][i] = <b_i, x^beta_k> for basis vector i of lower level m
+        rhs = [[[moments.pair(b, beta) for b in lower] for lower in blocks] for beta in monos]
+        block = [[ZERO] * moments.position[beta] + [Fraction(1)] for beta in monos]
+        for m, (lv, lower) in enumerate(zip(levels, blocks)):
+            # one elimination of G_m for all monomials: its row operations
+            # depend only on G_m, so each column gets what its own solve gives
+            sol = _linalg.solve_consistent(
+                lv.gram_matrix(), _linalg.transpose([r[m] for r in rhs])
+            )
+            if sol is None:
+                _raise_first_inconsistent(levels, monos, rhs)
+            for col, coeffs in zip(block, _linalg.transpose(sol)):
+                for coeff, b in zip(coeffs, lower):
+                    if coeff:
+                        for a, value in enumerate(b):
+                            if value:
+                                col[a] -= coeff * value
         gram = tuple(tuple(moments.pair(b, beta) for beta in monos) for b in block)
         report = _linalg.ldlt_psd([list(row) for row in gram])
         if not report.psd:

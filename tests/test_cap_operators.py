@@ -155,6 +155,35 @@ def test_top_level_preservation_needs_extra_degree():
     assert ops.minus_matrix(1, 2) is not None
 
 
+def _top_level_cases():
+    rescaled = decompose(beta_functional([1, 0], [Fraction(1, 2), 2]), 3)
+    scales = [[Fraction(k + 2, 3 - 2 * (k % 2)) for k in range(n + 1)] for n in range(4)]
+    return [
+        decompose(gaussian_functional(2), 3),
+        decompose(gamma_functional([0, Fraction(1, 2)]), 3),
+        decompose(beta_functional([0, Fraction(1, 2)], [Fraction(-1, 2), 1]), 3),
+        decompose(atomic_functional([(("0", "0"), "1/3"), (("1", "0"), "1/3"), (("0", "2"), "1/3")]), 2),
+        rescaled.rescale(scales),
+    ]
+
+
+def test_top_level_preservation_solves_the_pairing_system():
+    # a0_{j|N} solves G_N Z = [<b_i, x_j b_k>], the pairings formed here by
+    # polynomial products
+    for dec in _top_level_cases():
+        phi = dec.functional
+        top = dec.max_degree
+        lv = dec.level(top)
+        ops = build(dec)
+        for j in range(1, dec.d + 1):
+            pairings = [
+                [phi.inner_product(b_i, b_k.mul_by_variable(j)) for b_k in lv.polynomials]
+                for b_i in lv.polynomials
+            ]
+            expected = _linalg.solve_consistent(lv.gram_matrix(), pairings)
+            assert ops.zero_matrix(j, top) == expected
+
+
 def test_out_of_band_component_is_an_error_not_a_silent_drop():
     # single atom: X b_3 = b_4 - b_1 exactly, with b_1 null; the three-term
     # structure only holds modulo the null space, and the build refuses to

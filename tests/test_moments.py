@@ -195,6 +195,13 @@ def test_table_functional_access_and_errors():
         sparse.moment((1,))  # declared but absent
 
 
+@pytest.mark.parametrize("beta", [(Fraction(3, 2),), (1.5,), ("1",), (True,)])
+def test_table_functional_refuses_non_integer_indices(beta):
+    # no silent truncation: (1.5,) was stored as (1,)
+    with pytest.raises(UnsupportedParameterError, match="index must be an integer"):
+        table_functional(1, 2, {(0,): 1, beta: "1/2"})
+
+
 def test_functional_from_json_dispatch():
     atoms_doc = {"d": 1, "atoms": [{"x": ["2"], "w": "1"}]}
     table_doc = {"d": 1, "max_degree": 1, "moments": [{"beta": [0], "value": "1"}, {"beta": [1], "value": "0"}]}

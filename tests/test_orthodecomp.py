@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacobi_mv import _linalg
 from jacobi_mv.errors import InvalidIndexError, NotAStateError
@@ -15,7 +16,7 @@ from jacobi_mv.moments import (
     table_functional,
 )
 from jacobi_mv.orthodecomp import decompose
-from jacobi_mv.polyring import Polynomial
+from jacobi_mv.polyring import Polynomial, monomial_basis, monomials_of_degree
 
 
 def _functionals():
@@ -174,3 +175,64 @@ def test_psd_certificate_on_valid_states():
         for n in range(4):
             report = _linalg.ldlt_psd([list(r) for r in dec.level(n).gram])
             assert report.psd
+
+
+def _reference_decompose(phi, max_degree):
+    """Per-monomial Gram solves with polynomial products.
+
+    Returns the basis polynomials in graded order, or the start of the
+    NotAStateError message that decompose must raise.
+    """
+    d = phi.d
+    levels = []  # (gram, polynomials) per degree
+    for n in range(max_degree + 1):
+        polys = []
+        for beta in monomials_of_degree(d, n):
+            mono = Polynomial.monomial(d, beta)
+            b = mono
+            for m, (gram, lower) in enumerate(levels):
+                rhs = [[phi.inner_product(q, mono)] for q in lower]
+                sol = _linalg.solve_consistent(gram, rhs)
+                if sol is None:
+                    return f"projection of x^{tuple(beta)} onto degree {m} is inconsistent"
+                for (c,), q in zip(sol, lower):
+                    b = b - q.scale(c)
+            polys.append(b)
+        gram = [[phi.inner_product(p, q) for q in polys] for p in polys]
+        report = _linalg.ldlt_psd(gram)
+        if not report.psd:
+            return f"degree-{n} Gram matrix has a negative direction (witness vector {report.witness})"
+        levels.append((gram, polys))
+    return [p for _, polys in levels for p in polys]
+
+
+@st.composite
+def _perturbed_atomic_tables(draw):
+    d = draw(st.integers(1, 2))
+    points = draw(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=4, unique=True)
+    )
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points)))
+    mu = atomic_functional(
+        [(pt, Fraction(w, sum(weights))) for pt, w in zip(points, weights)]
+    )
+    max_degree = draw(st.integers(1, 3))
+    table = {beta: mu.moment(beta) for beta in monomial_basis(d, 2 * max_degree)}
+    beta = draw(st.sampled_from(sorted(table)[1:]))
+    table[beta] += draw(st.fractions(min_value=-2, max_value=2, max_denominator=4))
+    return table_functional(d, 2 * max_degree, table), max_degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(_perturbed_atomic_tables())
+def test_decompose_matches_per_monomial_reference(case):
+    phi, max_degree = case
+    expected = _reference_decompose(phi, max_degree)
+    if isinstance(expected, str):
+        with pytest.raises(NotAStateError) as info:
+            decompose(phi, max_degree)
+        assert str(info.value).startswith(expected)
+    else:
+        basis = monomial_basis(phi.d, max_degree)
+        columns = [[p.terms.get(a, 0) for a in basis[: k + 1]] for k, p in enumerate(expected)]
+        assert decompose(phi, max_degree).columns == columns
