@@ -83,6 +83,18 @@ def _cases():
             (f"hermite_d2_n3.{command}_csv", dict(command=command, format="csv",
                                                   **families["hermite_d2_n3"]))
         )
+    # the symmetric jacobi specializations, under both closed-form routes;
+    # chebyshev1 and legendre stated mismatch (exit 1)
+    symmetric = {
+        "gegenbauer_d2_n3": dict(family="gegenbauer", lam="1/3,2/5", max_level=3),
+        "chebyshev1_d2_n3": dict(family="chebyshev1", d=2, max_level=3),
+        "chebyshev2_d1_n4": dict(family="chebyshev2", d=1, max_level=4),
+        "legendre_d2_n3": dict(family="legendre", d=2, max_level=3),
+    }
+    for source, kwargs in symmetric.items():
+        for variant in ("master", "stated"):
+            out.append((f"{source}.verify_{variant}",
+                        dict(command="verify", variant=variant, **kwargs)))
     for source in ("two_atoms", "three_atoms"):
         for command in PIPELINE:
             out.append((f"{source}_n4.{command}", dict(command=command, measure=source,
