@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import ZERO, Matrix
@@ -82,45 +82,45 @@ class CAPSystem:
         self._check(j, n, self.max_degree)
         return _linalg.copy(self._minus[(j, n)])
 
-    # ------------------------------------------------------- polynomial forms
-    def _matvec_poly(self, matrix: Matrix, coords: List[Fraction], target_level: int) -> Polynomial:
-        out = Polynomial.zero(self.d)
-        if not matrix:
-            return out
-        image = _linalg.mat_vec(matrix, coords)
-        for c, b in zip(image, self.decomposition.level(target_level).polynomials):
-            if c:
-                out = out + b.scale(c)
-        return out
+    # ---------------------------------------------------------- vector core
+    def _apply(self, j: int, vector: Sequence[Fraction], step: int) -> List[Fraction]:
+        """a+_j (step 1), a0_j (step 0) or a-_j (step -1), applied levelwise.
 
-    def creation(self, j: int, p: Polynomial) -> Polynomial:
-        """a+_j applied levelwise to p; p may not touch the top level."""
-        coords = self.decomposition.coordinates(p)
-        out = Polynomial.zero(self.d)
-        for n, c in enumerate(coords):
-            if any(c):
+        Takes and returns coefficient vectors over the monomial basis.
+        """
+        self._check(j, 0, self.max_degree)
+        decomp = self.decomposition
+        out = [ZERO] * len(vector)
+        for n, c in enumerate(decomp.split(vector)):
+            if not any(c) or n + step < 0:
+                continue
+            if step == 1:
                 if n >= self.max_degree:
                     raise InvalidIndexError(
                         f"creation from level {n} leaves the computed range"
                     )
-                out = out + self._matvec_poly(self._plus[(j, n)], c, n + 1)
+                matrix = self._plus[(j, n)]
+            elif step == 0:
+                matrix = self.zero_matrix(j, n)
+            else:
+                matrix = self._minus[(j, n)]
+            image = decomp.expand(n + step, _linalg.mat_vec(matrix, c))
+            out = [x + y for x, y in zip(out, image)]
         return out
+
+    # ------------------------------------------------------- polynomial forms
+    def creation(self, j: int, p: Polynomial) -> Polynomial:
+        """a+_j applied levelwise to p; p may not touch the top level."""
+        decomp = self.decomposition
+        return decomp.polynomial(self._apply(j, decomp.vector(p), 1))
 
     def preservation(self, j: int, p: Polynomial) -> Polynomial:
-        coords = self.decomposition.coordinates(p)
-        out = Polynomial.zero(self.d)
-        for n, c in enumerate(coords):
-            if any(c):
-                out = out + self._matvec_poly(self.zero_matrix(j, n), c, n)
-        return out
+        decomp = self.decomposition
+        return decomp.polynomial(self._apply(j, decomp.vector(p), 0))
 
     def annihilation(self, j: int, p: Polynomial) -> Polynomial:
-        coords = self.decomposition.coordinates(p)
-        out = Polynomial.zero(self.d)
-        for n, c in enumerate(coords):
-            if n >= 1 and any(c):
-                out = out + self._matvec_poly(self._minus[(j, n)], c, n - 1)
-        return out
+        decomp = self.decomposition
+        return decomp.polynomial(self._apply(j, decomp.vector(p), -1))
 
 
 def _times(moments: MomentMatrix, column: List[Fraction], unit: MultiIndex) -> List[Fraction]:
@@ -262,9 +262,9 @@ def verify_quantum_decomposition(system: CAPSystem) -> QuantumDecompositionRepor
     phi = decomp.functional
     entries = []
     for n in range(decomp.max_degree):
-        lv = decomp.level(n)
+        basis = decomp.polynomials(n)
         for j in range(1, system.d + 1):
-            for k, b in enumerate(lv.polynomials):
+            for k, b in enumerate(basis):
                 image = b.mul_by_variable(j)
                 model = (
                     system.creation(j, b)

@@ -118,7 +118,7 @@ def _cmd_decompose(config: RunConfig) -> Tuple[int, str]:
             {
                 "n": n,
                 "monomials": [list(m) for m in lv.monomials],
-                "polynomials": [p.to_json_dict() for p in lv.polynomials],
+                "polynomials": [p.to_json_dict() for p in decomp.polynomials(n)],
                 "gram": _linalg.to_string_matrix(lv.gram_matrix()),
                 "rank": lv.rank,
                 "null": list(lv.null_mask),
@@ -239,8 +239,6 @@ def _cmd_verify(config: RunConfig) -> Tuple[int, str]:
         raise InputError("verify compares against closed forms; it needs --family")
     _, spec = _resolve(config)
     report = verify_family(spec, config.max_level, variant=config.variant)
-    if config.format == "csv":
-        raise InputError("verify reports are nested; use --format json")
     return (0 if report.ok else 1), _dump_json(report.to_json_dict())
 
 
@@ -311,6 +309,8 @@ def _validate(config: RunConfig) -> None:
         raise InputError(f"unknown convention {config.convention!r}")
     if config.format not in ("json", "csv"):
         raise InputError(f"unknown format {config.format!r}")
+    if config.format == "csv" and config.command in ("decompose", "cap", "verify"):
+        raise InputError(f"{config.command} documents are nested; use --format json")
     if config.variant not in ("master", "stated"):
         raise InputError(f"unknown variant {config.variant!r}")
     if config.convention == "paper" and config.command not in ("omega", "alpha"):

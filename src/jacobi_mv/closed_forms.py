@@ -6,6 +6,15 @@ gegenbauer (a = b = lambda - 1/2), chebyshev1 (lambda = 0), chebyshev2
 (lambda = 1), legendre (lambda = 1/2).  For each family the Jacobi
 sequences are diagonal and admit explicit entries.
 
+Each coordinate's one-variable family is given by one table, its
+three-term recurrence x P_k = c_plus(k) P_{k+1} + c_zero(k) P_k +
+c_minus(k) P_{k-1} (hermite 1/2, 0, k; laguerre -(k+1), 2k+alpha+1,
+-(k+alpha); jacobi and its specializations the (a, b) coefficients below).
+The table yields the 1-D coefficient lists whose tensor products are the
+family polynomials, the alpha entries (c_zero) and the creation factors
+(products of c_plus).  The creation lemma is checked on coefficient
+columns over the graded monomial basis.
+
 Two evaluation routes exist for the symmetric families:
 
 * the master route substitutes the (a, b) parameters into the jacobi
@@ -28,10 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from ._linalg import Matrix
+from ._linalg import ZERO, Matrix
 from .cap_operators import build
 from .errors import (
     InvalidDimensionError,
@@ -173,89 +182,86 @@ def family_spec(family: str, d: Optional[int] = None, a=None, b=None,
 
 
 # --------------------------------------------------------------------------
-# one-dimensional recurrence data
+# the three-term recurrence table
 # --------------------------------------------------------------------------
 
 
-def _c_plus(k: int, s: Fraction) -> Fraction:
-    """Coefficient of P_{k+1} in x P_k for the jacobi recurrence.
+def _jacobi_recurrence(k: int, a: Fraction, b: Fraction) -> Tuple[Fraction, Fraction, Fraction]:
+    """(c_plus, c_zero, c_minus)(k) of the jacobi recurrence, s = a + b.
 
-    The k = 0 value is the cancelled form 2/(s+2); the generic expression
-    is 0/0 there when s = -1 (first-kind chebyshev weight).
+    k = 0 takes the cancelled forms 2/(s+2) and (b-a)/(s+2): the generic
+    expressions are 0/0 there when s = -1 (first-kind chebyshev weight) or
+    s = 0.
     """
-    if k == 0:
-        return Fraction(2) / (s + 2)
-    num = 2 * (k + 1) * (k + s + 1)
-    den = (2 * k + s + 1) * (2 * k + s + 2)
-    return Fraction(num, 1) / den
-
-
-def _c_zero(k: int, a: Fraction, b: Fraction) -> Fraction:
-    """Coefficient of P_k in x P_k; cancelled at k = 0 where (a+b) may be 0."""
     s = a + b
     if k == 0:
-        return (b - a) / (s + 2)
-    den = (2 * k + s) * (2 * k + s + 2)
-    if den == 0:
+        return Fraction(2) / (s + 2), (b - a) / (s + 2), ZERO
+    if (2 * k + s) * (2 * k + s + 1) * (2 * k + s + 2) == 0:
         raise SingularParameterError(
             f"jacobi recurrence denominator vanishes at k={k}, a={a}, b={b}"
         )
-    return (b * b - a * a) / den
+    return (
+        2 * (k + 1) * (k + s + 1) / ((2 * k + s + 1) * (2 * k + s + 2)),
+        (b * b - a * a) / ((2 * k + s) * (2 * k + s + 2)),
+        2 * (k + a) * (k + b) / ((2 * k + s) * (2 * k + s + 1)),
+    )
 
 
-def _c_minus(k: int, a: Fraction, b: Fraction) -> Fraction:
-    """Coefficient of P_{k-1} in x P_k, needed for k >= 1 only."""
-    s = a + b
-    den = (2 * k + s) * (2 * k + s + 1)
-    if den == 0:
-        raise SingularParameterError(
-            f"jacobi recurrence denominator vanishes at k={k}, a={a}, b={b}"
+def _recurrence(spec: FamilySpec, coordinate: int, k: int) -> Tuple[Fraction, Fraction, Fraction]:
+    """(c_plus, c_zero, c_minus)(k) of one coordinate's three-term recurrence.
+
+    x P_k = c_plus P_{k+1} + c_zero P_k + c_minus P_{k-1} in the classical
+    normalization.  c_minus(0) multiplies P_{-1} = 0; it is reported as 0
+    and never evaluated.
+    """
+    if spec.family == "hermite":
+        return Fraction(1, 2), ZERO, Fraction(k)
+    if spec.family == "laguerre":
+        alpha = spec.alphas[coordinate - 1]
+        return Fraction(-(k + 1)), 2 * k + alpha + 1, -(k + alpha) if k else ZERO
+    a, b = spec.jacobi_ab()
+    return _jacobi_recurrence(k, a[coordinate - 1], b[coordinate - 1])
+
+
+def _one_d(spec: FamilySpec, coordinate: int, top: int) -> List[List[Fraction]]:
+    """Coefficient lists (constant term first) of P_0..P_top in one coordinate."""
+    out = [[Fraction(1)]]
+    for k in range(top):
+        c_plus, c_zero, c_minus = _recurrence(spec, coordinate, k)
+        nxt = [ZERO] + out[k]  # x P_k
+        for i, c in enumerate(out[k]):
+            nxt[i] -= c_zero * c
+        if k:
+            for i, c in enumerate(out[k - 1]):
+                nxt[i] -= c_minus * c
+        out.append([c / c_plus for c in nxt])
+    return out
+
+
+def _tensor(
+    one_d: Sequence[List[List[Fraction]]], index: MultiIndex
+) -> Dict[MultiIndex, Fraction]:
+    """Nonzero terms of prod_i P_{index_i}(x_i), from per-coordinate lists."""
+    terms = {(): Fraction(1)}
+    for lists, k in zip(one_d, index):
+        terms = {
+            beta + (e,): c * v
+            for beta, c in terms.items()
+            for e, v in enumerate(lists[k])
+            if v
+        }
+    return terms
+
+
+def _check_index(spec: FamilySpec, index: MultiIndex) -> None:
+    if len(index) != spec.d:
+        raise InvalidIndexError(
+            f"index length {len(index)} != dimension {spec.d}"
         )
-    return 2 * (k + a) * (k + b) / den
-
-
-def _hermite_1d(k: int) -> Polynomial:
-    # H_{k+1} = 2x H_k - 2k H_{k-1}
-    x = Polynomial.variable(1, 1)
-    prev, cur = Polynomial.zero(1), Polynomial.one(1)
-    for i in range(k):
-        prev, cur = cur, x.scale(Fraction(2)) * cur - prev.scale(Fraction(2 * i))
-    return cur
-
-
-def _laguerre_1d(k: int, alpha: Fraction) -> Polynomial:
-    # (i+1) L_{i+1} = (2i+alpha+1-x) L_i - (i+alpha) L_{i-1}
-    x = Polynomial.variable(1, 1)
-    prev, cur = Polynomial.zero(1), Polynomial.one(1)
-    for i in range(k):
-        nxt = (cur.scale(2 * i + alpha + 1) - x * cur - prev.scale(i + alpha)).scale(
-            Fraction(1, i + 1)
+    if any(not isinstance(k, int) or k < 0 for k in index):
+        raise InvalidIndexError(
+            f"index {tuple(index)} needs integer entries >= 0"
         )
-        prev, cur = cur, nxt
-    return cur
-
-
-def _jacobi_1d(k: int, a: Fraction, b: Fraction) -> Polynomial:
-    # x P_i = c+(i) P_{i+1} + c0(i) P_i + c-(i) P_{i-1}
-    x = Polynomial.variable(1, 1)
-    s = a + b
-    prev, cur = Polynomial.zero(1), Polynomial.one(1)
-    for i in range(k):
-        top = x * cur - cur.scale(_c_zero(i, a, b))
-        if i >= 1:
-            top = top - prev.scale(_c_minus(i, a, b))
-        prev, cur = cur, top.scale(Fraction(1) / _c_plus(i, s))
-    return cur
-
-
-def _lift(p: Polynomial, d: int, coordinate: int) -> Polynomial:
-    """Reinterpret a one-variable polynomial in coordinate i of R^d."""
-    terms = {}
-    for (k,), c in p.terms.items():
-        beta = [0] * d
-        beta[coordinate - 1] = k
-        terms[tuple(beta)] = c
-    return Polynomial(d, terms)
 
 
 def family_polynomial(spec: FamilySpec, index: MultiIndex) -> Polynomial:
@@ -265,31 +271,14 @@ def family_polynomial(spec: FamilySpec, index: MultiIndex) -> Polynomial:
     jacobi the leading coefficient its recurrence produces.  The symmetric
     families are realized through their (a, b) parameters.
     """
-    if len(index) != spec.d:
-        raise InvalidIndexError(
-            f"index length {len(index)} != dimension {spec.d}"
-        )
-    if any(k < 0 for k in index):
-        raise InvalidIndexError(f"negative entry in index {tuple(index)}")
-    out = Polynomial.one(spec.d)
-    for i, k in enumerate(index, start=1):
-        if spec.family == "hermite":
-            one_d = _hermite_1d(k)
-        elif spec.family == "laguerre":
-            one_d = _laguerre_1d(k, spec.alphas[i - 1])
-        else:
-            a, b = spec.jacobi_ab()
-            one_d = _jacobi_1d(k, a[i - 1], b[i - 1])
-        out = out * _lift(one_d, spec.d, i)
-    return out
+    _check_index(spec, index)
+    one_d = [_one_d(spec, i, k) for i, k in enumerate(index, start=1)]
+    return Polynomial(spec.d, _tensor(one_d, index))
 
 
 def family_norm_squared(spec: FamilySpec, index: MultiIndex) -> GammaProduct:
     """Squared norm of family_polynomial(index) against the unnormalized weight."""
-    if len(index) != spec.d:
-        raise InvalidIndexError(
-            f"index length {len(index)} != dimension {spec.d}"
-        )
+    _check_index(spec, index)
     out = GammaProduct.from_rational(1)
     for i, k in enumerate(index, start=1):
         if spec.family == "hermite":
@@ -328,31 +317,22 @@ def creation_power(
 ) -> Tuple[Fraction, MultiIndex]:
     """Scalar f with (a+_i)^m F_base = f * F_{base + m e_i}, and that index.
 
-    Equals the ratio of classical leading coefficients, so it can be
-    cross-checked by applying the pipeline's creation matrices.
+    f is the product of c_plus(k), ..., c_plus(k+m-1) for k = base_i: the
+    ratio of classical leading coefficients, so it can be cross-checked by
+    applying the pipeline's creation matrices.
     """
     if not 1 <= coordinate <= spec.d:
         raise InvalidIndexError(f"coordinate {coordinate} outside 1..{spec.d}")
     if power < 1:
         raise InvalidIndexError(f"power must be >= 1, got {power}")
-    if len(base) != spec.d or any(k < 0 for k in base):
-        raise InvalidIndexError(f"bad base index {tuple(base)}")
+    _check_index(spec, base)
     k = base[coordinate - 1]
     result = tuple(
         v + power if i == coordinate - 1 else v for i, v in enumerate(base)
     )
-    if spec.family == "hermite":
-        return Fraction(1, 2**power), result
-    if spec.family == "laguerre":
-        factor = Fraction((-1) ** power)
-        for p in range(1, power + 1):
-            factor *= k + p
-        return factor, result
-    a, b = spec.jacobi_ab()
-    s = a[coordinate - 1] + b[coordinate - 1]
     factor = Fraction(1)
     for p in range(power):
-        factor *= _c_plus(k + p, s)
+        factor *= _recurrence(spec, coordinate, k + p)[0]
     return factor, result
 
 
@@ -371,7 +351,7 @@ def _jacobi_omega_factor(n: int, a: Fraction, b: Fraction) -> GammaProduct:
     s = a + b
     inner = Fraction(1)
     for p in range(n):
-        inner *= _c_plus(p, s)
+        inner *= _jacobi_recurrence(p, a, b)[0]
     out = GammaProduct(
         rational=inner * inner / factorial_of((n,)), two_pow=s + 1
     )
@@ -483,15 +463,6 @@ def stated_omega(spec: FamilySpec, n_bar: MultiIndex) -> Tuple[GammaProduct, Tup
     raise UnsupportedParameterError(f"unknown family {spec.family!r}")
 
 
-def _alpha_entry(spec: FamilySpec, coordinate: int, n_l: int) -> Fraction:
-    if spec.family == "hermite":
-        return Fraction(0)
-    if spec.family == "laguerre":
-        return 2 * n_l + spec.alphas[coordinate - 1] + 1
-    a, b = spec.jacobi_ab()
-    return _c_zero(n_l, a[coordinate - 1], b[coordinate - 1])
-
-
 @dataclass(frozen=True)
 class ClosedFormEntry:
     """One diagonal position: class label, omega in both conventions, alphas."""
@@ -516,7 +487,7 @@ def closed_form_omega(spec: FamilySpec, n: int) -> List[ClosedFormEntry]:
             f"omega/mass must be rational, got {normalized!r} for {n_bar}"
         )
         alphas = tuple(
-            _alpha_entry(spec, j, n_bar[j - 1]) for j in range(1, spec.d + 1)
+            _recurrence(spec, j, n_bar[j - 1])[1] for j in range(1, spec.d + 1)
         )
         entries.append(
             ClosedFormEntry(n_bar, normalized.rational_value(), paper, mass, alphas)
@@ -533,7 +504,7 @@ def closed_form_alpha(spec: FamilySpec, n: int, coordinate: int) -> Matrix:
     classes = enumerate_classes(spec.d, n).classes
     out = _linalg.zeros(len(classes), len(classes))
     for k, n_bar in enumerate(classes):
-        out[k][k] = _alpha_entry(spec, coordinate, n_bar[coordinate - 1])
+        out[k][k] = _recurrence(spec, coordinate, n_bar[coordinate - 1])[1]
     return out
 
 
@@ -695,21 +666,28 @@ def verify_family(
 
     levels = tuple(compare_level(n) for n in range(max_level + 1))
 
+    # creation lemma on coefficient columns over the graded monomial basis
+    one_d = [_one_d(spec, i, max_level) for i in range(1, spec.d + 1)]
+    position = decomp.moments.position
+
+    def column(index: MultiIndex) -> List[Fraction]:
+        out = [ZERO] * len(position)
+        for beta, c in _tensor(one_d, index).items():
+            out[position[beta]] = c
+        return out
+
     lemma_checks = []
-    bases = [tuple([0] * spec.d)]
-    for i in range(1, spec.d + 1):
-        bases.append(tuple(1 if k == i - 1 else 0 for k in range(spec.d)))
-    seen = set()
+    # F_0, then F_{e_i} for each coordinate
+    bases = [tuple(int(k == i) for k in range(spec.d)) for i in range(-1, spec.d)]
     for base in bases:
-        if base in seen:
-            continue
-        seen.add(base)
+        if degree(base) >= max_level:
+            continue  # no creation power stays within the computed levels
         for i in range(1, spec.d + 1):
-            lhs = family_polynomial(spec, base)
+            lhs = column(base)
             for m in range(1, max_level - degree(base) + 1):
                 factor, result = creation_power(spec, base, i, m)
-                lhs = ops.creation(i, lhs)  # (a+_i)^m F_base
-                rhs = family_polynomial(spec, result).scale(factor)
+                lhs = ops._apply(i, lhs, 1)  # (a+_i)^m F_base
+                rhs = [factor * c for c in column(result)]
                 lemma_checks.append(
                     LemmaCheck(i, base, m, factor, lhs == rhs)
                 )

@@ -46,15 +46,15 @@ from .polyring import Polynomial, monomial_basis, monomials_of_degree
 
 @dataclass(frozen=True)
 class Level:
-    """Degree slice P_n: basis polynomials indexed by degree-n monomials.
+    """Degree slice P_n: basis vectors indexed by degree-n monomials.
 
-    rank is the exact rank of the Gram matrix; null_mask marks basis
-    vectors of zero norm (they span the degenerate directions).
+    The vectors themselves are Decomposition.level_columns(n).  rank is the
+    exact rank of the Gram matrix; null_mask marks basis vectors of zero
+    norm (they span the degenerate directions).
     """
 
     n: int
     monomials: Tuple[MultiIndex, ...]
-    polynomials: Tuple[Polynomial, ...]
     gram: Tuple[Tuple[Fraction, ...], ...]
     rank: int
     null_mask: Tuple[bool, ...]
@@ -130,8 +130,8 @@ class Decomposition:
                         rest[a] -= coeff * col[a]
         return [x[s:e] for s, e in zip(self.starts, self.starts[1:])]
 
-    def coordinates(self, p: Polynomial) -> List[List[Fraction]]:
-        """Coefficient vector of p in each level basis."""
+    def vector(self, p: Polynomial) -> List[Fraction]:
+        """Coefficient vector of p over the monomial basis."""
         if p.d != self.d:
             raise DimensionMismatchError(
                 f"polynomial dimension {p.d} != decomposition dimension {self.d}"
@@ -141,10 +141,33 @@ class Decomposition:
                 f"polynomial degree {p.degree()} exceeds decomposition degree "
                 f"{self.max_degree}"
             )
-        vector = [ZERO] * len(self.columns)
+        out = [ZERO] * len(self.columns)
         for beta, c in p.terms.items():
-            vector[self.moments.position[beta]] = c
-        return self.split(vector)
+            out[self.moments.position[beta]] = c
+        return out
+
+    def polynomial(self, vector: Sequence[Fraction]) -> Polynomial:
+        """The polynomial with this coefficient vector (or column)."""
+        return Polynomial(self.d, dict(zip(self.moments.basis, vector)))
+
+    def expand(self, n: int, coords: Sequence[Fraction]) -> List[Fraction]:
+        """Coefficient vector of the level-n combination with these coordinates."""
+        out = [ZERO] * len(self.columns)
+        for coeff, col in zip(coords, self.level_columns(n)):
+            if coeff:
+                for a, value in enumerate(col):
+                    if value:
+                        out[a] += coeff * value
+        return out
+
+    def polynomials(self, n: int) -> Tuple[Polynomial, ...]:
+        """The basis polynomials of level n, read off its columns."""
+        self.level(n)  # range check
+        return tuple(self.polynomial(col) for col in self.level_columns(n))
+
+    def coordinates(self, p: Polynomial) -> List[List[Fraction]]:
+        """Coefficient vector of p in each level basis."""
+        return self.split(self.vector(p))
 
     def project(self, p: Polynomial, n: int) -> Polynomial:
         """Component of p in P_n."""
@@ -152,15 +175,10 @@ class Decomposition:
 
     def components(self, p: Polynomial) -> List[Polynomial]:
         """All components [p_0, ..., p_N]; they sum to p."""
-        coords = self.coordinates(p)
-        out = []
-        for lv, c in zip(self.levels, coords):
-            part = Polynomial.zero(self.d)
-            for coeff, poly in zip(c, lv.polynomials):
-                if coeff:
-                    part = part + poly.scale(coeff)
-            out.append(part)
-        return out
+        return [
+            self.polynomial(self.expand(n, c))
+            for n, c in enumerate(self.coordinates(p))
+        ]
 
     def rescale(self, scales: Sequence[Sequence]) -> "Decomposition":
         """Same level spaces with basis vectors scaled by nonzero rationals.
@@ -181,16 +199,13 @@ class Decomposition:
                 raise UnsupportedParameterError(
                     f"level {lv.n} needs {len(lv)} nonzero scale factors"
                 )
-            polys = tuple(
-                poly.scale(f) for poly, f in zip(lv.polynomials, factors)
-            )
             gram = tuple(
                 tuple(factors[i] * factors[j] * lv.gram[i][j] for j in range(len(lv)))
                 for i in range(len(lv))
             )
             # congruence by a nonzero diagonal: rank and nullity are unchanged
             new_levels.append(
-                Level(lv.n, lv.monomials, polys, gram, lv.rank, lv.null_mask)
+                Level(lv.n, lv.monomials, gram, lv.rank, lv.null_mask)
             )
             new_columns.extend(
                 [f * c for c in col] for col, f in zip(self.level_columns(n), factors)
@@ -249,8 +264,7 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
                 "moment sequence of a positive measure"
             )
         null_mask = tuple(gram[i][i] == 0 for i in range(len(block)))
-        polys = tuple(Polynomial(functional.d, dict(zip(moments.basis, b))) for b in block)
-        levels.append(Level(n, tuple(monos), polys, gram, report.rank, null_mask))
+        levels.append(Level(n, tuple(monos), gram, report.rank, null_mask))
         blocks.append(block)
     return Decomposition(moments, levels, [col for block in blocks for col in block])
 

@@ -292,7 +292,7 @@ def test_criterion_8_basis_independence():
             scales = [
                 [
                     Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))
-                    for _ in dec.level(n).polynomials
+                    for _ in dec.level(n).monomials
                 ]
                 for n in range(4)
             ]

@@ -75,7 +75,7 @@ def test_polynomial_forms_reassemble_multiplication():
     dec = decompose(f, 3)
     ops = build(dec)
     for n in range(3):
-        for b in dec.level(n).polynomials:
+        for b in dec.polynomials(n):
             for j in (1, 2):
                 total = (
                     ops.creation(j, b) + ops.preservation(j, b) + ops.annihilation(j, b)
@@ -174,11 +174,12 @@ def test_top_level_preservation_solves_the_pairing_system():
         phi = dec.functional
         top = dec.max_degree
         lv = dec.level(top)
+        basis = dec.polynomials(top)
         ops = build(dec)
         for j in range(1, dec.d + 1):
             pairings = [
-                [phi.inner_product(b_i, b_k.mul_by_variable(j)) for b_k in lv.polynomials]
-                for b_i in lv.polynomials
+                [phi.inner_product(b_i, b_k.mul_by_variable(j)) for b_k in basis]
+                for b_i in basis
             ]
             expected = _linalg.solve_consistent(lv.gram_matrix(), pairings)
             assert ops.zero_matrix(j, top) == expected

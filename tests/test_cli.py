@@ -119,6 +119,18 @@ def test_verify_requires_family_and_json(tmp_path):
     assert status == 2 and "use --format json" in text
 
 
+@pytest.mark.parametrize("command", ["decompose", "cap", "verify"])
+def test_nested_documents_refuse_csv(command, capsys):
+    status, text = run(
+        RunConfig(command, family="hermite", d=1, max_level=1, format="csv")
+    )
+    assert (status, text) == (2, f"error: {command} documents are nested; use --format json")
+    argv = [command, "--family", "hermite", "--d", "1", "--max-level", "1", "--format", "csv"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "use --format json" in captured.err
+
+
 def test_error_messages_are_distinct(tmp_path):
     status, text = run(RunConfig("atoms", measure="/no/such/file", max_level=2))
     assert status == 2 and text.startswith("error: measure file not found")

@@ -3,9 +3,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacobi_mv.closed_forms import (
     FAMILIES,
+    _recurrence,
     closed_form_alpha,
     closed_form_omega,
     creation_power,
@@ -21,6 +23,8 @@ from jacobi_mv.errors import (
     InvalidIndexError,
     UnsupportedParameterError,
 )
+from jacobi_mv.jacobi_sequences import compute_from_functional
+from jacobi_mv.moments import atomic_functional, beta_functional, gaussian_functional
 from jacobi_mv.polyring import Polynomial, monomial_basis
 from jacobi_mv.symbolic import GammaProduct
 
@@ -78,6 +82,22 @@ def test_family_polynomial_index_validation():
         family_polynomial(HERMITE1, (-1,))
 
 
+def test_family_norm_squared_index_validation():
+    # one index check for both: before, hermite (-1,) raised a bare
+    # ValueError from math.factorial and jacobi (-2,) a Gamma-argument error
+    jac = family_spec("jacobi", a=[0], b=[0])
+    for spec, index in (
+        (HERMITE1, (-1,)),
+        (jac, (-2,)),
+        (HERMITE2, (1,)),
+        (HERMITE1, (Fraction(1, 2),)),
+    ):
+        with pytest.raises(InvalidIndexError):
+            family_norm_squared(spec, index)
+        with pytest.raises(InvalidIndexError):
+            family_polynomial(spec, index)
+
+
 def test_norm_squared_frozen_values():
     assert family_norm_squared(HERMITE2, (1, 1)) == GammaProduct(
         rational=Fraction(4), pi_pow=Fraction(1)
@@ -95,6 +115,62 @@ def test_norm_squared_matches_pipeline_inner_product():
             poly = family_polynomial(spec, idx)
             value = f.apply(poly * poly)
             assert mass * value == family_norm_squared(spec, idx)
+
+
+@st.composite
+def _one_variable_spec(draw):
+    def above(low):
+        return low + Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 6)))
+
+    family = draw(st.sampled_from(FAMILIES))
+    if family == "laguerre":
+        return family_spec(family, alpha=[above(-1)])
+    if family == "jacobi":
+        return family_spec(family, a=[above(-1)], b=[above(-1)])
+    if family == "gegenbauer":
+        return family_spec(family, lam=[above(Fraction(-1, 2))])
+    return family_spec(family, d=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_one_variable_spec())
+def test_recurrence_table_against_the_functional(spec):
+    # the functional's own moments are the independent reference for every
+    # entry of x F_k = c_plus F_{k+1} + c_zero F_k + c_minus F_{k-1}
+    phi = spec.functional()
+    mass = spec.mass_factor()
+    f = [family_polynomial(spec, (k,)) for k in range(7)]
+    sq = [phi.inner_product(p, p) for p in f]
+    for k in range(7):
+        c_plus, c_zero, c_minus = _recurrence(spec, 1, k)
+        xf = f[k].mul_by_variable(1)
+        assert all(phi.inner_product(f[k], f[m]) == 0 for m in range(k))
+        assert phi.inner_product(xf, f[k]) == c_zero * sq[k]
+        assert closed_form_alpha(spec, k, 1) == [[c_zero]]
+        if k:
+            assert phi.inner_product(xf, f[k - 1]) == c_minus * sq[k - 1]
+        if k < 6:
+            assert phi.inner_product(xf, f[k + 1]) == c_plus * sq[k + 1]
+        assert mass * sq[k] == family_norm_squared(spec, (k,))
+
+
+def test_pipeline_and_verify_build_no_polynomial(monkeypatch):
+    # Polynomial is an input/output format: the pipeline and the closed-form
+    # verification compute on coefficient columns only
+    functionals = [
+        gaussian_functional(2),
+        beta_functional([0, Fraction(1, 2)], [Fraction(-1, 2), 1]),
+        atomic_functional([(("0", "0"), "1/3"), (("1", "0"), "1/3"), (("0", "2"), "1/3")]),
+    ]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Polynomial was built")
+
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    for functional in functionals:
+        compute_from_functional(functional, 3)
+    for spec in ROSTER:
+        assert verify_family(spec, 3).ok
 
 
 def test_creation_power_frozen_values():

@@ -209,7 +209,7 @@ def test_basis_independence_of_omega_and_alpha():
     base = compute(build(dec), 3)
     rng = random.Random(11)
     scales = [
-        [Fraction(rng.randrange(1, 7), rng.randrange(1, 7)) for _ in dec.level(n).polynomials]
+        [Fraction(rng.randrange(1, 7), rng.randrange(1, 7)) for _ in dec.level(n).monomials]
         for n in range(4)
     ]
     other = compute(build(dec.rescale(scales)), 3)

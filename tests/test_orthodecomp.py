@@ -33,9 +33,9 @@ def _functionals():
 def test_gaussian_d1_frozen_values():
     dec = decompose(gaussian_functional(1), 2)
     x = Polynomial.variable(1, 1)
-    assert dec.level(0).polynomials == (Polynomial.one(1),)
-    assert dec.level(1).polynomials == (x,)
-    b2 = dec.level(2).polynomials[0]
+    assert dec.polynomials(0) == (Polynomial.one(1),)
+    assert dec.polynomials(1) == (x,)
+    b2 = dec.polynomials(2)[0]
     assert b2 == x * x - Polynomial.one(1).scale(Fraction(1, 2))
     assert dec.level(1).gram == ((Fraction(1, 2),),)
     assert dec.level(2).gram == ((Fraction(1, 2),),)
@@ -44,7 +44,7 @@ def test_gaussian_d1_frozen_values():
 def test_gamma_d1_frozen_values():
     dec = decompose(gamma_functional([0]), 1)
     x = Polynomial.variable(1, 1)
-    assert dec.level(1).polynomials == (x - Polynomial.one(1),)
+    assert dec.polynomials(1) == (x - Polynomial.one(1),)
     assert dec.level(1).gram == ((Fraction(1),),)
 
 
@@ -53,7 +53,7 @@ def test_monic_leading_terms():
         dec = decompose(f, 3)
         for n in range(4):
             lv = dec.level(n)
-            for mono, poly in zip(lv.monomials, lv.polynomials):
+            for mono, poly in zip(lv.monomials, dec.polynomials(n)):
                 top = poly.degree_slice(n)
                 assert top == {mono: Fraction(1)}
 
@@ -63,8 +63,8 @@ def test_cross_level_orthogonality():
         dec = decompose(f, 3)
         for n in range(4):
             for m in range(n):
-                for p in dec.level(n).polynomials:
-                    for q in dec.level(m).polynomials:
+                for p in dec.polynomials(n):
+                    for q in dec.polynomials(m):
                         assert f.inner_product(p, q) == 0
 
 
@@ -73,8 +73,8 @@ def test_gram_matches_inner_products():
         dec = decompose(f, 2)
         for n in range(3):
             lv = dec.level(n)
-            for i, p in enumerate(lv.polynomials):
-                for j, q in enumerate(lv.polynomials):
+            for i, p in enumerate(dec.polynomials(n)):
+                for j, q in enumerate(dec.polynomials(n)):
                     assert lv.gram[i][j] == f.inner_product(p, q)
 
 
@@ -113,8 +113,8 @@ def test_multiplication_operator_symmetry():
     # <x_j p, q> = <p, x_j q> holds for any moment functional
     f = gamma_functional([Fraction(1, 2)])
     dec = decompose(f, 2)
-    p = dec.level(1).polynomials[0]
-    q = dec.level(2).polynomials[0]
+    p = dec.polynomials(1)[0]
+    q = dec.polynomials(2)[0]
     assert f.inner_product(p.mul_by_variable(1), q) == f.inner_product(
         p, q.mul_by_variable(1)
     )
@@ -143,7 +143,7 @@ def test_rescale_transforms_gram_congruently():
     dec = decompose(f, 2)
     rng = random.Random(3)
     scales = [
-        [Fraction(rng.randrange(1, 9), rng.randrange(1, 9)) for _ in dec.level(n).polynomials]
+        [Fraction(rng.randrange(1, 9), rng.randrange(1, 9)) for _ in dec.level(n).monomials]
         for n in range(3)
     ]
     other = dec.rescale(scales)
