@@ -83,6 +83,10 @@ def _cases():
             (f"hermite_d2_n3.{command}_csv", dict(command=command, format="csv",
                                                   **families["hermite_d2_n3"]))
         )
+    # laguerre with a different alpha per coordinate: a coordinate-index slip
+    # in a per-coordinate mass or omega factor changes these bytes
+    out.append(("laguerre_d3_n3.verify", dict(command="verify", family="laguerre",
+                                              alpha="0,1/2,-1/3", max_level=3)))
     # the symmetric jacobi specializations, under both closed-form routes;
     # chebyshev1 and legendre stated mismatch (exit 1)
     symmetric = {
