@@ -12,8 +12,13 @@ c_minus(k) P_{k-1} (hermite 1/2, 0, k; laguerre -(k+1), 2k+alpha+1,
 -(k+alpha); jacobi and its specializations the (a, b) coefficients below).
 The table yields the 1-D coefficient lists whose tensor products are the
 family polynomials, the alpha entries (c_zero) and the creation factors
-(products of c_plus).  The creation lemma is checked on coefficient
-columns over the graded monomial basis.
+(products of c_plus).  One per-coordinate formula gives the omega factor
+omega_i(k), the squared norm of the monic degree-k polynomial; an omega
+entry is the product of the factors of its class.  verify_family builds
+the table once per call for degrees 0..max_level, together with the omega
+ratios r_i(k) = omega_i(k) / mass_i, and reads the master closed forms
+off it; the stated route keeps its per-class quoted forms.  The creation
+lemma is checked on coefficient columns over the graded monomial basis.
 
 Two evaluation routes exist for the symmetric families:
 
@@ -35,6 +40,7 @@ cancels the Gamma cores and yields the exact rational for the normalized
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -223,11 +229,14 @@ def _recurrence(spec: FamilySpec, coordinate: int, k: int) -> Tuple[Fraction, Fr
     return _jacobi_recurrence(k, a[coordinate - 1], b[coordinate - 1])
 
 
-def _one_d(spec: FamilySpec, coordinate: int, top: int) -> List[List[Fraction]]:
-    """Coefficient lists (constant term first) of P_0..P_top in one coordinate."""
+def _one_d(recurrence: Sequence[Tuple[Fraction, Fraction, Fraction]]) -> List[List[Fraction]]:
+    """Coefficient lists (constant term first) of P_0..P_top in one coordinate.
+
+    recurrence holds that coordinate's (c_plus, c_zero, c_minus)(k) for
+    k = 0..top-1.
+    """
     out = [[Fraction(1)]]
-    for k in range(top):
-        c_plus, c_zero, c_minus = _recurrence(spec, coordinate, k)
+    for k, (c_plus, c_zero, c_minus) in enumerate(recurrence):
         nxt = [ZERO] + out[k]  # x P_k
         for i, c in enumerate(out[k]):
             nxt[i] -= c_zero * c
@@ -253,6 +262,11 @@ def _tensor(
     return terms
 
 
+def _check_integer(value, what: str, low: int) -> None:
+    if not isinstance(value, int) or value < low:
+        raise InvalidIndexError(f"{what} must be an integer >= {low}, got {value!r}")
+
+
 def _check_index(spec: FamilySpec, index: MultiIndex) -> None:
     if len(index) != spec.d:
         raise InvalidIndexError(
@@ -272,7 +286,10 @@ def family_polynomial(spec: FamilySpec, index: MultiIndex) -> Polynomial:
     families are realized through their (a, b) parameters.
     """
     _check_index(spec, index)
-    one_d = [_one_d(spec, i, k) for i, k in enumerate(index, start=1)]
+    one_d = [
+        _one_d([_recurrence(spec, i, p) for p in range(k)])
+        for i, k in enumerate(index, start=1)
+    ]
     return Polynomial(spec.d, _tensor(one_d, index))
 
 
@@ -323,8 +340,7 @@ def creation_power(
     """
     if not 1 <= coordinate <= spec.d:
         raise InvalidIndexError(f"coordinate {coordinate} outside 1..{spec.d}")
-    if power < 1:
-        raise InvalidIndexError(f"power must be >= 1, got {power}")
+    _check_integer(power, "power", 1)
     _check_index(spec, base)
     k = base[coordinate - 1]
     result = tuple(
@@ -341,13 +357,26 @@ def creation_power(
 # --------------------------------------------------------------------------
 
 
-def _jacobi_omega_factor(n: int, a: Fraction, b: Fraction) -> GammaProduct:
-    """One coordinate's factor of the jacobi omega closed form.
+def _omega_factor(spec: FamilySpec, coordinate: int, n: int) -> GammaProduct:
+    """One coordinate's factor of the omega closed form, unnormalized weight.
 
-    2^(a+b+1) / n! * (prod_{p<n} c+(p))^2 * Gamma(n+a+1) Gamma(n+b+1) /
-    ((2n+s+1) Gamma(n+s+1)), where the n = 0 denominator is the rewritten
+    The squared norm of that coordinate's monic degree-n polynomial: hermite
+    n!/2^n pi^(1/2), laguerre n! Gamma(n+alpha+1), jacobi 2^(a+b+1) / n! *
+    (prod_{p<n} c+(p))^2 * Gamma(n+a+1) Gamma(n+b+1) / ((2n+s+1)
+    Gamma(n+s+1)), where the n = 0 denominator is the rewritten
     (2n+s+1)Gamma(n+s+1) -> Gamma(s+2), finite for all valid parameters.
+    At n = 0 it is the coordinate's one-variable mass.
     """
+    if spec.family == "hermite":
+        return GammaProduct(
+            rational=Fraction(factorial_of((n,)), 2**n), pi_pow=Fraction(1, 2)
+        )
+    if spec.family == "laguerre":
+        return GammaProduct.from_rational(factorial_of((n,))) * GammaProduct.gamma(
+            n + spec.alphas[coordinate - 1] + 1
+        )
+    a, b = spec.jacobi_ab()
+    a, b = a[coordinate - 1], b[coordinate - 1]
     s = a + b
     inner = Fraction(1)
     for p in range(n):
@@ -364,23 +393,14 @@ def _jacobi_omega_factor(n: int, a: Fraction, b: Fraction) -> GammaProduct:
 
 
 def master_omega(spec: FamilySpec, n_bar: MultiIndex) -> GammaProduct:
-    """Diagonal omega entry for class n_bar, unnormalized-weight convention."""
-    if len(n_bar) != spec.d or any(k < 0 for k in n_bar):
-        raise InvalidIndexError(f"bad occupation vector {tuple(n_bar)}")
-    if spec.family == "hermite":
-        return GammaProduct(
-            rational=Fraction(factorial_of(n_bar), 2 ** degree(n_bar)),
-            pi_pow=Fraction(spec.d, 2),
-        )
-    if spec.family == "laguerre":
-        out = GammaProduct.from_rational(factorial_of(n_bar))
-        for k, alpha in zip(n_bar, spec.alphas):
-            out = out * GammaProduct.gamma(k + alpha + 1)
-        return out
-    a, b = spec.jacobi_ab()
+    """Diagonal omega entry for class n_bar, unnormalized-weight convention.
+
+    The product over the coordinates of their omega factors.
+    """
+    _check_index(spec, n_bar)
     out = GammaProduct.from_rational(1)
-    for i in range(spec.d):
-        out = out * _jacobi_omega_factor(n_bar[i], a[i], b[i])
+    for i, k in enumerate(n_bar, start=1):
+        out = out * _omega_factor(spec, i, k)
     return out
 
 
@@ -394,8 +414,7 @@ def stated_omega(spec: FamilySpec, n_bar: MultiIndex) -> Tuple[GammaProduct, Tup
     legendre squares the (p+1) numerator once too often.  The pipeline
     arbitrates; see verify_family.
     """
-    if len(n_bar) != spec.d or any(k < 0 for k in n_bar):
-        raise InvalidIndexError(f"bad occupation vector {tuple(n_bar)}")
+    _check_index(spec, n_bar)
     notes: List[str] = []
     if spec.family in ("hermite", "laguerre", "jacobi"):
         return master_omega(spec, n_bar), ()
@@ -423,7 +442,7 @@ def stated_omega(spec: FamilySpec, n_bar: MultiIndex) -> Tuple[GammaProduct, Tup
         out = GammaProduct.from_rational(Fraction(1, factorial_of(n_bar)))
         for i, n in enumerate(n_bar, start=1):
             if n == 0:
-                out = out * _jacobi_omega_factor(0, Fraction(-1, 2), Fraction(-1, 2))
+                out = out * _omega_factor(spec, i, 0)
                 notes.append(
                     f"coordinate {i}: stated denominator 2n*Gamma(n) undefined "
                     "at zero occupation; master factor used"
@@ -474,23 +493,34 @@ class ClosedFormEntry:
     alpha_values: Tuple[Fraction, ...]
 
 
+def _normalized(paper: GammaProduct, mass: GammaProduct) -> Fraction:
+    """paper / mass, which cancels the Gamma cores of every omega closed form."""
+    normalized = paper / mass
+    assert normalized.is_rational(), (
+        f"omega/mass must be rational, got {normalized!r}"
+    )
+    return normalized.rational_value()
+
+
+def _diagonal(values: Sequence[Fraction]) -> Matrix:
+    out = _linalg.zeros(len(values), len(values))
+    for k, value in enumerate(values):
+        out[k][k] = value
+    return out
+
+
 def closed_form_omega(spec: FamilySpec, n: int) -> List[ClosedFormEntry]:
     """Diagonal entries over the canonical class order at level n."""
-    if n < 0:
-        raise InvalidIndexError(f"level must be >= 0, got {n}")
+    _check_integer(n, "level", 0)
     mass = spec.mass_factor()
     entries = []
     for n_bar in enumerate_classes(spec.d, n).classes:
         paper = master_omega(spec, n_bar)
-        normalized = paper / mass
-        assert normalized.is_rational(), (
-            f"omega/mass must be rational, got {normalized!r} for {n_bar}"
-        )
         alphas = tuple(
             _recurrence(spec, j, n_bar[j - 1])[1] for j in range(1, spec.d + 1)
         )
         entries.append(
-            ClosedFormEntry(n_bar, normalized.rational_value(), paper, mass, alphas)
+            ClosedFormEntry(n_bar, _normalized(paper, mass), paper, mass, alphas)
         )
     return entries
 
@@ -499,13 +529,11 @@ def closed_form_alpha(spec: FamilySpec, n: int, coordinate: int) -> Matrix:
     """The diagonal matrix alpha_{e_coordinate|n} over the class basis."""
     if not 1 <= coordinate <= spec.d:
         raise InvalidIndexError(f"coordinate {coordinate} outside 1..{spec.d}")
-    if n < 0:
-        raise InvalidIndexError(f"level must be >= 0, got {n}")
-    classes = enumerate_classes(spec.d, n).classes
-    out = _linalg.zeros(len(classes), len(classes))
-    for k, n_bar in enumerate(classes):
-        out[k][k] = _recurrence(spec, coordinate, n_bar[coordinate - 1])[1]
-    return out
+    _check_integer(n, "level", 0)
+    return _diagonal([
+        _recurrence(spec, coordinate, n_bar[coordinate - 1])[1]
+        for n_bar in enumerate_classes(spec.d, n).classes
+    ])
 
 
 # --------------------------------------------------------------------------
@@ -602,24 +630,16 @@ class FamilyReport:
         }
 
 
-def _closed_omega_matrix(
-    spec: FamilySpec, n: int, mass: GammaProduct, variant: str
+def _stated_omega_matrix(
+    spec: FamilySpec, classes: Sequence[MultiIndex], mass: GammaProduct
 ) -> Tuple[Matrix, Tuple[str, ...]]:
-    classes = enumerate_classes(spec.d, n).classes
-    out = _linalg.zeros(len(classes), len(classes))
+    values = []
     notes: List[str] = []
-    for k, n_bar in enumerate(classes):
-        if variant == "stated":
-            paper, entry_notes = stated_omega(spec, n_bar)
-            notes.extend(f"class {tuple(n_bar)}: {t}" for t in entry_notes)
-        else:
-            paper = master_omega(spec, n_bar)
-        normalized = paper / mass
-        assert normalized.is_rational(), (
-            f"omega/mass must be rational, got {normalized!r}"
-        )
-        out[k][k] = normalized.rational_value()
-    return out, tuple(notes)
+    for n_bar in classes:
+        paper, entry_notes = stated_omega(spec, n_bar)
+        notes.extend(f"class {tuple(n_bar)}: {t}" for t in entry_notes)
+        values.append(_normalized(paper, mass))
+    return _diagonal(values), tuple(notes)
 
 
 def verify_family(
@@ -637,22 +657,41 @@ def verify_family(
     """
     if variant not in ("master", "stated"):
         raise UnsupportedParameterError(f"unknown variant {variant!r}")
-    if max_level < 0:
-        raise InvalidIndexError(f"max_level must be >= 0, got {max_level}")
+    _check_integer(max_level, "max_level", 0)
     functional = spec.functional()
     decomp = decompose(functional, max_level)
     ops = build(decomp)
     seq = compute(ops, max_level)
     mass = spec.mass_factor()
 
+    # one table per call, coordinate i and degree k = 0..max_level: the
+    # recurrence triple and the omega ratio r_i(k) = omega_i(k) / mass_i,
+    # where mass_i = omega_i(0) is the coordinate's one-variable mass
+    degrees = range(max_level + 1)
+    coordinates = range(1, spec.d + 1)
+    recurrence = [[_recurrence(spec, i, k) for k in degrees] for i in coordinates]
+    omegas = [[_omega_factor(spec, i, k) for k in degrees] for i in coordinates]
+    masses = GammaProduct.from_rational(1)
+    for row in omegas:
+        masses = masses * row[0]
+    assert masses == mass, f"coordinate masses multiply to {masses!r}, not {mass!r}"
+    ratio = [[_normalized(omega, row[0]) for omega in row] for row in omegas]
+
     def compare_level(n: int) -> LevelComparison:
         classes = tuple(enumerate_classes(spec.d, n).classes)
         om_pipe = seq.omega_matrix(n)
-        om_closed, notes = _closed_omega_matrix(spec, n, mass, variant)
+        if variant == "stated":
+            om_closed, notes = _stated_omega_matrix(spec, classes, mass)
+        else:
+            om_closed = _diagonal([
+                math.prod(r[k] for r, k in zip(ratio, n_bar))
+                for n_bar in classes
+            ])
+            notes = ()
         alphas = []
-        for j in range(1, spec.d + 1):
+        for j in coordinates:
             pipe = seq.alpha_matrix(j, n)
-            closed = closed_form_alpha(spec, n, j)
+            closed = _diagonal([recurrence[j - 1][n_bar[j - 1]][1] for n_bar in classes])
             alphas.append(AlphaComparison(j, pipe, closed, _linalg.mat_eq(pipe, closed)))
         return LevelComparison(
             n,
@@ -664,10 +703,10 @@ def verify_family(
             notes,
         )
 
-    levels = tuple(compare_level(n) for n in range(max_level + 1))
+    levels = tuple(compare_level(n) for n in degrees)
 
     # creation lemma on coefficient columns over the graded monomial basis
-    one_d = [_one_d(spec, i, max_level) for i in range(1, spec.d + 1)]
+    one_d = [_one_d(rows[:max_level]) for rows in recurrence]
     position = decomp.moments.position
 
     def column(index: MultiIndex) -> List[Fraction]:
@@ -682,10 +721,13 @@ def verify_family(
     for base in bases:
         if degree(base) >= max_level:
             continue  # no creation power stays within the computed levels
-        for i in range(1, spec.d + 1):
+        for i in coordinates:
             lhs = column(base)
+            factor = Fraction(1)
             for m in range(1, max_level - degree(base) + 1):
-                factor, result = creation_power(spec, base, i, m)
+                # creation_power(spec, base, i, m), one c_plus at a time
+                factor *= recurrence[i - 1][base[i - 1] + m - 1][0]
+                result = base[: i - 1] + (base[i - 1] + m,) + base[i:]
                 lhs = ops._apply(i, lhs, 1)  # (a+_i)^m F_base
                 rhs = [factor * c for c in column(result)]
                 lemma_checks.append(

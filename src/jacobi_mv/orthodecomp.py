@@ -115,10 +115,15 @@ class Decomposition:
         return self.levels[n]
 
     def level_columns(self, n: int) -> List[List[Fraction]]:
+        self.level(n)  # range check
         return self.columns[self.starts[n] : self.starts[n + 1]]
 
     def split(self, vector: Sequence[Fraction]) -> List[List[Fraction]]:
         """Level coordinates of a coefficient vector, by back substitution."""
+        if len(vector) != len(self.columns):
+            raise DimensionMismatchError(
+                f"vector length {len(vector)} != basis size {len(self.columns)}"
+            )
         rest = list(vector)
         x = [ZERO] * len(rest)
         for p in reversed(range(len(rest))):
@@ -162,7 +167,6 @@ class Decomposition:
 
     def polynomials(self, n: int) -> Tuple[Polynomial, ...]:
         """The basis polynomials of level n, read off its columns."""
-        self.level(n)  # range check
         return tuple(self.polynomial(col) for col in self.level_columns(n))
 
     def coordinates(self, p: Polynomial) -> List[List[Fraction]]:

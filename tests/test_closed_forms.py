@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jacobi_mv.closed_forms as closed_forms
 from jacobi_mv.closed_forms import (
     FAMILIES,
+    _omega_factor,
     _recurrence,
     closed_form_alpha,
     closed_form_omega,
@@ -118,22 +121,26 @@ def test_norm_squared_matches_pipeline_inner_product():
 
 
 @st.composite
-def _one_variable_spec(draw):
+def _random_spec(draw, max_d=1):
     def above(low):
-        return low + Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 6)))
+        return [
+            low + Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 6)))
+            for _ in range(d)
+        ]
 
     family = draw(st.sampled_from(FAMILIES))
+    d = draw(st.integers(1, max_d))
     if family == "laguerre":
-        return family_spec(family, alpha=[above(-1)])
+        return family_spec(family, alpha=above(-1))
     if family == "jacobi":
-        return family_spec(family, a=[above(-1)], b=[above(-1)])
+        return family_spec(family, a=above(-1), b=above(-1))
     if family == "gegenbauer":
-        return family_spec(family, lam=[above(Fraction(-1, 2))])
-    return family_spec(family, d=1)
+        return family_spec(family, lam=above(Fraction(-1, 2)))
+    return family_spec(family, d=d)
 
 
 @settings(max_examples=40, deadline=None)
-@given(_one_variable_spec())
+@given(_random_spec())
 def test_recurrence_table_against_the_functional(spec):
     # the functional's own moments are the independent reference for every
     # entry of x F_k = c_plus F_{k+1} + c_zero F_k + c_minus F_{k-1}
@@ -171,6 +178,65 @@ def test_pipeline_and_verify_build_no_polynomial(monkeypatch):
         compute_from_functional(functional, 3)
     for spec in ROSTER:
         assert verify_family(spec, 3).ok
+
+
+@settings(max_examples=25, deadline=None)
+@given(_random_spec(max_d=3), st.integers(0, 4))
+def test_verify_table_against_the_per_class_functions(spec, max_level):
+    # verify_family reads every closed form off one per-coordinate table;
+    # the public per-class functions are the reference for each entry
+    mass = spec.mass_factor()
+    masses = GammaProduct.from_rational(1)
+    for i in range(1, spec.d + 1):
+        masses = masses * _omega_factor(spec, i, 0)
+    assert masses == mass
+    report = verify_family(spec, max_level)
+    for lv in report.levels:
+        values = [(master_omega(spec, c) / mass).rational_value() for c in lv.classes]
+        assert lv.omega_closed == [
+            [v if r == k else 0 for k in range(len(values))]
+            for r, v in enumerate(values)
+        ]
+        for a in lv.alphas:
+            assert a.closed == closed_form_alpha(spec, lv.n, a.j)
+    for c in report.lemma_checks:
+        assert c.factor == creation_power(spec, c.base, c.coordinate, c.power)[0]
+    assert report.ok
+
+
+def test_verify_family_evaluates_each_closed_form_once_per_coordinate_and_degree(
+    monkeypatch,
+):
+    # the per-class route made one omega evaluation per class and coordinate
+    # (168 here) and one _recurrence call per closed alpha entry
+    spec = family_spec("jacobi", a=["1/2", 0, "-1/3"], b=["-1/2", 1, "2/5"])
+    top = 5
+    calls = Counter()
+    for name in ("_omega_factor", "_recurrence"):
+        def counted(*args, _original=getattr(closed_forms, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(closed_forms, name, counted)
+    assert verify_family(spec, top, variant="master").ok
+    assert 0 < calls["_omega_factor"] <= spec.d * (top + 1)
+    assert 0 < calls["_recurrence"] <= spec.d * (top + 1)
+
+
+def test_non_integer_levels_and_indices_raise_invalid_index():
+    # before, each raised a bare TypeError from math.factorial or range
+    cheb1 = family_spec("chebyshev1", d=1)
+    calls = (
+        lambda: master_omega(HERMITE1, (1.5,)),
+        lambda: stated_omega(cheb1, (2.0,)),
+        lambda: closed_form_omega(HERMITE1, 1.5),
+        lambda: closed_form_alpha(HERMITE1, 2.0, 1),
+        lambda: verify_family(HERMITE1, 2.0),
+        lambda: creation_power(HERMITE1, (0,), 1, 2.0),
+    )
+    for call in calls:
+        with pytest.raises(InvalidIndexError):
+            call()
 
 
 def test_creation_power_frozen_values():

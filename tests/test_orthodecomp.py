@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacobi_mv import _linalg
-from jacobi_mv.errors import InvalidIndexError, NotAStateError
+from jacobi_mv.errors import DimensionMismatchError, InvalidIndexError, NotAStateError
 from jacobi_mv.moments import (
     atomic_functional,
     beta_functional,
@@ -126,6 +126,18 @@ def test_degree_overflow_raises():
         dec.coordinates(Polynomial.monomial(1, (3,)))
     with pytest.raises(InvalidIndexError):
         dec.level(3)
+
+
+def test_level_columns_and_split_check_their_arguments():
+    # before, level_columns(-1) returned [] and split([1, 2]) returned
+    # [[1], [2], []]; the other two raised a bare IndexError
+    dec = decompose(gaussian_functional(1), 2)
+    for n in (-1, 3, 5):
+        with pytest.raises(InvalidIndexError):
+            dec.level_columns(n)
+    for vector in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(DimensionMismatchError):
+            dec.split(vector)
 
 
 def test_rank_and_null_mask_on_atomic_measure():
