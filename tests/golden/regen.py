@@ -61,6 +61,19 @@ MEASURES = {
         1, 4, [((0,), "1"), ((1,), "0"), ((2,), "0"), ((3,), "1"), ((4,), "0")]
     ),
     "one_atom": _atoms(1, [(("1",), "1")]),
+    # twelve atoms in general position in R^2: every level up to 3 has full
+    # rank and a dense, non-diagonal Gram, and top-level alpha is available
+    "twelve_atoms": _atoms(
+        2,
+        [
+            ((x, y), "1/12")
+            for x, y in [
+                ("0", "0"), ("1", "0"), ("0", "1"), ("2", "1"),
+                ("-1", "2"), ("1", "-2"), ("3", "1"), ("-2", "-1"),
+                ("1/2", "3"), ("2", "-1/3"), ("-1", "-3"), ("3", "3"),
+            ]
+        ],
+    ),
 }
 
 
@@ -117,6 +130,10 @@ def _cases():
         ("two_atoms_n5.cap", dict(command="cap", measure="two_atoms", max_level=5)),
         ("one_atom_n4.omega", dict(command="omega", measure="one_atom", max_level=4)),
     ]
+    for command in ("cap", "omega", "alpha"):
+        out.append((f"twelve_atoms_n3.{command}", dict(command=command,
+                                                        measure="twelve_atoms",
+                                                        max_level=3)))
     return out
 
 
