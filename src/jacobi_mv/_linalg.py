@@ -103,12 +103,18 @@ def rref(a: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        row = m[r]
+        inv = 1 / row[c]
+        # the scaling and the updates leave the pivot row's zeros alone
+        support = [k for k, x in enumerate(row) if x]
+        for k in support:
+            row[k] *= inv
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                target = m[i]
+                for k in support:
+                    target[k] -= f * row[k]
         pivots.append(c)
         r += 1
     return m, pivots

@@ -14,6 +14,10 @@ annihilation are obtained from the pairing instead: their images match
 x_j*p against every basis vector of the target level, with degenerate
 Gram systems solved with free variables set to zero.  An inconsistent
 system there certifies that the moments are not positive semidefinite.
+The top-level pairings take no back substitution: a degree-N monomial is
+a basis vector over its leading coefficient plus lower levels, so the
+pairings follow from one moment row per shifted leading monomial, the
+degree-(N-1) coefficients of the columns and the level Gram.
 
 Matrices are written in the level bases of the decomposition, columns
 indexed by the source level; coordinates j are 1-based.
@@ -33,7 +37,7 @@ from .errors import (
     InvalidIndexError,
     NotAStateError,
 )
-from .multiindex import MultiIndex, shift
+from .multiindex import MultiIndex, check_index, shift
 from .orthodecomp import Decomposition, MomentMatrix
 from .polyring import Polynomial
 
@@ -56,10 +60,8 @@ class CAPSystem:
         self._minus = minus
 
     def _check(self, j: int, n: int, top: int) -> None:
-        if not 1 <= j <= self.d:
-            raise InvalidIndexError(f"coordinate {j} outside 1..{self.d}")
-        if not 0 <= n <= top:
-            raise InvalidIndexError(f"level {n} outside 0..{top}")
+        check_index(j, "coordinate", 1, self.d)
+        check_index(n, "level", 0, top)
 
     def plus_matrix(self, j: int, n: int) -> Matrix:
         """Creation a+_{j|n}, shape classes(n+1) x classes(n); needs n < max."""
@@ -105,7 +107,7 @@ class CAPSystem:
             else:
                 matrix = self._minus[(j, n)]
             image = decomp.expand(n + step, _linalg.mat_vec(matrix, c))
-            out = [x + y for x, y in zip(out, image)]
+            out = [x + y if y else x for x, y in zip(out, image)]
         return out
 
     # ------------------------------------------------------- polynomial forms
@@ -137,24 +139,37 @@ def _top_pairings(
 ) -> Matrix:
     """<b_i, x^unit b_k> over the top level N, as a matrix indexed (i, k).
 
-    x^unit b_k = c_k x^(beta_k+unit) + r with c_k the leading coefficient and
-    deg r <= N.  b_i is orthogonal to the lower levels, so the pairing is
-    c_k <b_i, x^(beta_k+unit)> + (G_N split(r)[N])_i.  rows caches the moment
-    row <b_i, x^gamma> per degree-(N+1) monomial gamma, across coordinates.
+    b_k is c_k x^beta_k plus terms of degree <= N-1, with c_k its leading
+    coefficient.  A degree-N monomial x^gamma is b_gamma / c_gamma plus
+    lower levels, and every monomial of degree < N lies in the lower levels,
+    which are orthogonal to b_i.  So the pairing is
+
+        c_k <b_i, x^(beta_k+unit)> + sum_{|alpha|=N-1} b_k[alpha] G_N[i][gamma] / c_gamma
+
+    with gamma = alpha+unit.  rows caches the moment row <b_i, x^gamma> per
+    degree-(N+1) monomial gamma, across coordinates.
     """
     moments = decomposition.moments
     n = decomposition.max_degree
     lv = decomposition.level(n)
     columns = decomposition.level_columns(n)
+    start = decomposition.starts[n]
+    below = range(decomposition.starts[n - 1] if n else start, start)
     pairings = []
     for beta, col in zip(lv.monomials, columns):
         gamma = shift(beta, unit)
         if gamma not in rows:
             rows[gamma] = [moments.pair(b, gamma) for b in columns]
-        coords = decomposition.split(_times(moments, col[:-1], unit))[n]
-        pairings.append(
-            [col[-1] * p + q for p, q in zip(rows[gamma], _linalg.mat_vec(lv.gram, coords))]
-        )
+        lead = col[-1]
+        out = [lead * p if p else p for p in rows[gamma]]
+        for a in below:
+            if col[a]:
+                q = moments.position[shift(moments.basis[a], unit)] - start
+                weight = col[a] / columns[q][-1]
+                for i, row in enumerate(lv.gram):
+                    if row[q]:
+                        out[i] += weight * row[q]
+        pairings.append(out)
     return _linalg.transpose(pairings)
 
 

@@ -61,7 +61,13 @@ from .moments import (
     GaussianFunctional,
     MomentFunctional,
 )
-from .multiindex import MultiIndex, degree, enumerate_classes, factorial_of
+from .multiindex import (
+    MultiIndex,
+    check_index,
+    degree,
+    enumerate_classes,
+    factorial_of,
+)
 from .orthodecomp import decompose
 from .polyring import Polynomial
 from .symbolic import GammaProduct
@@ -262,11 +268,6 @@ def _tensor(
     return terms
 
 
-def _check_integer(value, what: str, low: int) -> None:
-    if not isinstance(value, int) or value < low:
-        raise InvalidIndexError(f"{what} must be an integer >= {low}, got {value!r}")
-
-
 def _check_index(spec: FamilySpec, index: MultiIndex) -> None:
     if len(index) != spec.d:
         raise InvalidIndexError(
@@ -338,9 +339,8 @@ def creation_power(
     ratio of classical leading coefficients, so it can be cross-checked by
     applying the pipeline's creation matrices.
     """
-    if not 1 <= coordinate <= spec.d:
-        raise InvalidIndexError(f"coordinate {coordinate} outside 1..{spec.d}")
-    _check_integer(power, "power", 1)
+    check_index(coordinate, "coordinate", 1, spec.d)
+    check_index(power, "power", 1)
     _check_index(spec, base)
     k = base[coordinate - 1]
     result = tuple(
@@ -511,7 +511,7 @@ def _diagonal(values: Sequence[Fraction]) -> Matrix:
 
 def closed_form_omega(spec: FamilySpec, n: int) -> List[ClosedFormEntry]:
     """Diagonal entries over the canonical class order at level n."""
-    _check_integer(n, "level", 0)
+    check_index(n, "level", 0)
     mass = spec.mass_factor()
     entries = []
     for n_bar in enumerate_classes(spec.d, n).classes:
@@ -527,9 +527,8 @@ def closed_form_omega(spec: FamilySpec, n: int) -> List[ClosedFormEntry]:
 
 def closed_form_alpha(spec: FamilySpec, n: int, coordinate: int) -> Matrix:
     """The diagonal matrix alpha_{e_coordinate|n} over the class basis."""
-    if not 1 <= coordinate <= spec.d:
-        raise InvalidIndexError(f"coordinate {coordinate} outside 1..{spec.d}")
-    _check_integer(n, "level", 0)
+    check_index(coordinate, "coordinate", 1, spec.d)
+    check_index(n, "level", 0)
     return _diagonal([
         _recurrence(spec, coordinate, n_bar[coordinate - 1])[1]
         for n_bar in enumerate_classes(spec.d, n).classes
@@ -657,7 +656,7 @@ def verify_family(
     """
     if variant not in ("master", "stated"):
         raise UnsupportedParameterError(f"unknown variant {variant!r}")
-    _check_integer(max_level, "max_level", 0)
+    check_index(max_level, "max_level", 0)
     functional = spec.functional()
     decomp = decompose(functional, max_level)
     ops = build(decomp)
@@ -729,7 +728,7 @@ def verify_family(
                 factor *= recurrence[i - 1][base[i - 1] + m - 1][0]
                 result = base[: i - 1] + (base[i - 1] + m,) + base[i:]
                 lhs = ops._apply(i, lhs, 1)  # (a+_i)^m F_base
-                rhs = [factor * c for c in column(result)]
+                rhs = [factor * c if c else c for c in column(result)]
                 lemma_checks.append(
                     LemmaCheck(i, base, m, factor, lhs == rhs)
                 )

@@ -9,9 +9,12 @@ identifies it with a spanning family of P_n, and
 
 * Omega_n is the Gram matrix of the chain vectors (symmetric PSD),
 * alpha_{j|n} represents the preservation operator pulled back through
-  U_n, solved in least-squares form on the possibly singular Omega_n with
-  free variables set to zero (entries on null directions are 0 by
-  convention).
+  U_n.  U_n is the diagonal matrix C of reciprocal leading coefficients,
+  so alpha solves Omega_n a = C^T G_n Z C with Z the preservation block.
+  When G_n has full rank that solution is C^-1 Z C, read off Z with no
+  elimination; on a rank-deficient level the system is solved on the
+  singular Omega_n with free variables set to zero (entries on null
+  directions are 0 by convention).
 
 A functional is finitely atomic exactly when some Omega_{n0} vanishes,
 which detect_atoms decides in exact arithmetic; the number of atoms is
@@ -41,7 +44,14 @@ from .errors import (
     RepresentationError,
 )
 from .moments import MomentFunctional
-from .multiindex import ClassBasis, MultiIndex, degree, enumerate_classes, shift
+from .multiindex import (
+    ClassBasis,
+    MultiIndex,
+    check_index,
+    degree,
+    enumerate_classes,
+    shift,
+)
 from .orthodecomp import decompose
 from .polyring import monomials_of_degree
 
@@ -71,8 +81,7 @@ class JacobiSequencePair:
         return self.class_bases[n]
 
     def _check_level(self, n: int) -> None:
-        if not 0 <= n <= self.max_level:
-            raise InvalidIndexError(f"level {n} outside 0..{self.max_level}")
+        check_index(n, "level", 0, self.max_level)
 
     def omega_matrix(self, n: int) -> Matrix:
         self._check_level(n)
@@ -80,8 +89,7 @@ class JacobiSequencePair:
 
     def alpha_matrix(self, j: int, n: int) -> Matrix:
         self._check_level(n)
-        if not 1 <= j <= self.d:
-            raise InvalidIndexError(f"coordinate {j} outside 1..{self.d}")
+        check_index(j, "coordinate", 1, self.d)
         stored = self._alpha[n][j - 1]
         if stored is None:
             raise InsufficientMomentsError(
@@ -92,6 +100,7 @@ class JacobiSequencePair:
 
     def alpha_available(self, j: int, n: int) -> bool:
         self._check_level(n)
+        check_index(j, "coordinate", 1, self.d)
         return self._alpha[n][j - 1] is not None
 
     def alpha_for_direction(self, v: Sequence, n: int) -> Matrix:
@@ -108,7 +117,7 @@ class JacobiSequencePair:
 
 def _congruence(c: Sequence[Fraction], m) -> Matrix:
     """C^T m C for the diagonal matrix C = diag(c)."""
-    return [[ci * x * ck for x, ck in zip(row, c)] for ci, row in zip(c, m)]
+    return [[ci * x * ck if x else x for x, ck in zip(row, c)] for ci, row in zip(c, m)]
 
 
 def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
@@ -133,8 +142,8 @@ def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
     alpha: List[List[Optional[Matrix]]] = []
     for n in range(max_level + 1):
         c = [1 / col[-1] for col in decomp.level_columns(n)]
-        g = decomp.level(n).gram
-        om = _congruence(c, g)
+        lv = decomp.level(n)
+        om = _congruence(c, lv.gram)
         omega.append(om)
         per_level: List[Optional[Matrix]] = []
         for j in range(1, d + 1):
@@ -143,7 +152,14 @@ def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
             except InsufficientMomentsError:
                 per_level.append(None)
                 continue
-            a = _linalg.solve_consistent(om, _congruence(c, _linalg.mat_mul(g, z)))
+            if lv.rank == len(lv):
+                # Omega_n is invertible, so C^-1 Z C is the system's one solution
+                per_level.append([
+                    [x * ck / ci if x else x for x, ck in zip(row, c)]
+                    for ci, row in zip(c, z)
+                ])
+                continue
+            a = _linalg.solve_consistent(om, _congruence(c, _linalg.mat_mul(lv.gram, z)))
             if a is None:
                 raise RepresentationError(
                     f"preservation image at level {n}, coordinate {j} leaves "

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import InvalidDimensionError, InvalidIndexError, OutOfLatticeError
 
@@ -126,6 +126,24 @@ def enumerate_classes(d: int, n: int) -> ClassBasis:
         raise InvalidIndexError(f"degree must be non-negative, got {n}")
     classes = sorted(_compositions(d, n), key=canonical_key)
     return ClassBasis(d=d, n=n, classes=tuple(classes))
+
+
+def check_index(
+    value, what: str, low: int, high: Optional[int] = None, span: str = ""
+) -> None:
+    """Refuse a level, coordinate or count that is no integer or leaves low..high.
+
+    With high None only the lower bound applies.  Bools are refused: they
+    are ints to Python but no index.  span names the range in the message
+    ("level 5 outside computed range 0..3" for span "computed range ").
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidIndexError(f"{what} must be an integer, got {value!r}")
+    if high is None:
+        if value < low:
+            raise InvalidIndexError(f"{what} must be an integer >= {low}, got {value!r}")
+    elif not low <= value <= high:
+        raise InvalidIndexError(f"{what} {value} outside {span}{low}..{high}")
 
 
 def _check_dimension(d: int) -> None:

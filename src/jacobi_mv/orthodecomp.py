@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .moments import MomentFunctional
-from .multiindex import MultiIndex
+from .multiindex import MultiIndex, check_index
 from .polyring import Polynomial, monomial_basis, monomials_of_degree
 
 
@@ -87,7 +87,9 @@ class MomentMatrix:
                 key = tuple(x + y for x, y in zip(alpha, beta))
                 if key not in self._moments:
                     self._moments[key] = self.functional.moment(key)
-                total += c * self._moments[key]
+                moment = self._moments[key]
+                if moment:
+                    total += c * moment
         return total
 
 
@@ -108,10 +110,7 @@ class Decomposition:
         self.starts = list(accumulate((len(lv) for lv in self.levels), initial=0))
 
     def level(self, n: int) -> Level:
-        if not 0 <= n <= self.max_degree:
-            raise InvalidIndexError(
-                f"level {n} outside computed range 0..{self.max_degree}"
-            )
+        check_index(n, "level", 0, self.max_degree, "computed range ")
         return self.levels[n]
 
     def level_columns(self, n: int) -> List[List[Fraction]]:

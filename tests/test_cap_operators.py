@@ -19,6 +19,7 @@ from jacobi_mv.errors import (
 from jacobi_mv.moments import (
     atomic_functional,
     beta_functional,
+    functional_from_json,
     gamma_functional,
     gaussian_functional,
     table_functional,
@@ -26,6 +27,8 @@ from jacobi_mv.moments import (
 from jacobi_mv.multiindex import enumerate_classes, shift
 from jacobi_mv.orthodecomp import decompose
 from jacobi_mv.polyring import Polynomial
+
+from golden.regen import MEASURES
 
 
 def _functionals():
@@ -158,12 +161,16 @@ def test_top_level_preservation_needs_extra_degree():
 def _top_level_cases():
     rescaled = decompose(beta_functional([1, 0], [Fraction(1, 2), 2]), 3)
     scales = [[Fraction(k + 2, 3 - 2 * (k % 2)) for k in range(n + 1)] for n in range(4)]
+    # dense, full-rank levels up to the top
+    twelve = decompose(functional_from_json(MEASURES["twelve_atoms"]), 3)
     return [
         decompose(gaussian_functional(2), 3),
         decompose(gamma_functional([0, Fraction(1, 2)]), 3),
         decompose(beta_functional([0, Fraction(1, 2)], [Fraction(-1, 2), 1]), 3),
         decompose(atomic_functional([(("0", "0"), "1/3"), (("1", "0"), "1/3"), (("0", "2"), "1/3")]), 2),
         rescaled.rescale(scales),
+        twelve,
+        twelve.rescale([[Fraction(-3, k + 2) for k in range(n + 1)] for n in range(4)]),
     ]
 
 
@@ -205,3 +212,19 @@ def test_matrix_accessors_validate_indices():
         ops.zero_matrix(2, 0)
     with pytest.raises(InvalidIndexError):
         ops.minus_matrix(1, 5)
+
+
+def test_matrix_accessors_refuse_non_integer_indices():
+    # before, plus_matrix(1.0, 0) and zero_matrix(1, 1.0) returned a block:
+    # a float compares equal to the int key of the block dictionaries
+    ops = build(decompose(gaussian_functional(2), 2))
+    for call in (
+        lambda: ops.plus_matrix(1.0, 0),
+        lambda: ops.zero_matrix(1, 1.0),
+        lambda: ops.minus_matrix(2, 1.0),
+        lambda: ops.creation(1.0, Polynomial.monomial(2, (0, 0))),
+    ):
+        with pytest.raises(InvalidIndexError, match="must be an integer"):
+            call()
+    with pytest.raises(InvalidIndexError, match=r"^coordinate 3 outside 1\.\.2$"):
+        ops.zero_matrix(3, 0)

@@ -239,6 +239,20 @@ def test_non_integer_levels_and_indices_raise_invalid_index():
             call()
 
 
+def test_coordinate_arguments_must_be_integers():
+    # before, a float coordinate passed the range check and raised a bare
+    # TypeError from tuple indexing
+    spec = family_spec("laguerre", alpha=[0, "1/2"])
+    for call in (
+        lambda: closed_form_alpha(spec, 1, 1.0),
+        lambda: creation_power(spec, (0, 0), 1.0, 1),
+    ):
+        with pytest.raises(InvalidIndexError, match="coordinate must be an integer"):
+            call()
+    with pytest.raises(InvalidIndexError, match=r"^coordinate 3 outside 1\.\.2$"):
+        closed_form_alpha(spec, 1, 3)
+
+
 def test_creation_power_frozen_values():
     assert creation_power(HERMITE1, (0,), 1, 3) == (Fraction(1, 8), (3,))
     assert creation_power(LAGUERRE0, (0,), 1, 2) == (Fraction(2), (2,))

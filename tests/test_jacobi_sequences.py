@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from jacobi_mv import _linalg
 from jacobi_mv.cap_operators import build
+from jacobi_mv.closed_forms import FAMILIES, family_spec
 from jacobi_mv.errors import (
     InsufficientDepthError,
     InsufficientMomentsError,
@@ -30,6 +32,83 @@ from jacobi_mv.moments import (
 )
 from jacobi_mv.orthodecomp import decompose
 from jacobi_mv.polyring import monomial_basis
+
+def _rationals(low=None):
+    """Rationals p/q, or low + p/q (so above low) when low is given."""
+    if low is None:
+        return st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4))
+    return st.builds(lambda p, q: low + Fraction(p, q), st.integers(1, 12), st.integers(1, 4))
+
+
+@st.composite
+def _decompositions(draw):
+    """A decomposition of one of the seven families or of random rational atoms,
+    sometimes with every basis vector rescaled."""
+    kind = draw(st.sampled_from(FAMILIES + ("atoms",)))
+    d = draw(st.integers(1, 2))
+    params = lambda low: draw(st.lists(_rationals(low), min_size=d, max_size=d))
+    if kind == "atoms":
+        points = draw(st.lists(st.tuples(*[_rationals()] * d), min_size=1,
+                               max_size=9, unique=True))
+        functional = atomic_functional([(p, Fraction(1, len(points))) for p in points])
+    elif kind == "laguerre":
+        functional = family_spec(kind, alpha=params(-1)).functional()
+    elif kind == "jacobi":
+        functional = family_spec(kind, a=params(-1), b=params(-1)).functional()
+    elif kind == "gegenbauer":
+        functional = family_spec(kind, lam=params(Fraction(-1, 2))).functional()
+    else:
+        functional = family_spec(kind, d=d).functional()
+    dec = decompose(functional, draw(st.integers(1, 4 - d)))
+    if draw(st.booleans()):
+        nonzero = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+        dec = dec.rescale([[draw(nonzero) for _ in lv.monomials] for lv in dec.levels])
+    return dec
+
+
+@settings(deadline=None)
+@given(_decompositions())
+def test_alpha_on_full_rank_levels_is_the_solution_of_the_chain_system(dec):
+    # compute reads alpha = C^-1 Z C off a full-rank level; it must be what
+    # solving Omega_n a = C^T G_n Z C gives, formed here independently
+    try:
+        ops = build(dec)
+    except InternalConsistencyError:
+        # build refuses some atomic functionals two levels past n0 (a
+        # recorded defect, tested on its own in test_cap_operators)
+        assume(False)
+    seq = compute(ops, dec.max_degree)
+    for lv in dec.levels:
+        if lv.rank < len(lv):
+            continue
+        c = [1 / col[-1] for col in dec.level_columns(lv.n)]
+        for j in range(1, dec.d + 1):
+            if not seq.alpha_available(j, lv.n):
+                continue
+            gz = _linalg.mat_mul(lv.gram_matrix(), ops.zero_matrix(j, lv.n))
+            rhs = [[ci * x * ck for x, ck in zip(row, c)] for ci, row in zip(c, gz)]
+            expected = _linalg.solve_consistent(seq.omega_matrix(lv.n), rhs)
+            assert seq.alpha_matrix(j, lv.n) == expected
+
+
+def test_compute_solves_only_on_rank_deficient_levels(monkeypatch):
+    # gaussian levels all have full rank; three atoms in general position
+    # in R^2 leave level 2 (three classes) null, one solve per coordinate
+    three = [(("0", "0"), "1/3"), (("1", "0"), "1/3"), (("0", "2"), "1/3")]
+    solve = _linalg.solve_consistent
+    for functional, top, sizes in (
+        (gaussian_functional(2), 3, []),
+        (atomic_functional(three), 2, [3, 3]),
+    ):
+        ops = build(decompose(functional, top))
+        calls = []
+        monkeypatch.setattr(
+            _linalg, "solve_consistent", lambda a, b: calls.append(len(a)) or solve(a, b)
+        )
+        compute(ops, top)
+        monkeypatch.undo()
+        assert calls == sizes
+
 
 TWO_ATOMS = [(("0", "0"), "1/2"), (("1", "1"), "1/2")]
 THREE_ATOMS = [(("-1",), "1/4"), (("0",), "1/2"), (("2",), "1/4")]
@@ -99,6 +178,28 @@ def test_compute_requires_deep_enough_ops():
     ops = build(decompose(gaussian_functional(1), 2))
     with pytest.raises(InvalidIndexError):
         compute(ops, 3)
+
+
+def test_sequence_accessors_refuse_non_integer_indices():
+    # before, classes, omega_matrix, alpha_matrix and alpha_available raised
+    # a bare TypeError on a float level, and alpha_available(0, n) read the
+    # last coordinate's entry
+    seq = compute_from_functional(gaussian_functional(2), 2)
+    for call in (
+        lambda: seq.classes(1.0),
+        lambda: seq.omega_matrix(1.0),
+        lambda: seq.alpha_matrix(1, 1.0),
+        lambda: seq.alpha_matrix(1.0, 1),
+        lambda: seq.alpha_available(1, 1.0),
+        lambda: seq.alpha_available(1.0, 1),
+    ):
+        with pytest.raises(InvalidIndexError, match="must be an integer"):
+            call()
+    for j in (0, 3):
+        with pytest.raises(InvalidIndexError, match=rf"^coordinate {j} outside 1\.\.2$"):
+            seq.alpha_available(j, 1)
+    with pytest.raises(InvalidIndexError, match=r"^level 3 outside 0\.\.2$"):
+        seq.omega_matrix(3)
 
 
 def test_rank_profile_examples():

@@ -155,3 +155,64 @@ def test_transpose_of_product(a, b):
     left = _linalg.transpose(_linalg.mat_mul(a, b))
     right = _linalg.mat_mul(_linalg.transpose(b), _linalg.transpose(a))
     assert left == right
+
+
+def _dense_rref(a):
+    """rref before its zero-skipping loop, the reference for the sparse tests."""
+    m = _linalg.copy(a)
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+@st.composite
+def _sparse(draw, rows=None, cols=None):
+    """A rows x cols rational matrix with at least half of its entries zero."""
+    rows = rows or draw(st.integers(1, 5))
+    cols = cols or draw(st.integers(1, 6))
+    size = rows * cols
+    zeros = draw(st.sets(st.integers(0, size - 1), min_size=(size + 1) // 2, max_size=size))
+    flat = [
+        ZERO if k in zeros
+        else Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 5)))
+        for k in range(size)
+    ]
+    return [flat[r * cols : (r + 1) * cols] for r in range(rows)]
+
+
+@given(_sparse())
+def test_rref_on_sparse_input_matches_the_dense_loop(a):
+    reduced, pivots = _linalg.rref(a)
+    assert (reduced, pivots) == _dense_rref(a)
+    assert all(type(x) is Fraction for row in reduced for x in row)
+
+
+@given(st.data())
+def test_solve_consistent_on_sparse_input_matches_the_dense_loop(data):
+    a = data.draw(_sparse())
+    b = data.draw(_sparse(rows=len(a), cols=data.draw(st.integers(1, 3))))
+    n = len(a[0])
+    reduced, pivots = _dense_rref([ra + rb for ra, rb in zip(a, b)])
+    expected = None
+    if all(p < n for p in pivots):
+        expected = _linalg.zeros(n, len(b[0]))
+        for r, c in enumerate(pivots):
+            expected[c] = reduced[r][n:]
+    assert _linalg.solve_consistent(a, b) == expected

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from jacobi_mv.errors import InvalidDimensionError, InvalidIndexError, OutOfLatticeError
 from jacobi_mv.multiindex import (
     canonical_key,
+    check_index,
     class_count,
     degree,
     enumerate_classes,
@@ -82,3 +84,17 @@ def test_occupation_invariant_under_reordering(letters):
     direct = occupation(3, letters)
     assert occupation(3, sorted(letters)) == direct
     assert degree(direct) == len(letters)
+
+
+def test_check_index_refuses_non_integers_and_keeps_range_messages():
+    for value in (1.0, Fraction(1), "1", True, None):
+        with pytest.raises(InvalidIndexError, match="must be an integer, got"):
+            check_index(value, "level", 0, 3)
+    with pytest.raises(InvalidIndexError, match=r"^level 4 outside 0\.\.3$"):
+        check_index(4, "level", 0, 3)
+    with pytest.raises(InvalidIndexError, match=r"^level 4 outside computed range 0\.\.3$"):
+        check_index(4, "level", 0, 3, "computed range ")
+    with pytest.raises(InvalidIndexError, match=r"^power must be an integer >= 1, got 0$"):
+        check_index(0, "power", 1)
+    check_index(7, "power", 1)
+    check_index(0, "coordinate", 0, 0)

@@ -128,6 +128,16 @@ def test_degree_overflow_raises():
         dec.level(3)
 
 
+def test_level_accessors_refuse_non_integer_levels():
+    # before, level(1.0) raised a bare TypeError from list indexing
+    dec = decompose(gaussian_functional(1), 2)
+    for call in (dec.level, dec.level_columns):
+        with pytest.raises(InvalidIndexError, match="level must be an integer"):
+            call(1.0)
+    with pytest.raises(InvalidIndexError, match=r"^level 3 outside computed range 0\.\.2$"):
+        dec.level(3)
+
+
 def test_level_columns_and_split_check_their_arguments():
     # before, level_columns(-1) returned [] and split([1, 2]) returned
     # [[1], [2], []]; the other two raised a bare IndexError
