@@ -4,12 +4,30 @@ Matrices are lists of rows of Fractions.  Everything here is tolerance-free:
 a pivot is zero exactly when it equals Fraction(0), so ranks, kernels and
 positive-semidefiniteness certificates are decidable.
 
+The exact kernels work in Python integers and build a Fraction only for
+each result, because Fraction arithmetic normalizes by a gcd on every
+operation:
+
+* sum_of_products: the sum of x*y over (x, y) pairs, kept as one integer
+  numerator over the running lcm of the term denominators and normalized
+  once at the end.  _dot (so mat_mul and mat_vec) and the moment pairings
+  of orthodecomp use it.
+
+* rref: Gauss-Jordan elimination on integer rows.  Each row is cleared of
+  its denominators once; an update is p*row_i - f*row_r with p the pivot
+  and f the entry to clear, both divided by gcd(p, f), and the new row is
+  divided by its content.  Every integer row is a nonzero multiple of the
+  row the rational loop would hold, so the zero entries, hence the pivot
+  choice (first row with a nonzero entry, scanning top-down), the pivots
+  and the inconsistency test, are those of the rational loop.  Fractions
+  are formed once, when the pivot rows are normalized; the reduced form is
+  unique, so it is the rational loop's byte for byte.
+
 Two workhorses:
 
 * solve_consistent: Gauss-Jordan solve of A X = B with free variables pinned
-  to 0.  The pivot choice (first row with a nonzero entry, scanning top-down)
-  is deterministic, which makes every downstream matrix reproducible
-  byte-for-byte.  Returns None when the system is inconsistent.
+  to 0.  The deterministic pivot choice makes every downstream matrix
+  reproducible byte-for-byte.  Returns None when the system is inconsistent.
 
 * ldlt_psd: symmetric congruence reduction with diagonal pivoting.  For a
   symmetric matrix it either certifies positive semidefiniteness (returning
@@ -20,7 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from math import gcd
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
@@ -58,7 +77,31 @@ def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
 
 
 def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(u, v) if x and y), ZERO)
+    return sum_of_products(zip(u, v))
+
+
+def sum_of_products(pairs: Iterable[Tuple[Fraction, Fraction]]) -> Fraction:
+    """The exact sum of x*y over the pairs, as a normalized Fraction.
+
+    Accumulates one integer numerator over the lcm of the term
+    denominators seen so far; terms with a zero factor are skipped.
+    """
+    num, den = 0, 1
+    for x, y in pairs:
+        xn, xd = x.as_integer_ratio()
+        if not xn:
+            continue
+        yn, yd = y.as_integer_ratio()
+        if not yn:
+            continue
+        d = xd * yd
+        if d == den:
+            num += xn * yn
+        else:
+            g = gcd(den, d)
+            num = num * (d // g) + xn * yn * (den // g)
+            den = den // g * d
+    return Fraction(num, den)
 
 
 def mat_add(a, b) -> Matrix:
@@ -89,9 +132,23 @@ def is_diagonal(a) -> bool:
     return all(x == 0 for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
 
 
+def _integer_row(row: Sequence[Fraction]) -> List[int]:
+    """A primitive integer row that is a positive multiple of this one."""
+    ratios = [x.as_integer_ratio() for x in row]
+    den = 1
+    for _, q in ratios:
+        den = den // gcd(den, q) * q
+    return _primitive([p * (den // q) for p, q in ratios])
+
+
+def _primitive(row: List[int]) -> List[int]:
+    content = gcd(*row)
+    return [x // content for x in row] if content > 1 else row
+
+
 def rref(a: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    m = copy(a)
+    m = [_integer_row(row) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
@@ -99,25 +156,27 @@ def rref(a: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
     for c in range(cols):
         if r == rows:
             break
-        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         row = m[r]
-        inv = 1 / row[c]
-        # the scaling and the updates leave the pivot row's zeros alone
-        support = [k for k, x in enumerate(row) if x]
-        for k in support:
-            row[k] *= inv
+        p = row[c]
+        # the update leaves the pivot row's zeros alone
+        support = [(k, x) for k, x in enumerate(row) if x]
         for i in range(rows):
             f = m[i][c]
             if i != r and f:
-                target = m[i]
-                for k in support:
-                    target[k] -= f * row[k]
+                g = gcd(p, f)
+                scale, f = p // g, f // g
+                target = [scale * x for x in m[i]] if scale != 1 else m[i]
+                for k, x in support:
+                    target[k] -= f * x
+                m[i] = _primitive(target)
         pivots.append(c)
         r += 1
-    return m, pivots
+    reduced = [[Fraction(x, row[c]) if x else ZERO for x in row] for row, c in zip(m, pivots)]
+    return reduced + zeros(rows - r, cols), pivots
 
 
 def rank(a: Sequence[Sequence[Fraction]]) -> int:

@@ -48,6 +48,7 @@ from .multiindex import (
     ClassBasis,
     MultiIndex,
     check_index,
+    check_integer,
     degree,
     enumerate_classes,
     shift,
@@ -105,13 +106,14 @@ class JacobiSequencePair:
 
     def alpha_for_direction(self, v: Sequence, n: int) -> Matrix:
         """alpha_{v|n} = sum_j v_j alpha_{e_j|n} (linearity in the direction)."""
+        if len(v) != self.d:
+            raise InvalidIndexError(
+                f"direction vector must have d entries, got {len(v)} for d = {self.d}"
+            )
         out = None
         for j, coeff in enumerate(v, start=1):
-            coeff = Fraction(coeff)
-            term = _linalg.mat_scale(self.alpha_matrix(j, n), coeff)
+            term = _linalg.mat_scale(self.alpha_matrix(j, n), Fraction(coeff))
             out = term if out is None else _linalg.mat_add(out, term)
-        if out is None:
-            raise InvalidIndexError("direction vector must have d entries")
         return out
 
 
@@ -122,6 +124,7 @@ def _congruence(c: Sequence[Fraction], m) -> Matrix:
 
 def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
     """Build the sequences from the level Grams and the preservation blocks."""
+    check_integer(max_level, "max_level")
     if max_level < 0:
         raise InvalidIndexError(f"max_level must be >= 0, got {max_level}")
     if ops.max_degree < max_level:
@@ -256,6 +259,8 @@ def _check_multi_index(seq: JacobiSequencePair, beta: MultiIndex) -> None:
         raise InvalidIndexError(
             f"multi-index length {len(beta)} != dimension {d}"
         )
+    for b in beta:
+        check_integer(b, "multi-index entry")
     if any(b < 0 for b in beta):
         raise InvalidIndexError(f"negative entry in multi-index {tuple(beta)}")
     total = degree(beta)
@@ -345,6 +350,7 @@ def reconstruct_moment_table(
 
     The ladder operators are built once for the whole table.
     """
+    check_integer(max_degree, "max_degree")
     out = {}
     ladder = None
     for n in range(max_degree + 1):

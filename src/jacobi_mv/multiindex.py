@@ -137,13 +137,18 @@ def check_index(
     are ints to Python but no index.  span names the range in the message
     ("level 5 outside computed range 0..3" for span "computed range ").
     """
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidIndexError(f"{what} must be an integer, got {value!r}")
+    check_integer(value, what)
     if high is None:
         if value < low:
             raise InvalidIndexError(f"{what} must be an integer >= {low}, got {value!r}")
     elif not low <= value <= high:
         raise InvalidIndexError(f"{what} {value} outside {span}{low}..{high}")
+
+
+def check_integer(value, what: str) -> None:
+    """Refuse a value that is no integer, as check_index does before its range."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidIndexError(f"{what} must be an integer, got {value!r}")
 
 
 def _check_dimension(d: int) -> None:

@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .moments import MomentFunctional
-from .multiindex import MultiIndex, check_index
+from .multiindex import MultiIndex, check_index, check_integer
 from .polyring import Polynomial, monomial_basis, monomials_of_degree
 
 
@@ -78,19 +78,31 @@ class MomentMatrix:
         self.basis = monomial_basis(functional.d, max_degree)
         self.position = {beta: a for a, beta in enumerate(self.basis)}
         self._moments: Dict[MultiIndex, Fraction] = {}
+        # beta -> the multi-indices alpha+beta over the basis, in basis order
+        self._shifted: Dict[MultiIndex, List[MultiIndex]] = {}
 
     def pair(self, column: Sequence[Fraction], beta: MultiIndex) -> Fraction:
-        """phi(b * x^beta) for the polynomial b with this coefficient column."""
-        total = ZERO
-        for alpha, c in zip(self.basis, column):
+        """phi(b * x^beta) for the polynomial b with this coefficient column.
+
+        The moment phi(x^(alpha+beta)) is fetched only where the column's
+        coefficient at alpha is nonzero, so a table that lacks the moments at
+        the zero coefficients still pairs.  The sum of products is
+        accumulated in integers (_linalg.sum_of_products).
+        """
+        keys = self._shifted.get(beta)
+        if keys is None:
+            keys = self._shifted[beta] = [
+                tuple(x + y for x, y in zip(alpha, beta)) for alpha in self.basis
+            ]
+        moments = self._moments
+        terms = []
+        for c, key in zip(column, keys):
             if c:
-                key = tuple(x + y for x, y in zip(alpha, beta))
-                if key not in self._moments:
-                    self._moments[key] = self.functional.moment(key)
-                moment = self._moments[key]
-                if moment:
-                    total += c * moment
-        return total
+                moment = moments.get(key)
+                if moment is None:
+                    moment = moments[key] = self.functional.moment(key)
+                terms.append((c, moment))
+        return _linalg.sum_of_products(terms)
 
 
 class Decomposition:
@@ -234,6 +246,7 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
 
     Needs moments up to degree 2*max_degree.
     """
+    check_integer(max_degree, "max_degree")
     if max_degree < 0:
         raise InvalidIndexError(f"max_degree must be >= 0, got {max_degree}")
     moments = MomentMatrix(functional, max_degree)

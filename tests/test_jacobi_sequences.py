@@ -174,6 +174,33 @@ def test_alpha_for_direction_is_linear():
     assert combined == expected
 
 
+def test_alpha_for_direction_needs_exactly_d_entries():
+    # before, a short direction summed only the coordinates given
+    seq = compute_from_functional(gaussian_functional(2), 2)
+    for v in ([], [1], [1, 0, 0]):
+        with pytest.raises(InvalidIndexError, match="direction vector must have d entries"):
+            seq.alpha_for_direction(v, 1)
+
+
+def test_degree_arguments_refuse_non_integers():
+    # before, each of these raised a bare TypeError from range or a sum
+    g = gaussian_functional(2)
+    ops = build(decompose(g, 2))
+    seq = compute(ops, 2)
+    for call, what in (
+        (lambda: compute(ops, 1.0), "max_level"),
+        (lambda: detect_atoms(g, 1.0), "max_degree"),
+        (lambda: reconstruct_moment_table(seq, 1.0), "max_degree"),
+        (lambda: reconstruct_moments(seq, (1.0, 0)), "multi-index entry"),
+    ):
+        with pytest.raises(InvalidIndexError, match=f"{what} must be an integer"):
+            call()
+    with pytest.raises(InvalidIndexError, match=r"^max_level must be >= 0, got -1$"):
+        compute(ops, -1)
+    with pytest.raises(InvalidIndexError, match=r"^negative entry in multi-index \(-1, 0\)$"):
+        reconstruct_moments(seq, (-1, 0))
+
+
 def test_compute_requires_deep_enough_ops():
     ops = build(decompose(gaussian_functional(1), 2))
     with pytest.raises(InvalidIndexError):

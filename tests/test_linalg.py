@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, strategies as st
 
@@ -158,7 +159,7 @@ def test_transpose_of_product(a, b):
 
 
 def _dense_rref(a):
-    """rref before its zero-skipping loop, the reference for the sparse tests."""
+    """The Gauss-Jordan loop in Fractions, the reference for rref's integer rows."""
     m = _linalg.copy(a)
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -197,7 +198,53 @@ def _sparse(draw, rows=None, cols=None):
     return [flat[r * cols : (r + 1) * cols] for r in range(rows)]
 
 
-@given(_sparse())
+_PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+
+
+@st.composite
+def _dense(draw, rows=None, cols=None):
+    """A matrix with no zero entry whose denominators are primes up to 97.
+
+    The lcm of a row's denominators is large, so the integer rows of rref
+    grow before their content is divided out.
+    """
+    rows = rows or draw(st.integers(1, 5))
+    cols = cols or draw(st.integers(1, 6))
+    return [
+        [
+            Fraction(draw(st.integers(-97, 97).filter(bool)), draw(st.sampled_from(_PRIMES)))
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+
+
+@st.composite
+def _deficient(draw, rows=None, cols=None):
+    """A rank-deficient matrix: some rows are rational combinations of others.
+
+    The dependent rows are placed among the independent ones in any order,
+    so a pivot search meets them before, between and after their sources.
+    """
+    rows = rows or draw(st.integers(2, 5))
+    cols = cols or draw(st.integers(1, 6))
+    sources = draw(st.integers(1, rows - 1))
+    base = draw(st.one_of(_sparse(sources, cols), _dense(sources, cols)))
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    columns = _linalg.transpose(base)
+    combos = [
+        _linalg.mat_vec(columns, draw(st.lists(coefficient, min_size=sources, max_size=sources)))
+        for _ in range(rows - sources)
+    ]
+    order = draw(st.permutations(range(rows)))
+    return [(base + combos)[i] for i in order]
+
+
+def _matrices(rows=None, cols=None):
+    return st.one_of(_sparse(rows, cols), _dense(rows, cols), _deficient(rows, cols))
+
+
+@given(_matrices())
 def test_rref_on_sparse_input_matches_the_dense_loop(a):
     reduced, pivots = _linalg.rref(a)
     assert (reduced, pivots) == _dense_rref(a)
@@ -206,13 +253,34 @@ def test_rref_on_sparse_input_matches_the_dense_loop(a):
 
 @given(st.data())
 def test_solve_consistent_on_sparse_input_matches_the_dense_loop(data):
-    a = data.draw(_sparse())
-    b = data.draw(_sparse(rows=len(a), cols=data.draw(st.integers(1, 3))))
-    n = len(a[0])
-    reduced, pivots = _dense_rref([ra + rb for ra, rb in zip(a, b)])
+    # drawing [A | B] whole makes the rank-deficient draws consistent singular systems
+    n = data.draw(st.integers(1, 6))
+    aug = data.draw(_matrices(cols=n + data.draw(st.integers(1, 3))))
+    a = [row[:n] for row in aug]
+    b = [row[n:] for row in aug]
+    reduced, pivots = _dense_rref(aug)
     expected = None
     if all(p < n for p in pivots):
         expected = _linalg.zeros(n, len(b[0]))
         for r, c in enumerate(pivots):
             expected[c] = reduced[r][n:]
     assert _linalg.solve_consistent(a, b) == expected
+
+
+_entries = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-20, max_value=20, max_denominator=97),
+)
+
+
+@given(st.lists(st.tuples(_entries, _entries), max_size=8), st.booleans())
+def test_sum_of_products_is_the_normalized_exact_sum(pairs, cancel):
+    if cancel:
+        # every term meets its negation, so the sum is zero
+        pairs = pairs + [(-x, y) for x, y in pairs]
+    total = _linalg.sum_of_products(pairs)
+    assert type(total) is Fraction
+    assert total == sum((Fraction(x) * y for x, y in pairs), ZERO)
+    assert total.denominator > 0 and gcd(total.numerator, total.denominator) == 1
+    if cancel:
+        assert total == 0 and total.denominator == 1

@@ -7,15 +7,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacobi_mv import _linalg
-from jacobi_mv.errors import DimensionMismatchError, InvalidIndexError, NotAStateError
+from jacobi_mv._linalg import ZERO
+from jacobi_mv.cap_operators import build
+from jacobi_mv.errors import (
+    DimensionMismatchError,
+    InsufficientMomentsError,
+    InvalidIndexError,
+    NotAStateError,
+)
 from jacobi_mv.moments import (
+    MomentFunctional,
     atomic_functional,
     beta_functional,
     gamma_functional,
     gaussian_functional,
     table_functional,
 )
-from jacobi_mv.orthodecomp import decompose
+from jacobi_mv.orthodecomp import MomentMatrix, decompose
 from jacobi_mv.polyring import Polynomial, monomial_basis, monomials_of_degree
 
 
@@ -138,6 +146,16 @@ def test_level_accessors_refuse_non_integer_levels():
         dec.level(3)
 
 
+def test_decompose_refuses_a_non_integer_degree():
+    # before, decompose(g, 1.0) raised a bare TypeError from range
+    g = gaussian_functional(1)
+    for bad in (1.0, "1", True):
+        with pytest.raises(InvalidIndexError, match="max_degree must be an integer"):
+            decompose(g, bad)
+    with pytest.raises(InvalidIndexError, match=r"^max_degree must be >= 0, got -1$"):
+        decompose(g, -1)
+
+
 def test_level_columns_and_split_check_their_arguments():
     # before, level_columns(-1) returned [] and split([1, 2]) returned
     # [[1], [2], []]; the other two raised a bare IndexError
@@ -258,3 +276,46 @@ def test_decompose_matches_per_monomial_reference(case):
         basis = monomial_basis(phi.d, max_degree)
         columns = [[p.terms.get(a, 0) for a in basis[: k + 1]] for k, p in enumerate(expected)]
         assert decompose(phi, max_degree).columns == columns
+
+
+class _Recording(MomentFunctional):
+    """Delegates to a functional and records every multi-index fetched."""
+
+    def __init__(self, inner):
+        super().__init__(inner.d)
+        self.inner = inner
+        self.fetched = []
+
+    def moment(self, beta):
+        self.fetched.append(tuple(beta))
+        return self.inner.moment(beta)
+
+
+@pytest.mark.parametrize(
+    "inner, n",
+    [
+        (gaussian_functional(2), 3),
+        (beta_functional([Fraction(1, 2), 0], [Fraction(-1, 2), 1]), 3),
+        (atomic_functional([(("0", "0"), "1/2"), (("1", "1"), "1/2")]), 3),
+        (atomic_functional([((k, k * k - 1), Fraction(1, 4)) for k in range(4)]), 3),
+        (atomic_functional([((0,), "1/3"), ((1,), "1/3"), ((2,), "1/3")]), 4),
+    ],
+)
+def test_moment_matrix_fetches_each_moment_once_and_only_as_needed(inner, n):
+    phi = _Recording(inner)
+    dec = decompose(phi, n)
+    assert max(sum(beta) for beta in phi.fetched) <= 2 * n
+    build(dec)
+    assert len(phi.fetched) == len(set(phi.fetched))
+
+
+def test_pair_skips_the_moments_at_zero_coefficients():
+    g = gamma_functional([0])
+    # the moments of degree 1 and 3 are missing
+    table = table_functional(1, 4, {(k,): g.moment((k,)) for k in (0, 2, 4)})
+    moments = MomentMatrix(table, 2)
+    column = [Fraction(-2), ZERO, Fraction(1)]  # x^2 - 2
+    assert moments.pair(column, (0,)) == g.moment((2,)) - 2
+    assert moments.pair(column, (2,)) == g.moment((4,)) - 2 * g.moment((2,))
+    with pytest.raises(InsufficientMomentsError):
+        moments.pair([ZERO, Fraction(1)], (0,))
