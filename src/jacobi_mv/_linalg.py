@@ -45,6 +45,7 @@ Matrix = List[List[Fraction]]
 Vector = List[Fraction]
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def zeros(rows: int, cols: int) -> Matrix:

@@ -23,7 +23,10 @@ Conversely the sequences determine the moments: the
 truncated interacting Fock space over the class spaces with level inner
 products <xi, Omega_n eta> carries commuting operators
 A+_{e_j} + alpha_{e_j} + A-_{e_j} whose vacuum expectations reproduce
-the moments (A+ is the occupation shift, A- its Omega-weighted adjoint).
+the moments.  A+ is the occupation shift nbar -> nbar + e_j, kept as an
+index map rather than a matrix, and A- is its Omega-weighted adjoint.
+The moment table builds each state X^beta vac from one state of the
+degree below, so it costs one ladder step per moment.
 """
 
 from __future__ import annotations
@@ -31,10 +34,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from . import _linalg
-from ._linalg import Matrix
+from ._linalg import ONE, ZERO, Matrix, Vector
 from .cap_operators import CAPSystem, build
 from .errors import (
     InsufficientDepthError,
@@ -89,6 +93,10 @@ class JacobiSequencePair:
         return _linalg.copy(self._omega[n])
 
     def alpha_matrix(self, j: int, n: int) -> Matrix:
+        return _linalg.copy(self._stored_alpha(j, n))
+
+    def _stored_alpha(self, j: int, n: int) -> Matrix:
+        """alpha_{e_j|n} itself, not a copy; the caller must not change it."""
         self._check_level(n)
         check_index(j, "coordinate", 1, self.d)
         stored = self._alpha[n][j - 1]
@@ -97,7 +105,7 @@ class JacobiSequencePair:
                 f"alpha at top level {n} needs moments of degree {2 * n + 1}, "
                 "beyond the available table"
             )
-        return _linalg.copy(stored)
+        return stored
 
     def alpha_available(self, j: int, n: int) -> bool:
         self._check_level(n)
@@ -117,6 +125,12 @@ class JacobiSequencePair:
         return out
 
 
+def _check_max_level(max_level: int) -> None:
+    check_integer(max_level, "max_level")
+    if max_level < 0:
+        raise InvalidIndexError(f"max_level must be >= 0, got {max_level}")
+
+
 def _congruence(c: Sequence[Fraction], m) -> Matrix:
     """C^T m C for the diagonal matrix C = diag(c)."""
     return [[ci * x * ck if x else x for x, ck in zip(row, c)] for ci, row in zip(c, m)]
@@ -124,9 +138,7 @@ def _congruence(c: Sequence[Fraction], m) -> Matrix:
 
 def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
     """Build the sequences from the level Grams and the preservation blocks."""
-    check_integer(max_level, "max_level")
-    if max_level < 0:
-        raise InvalidIndexError(f"max_level must be >= 0, got {max_level}")
+    _check_max_level(max_level)
     if ops.max_degree < max_level:
         raise InvalidIndexError(
             f"operator set reaches degree {ops.max_degree}, need {max_level}"
@@ -222,6 +234,7 @@ def detect_atoms(functional: MomentFunctional, max_level: int) -> AtomDetection:
     the monic bases the chain Gram Omega_n coincides with the level Gram,
     so the scan reads the decomposition directly.
     """
+    _check_max_level(max_level)
     decomp = decompose(functional, max_level)
     ranks = tuple(lv.rank for lv in decomp.levels)
     n0 = None
@@ -245,12 +258,12 @@ def detect_atoms(functional: MomentFunctional, max_level: int) -> AtomDetection:
 # --------------------------------------------------------------------------
 
 
-def _occupation_shift(d: int, j: int, src: ClassBasis, dst: ClassBasis) -> Matrix:
-    step = tuple(1 if i == j - 1 else 0 for i in range(d))
-    m = _linalg.zeros(len(dst), len(src))
-    for k, nbar in enumerate(src.classes):
-        m[dst.index(shift(nbar, step))][k] = Fraction(1)
-    return m
+def _check_depth(seq: JacobiSequencePair, total: int) -> None:
+    if total > seq.max_level:
+        raise InsufficientDepthError(
+            f"moment of degree {total} needs an operator chain through level "
+            f"{total}, beyond the truncation at {seq.max_level}"
+        )
 
 
 def _check_multi_index(seq: JacobiSequencePair, beta: MultiIndex) -> None:
@@ -263,28 +276,29 @@ def _check_multi_index(seq: JacobiSequencePair, beta: MultiIndex) -> None:
         check_integer(b, "multi-index entry")
     if any(b < 0 for b in beta):
         raise InvalidIndexError(f"negative entry in multi-index {tuple(beta)}")
-    total = degree(beta)
-    if total > seq.max_level:
-        raise InsufficientDepthError(
-            f"moment of degree {total} needs an operator chain through level "
-            f"{total}, beyond the truncation at {seq.max_level}"
-        )
+    _check_depth(seq, degree(beta))
 
 
 def _ladder(seq: JacobiSequencePair) -> Tuple[dict, dict]:
-    """A+ (the occupation shifts) and A- (their Omega-adjoints) of one pair."""
+    """A+ (the occupation shifts) and A- (their Omega-adjoints) of one pair.
+
+    A+_{j|n} sends the class nbar of level n to the class nbar + e_j of
+    level n+1, so it is kept as an index shift: for each source class, its
+    row in level n+1.  A-_{j|n} solves Omega_{n-1} A- = (A+)^T Omega_n,
+    whose right-hand side is the rows of Omega_n that A+_{j|n-1} hits.
+    """
     d = seq.d
     bases = seq.class_bases
     plus: dict = {}
     minus: dict = {}
     for j in range(1, d + 1):
+        step = tuple(1 if i == j - 1 else 0 for i in range(d))
         for n in range(seq.max_level):
-            plus[(j, n)] = _occupation_shift(d, j, bases[n], bases[n + 1])
+            plus[(j, n)] = [bases[n + 1].index(shift(nbar, step)) for nbar in bases[n].classes]
         for n in range(1, seq.max_level + 1):
-            rhs = _linalg.mat_mul(
-                _linalg.transpose(plus[(j, n - 1)]), seq.omega_matrix(n)
-            )
-            sol = _linalg.solve_consistent(seq.omega_matrix(n - 1), rhs)
+            omega = seq._omega[n]
+            rhs = [omega[i] for i in plus[(j, n - 1)]]
+            sol = _linalg.solve_consistent(seq._omega[n - 1], rhs)
             if sol is None:
                 raise RepresentationError(
                     f"annihilation adjoint system at level {n}, coordinate {j} "
@@ -294,41 +308,47 @@ def _ladder(seq: JacobiSequencePair) -> Tuple[dict, dict]:
     return plus, minus
 
 
-def _expectation(
-    seq: JacobiSequencePair, ladder: Tuple[dict, dict], beta: MultiIndex
-) -> Fraction:
+def _step(
+    seq: JacobiSequencePair, ladder: Tuple[dict, dict], state: List[Vector], j: int
+) -> List[Vector]:
+    """X_j = A+_{e_j} + alpha_{e_j} + A-_{e_j} applied to a state.
+
+    A state of degree m holds one class vector per level 0..m; its image
+    holds levels 0..m+1.  Level n of the image gathers the creation image
+    of level n-1 (a scatter along the index shift), alpha_{j|n} of level n
+    and A-_{j|n+1} of level n+1.  alpha is read only on levels where the
+    state is nonzero, so an unset alpha raises only when a step uses it.
+    """
     plus, minus = ladder
-    bases = seq.class_bases
-    state: List[List[Fraction]] = [
-        [Fraction(0)] * len(bases[n]) for n in range(seq.max_level + 1)
-    ]
-    state[0][0] = Fraction(1)
-    support = 0
-    for j in range(1, seq.d + 1):
-        for _ in range(beta[j - 1]):
-            new = [[Fraction(0)] * len(bases[n]) for n in range(seq.max_level + 1)]
-            for n in range(support + 1):
-                v = state[n]
-                if not any(v):
-                    continue
-                if n + 1 > seq.max_level:
-                    raise InsufficientDepthError(
-                        f"operator chain exceeds the truncation at level "
-                        f"{seq.max_level}"
-                    )
-                up = _linalg.mat_vec(plus[(j, n)], v)
-                for i, value in enumerate(up):
-                    new[n + 1][i] += value
-                stay = _linalg.mat_vec(seq.alpha_matrix(j, n), v)
-                for i, value in enumerate(stay):
-                    new[n][i] += value
-                if n >= 1:
-                    down = _linalg.mat_vec(minus[(j, n)], v)
-                    for i, value in enumerate(down):
-                        new[n - 1][i] += value
-            state = new
-            support += 1
-    return seq.omega_matrix(0)[0][0] * state[0][0]
+    top = len(state)
+    if top > seq.max_level:
+        raise InsufficientDepthError(
+            f"operator chain exceeds the truncation at level {seq.max_level}"
+        )
+    image: List[Vector] = []
+    for n in range(top + 1):
+        level = [ZERO] * len(seq.class_bases[n])
+        if n:
+            for k, i in enumerate(plus[(j, n - 1)]):
+                level[i] = state[n - 1][k]
+        blocks = []
+        if n < top and any(state[n]):
+            blocks.append((seq._stored_alpha(j, n), state[n]))
+        if n + 1 < top and any(state[n + 1]):
+            blocks.append((minus[(j, n + 1)], state[n + 1]))
+        if blocks:
+            level = [
+                _linalg.sum_of_products(
+                    chain(((ONE, c),), *(zip(m[i], v) for m, v in blocks))
+                )
+                for i, c in enumerate(level)
+            ]
+        image.append(level)
+    return image
+
+
+def _vacuum_expectation(seq: JacobiSequencePair, state: List[Vector]) -> Fraction:
+    return seq._omega[0][0][0] * state[0][0]
 
 
 def reconstruct_moments(seq: JacobiSequencePair, beta: MultiIndex) -> Fraction:
@@ -337,26 +357,43 @@ def reconstruct_moments(seq: JacobiSequencePair, beta: MultiIndex) -> Fraction:
     Exact converse of compute: for sequences computed from a functional
     this returns that functional's moment at beta.  The ladder is
     truncated at max_level, so |beta| <= max_level is required
-    (InsufficientDepthError otherwise).
+    (InsufficientDepthError otherwise).  X_1 acts first and X_d last,
+    one ladder step per unit of |beta|.
     """
     _check_multi_index(seq, beta)
-    return _expectation(seq, _ladder(seq), beta)
+    ladder = _ladder(seq)
+    state: List[Vector] = [[ONE]]
+    for j, power in enumerate(beta, start=1):
+        for _ in range(power):
+            state = _step(seq, ladder, state, j)
+    return _vacuum_expectation(seq, state)
 
 
 def reconstruct_moment_table(
     seq: JacobiSequencePair, max_degree: int
 ) -> dict:
-    """All moments with |beta| <= max_degree, keyed by multi-index.
+    """All moments with |beta| <= max_degree, keyed by multi-index in
+    monomial_basis order.
 
-    The ladder operators are built once for the whole table.
+    The ladder operators are built once for the whole table, and each
+    state X^beta vac comes from one state of the degree below,
+    X_j X^(beta - e_j) vac with j the last nonzero coordinate of beta (the
+    operator order of reconstruct_moments): one ladder step per moment.
     """
     check_integer(max_degree, "max_degree")
-    out = {}
-    ladder = None
-    for n in range(max_degree + 1):
+    if max_degree < 0:
+        raise InvalidIndexError(f"max_degree must be >= 0, got {max_degree}")
+    # refuse before any ladder work, naming the first degree out of reach
+    _check_depth(seq, min(max_degree, seq.max_level + 1))
+    ladder = _ladder(seq)
+    vacuum = (0,) * seq.d
+    states = {vacuum: [[ONE]]}
+    out = {vacuum: _vacuum_expectation(seq, states[vacuum])}
+    for n in range(1, max_degree + 1):
+        below, states = states, {}
         for beta in monomials_of_degree(seq.d, n):
-            _check_multi_index(seq, beta)
-            ladder = ladder or _ladder(seq)
-            out[beta] = _expectation(seq, ladder, beta)
+            j = max(i for i, b in enumerate(beta, start=1) if b)
+            prev = beta[: j - 1] + (beta[j - 1] - 1,) + beta[j:]
+            states[beta] = state = _step(seq, ladder, below[prev], j)
+            out[beta] = _vacuum_expectation(seq, state)
     return out
-

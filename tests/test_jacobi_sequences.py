@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,8 +15,10 @@ from jacobi_mv.errors import (
     InsufficientMomentsError,
     InternalConsistencyError,
     InvalidIndexError,
+    RepresentationError,
 )
 from jacobi_mv.jacobi_sequences import (
+    JacobiSequencePair,
     compute,
     compute_from_functional,
     detect_atoms,
@@ -30,6 +33,7 @@ from jacobi_mv.moments import (
     gaussian_functional,
     table_functional,
 )
+from jacobi_mv.multiindex import enumerate_classes
 from jacobi_mv.orthodecomp import decompose
 from jacobi_mv.polyring import monomial_basis
 
@@ -183,20 +187,24 @@ def test_alpha_for_direction_needs_exactly_d_entries():
 
 
 def test_degree_arguments_refuse_non_integers():
-    # before, each of these raised a bare TypeError from range or a sum
+    # before, each of these raised a bare TypeError from range or a sum;
+    # detect_atoms then named decompose's max_degree instead of its own
+    # max_level
     g = gaussian_functional(2)
     ops = build(decompose(g, 2))
     seq = compute(ops, 2)
     for call, what in (
         (lambda: compute(ops, 1.0), "max_level"),
-        (lambda: detect_atoms(g, 1.0), "max_degree"),
+        (lambda: detect_atoms(g, 1.0), "max_level"),
+        (lambda: detect_atoms(g, 1.5), "max_level"),
         (lambda: reconstruct_moment_table(seq, 1.0), "max_degree"),
         (lambda: reconstruct_moments(seq, (1.0, 0)), "multi-index entry"),
     ):
-        with pytest.raises(InvalidIndexError, match=f"{what} must be an integer"):
+        with pytest.raises(InvalidIndexError, match=f"^{what} must be an integer"):
             call()
-    with pytest.raises(InvalidIndexError, match=r"^max_level must be >= 0, got -1$"):
-        compute(ops, -1)
+    for call in (lambda: compute(ops, -1), lambda: detect_atoms(g, -1)):
+        with pytest.raises(InvalidIndexError, match=r"^max_level must be >= 0, got -1$"):
+            call()
     with pytest.raises(InvalidIndexError, match=r"^negative entry in multi-index \(-1, 0\)$"):
         reconstruct_moments(seq, (-1, 0))
 
@@ -307,7 +315,121 @@ def test_reconstruct_moment_table_builds_the_ladder_once(monkeypatch):
     assert all(reconstruct_moments(seq, beta) == v for beta, v in table.items())
 
 
-def test_reconstruct_depth_and_index_validation():
+@st.composite
+def _functionals_and_levels(draw):
+    """Random rational atoms (sometimes collinear, repeats merged) or a gamma
+    or beta functional with random parameters, in d = 1..3, and a level."""
+    kind = draw(st.sampled_from(("atoms", "gamma", "beta")))
+    d = draw(st.integers(1, 3))
+    point = st.tuples(*[_rationals()] * d)
+    if kind == "atoms":
+        points = draw(st.lists(point, min_size=1, max_size=8))
+        if d > 1 and draw(st.booleans()):
+            base, direction = draw(point), draw(point)
+            steps = draw(st.lists(st.integers(-3, 3), min_size=len(points), max_size=len(points)))
+            points = [tuple(b + t * v for b, v in zip(base, direction)) for t in steps]
+        mass = {}
+        for p in points:
+            mass[p] = mass.get(p, 0) + draw(st.integers(1, 3))
+        total = sum(mass.values())
+        functional = atomic_functional([(p, Fraction(w, total)) for p, w in mass.items()])
+    else:
+        params = lambda: draw(st.lists(_rationals(-1), min_size=d, max_size=d))
+        if kind == "gamma":
+            functional = gamma_functional(params())
+        else:
+            functional = beta_functional(params(), params())
+    return functional, draw(st.integers(0, 6 - d))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_functionals_and_levels())
+def test_moment_table_equals_the_functional(case):
+    # the functional's own moment is the oracle; the keys come in
+    # monomial_basis order, the order of the CLI's rows
+    functional, top = case
+    try:
+        seq = compute_from_functional(functional, top)
+    except InternalConsistencyError:
+        # build refuses some atomic functionals past n0 (a recorded defect)
+        assume(False)
+    table = reconstruct_moment_table(seq, top)
+    assert list(table) == monomial_basis(functional.d, top)
+    assert table == {beta: functional.moment(beta) for beta in table}
+
+
+def test_one_ladder_step_per_moment(monkeypatch):
+    # the table takes each state from one state of the degree below;
+    # reconstruct_moments walks beta, X_1 first and X_d last
+    import jacobi_mv.jacobi_sequences as sequences
+
+    steps = []
+    step = sequences._step
+    monkeypatch.setattr(
+        sequences, "_step", lambda seq, ladder, state, j: steps.append(j) or step(seq, ladder, state, j)
+    )
+    for functional, top in (
+        (gaussian_functional(1), 5),
+        (gamma_functional([0, Fraction(1, 2)]), 4),
+        (atomic_functional([(("0", "0", "1"), "1/2"), (("1", "-1", "2"), "1/2")]), 3),
+    ):
+        d = functional.d
+        seq = compute_from_functional(functional, top)
+        for n in range(top + 1):
+            steps.clear()
+            reconstruct_moment_table(seq, n)
+            assert len(steps) == math.comb(n + d, d) - 1
+            # X^beta vac = X_j X^(beta - e_j) vac, j the last nonzero coordinate
+            assert steps == [max(j for j, b in enumerate(beta, start=1) if b)
+                             for beta in monomial_basis(d, n)[1:]]
+        for beta in monomial_basis(d, top):
+            steps.clear()
+            reconstruct_moments(seq, beta)
+            assert steps == [j for j, power in enumerate(beta, start=1) for _ in range(power)]
+
+
+def _hand_built(omega, alpha):
+    """A d = 1 pair on levels 0..len(omega)-1 with 1x1 blocks."""
+    wrap = lambda x: None if x is None else [[Fraction(x)]]
+    top = len(omega) - 1
+    return JacobiSequencePair(
+        1, top, [enumerate_classes(1, n) for n in range(top + 1)],
+        [wrap(x) for x in omega], [[wrap(x)] for x in alpha],
+    )
+
+
+def test_ladder_and_step_errors_on_hand_built_pairs():
+    import jacobi_mv.jacobi_sequences as sequences
+
+    # Omega_0 = 0 cannot carry the adjoint of A+ against Omega_1 = 1:
+    # 0 * A- = 1 has no solution
+    broken = _hand_built([0, 1], [0, 0])
+    for call in (
+        lambda: reconstruct_moments(broken, (1,)),
+        lambda: reconstruct_moment_table(broken, 1),
+    ):
+        with pytest.raises(
+            RepresentationError,
+            match="^annihilation adjoint system at level 1, coordinate 1 is inconsistent",
+        ):
+            call()
+    # an unset alpha is refused where a step needs it, not before
+    unset = _hand_built([1, 1], [None, 0])
+    assert reconstruct_moments(unset, (0,)) == 1
+    with pytest.raises(InsufficientMomentsError, match="^alpha at top level 0"):
+        reconstruct_moments(unset, (1,))
+    # a step from the truncation level would leave the ladder
+    seq = _hand_built([1, 1], [0, 0])
+    ladder = sequences._ladder(seq)
+    top_state = sequences._step(seq, ladder, [[Fraction(1)]], 1)
+    assert top_state == [[0], [1]]
+    with pytest.raises(InsufficientDepthError, match="^operator chain exceeds the truncation at level 1$"):
+        sequences._step(seq, ladder, top_state, 1)
+
+
+def test_reconstruct_depth_and_index_validation(monkeypatch):
+    import jacobi_mv.jacobi_sequences as sequences
+
     seq = compute_from_functional(gaussian_functional(1), 2)
     with pytest.raises(InsufficientDepthError):
         reconstruct_moments(seq, (3,))
@@ -315,6 +437,16 @@ def test_reconstruct_depth_and_index_validation():
         reconstruct_moments(seq, (1, 1))
     with pytest.raises(InvalidIndexError):
         reconstruct_moments(seq, (-1,))
+    # before, a negative degree gave {} and a degree past the truncation
+    # raised only after every lower degree was built; both now refuse
+    # before the ladder exists
+    monkeypatch.setattr(sequences, "_ladder", lambda seq: pytest.fail("ladder built"))
+    with pytest.raises(InvalidIndexError, match=r"^max_degree must be >= 0, got -1$"):
+        reconstruct_moment_table(seq, -1)
+    depth = r"^moment of degree 3 needs an operator chain through level 3, beyond the truncation at 2$"
+    for max_degree in (3, 5):
+        with pytest.raises(InsufficientDepthError, match=depth):
+            reconstruct_moment_table(seq, max_degree)
 
 
 def test_alpha_top_level_needs_extra_moment_degree():
