@@ -15,9 +15,9 @@ x_j*p against every basis vector of the target level, with degenerate
 Gram systems solved with free variables set to zero.  An inconsistent
 system there certifies that the moments are not positive semidefinite.
 The top-level pairings take no back substitution: a degree-N monomial is
-a basis vector over its leading coefficient plus lower levels, so the
-pairings follow from one moment row per shifted leading monomial, the
-degree-(N-1) coefficients of the columns and the level Gram.
+its monic basis vector plus lower levels, so the pairings follow from one
+moment row per shifted leading monomial, the degree-(N-1) coefficients of
+the columns and the level Gram.
 
 Matrices are written in the level bases of the decomposition, columns
 indexed by the source level; coordinates j are 1-based.
@@ -139,15 +139,14 @@ def _top_pairings(
 ) -> Matrix:
     """<b_i, x^unit b_k> over the top level N, as a matrix indexed (i, k).
 
-    b_k is c_k x^beta_k plus terms of degree <= N-1, with c_k its leading
-    coefficient.  A degree-N monomial x^gamma is b_gamma / c_gamma plus
-    lower levels, and every monomial of degree < N lies in the lower levels,
-    which are orthogonal to b_i.  So the pairing is
+    b_k is x^beta_k plus terms of degree <= N-1.  A degree-N monomial
+    x^gamma is b_gamma plus lower levels, and every monomial of degree < N
+    lies in the lower levels, which are orthogonal to b_i.  So the pairing is
 
-        c_k <b_i, x^(beta_k+unit)> + sum_{|alpha|=N-1} b_k[alpha] G_N[i][gamma] / c_gamma
+        <b_i, x^(beta_k+unit)> + sum_{|alpha|=N-1} b_k[alpha] G_N[i][alpha+unit]
 
-    with gamma = alpha+unit.  rows caches the moment row <b_i, x^gamma> per
-    degree-(N+1) monomial gamma, across coordinates.
+    rows caches the moment row <b_i, x^gamma> per degree-(N+1) monomial
+    gamma, across coordinates.
     """
     moments = decomposition.moments
     n = decomposition.max_degree
@@ -160,15 +159,13 @@ def _top_pairings(
         gamma = shift(beta, unit)
         if gamma not in rows:
             rows[gamma] = [moments.pair(b, gamma) for b in columns]
-        lead = col[-1]
-        out = [lead * p if p else p for p in rows[gamma]]
+        out = list(rows[gamma])
         for a in below:
             if col[a]:
                 q = moments.position[shift(moments.basis[a], unit)] - start
-                weight = col[a] / columns[q][-1]
                 for i, row in enumerate(lv.gram):
                     if row[q]:
-                        out[i] += weight * row[q]
+                        out[i] += col[a] * row[q]
         pairings.append(out)
     return _linalg.transpose(pairings)
 

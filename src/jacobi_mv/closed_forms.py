@@ -64,6 +64,7 @@ from .moments import (
 from .multiindex import (
     MultiIndex,
     check_index,
+    check_integer,
     degree,
     enumerate_classes,
     factorial_of,
@@ -153,6 +154,8 @@ def family_spec(family: str, d: Optional[int] = None, a=None, b=None,
         raise UnsupportedParameterError(
             f"unknown family {family!r}; choose from {', '.join(FAMILIES)}"
         )
+    if d is not None:
+        check_integer(d, "dimension d", InvalidDimensionError)
     if family == "laguerre":
         if alpha is None:
             raise UnsupportedParameterError("laguerre needs alpha parameters")

@@ -9,12 +9,13 @@ identifies it with a spanning family of P_n, and
 
 * Omega_n is the Gram matrix of the chain vectors (symmetric PSD),
 * alpha_{j|n} represents the preservation operator pulled back through
-  U_n.  U_n is the diagonal matrix C of reciprocal leading coefficients,
-  so alpha solves Omega_n a = C^T G_n Z C with Z the preservation block.
-  When G_n has full rank that solution is C^-1 Z C, read off Z with no
-  elimination; on a rank-deficient level the system is solved on the
-  singular Omega_n with free variables set to zero (entries on null
-  directions are 0 by convention).
+  U_n.  The level bases are monic and creation only shifts leading
+  monomials, so U_n e_nbar is the basis vector of x^nbar itself:
+  Omega_n = G_n, and alpha solves G_n a = G_n Z with Z the preservation
+  block.  When G_n has full rank that solution is Z, with no elimination;
+  on a rank-deficient level the system is solved on the singular G_n with
+  free variables set to zero (entries on null directions are 0 by
+  convention).
 
 A functional is finitely atomic exactly when some Omega_{n0} vanishes,
 which detect_atoms decides in exact arithmetic; the number of atoms is
@@ -47,7 +48,7 @@ from .errors import (
     InvalidIndexError,
     RepresentationError,
 )
-from .moments import MomentFunctional
+from .moments import MomentFunctional, _exact
 from .multiindex import (
     ClassBasis,
     MultiIndex,
@@ -120,7 +121,7 @@ class JacobiSequencePair:
             )
         out = None
         for j, coeff in enumerate(v, start=1):
-            term = _linalg.mat_scale(self.alpha_matrix(j, n), Fraction(coeff))
+            term = _linalg.mat_scale(self.alpha_matrix(j, n), _exact(coeff, "direction entry"))
             out = term if out is None else _linalg.mat_add(out, term)
         return out
 
@@ -131,13 +132,12 @@ def _check_max_level(max_level: int) -> None:
         raise InvalidIndexError(f"max_level must be >= 0, got {max_level}")
 
 
-def _congruence(c: Sequence[Fraction], m) -> Matrix:
-    """C^T m C for the diagonal matrix C = diag(c)."""
-    return [[ci * x * ck if x else x for x, ck in zip(row, c)] for ci, row in zip(c, m)]
-
-
 def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
-    """Build the sequences from the level Grams and the preservation blocks."""
+    """Build the sequences from the level Grams and the preservation blocks.
+
+    Omega_n is the level Gram G_n, and alpha_{j|n} is the preservation block
+    Z on a full-rank level and the solution of G_n a = G_n Z otherwise.
+    """
     _check_max_level(max_level)
     if ops.max_degree < max_level:
         raise InvalidIndexError(
@@ -151,14 +151,11 @@ def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
             raise InternalConsistencyError(
                 f"class order and monomial order disagree at level {n}"
             )
-    # creation only shifts leading monomials, so the chain U_n e_nbar is the
-    # basis polynomial of x^nbar over its leading coefficient: C is diagonal
     omega: List[Matrix] = []
     alpha: List[List[Optional[Matrix]]] = []
     for n in range(max_level + 1):
-        c = [1 / col[-1] for col in decomp.level_columns(n)]
         lv = decomp.level(n)
-        om = _congruence(c, lv.gram)
+        om = lv.gram_matrix()
         omega.append(om)
         per_level: List[Optional[Matrix]] = []
         for j in range(1, d + 1):
@@ -167,20 +164,14 @@ def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
             except InsufficientMomentsError:
                 per_level.append(None)
                 continue
-            if lv.rank == len(lv):
-                # Omega_n is invertible, so C^-1 Z C is the system's one solution
-                per_level.append([
-                    [x * ck / ci if x else x for x, ck in zip(row, c)]
-                    for ci, row in zip(c, z)
-                ])
-                continue
-            a = _linalg.solve_consistent(om, _congruence(c, _linalg.mat_mul(lv.gram, z)))
-            if a is None:
-                raise RepresentationError(
-                    f"preservation image at level {n}, coordinate {j} leaves "
-                    "the chain span modulo the null space"
-                )
-            per_level.append(a)
+            if lv.rank < len(lv):
+                z = _linalg.solve_consistent(om, _linalg.mat_mul(om, z))
+                if z is None:
+                    raise RepresentationError(
+                        f"preservation image at level {n}, coordinate {j} leaves "
+                        "the chain span modulo the null space"
+                    )
+            per_level.append(z)
         alpha.append(per_level)
     return JacobiSequencePair(d, max_level, class_bases, omega, alpha)
 
@@ -308,6 +299,14 @@ def _ladder(seq: JacobiSequencePair) -> Tuple[dict, dict]:
     return plus, minus
 
 
+def _memo_ladder(seq: JacobiSequencePair) -> Tuple[dict, dict]:
+    """The pair's ladder, built by _ladder on first use and kept on the pair."""
+    ladder = getattr(seq, "_ladder_memo", None)
+    if ladder is None:
+        ladder = seq._ladder_memo = _ladder(seq)
+    return ladder
+
+
 def _step(
     seq: JacobiSequencePair, ladder: Tuple[dict, dict], state: List[Vector], j: int
 ) -> List[Vector]:
@@ -358,10 +357,10 @@ def reconstruct_moments(seq: JacobiSequencePair, beta: MultiIndex) -> Fraction:
     this returns that functional's moment at beta.  The ladder is
     truncated at max_level, so |beta| <= max_level is required
     (InsufficientDepthError otherwise).  X_1 acts first and X_d last,
-    one ladder step per unit of |beta|.
+    one ladder step per unit of |beta|; the ladder is built once per pair.
     """
     _check_multi_index(seq, beta)
-    ladder = _ladder(seq)
+    ladder = _memo_ladder(seq)
     state: List[Vector] = [[ONE]]
     for j, power in enumerate(beta, start=1):
         for _ in range(power):
@@ -375,7 +374,7 @@ def reconstruct_moment_table(
     """All moments with |beta| <= max_degree, keyed by multi-index in
     monomial_basis order.
 
-    The ladder operators are built once for the whole table, and each
+    The ladder operators are built once per pair, and each
     state X^beta vac comes from one state of the degree below,
     X_j X^(beta - e_j) vac with j the last nonzero coordinate of beta (the
     operator order of reconstruct_moments): one ladder step per moment.
@@ -385,7 +384,7 @@ def reconstruct_moment_table(
         raise InvalidIndexError(f"max_degree must be >= 0, got {max_degree}")
     # refuse before any ladder work, naming the first degree out of reach
     _check_depth(seq, min(max_degree, seq.max_level + 1))
-    ladder = _ladder(seq)
+    ladder = _memo_ladder(seq)
     vacuum = (0,) * seq.d
     states = {vacuum: [[ONE]]}
     out = {vacuum: _vacuum_expectation(seq, states[vacuum])}

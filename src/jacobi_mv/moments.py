@@ -301,6 +301,7 @@ class TableFunctional(MomentFunctional):
     """Explicit finite moment table; absent entries raise on access."""
 
     def __init__(self, d: int, max_degree: int, moments: Dict):
+        _typed(max_degree, int, "max_degree")
         if max_degree < 0:
             raise UnsupportedParameterError(f"max_degree must be >= 0, got {max_degree}")
         super().__init__(d, max_degree=max_degree)

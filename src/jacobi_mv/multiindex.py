@@ -145,10 +145,10 @@ def check_index(
         raise InvalidIndexError(f"{what} {value} outside {span}{low}..{high}")
 
 
-def check_integer(value, what: str) -> None:
+def check_integer(value, what: str, error: type = InvalidIndexError) -> None:
     """Refuse a value that is no integer, as check_index does before its range."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidIndexError(f"{what} must be an integer, got {value!r}")
+        raise error(f"{what} must be an integer, got {value!r}")
 
 
 def _check_dimension(d: int) -> None:

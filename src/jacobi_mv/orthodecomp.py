@@ -18,7 +18,9 @@ NotAStateError.
 Everything is read from one object, the moment matrix
 M[a][b] = phi(x^(a+b)) over the graded monomial basis, together with the
 coefficient columns of the basis polynomials over that basis.  The columns
-form an upper triangular matrix (unit diagonal for the monic bases).  A
+form a unit upper triangular matrix, and every consumer relies on it: the
+level coordinates of a vector need no division, and the creation chain
+of a degree-n class is its basis vector, so Omega_n = G_n.  A
 projection's right-hand side <b, x^beta> is b^T M e_beta, and the level
 Gram is G_n[i][k] = b_i^T M e_{beta_k}, because b_k differs from
 x^(beta_k) by lower levels, which are orthogonal to b_i.
@@ -33,12 +35,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import ZERO, Matrix
-from .errors import (
-    DimensionMismatchError,
-    InvalidIndexError,
-    NotAStateError,
-    UnsupportedParameterError,
-)
+from .errors import DimensionMismatchError, InvalidIndexError, NotAStateError
 from .moments import MomentFunctional
 from .multiindex import MultiIndex, check_index, check_integer
 from .polyring import Polynomial, monomial_basis, monomials_of_degree
@@ -109,7 +106,7 @@ class Decomposition:
     """The levels P_0..P_N, their coefficient columns and the moment matrix.
 
     columns[p] holds basis polynomial p (graded order) over the monomial
-    basis: p+1 entries, the leading coefficient last.
+    basis: p+1 entries, the last one its leading coefficient 1.
     """
 
     def __init__(self, moments: MomentMatrix, levels: Sequence[Level], columns: Matrix):
@@ -130,20 +127,23 @@ class Decomposition:
         return self.columns[self.starts[n] : self.starts[n + 1]]
 
     def split(self, vector: Sequence[Fraction]) -> List[List[Fraction]]:
-        """Level coordinates of a coefficient vector, by back substitution."""
+        """Level coordinates of a coefficient vector, by back substitution.
+
+        The columns are monic, so the coordinate of basis vector p is the
+        entry left at p once the higher basis vectors are subtracted.
+        """
         if len(vector) != len(self.columns):
             raise DimensionMismatchError(
                 f"vector length {len(vector)} != basis size {len(self.columns)}"
             )
-        rest = list(vector)
-        x = [ZERO] * len(rest)
-        for p in reversed(range(len(rest))):
-            if rest[p]:
+        x = list(vector)
+        for p in reversed(range(len(x))):
+            coeff = x[p]
+            if coeff:
                 col = self.columns[p]
-                x[p] = coeff = rest[p] / col[p]
                 for a in range(p):
                     if col[a]:
-                        rest[a] -= coeff * col[a]
+                        x[a] -= coeff * col[a]
         return [x[s:e] for s, e in zip(self.starts, self.starts[1:])]
 
     def vector(self, p: Polynomial) -> List[Fraction]:
@@ -194,38 +194,6 @@ class Decomposition:
             self.polynomial(self.expand(n, c))
             for n, c in enumerate(self.coordinates(p))
         ]
-
-    def rescale(self, scales: Sequence[Sequence]) -> "Decomposition":
-        """Same level spaces with basis vectors scaled by nonzero rationals.
-
-        Used to check that downstream quantities do not depend on the basis
-        choice inside each level.
-        """
-        if len(scales) != len(self.levels):
-            raise DimensionMismatchError(
-                f"need one scale list per level, got {len(scales)} for "
-                f"{len(self.levels)} levels"
-            )
-        new_levels = []
-        new_columns = []
-        for n, (lv, level_scales) in enumerate(zip(self.levels, scales)):
-            factors = [Fraction(s) for s in level_scales]
-            if len(factors) != len(lv) or any(f == 0 for f in factors):
-                raise UnsupportedParameterError(
-                    f"level {lv.n} needs {len(lv)} nonzero scale factors"
-                )
-            gram = tuple(
-                tuple(factors[i] * factors[j] * lv.gram[i][j] for j in range(len(lv)))
-                for i in range(len(lv))
-            )
-            # congruence by a nonzero diagonal: rank and nullity are unchanged
-            new_levels.append(
-                Level(lv.n, lv.monomials, gram, lv.rank, lv.null_mask)
-            )
-            new_columns.extend(
-                [f * c for c in col] for col, f in zip(self.level_columns(n), factors)
-            )
-        return Decomposition(self.moments, new_levels, new_columns)
 
 
 def _raise_first_inconsistent(

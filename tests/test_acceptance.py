@@ -40,9 +40,9 @@ from jacobi_mv.moments import (
     gamma_functional,
     gaussian_functional,
 )
-from jacobi_mv.multiindex import enumerate_classes
+from jacobi_mv.multiindex import enumerate_classes, representative_tuple
 from jacobi_mv.orthodecomp import decompose
-from jacobi_mv.polyring import monomial_basis
+from jacobi_mv.polyring import Polynomial, monomial_basis
 
 TWO_ATOMS = [((0, 0), Fraction(1, 2)), ((1, 1), Fraction(1, 2))]
 THREE_ATOMS = [
@@ -284,28 +284,37 @@ def test_criterion_7_moment_round_trip():
 
 
 def test_criterion_8_basis_independence():
+    # the paper's definitions, read off chains of polynomials: neither side
+    # of the comparisons depends on the basis chosen inside each level
     def check():
-        rng = random.Random(87)
-        for spec in FAMILY_ROSTER:
-            dec = decompose(spec.functional(), 3)
-            base = compute(build(dec), 3)
-            scales = [
-                [
-                    Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))
-                    for _ in dec.level(n).monomials
-                ]
-                for n in range(4)
-            ]
-            other = compute(build(dec.rescale(scales)), 3)
+        three = atomic_functional(
+            [((0, 0), Fraction(1, 3)), ((1, 0), Fraction(1, 3)), ((0, 2), Fraction(1, 3))]
+        )
+        for phi in [spec.functional() for spec in FAMILY_ROSTER] + [three]:
+            ops = build(decompose(phi, 3))
+            seq = compute(ops, 3)
             for n in range(4):
-                assert base.omega_matrix(n) == other.omega_matrix(n)
-                for j in range(1, spec.d + 1):
-                    assert base.alpha_matrix(j, n) == other.alpha_matrix(j, n)
+                chains = []
+                for nbar in seq.classes(n).classes:
+                    u = Polynomial.one(phi.d)
+                    for i in representative_tuple(nbar):
+                        u = ops.creation(i, u)
+                    chains.append(u)
+                omega = seq.omega_matrix(n)
+                assert omega == [[phi.inner_product(u, v) for v in chains] for u in chains]
+                for j in range(1, phi.d + 1):
+                    if not seq.alpha_available(j, n):
+                        continue
+                    images = [ops.preservation(j, v) for v in chains]
+                    assert _linalg.mat_mul(omega, seq.alpha_matrix(j, n)) == [
+                        [phi.inner_product(u, v) for v in images] for u in chains
+                    ]
 
     _report(
         8,
-        "omega and alpha are unchanged under random nonzero rational "
-        "rescaling of every level basis, one functional per family",
+        "omega_n is the Gram matrix of the creation chains a+_{i_n}...a+_{i_1} 1 "
+        "and omega_n alpha_{j|n} pairs them with their preservation images, "
+        "one functional per family and three atoms in R^2, N = 3",
         check,
     )
 

@@ -159,8 +159,6 @@ def test_top_level_preservation_needs_extra_degree():
 
 
 def _top_level_cases():
-    rescaled = decompose(beta_functional([1, 0], [Fraction(1, 2), 2]), 3)
-    scales = [[Fraction(k + 2, 3 - 2 * (k % 2)) for k in range(n + 1)] for n in range(4)]
     # dense, full-rank levels up to the top
     twelve = decompose(functional_from_json(MEASURES["twelve_atoms"]), 3)
     return [
@@ -168,9 +166,7 @@ def _top_level_cases():
         decompose(gamma_functional([0, Fraction(1, 2)]), 3),
         decompose(beta_functional([0, Fraction(1, 2)], [Fraction(-1, 2), 1]), 3),
         decompose(atomic_functional([(("0", "0"), "1/3"), (("1", "0"), "1/3"), (("0", "2"), "1/3")]), 2),
-        rescaled.rescale(scales),
         twelve,
-        twelve.rescale([[Fraction(-3, k + 2) for k in range(n + 1)] for n in range(4)]),
     ]
 
 

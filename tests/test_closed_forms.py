@@ -426,6 +426,14 @@ def test_family_spec_validation():
         family_spec("jacobi", d=2, a=[0], b=[0])
     with pytest.raises(InvalidDimensionError):
         family_spec("legendre")
+    # before, d=2.0 failed later with a bare TypeError and d=True meant d=1
+    for family, d, params in (
+        ("hermite", 2.0, {}),
+        ("legendre", True, {}),
+        ("laguerre", 1.0, {"alpha": [0]}),
+    ):
+        with pytest.raises(InvalidDimensionError, match=f"^dimension d must be an integer, got {d}$"):
+            family_spec(family, d=d, **params)
 
 
 def test_family_roster_is_stable():

@@ -146,6 +146,10 @@ def test_parameter_validation():
         beta_functional([Fraction(-3, 2)], [0])
     with pytest.raises(UnsupportedParameterError):
         gamma_functional([0.5])
+    # before, a non-integer max_degree was kept and written out by to_json_dict
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(UnsupportedParameterError, match="^max_degree must be an integer"):
+            table_functional(1, bad, {(0,): 1})
 
 
 def test_mass_factors():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -176,23 +175,6 @@ def test_rank_and_null_mask_on_atomic_measure():
     assert dec.level(1).null_mask == (False, False)
     assert dec.level(2).rank == 0
     assert dec.level(2).null_mask == (True, True, True)
-
-
-def test_rescale_transforms_gram_congruently():
-    f = gaussian_functional(2)
-    dec = decompose(f, 2)
-    rng = random.Random(3)
-    scales = [
-        [Fraction(rng.randrange(1, 9), rng.randrange(1, 9)) for _ in dec.level(n).monomials]
-        for n in range(3)
-    ]
-    other = dec.rescale(scales)
-    for n in range(3):
-        lv, ov = dec.level(n), other.level(n)
-        for i in range(len(lv)):
-            for j in range(len(lv)):
-                assert ov.gram[i][j] == scales[n][i] * scales[n][j] * lv.gram[i][j]
-        assert ov.rank == lv.rank
 
 
 def test_negative_direction_raises_not_a_state():
