@@ -12,12 +12,14 @@ c_minus(k) P_{k-1} (hermite 1/2, 0, k; laguerre -(k+1), 2k+alpha+1,
 -(k+alpha); jacobi and its specializations the (a, b) coefficients below).
 The table yields the 1-D coefficient lists whose tensor products are the
 family polynomials, the alpha entries (c_zero) and the creation factors
-(products of c_plus).  One per-coordinate formula gives the omega factor
-omega_i(k), the squared norm of the monic degree-k polynomial; an omega
-entry is the product of the factors of its class.  verify_family builds
-the table once per call for degrees 0..max_level, together with the omega
-ratios r_i(k) = omega_i(k) / mass_i, and reads the master closed forms
-off it; the stated route keeps its per-class quoted forms.  The creation
+(products of c_plus).  One per-coordinate Gamma formula gives the squared
+norm of the classical degree-k polynomial.  The monic polynomial is the
+classical one times lead_k = prod_{p<k} c_plus(p), so the omega factor
+omega_i(k), its squared norm, is the classical norm times lead_k^2; an
+omega entry is the product of the factors of its class.  verify_family
+builds the table once per call for degrees 0..max_level, together with
+the omega ratios r_i(k) = omega_i(k) / mass_i, and reads the master
+closed forms off it; the stated route keeps its per-class quoted forms.  The creation
 lemma is checked on coefficient columns over the graded monomial basis.
 
 Two evaluation routes exist for the symmetric families:
@@ -41,12 +43,14 @@ cancels the Gamma cores and yields the exact rational for the normalized
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from ._linalg import ZERO, Matrix
+from ._linalg import ONE, ZERO, Matrix
 from .cap_operators import build
 from .errors import (
     InvalidDimensionError,
@@ -60,6 +64,7 @@ from .moments import (
     GammaFunctional,
     GaussianFunctional,
     MomentFunctional,
+    _exact,
 )
 from .multiindex import (
     MultiIndex,
@@ -85,17 +90,11 @@ FAMILIES = (
 
 
 def _exact_params(values, what: str, low: Fraction) -> Tuple[Fraction, ...]:
-    out = []
-    for v in values:
-        if isinstance(v, float):
-            raise UnsupportedParameterError(
-                f"{what} must be exact rationals, got float {v!r}"
-            )
-        v = Fraction(v)
+    out = tuple(_exact(v, what) for v in values)
+    for v in out:
         if v <= low:
             raise UnsupportedParameterError(f"{what} must be > {low}, got {v}")
-        out.append(v)
-    return tuple(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -297,39 +296,41 @@ def family_polynomial(spec: FamilySpec, index: MultiIndex) -> Polynomial:
     return Polynomial(spec.d, _tensor(one_d, index))
 
 
+def _norm_factor(spec: FamilySpec, coordinate: int, k: int) -> GammaProduct:
+    """Squared norm of one coordinate's classical degree-k polynomial.
+
+    Against the unnormalized one-variable weight: hermite 2^k k! pi^(1/2),
+    laguerre Gamma(k+alpha+1) / k!, jacobi 2^(s+1) Gamma(k+a+1) Gamma(k+b+1)
+    / (k! (2k+s+1) Gamma(k+s+1)) with s = a + b, where the k = 0
+    denominator is the cancelled (2k+s+1) Gamma(k+s+1) -> Gamma(s+2),
+    finite for all valid parameters.  At k = 0 it is the coordinate's mass.
+    """
+    if spec.family == "hermite":
+        return GammaProduct(
+            rational=Fraction(2**k) * factorial_of((k,)), pi_pow=Fraction(1, 2)
+        )
+    if spec.family == "laguerre":
+        return GammaProduct.gamma(spec.alphas[coordinate - 1] + k + 1) / factorial_of((k,))
+    a, b = spec.jacobi_ab()
+    a, b = a[coordinate - 1], b[coordinate - 1]
+    s = a + b
+    out = (
+        GammaProduct.two_power(s + 1)
+        * GammaProduct.gamma(k + a + 1)
+        * GammaProduct.gamma(k + b + 1)
+        / factorial_of((k,))
+    )
+    if k == 0:
+        return out / GammaProduct.gamma(s + 2)
+    return out / (GammaProduct.gamma(k + s + 1) * (2 * k + s + 1))
+
+
 def family_norm_squared(spec: FamilySpec, index: MultiIndex) -> GammaProduct:
     """Squared norm of family_polynomial(index) against the unnormalized weight."""
     _check_index(spec, index)
     out = GammaProduct.from_rational(1)
     for i, k in enumerate(index, start=1):
-        if spec.family == "hermite":
-            out = out * GammaProduct(
-                rational=Fraction(2**k) * factorial_of((k,)),
-                pi_pow=Fraction(1, 2),
-            )
-        elif spec.family == "laguerre":
-            alpha = spec.alphas[i - 1]
-            out = out * GammaProduct.gamma(alpha + k + 1) / GammaProduct.from_rational(
-                factorial_of((k,))
-            )
-        else:
-            a, b = spec.jacobi_ab()
-            ai, bi = a[i - 1], b[i - 1]
-            s = ai + bi
-            piece = (
-                GammaProduct.two_power(s + 1)
-                * GammaProduct.gamma(k + ai + 1)
-                * GammaProduct.gamma(k + bi + 1)
-            )
-            piece = piece / GammaProduct.from_rational(factorial_of((k,)))
-            if k == 0:
-                piece = piece / GammaProduct.gamma(s + 2)
-            else:
-                piece = piece / (
-                    GammaProduct.from_rational(2 * k + s + 1)
-                    * GammaProduct.gamma(k + s + 1)
-                )
-            out = out * piece
+        out = out * _norm_factor(spec, i, k)
     return out
 
 
@@ -363,36 +364,12 @@ def creation_power(
 def _omega_factor(spec: FamilySpec, coordinate: int, n: int) -> GammaProduct:
     """One coordinate's factor of the omega closed form, unnormalized weight.
 
-    The squared norm of that coordinate's monic degree-n polynomial: hermite
-    n!/2^n pi^(1/2), laguerre n! Gamma(n+alpha+1), jacobi 2^(a+b+1) / n! *
-    (prod_{p<n} c+(p))^2 * Gamma(n+a+1) Gamma(n+b+1) / ((2n+s+1)
-    Gamma(n+s+1)), where the n = 0 denominator is the rewritten
-    (2n+s+1)Gamma(n+s+1) -> Gamma(s+2), finite for all valid parameters.
-    At n = 0 it is the coordinate's one-variable mass.
+    The squared norm of that coordinate's monic degree-n polynomial: the
+    classical polynomial times lead = prod_{p<n} c_plus(p), the inverse of
+    its leading coefficient, so its norm times lead^2.
     """
-    if spec.family == "hermite":
-        return GammaProduct(
-            rational=Fraction(factorial_of((n,)), 2**n), pi_pow=Fraction(1, 2)
-        )
-    if spec.family == "laguerre":
-        return GammaProduct.from_rational(factorial_of((n,))) * GammaProduct.gamma(
-            n + spec.alphas[coordinate - 1] + 1
-        )
-    a, b = spec.jacobi_ab()
-    a, b = a[coordinate - 1], b[coordinate - 1]
-    s = a + b
-    inner = Fraction(1)
-    for p in range(n):
-        inner *= _jacobi_recurrence(p, a, b)[0]
-    out = GammaProduct(
-        rational=inner * inner / factorial_of((n,)), two_pow=s + 1
-    )
-    out = out * GammaProduct.gamma(n + a + 1) * GammaProduct.gamma(n + b + 1)
-    if n == 0:
-        return out / GammaProduct.gamma(s + 2)
-    return out / (
-        GammaProduct.from_rational(2 * n + s + 1) * GammaProduct.gamma(n + s + 1)
-    )
+    lead = math.prod(_recurrence(spec, coordinate, p)[0] for p in range(n))
+    return _norm_factor(spec, coordinate, n) * (lead * lead)
 
 
 def master_omega(spec: FamilySpec, n_bar: MultiIndex) -> GammaProduct:
@@ -445,7 +422,7 @@ def stated_omega(spec: FamilySpec, n_bar: MultiIndex) -> Tuple[GammaProduct, Tup
         out = GammaProduct.from_rational(Fraction(1, factorial_of(n_bar)))
         for i, n in enumerate(n_bar, start=1):
             if n == 0:
-                out = out * _omega_factor(spec, i, 0)
+                out = out * _norm_factor(spec, i, 0)
                 notes.append(
                     f"coordinate {i}: stated denominator 2n*Gamma(n) undefined "
                     "at zero occupation; master factor used"
@@ -664,20 +641,26 @@ def verify_family(
     decomp = decompose(functional, max_level)
     ops = build(decomp)
     seq = compute(ops, max_level)
-    mass = spec.mass_factor()
+    mass = functional.mass_factor()
 
     # one table per call, coordinate i and degree k = 0..max_level: the
     # recurrence triple and the omega ratio r_i(k) = omega_i(k) / mass_i,
-    # where mass_i = omega_i(0) is the coordinate's one-variable mass
+    # where omega_i(k) is the classical norm times lead_k^2 (_omega_factor),
+    # lead_k = prod_{p<k} c_plus(p), and mass_i is the k = 0 norm, the
+    # coordinate's one-variable mass
     degrees = range(max_level + 1)
     coordinates = range(1, spec.d + 1)
     recurrence = [[_recurrence(spec, i, k) for k in degrees] for i in coordinates]
-    omegas = [[_omega_factor(spec, i, k) for k in degrees] for i in coordinates]
     masses = GammaProduct.from_rational(1)
-    for row in omegas:
-        masses = masses * row[0]
+    ratio = []
+    for i, rows in zip(coordinates, recurrence):
+        norms = [_norm_factor(spec, i, k) for k in degrees]
+        leads = accumulate((c_plus for c_plus, _, _ in rows), operator.mul, initial=ONE)
+        ratio.append([
+            _normalized(norm, norms[0]) * lead * lead for norm, lead in zip(norms, leads)
+        ])
+        masses = masses * norms[0]
     assert masses == mass, f"coordinate masses multiply to {masses!r}, not {mass!r}"
-    ratio = [[_normalized(omega, row[0]) for omega in row] for row in omegas]
 
     def compare_level(n: int) -> LevelComparison:
         classes = tuple(enumerate_classes(spec.d, n).classes)

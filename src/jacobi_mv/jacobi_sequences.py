@@ -136,7 +136,8 @@ def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
     """Build the sequences from the level Grams and the preservation blocks.
 
     Omega_n is the level Gram G_n, and alpha_{j|n} is the preservation block
-    Z on a full-rank level and the solution of G_n a = G_n Z otherwise.
+    Z on a full-rank level and the solution of G_n a = G_n Z otherwise, read
+    off one reduction of G_n per level.
     """
     _check_max_level(max_level)
     if ops.max_degree < max_level:
@@ -157,6 +158,11 @@ def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
         lv = decomp.level(n)
         om = lv.gram_matrix()
         omega.append(om)
+        if lv.rank < len(lv):
+            # rref([G | GZ]) = [R | RZ] for R = rref(G), so the solution with
+            # free variables zero puts row r of RZ at the r-th pivot position
+            reduced, pivots = _linalg.rref(om)
+            reduced = reduced[: len(pivots)]
         per_level: List[Optional[Matrix]] = []
         for j in range(1, d + 1):
             try:
@@ -165,12 +171,10 @@ def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
                 per_level.append(None)
                 continue
             if lv.rank < len(lv):
-                z = _linalg.solve_consistent(om, _linalg.mat_mul(om, z))
-                if z is None:
-                    raise RepresentationError(
-                        f"preservation image at level {n}, coordinate {j} leaves "
-                        "the chain span modulo the null space"
-                    )
+                rows = _linalg.mat_mul(reduced, z)
+                z = _linalg.zeros(len(z), len(z))
+                for row, c in zip(rows, pivots):
+                    z[c] = row
             per_level.append(z)
         alpha.append(per_level)
     return JacobiSequencePair(d, max_level, class_bases, omega, alpha)

@@ -27,11 +27,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (
     DimensionMismatchError,
     InsufficientMomentsError,
-    InvalidDimensionError,
     NoMassFactorError,
     UnsupportedParameterError,
 )
-from .multiindex import MultiIndex, degree
+from .multiindex import MultiIndex, _check_dimension, degree
 from .polyring import Polynomial
 from .symbolic import GammaProduct
 
@@ -60,7 +59,7 @@ def _exact(value, what: str) -> Fraction:
         )
     try:
         return Fraction(value)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise UnsupportedParameterError(f"bad {what}: {value!r}") from exc
 
 
@@ -68,8 +67,7 @@ class MomentFunctional:
     """Base class: linear functional on polynomials given by its moments."""
 
     def __init__(self, d: int, max_degree: Optional[int] = None):
-        if d < 1:
-            raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
+        _check_dimension(d)
         self.d = d
         self.max_degree = max_degree
 
@@ -187,8 +185,7 @@ class ProductFunctional(MomentFunctional):
 
 class GaussianFunctional(ProductFunctional):
     def __init__(self, d: int):
-        if d < 1:
-            raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
+        _check_dimension(d)
         super().__init__([_GaussianSeq() for _ in range(d)])
 
     def mass_factor(self) -> GammaProduct:

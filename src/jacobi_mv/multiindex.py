@@ -152,5 +152,6 @@ def check_integer(value, what: str, error: type = InvalidIndexError) -> None:
 
 
 def _check_dimension(d: int) -> None:
-    if not isinstance(d, int) or d < 1:
+    check_integer(d, "dimension", InvalidDimensionError)
+    if d < 1:
         raise InvalidDimensionError(f"dimension must be a positive integer, got {d!r}")

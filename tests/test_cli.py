@@ -209,6 +209,13 @@ def test_library_errors_surface_with_type_name(tmp_path):
             {"d": 1.5, "max_degree": 2, "moments": []},
             "moment table field 'd' must be an integer, got 1.5",
         ),
+        # before, each escaped as a ZeroDivisionError traceback with exit 1
+        ({"d": 1, "atoms": [{"x": ["1/0"], "w": "1"}]}, "bad atom coordinate: '1/0'"),
+        ({"d": 1, "atoms": [{"x": ["0"], "w": "1/0"}]}, "bad atom weight: '1/0'"),
+        (
+            {"d": 1, "max_degree": 0, "moments": [{"beta": [0], "value": "1/0"}]},
+            "bad moment[(0,)]: '1/0'",
+        ),
     ],
 )
 def test_malformed_measure_file_exits_2_with_its_cause(tmp_path, capsys, doc, cause):
@@ -217,7 +224,7 @@ def test_malformed_measure_file_exits_2_with_its_cause(tmp_path, capsys, doc, ca
     out = capsys.readouterr()
     assert code == 2 and out.out == ""
     assert out.err.startswith("error: UnsupportedParameterError: ")
-    assert cause in out.err
+    assert cause in out.err and "Traceback" not in out.err
 
 
 def test_output_into_missing_directory_exits_2(tmp_path, capsys):

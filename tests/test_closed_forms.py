@@ -148,6 +148,7 @@ def test_recurrence_table_against_the_functional(spec):
     mass = spec.mass_factor()
     f = [family_polynomial(spec, (k,)) for k in range(7)]
     sq = [phi.inner_product(p, p) for p in f]
+    lead = Fraction(1)  # prod_{p<k} c_plus(p), the inverse leading coefficient of F_k
     for k in range(7):
         c_plus, c_zero, c_minus = _recurrence(spec, 1, k)
         xf = f[k].mul_by_variable(1)
@@ -159,6 +160,8 @@ def test_recurrence_table_against_the_functional(spec):
         if k < 6:
             assert phi.inner_product(xf, f[k + 1]) == c_plus * sq[k + 1]
         assert mass * sq[k] == family_norm_squared(spec, (k,))
+        assert mass * sq[k] * lead**2 == _omega_factor(spec, 1, k)
+        lead *= c_plus
 
 
 def test_pipeline_and_verify_build_no_polynomial(monkeypatch):
@@ -208,18 +211,19 @@ def test_verify_family_evaluates_each_closed_form_once_per_coordinate_and_degree
     monkeypatch,
 ):
     # the per-class route made one omega evaluation per class and coordinate
-    # (168 here) and one _recurrence call per closed alpha entry
+    # (168 here) and one _recurrence call per closed alpha entry; the omega
+    # factors reuse the table's c_plus column instead of their own recurrence
     spec = family_spec("jacobi", a=["1/2", 0, "-1/3"], b=["-1/2", 1, "2/5"])
     top = 5
     calls = Counter()
-    for name in ("_omega_factor", "_recurrence"):
+    for name in ("_norm_factor", "_recurrence"):
         def counted(*args, _original=getattr(closed_forms, name), _name=name):
             calls[_name] += 1
             return _original(*args)
 
         monkeypatch.setattr(closed_forms, name, counted)
     assert verify_family(spec, top, variant="master").ok
-    assert 0 < calls["_omega_factor"] <= spec.d * (top + 1)
+    assert 0 < calls["_norm_factor"] <= spec.d * (top + 1)
     assert 0 < calls["_recurrence"] <= spec.d * (top + 1)
 
 
@@ -416,6 +420,10 @@ def test_family_spec_validation():
         family_spec("laguerre", alpha=[-1])
     with pytest.raises(UnsupportedParameterError):
         family_spec("laguerre", alpha=[0.5])
+    # before, a bare ValueError, TypeError and ZeroDivisionError
+    for bad in ("x", None, "1/0"):
+        with pytest.raises(UnsupportedParameterError, match=f"^bad laguerre alpha: {bad!r}$"):
+            family_spec("laguerre", alpha=[bad])
     with pytest.raises(UnsupportedParameterError):
         family_spec("gegenbauer", lam=["-1/2"])
     with pytest.raises(UnsupportedParameterError):

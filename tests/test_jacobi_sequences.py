@@ -92,21 +92,36 @@ def test_alpha_on_full_rank_levels_is_the_solution_of_the_chain_system(dec):
 
 def test_compute_solves_only_on_rank_deficient_levels(monkeypatch):
     # gaussian levels all have full rank; three atoms in general position
-    # in R^2 leave level 2 (three classes) null, one solve per coordinate
+    # in R^2 leave level 2 (three classes) null, one elimination for both
+    # coordinates (one solve per coordinate before)
     three = [(("0", "0"), "1/3"), (("1", "0"), "1/3"), (("0", "2"), "1/3")]
-    solve = _linalg.solve_consistent
+    rref = _linalg.rref
     for functional, top, sizes in (
         (gaussian_functional(2), 3, []),
-        (atomic_functional(three), 2, [3, 3]),
+        (atomic_functional(three), 2, [3]),
     ):
         ops = build(decompose(functional, top))
         calls = []
-        monkeypatch.setattr(
-            _linalg, "solve_consistent", lambda a, b: calls.append(len(a)) or solve(a, b)
-        )
+        monkeypatch.setattr(_linalg, "rref", lambda a: calls.append(len(a)) or rref(a))
         compute(ops, top)
         monkeypatch.undo()
         assert calls == sizes
+
+
+def test_rank_deficient_alpha_is_the_free_variables_zero_solution():
+    # x_1 is constant on these atoms, so the null directions come first and
+    # the pivots of G_1 and G_2 are not their leading columns; the reference
+    # is the elimination of G_n a = G_n Z itself
+    atoms = [(("0", "0"), "1/2"), (("0", "1"), "1/4"), (("0", "3"), "1/4")]
+    ops = build(decompose(atomic_functional(atoms), 2))
+    seq = compute(ops, 2)
+    for n in (1, 2):
+        g = seq.omega_matrix(n)
+        assert _linalg.rref(g)[1] == [len(g) - 1]
+        for j in (1, 2):
+            z = ops.zero_matrix(j, n)
+            reference = _linalg.solve_consistent(g, _linalg.mat_mul(g, z))
+            assert seq.alpha_matrix(j, n) == reference
 
 
 TWO_ATOMS = [(("0", "0"), "1/2"), (("1", "1"), "1/2")]

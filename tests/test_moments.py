@@ -9,6 +9,7 @@ import pytest
 from jacobi_mv.errors import (
     DimensionMismatchError,
     InsufficientMomentsError,
+    InvalidDimensionError,
     NoMassFactorError,
     UnsupportedParameterError,
 )
@@ -150,6 +151,16 @@ def test_parameter_validation():
     for bad in (2.5, 2.0, True):
         with pytest.raises(UnsupportedParameterError, match="^max_degree must be an integer"):
             table_functional(1, bad, {(0,): 1})
+    # before, 2.0 raised a bare TypeError and the others were taken as d = 1
+    atoms = [(("0",), "1/2"), (("1",), "1/2")]
+    for call in (
+        lambda: gaussian_functional(2.0),
+        lambda: gaussian_functional(True),
+        lambda: atomic_functional(atoms, d=1.0),
+        lambda: table_functional(True, 2, {(0,): 1}),
+    ):
+        with pytest.raises(InvalidDimensionError, match="^dimension must be an integer, got"):
+            call()
 
 
 def test_mass_factors():

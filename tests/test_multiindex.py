@@ -40,8 +40,16 @@ def test_occupation_of_tuple():
     assert occupation(2, ()) == (0, 0)
     with pytest.raises(InvalidIndexError):
         occupation(2, (3,))
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(InvalidDimensionError, match=r"^dimension must be a positive integer, got 0$"):
         occupation(0, ())
+    # before, a bool passed as a dimension: enumerate_classes(True, 2) was ((2,),)
+    for call in (
+        lambda: enumerate_classes(True, 2),
+        lambda: enumerate_classes(2.0, 1),
+        lambda: occupation(True, ()),
+    ):
+        with pytest.raises(InvalidDimensionError, match="^dimension must be an integer, got"):
+            call()
 
 
 def test_representative_is_weakly_increasing_and_inverts_occupation():
