@@ -394,3 +394,134 @@ def test_main_verify_variant_flag(capsys):
     out = capsys.readouterr()
     assert code == 1
     assert json.loads(out.out)["ok"] is False
+
+
+# argparse texts at 80 columns, pinned from the parser as first released
+_FAMILY_CHOICES = "{hermite,laguerre,jacobi,gegenbauer,chebyshev1,chebyshev2,legendre}"
+
+_TOP_USAGE = "usage: jacobi-mv [-h] {decompose,cap,omega,alpha,verify,atoms,reconstruct} ...\n"
+
+_TOP_HELP = _TOP_USAGE + """
+Exact Jacobi sequences (omega, alpha) of moment functionals on R^d, with
+closed-form verification for the classical weight families.
+
+positional arguments:
+  {decompose,cap,omega,alpha,verify,atoms,reconstruct}
+    decompose           dump the graded orthogonal basis and Gram matrices
+    cap                 dump creation/preservation/annihilation matrices per
+                        level
+    omega               print the omega matrices over occupation classes
+    alpha               print the alpha matrices per coordinate
+    verify              compare the pipeline against a family's closed forms
+    atoms               look for a vanishing omega level (finitely-atomic
+                        test)
+    reconstruct         round-trip moments through the recurrence data
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+# the usage line is wrapped against the width of "jacobi-mv <command>"
+_USAGE = {
+    "decompose": f"""usage: jacobi-mv decompose [-h]
+                           [--family {_FAMILY_CHOICES}]
+                           [--a A] [--b B] [--alpha ALPHA] [--lambda LAM]
+                           [--d D] [--measure MEASURE] --max-level MAX_LEVEL
+                           [--convention {{normalized,paper}}]
+                           [--format {{json,csv}}] [--output OUTPUT]
+""",
+    "verify": f"""usage: jacobi-mv verify [-h]
+                        [--family {_FAMILY_CHOICES}]
+                        [--a A] [--b B] [--alpha ALPHA] [--lambda LAM] [--d D]
+                        [--measure MEASURE] --max-level MAX_LEVEL
+                        [--convention {{normalized,paper}}]
+                        [--format {{json,csv}}] [--output OUTPUT]
+                        [--variant {{master,stated}}]
+""",
+    "reconstruct": f"""usage: jacobi-mv reconstruct [-h]
+                             [--family {_FAMILY_CHOICES}]
+                             [--a A] [--b B] [--alpha ALPHA] [--lambda LAM]
+                             [--d D] [--measure MEASURE] --max-level MAX_LEVEL
+                             [--convention {{normalized,paper}}]
+                             [--format {{json,csv}}] [--output OUTPUT]
+""",
+}
+for _name in ("cap", "omega", "alpha", "atoms"):
+    _pad = " " * len(f"usage: jacobi-mv {_name} ")
+    _USAGE[_name] = f"""usage: jacobi-mv {_name} [-h]
+{_pad}[--family {_FAMILY_CHOICES}]
+{_pad}[--a A] [--b B] [--alpha ALPHA] [--lambda LAM] [--d D]
+{_pad}[--measure MEASURE] --max-level MAX_LEVEL
+{_pad}[--convention {{normalized,paper}}] [--format {{json,csv}}]
+{_pad}[--output OUTPUT]
+"""
+
+_OPTIONS = f"""
+options:
+  -h, --help            show this help message and exit
+  --family {_FAMILY_CHOICES}
+  --a A                 jacobi a parameters, e.g. 0,1/2
+  --b B                 jacobi b parameters
+  --alpha ALPHA         laguerre alpha parameters
+  --lambda LAM          gegenbauer lambda parameters
+  --d D                 dimension
+  --measure MEASURE     path to an atom-list or moment-table JSON file
+  --max-level MAX_LEVEL, --max-degree MAX_LEVEL
+                        highest level/degree to compute
+  --convention {{normalized,paper}}
+                        omega scaling: normalized state or unnormalized weight
+  --format {{json,csv}}
+  --output OUTPUT       write the document here instead of stdout
+"""
+
+_VARIANT = """  --variant {master,stated}
+                        closed-form route: jacobi substitution or quoted forms
+"""
+
+
+def _main_exit(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out = capsys.readouterr()
+    return info.value.code, out.out, out.err
+
+
+def test_top_level_help_text(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _main_exit(["--help"], capsys) == (0, _TOP_HELP, "")
+
+
+@pytest.mark.parametrize(
+    "command", ["decompose", "cap", "omega", "alpha", "verify", "atoms", "reconstruct"]
+)
+def test_subcommand_help_text(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _USAGE[command] + _OPTIONS + (_VARIANT if command == "verify" else "")
+    assert _main_exit([command, "--help"], capsys) == (0, expected, "")
+
+
+def test_usage_error_texts(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _main_exit(["omega", "--family", "hermite"], capsys) == (
+        2,
+        "",
+        _USAGE["omega"]
+        + "jacobi-mv omega: error: the following arguments are required: "
+        "--max-level/--max-degree\n",
+    )
+    argv = ["verify", "--family", "hermite", "--max-level", "1", "--variant", "other"]
+    assert _main_exit(argv, capsys) == (
+        2,
+        "",
+        _USAGE["verify"]
+        + "jacobi-mv verify: error: argument --variant: invalid choice: 'other' "
+        "(choose from 'master', 'stated')\n",
+    )
+    assert _main_exit(["frobnicate", "--max-level", "1"], capsys) == (
+        2,
+        "",
+        _TOP_USAGE
+        + "jacobi-mv: error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'decompose', 'cap', 'omega', 'alpha', 'verify', 'atoms', "
+        "'reconstruct')\n",
+    )
