@@ -354,31 +354,33 @@ def _build_parser() -> argparse.ArgumentParser:
         "atoms": "look for a vanishing omega level (finitely-atomic test)",
         "reconstruct": "round-trip moments through the recurrence data",
     }
+    # the options every subcommand shares, added once
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--family", choices=FAMILIES)
+    shared.add_argument("--a", help="jacobi a parameters, e.g. 0,1/2")
+    shared.add_argument("--b", help="jacobi b parameters")
+    shared.add_argument("--alpha", help="laguerre alpha parameters")
+    shared.add_argument("--lambda", dest="lam", help="gegenbauer lambda parameters")
+    shared.add_argument("--d", type=int, help="dimension")
+    shared.add_argument("--measure", help="path to an atom-list or moment-table JSON file")
+    shared.add_argument(
+        "--max-level",
+        "--max-degree",
+        dest="max_level",
+        type=int,
+        required=True,
+        help="highest level/degree to compute",
+    )
+    shared.add_argument(
+        "--convention",
+        choices=("normalized", "paper"),
+        default="normalized",
+        help="omega scaling: normalized state or unnormalized weight",
+    )
+    shared.add_argument("--format", choices=("json", "csv"), default="json")
+    shared.add_argument("--output", help="write the document here instead of stdout")
     for name in COMMANDS:
-        cmd = sub.add_parser(name, help=help_text[name])
-        cmd.add_argument("--family", choices=FAMILIES)
-        cmd.add_argument("--a", help="jacobi a parameters, e.g. 0,1/2")
-        cmd.add_argument("--b", help="jacobi b parameters")
-        cmd.add_argument("--alpha", help="laguerre alpha parameters")
-        cmd.add_argument("--lambda", dest="lam", help="gegenbauer lambda parameters")
-        cmd.add_argument("--d", type=int, help="dimension")
-        cmd.add_argument("--measure", help="path to an atom-list or moment-table JSON file")
-        cmd.add_argument(
-            "--max-level",
-            "--max-degree",
-            dest="max_level",
-            type=int,
-            required=True,
-            help="highest level/degree to compute",
-        )
-        cmd.add_argument(
-            "--convention",
-            choices=("normalized", "paper"),
-            default="normalized",
-            help="omega scaling: normalized state or unnormalized weight",
-        )
-        cmd.add_argument("--format", choices=("json", "csv"), default="json")
-        cmd.add_argument("--output", help="write the document here instead of stdout")
+        cmd = sub.add_parser(name, help=help_text[name], parents=[shared])
         if name == "verify":
             cmd.add_argument(
                 "--variant",
