@@ -10,8 +10,9 @@ operation:
 
 * sum_of_products: the sum of x*y over (x, y) pairs, kept as one integer
   numerator over the running lcm of the term denominators and normalized
-  once at the end.  _dot (so mat_mul and mat_vec) and the moment pairings
-  of orthodecomp use it.
+  once at the end.  _dot (so mat_mul and mat_vec) uses it.  The moment
+  pairings of orthodecomp do the same sum on integer columns of their own
+  (orthodecomp.MomentMatrix.pair), so they skip the per-term conversion.
 
 * rref: Gauss-Jordan elimination on integer rows.  Each row is cleared of
   its denominators once; an update is p*row_i - f*row_r with p the pivot

@@ -152,13 +152,14 @@ def _top_pairings(
     n = decomposition.max_degree
     lv = decomposition.level(n)
     columns = decomposition.level_columns(n)
+    forms = decomposition.level_forms(n)
     start = decomposition.starts[n]
     below = range(decomposition.starts[n - 1] if n else start, start)
     pairings = []
     for beta, col in zip(lv.monomials, columns):
         gamma = shift(beta, unit)
         if gamma not in rows:
-            rows[gamma] = [moments.pair(b, gamma) for b in columns]
+            rows[gamma] = [moments.pair(f, gamma) for f in forms]
         out = list(rows[gamma])
         for a in below:
             if col[a]:

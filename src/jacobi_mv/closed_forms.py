@@ -64,7 +64,7 @@ from .moments import (
     GammaFunctional,
     GaussianFunctional,
     MomentFunctional,
-    _exact,
+    _exact_list,
 )
 from .multiindex import (
     MultiIndex,
@@ -90,7 +90,7 @@ FAMILIES = (
 
 
 def _exact_params(values, what: str, low: Fraction) -> Tuple[Fraction, ...]:
-    out = tuple(_exact(v, what) for v in values)
+    out = tuple(_exact_list(values, what))
     for v in out:
         if v <= low:
             raise UnsupportedParameterError(f"{what} must be > {low}, got {v}")

@@ -9,7 +9,8 @@ Five providers are implemented:
   weights on (0, inf), one alpha per coordinate.
 * beta_functional(a, b): product of normalized (1-x)^a (1+x)^b weights
   on [-1, 1], one (a_j, b_j) pair per coordinate.
-* atomic_functional(atoms): finitely many point masses.
+* atomic_functional(atoms): finitely many point masses, kept as integer
+  rows so that a moment is one integer sum and one Fraction.
 * table_functional(d, max_degree, moments): explicit finite table.
 
 The classical providers are normalized so that phi(1) = 1; the mass of
@@ -17,11 +18,17 @@ the unnormalized classical weight is available separately through
 mass_factor() as an exact GammaProduct.  Atomic and table functionals
 have no associated classical weight, so mass_factor() raises
 NoMassFactorError for them.
+
+Parameter lists (gamma alphas, beta a and b, atom points, and the family
+parameters of closed_forms) go through _exact_list, which refuses a string
+or a bare number instead of iterating it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from collections.abc import Iterable
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -61,6 +68,19 @@ def _exact(value, what: str) -> Fraction:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise UnsupportedParameterError(f"bad {what}: {value!r}") from exc
+
+
+def _exact_list(values, what: str) -> List[Fraction]:
+    """The entries of a parameter list, each through _exact.
+
+    A string would iterate as its characters and a bare number is no list,
+    so both are refused, naming the parameter.
+    """
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise UnsupportedParameterError(
+            f"{what} list must be a sequence of exact numbers, got {values!r}"
+        )
+    return [_exact(v, what) for v in values]
 
 
 class MomentFunctional:
@@ -195,7 +215,7 @@ class GaussianFunctional(ProductFunctional):
 
 class GammaFunctional(ProductFunctional):
     def __init__(self, alphas: Sequence):
-        self.alphas = [_exact(a, "gamma parameter") for a in alphas]
+        self.alphas = _exact_list(alphas, "gamma parameter")
         super().__init__([_GammaSeq(a) for a in self.alphas])
 
     def mass_factor(self) -> GammaProduct:
@@ -208,8 +228,8 @@ class GammaFunctional(ProductFunctional):
 
 class BetaFunctional(ProductFunctional):
     def __init__(self, a: Sequence, b: Sequence):
-        self.a = [_exact(v, "beta parameter a") for v in a]
-        self.b = [_exact(v, "beta parameter b") for v in b]
+        self.a = _exact_list(a, "beta parameter a")
+        self.b = _exact_list(b, "beta parameter b")
         if len(self.a) != len(self.b):
             raise DimensionMismatchError(
                 f"parameter lists have lengths {len(self.a)} and {len(self.b)}"
@@ -236,6 +256,13 @@ class AtomicFunctional(MomentFunctional):
 
     Weights must be positive rationals summing to 1 and the points pairwise
     distinct, so that phi is a normalized state with exactly these atoms.
+    The atoms are kept as integer rows: coordinate j of every point over
+    the common denominator q_j of that coordinate, and every weight over
+    the common weight denominator W, so that
+
+        phi(x^beta) = sum_i W w_i prod_j (q_j c_ij)^beta_j / (W prod_j q_j^beta_j)
+
+    is one integer sum and one Fraction.
     """
 
     def __init__(self, atoms: Sequence[Tuple[Sequence, object]], d: Optional[int] = None):
@@ -243,11 +270,11 @@ class AtomicFunctional(MomentFunctional):
         if not atoms:
             raise UnsupportedParameterError("need at least one atom")
         if d is None:
-            d = len(atoms[0][0])
+            d = len(_exact_list(atoms[0][0], "atom coordinate"))
         super().__init__(d)
-        self.atoms: List[Tuple[Tuple[Fraction, ...], Fraction]] = []
+        points, weights = [], []
         for point, weight in atoms:
-            pt = tuple(_exact(c, "atom coordinate") for c in point)
+            pt = tuple(_exact_list(point, "atom coordinate"))
             if len(pt) != self.d:
                 raise DimensionMismatchError(
                     f"atom {pt} has {len(pt)} coordinates, expected {self.d}"
@@ -255,26 +282,48 @@ class AtomicFunctional(MomentFunctional):
             w = _exact(weight, "atom weight")
             if w <= 0:
                 raise UnsupportedParameterError(f"atom weights must be positive, got {w}")
-            self.atoms.append((pt, w))
-        if sum(w for _, w in self.atoms) != 1:
+            points.append(pt)
+            weights.append(w)
+        if sum(weights) != 1:
             raise UnsupportedParameterError("atom weights must sum to 1")
-        points = [pt for pt, _ in self.atoms]
         if len(set(points)) != len(points):
             raise UnsupportedParameterError("atom points must be pairwise distinct")
+        self._denominators = tuple(
+            lcm(*(pt[j].denominator for pt in points)) for j in range(self.d)
+        )
+        self._weight_denominator = lcm(*(w.denominator for w in weights))
+        self._rows = [
+            (
+                w.numerator * (self._weight_denominator // w.denominator),
+                tuple(c.numerator * (q // c.denominator) for c, q in zip(pt, self._denominators)),
+            )
+            for pt, w in zip(points, weights)
+        ]
+
+    @property
+    def atoms(self) -> List[Tuple[Tuple[Fraction, ...], Fraction]]:
+        """The (point, weight) pairs, in input order."""
+        return [
+            (
+                tuple(Fraction(c, q) for c, q in zip(row, self._denominators)),
+                Fraction(w, self._weight_denominator),
+            )
+            for w, row in self._rows
+        ]
 
     def moment(self, beta: MultiIndex) -> Fraction:
         self._check_beta(beta)
-        total = Fraction(0)
-        for point, weight in self.atoms:
-            term = weight
-            for c, k in zip(point, beta):
+        total = 0
+        for w, row in self._rows:
+            for c, k in zip(row, beta):
                 if k:
-                    if c == 0:
-                        term = Fraction(0)
-                        break
-                    term *= c**k
-            total += term
-        return total
+                    w *= c**k
+            total += w
+        den = self._weight_denominator
+        for q, k in zip(self._denominators, beta):
+            if k:
+                den *= q**k
+        return Fraction(total, den)
 
     def to_json_dict(self) -> dict:
         return {

@@ -23,7 +23,16 @@ level coordinates of a vector need no division, and the creation chain
 of a degree-n class is its basis vector, so Omega_n = G_n.  A
 projection's right-hand side <b, x^beta> is b^T M e_beta, and the level
 Gram is G_n[i][k] = b_i^T M e_{beta_k}, because b_k differs from
-x^(beta_k) by lower levels, which are orthogonal to b_i.
+x^(beta_k) by lower levels, which are orthogonal to b_i.  That makes the
+Gram symmetric as computed, so only its upper triangle is paired and the
+lower one is mirrored.  The orthogonality needs only that every projection
+system was solved consistently, so it holds on singular and non-PSD data
+too.
+
+Each column is also kept once as an IntegerColumn (its nonzero entries as
+integer numerators over one denominator), built when its level is done;
+MomentMatrix.pair takes that form, so a pairing is an integer dot product
+against the moments' integer ratios and builds one Fraction.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from . import _linalg
@@ -63,28 +73,48 @@ class Level:
         return [list(row) for row in self.gram]
 
 
+@dataclass(frozen=True)
+class IntegerColumn:
+    """A coefficient column as integers over one denominator.
+
+    terms holds (a, numerator) for each nonzero entry a of the column, so
+    column[a] = numerator / denominator; every other entry is zero.
+    """
+
+    terms: Tuple[Tuple[int, int], ...]
+    denominator: int
+
+    @classmethod
+    def of(cls, column: Sequence[Fraction]) -> "IntegerColumn":
+        ratios = [(a, x.as_integer_ratio()) for a, x in enumerate(column) if x]
+        den = lcm(*(q for _, (_, q) in ratios))
+        return cls(tuple((a, p * (den // q)) for a, (p, q) in ratios), den)
+
+
 class MomentMatrix:
     """M[a][b] = phi(x^(a+b)) over monomial_basis(d, N), filled on first use.
 
-    Each distinct moment is fetched once, and one that the functional cannot
-    supply raises only when a computation needs it.
+    Each distinct moment is fetched once and kept as its integer ratio, and
+    one that the functional cannot supply raises only when a computation
+    needs it.
     """
 
     def __init__(self, functional: MomentFunctional, max_degree: int):
         self.functional = functional
         self.basis = monomial_basis(functional.d, max_degree)
         self.position = {beta: a for a, beta in enumerate(self.basis)}
-        self._moments: Dict[MultiIndex, Fraction] = {}
+        self._moments: Dict[MultiIndex, Tuple[int, int]] = {}
         # beta -> the multi-indices alpha+beta over the basis, in basis order
         self._shifted: Dict[MultiIndex, List[MultiIndex]] = {}
 
-    def pair(self, column: Sequence[Fraction], beta: MultiIndex) -> Fraction:
-        """phi(b * x^beta) for the polynomial b with this coefficient column.
+    def pair(self, column: IntegerColumn, beta: MultiIndex) -> Fraction:
+        """phi(b * x^beta) for the polynomial b with this integer column.
 
         The moment phi(x^(alpha+beta)) is fetched only where the column's
         coefficient at alpha is nonzero, so a table that lacks the moments at
-        the zero coefficients still pairs.  The sum of products is
-        accumulated in integers (_linalg.sum_of_products).
+        the zero coefficients still pairs.  The sum is one integer numerator
+        over the running lcm of the moment denominators, divided by the
+        column's denominator in the one Fraction it returns.
         """
         keys = self._shifted.get(beta)
         if keys is None:
@@ -92,28 +122,44 @@ class MomentMatrix:
                 tuple(x + y for x, y in zip(alpha, beta)) for alpha in self.basis
             ]
         moments = self._moments
-        terms = []
-        for c, key in zip(column, keys):
-            if c:
-                moment = moments.get(key)
-                if moment is None:
-                    moment = moments[key] = self.functional.moment(key)
-                terms.append((c, moment))
-        return _linalg.sum_of_products(terms)
+        num, den = 0, 1
+        for a, c in column.terms:
+            key = keys[a]
+            moment = moments.get(key)
+            if moment is None:
+                moment = moments[key] = self.functional.moment(key).as_integer_ratio()
+            mn, md = moment
+            if not mn:
+                continue
+            if md == den:
+                num += c * mn
+            else:
+                g = gcd(den, md)
+                num = num * (md // g) + c * mn * (den // g)
+                den = den // g * md
+        return Fraction(num, den * column.denominator)
 
 
 class Decomposition:
     """The levels P_0..P_N, their coefficient columns and the moment matrix.
 
     columns[p] holds basis polynomial p (graded order) over the monomial
-    basis: p+1 entries, the last one its leading coefficient 1.
+    basis: p+1 entries, the last one its leading coefficient 1.  forms[p]
+    is the same column as an IntegerColumn, for MomentMatrix.pair.
     """
 
-    def __init__(self, moments: MomentMatrix, levels: Sequence[Level], columns: Matrix):
+    def __init__(
+        self,
+        moments: MomentMatrix,
+        levels: Sequence[Level],
+        columns: Matrix,
+        forms: Sequence[IntegerColumn],
+    ):
         self.moments = moments
         self.functional = moments.functional
         self.levels = list(levels)
         self.columns = columns
+        self.forms = list(forms)
         self.d = self.functional.d
         self.max_degree = len(self.levels) - 1
         self.starts = list(accumulate((len(lv) for lv in self.levels), initial=0))
@@ -125,6 +171,11 @@ class Decomposition:
     def level_columns(self, n: int) -> List[List[Fraction]]:
         self.level(n)  # range check
         return self.columns[self.starts[n] : self.starts[n + 1]]
+
+    def level_forms(self, n: int) -> List[IntegerColumn]:
+        """The integer forms of level n's columns, for MomentMatrix.pair."""
+        self.level(n)  # range check
+        return self.forms[self.starts[n] : self.starts[n + 1]]
 
     def split(self, vector: Sequence[Fraction]) -> List[List[Fraction]]:
         """Level coordinates of a coefficient vector, by back substitution.
@@ -219,11 +270,12 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
         raise InvalidIndexError(f"max_degree must be >= 0, got {max_degree}")
     moments = MomentMatrix(functional, max_degree)
     blocks: List[List[List[Fraction]]] = []  # coefficient columns, level by level
+    forms: List[List[IntegerColumn]] = []  # their integer forms
     levels: List[Level] = []
     for n in range(max_degree + 1):
         monos = monomials_of_degree(functional.d, n)
         # rhs[k][m][i] = <b_i, x^beta_k> for basis vector i of lower level m
-        rhs = [[[moments.pair(b, beta) for b in lower] for lower in blocks] for beta in monos]
+        rhs = [[[moments.pair(f, beta) for f in lower] for lower in forms] for beta in monos]
         block = [[ZERO] * moments.position[beta] + [Fraction(1)] for beta in monos]
         for m, (lv, lower) in enumerate(zip(levels, blocks)):
             # one elimination of G_m for all monomials: its row operations
@@ -239,16 +291,28 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
                         for a, value in enumerate(b):
                             if value:
                                 col[a] -= coeff * value
-        gram = tuple(tuple(moments.pair(b, beta) for beta in monos) for b in block)
-        report = _linalg.ldlt_psd([list(row) for row in gram])
+        block_forms = [IntegerColumn.of(col) for col in block]
+        # b_i is orthogonal to the lower levels, so <b_i, x^beta_k> = <b_i, b_k>
+        # and the lower triangle mirrors the upper one
+        size = len(block)
+        gram = [[ZERO] * size for _ in range(size)]
+        for i, f in enumerate(block_forms):
+            for k in range(i, size):
+                gram[i][k] = gram[k][i] = moments.pair(f, monos[k])
+        report = _linalg.ldlt_psd(gram)
         if not report.psd:
             raise NotAStateError(
                 f"degree-{n} Gram matrix has a negative direction "
                 f"(witness vector {report.witness}); the moments are not a "
                 "moment sequence of a positive measure"
             )
-        null_mask = tuple(gram[i][i] == 0 for i in range(len(block)))
-        levels.append(Level(n, tuple(monos), gram, report.rank, null_mask))
+        null_mask = tuple(gram[i][i] == 0 for i in range(size))
+        levels.append(Level(n, tuple(monos), tuple(map(tuple, gram)), report.rank, null_mask))
         blocks.append(block)
-    return Decomposition(moments, levels, [col for block in blocks for col in block])
-
+        forms.append(block_forms)
+    return Decomposition(
+        moments,
+        levels,
+        [col for block in blocks for col in block],
+        [f for block_forms in forms for f in block_forms],
+    )

@@ -424,6 +424,18 @@ def test_family_spec_validation():
     for bad in ("x", None, "1/0"):
         with pytest.raises(UnsupportedParameterError, match=f"^bad laguerre alpha: {bad!r}$"):
             family_spec("laguerre", alpha=[bad])
+    # before, a string was split into its characters and a number raised a
+    # bare TypeError
+    for family, params, what in (
+        ("laguerre", {"alpha": "12"}, "laguerre alpha"),
+        ("laguerre", {"alpha": "1/2"}, "laguerre alpha"),
+        ("laguerre", {"alpha": 5}, "laguerre alpha"),
+        ("jacobi", {"a": "0", "b": [0]}, "jacobi a"),
+        ("jacobi", {"a": [0], "b": Fraction(1, 2)}, "jacobi b"),
+        ("gegenbauer", {"lam": "1"}, "gegenbauer lambda"),
+    ):
+        with pytest.raises(UnsupportedParameterError, match=f"^{what} list must be a sequence"):
+            family_spec(family, **params)
     with pytest.raises(UnsupportedParameterError):
         family_spec("gegenbauer", lam=["-1/2"])
     with pytest.raises(UnsupportedParameterError):

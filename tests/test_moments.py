@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacobi_mv.errors import (
     DimensionMismatchError,
@@ -189,6 +191,59 @@ def test_atomic_moments_and_validation():
         atomic_functional([(("0",), "1/2"), (("0",), "1/2")])  # duplicated point
     with pytest.raises(NoMassFactorError):
         mu.mass_factor()
+
+
+def test_parameter_lists_refuse_strings_and_bare_numbers():
+    # before, a string was split into its characters ("12" -> (1, 2)) and a
+    # bare number raised a bare TypeError
+    for call, what in (
+        (lambda: gamma_functional("12"), "gamma parameter"),
+        (lambda: gamma_functional(5), "gamma parameter"),
+        (lambda: beta_functional("12", "34"), "beta parameter a"),
+        (lambda: beta_functional([0], 3), "beta parameter b"),
+        (lambda: atomic_functional([("12", 1)]), "atom coordinate"),
+        (lambda: atomic_functional([(5, 1)]), "atom coordinate"),
+        (lambda: atomic_functional([(("0",), "1/2"), (1, "1/2")]), "atom coordinate"),
+    ):
+        with pytest.raises(UnsupportedParameterError, match=f"^{what} list must be a sequence"):
+            call()
+    # any other iterable of exact numbers is still a parameter list
+    assert gamma_functional(iter([0, "1/2"])).alphas == [0, Fraction(1, 2)]
+    assert atomic_functional([([1, "2"], 1)]).moment((1, 1)) == 2
+
+
+_COORDINATES = st.just(Fraction(0)) | st.fractions(-4, 4, max_denominator=9)
+
+
+@st.composite
+def _atom_sets(draw):
+    d = draw(st.integers(1, 3))
+    points = draw(
+        st.lists(st.tuples(*[_COORDINATES] * d), min_size=1, max_size=6, unique=True)
+    )
+    raw = draw(
+        st.lists(
+            st.fractions(Fraction(1, 9), 5, max_denominator=9),
+            min_size=len(points),
+            max_size=len(points),
+        )
+    )
+    weights = [r / sum(raw) for r in raw]
+    beta = draw(st.tuples(*[st.integers(0, 6)] * d))
+    return list(zip(points, weights)), beta
+
+
+@settings(max_examples=200, deadline=None)
+@given(_atom_sets())
+def test_atomic_moment_is_the_direct_fraction_sum(case):
+    atoms, beta = case
+    mu = atomic_functional(atoms)
+    direct = sum(
+        w * math.prod((c**k for c, k in zip(point, beta)), start=Fraction(1))
+        for point, w in atoms
+    )
+    assert mu.moment(beta) == direct
+    assert mu.atoms == atoms
 
 
 def test_atomic_json_round_trip():

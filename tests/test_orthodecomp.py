@@ -15,6 +15,7 @@ from jacobi_mv.errors import (
     NotAStateError,
 )
 from jacobi_mv.moments import (
+    AtomicFunctional,
     MomentFunctional,
     atomic_functional,
     beta_functional,
@@ -22,7 +23,7 @@ from jacobi_mv.moments import (
     gaussian_functional,
     table_functional,
 )
-from jacobi_mv.orthodecomp import MomentMatrix, decompose
+from jacobi_mv.orthodecomp import IntegerColumn, MomentMatrix, decompose
 from jacobi_mv.polyring import Polynomial, monomial_basis, monomials_of_degree
 
 
@@ -291,13 +292,53 @@ def test_moment_matrix_fetches_each_moment_once_and_only_as_needed(inner, n):
     assert len(phi.fetched) == len(set(phi.fetched))
 
 
+@pytest.mark.parametrize(
+    "phi, n",
+    [
+        (gaussian_functional(2), 3),
+        (beta_functional([Fraction(1, 2), 0], [Fraction(-1, 2), 1]), 3),
+        # four collinear atoms: every level past 0 is singular
+        (atomic_functional([((k, 2 * k - 1), Fraction(1, 4)) for k in range(4)]), 3),
+    ],
+)
+def test_level_gram_is_the_full_matrix_of_pairings(phi, n):
+    # decompose pairs only the upper triangle and mirrors it
+    dec = decompose(phi, n)
+    for m in range(n + 1):
+        lv = dec.level(m)
+        polys = dec.polynomials(m)
+        monos = [Polynomial.monomial(phi.d, beta) for beta in lv.monomials]
+        assert [list(row) for row in lv.gram] == [
+            [phi.inner_product(p, x) for x in monos] for p in polys
+        ]
+        assert [list(row) for row in lv.gram] == [
+            [phi.inner_product(p, q) for q in polys] for p in polys
+        ]
+    if isinstance(phi, AtomicFunctional):
+        assert [dec.level(m).rank for m in range(n + 1)] == [1, 1, 1, 1]
+
+
+def test_perturbed_collinear_table_keeps_its_negative_direction_text():
+    mu = atomic_functional([((k, 2 * k - 1), Fraction(1, 4)) for k in range(4)])
+    table = {beta: mu.moment(beta) for beta in monomial_basis(2, 4)}
+    table[(3, 1)] += Fraction(1, 3)
+    with pytest.raises(NotAStateError) as info:
+        decompose(table_functional(2, 4, table), 2)
+    assert str(info.value) == (
+        "degree-2 Gram matrix has a negative direction (witness vector "
+        "(Fraction(-7, 3), Fraction(1, 1), Fraction(0, 1))); the moments are "
+        "not a moment sequence of a positive measure"
+    )
+
+
 def test_pair_skips_the_moments_at_zero_coefficients():
     g = gamma_functional([0])
     # the moments of degree 1 and 3 are missing
     table = table_functional(1, 4, {(k,): g.moment((k,)) for k in (0, 2, 4)})
     moments = MomentMatrix(table, 2)
-    column = [Fraction(-2), ZERO, Fraction(1)]  # x^2 - 2
+    column = IntegerColumn.of([Fraction(-2), ZERO, Fraction(1)])  # x^2 - 2
+    assert column == IntegerColumn(((0, -2), (2, 1)), 1)
     assert moments.pair(column, (0,)) == g.moment((2,)) - 2
     assert moments.pair(column, (2,)) == g.moment((4,)) - 2 * g.moment((2,))
     with pytest.raises(InsufficientMomentsError):
-        moments.pair([ZERO, Fraction(1)], (0,))
+        moments.pair(IntegerColumn.of([ZERO, Fraction(1)]), (0,))
