@@ -26,8 +26,8 @@ or a bare number instead of iterating it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from collections.abc import Iterable
+from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
