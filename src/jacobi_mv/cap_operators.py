@@ -38,7 +38,7 @@ from .errors import (
     NotAStateError,
 )
 from .multiindex import MultiIndex, check_index, shift
-from .orthodecomp import Decomposition, MomentMatrix
+from .orthodecomp import Decomposition, IntegerColumn, MomentMatrix
 from .polyring import Polynomial
 
 
@@ -125,12 +125,11 @@ class CAPSystem:
         return decomp.polynomial(self._apply(j, decomp.vector(p), -1))
 
 
-def _times(moments: MomentMatrix, column: List[Fraction], unit: MultiIndex) -> List[Fraction]:
+def _times(moments: MomentMatrix, form: IntegerColumn, unit: MultiIndex) -> List[Fraction]:
     """Coefficient vector of x^unit * b for the polynomial b with this column."""
     out = [ZERO] * len(moments.basis)
-    for a, c in enumerate(column):
-        if c:
-            out[moments.position[shift(moments.basis[a], unit)]] = c
+    for a, c in form.terms:
+        out[moments.position[shift(moments.basis[a], unit)]] = Fraction(c, form.denominator)
     return out
 
 
@@ -151,22 +150,22 @@ def _top_pairings(
     moments = decomposition.moments
     n = decomposition.max_degree
     lv = decomposition.level(n)
-    columns = decomposition.level_columns(n)
     forms = decomposition.level_forms(n)
     start = decomposition.starts[n]
     below = range(decomposition.starts[n - 1] if n else start, start)
     pairings = []
-    for beta, col in zip(lv.monomials, columns):
+    for beta, form in zip(lv.monomials, forms):
         gamma = shift(beta, unit)
         if gamma not in rows:
             rows[gamma] = [moments.pair(f, gamma) for f in forms]
         out = list(rows[gamma])
-        for a in below:
-            if col[a]:
+        for a, c in form.terms:
+            if a in below:
+                value = Fraction(c, form.denominator)
                 q = moments.position[shift(moments.basis[a], unit)] - start
                 for i, row in enumerate(lv.gram):
                     if row[q]:
-                        out[i] += col[a] * row[q]
+                        out[i] += value * row[q]
         pairings.append(out)
     return _linalg.transpose(pairings)
 
@@ -190,11 +189,11 @@ def build(decomposition: Decomposition) -> CAPSystem:
     rows: Dict[MultiIndex, List[Fraction]] = {}
     for n in range(top + 1):
         lv = decomposition.level(n)
-        columns = decomposition.level_columns(n)
+        forms = decomposition.level_forms(n)
         for j in range(1, d + 1):
             unit = tuple(int(i == j - 1) for i in range(d))
             if n < top:
-                images = [decomposition.split(_times(moments, col, unit)) for col in columns]
+                images = [decomposition.split(_times(moments, f, unit)) for f in forms]
                 for k, coords in enumerate(images):
                     for m, c in enumerate(coords):
                         if abs(m - n) > 1 and any(c):

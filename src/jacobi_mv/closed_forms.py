@@ -275,7 +275,7 @@ def _check_index(spec: FamilySpec, index: MultiIndex) -> None:
         raise InvalidIndexError(
             f"index length {len(index)} != dimension {spec.d}"
         )
-    if any(not isinstance(k, int) or k < 0 for k in index):
+    if any(isinstance(k, bool) or not isinstance(k, int) or k < 0 for k in index):
         raise InvalidIndexError(
             f"index {tuple(index)} needs integer entries >= 0"
         )

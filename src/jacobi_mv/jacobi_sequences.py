@@ -48,7 +48,7 @@ from .errors import (
     InvalidIndexError,
     RepresentationError,
 )
-from .moments import MomentFunctional, _exact
+from .moments import MomentFunctional, _exact_list
 from .multiindex import (
     ClassBasis,
     MultiIndex,
@@ -115,13 +115,14 @@ class JacobiSequencePair:
 
     def alpha_for_direction(self, v: Sequence, n: int) -> Matrix:
         """alpha_{v|n} = sum_j v_j alpha_{e_j|n} (linearity in the direction)."""
+        v = _exact_list(v, "direction")
         if len(v) != self.d:
             raise InvalidIndexError(
                 f"direction vector must have d entries, got {len(v)} for d = {self.d}"
             )
         out = None
         for j, coeff in enumerate(v, start=1):
-            term = _linalg.mat_scale(self.alpha_matrix(j, n), _exact(coeff, "direction entry"))
+            term = _linalg.mat_scale(self.alpha_matrix(j, n), coeff)
             out = term if out is None else _linalg.mat_add(out, term)
         return out
 

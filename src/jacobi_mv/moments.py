@@ -381,13 +381,13 @@ class TableFunctional(MomentFunctional):
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TableFunctional":
-        moments = {
-            tuple(
-                _typed(b, int, "moment entry 'beta' index")
-                for b in _field(e, "beta", "moment entry", list)
-            ): _field(e, "value", "moment entry")
-            for e in _field(doc, "moments", "moment table", list)
-        }
+        moments = {}
+        for e in _field(doc, "moments", "moment table", list):
+            beta = _field(e, "beta", "moment entry", list)
+            beta = tuple(_typed(b, int, "moment entry 'beta' index") for b in beta)
+            if beta in moments:
+                raise UnsupportedParameterError(f"moment table lists beta {list(beta)} twice")
+            moments[beta] = _field(e, "value", "moment entry")
         d = _field(doc, "d", "moment table", int)
         return cls(d, _field(doc, "max_degree", "moment table", int), moments)
 

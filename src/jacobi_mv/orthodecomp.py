@@ -29,8 +29,8 @@ lower one is mirrored.  The orthogonality needs only that every projection
 system was solved consistently, so it holds on singular and non-PSD data
 too.
 
-Each column is also kept once as an IntegerColumn (its nonzero entries as
-integer numerators over one denominator), built when its level is done;
+Each column is kept once, as an IntegerColumn: its nonzero entries as
+integer numerators over one denominator, built when its level is done.
 MomentMatrix.pair takes that form, so a pairing is an integer dot product
 against the moments' integer ratios and builds one Fraction.
 """
@@ -55,7 +55,7 @@ from .polyring import Polynomial, monomial_basis, monomials_of_degree
 class Level:
     """Degree slice P_n: basis vectors indexed by degree-n monomials.
 
-    The vectors themselves are Decomposition.level_columns(n).  rank is the
+    The vectors themselves are Decomposition.level_forms(n).  rank is the
     exact rank of the Gram matrix; null_mask marks basis vectors of zero
     norm (they span the degenerate directions).
     """
@@ -89,6 +89,23 @@ class IntegerColumn:
         ratios = [(a, x.as_integer_ratio()) for a, x in enumerate(column) if x]
         den = lcm(*(q for _, (_, q) in ratios))
         return cls(tuple((a, p * (den // q)) for a, (p, q) in ratios), den)
+
+    def subtract_from(self, nums: List[int], dens: List[int], coeff: Fraction) -> None:
+        """nums[a]/dens[a] -= coeff * column[a], each over its running lcm."""
+        num, den = coeff.as_integer_ratio()
+        den *= self.denominator
+        for a, c in self.terms:
+            if dens[a] == den:
+                nums[a] -= num * c
+            else:
+                g = gcd(dens[a], den)
+                nums[a] = nums[a] * (den // g) - num * c * (dens[a] // g)
+                dens[a] = dens[a] // g * den
+
+    def column(self) -> List[Fraction]:
+        """A new Fraction list of the entries up to the last nonzero one."""
+        entries = dict(self.terms)
+        return [Fraction(entries.get(a, 0), self.denominator) for a in range(self.terms[-1][0] + 1)]
 
 
 class MomentMatrix:
@@ -141,24 +158,18 @@ class MomentMatrix:
 
 
 class Decomposition:
-    """The levels P_0..P_N, their coefficient columns and the moment matrix.
+    """The levels P_0..P_N, their basis columns and the moment matrix.
 
-    columns[p] holds basis polynomial p (graded order) over the monomial
-    basis: p+1 entries, the last one its leading coefficient 1.  forms[p]
-    is the same column as an IntegerColumn, for MomentMatrix.pair.
+    forms[p] is basis polynomial p (graded order) over the monomial basis,
+    as an IntegerColumn: its last term is p, the leading coefficient 1.
     """
 
     def __init__(
-        self,
-        moments: MomentMatrix,
-        levels: Sequence[Level],
-        columns: Matrix,
-        forms: Sequence[IntegerColumn],
+        self, moments: MomentMatrix, levels: Sequence[Level], forms: Sequence[IntegerColumn]
     ):
         self.moments = moments
         self.functional = moments.functional
         self.levels = list(levels)
-        self.columns = columns
         self.forms = list(forms)
         self.d = self.functional.d
         self.max_degree = len(self.levels) - 1
@@ -169,8 +180,8 @@ class Decomposition:
         return self.levels[n]
 
     def level_columns(self, n: int) -> List[List[Fraction]]:
-        self.level(n)  # range check
-        return self.columns[self.starts[n] : self.starts[n + 1]]
+        """Level n's coefficient columns, as new Fraction lists."""
+        return [f.column() for f in self.level_forms(n)]
 
     def level_forms(self, n: int) -> List[IntegerColumn]:
         """The integer forms of level n's columns, for MomentMatrix.pair."""
@@ -181,20 +192,19 @@ class Decomposition:
         """Level coordinates of a coefficient vector, by back substitution.
 
         The columns are monic, so the coordinate of basis vector p is the
-        entry left at p once the higher basis vectors are subtracted.
+        entry left at p once the higher basis vectors are subtracted, in
+        integers; each entry becomes a Fraction once, when it is reached.
         """
-        if len(vector) != len(self.columns):
+        if len(vector) != len(self.forms):
             raise DimensionMismatchError(
-                f"vector length {len(vector)} != basis size {len(self.columns)}"
+                f"vector length {len(vector)} != basis size {len(self.forms)}"
             )
-        x = list(vector)
+        nums, dens = map(list, zip(*(v.as_integer_ratio() for v in vector)))
+        x = [ZERO] * len(vector)
         for p in reversed(range(len(x))):
-            coeff = x[p]
-            if coeff:
-                col = self.columns[p]
-                for a in range(p):
-                    if col[a]:
-                        x[a] -= coeff * col[a]
+            if nums[p]:
+                x[p] = Fraction(nums[p], dens[p])
+                self.forms[p].subtract_from(nums, dens, x[p])
         return [x[s:e] for s, e in zip(self.starts, self.starts[1:])]
 
     def vector(self, p: Polynomial) -> List[Fraction]:
@@ -208,7 +218,7 @@ class Decomposition:
                 f"polynomial degree {p.degree()} exceeds decomposition degree "
                 f"{self.max_degree}"
             )
-        out = [ZERO] * len(self.columns)
+        out = [ZERO] * len(self.forms)
         for beta, c in p.terms.items():
             out[self.moments.position[beta]] = c
         return out
@@ -219,13 +229,11 @@ class Decomposition:
 
     def expand(self, n: int, coords: Sequence[Fraction]) -> List[Fraction]:
         """Coefficient vector of the level-n combination with these coordinates."""
-        out = [ZERO] * len(self.columns)
-        for coeff, col in zip(coords, self.level_columns(n)):
+        nums, dens = [0] * len(self.forms), [1] * len(self.forms)
+        for coeff, form in zip(coords, self.level_forms(n)):
             if coeff:
-                for a, value in enumerate(col):
-                    if value:
-                        out[a] += coeff * value
-        return out
+                form.subtract_from(nums, dens, -coeff)
+        return [Fraction(p, q) if p else ZERO for p, q in zip(nums, dens)]
 
     def polynomials(self, n: int) -> Tuple[Polynomial, ...]:
         """The basis polynomials of level n, read off its columns."""
@@ -269,15 +277,15 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
     if max_degree < 0:
         raise InvalidIndexError(f"max_degree must be >= 0, got {max_degree}")
     moments = MomentMatrix(functional, max_degree)
-    blocks: List[List[List[Fraction]]] = []  # coefficient columns, level by level
-    forms: List[List[IntegerColumn]] = []  # their integer forms
+    forms: List[List[IntegerColumn]] = []  # basis columns, level by level
     levels: List[Level] = []
     for n in range(max_degree + 1):
         monos = monomials_of_degree(functional.d, n)
         # rhs[k][m][i] = <b_i, x^beta_k> for basis vector i of lower level m
         rhs = [[[moments.pair(f, beta) for f in lower] for lower in forms] for beta in monos]
-        block = [[ZERO] * moments.position[beta] + [Fraction(1)] for beta in monos]
-        for m, (lv, lower) in enumerate(zip(levels, blocks)):
+        # each column x^beta as numerators over denominators, less its projections
+        block = [([0] * a + [1], [1] * (a + 1)) for a in map(moments.position.get, monos)]
+        for m, (lv, lower) in enumerate(zip(levels, forms)):
             # one elimination of G_m for all monomials: its row operations
             # depend only on G_m, so each column gets what its own solve gives
             sol = _linalg.solve_consistent(
@@ -286,12 +294,10 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
             if sol is None:
                 _raise_first_inconsistent(levels, monos, rhs)
             for col, coeffs in zip(block, _linalg.transpose(sol)):
-                for coeff, b in zip(coeffs, lower):
+                for coeff, f in zip(coeffs, lower):
                     if coeff:
-                        for a, value in enumerate(b):
-                            if value:
-                                col[a] -= coeff * value
-        block_forms = [IntegerColumn.of(col) for col in block]
+                        f.subtract_from(*col, coeff)
+        block_forms = [IntegerColumn.of(list(map(Fraction, *col))) for col in block]
         # b_i is orthogonal to the lower levels, so <b_i, x^beta_k> = <b_i, b_k>
         # and the lower triangle mirrors the upper one
         size = len(block)
@@ -308,11 +314,5 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
             )
         null_mask = tuple(gram[i][i] == 0 for i in range(size))
         levels.append(Level(n, tuple(monos), tuple(map(tuple, gram)), report.rank, null_mask))
-        blocks.append(block)
         forms.append(block_forms)
-    return Decomposition(
-        moments,
-        levels,
-        [col for block in blocks for col in block],
-        [f for block_forms in forms for f in block_forms],
-    )
+    return Decomposition(moments, levels, [f for level in forms for f in level])

@@ -216,6 +216,19 @@ def test_library_errors_surface_with_type_name(tmp_path):
             {"d": 1, "max_degree": 0, "moments": [{"beta": [0], "value": "1/0"}]},
             "bad moment[(0,)]: '1/0'",
         ),
+        # before, the last entry for a repeated beta silently won
+        (
+            {
+                "d": 1,
+                "max_degree": 2,
+                "moments": [
+                    {"beta": [0], "value": "1"},
+                    {"beta": [2], "value": "1"},
+                    {"beta": [2], "value": "3"},
+                ],
+            },
+            "moment table lists beta [2] twice",
+        ),
     ],
 )
 def test_malformed_measure_file_exits_2_with_its_cause(tmp_path, capsys, doc, cause):

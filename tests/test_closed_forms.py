@@ -94,11 +94,15 @@ def test_family_norm_squared_index_validation():
         (jac, (-2,)),
         (HERMITE2, (1,)),
         (HERMITE1, (Fraction(1, 2),)),
+        # before, True read as index 1
+        (HERMITE1, (True,)),
     ):
         with pytest.raises(InvalidIndexError):
             family_norm_squared(spec, index)
         with pytest.raises(InvalidIndexError):
             family_polynomial(spec, index)
+        with pytest.raises(InvalidIndexError):
+            master_omega(spec, index)
 
 
 def test_norm_squared_frozen_values():

@@ -71,7 +71,8 @@ def test_alpha_on_full_rank_levels_is_the_solution_of_the_chain_system(dec):
     # compute reads alpha = Z off a full-rank level; it must be what
     # solving G_n a = G_n Z gives, formed here independently.  Both rest on
     # the monic level bases, so every column must end in its leading 1
-    assert all(col[-1] == 1 for col in dec.columns)
+    levels = range(dec.max_degree + 1)
+    assert all(col[-1] == 1 for n in levels for col in dec.level_columns(n))
     try:
         ops = build(dec)
     except InternalConsistencyError:
@@ -193,6 +194,10 @@ def test_alpha_for_direction_needs_exactly_d_entries():
     seq = compute_from_functional(gaussian_functional(2), 2)
     for v in ([], [1], [1, 0, 0]):
         with pytest.raises(InvalidIndexError, match="direction vector must have d entries"):
+            seq.alpha_for_direction(v, 1)
+    # before, '12' read as the direction (1, 2) and 5 raised a bare TypeError
+    for v in ("12", 5):
+        with pytest.raises(UnsupportedParameterError, match="direction list must be a sequence"):
             seq.alpha_for_direction(v, 1)
     # before, a float entry gave entries like 82866233143617127/36028797018963968
     seq = compute_from_functional(gamma_functional([0, 1]), 2)

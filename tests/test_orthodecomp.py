@@ -86,9 +86,13 @@ def test_gram_matches_inner_products():
                     assert lv.gram[i][j] == f.inner_product(p, q)
 
 
+TWELVE_ATOMS = [
+    (0, 0), (1, 0), (0, 1), (2, 1), (-1, 2), (1, -2),
+    (3, 1), (-2, -1), (Fraction(1, 2), 3), (2, Fraction(-1, 3)), (-1, -3), (3, 3),
+]
+
+
 def test_coordinates_reconstruct_and_components_sum():
-    f = beta_functional([0, 0], [0, 0])
-    dec = decompose(f, 3)
     p = Polynomial(
         2,
         {
@@ -98,11 +102,32 @@ def test_coordinates_reconstruct_and_components_sum():
             (0, 2): Fraction(1, 7),
         },
     )
-    parts = dec.components(p)
-    total = Polynomial.zero(2)
-    for part in parts:
-        total = total + part
-    assert total == p
+    for f in (
+        beta_functional([0, 0], [0, 0]),
+        # twelve atoms in general position: full rank, dense columns
+        atomic_functional([(x, Fraction(1, 12)) for x in TWELVE_ATOMS]),
+        # four collinear atoms: every level past 0 is singular
+        atomic_functional([((k, 2 * k - 1), Fraction(1, 4)) for k in range(4)]),
+    ):
+        dec = decompose(f, 3)
+        vector = [ZERO] * len(dec.vector(p))
+        for n, coords in enumerate(dec.coordinates(p)):
+            vector = [x + y for x, y in zip(vector, dec.expand(n, coords))]
+        assert vector == dec.vector(p)
+        total = Polynomial.zero(2)
+        for n, part in enumerate(dec.components(p)):
+            total = total + part
+            assert not any(any(c) for m, c in enumerate(dec.coordinates(part)) if m != n)
+        assert total == p
+
+
+def test_level_columns_are_new_lists():
+    # before, level_columns handed out the stored columns, so writing into
+    # one changed every later split
+    dec = decompose(gaussian_functional(1), 2)
+    dec.level_columns(2)[0][0] = 99
+    assert dec.level_columns(2) == [[Fraction(-1, 2), 0, 1]]
+    assert dec.split([0, 0, 1]) == [[Fraction(1, 2)], [0], [1]]
 
 
 def test_projection_idempotent_and_orthogonal():
@@ -258,7 +283,8 @@ def test_decompose_matches_per_monomial_reference(case):
     else:
         basis = monomial_basis(phi.d, max_degree)
         columns = [[p.terms.get(a, 0) for a in basis[: k + 1]] for k, p in enumerate(expected)]
-        assert decompose(phi, max_degree).columns == columns
+        dec = decompose(phi, max_degree)
+        assert [col for n in range(max_degree + 1) for col in dec.level_columns(n)] == columns
 
 
 class _Recording(MomentFunctional):
