@@ -105,6 +105,80 @@ def test_quantum_decomposition_detects_corruption():
     assert witnesses and witnesses[0].n == 0
 
 
+LINE_ATOMS = [(("0",), "1/3"), (("1",), "1/3"), (("2",), "1/3")]
+
+
+def _reference_quantum_decomposition(system):
+    # the check by polynomial products: x_j b against the three operator
+    # images, and phi(r * r) for the residual r
+    decomp = system.decomposition
+    phi = decomp.functional
+    entries = []
+    for n in range(decomp.max_degree):
+        basis = decomp.polynomials(n)
+        for j in range(1, system.d + 1):
+            x_j = Polynomial.variable(system.d, j)
+            for k, b in enumerate(basis):
+                model = (
+                    system.creation(j, b)
+                    + system.preservation(j, b)
+                    + system.annihilation(j, b)
+                )
+                residual = b * x_j - model
+                entries.append((j, n, k, residual, phi.inner_product(residual, residual)))
+    return entries
+
+
+def _tampered(ops, block, key, amount):
+    blocks = {"plus": ops._plus, "zero": ops._zero, "minus": ops._minus}
+    changed = {k: _linalg.copy(v) for k, v in blocks[block].items()}
+    changed[key][0][0] += amount
+    blocks[block] = changed
+    return CAPSystem(ops.decomposition, blocks["plus"], blocks["zero"], blocks["minus"])
+
+
+def test_quantum_decomposition_matches_the_polynomial_reference():
+    cases = [
+        (gaussian_functional(2), 4),
+        (gaussian_functional(3), 3),
+        (beta_functional([0, 1], [1, 0]), 3),
+        (gamma_functional([0, Fraction(1, 2)]), 3),
+        (atomic_functional([(("0", "0"), "1/2"), (("1", "1"), "1/2")]), 3),
+        (atomic_functional(LINE_ATOMS), 4),
+    ]
+    systems = [build(decompose(f, top)) for f, top in cases]
+    for system in systems:
+        assert verify_quantum_decomposition(system).ok
+    # one entry of each block off by 1/3: residuals that are neither zero
+    # nor null
+    gaussian = build(decompose(gaussian_functional(2), 3))
+    tampered = []
+    for key in ((1, 0), (2, 1), (1, 2)):
+        for block in ("plus", "zero", "minus"):
+            if key[1] or block != "minus":  # a-_{j|0} is empty
+                tampered.append(_tampered(gaussian, block, key, Fraction(1, 3)))
+    assert len(tampered) == 8
+    for system in tampered:
+        report = verify_quantum_decomposition(system)
+        assert not report.ok
+        assert any(not e.null for e in report.witnesses())
+    # level 3 of three atoms on a line is null: a residual b_3 is not zero
+    # but has norm zero
+    line = _tampered(build(decompose(atomic_functional(LINE_ATOMS), 4)), "zero", (1, 3), 1)
+    report = verify_quantum_decomposition(line)
+    assert not report.ok
+    assert report.witnesses() and all(e.null for e in report.witnesses())
+    for system in systems + tampered + [line]:
+        report = verify_quantum_decomposition(system)
+        got = [(e.j, e.n, e.index, e.residual, e.residual_norm_sq) for e in report.entries]
+        expected = _reference_quantum_decomposition(system)
+        assert got == expected
+        assert report.ok == all(r.is_zero() for *_, r, _ in expected)
+        assert [e for e in report.entries if not e.exact] == list(report.witnesses())
+        for e, (*_, r, norm_sq) in zip(report.entries, expected):
+            assert e.exact == r.is_zero() and e.null == (norm_sq == 0)
+
+
 def test_adjoint_identities_hold():
     for f in _functionals():
         dec = decompose(f, 3)
