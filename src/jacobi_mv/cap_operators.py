@@ -265,28 +265,36 @@ class QuantumDecompositionReport:
 def verify_quantum_decomposition(system: CAPSystem) -> QuantumDecompositionReport:
     """Check x_j*b = (a+ + a0 + a-) b, exactly, on every basis vector.
 
-    Recomputes each side independently of how the matrices were built.
-    Levels below the top are covered (creation out of the top level is not
-    representable).  Failures are reported with the residual polynomial as
-    witness, never raised.
+    Works on coefficient vectors over the monomial basis and recomputes each
+    side independently of how the blocks were built: the image x_j b_k is
+    b_k's column shifted by e_j, and the model expands column k of the plus,
+    zero and minus blocks at levels n+1, n and n-1 (b_k's level coordinates
+    are the unit vector e_k, so no split is needed).  The residual r has
+    squared norm r^T M r on the moment matrix.  Levels below the top are
+    covered (creation out of the top level is not representable).  Failures
+    are reported with the residual polynomial as witness, never raised.
     """
     decomp = system.decomposition
-    phi = decomp.functional
+    moments = decomp.moments
     entries = []
     for n in range(decomp.max_degree):
-        basis = decomp.polynomials(n)
+        forms = decomp.level_forms(n)
         for j in range(1, system.d + 1):
-            for k, b in enumerate(basis):
-                image = b.mul_by_variable(j)
-                model = (
-                    system.creation(j, b)
-                    + system.preservation(j, b)
-                    + system.annihilation(j, b)
-                )
-                residual = image - model
-                norm_sq = phi.inner_product(residual, residual)
+            unit = tuple(int(i == j - 1) for i in range(system.d))
+            blocks = [(n + 1, system._plus[(j, n)]), (n, system._zero[(j, n)])]
+            if n:
+                blocks.append((n - 1, system._minus[(j, n)]))
+            for k, form in enumerate(forms):
+                residual = _times(moments, form, unit)
+                for m, block in blocks:
+                    image = decomp.expand(m, [row[k] for row in block])
+                    residual = [x - y if y else x for x, y in zip(residual, image)]
+                r = IntegerColumn.of(residual)
+                norm_sq = sum(
+                    (c * moments.pair(r, moments.basis[a]) for a, c in r.terms), ZERO
+                ) / r.denominator
                 entries.append(
-                    QuantumDecompositionEntry(j, n, k, residual, norm_sq)
+                    QuantumDecompositionEntry(j, n, k, decomp.polynomial(residual), norm_sq)
                 )
     ok = all(e.exact for e in entries)
     return QuantumDecompositionReport(ok, tuple(entries))

@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 from . import _linalg
 from .closed_forms import FAMILIES, family_spec, verify_family
 from .errors import Error, InputError, InsufficientMomentsError
-from .jacobi_sequences import compute, detect_atoms, reconstruct_moment_table
+from .jacobi_sequences import compute_from_functional, detect_atoms, reconstruct_moment_table
 from .cap_operators import build
 from .moments import MomentFunctional, functional_from_json
 from .orthodecomp import decompose
@@ -157,8 +157,7 @@ def _cmd_cap(config: RunConfig) -> Tuple[int, str]:
 
 def _cmd_omega(config: RunConfig) -> Tuple[int, str]:
     functional, _ = _resolve(config)
-    decomp = decompose(functional, config.max_level)
-    seq = compute(build(decomp), config.max_level)
+    seq = compute_from_functional(functional, config.max_level)
     if config.convention == "paper":
         # entries absorb the rational part of the mass; the rest stays symbolic
         mass = functional.mass_factor()
@@ -198,8 +197,7 @@ def _cmd_omega(config: RunConfig) -> Tuple[int, str]:
 
 def _cmd_alpha(config: RunConfig) -> Tuple[int, str]:
     functional, _ = _resolve(config)
-    decomp = decompose(functional, config.max_level)
-    seq = compute(build(decomp), config.max_level)
+    seq = compute_from_functional(functional, config.max_level)
     alphas = [
         [seq.alpha_matrix(j, n) for j in range(1, seq.d + 1)]
         for n in range(config.max_level + 1)
@@ -256,8 +254,7 @@ def _cmd_atoms(config: RunConfig) -> Tuple[int, str]:
 
 def _cmd_reconstruct(config: RunConfig) -> Tuple[int, str]:
     functional, _ = _resolve(config)
-    decomp = decompose(functional, config.max_level)
-    seq = compute(build(decomp), config.max_level)
+    seq = compute_from_functional(functional, config.max_level)
     rows = []
     ok = True
     for beta, value in reconstruct_moment_table(seq, config.max_level).items():
@@ -392,22 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        family=args.family,
-        a=args.a,
-        b=args.b,
-        alpha=args.alpha,
-        lam=args.lam,
-        d=args.d,
-        measure=args.measure,
-        max_level=args.max_level,
-        convention=args.convention,
-        format=args.format,
-        output=args.output,
-        variant=getattr(args, "variant", "master"),
-    )
+    # the namespace holds RunConfig's fields; only verify parses --variant
+    config = RunConfig(**vars(_build_parser().parse_args(argv)))
     status, text = run(config)
     if status == 2:
         print(text, file=sys.stderr)

@@ -107,19 +107,17 @@ class MomentFunctional:
                 f"<= {self.max_degree} are available"
             )
 
-    def apply(self, p: Polynomial) -> Fraction:
-        if p.d != self.d:
-            raise DimensionMismatchError(
-                f"polynomial dimension {p.d} != functional dimension {self.d}"
-            )
-        total = Fraction(0)
-        for beta, c in p.terms.items():
-            total += c * self.moment(beta)
-        return total
-
     def inner_product(self, p: Polynomial, q: Polynomial) -> Fraction:
         """phi(p*q), the (possibly degenerate) pre-Hilbert pairing."""
-        return self.apply(p * q)
+        product = p * q
+        if product.d != self.d:
+            raise DimensionMismatchError(
+                f"polynomial dimension {product.d} != functional dimension {self.d}"
+            )
+        total = Fraction(0)
+        for beta, c in product.terms.items():
+            total += c * self.moment(beta)
+        return total
 
     def mass_factor(self) -> GammaProduct:
         raise NoMassFactorError(

@@ -45,7 +45,12 @@ from typing import Dict, List, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import ZERO, Matrix
-from .errors import DimensionMismatchError, InvalidIndexError, NotAStateError
+from .errors import (
+    DimensionMismatchError,
+    InvalidIndexError,
+    NotAStateError,
+    UnsupportedParameterError,
+)
 from .moments import MomentFunctional
 from .multiindex import MultiIndex, check_index, check_integer
 from .polyring import Polynomial, monomial_basis, monomials_of_degree
@@ -106,6 +111,13 @@ class IntegerColumn:
         """A new Fraction list of the entries up to the last nonzero one."""
         entries = dict(self.terms)
         return [Fraction(entries.get(a, 0), self.denominator) for a in range(self.terms[-1][0] + 1)]
+
+
+def _check_exact(entries: Sequence[Fraction], what: str) -> None:
+    """Refuse an entry that is not an int or a Fraction, without converting."""
+    for v in entries:
+        if not isinstance(v, (int, Fraction)):
+            raise UnsupportedParameterError(f"{what} entries must be int or Fraction, got {v!r}")
 
 
 class MomentMatrix:
@@ -199,6 +211,7 @@ class Decomposition:
             raise DimensionMismatchError(
                 f"vector length {len(vector)} != basis size {len(self.forms)}"
             )
+        _check_exact(vector, "vector")
         nums, dens = map(list, zip(*(v.as_integer_ratio() for v in vector)))
         x = [ZERO] * len(vector)
         for p in reversed(range(len(x))):
@@ -229,8 +242,14 @@ class Decomposition:
 
     def expand(self, n: int, coords: Sequence[Fraction]) -> List[Fraction]:
         """Coefficient vector of the level-n combination with these coordinates."""
+        forms = self.level_forms(n)
+        if len(coords) != len(forms):
+            raise DimensionMismatchError(
+                f"coordinate count {len(coords)} != level {n} size {len(forms)}"
+            )
+        _check_exact(coords, "coordinate")
         nums, dens = [0] * len(self.forms), [1] * len(self.forms)
-        for coeff, form in zip(coords, self.level_forms(n)):
+        for coeff, form in zip(coords, forms):
             if coeff:
                 form.subtract_from(nums, dens, -coeff)
         return [Fraction(p, q) if p else ZERO for p, q in zip(nums, dens)]
@@ -242,10 +261,6 @@ class Decomposition:
     def coordinates(self, p: Polynomial) -> List[List[Fraction]]:
         """Coefficient vector of p in each level basis."""
         return self.split(self.vector(p))
-
-    def project(self, p: Polynomial, n: int) -> Polynomial:
-        """Component of p in P_n."""
-        return self.components(p)[n]
 
     def components(self, p: Polynomial) -> List[Polynomial]:
         """All components [p_0, ..., p_N]; they sum to p."""

@@ -132,16 +132,6 @@ class Polynomial:
         c = _as_fraction(scalar)
         return Polynomial(self.d, {b: c * v for b, v in self.terms.items()})
 
-    def mul_by_variable(self, j: int) -> "Polynomial":
-        """Multiply by the coordinate X_j (j in 1..d): shift every exponent."""
-        if not 1 <= j <= self.d:
-            raise InvalidIndexError(f"variable index {j} not in 1..{self.d}")
-        i = j - 1
-        return Polynomial(
-            self.d,
-            {b[:i] + (b[i] + 1,) + b[i + 1 :]: c for b, c in self.terms.items()},
-        )
-
     def evaluate(self, x: Sequence) -> Fraction:
         """Exact value at a rational point of length d."""
         if len(x) != self.d:

@@ -83,7 +83,7 @@ def test_polynomial_forms_reassemble_multiplication():
                 total = (
                     ops.creation(j, b) + ops.preservation(j, b) + ops.annihilation(j, b)
                 )
-                assert total == b.mul_by_variable(j)
+                assert total == b * Polynomial.variable(2, j)
 
 
 def test_quantum_decomposition_report_ok():
@@ -254,8 +254,9 @@ def test_top_level_preservation_solves_the_pairing_system():
         basis = dec.polynomials(top)
         ops = build(dec)
         for j in range(1, dec.d + 1):
+            x_j = Polynomial.variable(dec.d, j)
             pairings = [
-                [phi.inner_product(b_i, b_k.mul_by_variable(j)) for b_k in basis]
+                [phi.inner_product(b_i, b_k * x_j) for b_k in basis]
                 for b_i in basis
             ]
             expected = _linalg.solve_consistent(lv.gram_matrix(), pairings)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import jacobi_mv.closed_forms as closed_forms
+from jacobi_mv.cap_operators import build, verify_quantum_decomposition
 from jacobi_mv.closed_forms import (
     FAMILIES,
     _omega_factor,
@@ -28,6 +29,7 @@ from jacobi_mv.errors import (
 )
 from jacobi_mv.jacobi_sequences import compute_from_functional
 from jacobi_mv.moments import atomic_functional, beta_functional, gaussian_functional
+from jacobi_mv.orthodecomp import decompose
 from jacobi_mv.polyring import Polynomial, monomial_basis
 from jacobi_mv.symbolic import GammaProduct
 
@@ -120,7 +122,7 @@ def test_norm_squared_matches_pipeline_inner_product():
         mass = spec.mass_factor()
         for idx in monomial_basis(spec.d, 3):
             poly = family_polynomial(spec, idx)
-            value = f.apply(poly * poly)
+            value = f.inner_product(poly, poly)
             assert mass * value == family_norm_squared(spec, idx)
 
 
@@ -155,7 +157,7 @@ def test_recurrence_table_against_the_functional(spec):
     lead = Fraction(1)  # prod_{p<k} c_plus(p), the inverse leading coefficient of F_k
     for k in range(7):
         c_plus, c_zero, c_minus = _recurrence(spec, 1, k)
-        xf = f[k].mul_by_variable(1)
+        xf = f[k] * Polynomial.variable(1, 1)
         assert all(phi.inner_product(f[k], f[m]) == 0 for m in range(k))
         assert phi.inner_product(xf, f[k]) == c_zero * sq[k]
         assert closed_form_alpha(spec, k, 1) == [[c_zero]]
@@ -185,6 +187,17 @@ def test_pipeline_and_verify_build_no_polynomial(monkeypatch):
         compute_from_functional(functional, 3)
     for spec in ROSTER:
         assert verify_family(spec, 3).ok
+    monkeypatch.undo()
+
+    # the quantum-decomposition check builds each residual Polynomial from
+    # its vector, with no polynomial arithmetic
+    def no_arithmetic(self, *args, **kwargs):
+        raise AssertionError("Polynomial arithmetic was used")
+
+    for name in ("__mul__", "__add__", "__sub__"):
+        monkeypatch.setattr(Polynomial, name, no_arithmetic)
+    for functional in functionals:
+        assert verify_quantum_decomposition(build(decompose(functional, 3))).ok
 
 
 @settings(max_examples=25, deadline=None)

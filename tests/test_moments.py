@@ -284,7 +284,6 @@ def test_functional_from_json_dispatch():
 def test_apply_and_inner_product():
     f = gaussian_functional(1)
     x = Polynomial.variable(1, 1)
-    assert f.apply(x * x) == Fraction(1, 2)
     assert f.inner_product(x, x) == Fraction(1, 2)
     with pytest.raises(DimensionMismatchError):
-        f.apply(Polynomial.one(2))
+        f.inner_product(Polynomial.one(2), Polynomial.one(2))

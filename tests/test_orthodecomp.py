@@ -13,6 +13,7 @@ from jacobi_mv.errors import (
     InsufficientMomentsError,
     InvalidIndexError,
     NotAStateError,
+    UnsupportedParameterError,
 )
 from jacobi_mv.moments import (
     AtomicFunctional,
@@ -135,11 +136,11 @@ def test_projection_idempotent_and_orthogonal():
     dec = decompose(f, 3)
     p = Polynomial(2, {(2, 1): Fraction(1), (1, 0): Fraction(2), (0, 0): Fraction(-1)})
     for n in range(4):
-        pn = dec.project(p, n)
-        assert dec.project(pn, n) == pn
+        pn = dec.components(p)[n]
+        assert dec.components(pn)[n] == pn
         for m in range(4):
             if m != n and not pn.is_zero():
-                assert dec.project(pn, m).is_zero()
+                assert dec.components(pn)[m].is_zero()
 
 
 def test_multiplication_operator_symmetry():
@@ -148,9 +149,8 @@ def test_multiplication_operator_symmetry():
     dec = decompose(f, 2)
     p = dec.polynomials(1)[0]
     q = dec.polynomials(2)[0]
-    assert f.inner_product(p.mul_by_variable(1), q) == f.inner_product(
-        p, q.mul_by_variable(1)
-    )
+    x = Polynomial.variable(1, 1)
+    assert f.inner_product(p * x, q) == f.inner_product(p, q * x)
 
 
 def test_degree_overflow_raises():
@@ -191,6 +191,25 @@ def test_level_columns_and_split_check_their_arguments():
     for vector in ([1, 2], [1, 2, 3, 4]):
         with pytest.raises(DimensionMismatchError):
             dec.split(vector)
+
+
+def test_split_and_expand_refuse_inexact_entries_and_wrong_lengths():
+    # before, split read 0.1 as a binary fraction and raised a bare
+    # AttributeError on '1'; expand padded a short list with 0, dropped the
+    # surplus of a long one and accepted 0.5
+    dec = decompose(gaussian_functional(1), 2)
+    for vector in ([0, 0, 0.1], ["0", "0", "1"], [0, 0, None]):
+        with pytest.raises(UnsupportedParameterError, match="^vector entries must be int or Fraction"):
+            dec.split(vector)
+    assert dec.split([0, Fraction(1, 2), 1]) == [[Fraction(1, 2)], [Fraction(1, 2)], [1]]
+    dec = decompose(gaussian_functional(2), 2)
+    for coords in ([1], [1, 2, 3, 4], []):
+        with pytest.raises(DimensionMismatchError, match=r"^coordinate count \d != level 1 size 2$"):
+            dec.expand(1, coords)
+    for coords in ([0.5, 0], [0, "1"]):
+        with pytest.raises(UnsupportedParameterError, match="^coordinate entries must be int or Fraction"):
+            dec.expand(1, coords)
+    assert dec.expand(1, [1, Fraction(2)]) == [0, 1, 2, 0, 0, 0]
 
 
 def test_rank_and_null_mask_on_atomic_measure():

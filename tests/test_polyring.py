@@ -36,12 +36,6 @@ def test_arithmetic():
     assert p.scale(Fraction(1, 2)).coefficient((2,)) == Fraction(1, 2)
 
 
-def test_mul_by_variable_shifts_exponents():
-    p = _poly(2, {(1, 0): 2, (0, 2): 3})
-    q = p.mul_by_variable(2)
-    assert q == _poly(2, {(1, 1): 2, (0, 3): 3})
-
-
 def test_degree_and_slices():
     p = _poly(2, {(0, 0): 1, (1, 1): 2, (3, 0): 5})
     assert p.degree() == 3
@@ -102,12 +96,6 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert (p + q) * r == p * r + q * r
     assert (p * q) * r == p * (q * r)
-
-
-@given(_polys())
-def test_mul_by_variable_agrees_with_product(p):
-    x1 = Polynomial.variable(2, 1)
-    assert p.mul_by_variable(1) == p * x1
 
 
 @given(_polys(), st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
