@@ -194,9 +194,8 @@ def test_level_columns_and_split_check_their_arguments():
 
 
 def test_split_and_expand_refuse_inexact_entries_and_wrong_lengths():
-    # before, split read 0.1 as a binary fraction and raised a bare
-    # AttributeError on '1'; expand padded a short list with 0, dropped the
-    # surplus of a long one and accepted 0.5
+    # an inexact entry or a wrong count is refused, never read through
+    # as_integer_ratio, padded with zeros or cut short
     dec = decompose(gaussian_functional(1), 2)
     for vector in ([0, 0, 0.1], ["0", "0", "1"], [0, 0, None]):
         with pytest.raises(UnsupportedParameterError, match="^vector entries must be int or Fraction"):
