@@ -220,7 +220,6 @@ class PSDReport:
 
     psd: bool
     rank: int
-    pivots: tuple
     witness: Optional[tuple]  # x with x^T A x < 0 when psd is False
 
 
@@ -252,18 +251,13 @@ def ldlt_psd(a: Sequence[Sequence[Fraction]]) -> PSDReport:
                             c[r][i] + sign * c[r][j] for r in range(n)
                         ]
                         return PSDReport(
-                            psd=False,
-                            rank=len(pivots),
-                            pivots=tuple(pivots),
-                            witness=tuple(witness),
+                            psd=False, rank=len(pivots), witness=tuple(witness)
                         )
             break  # remaining block is entirely zero: done
         pivot = m[k][k]
         if pivot < 0:
             witness = [c[r][k] for r in range(n)]
-            return PSDReport(
-                psd=False, rank=len(pivots), pivots=tuple(pivots), witness=tuple(witness)
-            )
+            return PSDReport(psd=False, rank=len(pivots), witness=tuple(witness))
         pivots.append(pivot)
         remaining.remove(k)
         for i in remaining:
@@ -277,7 +271,7 @@ def ldlt_psd(a: Sequence[Sequence[Fraction]]) -> PSDReport:
                 for r in range(n):
                     c[r][i] -= f * c[r][k]
 
-    return PSDReport(psd=True, rank=len(pivots), pivots=tuple(pivots), witness=None)
+    return PSDReport(psd=True, rank=len(pivots), witness=None)
 
 
 def to_string_matrix(a) -> list[list[str]]:

@@ -27,14 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import _linalg
 from ._linalg import ZERO, Matrix
 from .errors import (
     InsufficientMomentsError,
     InternalConsistencyError,
-    InvalidIndexError,
     NotAStateError,
 )
 from .multiindex import MultiIndex, check_index, shift
@@ -83,46 +82,6 @@ class CAPSystem:
         """Annihilation a-_{j|n}, shape classes(n-1) x classes(n); empty at n=0."""
         self._check(j, n, self.max_degree)
         return _linalg.copy(self._minus[(j, n)])
-
-    # ---------------------------------------------------------- vector core
-    def _apply(self, j: int, vector: Sequence[Fraction], step: int) -> List[Fraction]:
-        """a+_j (step 1), a0_j (step 0) or a-_j (step -1), applied levelwise.
-
-        Takes and returns coefficient vectors over the monomial basis.
-        """
-        self._check(j, 0, self.max_degree)
-        decomp = self.decomposition
-        out = [ZERO] * len(vector)
-        for n, c in enumerate(decomp.split(vector)):
-            if not any(c) or n + step < 0:
-                continue
-            if step == 1:
-                if n >= self.max_degree:
-                    raise InvalidIndexError(
-                        f"creation from level {n} leaves the computed range"
-                    )
-                matrix = self._plus[(j, n)]
-            elif step == 0:
-                matrix = self.zero_matrix(j, n)
-            else:
-                matrix = self._minus[(j, n)]
-            image = decomp.expand(n + step, _linalg.mat_vec(matrix, c))
-            out = [x + y if y else x for x, y in zip(out, image)]
-        return out
-
-    # ------------------------------------------------------- polynomial forms
-    def creation(self, j: int, p: Polynomial) -> Polynomial:
-        """a+_j applied levelwise to p; p may not touch the top level."""
-        decomp = self.decomposition
-        return decomp.polynomial(self._apply(j, decomp.vector(p), 1))
-
-    def preservation(self, j: int, p: Polynomial) -> Polynomial:
-        decomp = self.decomposition
-        return decomp.polynomial(self._apply(j, decomp.vector(p), 0))
-
-    def annihilation(self, j: int, p: Polynomial) -> Polynomial:
-        decomp = self.decomposition
-        return decomp.polynomial(self._apply(j, decomp.vector(p), -1))
 
 
 def _times(moments: MomentMatrix, form: IntegerColumn, unit: MultiIndex) -> List[Fraction]:

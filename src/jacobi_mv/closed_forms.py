@@ -20,7 +20,9 @@ omega entry is the product of the factors of its class.  verify_family
 builds the table once per call for degrees 0..max_level, together with
 the omega ratios r_i(k) = omega_i(k) / mass_i, and reads the master
 closed forms off it; the stated route keeps its per-class quoted forms.  The creation
-lemma is checked on coefficient columns over the graded monomial basis.
+lemma is checked on level coordinates: each family polynomial is split once
+into its level bases, and each creation step multiplies every nonzero level
+n < N by the stored block a+_{i|n} into level n+1.
 
 Two evaluation routes exist for the symmetric families:
 
@@ -690,7 +692,8 @@ def verify_family(
 
     levels = tuple(compare_level(n) for n in degrees)
 
-    # creation lemma on coefficient columns over the graded monomial basis
+    # creation lemma on level coordinates: the family polynomials are built
+    # as coefficient columns over the graded monomial basis and split once
     one_d = [_one_d(rows[:max_level]) for rows in recurrence]
     position = decomp.moments.position
 
@@ -706,15 +709,21 @@ def verify_family(
     for base in bases:
         if degree(base) >= max_level:
             continue  # no creation power stays within the computed levels
+        start = decomp.split(column(base))
         for i in coordinates:
-            lhs = column(base)
+            lhs = start
             factor = Fraction(1)
             for m in range(1, max_level - degree(base) + 1):
                 # creation_power(spec, base, i, m), one c_plus at a time
                 factor *= recurrence[i - 1][base[i - 1] + m - 1][0]
                 result = base[: i - 1] + (base[i - 1] + m,) + base[i:]
-                lhs = ops._apply(i, lhs, 1)  # (a+_i)^m F_base
-                rhs = [factor * c if c else c for c in column(result)]
+                # (a+_i)^m F_base: level n < N goes into level n+1 by a+_{i|n}
+                lhs = [[ZERO]] + [
+                    _linalg.mat_vec(ops._plus[(i, n)], c) if any(c)
+                    else [ZERO] * len(lhs[n + 1])
+                    for n, c in enumerate(lhs[:-1])
+                ]
+                rhs = decomp.split([factor * c if c else c for c in column(result)])
                 lemma_checks.append(
                     LemmaCheck(i, base, m, factor, lhs == rhs)
                 )

@@ -37,7 +37,7 @@ from .errors import (
     NoMassFactorError,
     UnsupportedParameterError,
 )
-from .multiindex import MultiIndex, _check_dimension, degree
+from .multiindex import MultiIndex, _check_dimension, check_integer, degree
 from .polyring import Polynomial
 from .symbolic import GammaProduct
 
@@ -99,6 +99,8 @@ class MomentFunctional:
             raise DimensionMismatchError(
                 f"multi-index length {len(beta)} != dimension {self.d}"
             )
+        for b in beta:
+            check_integer(b, "multi-index entry")
         if any(b < 0 for b in beta):
             raise InsufficientMomentsError(f"negative exponent in {beta}")
         if self.max_degree is not None and degree(beta) > self.max_degree:

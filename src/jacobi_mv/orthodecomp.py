@@ -200,6 +200,14 @@ class Decomposition:
         self.level(n)  # range check
         return self.forms[self.starts[n] : self.starts[n + 1]]
 
+    def _check_vector(self, vector: Sequence[Fraction]) -> None:
+        """Refuse a coefficient vector of the wrong length or with inexact entries."""
+        if len(vector) != len(self.forms):
+            raise DimensionMismatchError(
+                f"vector length {len(vector)} != basis size {len(self.forms)}"
+            )
+        _check_exact(vector, "vector")
+
     def split(self, vector: Sequence[Fraction]) -> List[List[Fraction]]:
         """Level coordinates of a coefficient vector, by back substitution.
 
@@ -207,11 +215,7 @@ class Decomposition:
         entry left at p once the higher basis vectors are subtracted, in
         integers; each entry becomes a Fraction once, when it is reached.
         """
-        if len(vector) != len(self.forms):
-            raise DimensionMismatchError(
-                f"vector length {len(vector)} != basis size {len(self.forms)}"
-            )
-        _check_exact(vector, "vector")
+        self._check_vector(vector)
         nums, dens = map(list, zip(*(v.as_integer_ratio() for v in vector)))
         x = [ZERO] * len(vector)
         for p in reversed(range(len(x))):
@@ -220,24 +224,9 @@ class Decomposition:
                 self.forms[p].subtract_from(nums, dens, x[p])
         return [x[s:e] for s, e in zip(self.starts, self.starts[1:])]
 
-    def vector(self, p: Polynomial) -> List[Fraction]:
-        """Coefficient vector of p over the monomial basis."""
-        if p.d != self.d:
-            raise DimensionMismatchError(
-                f"polynomial dimension {p.d} != decomposition dimension {self.d}"
-            )
-        if p.degree() > self.max_degree:
-            raise InvalidIndexError(
-                f"polynomial degree {p.degree()} exceeds decomposition degree "
-                f"{self.max_degree}"
-            )
-        out = [ZERO] * len(self.forms)
-        for beta, c in p.terms.items():
-            out[self.moments.position[beta]] = c
-        return out
-
     def polynomial(self, vector: Sequence[Fraction]) -> Polynomial:
-        """The polynomial with this coefficient vector (or column)."""
+        """The polynomial with this coefficient vector over the monomial basis."""
+        self._check_vector(vector)
         return Polynomial(self.d, dict(zip(self.moments.basis, vector)))
 
     def expand(self, n: int, coords: Sequence[Fraction]) -> List[Fraction]:
@@ -255,19 +244,12 @@ class Decomposition:
         return [Fraction(p, q) if p else ZERO for p, q in zip(nums, dens)]
 
     def polynomials(self, n: int) -> Tuple[Polynomial, ...]:
-        """The basis polynomials of level n, read off its columns."""
-        return tuple(self.polynomial(col) for col in self.level_columns(n))
-
-    def coordinates(self, p: Polynomial) -> List[List[Fraction]]:
-        """Coefficient vector of p in each level basis."""
-        return self.split(self.vector(p))
-
-    def components(self, p: Polynomial) -> List[Polynomial]:
-        """All components [p_0, ..., p_N]; they sum to p."""
-        return [
-            self.polynomial(self.expand(n, c))
-            for n, c in enumerate(self.coordinates(p))
-        ]
+        """The basis polynomials of level n, read off its integer forms."""
+        basis = self.moments.basis
+        return tuple(
+            Polynomial(self.d, {basis[a]: Fraction(c, f.denominator) for a, c in f.terms})
+            for f in self.level_forms(n)
+        )
 
 
 def _raise_first_inconsistent(

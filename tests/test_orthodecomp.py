@@ -27,6 +27,8 @@ from jacobi_mv.moments import (
 from jacobi_mv.orthodecomp import IntegerColumn, MomentMatrix, decompose
 from jacobi_mv.polyring import Polynomial, monomial_basis, monomials_of_degree
 
+from polynomial_oracle import vector
+
 
 def _functionals():
     return [
@@ -111,15 +113,12 @@ def test_coordinates_reconstruct_and_components_sum():
         atomic_functional([((k, 2 * k - 1), Fraction(1, 4)) for k in range(4)]),
     ):
         dec = decompose(f, 3)
-        vector = [ZERO] * len(dec.vector(p))
-        for n, coords in enumerate(dec.coordinates(p)):
-            vector = [x + y for x, y in zip(vector, dec.expand(n, coords))]
-        assert vector == dec.vector(p)
-        total = Polynomial.zero(2)
-        for n, part in enumerate(dec.components(p)):
-            total = total + part
-            assert not any(any(c) for m, c in enumerate(dec.coordinates(part)) if m != n)
-        assert total == p
+        parts = [dec.expand(n, coords) for n, coords in enumerate(dec.split(vector(dec, p)))]
+        total = [sum(entries, ZERO) for entries in zip(*parts)]
+        assert total == vector(dec, p)
+        assert dec.polynomial(total) == p
+        for n, part in enumerate(parts):
+            assert not any(any(c) for m, c in enumerate(dec.split(part)) if m != n)
 
 
 def test_level_columns_are_new_lists():
@@ -135,12 +134,11 @@ def test_projection_idempotent_and_orthogonal():
     f = gaussian_functional(2)
     dec = decompose(f, 3)
     p = Polynomial(2, {(2, 1): Fraction(1), (1, 0): Fraction(2), (0, 0): Fraction(-1)})
-    for n in range(4):
-        pn = dec.components(p)[n]
-        assert dec.components(pn)[n] == pn
-        for m in range(4):
-            if m != n and not pn.is_zero():
-                assert dec.components(pn)[m].is_zero()
+    for n, coords in enumerate(dec.split(vector(dec, p))):
+        pn = dec.expand(n, coords)
+        parts = dec.split(pn)
+        assert dec.expand(n, parts[n]) == pn
+        assert not any(any(c) for m, c in enumerate(parts) if m != n)
 
 
 def test_multiplication_operator_symmetry():
@@ -155,8 +153,6 @@ def test_multiplication_operator_symmetry():
 
 def test_degree_overflow_raises():
     dec = decompose(gaussian_functional(1), 2)
-    with pytest.raises(InvalidIndexError):
-        dec.coordinates(Polynomial.monomial(1, (3,)))
     with pytest.raises(InvalidIndexError):
         dec.level(3)
 
@@ -209,6 +205,21 @@ def test_split_and_expand_refuse_inexact_entries_and_wrong_lengths():
         with pytest.raises(UnsupportedParameterError, match="^coordinate entries must be int or Fraction"):
             dec.expand(1, coords)
     assert dec.expand(1, [1, Fraction(2)]) == [0, 1, 2, 0, 0, 0]
+
+
+def test_polynomial_refuses_wrong_lengths_and_inexact_entries():
+    # before, [1, 2] came back as 1 + 2*x1, [1, 2, 3, 4] was cut to its
+    # first three entries, and 0.5 raised a bare TypeError from Polynomial
+    dec = decompose(gaussian_functional(1), 2)
+    for bad in ([1, 2], [1, 2, 3, 4], []):
+        with pytest.raises(DimensionMismatchError, match=r"^vector length \d != basis size 3$"):
+            dec.polynomial(bad)
+    for bad in ([0.5, 0, 0], [0, "1", 0]):
+        with pytest.raises(UnsupportedParameterError, match="^vector entries must be int or Fraction"):
+            dec.polynomial(bad)
+    assert dec.polynomial([1, 0, Fraction(1, 2)]) == Polynomial(
+        1, {(0,): 1, (2,): Fraction(1, 2)}
+    )
 
 
 def test_rank_and_null_mask_on_atomic_measure():
