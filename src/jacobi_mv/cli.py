@@ -6,12 +6,17 @@ parameters) or from a measure file (--measure, JSON atom list or moment
 table).  Output is deterministic JSON (or CSV for flat payloads): same
 config, same bytes.  Exit codes: 0 success, 1 a verification or round
 trip reported a mismatch, 2 bad input.
+
+The argument parser is built on the first call of `main` and reused by
+every later call in the process; importing the module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -332,6 +337,7 @@ def run(config: RunConfig) -> Tuple[int, str]:
         return 2, f"error: {type(exc).__name__}: {exc}"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jacobi-mv",
@@ -388,9 +394,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options that take rationals, which may be negative (jacobi a, b > -1)
+_RATIONAL_OPTIONS = ("--a", "--b", "--alpha", "--lambda")
+_NEGATIVE = re.compile(r"-\.?\d")
+
+
+def _join_negative_values(argv: List[str]) -> List[str]:
+    """Write `--a -1/2` as `--a=-1/2`.
+
+    argparse takes a value that starts with "-" for an option name unless
+    it is a plain negative number, so `-1/2` and `-1/3,0` would be refused.
+    """
+    out: List[str] = []
+    for token in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and _NEGATIVE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    args = _join_negative_values(sys.argv[1:] if argv is None else argv)
     # the namespace holds RunConfig's fields; only verify parses --variant
-    config = RunConfig(**vars(_build_parser().parse_args(argv)))
+    config = RunConfig(**vars(_build_parser().parse_args(args)))
     status, text = run(config)
     if status == 2:
         print(text, file=sys.stderr)

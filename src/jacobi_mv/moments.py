@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (
     DimensionMismatchError,
     InsufficientMomentsError,
+    InvalidIndexError,
     NoMassFactorError,
     UnsupportedParameterError,
 )
@@ -102,7 +103,7 @@ class MomentFunctional:
         for b in beta:
             check_integer(b, "multi-index entry")
         if any(b < 0 for b in beta):
-            raise InsufficientMomentsError(f"negative exponent in {beta}")
+            raise InvalidIndexError(f"negative entry in multi-index {tuple(beta)}")
         if self.max_degree is not None and degree(beta) > self.max_degree:
             raise InsufficientMomentsError(
                 f"moment of degree {degree(beta)} requested but only degrees "

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from jacobi_mv.cli import RunConfig, main, run
+from jacobi_mv.cli import RunConfig, _build_parser, main, run
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TWO_ATOM_DOC = {
     "d": 2,
@@ -538,3 +544,79 @@ def test_usage_error_texts(monkeypatch, capsys):
         "(choose from 'decompose', 'cap', 'omega', 'alpha', 'verify', 'atoms', "
         "'reconstruct')\n",
     )
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process main call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize(
+    "spaced",
+    [
+        ["omega", "--family", "jacobi", "--a", "-1/2", "--b", "0", "--max-level", "1"],
+        ["omega", "--family", "laguerre", "--alpha", "-1/3,0", "--max-level", "1"],
+        ["alpha", "--family", "gegenbauer", "--lambda", "-1/4", "--max-level", "2"],
+        ["omega", "--family", "jacobi", "--a", "-1/2,0", "--b", "-.5,1", "--max-level", "1"],
+        ["omega", "--family", "jacobi", "--a", "-1", "--b", "0", "--max-level", "1"],
+    ],
+)
+def test_negative_rational_value_after_a_space(spaced, capsys):
+    # argparse reads -1/2 as an option name; the = form always worked
+    joined = list(spaced)
+    for option in ("--a", "--b", "--alpha", "--lambda"):
+        if option in joined:
+            k = joined.index(option)
+            joined[k : k + 2] = [f"{option}={joined[k + 1]}"]
+    assert _outcome(spaced, capsys) == _outcome(joined, capsys)
+
+
+def test_negative_value_rewrite_keeps_a_missing_value_an_error(capsys):
+    code, out, err = _outcome(
+        ["omega", "--family", "jacobi", "--a", "--b", "0", "--max-level", "1"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err.endswith("jacobi-mv omega: error: argument --a: expected one argument\n")
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["verify", "--family", "chebyshev1", "--d", "1", "--max-level", "2", "--variant", "stated"],
+        ["omega", "--family", "chebyshev1", "--d", "1", "--max-level", "2"],
+        # exits 0 only if --variant fell back to master
+        ["verify", "--family", "chebyshev1", "--d", "1", "--max-level", "2"],
+        ["omega", "--family", "hermite"],
+        ["--help"],
+    ]
+    first = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        first.append(_outcome(argv, capsys))
+    assert [code for code, _, _ in first] == [1, 0, 0, 2, 0]
+    _build_parser.cache_clear()
+    assert [_outcome(argv, capsys) for argv in calls] == first
+    assert _build_parser.cache_info().misses == 1
+
+
+def test_cli_module_runs_in_a_fresh_process():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def cli(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "jacobi_mv.cli", *args],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    done = cli("omega", "--family", "hermite", "--d", "2", "--max-level", "3")
+    golden = (ROOT / "tests" / "golden" / "hermite_d2_n3.omega.txt").read_text(encoding="utf-8")
+    status, document = golden.split("\n", 1)
+    assert (done.returncode, done.stdout, done.stderr) == (int(status), document + "\n", "")
+    missing = cli("omega", "--family", "hermite", "--d", "2")
+    assert missing.returncode == 2
+    assert "the following arguments are required: --max-level/--max-degree" in missing.stderr

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -283,6 +284,20 @@ def test_moment_refuses_non_integer_multi_index_entries(beta):
         atomic_functional([((1,), 1)]),
     ):
         with pytest.raises(InvalidIndexError, match="^multi-index entry must be an integer"):
+            f.moment(beta)
+
+
+@pytest.mark.parametrize("beta", [(-1,), (2, -1)])
+def test_moment_refuses_negative_multi_index_entries(beta):
+    # a bad index, not a short table: InsufficientMomentsError is what
+    # cap_operators.build catches for a table that ends too soon
+    d = len(beta)
+    for f in (
+        table_functional(d, 2, {(0,) * d: 1}),
+        gaussian_functional(d),
+        atomic_functional([((1,) * d, 1)]),
+    ):
+        with pytest.raises(InvalidIndexError, match=re.escape(f"negative entry in multi-index {beta}")):
             f.moment(beta)
 
 
