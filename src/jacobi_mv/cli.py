@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: decompose, cap, omega, alpha, verify, atoms, reconstruct.
+One subcommand per row of the command table `_COMMANDS`.
 The functional comes either from a named weight family (--family plus its
 parameters) or from a measure file (--measure, JSON atom list or moment
 table).  Output is deterministic JSON (or CSV for flat payloads): same
@@ -20,7 +20,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import _linalg
 from .closed_forms import FAMILIES, family_spec, verify_family
@@ -30,8 +30,6 @@ from .cap_operators import build
 from .moments import MomentFunctional, functional_from_json
 from .orthodecomp import decompose
 from .symbolic import ONE
-
-COMMANDS = ("decompose", "cap", "omega", "alpha", "verify", "atoms", "reconstruct")
 
 
 @dataclass
@@ -51,6 +49,25 @@ class RunConfig:
     format: str = "json"
     output: Optional[str] = None
     variant: str = "master"
+
+
+class _FamilyOption(NamedTuple):
+    """One parameter of --family: its flag, where it goes, and its help line."""
+
+    flag: str
+    field: str  # the RunConfig field and the family_spec keyword
+    help: str
+    rational: bool = True  # a comma-separated list of rationals, else an integer
+
+
+# in the order the parser lists them
+_FAMILY_OPTIONS = (
+    _FamilyOption("--a", "a", "jacobi a parameters, e.g. 0,1/2"),
+    _FamilyOption("--b", "b", "jacobi b parameters"),
+    _FamilyOption("--alpha", "alpha", "laguerre alpha parameters"),
+    _FamilyOption("--lambda", "lam", "gegenbauer lambda parameters"),
+    _FamilyOption("--d", "d", "dimension", rational=False),
+)
 
 
 def _parse_rationals(text: str, what: str) -> Tuple[Fraction, ...]:
@@ -83,23 +100,18 @@ def _resolve(config: RunConfig):
     """Return (functional, spec-or-None) from the single configured source."""
     if config.family is not None and config.measure is not None:
         raise InputError("give either --family or --measure, not both")
+    given = [(o, getattr(config, o.field)) for o in _FAMILY_OPTIONS]
+    given = [(o, value) for o, value in given if value is not None]
     if config.family is not None:
-        spec = family_spec(
-            config.family,
-            d=config.d,
-            a=_parse_rationals(config.a, "a") if config.a is not None else None,
-            b=_parse_rationals(config.b, "b") if config.b is not None else None,
-            alpha=_parse_rationals(config.alpha, "alpha") if config.alpha is not None else None,
-            lam=_parse_rationals(config.lam, "lambda") if config.lam is not None else None,
-        )
+        params = {o.field: _parse_rationals(value, o.flag[2:]) if o.rational else value
+                  for o, value in given}
+        spec = family_spec(config.family, **params)
         return spec.functional(), spec
     if config.measure is not None:
+        if given:
+            raise InputError(f"{given[0][0].flag} applies to --family, not --measure")
         return _load_measure(config.measure), None
     raise InputError("no functional source: give --family or --measure")
-
-
-def _dump_json(doc) -> str:
-    return json.dumps(doc, separators=(",", ":"))
 
 
 def _matrix_doc(matrix, rows, cols) -> dict:
@@ -110,11 +122,25 @@ def _matrix_doc(matrix, rows, cols) -> dict:
     }
 
 
+def _label(index) -> str:
+    """A class or multi-index as one CSV cell: 1|0|2."""
+    return "|".join(str(v) for v in index)
+
+
+def _diagonal_cells(name: str, n: int, matrix, classes) -> List[Tuple[str, Fraction]]:
+    """(class label, diagonal entry) per class; csv refuses other matrices."""
+    if not _linalg.is_diagonal(matrix):
+        raise InputError(
+            f"{name} at level {n} is not diagonal; "
+            "csv flattens diagonal matrices only, use --format json"
+        )
+    return [(_label(cls), matrix[k][k]) for k, cls in enumerate(classes)]
+
+
 # ------------------------------------------------------------------ commands
 
 
-def _cmd_decompose(config: RunConfig) -> Tuple[int, str]:
-    functional, _ = _resolve(config)
+def _cmd_decompose(config: RunConfig, functional, spec):
     decomp = decompose(functional, config.max_level)
     levels = []
     for n in range(config.max_level + 1):
@@ -129,12 +155,10 @@ def _cmd_decompose(config: RunConfig) -> Tuple[int, str]:
                 "null": list(lv.null_mask),
             }
         )
-    doc = {"d": decomp.d, "max_degree": config.max_level, "levels": levels}
-    return 0, _dump_json(doc)
+    return 0, {"d": decomp.d, "max_degree": config.max_level, "levels": levels}
 
 
-def _cmd_cap(config: RunConfig) -> Tuple[int, str]:
-    functional, _ = _resolve(config)
+def _cmd_cap(config: RunConfig, functional, spec):
     decomp = decompose(functional, config.max_level)
     ops = build(decomp)
     levels = []
@@ -144,9 +168,7 @@ def _cmd_cap(config: RunConfig) -> Tuple[int, str]:
         below = decomp.level(n - 1).monomials if n > 0 else ()
         operators = []
         for j in range(1, decomp.d + 1):
-            plus_doc = None
-            if above is not None:
-                plus_doc = _matrix_doc(ops.plus_matrix(j, n), above, here)
+            plus_doc = None if above is None else _matrix_doc(ops.plus_matrix(j, n), above, here)
             try:
                 zero_doc = _matrix_doc(ops.zero_matrix(j, n), here, here)
             except InsufficientMomentsError:
@@ -156,12 +178,10 @@ def _cmd_cap(config: RunConfig) -> Tuple[int, str]:
                 {"j": j, "plus": plus_doc, "zero": zero_doc, "minus": minus_doc}
             )
         levels.append({"n": n, "operators": operators})
-    doc = {"d": decomp.d, "max_degree": config.max_level, "levels": levels}
-    return 0, _dump_json(doc)
+    return 0, {"d": decomp.d, "max_degree": config.max_level, "levels": levels}
 
 
-def _cmd_omega(config: RunConfig) -> Tuple[int, str]:
-    functional, _ = _resolve(config)
+def _cmd_omega(config: RunConfig, functional, spec):
     seq = compute_from_functional(functional, config.max_level)
     if config.convention == "paper":
         # entries absorb the rational part of the mass; the rest stays symbolic
@@ -176,14 +196,8 @@ def _cmd_omega(config: RunConfig) -> Tuple[int, str]:
     if config.format == "csv":
         lines = ["n,class,value,mass_factor"]
         for n, matrix in enumerate(omegas):
-            if not _linalg.is_diagonal(matrix):
-                raise InputError(
-                    f"omega at level {n} is not diagonal; csv flattens "
-                    "diagonal matrices only, use --format json"
-                )
-            for k, cls in enumerate(seq.classes(n).classes):
-                label = "|".join(str(v) for v in cls)
-                lines.append(f"{n},{label},{matrix[k][k]},{symbolic.compact_str()}")
+            for label, value in _diagonal_cells("omega", n, matrix, seq.classes(n).classes):
+                lines.append(f"{n},{label},{value},{symbolic.compact_str()}")
         return 0, "\n".join(lines)
     levels = [
         {
@@ -196,12 +210,10 @@ def _cmd_omega(config: RunConfig) -> Tuple[int, str]:
         }
         for n, matrix in enumerate(omegas)
     ]
-    doc = {"d": seq.d, "max_level": config.max_level, "levels": levels}
-    return 0, _dump_json(doc)
+    return 0, {"d": seq.d, "max_level": config.max_level, "levels": levels}
 
 
-def _cmd_alpha(config: RunConfig) -> Tuple[int, str]:
-    functional, _ = _resolve(config)
+def _cmd_alpha(config: RunConfig, functional, spec):
     seq = compute_from_functional(functional, config.max_level)
     alphas = [
         [seq.alpha_matrix(j, n) for j in range(1, seq.d + 1)]
@@ -211,14 +223,9 @@ def _cmd_alpha(config: RunConfig) -> Tuple[int, str]:
         lines = ["n,j,class,value"]
         for n, per_level in enumerate(alphas):
             for j, matrix in enumerate(per_level, start=1):
-                if not _linalg.is_diagonal(matrix):
-                    raise InputError(
-                        f"alpha_{j} at level {n} is not diagonal; "
-                        "csv flattens diagonal matrices only, use --format json"
-                    )
-                for k, cls in enumerate(seq.classes(n).classes):
-                    label = "|".join(str(v) for v in cls)
-                    lines.append(f"{n},{j},{label},{matrix[k][k]}")
+                for label, value in _diagonal_cells(f"alpha_{j}", n, matrix,
+                                                    seq.classes(n).classes):
+                    lines.append(f"{n},{j},{label},{value}")
         return 0, "\n".join(lines)
     levels = [
         {
@@ -233,77 +240,78 @@ def _cmd_alpha(config: RunConfig) -> Tuple[int, str]:
         }
         for n, per_level in enumerate(alphas)
     ]
-    doc = {"d": seq.d, "max_level": config.max_level, "levels": levels}
-    return 0, _dump_json(doc)
+    return 0, {"d": seq.d, "max_level": config.max_level, "levels": levels}
 
 
-def _cmd_verify(config: RunConfig) -> Tuple[int, str]:
-    if config.family is None:
-        raise InputError("verify compares against closed forms; it needs --family")
-    _, spec = _resolve(config)
+def _cmd_verify(config: RunConfig, functional, spec):
     report = verify_family(spec, config.max_level, variant=config.variant)
-    return (0 if report.ok else 1), _dump_json(report.to_json_dict())
+    return (0 if report.ok else 1), report.to_json_dict()
 
 
-def _cmd_atoms(config: RunConfig) -> Tuple[int, str]:
-    functional, _ = _resolve(config)
+def _cmd_atoms(config: RunConfig, functional, spec):
     result = detect_atoms(functional, config.max_level)
-    n0 = result.n0 if result.found else None
-    bound = result.atom_bound if result.found else None
     if config.format == "csv":
-        left = "" if n0 is None else str(n0)
-        right = "" if bound is None else str(bound)
-        return 0, f"n0,atom_bound\n{left},{right}"
-    return 0, _dump_json({"n0": n0, "atom_bound": bound})
+        cells = ("" if v is None else str(v) for v in (result.n0, result.atom_bound))
+        return 0, "n0,atom_bound\n" + ",".join(cells)
+    return 0, {"n0": result.n0, "atom_bound": result.atom_bound}
 
 
-def _cmd_reconstruct(config: RunConfig) -> Tuple[int, str]:
-    functional, _ = _resolve(config)
+def _cmd_reconstruct(config: RunConfig, functional, spec):
     seq = compute_from_functional(functional, config.max_level)
     rows = []
-    ok = True
     for beta, value in reconstruct_moment_table(seq, config.max_level).items():
         expected = functional.moment(beta)
-        match = value == expected
-        ok = ok and match
         rows.append(
             {
                 "beta": list(beta),
                 "value": str(value),
                 "input": str(expected),
-                "match": match,
+                "match": value == expected,
             }
         )
+    ok = all(row["match"] for row in rows)
     if config.format == "csv":
-        lines = ["beta,value,input,match"]
-        for row in rows:
-            label = "|".join(str(v) for v in row["beta"])
-            lines.append(
-                f"{label},{row['value']},{row['input']},{str(row['match']).lower()}"
-            )
-        return (0 if ok else 1), "\n".join(lines)
-    doc = {
-        "d": functional.d,
-        "max_level": config.max_level,
-        "moments": rows,
-        "ok": ok,
-    }
-    return (0 if ok else 1), _dump_json(doc)
+        lines = [f"{_label(r['beta'])},{r['value']},{r['input']},{str(r['match']).lower()}"
+                 for r in rows]
+        return (0 if ok else 1), "\n".join(["beta,value,input,match"] + lines)
+    doc = {"d": functional.d, "max_level": config.max_level, "moments": rows, "ok": ok}
+    return (0 if ok else 1), doc
 
 
-_HANDLERS = {
-    "decompose": _cmd_decompose,
-    "cap": _cmd_cap,
-    "omega": _cmd_omega,
-    "alpha": _cmd_alpha,
-    "verify": _cmd_verify,
-    "atoms": _cmd_atoms,
-    "reconstruct": _cmd_reconstruct,
+class _Command(NamedTuple):
+    """One subcommand: its handler, its help line, and the options it takes.
+
+    The handler takes (config, functional, spec) and returns the exit status
+    and either a JSON-able document or the CSV text.
+    """
+
+    handler: Callable
+    help: str
+    csv: bool = False  # --format csv flattens its document
+    paper: bool = False  # --convention paper rescales its document
+    closed_form: bool = False  # compares with closed forms: needs --family, takes --variant
+
+
+# the subcommands, in the order the parser lists them
+_COMMANDS = {
+    "decompose": _Command(_cmd_decompose, "dump the graded orthogonal basis and Gram matrices"),
+    "cap": _Command(_cmd_cap, "dump creation/preservation/annihilation matrices per level"),
+    "omega": _Command(_cmd_omega, "print the omega matrices over occupation classes",
+                      csv=True, paper=True),
+    "alpha": _Command(_cmd_alpha, "print the alpha matrices per coordinate",
+                      csv=True, paper=True),
+    "verify": _Command(_cmd_verify, "compare the pipeline against a family's closed forms",
+                       closed_form=True),
+    "atoms": _Command(_cmd_atoms, "look for a vanishing omega level (finitely-atomic test)",
+                      csv=True),
+    "reconstruct": _Command(_cmd_reconstruct, "round-trip moments through the recurrence data",
+                            csv=True),
 }
 
 
-def _validate(config: RunConfig) -> None:
-    if config.command not in COMMANDS:
+def _validate(config: RunConfig) -> _Command:
+    command = _COMMANDS.get(config.command)
+    if command is None:
         raise InputError(f"unknown command {config.command!r}")
     if config.max_level is None or config.max_level < 0:
         raise InputError("--max-level must be an integer >= 0")
@@ -311,14 +319,16 @@ def _validate(config: RunConfig) -> None:
         raise InputError(f"unknown convention {config.convention!r}")
     if config.format not in ("json", "csv"):
         raise InputError(f"unknown format {config.format!r}")
-    if config.format == "csv" and config.command in ("decompose", "cap", "verify"):
+    if config.format == "csv" and not command.csv:
         raise InputError(f"{config.command} documents are nested; use --format json")
     if config.variant not in ("master", "stated"):
         raise InputError(f"unknown variant {config.variant!r}")
-    if config.convention == "paper" and config.command not in ("omega", "alpha"):
-        raise InputError(
-            "--convention paper applies to omega/alpha output only"
-        )
+    if config.convention == "paper" and not command.paper:
+        paper = "/".join(name for name, c in _COMMANDS.items() if c.paper)
+        raise InputError(f"--convention paper applies to {paper} output only")
+    if command.closed_form and config.family is None:
+        raise InputError(f"{config.command} compares against closed forms; it needs --family")
+    return command
 
 
 def run(config: RunConfig) -> Tuple[int, str]:
@@ -329,12 +339,15 @@ def run(config: RunConfig) -> Tuple[int, str]:
     to reach them.
     """
     try:
-        _validate(config)
-        return _HANDLERS[config.command](config)
+        command = _validate(config)
+        status, document = command.handler(config, *_resolve(config))
     except InputError as exc:
         return 2, f"error: {exc}"
     except Error as exc:
         return 2, f"error: {type(exc).__name__}: {exc}"
+    if isinstance(document, str):
+        return status, document
+    return status, json.dumps(document, separators=(",", ":"))
 
 
 @functools.cache
@@ -348,66 +361,50 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    help_text = {
-        "decompose": "dump the graded orthogonal basis and Gram matrices",
-        "cap": "dump creation/preservation/annihilation matrices per level",
-        "omega": "print the omega matrices over occupation classes",
-        "alpha": "print the alpha matrices per coordinate",
-        "verify": "compare the pipeline against a family's closed forms",
-        "atoms": "look for a vanishing omega level (finitely-atomic test)",
-        "reconstruct": "round-trip moments through the recurrence data",
-    }
     # the options every subcommand shares, added once
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--family", choices=FAMILIES)
-    shared.add_argument("--a", help="jacobi a parameters, e.g. 0,1/2")
-    shared.add_argument("--b", help="jacobi b parameters")
-    shared.add_argument("--alpha", help="laguerre alpha parameters")
-    shared.add_argument("--lambda", dest="lam", help="gegenbauer lambda parameters")
-    shared.add_argument("--d", type=int, help="dimension")
+    for option in _FAMILY_OPTIONS:
+        shared.add_argument(option.flag, dest=option.field, help=option.help,
+                            type=None if option.rational else int)
     shared.add_argument("--measure", help="path to an atom-list or moment-table JSON file")
-    shared.add_argument(
-        "--max-level",
-        "--max-degree",
-        dest="max_level",
-        type=int,
-        required=True,
-        help="highest level/degree to compute",
-    )
-    shared.add_argument(
-        "--convention",
-        choices=("normalized", "paper"),
-        default="normalized",
-        help="omega scaling: normalized state or unnormalized weight",
-    )
+    shared.add_argument("--max-level", "--max-degree", dest="max_level", type=int,
+                        required=True, help="highest level/degree to compute")
+    shared.add_argument("--convention", choices=("normalized", "paper"), default="normalized",
+                        help="omega scaling: normalized state or unnormalized weight")
     shared.add_argument("--format", choices=("json", "csv"), default="json")
     shared.add_argument("--output", help="write the document here instead of stdout")
-    for name in COMMANDS:
-        cmd = sub.add_parser(name, help=help_text[name], parents=[shared])
-        if name == "verify":
-            cmd.add_argument(
-                "--variant",
-                choices=("master", "stated"),
-                default="master",
-                help="closed-form route: jacobi substitution or quoted forms",
-            )
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help, parents=[shared])
+        if command.closed_form:
+            cmd.add_argument("--variant", choices=("master", "stated"), default="master",
+                             help="closed-form route: jacobi substitution or quoted forms")
     return parser
 
 
-# options that take rationals, which may be negative (jacobi a, b > -1)
-_RATIONAL_OPTIONS = ("--a", "--b", "--alpha", "--lambda")
 _NEGATIVE = re.compile(r"-\.?\d")
 
 
+def _takes_rationals(token: str) -> bool:
+    """Whether argparse reads `token` as a family option that takes rationals.
+
+    That is the option it names, else the only one it abbreviates; no other
+    long option of the CLI starts like a family option.
+    """
+    named = [o for o in _FAMILY_OPTIONS if o.flag == token]
+    named = named or [o for o in _FAMILY_OPTIONS if o.flag.startswith(token)]
+    return len(named) == 1 and named[0].rational
+
+
 def _join_negative_values(argv: List[str]) -> List[str]:
-    """Write `--a -1/2` as `--a=-1/2`.
+    """Write `--a -1/2` as `--a=-1/2`, and `--alph -1/3` as `--alph=-1/3`.
 
     argparse takes a value that starts with "-" for an option name unless
     it is a plain negative number, so `-1/2` and `-1/3,0` would be refused.
     """
     out: List[str] = []
     for token in argv:
-        if out and out[-1] in _RATIONAL_OPTIONS and _NEGATIVE.match(token):
+        if out and _NEGATIVE.match(token) and _takes_rationals(out[-1]):
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -55,7 +55,6 @@ from .multiindex import (
     check_index,
     check_integer,
     degree,
-    enumerate_classes,
     shift,
 )
 from .orthodecomp import decompose
@@ -137,8 +136,8 @@ def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
     """Build the sequences from the level Grams and the preservation blocks.
 
     Omega_n is the level Gram G_n, and alpha_{j|n} is the preservation block
-    Z on a full-rank level and the solution of G_n a = G_n Z otherwise, read
-    off one reduction of G_n per level.
+    Z on a full-rank level and otherwise the solution of G_n a = G_n Z, one
+    elimination per level for all coordinates.
     """
     _check_max_level(max_level)
     if ops.max_degree < max_level:
@@ -147,36 +146,27 @@ def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
         )
     decomp = ops.decomposition
     d = decomp.d
-    class_bases = [enumerate_classes(d, n) for n in range(max_level + 1)]
-    for n, cb in enumerate(class_bases):
-        if tuple(cb.classes) != tuple(decomp.level(n).monomials):
-            raise InternalConsistencyError(
-                f"class order and monomial order disagree at level {n}"
-            )
+    levels = [decomp.level(n) for n in range(max_level + 1)]
+    class_bases = [ClassBasis(d, lv.n, lv.monomials) for lv in levels]
     omega: List[Matrix] = []
     alpha: List[List[Optional[Matrix]]] = []
-    for n in range(max_level + 1):
-        lv = decomp.level(n)
+    for lv in levels:
         om = lv.gram_matrix()
         omega.append(om)
-        if lv.rank < len(lv):
-            # rref([G | GZ]) = [R | RZ] for R = rref(G), so the solution with
-            # free variables zero puts row r of RZ at the r-th pivot position
-            reduced, pivots = _linalg.rref(om)
-            reduced = reduced[: len(pivots)]
         per_level: List[Optional[Matrix]] = []
         for j in range(1, d + 1):
             try:
-                z = ops.zero_matrix(j, n)
+                per_level.append(ops.zero_matrix(j, lv.n))
             except InsufficientMomentsError:
                 per_level.append(None)
-                continue
-            if lv.rank < len(lv):
-                rows = _linalg.mat_mul(reduced, z)
-                z = _linalg.zeros(len(z), len(z))
-                for row, c in zip(rows, pivots):
-                    z[c] = row
-            per_level.append(z)
+        blocks = [z for z in per_level if z is not None]
+        if lv.rank < len(lv) and blocks:
+            # one elimination of [G | G Z_1 | ... | G Z_d] serves every coordinate
+            m = len(om)
+            stacked = [sum(rows, []) for rows in zip(*blocks)]
+            x = _linalg.solve_consistent(om, _linalg.mat_mul(om, stacked))
+            solved = iter([[row[k * m:(k + 1) * m] for row in x] for k in range(len(blocks))])
+            per_level = [None if z is None else next(solved) for z in per_level]
         alpha.append(per_level)
     return JacobiSequencePair(d, max_level, class_bases, omega, alpha)
 
@@ -232,18 +222,15 @@ def detect_atoms(functional: MomentFunctional, max_level: int) -> AtomDetection:
     """
     _check_max_level(max_level)
     decomp = decompose(functional, max_level)
+    # a Gram vanishes exactly when its rank is 0
     ranks = tuple(lv.rank for lv in decomp.levels)
-    n0 = None
-    for lv in decomp.levels:
-        if _linalg.is_zero_matrix(lv.gram_matrix()):
-            n0 = lv.n
-            break
-    if n0 is None:
+    if 0 not in ranks:
         return AtomDetection(False, None, None, ranks, max_level)
-    for lv in decomp.levels[n0:]:
-        if not _linalg.is_zero_matrix(lv.gram_matrix()):
+    n0 = ranks.index(0)
+    for n, rank in enumerate(ranks[n0:], start=n0):
+        if rank:
             raise InternalConsistencyError(
-                f"Omega vanishes at level {n0} but not at level {lv.n}"
+                f"Omega vanishes at level {n0} but not at level {n}"
             )
     bound = math.comb(n0 - 1 + functional.d, functional.d)
     return AtomDetection(True, n0, bound, ranks, max_level)

@@ -39,8 +39,8 @@ def factorial_of(beta: Sequence[int]) -> int:
 def shift(beta: Sequence[int], r: Sequence[int]) -> MultiIndex:
     """Componentwise sum beta + r, staying inside N^d.
 
-    Raises OutOfLatticeError if any component would go negative; callers use
-    this to implement the annihilation boundary (a-_{i|0} = 0).
+    Raises OutOfLatticeError if any component would go negative.  The
+    library shifts only by unit vectors e_j (multiplication by x_j).
     """
     if len(beta) != len(r):
         raise OutOfLatticeError(

@@ -576,6 +576,37 @@ def test_negative_rational_value_after_a_space(spaced, capsys):
     assert _outcome(spaced, capsys) == _outcome(joined, capsys)
 
 
+# --a is an option of its own, so --alpha is abbreviated from --al on
+@pytest.mark.parametrize(
+    "family,option,value",
+    [("laguerre", "--alpha"[:k], "-1/3") for k in range(4, 8)]
+    + [("gegenbauer", "--lambda"[:k], "-1/4") for k in range(3, 9)],
+)
+def test_negative_value_after_an_abbreviated_option(family, option, value, capsys):
+    spaced = _outcome(["omega", "--family", family, option, value, "--max-level", "1"], capsys)
+    joined = _outcome(["omega", "--family", family, f"{option}={value}", "--max-level", "1"],
+                      capsys)
+    assert spaced == joined and spaced[0] == 0
+
+
+@pytest.mark.parametrize(
+    "options,named",
+    [
+        (["--d", "3"], "--d"),
+        (["--a", "0"], "--a"),
+        (["--b", "-1/2"], "--b"),
+        (["--alpha", "1/2"], "--alpha"),
+        (["--lambda", "1/3"], "--lambda"),
+        (["--d", "3", "--alpha", "1/2"], "--alpha"),
+    ],
+)
+def test_measure_refuses_family_options(options, named, tmp_path, capsys):
+    # before, the options were dropped and the run exited 0
+    path = _write(tmp_path, "two.json", TWO_ATOM_DOC)
+    argv = ["atoms", "--measure", path, *options, "--max-level", "2"]
+    assert _outcome(argv, capsys) == (2, "", f"error: {named} applies to --family, not --measure\n")
+
+
 def test_negative_value_rewrite_keeps_a_missing_value_an_error(capsys):
     code, out, err = _outcome(
         ["omega", "--family", "jacobi", "--a", "--b", "0", "--max-level", "1"], capsys

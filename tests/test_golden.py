@@ -18,3 +18,9 @@ def measure_dir(tmp_path_factory):
 def test_cli_output_matches_golden_bytes(name, kwargs, measure_dir):
     expected = (HERE / f"{name}.txt").read_text(encoding="utf-8")
     assert render(kwargs, measure_dir) == expected
+
+
+def test_every_golden_file_is_a_case_and_every_case_has_its_file():
+    names = [name for name, _ in CASES]
+    assert len(set(names)) == len(names)
+    assert {path.name[: -len(".txt")] for path in HERE.glob("*.txt")} == set(names)
