@@ -10,7 +10,9 @@ operation:
 
 * sum_of_products: the sum of x*y over (x, y) pairs, kept as one integer
   numerator over the running lcm of the term denominators and normalized
-  once at the end.  _dot (so mat_mul and mat_vec) uses it.  The moment
+  once at the end.  mat_mul and mat_vec use it on the nonzero entries
+  only: each row of the left factor (or the vector) has its nonzero
+  entries collected once, and only those are paired.  The moment
   pairings of orthodecomp do the same sum on integer columns of their own
   (orthodecomp.MomentMatrix.pair), so they skip the per-term conversion.
 
@@ -68,18 +70,21 @@ def transpose(a: Sequence[Sequence[Fraction]]) -> Matrix:
 
 
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
+    """a b, pairing each row's nonzero entries (collected once) with b's rows."""
     if a and b:
         assert len(a[0]) == len(b), "inner dimensions disagree"
     bt = transpose(b)
-    return [[_dot(row, col) for col in bt] for row in a]
+    out = []
+    for row in a:
+        support = [(k, x) for k, x in enumerate(row) if x]
+        out.append([sum_of_products((col[k], x) for k, x in support) for col in bt])
+    return out
 
 
 def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
-    return [_dot(row, v) for row in a]
-
-
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum_of_products(zip(u, v))
+    """a v, pairing only the vector's nonzero entries, collected once."""
+    support = [(k, x) for k, x in enumerate(v) if x]
+    return [sum_of_products((row[k], x) for k, x in support) for row in a]
 
 
 def sum_of_products(pairs: Iterable[Tuple[Fraction, Fraction]]) -> Fraction:

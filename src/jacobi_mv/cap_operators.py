@@ -84,12 +84,14 @@ class CAPSystem:
         return _linalg.copy(self._minus[(j, n)])
 
 
-def _times(moments: MomentMatrix, form: IntegerColumn, unit: MultiIndex) -> List[Fraction]:
-    """Coefficient vector of x^unit * b for the polynomial b with this column."""
-    out = [ZERO] * len(moments.basis)
+def _times(moments: MomentMatrix, form: IntegerColumn, unit: MultiIndex) -> Tuple[List[int], List[int]]:
+    """Coefficient vector of x^unit * b, as numerators and denominators, for
+    the polynomial b with this column."""
+    nums, dens = [0] * len(moments.basis), [1] * len(moments.basis)
     for a, c in form.terms:
-        out[moments.position[shift(moments.basis[a], unit)]] = Fraction(c, form.denominator)
-    return out
+        p = moments.position[shift(moments.basis[a], unit)]
+        nums[p], dens[p] = c, form.denominator
+    return nums, dens
 
 
 def _top_pairings(
@@ -152,7 +154,7 @@ def build(decomposition: Decomposition) -> CAPSystem:
         for j in range(1, d + 1):
             unit = tuple(int(i == j - 1) for i in range(d))
             if n < top:
-                images = [decomposition.split(_times(moments, f, unit)) for f in forms]
+                images = [decomposition.split_ratios(*_times(moments, f, unit)) for f in forms]
                 for k, coords in enumerate(images):
                     for m, c in enumerate(coords):
                         if abs(m - n) > 1 and any(c):
@@ -226,9 +228,10 @@ def verify_quantum_decomposition(system: CAPSystem) -> QuantumDecompositionRepor
 
     Works on coefficient vectors over the monomial basis and recomputes each
     side independently of how the blocks were built: the image x_j b_k is
-    b_k's column shifted by e_j, and the model expands column k of the plus,
-    zero and minus blocks at levels n+1, n and n-1 (b_k's level coordinates
-    are the unit vector e_k, so no split is needed).  The residual r has
+    b_k's column shifted by e_j, and the model, column k of the plus, zero
+    and minus blocks expanded at levels n+1, n and n-1 (b_k's level
+    coordinates are the unit vector e_k, so no split is needed), is
+    subtracted from it in integers.  The residual r has
     squared norm r^T M r on the moment matrix.  Levels below the top are
     covered (creation out of the top level is not representable).  Failures
     are reported with the residual polynomial as witness, never raised.
@@ -244,11 +247,13 @@ def verify_quantum_decomposition(system: CAPSystem) -> QuantumDecompositionRepor
             if n:
                 blocks.append((n - 1, system._minus[(j, n)]))
             for k, form in enumerate(forms):
-                residual = _times(moments, form, unit)
+                nums, dens = _times(moments, form, unit)
                 for m, block in blocks:
-                    image = decomp.expand(m, [row[k] for row in block])
-                    residual = [x - y if y else x for x, y in zip(residual, image)]
-                r = IntegerColumn.of(residual)
+                    for lower, row in zip(decomp.level_forms(m), block):
+                        if row[k]:
+                            lower.subtract_from(nums, dens, row[k])
+                residual = [Fraction(p, q) if p else ZERO for p, q in zip(nums, dens)]
+                r = IntegerColumn.of(zip(nums, dens))
                 norm_sq = sum(
                     (c * moments.pair(r, moments.basis[a]) for a, c in r.terms), ZERO
                 ) / r.denominator

@@ -385,15 +385,15 @@ def _build_parser() -> argparse.ArgumentParser:
 _NEGATIVE = re.compile(r"-\.?\d")
 
 
-def _takes_rationals(token: str) -> bool:
-    """Whether argparse reads `token` as a family option that takes rationals.
+def _names_family_option(token: str) -> bool:
+    """Whether argparse reads `token` as a family option.
 
     That is the option it names, else the only one it abbreviates; no other
     long option of the CLI starts like a family option.
     """
     named = [o for o in _FAMILY_OPTIONS if o.flag == token]
     named = named or [o for o in _FAMILY_OPTIONS if o.flag.startswith(token)]
-    return len(named) == 1 and named[0].rational
+    return len(named) == 1
 
 
 def _join_negative_values(argv: List[str]) -> List[str]:
@@ -401,10 +401,12 @@ def _join_negative_values(argv: List[str]) -> List[str]:
 
     argparse takes a value that starts with "-" for an option name unless
     it is a plain negative number, so `-1/2` and `-1/3,0` would be refused.
+    Every family option is joined, `--d` too, so `--d -1/2` is refused as
+    the invalid integer it is, like `--d=-1/2`.
     """
     out: List[str] = []
     for token in argv:
-        if out and _NEGATIVE.match(token) and _takes_rationals(out[-1]):
+        if out and _NEGATIVE.match(token) and _names_family_option(out[-1]):
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -17,12 +17,17 @@ norm of the classical degree-k polynomial.  The monic polynomial is the
 classical one times lead_k = prod_{p<k} c_plus(p), so the omega factor
 omega_i(k), its squared norm, is the classical norm times lead_k^2; an
 omega entry is the product of the factors of its class.  verify_family
-builds the table once per call for degrees 0..max_level, together with
-the omega ratios r_i(k) = omega_i(k) / mass_i, and reads the master
-closed forms off it; the stated route keeps its per-class quoted forms.  The creation
-lemma is checked on level coordinates: each family polynomial is split once
-into its level bases, and each creation step multiplies every nonzero level
-n < N by the stored block a+_{i|n} into level n+1.
+builds one table per distinct one-variable weight (hermite has one, a
+laguerre coordinate is fixed by its alpha, a jacobi-type one by its
+(a, b)) for degrees 0..max_level: the recurrence rows, the omega ratios
+r(k) = omega(k) / mass, the mass factor and the 1-D coefficient lists.
+Coordinates with the same weight share it, and the master closed forms
+are read off it; the stated route keeps its per-class quoted forms.  The
+creation lemma is checked on level coordinates: each distinct family
+polynomial is split once per call into its level bases, and the split of
+f * F is that split scaled by the creation factor f.  Each creation step
+multiplies every nonzero level n < N by the stored block a+_{i|n} into
+level n+1.
 
 Two evaluation routes exist for the symmetric families:
 
@@ -308,23 +313,23 @@ def _norm_factor(spec: FamilySpec, coordinate: int, k: int) -> GammaProduct:
     finite for all valid parameters.  At k = 0 it is the coordinate's mass.
     """
     if spec.family == "hermite":
-        return GammaProduct(
-            rational=Fraction(2**k) * factorial_of((k,)), pi_pow=Fraction(1, 2)
-        )
+        return GammaProduct(rational=math.factorial(k) << k, pi_pow=Fraction(1, 2))
     if spec.family == "laguerre":
-        return GammaProduct.gamma(spec.alphas[coordinate - 1] + k + 1) / factorial_of((k,))
+        return GammaProduct(
+            rational=Fraction(1, math.factorial(k)),
+            gammas={spec.alphas[coordinate - 1] + k + 1: 1},
+        )
     a, b = spec.jacobi_ab()
     a, b = a[coordinate - 1], b[coordinate - 1]
     s = a + b
-    out = (
-        GammaProduct.two_power(s + 1)
-        * GammaProduct.gamma(k + a + 1)
-        * GammaProduct.gamma(k + b + 1)
-        / factorial_of((k,))
-    )
     if k == 0:
-        return out / GammaProduct.gamma(s + 2)
-    return out / (GammaProduct.gamma(k + s + 1) * (2 * k + s + 1))
+        rational, below = Fraction(1), s + 2
+    else:
+        rational, below = 1 / (math.factorial(k) * (2 * k + s + 1)), k + s + 1
+    gammas: Dict[Fraction, int] = {}
+    for arg, mult in ((k + a + 1, 1), (k + b + 1, 1), (below, -1)):
+        gammas[arg] = gammas.get(arg, 0) + mult
+    return GammaProduct(rational=rational, two_pow=s + 1, gammas=gammas)
 
 
 def family_norm_squared(spec: FamilySpec, index: MultiIndex) -> GammaProduct:
@@ -623,6 +628,42 @@ def _stated_omega_matrix(
     return _diagonal(values), tuple(notes)
 
 
+def _weight_key(spec: FamilySpec, coordinate: int):
+    """What fixes one coordinate's one-variable weight: () for hermite,
+    alpha for laguerre and (a, b) for the jacobi-type families."""
+    if spec.family == "hermite":
+        return ()
+    if spec.family == "laguerre":
+        return spec.alphas[coordinate - 1]
+    a, b = spec.jacobi_ab()
+    return a[coordinate - 1], b[coordinate - 1]
+
+
+@dataclass(frozen=True)
+class _WeightTable:
+    """One coordinate's one-variable weight over the degrees k = 0..top.
+
+    rows holds the recurrence triples, ratio the omega ratios
+    r(k) = omega(k) / mass (omega(k) is the classical norm times lead_k^2,
+    see _omega_factor), mass the k = 0 norm, and one_d the coefficient
+    lists of P_0..P_top.
+    """
+
+    rows: List[Tuple[Fraction, Fraction, Fraction]]
+    ratio: List[Fraction]
+    mass: GammaProduct
+    one_d: List[List[Fraction]]
+
+
+def _weight_table(spec: FamilySpec, coordinate: int, top: int) -> _WeightTable:
+    degrees = range(top + 1)
+    rows = [_recurrence(spec, coordinate, k) for k in degrees]
+    norms = [_norm_factor(spec, coordinate, k) for k in degrees]
+    leads = accumulate((c_plus for c_plus, _, _ in rows), operator.mul, initial=ONE)
+    ratio = [_normalized(norm, norms[0]) * lead * lead for norm, lead in zip(norms, leads)]
+    return _WeightTable(rows, ratio, norms[0], _one_d(rows[:top]))
+
+
 def verify_family(
     spec: FamilySpec,
     max_level: int,
@@ -645,23 +686,17 @@ def verify_family(
     seq = compute(ops, max_level)
     mass = functional.mass_factor()
 
-    # one table per call, coordinate i and degree k = 0..max_level: the
-    # recurrence triple and the omega ratio r_i(k) = omega_i(k) / mass_i,
-    # where omega_i(k) is the classical norm times lead_k^2 (_omega_factor),
-    # lead_k = prod_{p<k} c_plus(p), and mass_i is the k = 0 norm, the
-    # coordinate's one-variable mass
-    degrees = range(max_level + 1)
+    # one table per distinct one-variable weight (_weight_key), shared by the
+    # coordinates that carry it
     coordinates = range(1, spec.d + 1)
-    recurrence = [[_recurrence(spec, i, k) for k in degrees] for i in coordinates]
-    masses = GammaProduct.from_rational(1)
-    ratio = []
-    for i, rows in zip(coordinates, recurrence):
-        norms = [_norm_factor(spec, i, k) for k in degrees]
-        leads = accumulate((c_plus for c_plus, _, _ in rows), operator.mul, initial=ONE)
-        ratio.append([
-            _normalized(norm, norms[0]) * lead * lead for norm, lead in zip(norms, leads)
-        ])
-        masses = masses * norms[0]
+    tables: Dict[object, _WeightTable] = {}
+    weights: List[_WeightTable] = []
+    for i in coordinates:
+        key = _weight_key(spec, i)
+        if key not in tables:
+            tables[key] = _weight_table(spec, i, max_level)
+        weights.append(tables[key])
+    masses = math.prod((w.mass for w in weights), start=GammaProduct.from_rational(1))
     assert masses == mass, f"coordinate masses multiply to {masses!r}, not {mass!r}"
 
     def compare_level(n: int) -> LevelComparison:
@@ -671,14 +706,14 @@ def verify_family(
             om_closed, notes = _stated_omega_matrix(spec, classes, mass)
         else:
             om_closed = _diagonal([
-                math.prod(r[k] for r, k in zip(ratio, n_bar))
+                math.prod(w.ratio[k] for w, k in zip(weights, n_bar))
                 for n_bar in classes
             ])
             notes = ()
         alphas = []
         for j in coordinates:
             pipe = seq.alpha_matrix(j, n)
-            closed = _diagonal([recurrence[j - 1][n_bar[j - 1]][1] for n_bar in classes])
+            closed = _diagonal([weights[j - 1].rows[n_bar[j - 1]][1] for n_bar in classes])
             alphas.append(AlphaComparison(j, pipe, closed, _linalg.mat_eq(pipe, closed)))
         return LevelComparison(
             n,
@@ -690,18 +725,22 @@ def verify_family(
             notes,
         )
 
-    levels = tuple(compare_level(n) for n in degrees)
+    levels = tuple(compare_level(n) for n in range(max_level + 1))
 
     # creation lemma on level coordinates: the family polynomials are built
-    # as coefficient columns over the graded monomial basis and split once
-    one_d = [_one_d(rows[:max_level]) for rows in recurrence]
+    # as coefficient columns over the graded monomial basis, and each distinct
+    # one is split once
+    one_d = [w.one_d for w in weights]
     position = decomp.moments.position
+    splits: Dict[MultiIndex, List[List[Fraction]]] = {}
 
-    def column(index: MultiIndex) -> List[Fraction]:
-        out = [ZERO] * len(position)
-        for beta, c in _tensor(one_d, index).items():
-            out[position[beta]] = c
-        return out
+    def split(index: MultiIndex) -> List[List[Fraction]]:
+        if index not in splits:
+            column = [ZERO] * len(position)
+            for beta, c in _tensor(one_d, index).items():
+                column[position[beta]] = c
+            splits[index] = decomp.split(column)
+        return splits[index]
 
     lemma_checks = []
     # F_0, then F_{e_i} for each coordinate
@@ -709,13 +748,12 @@ def verify_family(
     for base in bases:
         if degree(base) >= max_level:
             continue  # no creation power stays within the computed levels
-        start = decomp.split(column(base))
         for i in coordinates:
-            lhs = start
+            lhs = split(base)
             factor = Fraction(1)
             for m in range(1, max_level - degree(base) + 1):
                 # creation_power(spec, base, i, m), one c_plus at a time
-                factor *= recurrence[i - 1][base[i - 1] + m - 1][0]
+                factor *= weights[i - 1].rows[base[i - 1] + m - 1][0]
                 result = base[: i - 1] + (base[i - 1] + m,) + base[i:]
                 # (a+_i)^m F_base: level n < N goes into level n+1 by a+_{i|n}
                 lhs = [[ZERO]] + [
@@ -723,7 +761,8 @@ def verify_family(
                     else [ZERO] * len(lhs[n + 1])
                     for n, c in enumerate(lhs[:-1])
                 ]
-                rhs = decomp.split([factor * c if c else c for c in column(result)])
+                # split is linear: the split of factor * F_result is the scaled split
+                rhs = [[factor * c if c else c for c in level] for level in split(result)]
                 lemma_checks.append(
                     LemmaCheck(i, base, m, factor, lhs == rhs)
                 )

@@ -15,7 +15,8 @@ identifies it with a spanning family of P_n, and
   block.  When G_n has full rank that solution is Z, with no elimination;
   on a rank-deficient level the system is solved on the singular G_n with
   free variables set to zero (entries on null directions are 0 by
-  convention).
+  convention), eliminating only on the indices whose diagonal entry of
+  G_n is nonzero.
 
 A functional is finitely atomic exactly when some Omega_{n0} vanishes,
 which detect_atoms decides in exact arithmetic; the number of atoms is
@@ -137,7 +138,9 @@ def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
 
     Omega_n is the level Gram G_n, and alpha_{j|n} is the preservation block
     Z on a full-rank level and otherwise the solution of G_n a = G_n Z, one
-    elimination per level for all coordinates.
+    elimination per level for all coordinates.  That elimination runs on the
+    indices where G_n has a nonzero diagonal; the rows of the others are 0,
+    so a level with G_n = 0 has alpha = 0 with no elimination.
     """
     _check_max_level(max_level)
     if ops.max_degree < max_level:
@@ -161,11 +164,19 @@ def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
                 per_level.append(None)
         blocks = [z for z in per_level if z is not None]
         if lv.rank < len(lv) and blocks:
-            # one elimination of [G | G Z_1 | ... | G Z_d] serves every coordinate
+            # the Gram is certified PSD, so a zero diagonal entry G_ii has a
+            # zero row and column: that unknown is free, pinned to 0, and the
+            # elimination of [G | G Z_1 | ... | G Z_d], one for every
+            # coordinate, runs on the other indices only
             m = len(om)
-            stacked = [sum(rows, []) for rows in zip(*blocks)]
-            x = _linalg.solve_consistent(om, _linalg.mat_mul(om, stacked))
-            solved = iter([[row[k * m:(k + 1) * m] for row in x] for k in range(len(blocks))])
+            live = [i for i in range(m) if om[i][i]]
+            rows = [[ZERO] * (m * len(blocks)) for _ in range(m)]
+            if live:
+                g = [[om[i][k] for k in live] for i in live]
+                stacked = [sum((z[k] for z in blocks), []) for k in live]
+                for i, row in zip(live, _linalg.solve_consistent(g, _linalg.mat_mul(g, stacked))):
+                    rows[i] = row
+            solved = iter([[row[k * m:(k + 1) * m] for row in rows] for k in range(len(blocks))])
             per_level = [None if z is None else next(solved) for z in per_level]
         alpha.append(per_level)
     return JacobiSequencePair(d, max_level, class_bases, omega, alpha)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import ZERO, Matrix
@@ -90,10 +90,18 @@ class IntegerColumn:
     denominator: int
 
     @classmethod
-    def of(cls, column: Sequence[Fraction]) -> "IntegerColumn":
-        ratios = [(a, x.as_integer_ratio()) for a, x in enumerate(column) if x]
-        den = lcm(*(q for _, (_, q) in ratios))
-        return cls(tuple((a, p * (den // q)) for a, (p, q) in ratios), den)
+    def of(cls, ratios: Iterable[Tuple[int, int]]) -> "IntegerColumn":
+        """The column whose entry a is p/q for the a-th pair (p, q), q > 0.
+
+        A Fraction column passes map(Fraction.as_integer_ratio, column).
+        """
+        reduced = []
+        for a, (p, q) in enumerate(ratios):
+            if p:
+                g = gcd(p, q)
+                reduced.append((a, p // g, q // g))
+        den = lcm(*(q for _, _, q in reduced))
+        return cls(tuple((a, p * (den // q)) for a, p, q in reduced), den)
 
     def subtract_from(self, nums: List[int], dens: List[int], coeff: Fraction) -> None:
         """nums[a]/dens[a] -= coeff * column[a], each over its running lcm."""
@@ -209,15 +217,20 @@ class Decomposition:
         _check_exact(vector, "vector")
 
     def split(self, vector: Sequence[Fraction]) -> List[List[Fraction]]:
-        """Level coordinates of a coefficient vector, by back substitution.
+        """Level coordinates of a coefficient vector, by back substitution."""
+        self._check_vector(vector)
+        nums, dens = map(list, zip(*(v.as_integer_ratio() for v in vector)))
+        return self.split_ratios(nums, dens)
+
+    def split_ratios(self, nums: List[int], dens: List[int]) -> List[List[Fraction]]:
+        """Level coordinates of the vector with entries nums[a]/dens[a].
 
         The columns are monic, so the coordinate of basis vector p is the
         entry left at p once the higher basis vectors are subtracted, in
         integers; each entry becomes a Fraction once, when it is reached.
+        The two lists are used as scratch space.
         """
-        self._check_vector(vector)
-        nums, dens = map(list, zip(*(v.as_integer_ratio() for v in vector)))
-        x = [ZERO] * len(vector)
+        x = [ZERO] * len(nums)
         for p in reversed(range(len(x))):
             if nums[p]:
                 x[p] = Fraction(nums[p], dens[p])
@@ -294,7 +307,7 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
                 for coeff, f in zip(coeffs, lower):
                     if coeff:
                         f.subtract_from(*col, coeff)
-        block_forms = [IntegerColumn.of(list(map(Fraction, *col))) for col in block]
+        block_forms = [IntegerColumn.of(zip(*col)) for col in block]
         # b_i is orthogonal to the lower levels, so <b_i, x^beta_k> = <b_i, b_k>
         # and the lower triangle mirrors the upper one
         size = len(block)

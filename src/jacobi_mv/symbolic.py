@@ -9,9 +9,15 @@ with rational z_k.  GammaProduct stores this structurally and keeps a
 canonical form so equality is decidable:
 
 * Gamma arguments are reduced with Gamma(z+1) = z Gamma(z) until the
-  argument lies in (0, 1]; Gamma(1) disappears and Gamma(1/2) is folded
-  into pi^(1/2).
+  argument lies in (0, 1], in integers: Gamma(p/q) with m = (p-1)//q steps
+  is prod_{t=1..m} (p - t q) / q^m times Gamma((p - m q)/q).  Gamma(1)
+  disappears and Gamma(1/2) is folded into pi^(1/2).
 * the integer part of the exponent of 2 is folded into the rational.
+
+Only the constructor reduces.  A product, quotient or power of canonical
+values already holds reduced cores, so it merges the parts and passes them
+to the one canonicalization step the constructor ends with (drop zero
+multiplicities, fold the power of two), without reducing again.
 
 Canonical forms built from these operations are equal exactly when the
 numbers agree; no reflection/duplication identities are applied, and none
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Tuple
 
 from .errors import UnsupportedParameterError
 
@@ -35,54 +41,74 @@ def _fr(value) -> Fraction:
     return Fraction(value)
 
 
+_HALF = Fraction(1, 2)
+
+
+def _gamma_steps(arg: Fraction) -> Tuple[int, int, Fraction]:
+    """(num, den, core) with Gamma(arg) = num / den * Gamma(core), core in (0, 1].
+
+    For arg = p/q in lowest terms and m = (p-1)//q steps of
+    Gamma(z+1) = z Gamma(z): num = prod_{t=1..m} (p - t q), den = q^m and
+    core = (p - m q)/q, all in integers.
+    """
+    p, q = arg.as_integer_ratio()
+    m = (p - 1) // q
+    return math.prod(range(p - q, p - m * q - 1, -q)), q**m, Fraction(p - m * q, q)
+
+
 class GammaProduct:
     """Immutable canonical product rational * 2^a * pi^b * prod Gamma(core)^m."""
 
     __slots__ = ("rational", "two_pow", "pi_pow", "gammas")
 
     def __init__(self, rational=1, two_pow=0, pi_pow=0, gammas: Mapping | None = None):
-        rat = _fr(rational)
-        two = _fr(two_pow)
         pi = _fr(pi_pow)
+        num, den = 1, 1
         cores: Dict[Fraction, int] = {}
-        if gammas:
-            for arg, mult in gammas.items():
-                arg = _fr(arg)
-                mult = int(mult)
-                if mult == 0:
-                    continue
-                if arg <= 0:
-                    raise UnsupportedParameterError(
-                        f"Gamma argument {arg} is not positive"
-                    )
-                # reduce with Gamma(z+1) = z Gamma(z) until the core is in (0, 1]
-                while arg > 1:
-                    arg -= 1
-                    if mult > 0:
-                        for _ in range(mult):
-                            rat *= arg
-                    else:
-                        for _ in range(-mult):
-                            rat /= arg
-                if arg == 1:
-                    continue
-                if arg == Fraction(1, 2):
-                    pi += Fraction(mult, 2)
-                    continue
-                cores[arg] = cores.get(arg, 0) + mult
-                if cores[arg] == 0:
-                    del cores[arg]
-        if rat == 0:
-            two, pi, cores = Fraction(0), Fraction(0), {}
+        for arg, mult in (gammas or {}).items():
+            arg = _fr(arg)
+            mult = int(mult)
+            if mult == 0:
+                continue
+            if arg <= 0:
+                raise UnsupportedParameterError(f"Gamma argument {arg} is not positive")
+            step_num, step_den, core = _gamma_steps(arg)
+            if mult > 0:
+                num, den = num * step_num**mult, den * step_den**mult
+            else:
+                num, den = num * step_den**-mult, den * step_num**-mult
+            if core == _HALF:
+                pi += Fraction(mult, 2)
+            elif core != 1:
+                cores[core] = cores.get(core, 0) + mult
+        self._set(_fr(rational) * Fraction(num, den), _fr(two_pow), pi, cores)
+
+    def _set(self, rational: Fraction, two_pow: Fraction, pi_pow: Fraction,
+             cores: Mapping[Fraction, int]) -> None:
+        """Store already reduced parts in canonical form.
+
+        Zero multiplicities are dropped and the integer part of the exponent
+        of 2 is folded into the rational; a zero rational drops everything else.
+        """
+        if rational == 0:
+            two_pow, pi_pow, cores = Fraction(0), Fraction(0), {}
         else:
-            shift = math.floor(two)
+            shift = math.floor(two_pow)
             if shift:
-                rat *= Fraction(2) ** shift
-                two -= shift
-        object.__setattr__(self, "rational", rat)
-        object.__setattr__(self, "two_pow", two)
-        object.__setattr__(self, "pi_pow", pi)
-        object.__setattr__(self, "gammas", tuple(sorted(cores.items())))
+                rational = rational * (1 << shift) if shift > 0 else rational / (1 << -shift)
+                two_pow -= shift
+        object.__setattr__(self, "rational", rational)
+        object.__setattr__(self, "two_pow", two_pow)
+        object.__setattr__(self, "pi_pow", pi_pow)
+        object.__setattr__(self, "gammas", tuple(sorted((a, m) for a, m in cores.items() if m)))
+
+    @classmethod
+    def _canonical(cls, rational: Fraction, two_pow: Fraction, pi_pow: Fraction,
+                   cores: Mapping[Fraction, int]) -> "GammaProduct":
+        """A GammaProduct from parts whose Gamma arguments are already cores."""
+        out = object.__new__(cls)
+        out._set(rational, two_pow, pi_pow, cores)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("GammaProduct is immutable")
@@ -90,7 +116,7 @@ class GammaProduct:
     # --------------------------------------------------------------- factory
     @classmethod
     def from_rational(cls, value) -> "GammaProduct":
-        return cls(rational=value)
+        return cls._canonical(_fr(value), Fraction(0), Fraction(0), {})
 
     @classmethod
     def gamma(cls, arg) -> "GammaProduct":
@@ -105,7 +131,8 @@ class GammaProduct:
         return cls(two_pow=exponent)
 
     # ------------------------------------------------------------ arithmetic
-    def _combine(self, other: "GammaProduct", sign: int) -> "GammaProduct":
+    def _combine(self, other, sign: int) -> "GammaProduct":
+        """self * other (sign +1) or self / other (sign -1); cores merge as they are."""
         if not isinstance(other, GammaProduct):
             other = GammaProduct.from_rational(other)
         if sign < 0 and other.rational == 0:
@@ -114,20 +141,17 @@ class GammaProduct:
         cores = dict(self.gammas)
         for arg, mult in other.gammas:
             cores[arg] = cores.get(arg, 0) + sign * mult
-        return GammaProduct(
-            rational=rat,
-            two_pow=self.two_pow + sign * other.two_pow,
-            pi_pow=self.pi_pow + sign * other.pi_pow,
-            gammas=cores,
+        return GammaProduct._canonical(
+            rat, self.two_pow + sign * other.two_pow, self.pi_pow + sign * other.pi_pow, cores
         )
 
     def __mul__(self, other) -> "GammaProduct":
-        return self._combine(other if isinstance(other, GammaProduct) else GammaProduct.from_rational(other), +1)
+        return self._combine(other, +1)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "GammaProduct":
-        return self._combine(other if isinstance(other, GammaProduct) else GammaProduct.from_rational(other), -1)
+        return self._combine(other, -1)
 
     def __rtruediv__(self, other) -> "GammaProduct":
         return GammaProduct.from_rational(other) / self
@@ -135,14 +159,14 @@ class GammaProduct:
     def __pow__(self, exponent: int) -> "GammaProduct":
         if not isinstance(exponent, int):
             raise TypeError("only integer powers are supported")
-        out = GammaProduct.from_rational(1)
-        base = self
-        if exponent < 0:
-            base = GammaProduct.from_rational(1) / self
-            exponent = -exponent
-        for _ in range(exponent):
-            out = out * base
-        return out
+        if exponent < 0 and self.rational == 0:
+            raise ZeroDivisionError("division by zero GammaProduct")
+        return GammaProduct._canonical(
+            self.rational**exponent,
+            self.two_pow * exponent,
+            self.pi_pow * exponent,
+            {arg: mult * exponent for arg, mult in self.gammas},
+        )
 
     # ------------------------------------------------------------ inspection
     def is_rational(self) -> bool:
@@ -160,9 +184,7 @@ class GammaProduct:
         """The factor left after dividing out the rational part."""
         if self.rational == 0:
             return GammaProduct.from_rational(1)
-        return GammaProduct(
-            rational=1, two_pow=self.two_pow, pi_pow=self.pi_pow, gammas=dict(self.gammas)
-        )
+        return GammaProduct._canonical(Fraction(1), self.two_pow, self.pi_pow, dict(self.gammas))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GammaProduct):

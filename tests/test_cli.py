@@ -564,16 +564,27 @@ def _outcome(argv, capsys):
         ["alpha", "--family", "gegenbauer", "--lambda", "-1/4", "--max-level", "2"],
         ["omega", "--family", "jacobi", "--a", "-1/2,0", "--b", "-.5,1", "--max-level", "1"],
         ["omega", "--family", "jacobi", "--a", "-1", "--b", "0", "--max-level", "1"],
+        # an integer option refuses -1/2 for what it is, not as a missing value
+        ["omega", "--family", "hermite", "--d", "-1/2", "--max-level", "1"],
+        ["omega", "--family", "hermite", "--d", "-2", "--max-level", "1"],
     ],
 )
 def test_negative_rational_value_after_a_space(spaced, capsys):
     # argparse reads -1/2 as an option name; the = form always worked
     joined = list(spaced)
-    for option in ("--a", "--b", "--alpha", "--lambda"):
+    for option in ("--a", "--b", "--alpha", "--lambda", "--d"):
         if option in joined:
             k = joined.index(option)
             joined[k : k + 2] = [f"{option}={joined[k + 1]}"]
     assert _outcome(spaced, capsys) == _outcome(joined, capsys)
+
+
+def test_negative_rational_after_an_integer_option_names_the_value(capsys):
+    # before, the spaced form said "expected one argument"
+    code, out, err = _outcome(["omega", "--family", "hermite", "--d", "-1/2", "--max-level", "1"],
+                              capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --d: invalid int value: '-1/2'\n")
 
 
 # --a is an option of its own, so --alpha is abbreviated from --al on

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -243,6 +244,95 @@ def test_verify_family_evaluates_each_closed_form_once_per_coordinate_and_degree
     assert verify_family(spec, top, variant="master").ok
     assert 0 < calls["_norm_factor"] <= spec.d * (top + 1)
     assert 0 < calls["_recurrence"] <= spec.d * (top + 1)
+
+
+# coordinates that share part of their one-variable weight, or all of it
+SHARED_WEIGHTS = (
+    # (family_spec keyword arguments, distinct one-variable weights)
+    ({"family": "jacobi", "a": ["1/2", "1/2", 0], "b": [0, 1, "-1/3"]}, 3),
+    ({"family": "jacobi", "a": [0, 1, "1/3"], "b": ["1/2", "1/2", "1/2"]}, 3),
+    ({"family": "laguerre", "alpha": ["1/2", 0, "1/2"]}, 2),
+    ({"family": "gegenbauer", "lam": ["1/3", 1, "1/3"]}, 2),
+)
+
+
+def _permuted(kwargs, order):
+    return {k: v if k == "family" else [v[i] for i in order] for k, v in kwargs.items()}
+
+
+def _unpermuted(index, order):
+    """The index of the unpermuted spec whose entries _permuted moved here."""
+    out = [0] * len(order)
+    for i, o in enumerate(order):
+        out[o] = index[i]
+    return tuple(out)
+
+
+def _diagonal_entries(matrix):
+    return [row[k] for k, row in enumerate(matrix)]
+
+
+@pytest.mark.parametrize("kwargs,distinct", SHARED_WEIGHTS)
+def test_verify_table_is_one_per_one_variable_weight(kwargs, distinct, monkeypatch):
+    # a coordinate shares its table with another only when its whole weight
+    # matches; a table keyed by part of it (a alone, say) gives the wrong
+    # closed forms to the coordinates that differ in the other part
+    top = 3
+    spec = family_spec(**kwargs)
+    calls = Counter()
+    norm_factor = closed_forms._norm_factor
+
+    def counted(*args):
+        calls["_norm_factor"] += 1
+        return norm_factor(*args)
+
+    monkeypatch.setattr(closed_forms, "_norm_factor", counted)
+    report = verify_family(spec, top)
+    monkeypatch.undo()
+    assert report.ok
+    assert calls["_norm_factor"] == distinct * (top + 1)
+    mass = spec.mass_factor()
+    for lv in report.levels:
+        expected = [(master_omega(spec, c) / mass).rational_value() for c in lv.classes]
+        assert _diagonal_entries(lv.omega_closed) == expected
+    # coordinate i of the permuted spec is coordinate order[i] of this one
+    order = (2, 0, 1)
+    permuted = verify_family(family_spec(**_permuted(kwargs, order)), top)
+    for lv, lv_p in zip(report.levels, permuted.levels):
+        closed = dict(zip(lv.classes, _diagonal_entries(lv.omega_closed)))
+        alphas = {
+            a.j: dict(zip(lv.classes, _diagonal_entries(a.closed))) for a in lv.alphas
+        }
+        for k, c_p in enumerate(lv_p.classes):
+            c = _unpermuted(c_p, order)
+            assert lv_p.omega_closed[k][k] == closed[c]
+            assert lv_p.omega_pipeline[k][k] == closed[c]
+            for a_p in lv_p.alphas:
+                assert a_p.closed[k][k] == alphas[order[a_p.j - 1] + 1][c]
+    assert sorted(
+        (order[c.coordinate - 1] + 1, _unpermuted(c.base, order), c.power, c.factor, c.match)
+        for c in permuted.lemma_checks
+    ) == sorted((c.coordinate, c.base, c.power, c.factor, c.match) for c in report.lemma_checks)
+
+
+def test_symmetric_weight_norms_add_their_gamma_multiplicities():
+    # a = b makes Gamma(k+a+1) and Gamma(k+b+1) one argument: its core
+    # appears once, squared, and the norm is the product of the separate
+    # factors
+    spec = family_spec("gegenbauer", lam=["1/3"])
+    a = b = Fraction(-1, 6)
+    s = a + b
+    for k in range(4):
+        norm = family_norm_squared(spec, (k,))
+        assert dict(norm.gammas)[Fraction(5, 6)] == 2
+        below = (
+            GammaProduct.gamma(s + 2) if k == 0
+            else GammaProduct.gamma(k + s + 1) * (2 * k + s + 1)
+        )
+        assert norm == (
+            GammaProduct.two_power(s + 1) * GammaProduct.gamma(k + a + 1)
+            * GammaProduct.gamma(k + b + 1) / math.factorial(k) / below
+        )
 
 
 def test_non_integer_levels_and_indices_raise_invalid_index():

@@ -93,20 +93,38 @@ def test_alpha_on_full_rank_levels_is_the_solution_of_the_chain_system(dec):
 
 def test_compute_solves_only_on_rank_deficient_levels(monkeypatch):
     # gaussian levels all have full rank; three atoms in general position
-    # in R^2 leave level 2 (three classes) null, one elimination for both
-    # coordinates (one solve per coordinate before)
+    # in R^2 leave level 2 (three classes) null, so its alpha is 0 with no
+    # elimination (one elimination of all three rows before); x_1 is
+    # constant on the last atom set, so levels 1 and 2 are partially null
+    # and each eliminates only its one row with a nonzero Gram diagonal
     three = [(("0", "0"), "1/3"), (("1", "0"), "1/3"), (("0", "2"), "1/3")]
+    constant = [(("0", "0"), "1/2"), (("0", "1"), "1/4"), (("0", "3"), "1/4")]
     rref = _linalg.rref
     for functional, top, sizes in (
         (gaussian_functional(2), 3, []),
-        (atomic_functional(three), 2, [3]),
+        (atomic_functional(three), 2, []),
+        (atomic_functional(constant), 2, [1, 1]),
     ):
         ops = build(decompose(functional, top))
         calls = []
         monkeypatch.setattr(_linalg, "rref", lambda a: calls.append(len(a)) or rref(a))
-        compute(ops, top)
+        seq = compute(ops, top)
         monkeypatch.undo()
         assert calls == sizes
+    # on the partially null levels the rows of the null directions are 0
+    for n in (1, 2):
+        g = seq.omega_matrix(n)
+        for j in (1, 2):
+            alpha = seq.alpha_matrix(j, n)
+            assert all(not any(row) for row, r in zip(alpha, g) if not any(r))
+
+
+def test_null_level_alpha_is_zero():
+    three = [(("0", "0"), "1/3"), (("1", "0"), "1/3"), (("0", "2"), "1/3")]
+    seq = compute(build(decompose(atomic_functional(three), 2)), 2)
+    assert _linalg.is_zero_matrix(seq.omega_matrix(2))
+    for j in (1, 2):
+        assert seq.alpha_matrix(j, 2) == _linalg.zeros(3, 3)
 
 
 def test_rank_deficient_alpha_is_the_free_variables_zero_solution():

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from jacobi_mv.errors import UnsupportedParameterError
 from jacobi_mv.symbolic import ONE, GammaProduct
@@ -101,3 +101,112 @@ def test_recurrence_identity(x, y):
 def test_division_is_inverse_of_multiplication(x):
     g = GammaProduct.gamma(x) * GammaProduct.pi_power(Fraction(1, 2))
     assert (g / g).is_rational() and (g / g).rational_value() == 1
+
+
+# ------------------------------------------------------------------ reference
+# The canonical form by the step-by-step Fraction reduction, on the product
+# of all factors at once: each Gamma argument is lowered one unit at a time,
+# multiplying the rational by the argument left behind.
+
+
+def _reference(rational, two_pow, pi_pow, gammas):
+    rat, two, pi = Fraction(rational), Fraction(two_pow), Fraction(pi_pow)
+    cores = {}
+    for arg, mult in gammas.items():
+        if mult == 0:
+            continue
+        while arg > 1:
+            arg -= 1
+            rat = rat * arg**mult
+        if arg == Fraction(1, 2):
+            pi += Fraction(mult, 2)
+        elif arg != 1:
+            cores[arg] = cores.get(arg, 0) + mult
+    cores = {a: m for a, m in cores.items() if m}
+    if rat == 0:
+        two, pi, cores = Fraction(0), Fraction(0), {}
+    else:
+        shift = math.floor(two)
+        rat, two = rat * Fraction(2) ** shift, two - shift
+    out = object.__new__(GammaProduct)
+    for name, value in zip(GammaProduct.__slots__, (rat, two, pi, tuple(sorted(cores.items())))):
+        object.__setattr__(out, name, value)
+    return out
+
+
+_ARGS = st.integers(1, 4).flatmap(lambda q: st.integers(1, 6 * q).map(lambda p: Fraction(p, q)))
+
+
+@st.composite
+def _expressions(draw):
+    """(steps, raw parts): each step applies one factor to the running value.
+
+    A step is ("mul" | "div" | int power, kind, argument); the raw parts
+    hold the unreduced rational, exponents and Gamma multiset of the result.
+    """
+    pool = draw(st.lists(_ARGS, min_size=1, max_size=3))  # repeated arguments
+    arg = st.sampled_from(pool) | _ARGS
+    step = st.one_of(
+        st.tuples(st.just("rational"), arg),
+        st.tuples(st.just("rational"), st.just(Fraction(0))),
+        st.tuples(st.just("two"), arg),
+        st.tuples(st.just("pi"), arg),
+        st.tuples(st.just("gamma"), arg),
+        # Gamma(z + k) / Gamma(z) cancels to a rational
+        st.tuples(st.just("shifted"), arg, st.integers(0, 3)),
+    )
+    op = st.sampled_from(["mul", "div"]) | st.integers(-3, 3)
+    return draw(st.lists(st.tuples(op, step), max_size=8))
+
+
+def _factor(kind, arg, shift=0):
+    if kind == "rational":
+        return GammaProduct.from_rational(arg)
+    if kind == "two":
+        return GammaProduct.two_power(arg)
+    if kind == "pi":
+        return GammaProduct.pi_power(arg)
+    if kind == "gamma":
+        return GammaProduct.gamma(arg)
+    return GammaProduct.gamma(arg + shift) / GammaProduct.gamma(arg)
+
+
+def _raw_factor(kind, arg, shift=0):
+    """(rational, two_pow, pi_pow, gammas) of one factor, unreduced."""
+    if kind == "rational":
+        return arg, 0, 0, {}
+    if kind == "two":
+        return 1, arg, 0, {}
+    if kind == "pi":
+        return 1, 0, arg, {}
+    if kind == "gamma":
+        return 1, 0, 0, {arg: 1}
+    return 1, 0, 0, ({arg + shift: 1, arg: -1} if shift else {})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_expressions())
+def test_products_match_the_stepwise_reduction(steps):
+    value = GammaProduct.from_rational(1)
+    rat, two, pi, gammas = Fraction(1), Fraction(0), Fraction(0), {}
+    for op, (kind, *params) in steps:
+        factor = _factor(kind, *params)
+        f_rat, f_two, f_pi, f_gammas = _raw_factor(kind, *params)
+        power = {"mul": 1, "div": -1}.get(op, op)
+        if power < 0 and f_rat == 0:
+            with pytest.raises(ZeroDivisionError):
+                value / factor if op == "div" else factor**op
+            continue
+        if op == "mul":
+            value = value * factor
+        elif op == "div":
+            value = value / factor
+        else:
+            value = value * factor**op
+        rat *= Fraction(f_rat) ** power
+        two += power * Fraction(f_two)
+        pi += power * Fraction(f_pi)
+        for a, m in f_gammas.items():
+            gammas[a] = gammas.get(a, 0) + power * m
+        reference = _reference(rat, two, pi, gammas)
+        assert value == reference and hash(value) == hash(reference)
