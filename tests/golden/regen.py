@@ -100,6 +100,10 @@ def _cases():
     # in a per-coordinate mass or omega factor changes these bytes
     out.append(("laguerre_d3_n3.verify", dict(command="verify", family="laguerre",
                                               alpha="0,1/2,-1/3", max_level=3)))
+    # the only reconstruct documents in d = 3: states reach level 4 of 15
+    # classes, so a slip in which state levels a ladder step keeps shows here
+    out.append(("laguerre_d3_n4.reconstruct", dict(command="reconstruct", family="laguerre",
+                                                   alpha="1/2,0,2/3", max_level=4)))
     # the symmetric jacobi specializations, under both closed-form routes;
     # chebyshev1 and legendre stated mismatch (exit 1)
     symmetric = {
@@ -130,7 +134,7 @@ def _cases():
         ("two_atoms_n5.cap", dict(command="cap", measure="two_atoms", max_level=5)),
         ("one_atom_n4.omega", dict(command="omega", measure="one_atom", max_level=4)),
     ]
-    for command in ("cap", "omega", "alpha"):
+    for command in ("cap", "omega", "alpha", "reconstruct"):
         out.append((f"twelve_atoms_n3.{command}", dict(command=command,
                                                         measure="twelve_atoms",
                                                         max_level=3)))
