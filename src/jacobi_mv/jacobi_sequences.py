@@ -28,7 +28,11 @@ A+_{e_j} + alpha_{e_j} + A-_{e_j} whose vacuum expectations reproduce
 the moments.  A+ is the occupation shift nbar -> nbar + e_j, kept as an
 index map rather than a matrix, and A- is its Omega-weighted adjoint.
 The moment table builds each state X^beta vac from one state of the
-degree below, so it costs one ladder step per moment.
+degree below, so it costs one ladder step per moment.  Each X_j moves a
+class vector by at most one level, so level k of a state of degree m can
+reach the vacuum of a moment of degree M only if k <= M - m: a state keeps
+only its levels 0..min(m, M - m), and the largest states, those of the top
+degrees, shrink back to the vacuum.
 """
 
 from __future__ import annotations
@@ -311,22 +315,30 @@ def _memo_ladder(seq: JacobiSequencePair) -> Tuple[dict, dict]:
 
 
 def _step(
-    seq: JacobiSequencePair, ladder: Tuple[dict, dict], state: List[Vector], j: int
+    seq: JacobiSequencePair,
+    ladder: Tuple[dict, dict],
+    state: List[Vector],
+    j: int,
+    top: int,
 ) -> List[Vector]:
-    """X_j = A+_{e_j} + alpha_{e_j} + A-_{e_j} applied to a state.
+    """X_j = A+_{e_j} + alpha_{e_j} + A-_{e_j} applied to a state, on levels
+    0..top of the image only.
 
-    A state of degree m holds one class vector per level 0..m; its image
-    holds levels 0..m+1.  Level n of the image gathers the creation image
-    of level n-1 (a scatter along the index shift), alpha_{j|n} of level n
-    and A-_{j|n+1} of level n+1.  alpha is read only on levels where the
-    state is nonzero, so an unset alpha raises only when a step uses it.
+    A state holds one class vector per level from 0 up, and its levels
+    past the end are zero.  A state of degree m spans levels 0..m, so its
+    image spans 0..m+1; the caller passes the highest level it still needs,
+    at most len(state), and nothing above it is computed.  Level n of the
+    image gathers the creation image of level n-1 (a scatter along the
+    index shift), alpha_{j|n} of level n and A-_{j|n+1} of level n+1.
+    alpha is read only on levels up to top where the state is nonzero, so
+    an unset alpha raises only when a step uses it.
     """
     plus, minus = ladder
-    top = len(state)
     if top > seq.max_level:
         raise InsufficientDepthError(
             f"operator chain exceeds the truncation at level {seq.max_level}"
         )
+    held = len(state)
     image: List[Vector] = []
     for n in range(top + 1):
         level = [ZERO] * len(seq.class_bases[n])
@@ -334,9 +346,9 @@ def _step(
             for k, i in enumerate(plus[(j, n - 1)]):
                 level[i] = state[n - 1][k]
         blocks = []
-        if n < top and any(state[n]):
+        if n < held and any(state[n]):
             blocks.append((seq._stored_alpha(j, n), state[n]))
-        if n + 1 < top and any(state[n + 1]):
+        if n + 1 < held and any(state[n + 1]):
             blocks.append((minus[(j, n + 1)], state[n + 1]))
         if blocks:
             level = [
@@ -361,13 +373,16 @@ def reconstruct_moments(seq: JacobiSequencePair, beta: MultiIndex) -> Fraction:
     truncated at max_level, so |beta| <= max_level is required
     (InsufficientDepthError otherwise).  X_1 acts first and X_d last,
     one ladder step per unit of |beta|; the ladder is built once per pair.
+    After step t the state keeps levels 0..min(t, |beta| - t), the ones
+    that the |beta| - t steps left can still bring down to the vacuum.
     """
     _check_multi_index(seq, beta)
     ladder = _memo_ladder(seq)
+    total = degree(beta)
     state: List[Vector] = [[ONE]]
-    for j, power in enumerate(beta, start=1):
-        for _ in range(power):
-            state = _step(seq, ladder, state, j)
+    steps = chain.from_iterable([j] * power for j, power in enumerate(beta, start=1))
+    for t, j in enumerate(steps, start=1):
+        state = _step(seq, ladder, state, j, min(t, total - t))
     return _vacuum_expectation(seq, state)
 
 
@@ -381,6 +396,8 @@ def reconstruct_moment_table(
     state X^beta vac comes from one state of the degree below,
     X_j X^(beta - e_j) vac with j the last nonzero coordinate of beta (the
     operator order of reconstruct_moments): one ladder step per moment.
+    A state of degree m keeps levels 0..min(m, max_degree - m) only, since
+    a higher level cannot reach the vacuum within the degrees left.
     """
     check_integer(max_degree, "max_degree")
     if max_degree < 0:
@@ -393,9 +410,10 @@ def reconstruct_moment_table(
     out = {vacuum: _vacuum_expectation(seq, states[vacuum])}
     for n in range(1, max_degree + 1):
         below, states = states, {}
+        top = min(n, max_degree - n)
         for beta in monomials_of_degree(seq.d, n):
             j = max(i for i, b in enumerate(beta, start=1) if b)
             prev = beta[: j - 1] + (beta[j - 1] - 1,) + beta[j:]
-            states[beta] = state = _step(seq, ladder, below[prev], j)
+            states[beta] = state = _step(seq, ladder, below[prev], j, top)
             out[beta] = _vacuum_expectation(seq, state)
     return out

@@ -134,15 +134,22 @@ class MomentFunctional:
 
 
 class _Sequence1D:
-    """Memoized one-dimensional moment sequence with m_0 = 1."""
+    """Memoized one-dimensional moment sequence with m_0 = 1.
+
+    The recurrences read the values as Fractions; products of moments read
+    them as (numerator, denominator) pairs, memoized beside them.
+    """
 
     def __init__(self):
         self._cache: List[Fraction] = [Fraction(1)]
+        self._ratios: List[Tuple[int, int]] = [(1, 1)]
 
-    def value(self, k: int) -> Fraction:
+    def ratio(self, k: int) -> Tuple[int, int]:
         while len(self._cache) <= k:
-            self._cache.append(self._next(len(self._cache)))
-        return self._cache[k]
+            value = self._next(len(self._cache))
+            self._cache.append(value)
+            self._ratios.append((value.numerator, value.denominator))
+        return self._ratios[k]
 
     def _next(self, k: int) -> Fraction:
         raise NotImplementedError
@@ -188,7 +195,11 @@ class _BetaSeq(_Sequence1D):
 
 
 class ProductFunctional(MomentFunctional):
-    """Coordinates are independent; moment(beta) factors over coordinates."""
+    """Coordinates are independent; moment(beta) factors over coordinates.
+
+    The factors are multiplied as integer numerators and denominators, and
+    the product is reduced once, as one Fraction.
+    """
 
     def __init__(self, sequences: Sequence[_Sequence1D]):
         super().__init__(len(sequences))
@@ -196,12 +207,14 @@ class ProductFunctional(MomentFunctional):
 
     def moment(self, beta: MultiIndex) -> Fraction:
         self._check_beta(beta)
-        out = Fraction(1)
+        num = den = 1
         for seq, k in zip(self._sequences, beta):
-            out *= seq.value(k)
-            if out == 0:
-                return out
-        return out
+            p, q = seq.ratio(k)
+            if not p:
+                return Fraction(0)
+            num *= p
+            den *= q
+        return Fraction(num, den)
 
 
 class GaussianFunctional(ProductFunctional):

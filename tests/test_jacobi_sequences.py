@@ -10,6 +10,7 @@ from jacobi_mv import _linalg
 from jacobi_mv.cap_operators import build
 from jacobi_mv.closed_forms import FAMILIES, family_spec
 from jacobi_mv.errors import (
+    Error as JacobiError,
     InsufficientDepthError,
     InsufficientMomentsError,
     InternalConsistencyError,
@@ -408,7 +409,9 @@ def test_one_ladder_step_per_moment(monkeypatch):
     steps = []
     step = sequences._step
     monkeypatch.setattr(
-        sequences, "_step", lambda seq, ladder, state, j: steps.append(j) or step(seq, ladder, state, j)
+        sequences,
+        "_step",
+        lambda seq, ladder, state, j, top: steps.append(j) or step(seq, ladder, state, j, top),
     )
     for functional, top in (
         (gaussian_functional(1), 5),
@@ -463,10 +466,132 @@ def test_ladder_and_step_errors_on_hand_built_pairs():
     # a step from the truncation level would leave the ladder
     seq = _hand_built([1, 1], [0, 0])
     ladder = sequences._ladder(seq)
-    top_state = sequences._step(seq, ladder, [[Fraction(1)]], 1)
+    top_state = sequences._step(seq, ladder, [[Fraction(1)]], 1, 1)
     assert top_state == [[0], [1]]
     with pytest.raises(InsufficientDepthError, match="^operator chain exceeds the truncation at level 1$"):
-        sequences._step(seq, ladder, top_state, 1)
+        sequences._step(seq, ladder, top_state, 1, 2)
+
+
+def test_each_state_keeps_only_the_levels_that_reach_the_vacuum(monkeypatch):
+    # a state of degree m in a moment of degree M holds levels
+    # 0..min(m, M - m); the table's states come in monomial_basis order
+    import jacobi_mv.jacobi_sequences as sequences
+
+    held = []
+    step = sequences._step
+    monkeypatch.setattr(
+        sequences,
+        "_step",
+        lambda *args: held.append(len(image := step(*args))) or image,
+    )
+    for functional, top in (
+        (gaussian_functional(1), 6),
+        (gamma_functional([0, Fraction(1, 2)]), 5),
+        (atomic_functional([(("0", "0", "1"), "1/2"), (("1", "-1", "2"), "1/2")]), 3),
+    ):
+        d = functional.d
+        seq = compute_from_functional(functional, top)
+        for total in range(top + 1):
+            held.clear()
+            reconstruct_moment_table(seq, total)
+            assert held == [min(sum(beta), total - sum(beta)) + 1
+                            for beta in monomial_basis(d, total)[1:]]
+        for beta in monomial_basis(d, top):
+            held.clear()
+            reconstruct_moments(seq, beta)
+            total = sum(beta)
+            assert held == [min(t, total - t) + 1 for t in range(1, total + 1)]
+
+
+def _full_state_step(seq, ladder, state, j):
+    """X_j on every level 0..m+1 of the image of a degree-m state: the
+    untruncated step, as a reference for the truncated one."""
+    plus, minus = ladder
+    top = len(state)
+    image = []
+    for n in range(top + 1):
+        level = [Fraction(0)] * len(seq.classes(n))
+        if n:
+            for k, i in enumerate(plus[(j, n - 1)]):
+                level[i] = state[n - 1][k]
+        blocks = []
+        if n < top and any(state[n]):
+            blocks.append((seq.alpha_matrix(j, n), state[n]))
+        if n + 1 < top and any(state[n + 1]):
+            blocks.append((minus[(j, n + 1)], state[n + 1]))
+        for matrix, vector in blocks:
+            level = [c + sum(a * v for a, v in zip(row, vector))
+                     for c, row in zip(level, matrix)]
+        image.append(level)
+    return image
+
+
+def _full_state_moment(seq, beta):
+    from jacobi_mv.jacobi_sequences import _ladder
+
+    ladder = _ladder(seq)
+    state = [[Fraction(1)]]
+    for j, power in enumerate(beta, start=1):
+        for _ in range(power):
+            state = _full_state_step(seq, ladder, state, j)
+    return seq.omega_matrix(0)[0][0] * state[0][0]
+
+
+def _outcome(call):
+    """A call's value, or the type and text of the library error it raised."""
+    try:
+        return call()
+    except JacobiError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _hand_built_singular_pairs(draw):
+    """d = 1 pairs whose Omega_n are drawn from 0..6, so often singular, and
+    in about half of them vanish from some level on; alpha is set below
+    the top level.  A nonzero Omega after a
+    zero one makes the adjoint system inconsistent, and both sides must
+    raise the same error."""
+    top = draw(st.integers(0, 5))
+    omega = draw(st.lists(st.builds(Fraction, st.integers(0, 6), st.integers(1, 3)),
+                          min_size=top + 1, max_size=top + 1))
+    if draw(st.booleans()):
+        vanish = draw(st.integers(0, top))
+        omega = omega[:vanish] + [0] * (top + 1 - vanish)
+    alpha = draw(st.lists(_rationals(), min_size=top, max_size=top))
+    return _hand_built(omega, alpha + [draw(st.sampled_from((None, 0)))])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(_functionals_and_levels(), _hand_built_singular_pairs()))
+def test_truncated_states_give_the_full_state_moments(case):
+    if isinstance(case, JacobiSequencePair):
+        seq = case
+    else:
+        functional, top = case
+        try:
+            seq = compute_from_functional(functional, top)
+        except InternalConsistencyError:
+            assume(False)
+    top = seq.max_level
+    for beta in monomial_basis(seq.d, top):
+        expected = _outcome(lambda: _full_state_moment(seq, beta))
+        assert _outcome(lambda: reconstruct_moments(seq, beta)) == expected
+    for total in range(top + 1):
+        expected = _outcome(lambda: {beta: _full_state_moment(seq, beta)
+                                     for beta in monomial_basis(seq.d, total)})
+        assert _outcome(lambda: reconstruct_moment_table(seq, total)) == expected
+
+
+def test_an_unset_alpha_out_of_reach_of_the_vacuum_is_not_read():
+    # alpha_{1|1} would act on level 1 of X_1 vac, but the moment of degree
+    # 2 needs only level 0 of X_1^2 vac; the full-state step read it and
+    # raised
+    pair = _hand_built([1, 1, 1], [0, None, 0])
+    with pytest.raises(InsufficientMomentsError, match="^alpha at top level 1 "):
+        _full_state_moment(pair, (2,))
+    assert reconstruct_moment_table(pair, 2) == {(0,): 1, (1,): 0, (2,): 1}
+    assert reconstruct_moments(pair, (2,)) == 1
 
 
 def test_reconstruct_depth_and_index_validation(monkeypatch):
