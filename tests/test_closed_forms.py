@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -580,6 +581,66 @@ def test_family_spec_validation():
     ):
         with pytest.raises(InvalidDimensionError, match=f"^dimension d must be an integer, got {d}$"):
             family_spec(family, d=d, **params)
+
+
+# every refusal of family_spec: (family, keyword arguments, exception, text)
+FAMILY_SPEC_REFUSALS = (
+    ("fourier", {"d": 1}, UnsupportedParameterError,
+     "unknown family 'fourier'; choose from hermite, laguerre, jacobi, gegenbauer, "
+     "chebyshev1, chebyshev2, legendre"),
+    ("hermite", {"d": 2.0}, InvalidDimensionError, "dimension d must be an integer, got 2.0"),
+    ("laguerre", {"d": True, "alpha": [0]}, InvalidDimensionError,
+     "dimension d must be an integer, got True"),
+    ("laguerre", {}, UnsupportedParameterError, "laguerre needs alpha parameters"),
+    ("jacobi", {"a": [0]}, UnsupportedParameterError, "jacobi needs a and b parameters"),
+    ("jacobi", {"b": [0]}, UnsupportedParameterError, "jacobi needs a and b parameters"),
+    ("gegenbauer", {"d": 1}, UnsupportedParameterError, "gegenbauer needs lambda parameters"),
+    ("laguerre", {"alpha": [-1]}, UnsupportedParameterError,
+     "laguerre alpha must be > -1, got -1"),
+    ("jacobi", {"a": [0, "-3/2"], "b": [0, 0]}, UnsupportedParameterError,
+     "jacobi a must be > -1, got -3/2"),
+    ("jacobi", {"a": [0], "b": [-1]}, UnsupportedParameterError,
+     "jacobi b must be > -1, got -1"),
+    ("gegenbauer", {"lam": ["-1/2"]}, UnsupportedParameterError,
+     "gegenbauer lambda must be > -1/2, got -1/2"),
+    ("laguerre", {"alpha": [0.5]}, UnsupportedParameterError,
+     "laguerre alpha must be exact (int, Fraction or 'p/q' string), got float 0.5"),
+    ("laguerre", {"alpha": ["x"]}, UnsupportedParameterError, "bad laguerre alpha: 'x'"),
+    ("gegenbauer", {"lam": ["1/0"]}, UnsupportedParameterError,
+     "bad gegenbauer lambda: '1/0'"),
+    ("laguerre", {"alpha": "12"}, UnsupportedParameterError,
+     "laguerre alpha list must be a sequence of exact numbers, got '12'"),
+    ("jacobi", {"a": [0], "b": Fraction(1, 2)}, UnsupportedParameterError,
+     "jacobi b list must be a sequence of exact numbers, got Fraction(1, 2)"),
+    ("jacobi", {"a": [0], "b": [0, 1]}, InvalidDimensionError,
+     "parameter lists have lengths 1 and 2"),
+    ("jacobi", {"d": 2, "a": [0], "b": [0]}, InvalidDimensionError,
+     "1 parameter pairs for dimension 2"),
+    ("laguerre", {"d": 3, "alpha": [0, 0]}, InvalidDimensionError,
+     "2 alpha parameters for dimension 3"),
+    ("gegenbauer", {"d": 1, "lam": [1, 1]}, InvalidDimensionError,
+     "2 lambda parameters for dimension 1"),
+    ("legendre", {}, InvalidDimensionError, "legendre needs a dimension d >= 1"),
+    ("hermite", {"d": 0}, InvalidDimensionError, "hermite needs a dimension d >= 1"),
+    ("chebyshev1", {"a": [0]}, InvalidDimensionError, "chebyshev1 needs a dimension d >= 1"),
+    ("legendre", {"d": 1, "a": [0]}, UnsupportedParameterError, "legendre takes no parameters"),
+    ("hermite", {"d": 1, "lam": [1]}, UnsupportedParameterError, "hermite takes no parameters"),
+    ("chebyshev2", {"d": 2, "alpha": [0, 0]}, UnsupportedParameterError,
+     "chebyshev2 takes no parameters"),
+    # a family's own parameters are checked before anything else it is given
+    ("laguerre", {"alpha": [-1], "lam": [3]}, UnsupportedParameterError,
+     "laguerre alpha must be > -1, got -1"),
+    ("jacobi", {"a": [0], "b": [0, 1], "alpha": [0]}, InvalidDimensionError,
+     "parameter lists have lengths 1 and 2"),
+    ("gegenbauer", {"d": 2, "lam": [1], "b": [0]}, InvalidDimensionError,
+     "1 lambda parameters for dimension 2"),
+)
+
+
+@pytest.mark.parametrize("family,kwargs,error,text", FAMILY_SPEC_REFUSALS)
+def test_family_spec_refusal_texts(family, kwargs, error, text):
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        family_spec(family, **kwargs)
 
 
 def test_family_roster_is_stable():
