@@ -6,28 +6,33 @@ gegenbauer (a = b = lambda - 1/2), chebyshev1 (lambda = 0), chebyshev2
 (lambda = 1), legendre (lambda = 1/2).  For each family the Jacobi
 sequences are diagonal and admit explicit entries.
 
-Each coordinate's one-variable family is given by one table, its
-three-term recurrence x P_k = c_plus(k) P_{k+1} + c_zero(k) P_k +
-c_minus(k) P_{k-1} (hermite 1/2, 0, k; laguerre -(k+1), 2k+alpha+1,
--(k+alpha); jacobi and its specializations the (a, b) coefficients below).
-The table yields the 1-D coefficient lists whose tensor products are the
-family polynomials, the alpha entries (c_zero) and the creation factors
-(products of c_plus).  One per-coordinate Gamma formula gives the squared
-norm of the classical degree-k polynomial.  The monic polynomial is the
-classical one times lead_k = prod_{p<k} c_plus(p), so the omega factor
-omega_i(k), its squared norm, is the classical norm times lead_k^2; an
-omega entry is the product of the factors of its class.  verify_family
-builds one table per distinct one-variable weight (hermite has one, a
-laguerre coordinate is fixed by its alpha, a jacobi-type one by its
-(a, b)) for degrees 0..max_level: the recurrence rows, the omega ratios
-r(k) = omega(k) / mass, the mass factor and the 1-D coefficient lists.
-Coordinates with the same weight share it, and the master closed forms
-are read off it; the stated route keeps its per-class quoted forms.  The
-creation lemma is checked on level coordinates: each distinct family
-polynomial is split once per call into its level bases, and the split of
-f * F is that split scaled by the creation factor f.  Each creation step
-multiplies every nonzero level n < N by the stored block a+_{i|n} into
-level n+1.
+family_spec resolves a family once into one one-variable weight per
+coordinate: () for hermite, (alpha,) for laguerre and (a, b) for jacobi
+and its symmetric specializations.  One table lists each family's
+parameters and how they make a weight; a family refuses another family's
+parameters.  Every closed form below reads the weights, not the family
+name; only the functional and the stated route need the name.
+
+Each coordinate's one-variable weight fixes its three-term recurrence
+x P_k = c_plus(k) P_{k+1} + c_zero(k) P_k + c_minus(k) P_{k-1}
+(hermite 1/2, 0, k; laguerre -(k+1), 2k+alpha+1, -(k+alpha); an (a, b) weight the
+jacobi coefficients below).  The recurrence yields the 1-D coefficient
+lists whose tensor products are the family polynomials, the alpha
+entries (c_zero) and the creation factors (products of c_plus).  One
+per-coordinate Gamma formula gives the squared norm of the classical
+degree-k polynomial.  The monic polynomial is the classical one times
+lead_k = prod_{p<k} c_plus(p), so the omega factor omega_i(k), its
+squared norm, is the classical norm times lead_k^2; an omega entry is
+the product of the factors of its class.  verify_family builds one table
+per distinct one-variable weight for degrees 0..max_level: the
+recurrence rows, the omega ratios r(k) = omega(k) / mass, the mass
+factor and the 1-D coefficient lists.  Coordinates with the same weight
+share it, and the master closed forms are read off it; the stated route
+keeps its per-class quoted forms.  The creation lemma is checked on
+level coordinates: each distinct family polynomial is split once per
+call into its level bases, and the split of f * F is that split scaled
+by the creation factor f.  Each creation step multiplies every nonzero
+level n < N by the stored block a+_{i|n} into level n+1.
 
 Two evaluation routes exist for the symmetric families:
 
@@ -85,15 +90,24 @@ from .orthodecomp import decompose
 from .polyring import Polynomial
 from .symbolic import GammaProduct
 
-FAMILIES = (
-    "hermite",
-    "laguerre",
-    "jacobi",
-    "gegenbauer",
-    "chebyshev1",
-    "chebyshev2",
-    "legendre",
-)
+HALF = Fraction(1, 2)
+
+# per family: (keyword, option name, lower bound) of each parameter list it
+# takes, and one coordinate's weight from that coordinate's parameters
+_FAMILIES = {
+    "hermite": ((), lambda: ()),
+    "laguerre": ((("alpha", "alpha", Fraction(-1)),), lambda alpha: (alpha,)),
+    "jacobi": (
+        (("a", "a", Fraction(-1)), ("b", "b", Fraction(-1))),
+        lambda a, b: (a, b),
+    ),
+    "gegenbauer": ((("lam", "lambda", -HALF),), lambda lam: (lam - HALF, lam - HALF)),
+    "chebyshev1": ((), lambda: (-HALF, -HALF)),
+    "chebyshev2": ((), lambda: (HALF, HALF)),
+    "legendre": ((), lambda: (ZERO, ZERO)),
+}
+FAMILIES = tuple(_FAMILIES)
+_OPTION_NAMES = {key: name for params, _ in _FAMILIES.values() for key, name, _ in params}
 
 
 def _exact_params(values, what: str, low: Fraction) -> Tuple[Fraction, ...]:
@@ -106,42 +120,25 @@ def _exact_params(values, what: str, low: Fraction) -> Tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A weight family with exact rational parameters on R^d."""
+    """A weight family on R^d, as one exact one-variable weight per coordinate.
+
+    weights[i] is coordinate i+1's weight: () for hermite, (alpha,) for
+    laguerre, and (a, b) for jacobi and its symmetric specializations
+    (gegenbauer a = b = lambda - 1/2; chebyshev1, chebyshev2 and legendre
+    a = b = -1/2, 1/2 and 0).
+    """
 
     family: str
     d: int
-    a: Optional[Tuple[Fraction, ...]] = None
-    b: Optional[Tuple[Fraction, ...]] = None
-    alphas: Optional[Tuple[Fraction, ...]] = None
-    lambdas: Optional[Tuple[Fraction, ...]] = None
-
-    def jacobi_ab(self) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
-        """The (a, b) parameters of the equivalent jacobi weight."""
-        if self.family == "jacobi":
-            return self.a, self.b
-        if self.family == "gegenbauer":
-            ab = tuple(lam - Fraction(1, 2) for lam in self.lambdas)
-            return ab, ab
-        if self.family == "chebyshev1":
-            ab = (Fraction(-1, 2),) * self.d
-            return ab, ab
-        if self.family == "chebyshev2":
-            ab = (Fraction(1, 2),) * self.d
-            return ab, ab
-        if self.family == "legendre":
-            ab = (Fraction(0),) * self.d
-            return ab, ab
-        raise UnsupportedParameterError(
-            f"{self.family} has no jacobi parameter form"
-        )
+    weights: Tuple[Tuple[Fraction, ...], ...]
 
     def functional(self) -> MomentFunctional:
         """The normalized (mass 1) moment functional of the weight."""
         if self.family == "hermite":
             return GaussianFunctional(self.d)
         if self.family == "laguerre":
-            return GammaFunctional(self.alphas)
-        a, b = self.jacobi_ab()
+            return GammaFunctional([alpha for alpha, in self.weights])
+        a, b = zip(*self.weights)
         return BetaFunctional(a, b)
 
     def mass_factor(self) -> GammaProduct:
@@ -154,52 +151,41 @@ def family_spec(family: str, d: Optional[int] = None, a=None, b=None,
 
     laguerre needs alpha (> -1 entrywise), jacobi needs a and b (> -1),
     gegenbauer needs lam (> -1/2); the remaining families take only d.
-    The dimension is inferred from the parameter lists when omitted.
+    A family refuses another family's parameters.  The dimension is
+    inferred from the parameter lists when omitted.
     """
-    if family not in FAMILIES:
+    if family not in _FAMILIES:
         raise UnsupportedParameterError(
             f"unknown family {family!r}; choose from {', '.join(FAMILIES)}"
         )
     if d is not None:
         check_integer(d, "dimension d", InvalidDimensionError)
-    if family == "laguerre":
-        if alpha is None:
-            raise UnsupportedParameterError("laguerre needs alpha parameters")
-        alphas = _exact_params(alpha, "laguerre alpha", Fraction(-1))
-        d = len(alphas) if d is None else d
-        if d != len(alphas):
-            raise InvalidDimensionError(
-                f"{len(alphas)} alpha parameters for dimension {d}"
-            )
-        return FamilySpec(family, d, alphas=alphas)
-    if family == "jacobi":
-        if a is None or b is None:
-            raise UnsupportedParameterError("jacobi needs a and b parameters")
-        a = _exact_params(a, "jacobi a", Fraction(-1))
-        b = _exact_params(b, "jacobi b", Fraction(-1))
-        if len(a) != len(b):
-            raise InvalidDimensionError(
-                f"parameter lists have lengths {len(a)} and {len(b)}"
-            )
-        d = len(a) if d is None else d
-        if d != len(a):
-            raise InvalidDimensionError(f"{len(a)} parameter pairs for dimension {d}")
-        return FamilySpec(family, d, a=a, b=b)
-    if family == "gegenbauer":
-        if lam is None:
-            raise UnsupportedParameterError("gegenbauer needs lambda parameters")
-        lambdas = _exact_params(lam, "gegenbauer lambda", Fraction(-1, 2))
-        d = len(lambdas) if d is None else d
-        if d != len(lambdas):
-            raise InvalidDimensionError(
-                f"{len(lambdas)} lambda parameters for dimension {d}"
-            )
-        return FamilySpec(family, d, lambdas=lambdas)
-    if d is None or d < 1:
-        raise InvalidDimensionError(f"{family} needs a dimension d >= 1")
-    if any(p is not None for p in (a, b, alpha, lam)):
-        raise UnsupportedParameterError(f"{family} takes no parameters")
-    return FamilySpec(family, d)
+    given = {"a": a, "b": b, "alpha": alpha, "lam": lam}
+    params, weight = _FAMILIES[family]
+    if not params:
+        if d is None or d < 1:
+            raise InvalidDimensionError(f"{family} needs a dimension d >= 1")
+        if any(p is not None for p in given.values()):
+            raise UnsupportedParameterError(f"{family} takes no parameters")
+        return FamilySpec(family, d, (weight(),) * d)
+    if any(given[key] is None for key, _, _ in params):
+        names = " and ".join(name for _, name, _ in params)
+        raise UnsupportedParameterError(f"{family} needs {names} parameters")
+    lists = [_exact_params(given[key], f"{family} {name}", low) for key, name, low in params]
+    lengths = [len(p) for p in lists]
+    if len(set(lengths)) > 1:
+        raise InvalidDimensionError(
+            f"parameter lists have lengths {' and '.join(map(str, lengths))}"
+        )
+    d = lengths[0] if d is None else d
+    if d != lengths[0]:
+        what = f"{params[0][1]} parameters" if len(params) == 1 else "parameter pairs"
+        raise InvalidDimensionError(f"{lengths[0]} {what} for dimension {d}")
+    own = {key for key, _, _ in params}
+    foreign = [_OPTION_NAMES[key] for key, p in given.items() if p is not None and key not in own]
+    if foreign:
+        raise UnsupportedParameterError(f"{family} takes no {' or '.join(foreign)} parameters")
+    return FamilySpec(family, d, tuple(weight(*p) for p in zip(*lists)))
 
 
 # --------------------------------------------------------------------------
@@ -207,41 +193,33 @@ def family_spec(family: str, d: Optional[int] = None, a=None, b=None,
 # --------------------------------------------------------------------------
 
 
-def _jacobi_recurrence(k: int, a: Fraction, b: Fraction) -> Tuple[Fraction, Fraction, Fraction]:
-    """(c_plus, c_zero, c_minus)(k) of the jacobi recurrence, s = a + b.
-
-    k = 0 takes the cancelled forms 2/(s+2) and (b-a)/(s+2): the generic
-    expressions are 0/0 there when s = -1 (first-kind chebyshev weight) or
-    s = 0.
-    """
-    s = a + b
-    if k == 0:
-        return Fraction(2) / (s + 2), (b - a) / (s + 2), ZERO
-    if (2 * k + s) * (2 * k + s + 1) * (2 * k + s + 2) == 0:
-        raise SingularParameterError(
-            f"jacobi recurrence denominator vanishes at k={k}, a={a}, b={b}"
-        )
-    return (
-        2 * (k + 1) * (k + s + 1) / ((2 * k + s + 1) * (2 * k + s + 2)),
-        (b * b - a * a) / ((2 * k + s) * (2 * k + s + 2)),
-        2 * (k + a) * (k + b) / ((2 * k + s) * (2 * k + s + 1)),
-    )
-
-
 def _recurrence(spec: FamilySpec, coordinate: int, k: int) -> Tuple[Fraction, Fraction, Fraction]:
     """(c_plus, c_zero, c_minus)(k) of one coordinate's three-term recurrence.
 
     x P_k = c_plus P_{k+1} + c_zero P_k + c_minus P_{k-1} in the classical
     normalization.  c_minus(0) multiplies P_{-1} = 0; it is reported as 0
-    and never evaluated.
+    and never evaluated.  For jacobi, with s = a + b, k = 0 takes the
+    cancelled forms 2/(s+2) and (b-a)/(s+2): the generic expressions are
+    0/0 there when s = -1 (first-kind chebyshev weight) or s = 0.
     """
-    if spec.family == "hermite":
-        return Fraction(1, 2), ZERO, Fraction(k)
-    if spec.family == "laguerre":
-        alpha = spec.alphas[coordinate - 1]
-        return Fraction(-(k + 1)), 2 * k + alpha + 1, -(k + alpha) if k else ZERO
-    a, b = spec.jacobi_ab()
-    return _jacobi_recurrence(k, a[coordinate - 1], b[coordinate - 1])
+    match spec.weights[coordinate - 1]:
+        case ():
+            return HALF, ZERO, Fraction(k)
+        case (alpha,):
+            return Fraction(-(k + 1)), 2 * k + alpha + 1, -(k + alpha) if k else ZERO
+        case (a, b):
+            s = a + b
+            if k == 0:
+                return Fraction(2) / (s + 2), (b - a) / (s + 2), ZERO
+            if (2 * k + s) * (2 * k + s + 1) * (2 * k + s + 2) == 0:
+                raise SingularParameterError(
+                    f"jacobi recurrence denominator vanishes at k={k}, a={a}, b={b}"
+                )
+            return (
+                2 * (k + 1) * (k + s + 1) / ((2 * k + s + 1) * (2 * k + s + 2)),
+                (b * b - a * a) / ((2 * k + s) * (2 * k + s + 2)),
+                2 * (k + a) * (k + b) / ((2 * k + s) * (2 * k + s + 1)),
+            )
 
 
 def _one_d(recurrence: Sequence[Tuple[Fraction, Fraction, Fraction]]) -> List[List[Fraction]]:
@@ -312,24 +290,23 @@ def _norm_factor(spec: FamilySpec, coordinate: int, k: int) -> GammaProduct:
     denominator is the cancelled (2k+s+1) Gamma(k+s+1) -> Gamma(s+2),
     finite for all valid parameters.  At k = 0 it is the coordinate's mass.
     """
-    if spec.family == "hermite":
-        return GammaProduct(rational=math.factorial(k) << k, pi_pow=Fraction(1, 2))
-    if spec.family == "laguerre":
-        return GammaProduct(
-            rational=Fraction(1, math.factorial(k)),
-            gammas={spec.alphas[coordinate - 1] + k + 1: 1},
-        )
-    a, b = spec.jacobi_ab()
-    a, b = a[coordinate - 1], b[coordinate - 1]
-    s = a + b
-    if k == 0:
-        rational, below = Fraction(1), s + 2
-    else:
-        rational, below = 1 / (math.factorial(k) * (2 * k + s + 1)), k + s + 1
-    gammas: Dict[Fraction, int] = {}
-    for arg, mult in ((k + a + 1, 1), (k + b + 1, 1), (below, -1)):
-        gammas[arg] = gammas.get(arg, 0) + mult
-    return GammaProduct(rational=rational, two_pow=s + 1, gammas=gammas)
+    match spec.weights[coordinate - 1]:
+        case ():
+            return GammaProduct(rational=math.factorial(k) << k, pi_pow=HALF)
+        case (alpha,):
+            return GammaProduct(
+                rational=Fraction(1, math.factorial(k)), gammas={alpha + k + 1: 1}
+            )
+        case (a, b):
+            s = a + b
+            if k == 0:
+                rational, below = Fraction(1), s + 2
+            else:
+                rational, below = 1 / (math.factorial(k) * (2 * k + s + 1)), k + s + 1
+            gammas: Dict[Fraction, int] = {}
+            for arg, mult in ((k + a + 1, 1), (k + b + 1, 1), (below, -1)):
+                gammas[arg] = gammas.get(arg, 0) + mult
+            return GammaProduct(rational=rational, two_pow=s + 1, gammas=gammas)
 
 
 def family_norm_squared(spec: FamilySpec, index: MultiIndex) -> GammaProduct:
@@ -407,8 +384,9 @@ def stated_omega(spec: FamilySpec, n_bar: MultiIndex) -> Tuple[GammaProduct, Tup
         return master_omega(spec, n_bar), ()
     if spec.family == "gegenbauer":
         out = GammaProduct.from_rational(Fraction(1, factorial_of(n_bar)))
-        out = out * GammaProduct.two_power(2 * sum(spec.lambdas))
-        for n, lam in zip(n_bar, spec.lambdas):
+        lambdas = [a + HALF for a, _ in spec.weights]
+        out = out * GammaProduct.two_power(2 * sum(lambdas))
+        for n, lam in zip(n_bar, lambdas):
             inner = Fraction(1)
             for p in range(n):
                 if p == 0:
@@ -628,17 +606,6 @@ def _stated_omega_matrix(
     return _diagonal(values), tuple(notes)
 
 
-def _weight_key(spec: FamilySpec, coordinate: int):
-    """What fixes one coordinate's one-variable weight: () for hermite,
-    alpha for laguerre and (a, b) for the jacobi-type families."""
-    if spec.family == "hermite":
-        return ()
-    if spec.family == "laguerre":
-        return spec.alphas[coordinate - 1]
-    a, b = spec.jacobi_ab()
-    return a[coordinate - 1], b[coordinate - 1]
-
-
 @dataclass(frozen=True)
 class _WeightTable:
     """One coordinate's one-variable weight over the degrees k = 0..top.
@@ -686,16 +653,14 @@ def verify_family(
     seq = compute(ops, max_level)
     mass = functional.mass_factor()
 
-    # one table per distinct one-variable weight (_weight_key), shared by the
-    # coordinates that carry it
+    # one table per distinct one-variable weight, shared by the coordinates
+    # that carry it
     coordinates = range(1, spec.d + 1)
-    tables: Dict[object, _WeightTable] = {}
-    weights: List[_WeightTable] = []
-    for i in coordinates:
-        key = _weight_key(spec, i)
-        if key not in tables:
-            tables[key] = _weight_table(spec, i, max_level)
-        weights.append(tables[key])
+    tables: Dict[Tuple[Fraction, ...], _WeightTable] = {}
+    for i, weight in enumerate(spec.weights, start=1):
+        if weight not in tables:
+            tables[weight] = _weight_table(spec, i, max_level)
+    weights = [tables[weight] for weight in spec.weights]
     masses = math.prod((w.mass for w in weights), start=GammaProduct.from_rational(1))
     assert masses == mass, f"coordinate masses multiply to {masses!r}, not {mass!r}"
 

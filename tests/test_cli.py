@@ -618,6 +618,38 @@ def test_measure_refuses_family_options(options, named, tmp_path, capsys):
     assert _outcome(argv, capsys) == (2, "", f"error: {named} applies to --family, not --measure\n")
 
 
+# each family's own options and the other families' options, as flag and value
+OWN_OPTIONS = {
+    "hermite": ["--d", "1"],
+    "laguerre": ["--alpha", "1/2"],
+    "jacobi": ["--a", "0", "--b", "1/2"],
+    "gegenbauer": ["--lambda", "1/3"],
+    "chebyshev1": ["--d", "1"],
+    "chebyshev2": ["--d", "1"],
+    "legendre": ["--d", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "family,flag",
+    [
+        (family, flag)
+        for family, own in OWN_OPTIONS.items()
+        for flag in ("--a", "--b", "--alpha", "--lambda")
+        if flag not in own
+    ],
+)
+def test_family_refuses_another_familys_option(family, flag, capsys):
+    # before, --family laguerre --alpha 1/2 --lambda 3 exited 0 and dropped
+    # --lambda
+    argv = ["omega", "--family", family, *OWN_OPTIONS[family], flag, "3", "--max-level", "1"]
+    named = (
+        f"{family} takes no {flag[2:]} parameters" if family in ("laguerre", "jacobi", "gegenbauer")
+        else f"{family} takes no parameters"
+    )
+    assert _outcome(argv, capsys) == (2, "", f"error: UnsupportedParameterError: {named}\n")
+
+
 def test_negative_value_rewrite_keeps_a_missing_value_an_error(capsys):
     code, out, err = _outcome(
         ["omega", "--family", "jacobi", "--a", "--b", "0", "--max-level", "1"], capsys

@@ -643,6 +643,68 @@ def test_family_spec_refusal_texts(family, kwargs, error, text):
         family_spec(family, **kwargs)
 
 
+# each family's own keyword arguments, and one value per family_spec
+# parameter keyword with the option name the CLI gives it
+OWN_PARAMETERS = {
+    "hermite": {"d": 1},
+    "laguerre": {"alpha": [0]},
+    "jacobi": {"a": [0], "b": [0]},
+    "gegenbauer": {"lam": [1]},
+    "chebyshev1": {"d": 1},
+    "chebyshev2": {"d": 1},
+    "legendre": {"d": 1},
+}
+OPTIONS = {"a": ("a", [0]), "b": ("b", [0]), "alpha": ("alpha", [0]), "lam": ("lambda", [1])}
+FOREIGN = [
+    (family, keyword)
+    for family, own in OWN_PARAMETERS.items()
+    for keyword in OPTIONS
+    if keyword not in own
+]
+
+
+@pytest.mark.parametrize("family,keyword", FOREIGN)
+def test_a_family_refuses_another_familys_parameters(family, keyword):
+    # before, laguerre, jacobi and gegenbauer dropped the other parameters
+    # silently; a family without parameters keeps its own text
+    name, value = OPTIONS[keyword]
+    text = (
+        f"{family} takes no {name} parameters" if family in ("laguerre", "jacobi", "gegenbauer")
+        else f"{family} takes no parameters"
+    )
+    with pytest.raises(UnsupportedParameterError, match=f"^{re.escape(text)}$"):
+        family_spec(family, **OWN_PARAMETERS[family], **{keyword: value})
+
+
+def test_foreign_parameters_are_named_in_option_order():
+    with pytest.raises(
+        UnsupportedParameterError, match="^laguerre takes no a or lambda parameters$"
+    ):
+        family_spec("laguerre", alpha=["1/2"], lam=[3], a=[5])
+
+
+# a symmetric specialization and the jacobi weight with a = b it stands for
+SPECIALIZATIONS = [
+    (("gegenbauer", {"lam": [lam, "2/5"]}), (Fraction(lam) - Fraction(1, 2), Fraction(-1, 10)))
+    for lam in ("1/3", "1/2", "1", "3/2")
+] + [
+    (("chebyshev1", {"d": 2}), (Fraction(-1, 2),) * 2),
+    (("chebyshev2", {"d": 2}), (Fraction(1, 2),) * 2),
+    (("legendre", {"d": 2}), (Fraction(0),) * 2),
+]
+
+
+@pytest.mark.parametrize("symmetric,a", SPECIALIZATIONS)
+def test_symmetric_families_are_their_jacobi_weights(symmetric, a):
+    family, kwargs = symmetric
+    spec = family_spec(family, **kwargs)
+    jacobi = family_spec("jacobi", a=list(a), b=list(a))
+    assert spec.weights == jacobi.weights == tuple((x, x) for x in a)
+    ours, theirs = verify_family(spec, 3, "master"), verify_family(jacobi, 3, "master")
+    assert ours.ok and ours.levels == theirs.levels
+    assert ours.lemma_checks == theirs.lemma_checks
+
+
 def test_family_roster_is_stable():
     assert FAMILIES == (
         "hermite",
