@@ -7,8 +7,11 @@ Decomposing x_j*p through the graded orthogonal basis splits it into
 * preservation a0_{j|n}: P_n -> P_n (the degree-n component),
 * annihilation a-_{j|n}: P_n -> P_{n-1} (the degree-(n-1) component);
 
-components at any other degree must vanish, and this is asserted rather
-than assumed (InternalConsistencyError otherwise).  At the top level the
+outside the band a component must be null: a component c at any other
+degree m must have G_m c = 0, and this is asserted rather than assumed
+(InternalConsistencyError otherwise).  For a positive functional the null
+polynomials form an ideal, so past the first vanishing level of an atomic
+functional x_j*p keeps null components outside the band; they are dropped.  At the top level the
 degree-(n+1) component cannot be represented, so preservation and
 annihilation are obtained from the pairing instead: their images match
 x_j*p against every basis vector of the target level, with degenerate
@@ -135,8 +138,9 @@ def build(decomposition: Decomposition) -> CAPSystem:
     """Compute all operator matrices for the given decomposition.
 
     Below the top level the blocks are the coordinates of x_j*p, found by
-    back substitution through the coefficient columns; components outside
-    degrees n-1..n+1 are checked to vanish.  Top-level preservation pairs
+    back substitution through the coefficient columns; outside the band a
+    component must be null, so a component c at a degree m outside n-1..n+1
+    is checked to have G_m c = 0 and is dropped.  Top-level preservation pairs
     x_j*p with the level (see _top_pairings); its moment rows are one degree
     beyond what the decomposition used, so a finite moment table leaves it
     unset, to raise only if accessed.
@@ -157,11 +161,12 @@ def build(decomposition: Decomposition) -> CAPSystem:
                 images = [decomposition.split_ratios(*_times(moments, f, unit)) for f in forms]
                 for k, coords in enumerate(images):
                     for m, c in enumerate(coords):
-                        if abs(m - n) > 1 and any(c):
+                        # outside the band a component must be null: G_m c = 0
+                        if abs(m - n) > 1 and any(_linalg.mat_vec(decomposition.level(m).gram, c)):
                             raise InternalConsistencyError(
                                 f"x_{j} * (basis vector {k} of degree {n}) has "
-                                f"a nonzero component at degree {m}; the "
-                                "three-term degree structure is violated"
+                                f"a component at degree {m} that is not null; "
+                                "the three-term degree structure is violated"
                             )
                 plus[(j, n)] = _linalg.transpose([c[n + 1] for c in images])
                 zero[(j, n)] = _linalg.transpose([c[n] for c in images])

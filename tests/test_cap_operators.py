@@ -24,6 +24,7 @@ from jacobi_mv.moments import (
     gaussian_functional,
     table_functional,
 )
+from jacobi_mv.jacobi_sequences import compute, reconstruct_moment_table
 from jacobi_mv.multiindex import enumerate_classes, shift
 from jacobi_mv.orthodecomp import decompose
 from jacobi_mv.polyring import Polynomial
@@ -260,16 +261,57 @@ def test_top_level_preservation_solves_the_pairing_system():
             assert ops.zero_matrix(j, top) == expected
 
 
-def test_out_of_band_component_is_an_error_not_a_silent_drop():
-    # single atom: X b_3 = b_4 - b_1 exactly, with b_1 null; the three-term
-    # structure only holds modulo the null space, and the build refuses to
-    # discard the out-of-band coordinate silently
-    one_atom = atomic_functional([(("1",), "1")])
-    with pytest.raises(InternalConsistencyError):
-        build(decompose(one_atom, 4))
-    # shallow truncations never reach a source level n0+2, so they build
-    ops = build(decompose(one_atom, 2))
-    assert ops.plus_matrix(1, 0) == [[Fraction(1)]]
+# atomic functionals past their first vanishing level n0: (atoms, N)
+PAST_N0 = (
+    # three atoms on a line, n0 = 3
+    ([(("0",), "1/3"), (("1",), "1/3"), (("2",), "1/3")], 6),
+    # four collinear atoms in R^2, n0 = 4
+    ([((str(1 + x), str(Fraction(-1, 2) + 2 * x)), "1/4") for x in range(4)], 4),
+    # the README's two atoms, n0 = 2
+    ([(("0", "0"), "1/2"), (("1", "1"), "1/2")], 5),
+)
+
+
+@pytest.mark.parametrize("atoms,top", PAST_N0)
+def test_build_past_n0_drops_null_components(atoms, top):
+    # past n0, x_j b keeps components outside the band that lie in the null
+    # space (the null polynomials form an ideal); before, build raised here
+    functional = atomic_functional(atoms)
+    decomp = decompose(functional, top)
+    ops = build(decomp)
+    assert verify_adjoints(ops).ok
+    report = verify_quantum_decomposition(ops)
+    assert report.entries and all(e.null for e in report.entries)
+    seq = compute(ops, top)
+    moments = reconstruct_moment_table(seq, top)
+    assert moments == {beta: functional.moment(beta) for beta in moments}
+    assert sum(decomp.level(n).rank for n in range(top + 1)) == len(atoms)
+
+
+def test_out_of_band_component_must_be_null():
+    # a tampered split that adds a level-0 component of norm 1 to x b_2:
+    # outside the band and not null, so build refuses it
+    decomp = decompose(gaussian_functional(1), 3)
+    split = decomp.split_ratios
+
+    def tampered(nums, dens):
+        coords = split(nums, dens)
+        if coords[3] == [Fraction(1)]:  # x * b_2 = b_3 + b_1
+            coords[0] = [Fraction(1)]
+        return coords
+
+    decomp.split_ratios = tampered
+    with pytest.raises(
+        InternalConsistencyError,
+        match=r"^x_1 \* \(basis vector 0 of degree 2\) has a component at degree 0 "
+        "that is not null",
+    ):
+        build(decomp)
+    # a stray component in the null space is dropped: one atom at 1 has b_1
+    # = x - 1 null, and x b_3 = b_4 + b_1
+    ops = build(decompose(atomic_functional([(("1",), "1")]), 4))
+    assert ops.plus_matrix(1, 3) == [[Fraction(1)]]
+    assert ops.minus_matrix(1, 3) == [[Fraction(0)]]
 
 
 def test_matrix_accessors_validate_indices():
