@@ -24,7 +24,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import _linalg
 from .closed_forms import FAMILIES, family_spec, verify_family
-from .errors import Error, InputError, InsufficientMomentsError
+from .errors import Error, InputError, InsufficientMomentsError, shown
 from .jacobi_sequences import compute_from_functional, detect_atoms, reconstruct_moment_table
 from .cap_operators import build
 from .moments import MomentFunctional, functional_from_json
@@ -77,7 +77,9 @@ def _parse_rationals(text: str, what: str) -> Tuple[Fraction, ...]:
         try:
             out.append(Fraction(piece))
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad {what} value {piece!r}: expected a rational like 3 or 1/2") from exc
+            raise InputError(
+                f"bad {what} value {shown(piece)}: expected a rational like 3 or 1/2"
+            ) from exc
     return tuple(out)
 
 
@@ -336,8 +338,21 @@ def run(config: RunConfig) -> Tuple[int, str]:
 
     Status 2 carries an error message instead of a document.  Library
     errors become input errors here: the CLI's inputs are the only way
-    to reach them.
+    to reach them.  An exact number may have more digits than the
+    interpreter converts between int and str by default (4300 since
+    Python 3.11), so that limit is lifted for the run and restored after.
     """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:  # Python before 3.10.7 has no limit
+        return _run(config)
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(config)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(config: RunConfig) -> Tuple[int, str]:
     try:
         command = _validate(config)
         status, document = command.handler(config, *_resolve(config))

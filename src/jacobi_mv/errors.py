@@ -3,7 +3,18 @@
 Every library error derives from Error so callers (and the CLI) can catch
 the whole family at once.  The CLI maps any Error to exit status 2; a failed
 verification is a report, not an exception, and maps to exit status 1.
+Error texts quote rejected input through shown, which cuts a long repr.
 """
+
+SHOWN_LIMIT = 80
+
+
+def shown(value) -> str:
+    """repr(value) for an error text, cut after SHOWN_LIMIT characters."""
+    text = repr(value)
+    if len(text) <= SHOWN_LIMIT:
+        return text
+    return f"{text[:SHOWN_LIMIT]}... ({len(text)} characters)"
 
 
 class Error(Exception):

@@ -37,6 +37,7 @@ from .errors import (
     InvalidIndexError,
     NoMassFactorError,
     UnsupportedParameterError,
+    shown,
 )
 from .multiindex import MultiIndex, _check_dimension, check_integer, degree
 from .polyring import Polynomial
@@ -57,18 +58,18 @@ def _typed(value, kind: type, what: str):
     # JSON true/false parse to bool, an int subclass; they are no count
     if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
         return value
-    raise UnsupportedParameterError(f"{what} must be {_KINDS[kind]}, got {value!r}")
+    raise UnsupportedParameterError(f"{what} must be {_KINDS[kind]}, got {shown(value)}")
 
 
 def _exact(value, what: str) -> Fraction:
     if isinstance(value, float):
         raise UnsupportedParameterError(
-            f"{what} must be exact (int, Fraction or 'p/q' string), got float {value!r}"
+            f"{what} must be exact (int, Fraction or 'p/q' string), got float {shown(value)}"
         )
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise UnsupportedParameterError(f"bad {what}: {value!r}") from exc
+        raise UnsupportedParameterError(f"bad {what}: {shown(value)}") from exc
 
 
 def _exact_list(values, what: str) -> List[Fraction]:
@@ -79,7 +80,7 @@ def _exact_list(values, what: str) -> List[Fraction]:
     """
     if isinstance(values, str) or not isinstance(values, Iterable):
         raise UnsupportedParameterError(
-            f"{what} list must be a sequence of exact numbers, got {values!r}"
+            f"{what} list must be a sequence of exact numbers, got {shown(values)}"
         )
     return [_exact(v, what) for v in values]
 

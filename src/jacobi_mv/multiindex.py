@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .errors import InvalidDimensionError, InvalidIndexError, OutOfLatticeError
+from .errors import InvalidDimensionError, InvalidIndexError, OutOfLatticeError, shown
 
 MultiIndex = Tuple[int, ...]
 
@@ -62,7 +62,7 @@ def occupation(d: int, letters: Iterable[int]) -> MultiIndex:
     counts = [0] * d
     for letter in letters:
         if not isinstance(letter, int) or not 1 <= letter <= d:
-            raise InvalidIndexError(f"index {letter!r} not in 1..{d}")
+            raise InvalidIndexError(f"index {shown(letter)} not in 1..{d}")
         counts[letter - 1] += 1
     return tuple(counts)
 
@@ -140,7 +140,7 @@ def check_index(
     check_integer(value, what)
     if high is None:
         if value < low:
-            raise InvalidIndexError(f"{what} must be an integer >= {low}, got {value!r}")
+            raise InvalidIndexError(f"{what} must be an integer >= {low}, got {shown(value)}")
     elif not low <= value <= high:
         raise InvalidIndexError(f"{what} {value} outside {span}{low}..{high}")
 
@@ -148,10 +148,10 @@ def check_index(
 def check_integer(value, what: str, error: type = InvalidIndexError) -> None:
     """Refuse a value that is no integer, as check_index does before its range."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise error(f"{what} must be an integer, got {value!r}")
+        raise error(f"{what} must be an integer, got {shown(value)}")
 
 
 def _check_dimension(d: int) -> None:
     check_integer(d, "dimension", InvalidDimensionError)
     if d < 1:
-        raise InvalidDimensionError(f"dimension must be a positive integer, got {d!r}")
+        raise InvalidDimensionError(f"dimension must be a positive integer, got {shown(d)}")

@@ -50,6 +50,7 @@ from .errors import (
     InvalidIndexError,
     NotAStateError,
     UnsupportedParameterError,
+    shown,
 )
 from .moments import MomentFunctional
 from .multiindex import MultiIndex, check_index, check_integer
@@ -125,7 +126,9 @@ def _check_exact(entries: Sequence[Fraction], what: str) -> None:
     """Refuse an entry that is not an int or a Fraction, without converting."""
     for v in entries:
         if not isinstance(v, (int, Fraction)):
-            raise UnsupportedParameterError(f"{what} entries must be int or Fraction, got {v!r}")
+            raise UnsupportedParameterError(
+                f"{what} entries must be int or Fraction, got {shown(v)}"
+            )
 
 
 class MomentMatrix:

@@ -694,3 +694,55 @@ def test_cli_module_runs_in_a_fresh_process():
     missing = cli("omega", "--family", "hermite", "--d", "2")
     assert missing.returncode == 2
     assert "the following arguments are required: --max-level/--max-degree" in missing.stderr
+
+
+def _table_doc(top):
+    return {
+        "d": 1,
+        "max_degree": 2,
+        "moments": [{"beta": [0], "value": "1"}, {"beta": [1], "value": "0"},
+                    {"beta": [2], "value": top}],
+    }
+
+
+def test_exact_output_over_the_interpreters_digit_limit(tmp_path, capsys):
+    # before, str() of the 100001-digit omega entry raised ValueError
+    # (Exceeds the limit (4300 digits)) out of main
+    limit = sys.get_int_max_str_digits()
+    path = _write(tmp_path, "big.json", _table_doc("1e100000"))
+    code, out, err = _outcome(["omega", "--measure", path, "--max-level", "1"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["levels"][1]["omega"] == [["1" + "0" * 100000]]
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("as_string", [True, False])
+def test_long_exact_input_is_accepted(as_string, tmp_path, capsys):
+    # before, a 5001-digit moment exited 2 with "bad moment[(2,)]:" and all
+    # 5001 digits
+    limit = sys.get_int_max_str_digits()
+    value = "1" + "0" * 5000
+    path = tmp_path / "long.json"
+    text = json.dumps(_table_doc(value))
+    path.write_text(text if as_string else text.replace(f'"{value}"', value), encoding="utf-8")
+    code, out, err = _outcome(["omega", "--measure", str(path), "--max-level", "1"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["levels"][1]["omega"] == [[value]]
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_long_rejected_input_is_cut_in_the_error_text(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    value = "1" * 5000 + "x"
+    path = _write(tmp_path, "bad.json", _table_doc(value))
+    code, out, err = _outcome(["omega", "--measure", path, "--max-level", "1"], capsys)
+    shown = repr(value)[:80]
+    assert (code, out) == (2, "")
+    assert err == f"error: UnsupportedParameterError: bad moment[(2,)]: {shown}... (5003 characters)\n"
+    code, out, err = _outcome(
+        ["omega", "--family", "laguerre", "--alpha", value, "--max-level", "1"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == (f"error: bad alpha value {shown}... (5003 characters): "
+                   "expected a rational like 3 or 1/2\n")
+    assert sys.get_int_max_str_digits() == limit
