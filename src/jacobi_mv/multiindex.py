@@ -90,12 +90,23 @@ def class_count(d: int, n: int) -> int:
 
 
 def _compositions(d: int, n: int) -> list[MultiIndex]:
-    if d == 1:
-        return [(n,)]
-    out = []
-    for first in range(n, -1, -1):
-        for rest in _compositions(d - 1, n - first):
-            out.append((first,) + rest)
+    """All weight-n vectors over d slots, lexicographically descending.
+
+    Iterative, so d is not bounded by the recursion limit: each vector
+    follows from the one before by taking one unit from its rightmost
+    nonzero slot before the last, and moving it, with all of the last
+    slot's weight, into the slot after.
+    """
+    c = [n] + [0] * (d - 1)
+    out = [tuple(c)]
+    while c[-1] != n:
+        i = d - 2
+        while not c[i]:
+            i -= 1
+        last, c[-1] = c[-1], 0
+        c[i] -= 1
+        c[i + 1] = last + 1
+        out.append(tuple(c))
     return out
 
 

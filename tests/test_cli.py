@@ -746,3 +746,17 @@ def test_long_rejected_input_is_cut_in_the_error_text(tmp_path, capsys):
     assert err == (f"error: bad alpha value {shown}... (5003 characters): "
                    "expected a rational like 3 or 1/2\n")
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_large_dimension_at_level_zero(tmp_path, capsys):
+    # before, d = 1200 raised RecursionError in the class enumeration
+    d = 1200
+    doc = {"d": d, "max_degree": 0, "moments": [{"beta": [0] * d, "value": "1"}]}
+    path = _write(tmp_path, "wide.json", doc)
+    code, out, err = _outcome(["omega", "--measure", path, "--max-level", "0"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["levels"] == [{
+        "n": 0, "classes": [[0] * d], "omega": [["1"]], "convention": "normalized",
+        "mass_factor": "1",
+        "mass_factor_struct": {"rational": "1", "two_pow": "0", "pi_pow": "0", "gamma": []},
+    }]

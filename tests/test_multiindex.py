@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from jacobi_mv.errors import InvalidDimensionError, InvalidIndexError, OutOfLatticeError
 from jacobi_mv.multiindex import (
+    _compositions,
     canonical_key,
     check_index,
     class_count,
@@ -106,3 +107,28 @@ def test_check_index_refuses_non_integers_and_keeps_range_messages():
         check_index(0, "power", 1)
     check_index(7, "power", 1)
     check_index(0, "coordinate", 0, 0)
+
+
+def _recursive_compositions(d, n):
+    # the recursive enumeration _compositions replaced, one call per slot
+    if d == 1:
+        return [(n,)]
+    return [
+        (first,) + rest
+        for first in range(n, -1, -1)
+        for rest in _recursive_compositions(d - 1, n - first)
+    ]
+
+
+def test_compositions_keep_the_recursive_order():
+    for d in range(1, 6):
+        for n in range(6):
+            assert _compositions(d, n) == _recursive_compositions(d, n)
+
+
+def test_large_dimension_does_not_recurse_per_coordinate():
+    # before, d = 1200 raised RecursionError
+    basis = enumerate_classes(1200, 1)
+    assert basis.classes[0] == (1,) + (0,) * 1199
+    assert basis.classes[-1] == (0,) * 1199 + (1,)
+    assert enumerate_classes(1200, 0).classes == ((0,) * 1200,)
