@@ -11,11 +11,12 @@ outside the band a component must be null: a component c at any other
 degree m must have G_m c = 0, and this is asserted rather than assumed
 (InternalConsistencyError otherwise).  For a positive functional the null
 polynomials form an ideal, so past the first vanishing level of an atomic
-functional x_j*p keeps null components outside the band; they are dropped.  At the top level the
-degree-(n+1) component cannot be represented, so preservation and
-annihilation are obtained from the pairing instead: their images match
-x_j*p against every basis vector of the target level, with degenerate
-Gram systems solved with free variables set to zero.  An inconsistent
+functional x_j*p keeps null components outside the band; they are
+dropped.  At the top level the degree-(n+1) component cannot be
+represented, so preservation and annihilation are obtained from the
+pairing instead: their images match x_j*p against every basis vector of
+the target level, with degenerate Gram systems solved with free
+variables set to zero.  An inconsistent
 system there certifies that the moments are not positive semidefinite.
 The top-level pairings take no back substitution: a degree-N monomial is
 its monic basis vector plus lower levels, so the pairings follow from one
@@ -139,11 +140,11 @@ def build(decomposition: Decomposition) -> CAPSystem:
 
     Below the top level the blocks are the coordinates of x_j*p, found by
     back substitution through the coefficient columns; outside the band a
-    component must be null, so a component c at a degree m outside n-1..n+1
-    is checked to have G_m c = 0 and is dropped.  Top-level preservation pairs
-    x_j*p with the level (see _top_pairings); its moment rows are one degree
-    beyond what the decomposition used, so a finite moment table leaves it
-    unset, to raise only if accessed.
+    component must be null, so a component c at a degree m outside
+    n-1..n+1 is checked to have G_m c = 0 and is dropped.  Top-level
+    preservation pairs x_j*p with the level (see _top_pairings); its moment
+    rows are one degree beyond what the decomposition used, so a finite
+    moment table leaves it unset, to raise only if accessed.
     """
     moments = decomposition.moments
     d = decomposition.d
@@ -161,8 +162,10 @@ def build(decomposition: Decomposition) -> CAPSystem:
                 images = [decomposition.split_ratios(*_times(moments, f, unit)) for f in forms]
                 for k, coords in enumerate(images):
                     for m, c in enumerate(coords):
+                        if abs(m - n) < 2 or not any(c):
+                            continue
                         # outside the band a component must be null: G_m c = 0
-                        if abs(m - n) > 1 and any(_linalg.mat_vec(decomposition.level(m).gram, c)):
+                        if any(_linalg.mat_vec(decomposition.level(m).gram, c)):
                             raise InternalConsistencyError(
                                 f"x_{j} * (basis vector {k} of degree {n}) has "
                                 f"a component at degree {m} that is not null; "

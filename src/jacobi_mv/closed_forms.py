@@ -15,8 +15,8 @@ name; only the functional and the stated route need the name.
 
 Each coordinate's one-variable weight fixes its three-term recurrence
 x P_k = c_plus(k) P_{k+1} + c_zero(k) P_k + c_minus(k) P_{k-1}
-(hermite 1/2, 0, k; laguerre -(k+1), 2k+alpha+1, -(k+alpha); an (a, b) weight the
-jacobi coefficients below).  The recurrence yields the 1-D coefficient
+(hermite 1/2, 0, k; laguerre -(k+1), 2k+alpha+1, -(k+alpha); an (a, b)
+weight the jacobi coefficients below).  The recurrence yields the 1-D coefficient
 lists whose tensor products are the family polynomials, the alpha
 entries (c_zero) and the creation factors (products of c_plus).  One
 per-coordinate Gamma formula gives the squared norm of the classical
@@ -137,7 +137,7 @@ class FamilySpec:
         if self.family == "hermite":
             return GaussianFunctional(self.d)
         if self.family == "laguerre":
-            return GammaFunctional([alpha for alpha, in self.weights])
+            return GammaFunctional([alpha for (alpha,) in self.weights])
         a, b = zip(*self.weights)
         return BetaFunctional(a, b)
 

@@ -738,7 +738,8 @@ def test_long_rejected_input_is_cut_in_the_error_text(tmp_path, capsys):
     code, out, err = _outcome(["omega", "--measure", path, "--max-level", "1"], capsys)
     shown = repr(value)[:80]
     assert (code, out) == (2, "")
-    assert err == f"error: UnsupportedParameterError: bad moment[(2,)]: {shown}... (5003 characters)\n"
+    assert err == (f"error: UnsupportedParameterError: bad moment[(2,)]: {shown}... "
+                   "(5003 characters)\n")
     code, out, err = _outcome(
         ["omega", "--family", "laguerre", "--alpha", value, "--max-level", "1"], capsys
     )
