@@ -15,6 +15,8 @@ operation:
   entries collected once, and only those are paired.  The moment
   pairings of orthodecomp do the same sum on integer columns of their own
   (orthodecomp.MomentMatrix.pair), so they skip the per-term conversion.
+  Both return the shared ZERO for an exact zero, so no Fraction is built
+  for it.
 
 * rref: Gauss-Jordan elimination on integer rows.  Each row is cleared of
   its denominators once; an update is p*row_i - f*row_r with p the pivot
@@ -91,7 +93,8 @@ def sum_of_products(pairs: Iterable[Tuple[Fraction, Fraction]]) -> Fraction:
     """The exact sum of x*y over the pairs, as a normalized Fraction.
 
     Accumulates one integer numerator over the lcm of the term
-    denominators seen so far; terms with a zero factor are skipped.
+    denominators seen so far; terms with a zero factor are skipped, and a
+    zero sum returns the shared ZERO.
     """
     num, den = 0, 1
     for x, y in pairs:
@@ -108,7 +111,7 @@ def sum_of_products(pairs: Iterable[Tuple[Fraction, Fraction]]) -> Fraction:
             g = gcd(den, d)
             num = num * (d // g) + xn * yn * (den // g)
             den = den // g * d
-    return Fraction(num, den)
+    return Fraction(num, den) if num else ZERO
 
 
 def mat_add(a, b) -> Matrix:

@@ -21,7 +21,10 @@ system there certifies that the moments are not positive semidefinite.
 The top-level pairings take no back substitution: a degree-N monomial is
 its monic basis vector plus lower levels, so the pairings follow from one
 moment row per shifted leading monomial, the degree-(N-1) coefficients of
-the columns and the level Gram.
+the columns and the level Gram.  They are symmetric, so only the upper
+triangle is paired.  Top-level annihilation needs no product: creation
+shifts leading monomials, so its right-hand side is a selection of the
+rows of the top Gram.
 
 Matrices are written in the level bases of the decomposition, columns
 indexed by the source level; coordinates j are 1-based.
@@ -34,7 +37,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import _linalg
-from ._linalg import ZERO, Matrix
+from ._linalg import ONE, ZERO, Matrix
 from .errors import (
     InsufficientMomentsError,
     InternalConsistencyError,
@@ -88,18 +91,18 @@ class CAPSystem:
         return _linalg.copy(self._minus[(j, n)])
 
 
-def _times(moments: MomentMatrix, form: IntegerColumn, unit: MultiIndex) -> Tuple[List[int], List[int]]:
-    """Coefficient vector of x^unit * b, as numerators and denominators, for
-    the polynomial b with this column."""
+def _times(moments: MomentMatrix, form: IntegerColumn, step: int) -> Tuple[List[int], List[int]]:
+    """Coefficient vector of x_j * b, as numerators and denominators, for
+    the polynomial b with this column; step is the code of e_j."""
     nums, dens = [0] * len(moments.basis), [1] * len(moments.basis)
     for a, c in form.terms:
-        p = moments.position[shift(moments.basis[a], unit)]
+        p = moments.code_position[moments.codes[a] + step]
         nums[p], dens[p] = c, form.denominator
     return nums, dens
 
 
 def _top_pairings(
-    decomposition: Decomposition, unit: MultiIndex, rows: Dict[MultiIndex, List[Fraction]]
+    decomposition: Decomposition, unit: MultiIndex, rows: Dict[Tuple[int, MultiIndex], Fraction]
 ) -> Matrix:
     """<b_i, x^unit b_k> over the top level N, as a matrix indexed (i, k).
 
@@ -109,8 +112,11 @@ def _top_pairings(
 
         <b_i, x^(beta_k+unit)> + sum_{|alpha|=N-1} b_k[alpha] G_N[i][alpha+unit]
 
-    rows caches the moment row <b_i, x^gamma> per degree-(N+1) monomial
-    gamma, across coordinates.
+    It equals phi(x^unit b_i b_k), which is symmetric in i and k, so only
+    i <= k is paired and the lower triangle is mirrored.  Each entry is one
+    integer sum (_linalg.sum_of_products) of the moment row value and the
+    correction terms.  rows caches the moment row value <b_i, x^gamma> per
+    (i, gamma), gamma of degree N+1, across coordinates.
     """
     moments = decomposition.moments
     n = decomposition.max_degree
@@ -118,21 +124,25 @@ def _top_pairings(
     forms = decomposition.level_forms(n)
     start = decomposition.starts[n]
     below = range(decomposition.starts[n - 1] if n else start, start)
-    pairings = []
-    for beta, form in zip(lv.monomials, forms):
+    step = moments.code(unit)
+    pairings = [[ZERO] * len(forms) for _ in forms]
+    for k, (beta, form) in enumerate(zip(lv.monomials, forms)):
         gamma = shift(beta, unit)
-        if gamma not in rows:
-            rows[gamma] = [moments.pair(f, gamma) for f in forms]
-        out = list(rows[gamma])
-        for a, c in form.terms:
-            if a in below:
-                value = Fraction(c, form.denominator)
-                q = moments.position[shift(moments.basis[a], unit)] - start
-                for i, row in enumerate(lv.gram):
-                    if row[q]:
-                        out[i] += value * row[q]
-        pairings.append(out)
-    return _linalg.transpose(pairings)
+        # b_k[alpha] at level N-1, with the level-N position of alpha+unit
+        shifted = [
+            (moments.code_position[moments.codes[a] + step] - start, Fraction(c, form.denominator))
+            for a, c in form.terms
+            if a in below
+        ]
+        for i in range(k + 1):
+            value = rows.get((i, gamma))
+            if value is None:
+                value = rows[(i, gamma)] = moments.pair(forms[i], gamma)
+            row = lv.gram[i]
+            pairings[i][k] = pairings[k][i] = _linalg.sum_of_products(
+                [(value, ONE)] + [(row[q], b) for q, b in shifted]
+            )
+    return pairings
 
 
 def build(decomposition: Decomposition) -> CAPSystem:
@@ -144,7 +154,10 @@ def build(decomposition: Decomposition) -> CAPSystem:
     n-1..n+1 is checked to have G_m c = 0 and is dropped.  Top-level
     preservation pairs x_j*p with the level (see _top_pairings); its moment
     rows are one degree beyond what the decomposition used, so a finite
-    moment table leaves it unset, to raise only if accessed.
+    moment table leaves it unset, to raise only if accessed.  Top-level
+    annihilation solves G_{N-1} Z = plus_{j|N-1}^T G_N; the bases are monic,
+    so plus_{j|N-1} sends class k to the class of beta_k + e_j, and its
+    right-hand side is the rows of G_N at those positions.
     """
     moments = decomposition.moments
     d = decomposition.d
@@ -152,14 +165,15 @@ def build(decomposition: Decomposition) -> CAPSystem:
     plus: Dict[Tuple[int, int], Matrix] = {}
     zero: Dict[Tuple[int, int], Optional[Matrix]] = {}
     minus: Dict[Tuple[int, int], Matrix] = {}
-    rows: Dict[MultiIndex, List[Fraction]] = {}
+    rows: Dict[Tuple[int, MultiIndex], Fraction] = {}
     for n in range(top + 1):
         lv = decomposition.level(n)
         forms = decomposition.level_forms(n)
         for j in range(1, d + 1):
             unit = tuple(int(i == j - 1) for i in range(d))
+            step = moments.code(unit)
             if n < top:
-                images = [decomposition.split_ratios(*_times(moments, f, unit)) for f in forms]
+                images = [decomposition.split_ratios(*_times(moments, f, step)) for f in forms]
                 for k, coords in enumerate(images):
                     for m, c in enumerate(coords):
                         if abs(m - n) < 2 or not any(c):
@@ -189,8 +203,13 @@ def build(decomposition: Decomposition) -> CAPSystem:
             if n == 0:
                 minus[(j, n)] = []
                 continue
-            # <b', x_j b> = <x_j b', b> only sees the creation image of b'
-            rhs = _linalg.mat_mul(_linalg.transpose(plus[(j, n - 1)]), lv.gram_matrix())
+            # <b', x_j b> = <x_j b', b> only sees the creation image of b',
+            # the basis vector of beta' + e_j
+            start = decomposition.starts[n]
+            rhs = [
+                lv.gram[moments.code_position[moments.codes[a] + step] - start]
+                for a in range(decomposition.starts[n - 1], start)
+            ]
             minus[(j, n)] = _linalg.solve_consistent(decomposition.level(n - 1).gram_matrix(), rhs)
             if minus[(j, n)] is None:
                 raise NotAStateError(
@@ -224,11 +243,31 @@ class QuantumDecompositionEntry:
 
 @dataclass(frozen=True)
 class QuantumDecompositionReport:
+    """The residual of every checked basis vector; ok means all are zero.
+
+    verdict is "exact" when every residual is zero, "null" when every
+    residual is null (phi(r^2) = 0) but some are not zero, and "failed"
+    when some residual is not null.  For a positive functional the null
+    polynomials form an ideal, so past the first vanishing level of an
+    atomic functional "null" is what a correct system gives.
+    """
+
     ok: bool
     entries: Tuple[QuantumDecompositionEntry, ...]
 
+    @property
+    def verdict(self) -> str:
+        if self.ok:
+            return "exact"
+        return "null" if all(e.null for e in self.entries) else "failed"
+
     def witnesses(self) -> Tuple[QuantumDecompositionEntry, ...]:
+        """The entries whose residual is not zero."""
         return tuple(e for e in self.entries if not e.exact)
+
+    def null_witnesses(self) -> Tuple[QuantumDecompositionEntry, ...]:
+        """The entries whose residual is null but not zero."""
+        return tuple(e for e in self.entries if e.null and not e.exact)
 
 
 def verify_quantum_decomposition(system: CAPSystem) -> QuantumDecompositionReport:
@@ -242,7 +281,8 @@ def verify_quantum_decomposition(system: CAPSystem) -> QuantumDecompositionRepor
     subtracted from it in integers.  The residual r has
     squared norm r^T M r on the moment matrix.  Levels below the top are
     covered (creation out of the top level is not representable).  Failures
-    are reported with the residual polynomial as witness, never raised.
+    are reported with the residual polynomial as witness, never raised; the
+    report's verdict tells zero residuals from null ones.
     """
     decomp = system.decomposition
     moments = decomp.moments
@@ -250,12 +290,12 @@ def verify_quantum_decomposition(system: CAPSystem) -> QuantumDecompositionRepor
     for n in range(decomp.max_degree):
         forms = decomp.level_forms(n)
         for j in range(1, system.d + 1):
-            unit = tuple(int(i == j - 1) for i in range(system.d))
+            step = moments.code(tuple(int(i == j - 1) for i in range(system.d)))
             blocks = [(n + 1, system._plus[(j, n)]), (n, system._zero[(j, n)])]
             if n:
                 blocks.append((n - 1, system._minus[(j, n)]))
             for k, form in enumerate(forms):
-                nums, dens = _times(moments, form, unit)
+                nums, dens = _times(moments, form, step)
                 for m, block in blocks:
                     for lower, row in zip(decomp.level_forms(m), block):
                         if row[k]:

@@ -32,7 +32,10 @@ too.
 Each column is kept once, as an IntegerColumn: its nonzero entries as
 integer numerators over one denominator, built when its level is done.
 MomentMatrix.pair takes that form, so a pairing is an integer dot product
-against the moments' integer ratios and builds one Fraction.
+against the moments' integer ratios and builds one Fraction, or none for
+an exact zero.  The moments are keyed by packed exponent codes (pack), so
+pairing a column with x^beta shifts each of its monomials by one integer
+add; the code of each beta is computed once per moment matrix.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .errors import (
     shown,
 )
 from .moments import MomentFunctional
-from .multiindex import MultiIndex, check_index, check_integer
+from .multiindex import MultiIndex, check_index, check_integer, degree
 from .polyring import Polynomial, monomial_basis, monomials_of_degree
 
 
@@ -131,21 +134,61 @@ def _check_exact(entries: Sequence[Fraction], what: str) -> None:
             )
 
 
+def pack(beta: Sequence[int], radix: int) -> int:
+    """The exponent code sum_i beta_i radix^i of a multi-index.
+
+    Two multi-indices with entries below radix have equal codes only when
+    they are equal, and code(alpha + beta) = code(alpha) + code(beta)
+    whenever every entry of alpha + beta stays below radix.
+    """
+    return sum(b * radix**i for i, b in enumerate(beta) if b)
+
+
 class MomentMatrix:
     """M[a][b] = phi(x^(a+b)) over monomial_basis(d, N), filled on first use.
 
     Each distinct moment is fetched once and kept as its integer ratio, and
     one that the functional cannot supply raises only when a computation
-    needs it.
+    needs it.  A moment is keyed by the exponent code of its multi-index in
+    radix R = 2N+2 (see pack): a basis monomial has entries <= N and every
+    multi-index it is shifted by has degree <= N+1, so the entries of a key
+    stay <= 2N+1 and shifting a monomial is one integer add of codes.
+    codes[a] is the code of basis monomial a and code_position maps a code
+    back to its position in the basis.
     """
 
     def __init__(self, functional: MomentFunctional, max_degree: int):
         self.functional = functional
+        self.max_degree = max_degree
         self.basis = monomial_basis(functional.d, max_degree)
         self.position = {beta: a for a, beta in enumerate(self.basis)}
-        self._moments: Dict[MultiIndex, Tuple[int, int]] = {}
-        # beta -> the multi-indices alpha+beta over the basis, in basis order
-        self._shifted: Dict[MultiIndex, List[MultiIndex]] = {}
+        self.radix = 2 * max_degree + 2
+        self.codes = [pack(alpha, self.radix) for alpha in self.basis]
+        self.code_position = {c: a for a, c in enumerate(self.codes)}
+        self._shifts: Dict[MultiIndex, int] = {}  # beta -> code, for |beta| <= N+1
+        self._moments: Dict[int, Tuple[int, int]] = {}
+
+    def code(self, beta: MultiIndex) -> int:
+        """The code of a multi-index that basis monomials are shifted by.
+
+        Computed once per beta.  A beta of degree above N+1 (or with a
+        negative entry, or of the wrong length) is refused: a shift by it
+        could carry out of the radix.
+        """
+        code = self._shifts.get(beta)
+        if code is None:
+            if (
+                len(beta) != self.functional.d
+                or min(beta) < 0
+                or degree(beta) > self.max_degree + 1
+            ):
+                raise InvalidIndexError(
+                    f"cannot shift the degree-{self.max_degree} basis by {shown(beta)}: "
+                    f"moment keys hold shifts in N^{self.functional.d} of degree "
+                    f"<= {self.max_degree + 1}"
+                )
+            code = self._shifts[beta] = pack(beta, self.radix)
+        return code
 
     def pair(self, column: IntegerColumn, beta: MultiIndex) -> Fraction:
         """phi(b * x^beta) for the polynomial b with this integer column.
@@ -154,20 +197,18 @@ class MomentMatrix:
         coefficient at alpha is nonzero, so a table that lacks the moments at
         the zero coefficients still pairs.  The sum is one integer numerator
         over the running lcm of the moment denominators, divided by the
-        column's denominator in the one Fraction it returns.
+        column's denominator in the one Fraction it returns; a zero sum
+        returns the shared ZERO.
         """
-        keys = self._shifted.get(beta)
-        if keys is None:
-            keys = self._shifted[beta] = [
-                tuple(x + y for x, y in zip(alpha, beta)) for alpha in self.basis
-            ]
-        moments = self._moments
+        shift = self._shifts.get(beta)
+        if shift is None:
+            shift = self.code(beta)
+        codes, moments = self.codes, self._moments
         num, den = 0, 1
         for a, c in column.terms:
-            key = keys[a]
-            moment = moments.get(key)
+            moment = moments.get(codes[a] + shift)
             if moment is None:
-                moment = moments[key] = self.functional.moment(key).as_integer_ratio()
+                moment = self._fetch(a, beta)
             mn, md = moment
             if not mn:
                 continue
@@ -177,7 +218,14 @@ class MomentMatrix:
                 g = gcd(den, md)
                 num = num * (md // g) + c * mn * (den // g)
                 den = den // g * md
-        return Fraction(num, den * column.denominator)
+        return Fraction(num, den * column.denominator) if num else ZERO
+
+    def _fetch(self, a: int, beta: MultiIndex) -> Tuple[int, int]:
+        """Fetch phi(x^(alpha+beta)) for basis monomial a and keep its ratio."""
+        key = tuple(x + y for x, y in zip(self.basis[a], beta))
+        moment = self.functional.moment(key).as_integer_ratio()
+        self._moments[self.codes[a] + self._shifts[beta]] = moment
+        return moment
 
 
 class Decomposition:

@@ -7,6 +7,7 @@ import pytest
 from jacobi_mv import _linalg
 from jacobi_mv.cap_operators import (
     CAPSystem,
+    _top_pairings,
     build,
     verify_adjoints,
     verify_quantum_decomposition,
@@ -27,10 +28,10 @@ from jacobi_mv.moments import (
 from jacobi_mv.jacobi_sequences import compute, reconstruct_moment_table
 from jacobi_mv.multiindex import enumerate_classes, shift
 from jacobi_mv.orthodecomp import decompose
-from jacobi_mv.polyring import Polynomial
+from jacobi_mv.polyring import Polynomial, monomial_basis, monomials_of_degree
 
 from golden.regen import MEASURES
-from polynomial_oracle import apply
+from polynomial_oracle import apply, top_pairings
 
 
 def _functionals():
@@ -146,7 +147,8 @@ def test_quantum_decomposition_matches_the_polynomial_reference():
     ]
     systems = [build(decompose(f, top)) for f, top in cases]
     for system in systems:
-        assert verify_quantum_decomposition(system).ok
+        report = verify_quantum_decomposition(system)
+        assert report.ok and report.verdict == "exact" and report.null_witnesses() == ()
     # one entry of each block off by 1/3: residuals that are neither zero
     # nor null
     gaussian = build(decompose(gaussian_functional(2), 3))
@@ -158,14 +160,15 @@ def test_quantum_decomposition_matches_the_polynomial_reference():
     assert len(tampered) == 8
     for system in tampered:
         report = verify_quantum_decomposition(system)
-        assert not report.ok
+        assert not report.ok and report.verdict == "failed"
         assert any(not e.null for e in report.witnesses())
     # level 3 of three atoms on a line is null: a residual b_3 is not zero
     # but has norm zero
     line = _tampered(build(decompose(atomic_functional(LINE_ATOMS), 4)), "zero", (1, 3), 1)
     report = verify_quantum_decomposition(line)
-    assert not report.ok
+    assert not report.ok and report.verdict == "null"
     assert report.witnesses() and all(e.null for e in report.witnesses())
+    assert report.null_witnesses() == report.witnesses()
     for system in systems + tampered + [line]:
         report = verify_quantum_decomposition(system)
         got = [(e.j, e.n, e.index, e.residual, e.residual_norm_sq) for e in report.entries]
@@ -173,6 +176,7 @@ def test_quantum_decomposition_matches_the_polynomial_reference():
         assert got == expected
         assert report.ok == all(r.is_zero() for *_, r, _ in expected)
         assert [e for e in report.entries if not e.exact] == list(report.witnesses())
+        assert [e for e in report.witnesses() if e.null] == list(report.null_witnesses())
         for e, (*_, r, norm_sq) in zip(report.entries, expected):
             assert e.exact == r.is_zero() and e.null == (norm_sq == 0)
 
@@ -246,18 +250,11 @@ def test_top_level_preservation_solves_the_pairing_system():
     # a0_{j|N} solves G_N Z = [<b_i, x_j b_k>], the pairings formed here by
     # polynomial products
     for dec in _top_level_cases():
-        phi = dec.functional
         top = dec.max_degree
         lv = dec.level(top)
-        basis = dec.polynomials(top)
         ops = build(dec)
         for j in range(1, dec.d + 1):
-            x_j = Polynomial.variable(dec.d, j)
-            pairings = [
-                [phi.inner_product(b_i, b_k * x_j) for b_k in basis]
-                for b_i in basis
-            ]
-            expected = _linalg.solve_consistent(lv.gram_matrix(), pairings)
+            expected = _linalg.solve_consistent(lv.gram_matrix(), top_pairings(dec, j))
             assert ops.zero_matrix(j, top) == expected
 
 
@@ -312,6 +309,115 @@ def test_out_of_band_component_must_be_null():
     ops = build(decompose(atomic_functional([(("1",), "1")]), 4))
     assert ops.plus_matrix(1, 3) == [[Fraction(1)]]
     assert ops.minus_matrix(1, 3) == [[Fraction(0)]]
+
+
+def test_quantum_decomposition_verdict_past_n0():
+    # the README's two atoms at N = 5, past n0 = 2: ok asks every residual
+    # to be zero, but the null polynomials form an ideal, so null residuals
+    # are what a correct system leaves there
+    two = atomic_functional(PAST_N0[2][0])
+    report = verify_quantum_decomposition(build(decompose(two, 5)))
+    assert len(report.entries) == 30 and all(e.null for e in report.entries)
+    assert len(report.witnesses()) == 10
+    assert not report.ok and report.verdict == "null"
+    assert report.null_witnesses() == report.witnesses()
+    # below n0 + 1 every residual is zero
+    report = verify_quantum_decomposition(build(decompose(two, 2)))
+    assert report.ok and report.verdict == "exact" and report.null_witnesses() == ()
+
+
+def _jacobi_d3():
+    # the jacobi weight of the classical benchmark's big job
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    return beta_functional([0, half, -half], [half, 1, third])
+
+
+def _twelve_atom_table(max_degree):
+    # the twelve atoms in general position: full-rank, dense levels up to 3
+    twelve = functional_from_json(MEASURES["twelve_atoms"])
+    return table_functional(
+        2, max_degree, {b: twelve.moment(b) for b in monomial_basis(2, max_degree)}
+    )
+
+
+# product weights, atomic functionals past n0 and a moment table of degree
+# 2N+1: (functional, N).  The product weights have diagonal top pairings, the
+# atoms past n0 zero ones; the table's are dense.
+SHIFT_CASES = [
+    pytest.param(gaussian_functional(2), 4, id="gaussian-d2"),
+    pytest.param(_jacobi_d3(), 3, id="jacobi-d3"),
+    pytest.param(atomic_functional(PAST_N0[2][0]), 5, id="two-atoms"),
+    pytest.param(atomic_functional(PAST_N0[1][0]), 4, id="collinear-atoms"),
+    pytest.param(_twelve_atom_table(7), 3, id="table"),
+]
+
+
+def _unit(d, j):
+    return tuple(int(i == j - 1) for i in range(d))
+
+
+@pytest.mark.parametrize("functional,top", SHIFT_CASES)
+def test_creation_is_the_shift_the_top_annihilation_selects(functional, top):
+    # every plus_{j|n} is the 0/1 matrix sending class k to the position of
+    # beta_k + e_j, so build takes plus_{j|N-1}^T G_N as rows of G_N; the
+    # product formed here must give the same annihilation block
+    dec = decompose(functional, top)
+    ops = build(dec)
+    for j in range(1, dec.d + 1):
+        for n in range(top):
+            src, dst = dec.level(n).monomials, dec.level(n + 1).monomials
+            targets = [dst.index(shift(beta, _unit(dec.d, j))) for beta in src]
+            expected = [[Fraction(int(row == t)) for t in targets] for row in range(len(dst))]
+            assert ops.plus_matrix(j, n) == expected
+        rhs = _linalg.mat_mul(
+            _linalg.transpose(ops.plus_matrix(j, top - 1)), dec.level(top).gram_matrix()
+        )
+        expected = _linalg.solve_consistent(dec.level(top - 1).gram_matrix(), rhs)
+        assert ops.minus_matrix(j, top) == expected
+
+
+@pytest.mark.parametrize("functional,top", SHIFT_CASES)
+def test_top_pairings_match_the_polynomial_oracle(functional, top):
+    # only the upper triangle is paired and mirrored: phi(b_i x_j b_k) is
+    # symmetric in i and k
+    dec = decompose(functional, top)
+    rows = {}
+    for j in range(1, dec.d + 1):
+        pairings = _top_pairings(dec, _unit(dec.d, j), rows)
+        assert pairings == top_pairings(dec, j)
+        assert pairings == _linalg.transpose(pairings)
+
+
+def test_top_pairings_pair_the_upper_triangle_once():
+    # one moment row value per (i, gamma) with i <= k, shared by the
+    # coordinates: 343 at d = 3, N = 5, where the full rows took 28 * 21
+    dec = decompose(_jacobi_d3(), 5)
+    rows = {}
+    for j in range(1, 4):
+        _top_pairings(dec, _unit(3, j), rows)
+    assert len(dec.level(5)) == 21 and len(monomials_of_degree(3, 6)) == 28
+    assert len(rows) == 343
+
+
+def test_top_pairings_need_degree_2n_plus_1():
+    # a table of degree exactly 2N leaves every top preservation block unset
+    dec = decompose(_twelve_atom_table(6), 3)
+    for j in (1, 2):
+        with pytest.raises(InsufficientMomentsError):
+            _top_pairings(dec, _unit(2, j), {})
+    ops = build(dec)
+    for j in (1, 2):
+        with pytest.raises(InsufficientMomentsError):
+            ops.zero_matrix(j, 3)
+    # one degree more sets them, to the pairing system's solution; the
+    # pairings are dense, so the mirrored lower triangle is checked too
+    dec = decompose(_twelve_atom_table(7), 3)
+    ops = build(dec)
+    for j in (1, 2):
+        pairings = top_pairings(dec, j)
+        assert not _linalg.is_diagonal(pairings)
+        assert _top_pairings(dec, _unit(2, j), {}) == pairings
+        assert ops.zero_matrix(j, 3) == _linalg.solve_consistent(dec.level(3).gram_matrix(), pairings)
 
 
 def test_matrix_accessors_validate_indices():

@@ -283,4 +283,5 @@ def test_sum_of_products_is_the_normalized_exact_sum(pairs, cancel):
     assert total == sum((Fraction(x) * y for x, y in pairs), ZERO)
     assert total.denominator > 0 and gcd(total.numerator, total.denominator) == 1
     if cancel:
-        assert total == 0 and total.denominator == 1
+        # an exact zero is the shared ZERO, with no Fraction built for it
+        assert total is ZERO

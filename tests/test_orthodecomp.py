@@ -24,7 +24,7 @@ from jacobi_mv.moments import (
     gaussian_functional,
     table_functional,
 )
-from jacobi_mv.orthodecomp import IntegerColumn, MomentMatrix, decompose
+from jacobi_mv.orthodecomp import IntegerColumn, MomentMatrix, decompose, pack
 from jacobi_mv.polyring import Polynomial, monomial_basis, monomials_of_degree
 
 from polynomial_oracle import vector
@@ -395,5 +395,39 @@ def test_pair_skips_the_moments_at_zero_coefficients():
     assert column == IntegerColumn(((0, -2), (2, 1)), 1)
     assert moments.pair(column, (0,)) == g.moment((2,)) - 2
     assert moments.pair(column, (2,)) == g.moment((4,)) - 2 * g.moment((2,))
-    with pytest.raises(InsufficientMomentsError):
+    # phi(x^2 - 2) = 0 when phi(1) = 1 and phi(x^2) = 2: an exact zero is
+    # the shared ZERO
+    assert MomentMatrix(table_functional(1, 2, {(0,): 1, (2,): 2}), 2).pair(column, (0,)) is ZERO
+    with pytest.raises(InsufficientMomentsError, match=r"^moment \(1,\) is not in the table$"):
         moments.pair(IntegerColumn.of([(0, 1), (1, 1)]), (0,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_codes_are_injective_and_additive(data):
+    # a moment matrix of degree N packs in radix 2N+2, and its keys have
+    # entries <= 2N+1
+    d = data.draw(st.integers(1, 4))
+    radix = 2 * data.draw(st.integers(0, 4)) + 2
+    index = st.tuples(*[st.integers(0, radix - 1)] * d)
+    a, b = data.draw(index), data.draw(index)
+    assert (pack(a, radix) == pack(b, radix)) == (a == b)
+    alpha = tuple(data.draw(st.integers(0, x)) for x in a)
+    beta = tuple(x - y for x, y in zip(a, alpha))
+    assert pack(alpha, radix) + pack(beta, radix) == pack(a, radix)
+
+
+def test_moment_matrix_shifts_by_codes_and_refuses_a_carry():
+    moments = MomentMatrix(gaussian_functional(2), 2)
+    assert moments.radix == 6
+    for beta in monomial_basis(2, 3):  # every shift of degree <= N+1
+        for a, alpha in enumerate(moments.basis):
+            key = tuple(x + y for x, y in zip(alpha, beta))
+            assert moments.codes[a] + moments.code(beta) == pack(key, 6)
+    assert [moments.code_position[c] for c in moments.codes] == list(range(6))
+    # degree N+2 could carry out of the radix, and so could a negative entry
+    for beta in ((4, 0), (2, 2), (-1, 1), (1, 1, 1)):
+        with pytest.raises(InvalidIndexError, match="cannot shift the degree-2 basis by"):
+            moments.code(beta)
+    with pytest.raises(InvalidIndexError):
+        moments.pair(IntegerColumn.of([(1, 1)]), (0, 4))
