@@ -20,19 +20,25 @@ weight the jacobi coefficients below).  The recurrence yields the 1-D coefficien
 lists whose tensor products are the family polynomials, the alpha
 entries (c_zero) and the creation factors (products of c_plus).  One
 per-coordinate Gamma formula gives the squared norm of the classical
-degree-k polynomial.  The monic polynomial is the classical one times
-lead_k = prod_{p<k} c_plus(p), so the omega factor omega_i(k), its
-squared norm, is the classical norm times lead_k^2; an omega entry is
-the product of the factors of its class.  verify_family builds one table
-per distinct one-variable weight for degrees 0..max_level: the
-recurrence rows, the omega ratios r(k) = omega(k) / mass, the mass
-factor and the 1-D coefficient lists.  Coordinates with the same weight
-share it, and the master closed forms are read off it; the stated route
-keeps its per-class quoted forms.  The creation lemma is checked on
-level coordinates: each distinct family polynomial is split once per
-call into its level bases, and the split of f * F is that split scaled
-by the creation factor f.  Each creation step multiplies every nonzero
-level n < N by the stored block a+_{i|n} into level n+1.
+degree-k polynomial, stated once as the mass (k = 0) times the integer
+ratio norm(k) / norm(0) (_norm_ratio).  The monic polynomial is the
+classical one times lead_k = prod_{p<k} c_plus(p), so the omega factor
+omega_i(k), its squared norm, is the classical norm times lead_k^2; an
+omega entry is the product of the factors of its class.  verify_family
+builds one table per distinct one-variable weight for degrees
+0..max_level: the recurrence rows, the omega ratios r(k) = omega(k) /
+mass, the mass factor (the table's one GammaProduct) and the 1-D
+coefficient lists, as integer numerators over one denominator per
+degree.  Coordinates with the same weight share it, and the master
+closed forms are read off it; the stated route keeps its per-class
+quoted forms.  The creation lemma is checked on level coordinates: each
+distinct family polynomial is formed as an integer column keyed by
+packed exponent codes and split once per call into its level bases, and
+the split of f * F is that split scaled by the creation factor f,
+compared cross-multiplied in integers.  Each creation step applies the
+stored block a+_{i|n} by columns: every nonzero coordinate of level
+n < N scatters the nonzero entries of its column into level n+1, and
+each target row is one integer sum.
 
 Two evaluation routes exist for the symmetric families:
 
@@ -59,6 +65,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
@@ -77,6 +84,7 @@ from .moments import (
     GaussianFunctional,
     MomentFunctional,
     _exact_list,
+    _multiplicities,
 )
 from .multiindex import (
     MultiIndex,
@@ -201,58 +209,105 @@ def _recurrence(spec: FamilySpec, coordinate: int, k: int) -> Tuple[Fraction, Fr
     and never evaluated.  For jacobi, with s = a + b, k = 0 takes the
     cancelled forms 2/(s+2) and (b-a)/(s+2): the generic expressions are
     0/0 there when s = -1 (first-kind chebyshev weight) or s = 0.
+
+    The parameters are put over one common denominator q, so each
+    coefficient is one integer numerator over one integer denominator
+    (for jacobi, with the numerators pa = a q, pb = b q and s q = pa + pb,
+    c_plus(k) = 2 (k+1) (k q + s q + q) q / ((2k+s+1) q (2k+s+2) q)), and
+    one Fraction.
     """
     match spec.weights[coordinate - 1]:
         case ():
             return HALF, ZERO, Fraction(k)
         case (alpha,):
-            return Fraction(-(k + 1)), 2 * k + alpha + 1, -(k + alpha) if k else ZERO
+            p, q = alpha.as_integer_ratio()
+            c_minus = Fraction(-(k * q + p), q) if k else ZERO
+            return Fraction(-(k + 1)), Fraction(2 * k * q + p + q, q), c_minus
         case (a, b):
-            s = a + b
+            (pa, pb), q = _over_one_denominator((a, b))
+            sq = pa + pb
             if k == 0:
-                return Fraction(2) / (s + 2), (b - a) / (s + 2), ZERO
-            if (2 * k + s) * (2 * k + s + 1) * (2 * k + s + 2) == 0:
+                return Fraction(2 * q, sq + 2 * q), Fraction(pb - pa, sq + 2 * q), ZERO
+            # (2k+s) q, (2k+s+1) q and (2k+s+2) q
+            low, mid, high = 2 * k * q + sq, 2 * k * q + sq + q, 2 * k * q + sq + 2 * q
+            if low * mid * high == 0:
                 raise SingularParameterError(
                     f"jacobi recurrence denominator vanishes at k={k}, a={a}, b={b}"
                 )
             return (
-                2 * (k + 1) * (k + s + 1) / ((2 * k + s + 1) * (2 * k + s + 2)),
-                (b * b - a * a) / ((2 * k + s) * (2 * k + s + 2)),
-                2 * (k + a) * (k + b) / ((2 * k + s) * (2 * k + s + 1)),
+                Fraction(2 * (k + 1) * (k * q + sq + q) * q, mid * high),
+                Fraction(pb * pb - pa * pa, low * high),
+                Fraction(2 * (k * q + pa) * (k * q + pb), low * mid),
             )
 
 
-def _one_d(recurrence: Sequence[Tuple[Fraction, Fraction, Fraction]]) -> List[List[Fraction]]:
-    """Coefficient lists (constant term first) of P_0..P_top in one coordinate.
+def _over_one_denominator(params: Sequence[Fraction]) -> Tuple[Tuple[int, ...], int]:
+    """(numerators, q): the parameters as integer numerators over their common denominator q."""
+    q = lcm(*(v.denominator for v in params))
+    return tuple(v.numerator * (q // v.denominator) for v in params), q
+
+
+_IntegerList = Tuple[List[int], int]
+"""Coefficients (constant term first) as integer numerators over one denominator > 0."""
+
+
+def _one_d(recurrence: Sequence[Tuple[Fraction, Fraction, Fraction]]) -> List[_IntegerList]:
+    """Coefficient lists of P_0..P_top in one coordinate, in integers.
 
     recurrence holds that coordinate's (c_plus, c_zero, c_minus)(k) for
-    k = 0..top-1.
+    k = 0..top-1.  P_{k+1} = ((x - c_zero) P_k - c_minus P_{k-1}) / c_plus
+    is formed over the lcm of the two terms' denominators, and each list is
+    kept in lowest terms: its denominator is the lcm of its coefficients'
+    denominators.
     """
-    out = [[Fraction(1)]]
+    out: List[_IntegerList] = [([1], 1)]
     for k, (c_plus, c_zero, c_minus) in enumerate(recurrence):
-        nxt = [ZERO] + out[k]  # x P_k
-        for i, c in enumerate(out[k]):
-            nxt[i] -= c_zero * c
+        nums, den = out[k]
+        zn, zd = c_zero.as_integer_ratio()
+        nxt = [0] + [c * zd for c in nums]  # (x - c_zero) P_k over den * zd
+        for i, c in enumerate(nums):
+            nxt[i] -= zn * c
+        den *= zd
         if k:
-            for i, c in enumerate(out[k - 1]):
-                nxt[i] -= c_minus * c
-        out.append([c / c_plus for c in nxt])
+            low, low_den = out[k - 1]
+            mn, md = c_minus.as_integer_ratio()
+            low_den *= md
+            g = gcd(den, low_den)
+            nxt = [c * (low_den // g) for c in nxt]
+            for i, c in enumerate(low):
+                nxt[i] -= mn * c * (den // g)
+            den = den // g * low_den
+        pn, pd = c_plus.as_integer_ratio()
+        if pn < 0:
+            pn, pd = -pn, -pd
+        nxt = [c * pd for c in nxt]
+        den *= pn
+        g = gcd(den, *nxt)
+        out.append(([c // g for c in nxt], den // g))
     return out
 
 
 def _tensor(
-    one_d: Sequence[List[List[Fraction]]], index: MultiIndex
-) -> Dict[MultiIndex, Fraction]:
-    """Nonzero terms of prod_i P_{index_i}(x_i), from per-coordinate lists."""
-    terms = {(): Fraction(1)}
+    one_d: Sequence[Sequence[_IntegerList]], index: MultiIndex, radix: int
+) -> Tuple[Dict[int, int], int]:
+    """Nonzero terms of prod_i P_{index_i}(x_i), from per-coordinate lists.
+
+    The terms are integer numerators over the one returned denominator,
+    keyed by the packed exponent code of their monomial in this radix
+    (orthodecomp.pack), which must exceed every index entry.
+    """
+    terms, den, place = {0: 1}, 1, 1
     for lists, k in zip(one_d, index):
+        nums, q = lists[k]
         terms = {
-            beta + (e,): c * v
-            for beta, c in terms.items()
-            for e, v in enumerate(lists[k])
+            code + e * place: c * v
+            for code, c in terms.items()
+            for e, v in enumerate(nums)
             if v
         }
-    return terms
+        den *= q
+        place *= radix
+    return terms, den
 
 
 def _check_index(spec: FamilySpec, index: MultiIndex) -> None:
@@ -278,7 +333,12 @@ def family_polynomial(spec: FamilySpec, index: MultiIndex) -> Polynomial:
         _one_d([_recurrence(spec, i, p) for p in range(k)])
         for i, k in enumerate(index, start=1)
     ]
-    return Polynomial(spec.d, _tensor(one_d, index))
+    radix = max(index) + 1
+    terms, den = _tensor(one_d, index, radix)
+    return Polynomial(spec.d, {
+        tuple(code // radix**i % radix for i in range(spec.d)): Fraction(c, den)
+        for code, c in terms.items()
+    })
 
 
 def _norm_factor(spec: FamilySpec, coordinate: int, k: int) -> GammaProduct:
@@ -288,25 +348,44 @@ def _norm_factor(spec: FamilySpec, coordinate: int, k: int) -> GammaProduct:
     laguerre Gamma(k+alpha+1) / k!, jacobi 2^(s+1) Gamma(k+a+1) Gamma(k+b+1)
     / (k! (2k+s+1) Gamma(k+s+1)) with s = a + b, where the k = 0
     denominator is the cancelled (2k+s+1) Gamma(k+s+1) -> Gamma(s+2),
-    finite for all valid parameters.  At k = 0 it is the coordinate's mass.
+    finite for all valid parameters.  At k = 0 it is the coordinate's mass,
+    built as one GammaProduct; degree k is that mass times the rational
+    _norm_ratio(weight, k).
     """
-    match spec.weights[coordinate - 1]:
+    weight = spec.weights[coordinate - 1]
+    match weight:
         case ():
-            return GammaProduct(rational=math.factorial(k) << k, pi_pow=HALF)
+            mass = GammaProduct(pi_pow=HALF)
         case (alpha,):
-            return GammaProduct(
-                rational=Fraction(1, math.factorial(k)), gammas={alpha + k + 1: 1}
-            )
+            mass = GammaProduct(gammas={alpha + 1: 1})
         case (a, b):
-            s = a + b
-            if k == 0:
-                rational, below = Fraction(1), s + 2
-            else:
-                rational, below = 1 / (math.factorial(k) * (2 * k + s + 1)), k + s + 1
-            gammas: Dict[Fraction, int] = {}
-            for arg, mult in ((k + a + 1, 1), (k + b + 1, 1), (below, -1)):
-                gammas[arg] = gammas.get(arg, 0) + mult
-            return GammaProduct(rational=rational, two_pow=s + 1, gammas=gammas)
+            mass = GammaProduct(
+                two_pow=a + b + 1,
+                gammas=_multiplicities(((a + 1, 1), (b + 1, 1), (a + b + 2, -1))),
+            )
+    return mass * _norm_ratio(weight, k) if k else mass
+
+
+def _norm_ratio(weight: Tuple[Fraction, ...], k: int) -> Fraction:
+    """norm(k) / norm(0) of a one-variable weight (see _norm_factor).
+
+    Each Gamma quotient is its rising product, (z)_k = Gamma(z+k) /
+    Gamma(z), formed in integers over the parameters' common denominator q
+    as (p/q)_k = p (p+q) ... (p+(k-1)q) / q^k: hermite 2^k k!, laguerre
+    (alpha+1)_k / k!, and jacobi, for k >= 1,
+    (a+1)_k (b+1)_k / (k! (2k+s+1) (s+2)_{k-1}).
+    """
+    if not k:
+        return ONE
+    if not weight:
+        return Fraction(math.factorial(k) << k)
+    nums, q = _over_one_denominator(weight)
+    rising = [math.prod(range(p + q, p + q + k * q, q)) for p in nums]
+    if len(weight) == 1:
+        return Fraction(rising[0], q**k * math.factorial(k))
+    sq = sum(nums)  # s q
+    below = (2 * k * q + sq + q) * math.prod(range(sq + 2 * q, sq + 2 * q + (k - 1) * q, q))
+    return Fraction(rising[0] * rising[1], q**k * math.factorial(k) * below)
 
 
 def family_norm_squared(spec: FamilySpec, index: MultiIndex) -> GammaProduct:
@@ -610,25 +689,46 @@ def _stated_omega_matrix(
 class _WeightTable:
     """One coordinate's one-variable weight over the degrees k = 0..top.
 
-    rows holds the recurrence triples, ratio the omega ratios
-    r(k) = omega(k) / mass (omega(k) is the classical norm times lead_k^2,
-    see _omega_factor), mass the k = 0 norm, and one_d the coefficient
-    lists of P_0..P_top.
+    rows holds the recurrence triples (one _recurrence call per degree),
+    ratio the omega ratios r(k) = omega(k) / mass = _norm_ratio(k) lead_k^2
+    (omega(k) is the classical norm times lead_k^2, see _omega_factor), as
+    rationals with no GammaProduct per degree, mass the k = 0 norm, the
+    table's one GammaProduct, and one_d the coefficient lists of P_0..P_top
+    as integer numerators over one denominator per degree.
     """
 
     rows: List[Tuple[Fraction, Fraction, Fraction]]
     ratio: List[Fraction]
     mass: GammaProduct
-    one_d: List[List[Fraction]]
+    one_d: List[_IntegerList]
 
 
 def _weight_table(spec: FamilySpec, coordinate: int, top: int) -> _WeightTable:
-    degrees = range(top + 1)
-    rows = [_recurrence(spec, coordinate, k) for k in degrees]
-    norms = [_norm_factor(spec, coordinate, k) for k in degrees]
+    weight = spec.weights[coordinate - 1]
+    rows = [_recurrence(spec, coordinate, k) for k in range(top + 1)]
     leads = accumulate((c_plus for c_plus, _, _ in rows), operator.mul, initial=ONE)
-    ratio = [_normalized(norm, norms[0]) * lead * lead for norm, lead in zip(norms, leads)]
-    return _WeightTable(rows, ratio, norms[0], _one_d(rows[:top]))
+    ratio = [_norm_ratio(weight, k) * lead * lead for k, lead in zip(range(top + 1), leads)]
+    return _WeightTable(rows, ratio, _norm_factor(spec, coordinate, 0), _one_d(rows[:top]))
+
+
+def _scaled_equal(
+    lhs: Sequence[Sequence[Fraction]], split: Sequence[Sequence[Fraction]], factor: Fraction
+) -> bool:
+    """lhs == factor * split, entry by entry, cross-multiplied in integers.
+
+    Both sides hold the shared ZERO for most zero entries, which match
+    without a product.
+    """
+    fn, fd = factor.as_integer_ratio()
+    for lhs_level, split_level in zip(lhs, split):
+        for x, y in zip(lhs_level, split_level):
+            if x is ZERO and y is ZERO:
+                continue
+            xn, xd = x.as_integer_ratio()
+            yn, yd = y.as_integer_ratio()
+            if xn * fd * yd != fn * yn * xd:
+                return False
+    return True
 
 
 def verify_family(
@@ -670,8 +770,12 @@ def verify_family(
         if variant == "stated":
             om_closed, notes = _stated_omega_matrix(spec, classes, mass)
         else:
+            # each entry is one Fraction of the integer products of the ratios
             om_closed = _diagonal([
-                math.prod(w.ratio[k] for w, k in zip(weights, n_bar))
+                Fraction(
+                    math.prod(w.ratio[k].numerator for w, k in zip(weights, n_bar)),
+                    math.prod(w.ratio[k].denominator for w, k in zip(weights, n_bar)),
+                )
                 for n_bar in classes
             ])
             notes = ()
@@ -693,19 +797,42 @@ def verify_family(
     levels = tuple(compare_level(n) for n in range(max_level + 1))
 
     # creation lemma on level coordinates: the family polynomials are built
-    # as coefficient columns over the graded monomial basis, and each distinct
+    # as integer columns over the graded monomial basis, and each distinct
     # one is split once
     one_d = [w.one_d for w in weights]
-    position = decomp.moments.position
+    moments = decomp.moments
+    size = len(moments.basis)
     splits: Dict[MultiIndex, List[List[Fraction]]] = {}
 
     def split(index: MultiIndex) -> List[List[Fraction]]:
         if index not in splits:
-            column = [ZERO] * len(position)
-            for beta, c in _tensor(one_d, index).items():
-                column[position[beta]] = c
-            splits[index] = decomp.split(column)
+            terms, den = _tensor(one_d, index, moments.radix)
+            nums = [0] * size
+            for code, c in terms.items():
+                nums[moments.code_position[code]] = c
+            splits[index] = decomp.split_ratios(nums, [den] * size)
         return splits[index]
+
+    # the nonzero (row, entry) pairs of each column of a+_{i|n}, read off the
+    # stored block once per call
+    columns: Dict[Tuple[int, int], List[List[Tuple[int, Fraction]]]] = {}
+
+    def create(i: int, n: int, coords: List[Fraction]) -> List[Fraction]:
+        """a+_{i|n} times level n's coordinates: each nonzero coordinate
+        scatters its block column over the rows of level n+1, and each row
+        is one sum."""
+        block = ops._plus[(i, n)]
+        if (i, n) not in columns:
+            columns[(i, n)] = [
+                [(r, row[k]) for r, row in enumerate(block) if row[k]]
+                for k in range(len(coords))
+            ]
+        rows: List[List[Tuple[Fraction, Fraction]]] = [[] for _ in block]
+        for k, x in enumerate(coords):
+            if x:
+                for r, entry in columns[(i, n)][k]:
+                    rows[r].append((entry, x))
+        return [_linalg.sum_of_products(terms) if terms else ZERO for terms in rows]
 
     lemma_checks = []
     # F_0, then F_{e_i} for each coordinate
@@ -721,15 +848,10 @@ def verify_family(
                 factor *= weights[i - 1].rows[base[i - 1] + m - 1][0]
                 result = base[: i - 1] + (base[i - 1] + m,) + base[i:]
                 # (a+_i)^m F_base: level n < N goes into level n+1 by a+_{i|n}
-                lhs = [[ZERO]] + [
-                    _linalg.mat_vec(ops._plus[(i, n)], c) if any(c)
-                    else [ZERO] * len(lhs[n + 1])
-                    for n, c in enumerate(lhs[:-1])
-                ]
+                lhs = [[ZERO]] + [create(i, n, c) for n, c in enumerate(lhs[:-1])]
                 # split is linear: the split of factor * F_result is the scaled split
-                rhs = [[factor * c if c else c for c in level] for level in split(result)]
                 lemma_checks.append(
-                    LemmaCheck(i, base, m, factor, lhs == rhs)
+                    LemmaCheck(i, base, m, factor, _scaled_equal(lhs, split(result), factor))
                 )
     return FamilyReport(
         spec, max_level, variant, mass, tuple(levels), tuple(lemma_checks)

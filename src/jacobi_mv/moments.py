@@ -195,6 +195,14 @@ class _BetaSeq(_Sequence1D):
         return out / (self.a + self.b + k + 1)
 
 
+def _multiplicities(terms: Iterable[Tuple[Fraction, int]]) -> Dict[Fraction, int]:
+    """Gamma arguments with their summed multiplicities, for one GammaProduct."""
+    out: Dict[Fraction, int] = {}
+    for arg, mult in terms:
+        out[arg] = out.get(arg, 0) + mult
+    return out
+
+
 class ProductFunctional(MomentFunctional):
     """Coordinates are independent; moment(beta) factors over coordinates.
 
@@ -234,11 +242,9 @@ class GammaFunctional(ProductFunctional):
         super().__init__([_GammaSeq(a) for a in self.alphas])
 
     def mass_factor(self) -> GammaProduct:
-        # prod_j integral of x^alpha_j exp(-x) over (0, inf)
-        out = GammaProduct.from_rational(1)
-        for a in self.alphas:
-            out = out * GammaProduct.gamma(a + 1)
-        return out
+        # prod_j integral of x^alpha_j exp(-x) over (0, inf), one Gamma(alpha_j + 1)
+        # per coordinate, built in one constructor call
+        return GammaProduct(gammas=_multiplicities((a + 1, 1) for a in self.alphas))
 
 
 class BetaFunctional(ProductFunctional):
@@ -252,13 +258,17 @@ class BetaFunctional(ProductFunctional):
         super().__init__([_BetaSeq(x, y) for x, y in zip(self.a, self.b)])
 
     def mass_factor(self) -> GammaProduct:
-        # prod_j integral of (1-x)^a_j (1+x)^b_j over [-1, 1]
-        out = GammaProduct.from_rational(1)
-        for a, b in zip(self.a, self.b):
-            out = out * GammaProduct.two_power(a + b + 1)
-            out = out * GammaProduct.gamma(a + 1) * GammaProduct.gamma(b + 1)
-            out = out / GammaProduct.gamma(a + b + 2)
-        return out
+        # prod_j integral of (1-x)^a_j (1+x)^b_j over [-1, 1], that is
+        # 2^(a_j+b_j+1) Gamma(a_j+1) Gamma(b_j+1) / Gamma(a_j+b_j+2), built in
+        # one constructor call
+        return GammaProduct(
+            two_pow=sum(a + b + 1 for a, b in zip(self.a, self.b)),
+            gammas=_multiplicities(
+                term
+                for a, b in zip(self.a, self.b)
+                for term in ((a + 1, 1), (b + 1, 1), (a + b + 2, -1))
+            ),
+        )
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from jacobi_mv import _linalg
 from jacobi_mv.cap_operators import CAPSystem, build, verify_quantum_decomposition
 from jacobi_mv.closed_forms import (
     FAMILIES,
+    _norm_factor,
+    _norm_ratio,
     _omega_factor,
     _recurrence,
     closed_form_alpha,
@@ -32,6 +34,7 @@ from jacobi_mv.errors import (
 )
 from jacobi_mv.jacobi_sequences import compute_from_functional
 from jacobi_mv.moments import atomic_functional, beta_functional, gaussian_functional
+from jacobi_mv.multiindex import enumerate_classes
 from jacobi_mv.orthodecomp import decompose
 from jacobi_mv.polyring import Polynomial, monomial_basis
 from jacobi_mv.symbolic import GammaProduct
@@ -173,6 +176,73 @@ def test_recurrence_table_against_the_functional(spec):
         lead *= c_plus
 
 
+# one-variable weights at the edges of the integer forms: a + b = -1
+# (chebyshev1), a + b = 0, a = b, a parameter near -1, denominators of 7 and
+# more, and coordinates whose parameters need different denominators
+EDGE_WEIGHTS = (
+    family_spec("chebyshev1", d=1),
+    family_spec("jacobi", a=["2/7"], b=["-2/7"]),
+    family_spec("jacobi", a=["3/7"], b=["3/7"]),
+    family_spec("jacobi", a=["-9/10"], b=["1/2"]),
+    family_spec("jacobi", a=["5/11"], b=["-9/10"]),
+    family_spec("jacobi", a=["-4/7"], b=["-5/13"]),
+    family_spec("gegenbauer", lam=["-3/7"]),
+    family_spec("laguerre", alpha=["-9/10"]),
+    family_spec("laguerre", alpha=["12/7"]),
+    HERMITE1,
+)
+EDGE_TOP = 8
+
+
+@pytest.mark.parametrize("spec", EDGE_WEIGHTS, ids=lambda spec: str(spec.weights[0]))
+def test_integer_recurrence_and_norm_ratio_on_edge_weights(spec):
+    # the functional's own moments are the reference, as in
+    # test_recurrence_table_against_the_functional, up to k = 8
+    phi = spec.functional()
+    weight = spec.weights[0]
+    f = [family_polynomial(spec, (k,)) for k in range(EDGE_TOP + 2)]
+    sq = [phi.inner_product(p, p) for p in f]
+    assert sq[0] == 1
+    for k in range(EDGE_TOP + 1):
+        c_plus, c_zero, c_minus = _recurrence(spec, 1, k)
+        xf = f[k] * Polynomial.variable(1, 1)
+        assert all(phi.inner_product(f[k], f[m]) == 0 for m in range(k))
+        assert phi.inner_product(xf, f[k + 1]) == c_plus * sq[k + 1]
+        assert phi.inner_product(xf, f[k]) == c_zero * sq[k]
+        assert c_minus == (phi.inner_product(xf, f[k - 1]) / sq[k - 1] if k else 0)
+        # norm(k) / norm(0) of the unnormalized weight is the normalized norm
+        assert _norm_ratio(weight, k) == sq[k]
+        assert _norm_factor(spec, 1, k) == _norm_factor(spec, 1, 0) * sq[k]
+    assert _norm_factor(spec, 1, 0) == spec.mass_factor()
+
+
+def _explicit_norm(weight, k):
+    """The Gamma norm formula of _norm_factor, one GammaProduct operation at a time."""
+    if not weight:
+        return GammaProduct.pi_power(Fraction(1, 2)) * (math.factorial(k) << k)
+    if len(weight) == 1:
+        return GammaProduct.gamma(k + weight[0] + 1) / math.factorial(k)
+    a, b = weight
+    s = a + b
+    below = (
+        GammaProduct.gamma(s + 2) if k == 0
+        else GammaProduct.gamma(k + s + 1) * (2 * k + s + 1)
+    )
+    return (
+        GammaProduct.two_power(s + 1) * GammaProduct.gamma(k + a + 1)
+        * GammaProduct.gamma(k + b + 1) / math.factorial(k) / below
+    )
+
+
+@pytest.mark.parametrize("spec", EDGE_WEIGHTS, ids=lambda spec: str(spec.weights[0]))
+def test_norm_factor_is_the_explicit_gamma_expression_on_edge_weights(spec):
+    for k in range(EDGE_TOP + 1):
+        norm = _norm_factor(spec, 1, k)
+        explicit = _explicit_norm(spec.weights[0], k)
+        assert norm == explicit
+        assert norm.compact_str() == explicit.compact_str()
+
+
 def test_pipeline_and_verify_build_no_polynomial(monkeypatch):
     # Polynomial is an input/output format: the pipeline and the closed-form
     # verification compute on coefficient columns only
@@ -232,18 +302,21 @@ def test_verify_family_evaluates_each_closed_form_once_per_coordinate_and_degree
 ):
     # the per-class route made one omega evaluation per class and coordinate
     # (168 here) and one _recurrence call per closed alpha entry; the omega
-    # factors reuse the table's c_plus column instead of their own recurrence
+    # factors reuse the table's c_plus column instead of their own recurrence.
+    # A table builds one GammaProduct, its mass, and takes each degree's
+    # norm as the integer ratio _norm_ratio
     spec = family_spec("jacobi", a=["1/2", 0, "-1/3"], b=["-1/2", 1, "2/5"])
     top = 5
     calls = Counter()
-    for name in ("_norm_factor", "_recurrence"):
+    for name in ("_norm_factor", "_norm_ratio", "_recurrence"):
         def counted(*args, _original=getattr(closed_forms, name), _name=name):
             calls[_name] += 1
             return _original(*args)
 
         monkeypatch.setattr(closed_forms, name, counted)
     assert verify_family(spec, top, variant="master").ok
-    assert 0 < calls["_norm_factor"] <= spec.d * (top + 1)
+    assert 0 < calls["_norm_factor"] <= spec.d
+    assert 0 < calls["_norm_ratio"] <= spec.d * (top + 1)
     assert 0 < calls["_recurrence"] <= spec.d * (top + 1)
 
 
@@ -281,17 +354,18 @@ def test_verify_table_is_one_per_one_variable_weight(kwargs, distinct, monkeypat
     top = 3
     spec = family_spec(**kwargs)
     calls = Counter()
-    norm_factor = closed_forms._norm_factor
+    for name in ("_norm_factor", "_norm_ratio"):
+        def counted(*args, _original=getattr(closed_forms, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
 
-    def counted(*args):
-        calls["_norm_factor"] += 1
-        return norm_factor(*args)
-
-    monkeypatch.setattr(closed_forms, "_norm_factor", counted)
+        monkeypatch.setattr(closed_forms, name, counted)
     report = verify_family(spec, top)
     monkeypatch.undo()
     assert report.ok
-    assert calls["_norm_factor"] == distinct * (top + 1)
+    # one table per distinct weight: its mass once, its norm ratio per degree
+    assert calls["_norm_factor"] == distinct
+    assert calls["_norm_ratio"] == distinct * (top + 1)
     mass = spec.mass_factor()
     for lv in report.levels:
         expected = [(master_omega(spec, c) / mass).rational_value() for c in lv.classes]
@@ -496,6 +570,55 @@ def test_verify_family_lemma_sees_a_corrupted_plus_block(monkeypatch):
     checks = {base: [c.match for c in report.lemma_checks if c.base == base]
               for base in ((0,), (1,))}
     assert checks == {(0,): [False] * 3, (1,): [True] * 2}
+
+
+JACOBI2 = family_spec("jacobi", a=[0, "1/2"], b=["1/2", "-1/3"])
+
+
+def _plus_position(key, source, target):
+    """(row, column) of a+_key from class source to class target, d = 2."""
+    _, n = key
+    return enumerate_classes(2, n + 1).classes.index(target), enumerate_classes(2, n).classes.index(source)
+
+
+def _with_plus_entry(monkeypatch, key, source, target, change):
+    """verify_family on a d = 2 jacobi weight with one entry of a+_key changed."""
+    def corrupted(decomposition):
+        ops = build(decomposition)
+        plus = {k: _linalg.copy(v) for k, v in ops._plus.items()}
+        row, col = _plus_position(key, source, target)
+        plus[key][row][col] = change(plus[key][row][col])
+        return CAPSystem(decomposition, plus, ops._zero, ops._minus)
+
+    monkeypatch.setattr(closed_forms, "build", corrupted)
+    report = verify_family(JACOBI2, 3)
+    monkeypatch.undo()
+    assert not report.ok
+    assert all(lv.ok for lv in report.levels)
+    return {(c.coordinate, c.base, c.power) for c in report.lemma_checks if not c.match}
+
+
+def test_verify_family_lemma_reads_the_stored_creation_block(monkeypatch):
+    # the lemma applies the stored blocks, not the monomial shift: an entry
+    # off the shift set nonzero and a shift entry changed each fail exactly
+    # the creation powers that pass through them, and the omega/alpha
+    # comparisons never read either
+    ops = build(decompose(JACOBI2.functional(), 3))
+    for key, source, target, entry in (
+        ((2, 1), (1, 0), (0, 2), 0),
+        ((1, 2), (2, 0), (3, 0), 1),
+    ):
+        row, col = _plus_position(key, source, target)
+        assert ops.plus_matrix(*key)[row][col] == entry
+    off_shift = _with_plus_entry(
+        monkeypatch, (2, 1), (1, 0), (0, 2), lambda v: v + Fraction(2, 3)
+    )
+    # (1, 0) + e_2 is (1, 1); a+_{2|1} reaches class (1, 0) only from F_{e_1}
+    assert off_shift == {(2, (1, 0), 1), (2, (1, 0), 2)}
+    shift = _with_plus_entry(monkeypatch, (1, 2), (2, 0), (3, 0), lambda v: v + 1)
+    # a+_{1|2} maps class (2, 0) to (3, 0): the third power from F_0 and the
+    # second from F_{e_1} pass through it
+    assert shift == {(1, (0, 0), 3), (1, (1, 0), 2)}
 
 
 def test_verify_family_stated_flags_chebyshev1():

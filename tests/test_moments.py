@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jacobi_mv.errors import (
     DimensionMismatchError,
@@ -179,6 +179,34 @@ def test_mass_factors():
     assert legendre.mass_factor() == 2
     cheb2 = beta_functional([Fraction(1, 2)], [Fraction(1, 2)])
     assert cheb2.mass_factor() == GammaProduct(rational=Fraction(1, 2), pi_pow=1)
+
+
+_PARAMETER = st.builds(
+    lambda p, q: Fraction(p, q) - 1, st.integers(1, 40), st.integers(1, 9)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_PARAMETER, _PARAMETER), min_size=1, max_size=4))
+@example([(Fraction(1, 2), Fraction(1, 2))])
+@example([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(-1, 2))])
+@example([(Fraction(-1, 2), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(1, 2))])
+def test_classical_mass_factor_is_the_product_of_coordinate_masses(pairs):
+    # one constructor call per functional mass: the same canonical
+    # GammaProduct as the product of each coordinate's Gamma factors, also
+    # when arguments repeat or cancel across coordinates (a = b, a_1 = b_2 + 1)
+    from jacobi_mv.symbolic import GammaProduct
+
+    a, b = (list(p) for p in zip(*pairs))
+    beta, gamma = GammaProduct.from_rational(1), GammaProduct.from_rational(1)
+    for x, y in pairs:
+        beta = beta * GammaProduct.two_power(x + y + 1) * GammaProduct.gamma(x + 1)
+        beta = beta * GammaProduct.gamma(y + 1) / GammaProduct.gamma(x + y + 2)
+        gamma = gamma * GammaProduct.gamma(x + 1)
+    for functional, expected in ((beta_functional(a, b), beta), (gamma_functional(a), gamma)):
+        mass = functional.mass_factor()
+        assert mass == expected
+        assert mass.compact_str() == expected.compact_str()
 
 
 def test_atomic_moments_and_validation():
