@@ -178,7 +178,7 @@ def test_recurrence_table_against_the_functional(spec):
 
 # one-variable weights at the edges of the integer forms: a + b = -1
 # (chebyshev1), a + b = 0, a = b, a parameter near -1, denominators of 7 and
-# more, and coordinates whose parameters need different denominators
+# more, and pairs whose two parameters have different denominators
 EDGE_WEIGHTS = (
     family_spec("chebyshev1", d=1),
     family_spec("jacobi", a=["2/7"], b=["-2/7"]),
