@@ -761,3 +761,78 @@ def test_large_dimension_at_level_zero(tmp_path, capsys):
         "mass_factor": "1",
         "mass_factor_struct": {"rational": "1", "two_pow": "0", "pi_pow": "0", "gamma": []},
     }]
+
+
+def _entries(d, max_degree, *pairs):
+    return {"d": d, "max_degree": max_degree,
+            "moments": [{"beta": beta, "value": value} for beta, value in pairs]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            _entries(1, 2, ([0], "1"), ([True], "1")),
+            "UnsupportedParameterError: moment entry 'beta' index must be an integer, got True",
+        ),
+        (
+            _entries(1, 2, ([1.0], "1")),
+            "UnsupportedParameterError: moment entry 'beta' index must be an integer, got 1.0",
+        ),
+        (
+            _entries(2, 2, ([0, 0], "1"), ([1, -1], "1")),
+            "DimensionMismatchError: bad multi-index (1, -1) for dimension 2",
+        ),
+        (
+            _entries(2, 2, ([0], "1")),
+            "DimensionMismatchError: bad multi-index (0,) for dimension 2",
+        ),
+        (
+            _entries(2, 2, ([0, 0], "1"), ([2, 1], "1")),
+            "UnsupportedParameterError: table entry (2, 1) exceeds max_degree 2",
+        ),
+        (
+            _entries(2, 2, ([0, 1], "1"), ([0, 1], "1")),
+            "UnsupportedParameterError: moment table lists beta [0, 1] twice",
+        ),
+        (
+            _entries(1, 2, ([0], 1), ([1], 0.5)),
+            "UnsupportedParameterError: moment[(1,)] must be exact "
+            "(int, Fraction or 'p/q' string), got float 0.5",
+        ),
+        (
+            _entries(1, 2, ([0], "1"), ([2], "3/x")),
+            "UnsupportedParameterError: bad moment[(2,)]: '3/x'",
+        ),
+        # the order: every index is typed and checked for a repeat before
+        # any entry is checked further, then the header, then entry by entry
+        (
+            _entries(1, 2, ([0], "x"), ([2], "1"), ([2], "1")),
+            "UnsupportedParameterError: moment table lists beta [2] twice",
+        ),
+        (
+            _entries(1, 2, ([-1], "1"), (["1"], "1")),
+            "UnsupportedParameterError: moment entry 'beta' index must be an integer, got '1'",
+        ),
+        (
+            _entries(1, -1, ([0.5], "1")),
+            "UnsupportedParameterError: moment entry 'beta' index must be an integer, got 0.5",
+        ),
+        (
+            _entries(1, -1, ([0], "x")),
+            "UnsupportedParameterError: max_degree must be >= 0, got -1",
+        ),
+        (
+            _entries(0, 1, ([], "x")),
+            "InvalidDimensionError: dimension must be a positive integer, got 0",
+        ),
+        (
+            _entries(1, 1, ([0], "y"), ([2], "1")),
+            "UnsupportedParameterError: bad moment[(0,)]: 'y'",
+        ),
+    ],
+)
+def test_malformed_moment_table_texts_and_order(doc, message, tmp_path, capsys):
+    path = _write(tmp_path, "bad.json", doc)
+    code, out, err = _outcome(["decompose", "--measure", path, "--max-level", "1"], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
