@@ -14,7 +14,7 @@ operation:
   only: each row of the left factor (or the vector) has its nonzero
   entries collected once, and only those are paired.  The moment
   pairings of orthodecomp do the same sum on integer columns of their own
-  (orthodecomp.MomentMatrix.pair), so they skip the per-term conversion.
+  (orthodecomp.MomentMatrix.pair_ratio), so they skip the per-term conversion.
   Both return the shared ZERO for an exact zero, so no Fraction is built
   for it.
 
@@ -26,17 +26,27 @@ operation:
   choice (first row with a nonzero entry, scanning top-down), the pivots
   and the inconsistency test, are those of the rational loop.  Fractions
   are formed once, when the pivot rows are normalized; the reduced form is
-  unique, so it is the rational loop's byte for byte.
+  unique, so it is the rational loop's byte for byte.  The loop itself is
+  _eliminate, which solve_ratios shares.
 
-Two workhorses:
+Three workhorses:
 
 * solve_consistent: Gauss-Jordan solve of A X = B with free variables pinned
   to 0.  The deterministic pivot choice makes every downstream matrix
   reproducible byte-for-byte.  Returns None when the system is inconsistent.
 
-* ldlt_psd: symmetric congruence reduction with diagonal pivoting.  For a
-  symmetric matrix it either certifies positive semidefiniteness (returning
-  the exact rank) or produces a witness vector x with x^T A x < 0.
+* solve_ratios: the same solve with A given as integer rows over a
+  denominator (integer_rows) and B and X as integer ratios.  The augmented
+  rows are eliminated in A's columns only, and no Fraction is built; the
+  projections of orthodecomp.decompose run on it.
+
+* ldlt_psd: symmetric Gaussian elimination with diagonal pivoting on
+  primitive integer rows, each a positive multiple of the rational row, so
+  every sign it tests is the rational Schur complement's.  For a symmetric
+  matrix it either certifies positive semidefiniteness (returning the
+  exact rank) or produces a witness vector x with x^T A x < 0.  The
+  witness is C e_k (or C(e_i -+ e_j)) for the congruence C of the
+  eliminated pivots, solved for only when the test fails.
 """
 
 from __future__ import annotations
@@ -142,13 +152,30 @@ def is_diagonal(a) -> bool:
     return all(x == 0 for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
 
 
-def _integer_row(row: Sequence[Fraction]) -> List[int]:
-    """A primitive integer row that is a positive multiple of this one."""
-    ratios = [x.as_integer_ratio() for x in row]
-    den = 1
+def integer_rows(a: Sequence[Sequence[Fraction]]) -> List[Tuple[List[int], int]]:
+    """Each row of a as integer numerators over the lcm of its denominators.
+
+    The primitive form of a row's numerators (_primitive) is the primitive
+    integer row that is a positive multiple of the row.
+    """
+    out = []
+    for row in a:
+        ratios = [x.as_integer_ratio() for x in row]
+        den = _common_denominator(1, ratios)
+        out.append(([p * (den // q) for p, q in ratios], den))
+    return out
+
+
+def _common_denominator(den: int, ratios: Iterable[Tuple[int, int]]) -> int:
+    """The lcm of den and the denominators q of the (p, q) pairs.
+
+    A loop, not math.lcm(*...): on the atomic benchmark workload the
+    unpacked math.lcm call raised peak RSS by about 1 MB.
+    """
     for _, q in ratios:
-        den = den // gcd(den, q) * q
-    return _primitive([p * (den // q) for p, q in ratios])
+        if den % q:
+            den = den // gcd(den, q) * q
+    return den
 
 
 def _primitive(row: List[int]) -> List[int]:
@@ -156,14 +183,28 @@ def _primitive(row: List[int]) -> List[int]:
     return [x // content for x in row] if content > 1 else row
 
 
-def rref(a: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = [_integer_row(row) for row in a]
+def _ratio(p: int, q: int) -> Tuple[int, int]:
+    """p/q in lowest terms with a positive denominator; q != 0."""
+    g = gcd(p, q)
+    if q < 0:
+        g = -g
+    return p // g, q // g
+
+
+def _eliminate(m: List[List[int]], stop: int) -> List[int]:
+    """Gauss-Jordan elimination of integer rows in place; the pivot columns.
+
+    Pivots are taken in the columns before stop, left to right, each in
+    the first row at or below the current one with a nonzero entry there;
+    pivot r is moved to row r.  An update p*row_i - f*row_r (p the pivot,
+    f the entry to clear, both divided by gcd(p, f)) is applied on the
+    pivot row's nonzero entries, to the rows with a nonzero entry in the
+    pivot column, and leaves the row primitive.
+    """
     rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
+    pivots: List[int] = []
     r = 0
-    for c in range(cols):
+    for c in range(stop):
         if r == rows:
             break
         pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
@@ -185,8 +226,48 @@ def rref(a: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
                 m[i] = _primitive(target)
         pivots.append(c)
         r += 1
+    return pivots
+
+
+def rref(a: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the list of pivot columns."""
+    m = [_primitive(nums) for nums, _ in integer_rows(a)]
+    cols = len(m[0]) if m else 0
+    pivots = _eliminate(m, cols)
     reduced = [[Fraction(x, row[c]) if x else ZERO for x in row] for row, c in zip(m, pivots)]
-    return reduced + zeros(rows - r, cols), pivots
+    return reduced + zeros(len(m) - len(pivots), cols), pivots
+
+
+def solve_ratios(
+    a: Sequence[Tuple[Sequence[int], int]], b: Sequence[Sequence[Tuple[int, int]]]
+) -> Optional[List[List[Tuple[int, int]]]]:
+    """solve_consistent on integers: A X = B with free variables set to 0.
+
+    Row i of A is a[i] = (numerators, denominator), as integer_rows gives,
+    and B[i][k] is the ratio b[i][k] = (p, q) with q > 0.  Each augmented
+    row [A_i | B_i] is made one primitive integer row and eliminated in the
+    columns of A only (_eliminate); the system is inconsistent, and None is
+    returned, when a row left without a pivot has a nonzero entry in B.
+    X[c][k] is returned as (p, q) in lowest terms with q > 0, (0, 1) for
+    zero: the solution solve_consistent gives, with no Fraction built.
+    """
+    n = len(a[0][0])
+    m = []
+    for (nums, den), ratios in zip(a, b):
+        scale = _common_denominator(den, ratios)
+        lift = scale // den
+        m.append(_primitive(
+            [x * lift for x in nums] + [p * (scale // q) if p else 0 for p, q in ratios]
+        ))
+    pivots = _eliminate(m, n)
+    if any(any(row[n:]) for row in m[len(pivots):]):
+        return None
+    width = len(b[0]) if b else 0
+    x = [[(0, 1)] * width for _ in range(n)]
+    for row, c in zip(m, pivots):
+        p = row[c]
+        x[c] = [_ratio(v, p) if v else (0, 1) for v in row[n:]]
+    return x
 
 
 def rank(a: Sequence[Sequence[Fraction]]) -> int:
@@ -232,54 +313,81 @@ class PSDReport:
 
 
 def ldlt_psd(a: Sequence[Sequence[Fraction]]) -> PSDReport:
-    """Certify PSD-ness of a symmetric matrix by congruence reduction.
+    """Certify PSD-ness of a symmetric matrix by symmetric Gaussian elimination.
 
-    Maintains M = C^T A C; at the end M is diagonal with the pivots on it,
-    so a negative pivot at slot i yields the witness C e_i exactly.  When all
-    remaining diagonal entries are zero but some off-diagonal s = M[i][j] is
-    not, C(e_i -+ e_j) is a witness since its quadratic value is -+2s.
+    The pivot is the first remaining index with a nonzero diagonal entry;
+    eliminating it leaves the Schur complement on the remaining indices.
+    Each row is kept as a primitive integer row, a positive multiple of the
+    rational row (integer_rows), and only the rows with a nonzero entry in
+    the pivot column are updated, as in _eliminate, so every sign read off
+    a row is the sign of the Schur complement entry.  A negative pivot at
+    index k yields the witness C e_k, where C is the congruence that
+    diagonalizes the eliminated pivots: C e_k is 1 at k, 0 at the other
+    indices that are not pivots, and solves G[P,P] x = -G[P,k] on the
+    pivots P.  When all remaining diagonal entries are zero but some
+    off-diagonal s = S[i][j] is not, C(e_i -+ e_j) is a witness since its
+    quadratic value is -+2s.  The witness is formed only then.
     """
     n = len(a)
     assert is_symmetric(a), "ldlt_psd expects a symmetric matrix"
-    m = copy(a)
-    c = identity(n)
+    m = [_primitive(nums) for nums, _ in integer_rows(a)]
     remaining = list(range(n))
-    pivots: list[Fraction] = []
+    pivots: list[int] = []
 
     while remaining:
-        k = next((i for i in remaining if m[i][i] != 0), None)
+        k = next((i for i in remaining if m[i][i]), None)
         if k is None:
             # all remaining diagonal entries vanish
             for i in remaining:
+                row = m[i]
                 for j in remaining:
-                    if i < j and m[i][j] != 0:
-                        s = m[i][j]
-                        sign = Fraction(-1) if s > 0 else Fraction(1)
-                        witness = [
-                            c[r][i] + sign * c[r][j] for r in range(n)
-                        ]
-                        return PSDReport(
-                            psd=False, rank=len(pivots), witness=tuple(witness)
-                        )
+                    if i < j and row[j]:
+                        ci, cj = _congruence_columns(a, pivots, (i, j))
+                        sign = -1 if row[j] > 0 else 1
+                        witness = tuple(x + sign * y for x, y in zip(ci, cj))
+                        return PSDReport(psd=False, rank=len(pivots), witness=witness)
             break  # remaining block is entirely zero: done
-        pivot = m[k][k]
-        if pivot < 0:
-            witness = [c[r][k] for r in range(n)]
+        row = m[k]
+        p = row[k]
+        if p < 0:
+            (witness,) = _congruence_columns(a, pivots, (k,))
             return PSDReport(psd=False, rank=len(pivots), witness=tuple(witness))
-        pivots.append(pivot)
+        pivots.append(k)
         remaining.remove(k)
+        support = [(c, x) for c, x in enumerate(row) if x]
         for i in remaining:
-            if m[i][k] != 0:
-                f = m[i][k] / pivot
-                # column then row update keeps M symmetric; update C alongside
-                for r in range(n):
-                    m[r][i] -= f * m[r][k]
-                for r in range(n):
-                    m[i][r] -= f * m[k][r]
-                for r in range(n):
-                    c[r][i] -= f * c[r][k]
+            f = m[i][k]
+            if f:
+                g = gcd(p, f)
+                scale, f = p // g, f // g
+                target = [scale * x for x in m[i]] if scale != 1 else m[i]
+                for c, x in support:
+                    target[c] -= f * x
+                m[i] = _primitive(target)
 
     return PSDReport(psd=True, rank=len(pivots), witness=None)
+
+
+def _congruence_columns(
+    a: Sequence[Sequence[Fraction]], pivots: Sequence[int], ks: Sequence[int]
+) -> List[Vector]:
+    """C e_k for each k in ks, with the pivots P eliminated before k.
+
+    It is 1 at k, 0 at every other index outside P, and x on P with
+    G[P,P] x = -G[P,k]; G[P,P] is invertible, its pivots being nonzero.
+    """
+    x = solve_ratios(
+        integer_rows([[a[p][q] for q in pivots] for p in pivots]),
+        [[(-a[p][k]).as_integer_ratio() for k in ks] for p in pivots],
+    ) if pivots else []
+    columns = []
+    for t, k in enumerate(ks):
+        column = [ZERO] * len(a)
+        column[k] = ONE
+        for p, ratios in zip(pivots, x):
+            column[p] = Fraction(*ratios[t]) if ratios[t][0] else ZERO
+        columns.append(column)
+    return columns
 
 
 def to_string_matrix(a) -> list[list[str]]:

@@ -24,7 +24,8 @@ moment row per shifted leading monomial, the degree-(N-1) coefficients of
 the columns and the level Gram.  They are symmetric, so only the upper
 triangle is paired.  Top-level annihilation needs no product: creation
 shifts leading monomials, so its right-hand side is a selection of the
-rows of the top Gram.
+rows of the top Gram.  All coordinates' top-level systems of one kind
+share a Gram and are solved in one elimination.
 
 Matrices are written in the level bases of the decomposition, columns
 indexed by the source level; coordinates j are 1-based.
@@ -145,6 +146,49 @@ def _top_pairings(
     return pairings
 
 
+def _solve_stacked(gram: Matrix, systems: Dict[int, Matrix]) -> Optional[Dict[int, Matrix]]:
+    """Solve gram X_j = B_j for every right-hand side B_j in one elimination.
+
+    The row operations depend only on the Gram, so each X_j is what its own
+    solve gives; None when some system is inconsistent.
+    """
+    if not systems:
+        return {}
+    stacked = [[x for b in systems.values() for x in b[i]] for i in range(len(gram))]
+    x = _linalg.solve_consistent(gram, stacked)
+    if x is None:
+        return None
+    out, s = {}, 0
+    for j, b in systems.items():
+        e = s + len(b[0])
+        out[j] = [row[s:e] for row in x]
+        s = e
+    return out
+
+
+def _raise_first_inconsistent(
+    decomposition: Decomposition, preservation: Dict[int, Matrix], annihilation: Dict[int, Matrix]
+) -> None:
+    """Name the first inconsistent top-level system: coordinate by
+    coordinate, preservation before annihilation."""
+    n = decomposition.max_degree
+    for j in range(1, decomposition.d + 1):
+        if j in preservation and _linalg.solve_consistent(
+            decomposition.level(n).gram_matrix(), preservation[j]
+        ) is None:
+            raise NotAStateError(
+                f"preservation system at level {n}, coordinate {j} is "
+                "inconsistent; no positive functional has these moments"
+            )
+        if j in annihilation and _linalg.solve_consistent(
+            decomposition.level(n - 1).gram_matrix(), annihilation[j]
+        ) is None:
+            raise NotAStateError(
+                f"annihilation system at level {n}, coordinate {j} is "
+                "inconsistent; no positive functional has these moments"
+            )
+
+
 def build(decomposition: Decomposition) -> CAPSystem:
     """Compute all operator matrices for the given decomposition.
 
@@ -157,7 +201,11 @@ def build(decomposition: Decomposition) -> CAPSystem:
     moment table leaves it unset, to raise only if accessed.  Top-level
     annihilation solves G_{N-1} Z = plus_{j|N-1}^T G_N; the bases are monic,
     so plus_{j|N-1} sends class k to the class of beta_k + e_j, and its
-    right-hand side is the rows of G_N at those positions.
+    right-hand side is the rows of G_N at those positions.  The top-level
+    systems of all coordinates share their Gram, so [G_N | P_1 ... P_d]
+    and [G_{N-1} | R_1 ... R_d] are each solved once; when one is
+    inconsistent, the systems are solved one by one, preservation j then
+    annihilation j for j = 1..d, to name the first that fails.
     """
     moments = decomposition.moments
     d = decomposition.d
@@ -166,56 +214,52 @@ def build(decomposition: Decomposition) -> CAPSystem:
     zero: Dict[Tuple[int, int], Optional[Matrix]] = {}
     minus: Dict[Tuple[int, int], Matrix] = {}
     rows: Dict[Tuple[int, MultiIndex], Fraction] = {}
-    for n in range(top + 1):
-        lv = decomposition.level(n)
+    for n in range(top):
         forms = decomposition.level_forms(n)
         for j in range(1, d + 1):
-            unit = tuple(int(i == j - 1) for i in range(d))
-            step = moments.code(unit)
-            if n < top:
-                images = [decomposition.split_ratios(*_times(moments, f, step)) for f in forms]
-                for k, coords in enumerate(images):
-                    for m, c in enumerate(coords):
-                        if abs(m - n) < 2 or not any(c):
-                            continue
-                        # outside the band a component must be null: G_m c = 0
-                        if any(_linalg.mat_vec(decomposition.level(m).gram, c)):
-                            raise InternalConsistencyError(
-                                f"x_{j} * (basis vector {k} of degree {n}) has "
-                                f"a component at degree {m} that is not null; "
-                                "the three-term degree structure is violated"
-                            )
-                plus[(j, n)] = _linalg.transpose([c[n + 1] for c in images])
-                zero[(j, n)] = _linalg.transpose([c[n] for c in images])
-                minus[(j, n)] = _linalg.transpose([c[n - 1] for c in images]) if n else []
-                continue
-            try:
-                pairings = _top_pairings(decomposition, unit, rows)
-            except InsufficientMomentsError:
-                zero[(j, n)] = None
-            else:
-                zero[(j, n)] = _linalg.solve_consistent(lv.gram_matrix(), pairings)
-                if zero[(j, n)] is None:
-                    raise NotAStateError(
-                        f"preservation system at level {n}, coordinate {j} is "
-                        "inconsistent; no positive functional has these moments"
-                    )
-            if n == 0:
-                minus[(j, n)] = []
-                continue
+            step = moments.code(tuple(int(i == j - 1) for i in range(d)))
+            images = [decomposition.split_ratios(*_times(moments, f, step)) for f in forms]
+            for k, coords in enumerate(images):
+                for m, c in enumerate(coords):
+                    if abs(m - n) < 2 or not any(c):
+                        continue
+                    # outside the band a component must be null: G_m c = 0
+                    if any(_linalg.mat_vec(decomposition.level(m).gram, c)):
+                        raise InternalConsistencyError(
+                            f"x_{j} * (basis vector {k} of degree {n}) has "
+                            f"a component at degree {m} that is not null; "
+                            "the three-term degree structure is violated"
+                        )
+            plus[(j, n)] = _linalg.transpose([c[n + 1] for c in images])
+            zero[(j, n)] = _linalg.transpose([c[n] for c in images])
+            minus[(j, n)] = _linalg.transpose([c[n - 1] for c in images]) if n else []
+    # the top level N: every preservation system shares G_N and every
+    # annihilation system G_{N-1}, so each Gram is eliminated once
+    lv = decomposition.level(top)
+    start = decomposition.starts[top]
+    preservation: Dict[int, Matrix] = {}
+    annihilation: Dict[int, Matrix] = {}
+    for j in range(1, d + 1):
+        unit = tuple(int(i == j - 1) for i in range(d))
+        try:
+            preservation[j] = _top_pairings(decomposition, unit, rows)
+        except InsufficientMomentsError:
+            pass  # left unset: raises only if accessed
+        if top:
             # <b', x_j b> = <x_j b', b> only sees the creation image of b',
             # the basis vector of beta' + e_j
-            start = decomposition.starts[n]
-            rhs = [
+            step = moments.code(unit)
+            annihilation[j] = [
                 lv.gram[moments.code_position[moments.codes[a] + step] - start]
-                for a in range(decomposition.starts[n - 1], start)
+                for a in range(decomposition.starts[top - 1], start)
             ]
-            minus[(j, n)] = _linalg.solve_consistent(decomposition.level(n - 1).gram_matrix(), rhs)
-            if minus[(j, n)] is None:
-                raise NotAStateError(
-                    f"annihilation system at level {n}, coordinate {j} is "
-                    "inconsistent; no positive functional has these moments"
-                )
+    zeros = _solve_stacked(lv.gram_matrix(), preservation)
+    minuses = _solve_stacked(decomposition.level(top - 1).gram_matrix(), annihilation) if top else {}
+    if zeros is None or minuses is None:
+        _raise_first_inconsistent(decomposition, preservation, annihilation)
+    for j in range(1, d + 1):
+        zero[(j, top)] = zeros.get(j)
+        minus[(j, top)] = minuses[j] if top else []
     return CAPSystem(decomposition, plus, zero, minus)
 
 
@@ -299,7 +343,7 @@ def verify_quantum_decomposition(system: CAPSystem) -> QuantumDecompositionRepor
                 for m, block in blocks:
                     for lower, row in zip(decomp.level_forms(m), block):
                         if row[k]:
-                            lower.subtract_from(nums, dens, row[k])
+                            lower.subtract_from(nums, dens, *row[k].as_integer_ratio())
                 residual = [Fraction(p, q) if p else ZERO for p, q in zip(nums, dens)]
                 r = IntegerColumn.of(zip(nums, dens))
                 norm_sq = sum(

@@ -780,16 +780,17 @@ def verify_family(
             ])
             notes = ()
         alphas = []
+        # both sides are new lists of row lists, so == compares them entrywise
         for j in coordinates:
             pipe = seq.alpha_matrix(j, n)
             closed = _diagonal([weights[j - 1].rows[n_bar[j - 1]][1] for n_bar in classes])
-            alphas.append(AlphaComparison(j, pipe, closed, _linalg.mat_eq(pipe, closed)))
+            alphas.append(AlphaComparison(j, pipe, closed, pipe == closed))
         return LevelComparison(
             n,
             classes,
             om_pipe,
             om_closed,
-            _linalg.mat_eq(om_pipe, om_closed),
+            om_pipe == om_closed,
             tuple(alphas),
             notes,
         )

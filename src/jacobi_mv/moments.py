@@ -61,14 +61,18 @@ def _typed(value, kind: type, what: str):
     raise UnsupportedParameterError(f"{what} must be {_KINDS[kind]}, got {shown(value)}")
 
 
-def _exact(value, what: str) -> Fraction:
+def _exact(value, what: str, *args) -> Fraction:
+    """value as a Fraction; the error names it what.format(*args) when
+    args are given, so a label is formatted only for a value refused."""
     if isinstance(value, float):
+        what = what.format(*args) if args else what
         raise UnsupportedParameterError(
             f"{what} must be exact (int, Fraction or 'p/q' string), got float {shown(value)}"
         )
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
+        what = what.format(*args) if args else what
         raise UnsupportedParameterError(f"bad {what}: {shown(value)}") from exc
 
 
@@ -372,20 +376,32 @@ class TableFunctional(MomentFunctional):
     """Explicit finite moment table; absent entries raise on access."""
 
     def __init__(self, d: int, max_degree: int, moments: Dict):
+        # each index is typed as its entry is reached, after the header
+        self._fill(d, max_degree, (
+            (tuple(_typed(b, int, "moment entry 'beta' index") for b in beta), value)
+            for beta, value in moments.items()
+        ))
+
+    def _fill(
+        self, d: int, max_degree: int, entries: Iterable[Tuple[MultiIndex, object]]
+    ) -> None:
+        """Check the header, then enter each (beta, value), in order.
+
+        Every beta is a tuple of ints; the entries are checked one at a time.
+        """
         _typed(max_degree, int, "max_degree")
         if max_degree < 0:
             raise UnsupportedParameterError(f"max_degree must be >= 0, got {max_degree}")
         super().__init__(d, max_degree=max_degree)
         self._table: Dict[MultiIndex, Fraction] = {}
-        for beta, value in moments.items():
-            beta = tuple(_typed(b, int, "moment entry 'beta' index") for b in beta)
-            if len(beta) != d or any(b < 0 for b in beta):
+        for beta, value in entries:
+            if len(beta) != d or min(beta) < 0:
                 raise DimensionMismatchError(f"bad multi-index {beta} for dimension {d}")
             if degree(beta) > max_degree:
                 raise UnsupportedParameterError(
                     f"table entry {beta} exceeds max_degree {max_degree}"
                 )
-            self._table[beta] = _exact(value, f"moment[{beta}]")
+            self._table[beta] = _exact(value, "moment[{}]", beta)
 
     def moment(self, beta: MultiIndex) -> Fraction:
         self._check_beta(beta)
@@ -414,7 +430,11 @@ class TableFunctional(MomentFunctional):
                 raise UnsupportedParameterError(f"moment table lists beta {list(beta)} twice")
             moments[beta] = _field(e, "value", "moment entry")
         d = _field(doc, "d", "moment table", int)
-        return cls(d, _field(doc, "max_degree", "moment table", int), moments)
+        max_degree = _field(doc, "max_degree", "moment table", int)
+        # the indices are typed above, so they are not typed again
+        table = cls.__new__(cls)
+        table._fill(d, max_degree, moments.items())
+        return table
 
 
 # --------------------------------------------------------------------------

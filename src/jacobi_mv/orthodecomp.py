@@ -31,11 +31,20 @@ too.
 
 Each column is kept once, as an IntegerColumn: its nonzero entries as
 integer numerators over one denominator, built when its level is done.
-MomentMatrix.pair takes that form, so a pairing is an integer dot product
-against the moments' integer ratios and builds one Fraction, or none for
-an exact zero.  The moments are keyed by packed exponent codes (pack), so
-pairing a column with x^beta shifts each of its monomials by one integer
-add; the code of each beta is computed once per moment matrix.
+MomentMatrix.pair_ratio takes that form, so a pairing is an integer dot
+product against the moments' integer ratios; pair makes one Fraction of
+it, or none for an exact zero.  The projections stay in integers: each
+lower level's Gram is kept as integer rows once its level is done, the
+right-hand sides are pair_ratio's ratios, _linalg.solve_ratios eliminates
+[G_m | R] on integer rows, and its (num, den) coefficients are subtracted
+from the columns (IntegerColumn.subtract_from) with no Fraction built.
+Fractions appear only in the stored level Grams and what the
+Decomposition returns.  All pairings of a level are made, monomial by
+monomial, before any is solved, so a missing moment is named before an
+inconsistent projection.  The moments are keyed by packed exponent codes
+(pack), so pairing a column with x^beta shifts each of its monomials by
+one integer add; the code of each beta is computed once per moment
+matrix.
 """
 
 from __future__ import annotations
@@ -107,9 +116,8 @@ class IntegerColumn:
         den = lcm(*(q for _, _, q in reduced))
         return cls(tuple((a, p * (den // q)) for a, p, q in reduced), den)
 
-    def subtract_from(self, nums: List[int], dens: List[int], coeff: Fraction) -> None:
-        """nums[a]/dens[a] -= coeff * column[a], each over its running lcm."""
-        num, den = coeff.as_integer_ratio()
+    def subtract_from(self, nums: List[int], dens: List[int], num: int, den: int) -> None:
+        """nums[a]/dens[a] -= (num/den) * column[a], each over its running lcm; den > 0."""
         den *= self.denominator
         for a, c in self.terms:
             if dens[a] == den:
@@ -191,14 +199,19 @@ class MomentMatrix:
         return code
 
     def pair(self, column: IntegerColumn, beta: MultiIndex) -> Fraction:
-        """phi(b * x^beta) for the polynomial b with this integer column.
+        """phi(b * x^beta) for the polynomial b with this integer column, as
+        one Fraction of pair_ratio; a zero sum returns the shared ZERO."""
+        num, den = self.pair_ratio(column, beta)
+        return Fraction(num, den) if num else ZERO
+
+    def pair_ratio(self, column: IntegerColumn, beta: MultiIndex) -> Tuple[int, int]:
+        """phi(b * x^beta) as an integer ratio (p, q), q > 0, not reduced.
 
         The moment phi(x^(alpha+beta)) is fetched only where the column's
         coefficient at alpha is nonzero, so a table that lacks the moments at
         the zero coefficients still pairs.  The sum is one integer numerator
-        over the running lcm of the moment denominators, divided by the
-        column's denominator in the one Fraction it returns; a zero sum
-        returns the shared ZERO.
+        over the running lcm of the moment denominators, times the column's
+        denominator.
         """
         shift = self._shifts.get(beta)
         if shift is None:
@@ -218,7 +231,7 @@ class MomentMatrix:
                 g = gcd(den, md)
                 num = num * (md // g) + c * mn * (den // g)
                 den = den // g * md
-        return Fraction(num, den * column.denominator) if num else ZERO
+        return num, den * column.denominator
 
     def _fetch(self, a: int, beta: MultiIndex) -> Tuple[int, int]:
         """Fetch phi(x^(alpha+beta)) for basis monomial a and keep its ratio."""
@@ -285,7 +298,7 @@ class Decomposition:
         for p in reversed(range(len(x))):
             if nums[p]:
                 x[p] = Fraction(nums[p], dens[p])
-                self.forms[p].subtract_from(nums, dens, x[p])
+                self.forms[p].subtract_from(nums, dens, *x[p].as_integer_ratio())
         return [x[s:e] for s, e in zip(self.starts, self.starts[1:])]
 
     def polynomial(self, vector: Sequence[Fraction]) -> Polynomial:
@@ -304,7 +317,7 @@ class Decomposition:
         nums, dens = [0] * len(self.forms), [1] * len(self.forms)
         for coeff, form in zip(coords, forms):
             if coeff:
-                form.subtract_from(nums, dens, -coeff)
+                form.subtract_from(nums, dens, *(-coeff).as_integer_ratio())
         return [Fraction(p, q) if p else ZERO for p, q in zip(nums, dens)]
 
     def polynomials(self, n: int) -> Tuple[Polynomial, ...]:
@@ -317,12 +330,15 @@ class Decomposition:
 
 
 def _raise_first_inconsistent(
-    levels: Sequence[Level], monos: Sequence[MultiIndex], rhs: List[List[List[Fraction]]]
+    levels: Sequence[Level],
+    grams: Sequence[List[Tuple[List[int], int]]],
+    monos: Sequence[MultiIndex],
+    rhs: List[List[List[Tuple[int, int]]]],
 ) -> None:
     """Name the first inconsistent projection, monomial by monomial."""
     for beta, per_level in zip(monos, rhs):
-        for lv, r in zip(levels, per_level):
-            if _linalg.solve_consistent(lv.gram_matrix(), [[v] for v in r]) is None:
+        for lv, gram, r in zip(levels, grams, per_level):
+            if _linalg.solve_ratios(gram, [[v] for v in r]) is None:
                 raise NotAStateError(
                     f"projection of x^{tuple(beta)} onto degree {lv.n} is "
                     "inconsistent; the moments are not positive semidefinite"
@@ -340,24 +356,25 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
     moments = MomentMatrix(functional, max_degree)
     forms: List[List[IntegerColumn]] = []  # basis columns, level by level
     levels: List[Level] = []
+    grams: List[List[Tuple[List[int], int]]] = []  # each G_m as integer rows
     for n in range(max_degree + 1):
         monos = monomials_of_degree(functional.d, n)
-        # rhs[k][m][i] = <b_i, x^beta_k> for basis vector i of lower level m
-        rhs = [[[moments.pair(f, beta) for f in lower] for lower in forms] for beta in monos]
+        # rhs[k][m][i] = <b_i, x^beta_k> for basis vector i of lower level m,
+        # as an integer ratio
+        rhs = [[[moments.pair_ratio(f, beta) for f in lower] for lower in forms] for beta in monos]
         # each column x^beta as numerators over denominators, less its projections
         block = [([0] * a + [1], [1] * (a + 1)) for a in map(moments.position.get, monos)]
-        for m, (lv, lower) in enumerate(zip(levels, forms)):
+        for m, (gram, lower) in enumerate(zip(grams, forms)):
             # one elimination of G_m for all monomials: its row operations
             # depend only on G_m, so each column gets what its own solve gives
-            sol = _linalg.solve_consistent(
-                lv.gram_matrix(), _linalg.transpose([r[m] for r in rhs])
-            )
+            sol = _linalg.solve_ratios(gram, [list(column) for column in zip(*(r[m] for r in rhs))])
             if sol is None:
-                _raise_first_inconsistent(levels, monos, rhs)
-            for col, coeffs in zip(block, _linalg.transpose(sol)):
-                for coeff, f in zip(coeffs, lower):
-                    if coeff:
-                        f.subtract_from(*col, coeff)
+                _raise_first_inconsistent(levels, grams, monos, rhs)
+            for k, col in enumerate(block):
+                for coeffs, f in zip(sol, lower):
+                    num, den = coeffs[k]
+                    if num:
+                        f.subtract_from(*col, num, den)
         block_forms = [IntegerColumn.of(zip(*col)) for col in block]
         # b_i is orthogonal to the lower levels, so <b_i, x^beta_k> = <b_i, b_k>
         # and the lower triangle mirrors the upper one
@@ -376,4 +393,6 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
         null_mask = tuple(gram[i][i] == 0 for i in range(size))
         levels.append(Level(n, tuple(monos), tuple(map(tuple, gram)), report.rank, null_mask))
         forms.append(block_forms)
+        if n < max_degree:
+            grams.append(_linalg.integer_rows(gram))
     return Decomposition(moments, levels, [f for level in forms for f in level])

@@ -16,6 +16,7 @@ from jacobi_mv.errors import (
     InsufficientMomentsError,
     InternalConsistencyError,
     InvalidIndexError,
+    NotAStateError,
 )
 from jacobi_mv.moments import (
     atomic_functional,
@@ -443,3 +444,57 @@ def test_matrix_accessors_refuse_non_integer_indices():
             call()
     with pytest.raises(InvalidIndexError, match=r"^coordinate 3 outside 1\.\.2$"):
         ops.zero_matrix(3, 0)
+
+
+def _perturbed_table(atoms, max_degree, changes):
+    """The moment table of these atoms up to max_degree, with some entries moved."""
+    exact = atomic_functional(atoms)
+    d = exact.d
+    table = {beta: exact.moment(beta) for beta in monomial_basis(d, max_degree)}
+    for beta, delta in changes:
+        table[beta] += Fraction(delta)
+    return table_functional(d, max_degree, table)
+
+
+def _inconsistent_top_systems(dec):
+    """The per-coordinate loop: each top-level system solved on its own, in
+    build's order (preservation j, then annihilation j), with the pairings
+    formed by polynomial products; the names of the inconsistent ones."""
+    top = dec.max_degree
+    gram, below = dec.level(top).gram_matrix(), dec.level(top - 1).gram_matrix()
+    names = []
+    for j in range(1, dec.d + 1):
+        if _linalg.solve_consistent(gram, top_pairings(dec, j)) is None:
+            names.append(f"preservation system at level {top}, coordinate {j}")
+        src, dst = dec.level(top - 1).monomials, dec.level(top).monomials
+        rhs = [gram[dst.index(shift(beta, _unit(dec.d, j)))] for beta in src]
+        if _linalg.solve_consistent(below, rhs) is None:
+            names.append(f"annihilation system at level {top}, coordinate {j}")
+    return names
+
+
+@pytest.mark.parametrize(
+    "atoms,top,changes,first",
+    [
+        # preservation and annihilation of coordinate 2
+        ([(("-2", "0"), "1/2"), (("0", "0"), "1/2")], 2,
+         [((1, 4), 1), ((0, 4), "1/4")], "preservation system at level 2, coordinate 2"),
+        # annihilation of coordinate 1 comes before preservation of coordinate 2
+        ([(("-2", "1"), "1/3"), (("-1", "-2"), "1/3"), (("0", "-1"), "1/3")], 3,
+         [((0, 7), "1/3"), ((6, 0), "1/3")], "annihilation system at level 3, coordinate 1"),
+        # preservation of coordinates 2 and 3
+        ([(("0", "-1", "-2"), "1/2"), (("1", "0", "0"), "1/2")], 2,
+         [((0, 4, 1), "1/3")], "preservation system at level 2, coordinate 2"),
+    ],
+)
+def test_stacked_top_solves_name_the_first_inconsistent_system(atoms, top, changes, first):
+    # two systems are inconsistent; the one elimination per Gram names the
+    # system and coordinate that solving them one by one meets first
+    dec = decompose(_perturbed_table(atoms, 2 * top + 1, changes), top)
+    names = _inconsistent_top_systems(dec)
+    assert len(names) >= 2 and names[0] == first
+    with pytest.raises(NotAStateError) as raised:
+        build(dec)
+    assert str(raised.value) == (
+        f"{first} is inconsistent; no positive functional has these moments"
+    )

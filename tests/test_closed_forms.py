@@ -32,7 +32,7 @@ from jacobi_mv.errors import (
     InvalidIndexError,
     UnsupportedParameterError,
 )
-from jacobi_mv.jacobi_sequences import compute_from_functional
+from jacobi_mv.jacobi_sequences import compute, compute_from_functional
 from jacobi_mv.moments import atomic_functional, beta_functional, gaussian_functional
 from jacobi_mv.multiindex import enumerate_classes
 from jacobi_mv.orthodecomp import decompose
@@ -619,6 +619,37 @@ def test_verify_family_lemma_reads_the_stored_creation_block(monkeypatch):
     # a+_{1|2} maps class (2, 0) to (3, 0): the third power from F_0 and the
     # second from F_{e_1} pass through it
     assert shift == {(1, (0, 0), 3), (1, (1, 0), 2)}
+
+
+def test_compare_level_flags_exactly_the_changed_entries(monkeypatch):
+    # an off-diagonal omega entry and a diagonal alpha entry of the
+    # pipeline changed: each comparison agrees with an entrywise one, the
+    # witnesses are the matrices themselves, and the other levels stay ok
+    spec = family_spec("jacobi", a=["1/2", 0], b=[0, "-1/3"])
+    clean = verify_family(spec, 2)
+    assert clean.ok
+
+    def corrupted(ops, max_level):
+        seq = compute(ops, max_level)
+        seq._omega[2][2][0] += Fraction(1, 5)
+        seq._alpha[1][1][1][1] -= 1  # alpha_{e_2|1}, its last row
+        return seq
+
+    monkeypatch.setattr(closed_forms, "compute", corrupted)
+    report = verify_family(spec, 2)
+    assert [lv.omega_match for lv in report.levels] == [True, True, False]
+    assert [[a.match for a in lv.alphas] for lv in report.levels] == [
+        [True, True], [True, False], [True, True]
+    ]
+    for lv, before in zip(report.levels, clean.levels):
+        assert lv.omega_closed == before.omega_closed
+        assert lv.omega_match == (lv.omega_pipeline == before.omega_pipeline)
+        for a, b in zip(lv.alphas, before.alphas):
+            assert a.match == all(
+                x == y for row, ref in zip(a.pipeline, b.pipeline) for x, y in zip(row, ref)
+            )
+    assert report.levels[2].omega_pipeline[2][0] == Fraction(1, 5)
+    assert report.levels[0] == clean.levels[0]
 
 
 def test_verify_family_stated_flags_chebyshev1():

@@ -3,10 +3,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from jacobi_mv import _linalg
-from jacobi_mv._linalg import ZERO
+from jacobi_mv._linalg import ONE, ZERO
 
 
 def _m(rows):
@@ -285,3 +285,150 @@ def test_sum_of_products_is_the_normalized_exact_sum(pairs, cancel):
     if cancel:
         # an exact zero is the shared ZERO, with no Fraction built for it
         assert total is ZERO
+
+
+def _congruence_ldlt(a):
+    """The Fraction congruence loop with C tracked, the reference for ldlt_psd.
+
+    M = C^T A C is reduced in place; a negative pivot at k gives the witness
+    C e_k, and a remaining block with zero diagonal but an off-diagonal
+    s = M[i][j] gives C(e_i -+ e_j).
+    """
+    n = len(a)
+    m = _linalg.copy(a)
+    c = _linalg.identity(n)
+    remaining = list(range(n))
+    pivots = []
+    while remaining:
+        k = next((i for i in remaining if m[i][i] != 0), None)
+        if k is None:
+            for i in remaining:
+                for j in remaining:
+                    if i < j and m[i][j] != 0:
+                        sign = Fraction(-1) if m[i][j] > 0 else Fraction(1)
+                        witness = tuple(c[r][i] + sign * c[r][j] for r in range(n))
+                        return False, len(pivots), witness
+            break
+        pivot = m[k][k]
+        if pivot < 0:
+            return False, len(pivots), tuple(c[r][k] for r in range(n))
+        pivots.append(pivot)
+        remaining.remove(k)
+        for i in remaining:
+            if m[i][k] != 0:
+                f = m[i][k] / pivot
+                for r in range(n):
+                    m[r][i] -= f * m[r][k]
+                for r in range(n):
+                    m[i][r] -= f * m[k][r]
+                for r in range(n):
+                    c[r][i] -= f * c[r][k]
+    return True, len(pivots), None
+
+
+_small = st.fractions(min_value=-6, max_value=6, max_denominator=30)
+
+
+@st.composite
+def _ldlt_inputs(draw):
+    """A symmetric matrix of size <= 7 with denominators up to 30, of one kind.
+
+    gram: a Gram of fewer rows, PSD and often singular; hollow: zero
+    diagonal; negative, off-diagonal, singular: L D L^T with L unit lower
+    triangular and D holding one negative entry, a trailing [[0, s], [s, 0]]
+    block after positive pivots, or zeros among positive pivots; these
+    reach the negative-pivot witness, the off-diagonal witness and a PSD
+    rank below n.  symmetric: anything.
+    """
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(
+        ["gram", "hollow", "negative", "off-diagonal", "singular", "symmetric"]
+    ))
+    if kind == "gram":
+        rows = [[draw(_small) for _ in range(n)] for _ in range(draw(st.integers(1, n)))]
+        return kind, _linalg.mat_mul(_linalg.transpose(rows), rows), None
+    if kind in ("hollow", "symmetric"):
+        a = _linalg.zeros(n, n)
+        for i in range(n):
+            for j in range(i, n):
+                if i != j or kind == "symmetric":
+                    a[i][j] = a[j][i] = draw(_small)
+        return kind, a, None
+    positive = st.fractions(min_value=Fraction(1, 30), max_value=6, max_denominator=30)
+    d = [draw(positive) for _ in range(n)]
+    block = None
+    if kind == "negative":
+        d[draw(st.integers(0, n - 1))] *= -1
+    elif kind == "singular":
+        for k in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+            d[k] = ZERO
+    elif n >= 2:
+        block = draw(st.integers(0, n - 2))  # pivots before it, zeros after it
+        d[block] = d[block + 1] = ZERO
+        for k in range(block + 2, n):
+            d[k] = ZERO
+    middle = _linalg.zeros(n, n)
+    for k in range(n):
+        middle[k][k] = d[k]
+    if block is not None:
+        s = draw(_small.filter(bool))
+        middle[block][block + 1] = middle[block + 1][block] = s
+    # below a hollow block L is the identity, so the Schur complement of
+    # the pivots before it is D's trailing part itself
+    mixed = n if block is None else block
+    lower = [
+        [ONE if i == j else draw(_small) if j < min(i, mixed) else ZERO for j in range(n)]
+        for i in range(n)
+    ]
+    return kind, _linalg.mat_mul(_linalg.mat_mul(lower, middle), _linalg.transpose(lower)), block
+
+
+@settings(max_examples=250, deadline=None)
+@given(_ldlt_inputs())
+def test_ldlt_psd_on_integer_rows_is_the_congruence_loop(case):
+    kind, a, block = case
+    report = _linalg.ldlt_psd(a)
+    expected = _congruence_ldlt(a)
+    assert (report.psd, report.rank, report.witness) == expected
+    # the error text prints the witness: same entries, same types
+    assert repr(report.witness) == repr(expected[2])
+    if kind in ("gram", "singular"):
+        assert report.psd
+    if kind == "negative":
+        assert not report.psd
+    if kind == "off-diagonal" and block is not None:
+        # the pivots before the block, then the witness C(e_i -+ e_j) on it
+        assert (report.psd, report.rank) == (False, block)
+        assert report.witness[block] == 1 and abs(report.witness[block + 1]) == 1
+
+
+def test_ldlt_psd_reaches_each_witness_branch():
+    # a trailing hollow block after a positive pivot: C(e_1 - e_2) with the
+    # pivot part solving G[P,P] x = -G[P,k]
+    lower = _m([[1, 0, 0], [Fraction(1, 2), 1, 0], [-3, 0, 1]])
+    middle = _m([[2, 0, 0], [0, 0, 5], [0, 5, 0]])
+    a = _linalg.mat_mul(_linalg.mat_mul(lower, middle), _linalg.transpose(lower))
+    report = _linalg.ldlt_psd(a)
+    assert (report.psd, report.rank, report.witness) == _congruence_ldlt(a)
+    assert report.rank == 1 and report.witness[1:] == (Fraction(1), Fraction(-1))
+    # a negative pivot after a positive one
+    a = _m([[4, 2], [2, -1]])
+    report = _linalg.ldlt_psd(a)
+    assert (report.psd, report.rank, report.witness) == (False, 1, (Fraction(-1, 2), Fraction(1)))
+    assert (report.psd, report.rank, report.witness) == _congruence_ldlt(a)
+
+
+@given(st.data())
+def test_solve_ratios_is_solve_consistent_on_integers(data):
+    n = data.draw(st.integers(1, 6))
+    aug = data.draw(_matrices(cols=n + data.draw(st.integers(1, 3))))
+    a = [row[:n] for row in aug]
+    b = [row[n:] for row in aug]
+    expected = _linalg.solve_consistent(a, b)
+    got = _linalg.solve_ratios(
+        _linalg.integer_rows(a), [[x.as_integer_ratio() for x in row] for row in b]
+    )
+    if expected is None:
+        assert got is None
+    else:
+        assert got == [[x.as_integer_ratio() for x in row] for row in expected]

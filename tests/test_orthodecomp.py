@@ -18,6 +18,7 @@ from jacobi_mv.errors import (
 from jacobi_mv.moments import (
     AtomicFunctional,
     MomentFunctional,
+    TableFunctional,
     atomic_functional,
     beta_functional,
     gamma_functional,
@@ -431,3 +432,74 @@ def test_moment_matrix_shifts_by_codes_and_refuses_a_carry():
             moments.code(beta)
     with pytest.raises(InvalidIndexError):
         moments.pair(IntegerColumn.of([(1, 1)]), (0, 4))
+
+
+_FOUR_ATOMS = [
+    (("0", "1"), "1/4"), (("1", "-1"), "1/4"), (("2", "1/2"), "1/4"), (("-1/3", "2"), "1/4"),
+]
+_THREE_ATOMS_3D = [(("-2", "-2", "1"), "1/3"), (("-1", "1", "1"), "1/3"), (("2", "2", "2"), "1/3")]
+
+
+def _table_with_holes(atoms, max_degree, holes, changes=()):
+    exact = atomic_functional(atoms)
+    table = {
+        beta: exact.moment(beta)
+        for beta in monomial_basis(exact.d, max_degree)
+        if beta not in holes
+    }
+    for beta, delta in changes:
+        table[beta] += Fraction(delta)
+    return table_functional(exact.d, max_degree, table)
+
+
+@pytest.mark.parametrize(
+    "atoms,top,holes,changes,missing",
+    [
+        (_FOUR_ATOMS, 2, [(0, 2), (3, 0)], (), (0, 2)),
+        (_FOUR_ATOMS, 2, [(0, 3), (1, 3), (4, 0)], (), (0, 3)),
+        (_FOUR_ATOMS, 2, [(2, 2), (1, 3), (0, 4)], (), (2, 2)),
+        # (0, 4, 0) moved makes a projection at level 3 inconsistent; every
+        # projection of a level is paired before any is solved, so the
+        # missing moment is named, not the inconsistency
+        (_THREE_ATOMS_3D, 3, [(3, 0, 3), (0, 5, 0), (0, 0, 6), (0, 0, 5)],
+         [((0, 4, 0), "1/4")], (0, 5, 0)),
+    ],
+)
+def test_first_missing_moment_of_a_table_with_holes(atoms, top, holes, changes, missing):
+    table = _table_with_holes(atoms, 2 * top, holes, changes)
+    with pytest.raises(InsufficientMomentsError) as raised:
+        decompose(table, top)
+    assert str(raised.value) == f"moment {missing} is not in the table"
+    if changes:
+        with pytest.raises(NotAStateError, match="projection of x\\^"):
+            decompose(_table_with_holes(atoms, 2 * top, [], changes), top)
+
+
+@pytest.mark.parametrize(
+    "holes,missed",
+    [
+        ([(4, 1), (1, 4), (3, 2)], [(4, 1), (4, 1)]),
+        ([(2, 3), (5, 0)], [(5, 0), (2, 3)]),
+    ],
+)
+def test_build_names_the_first_missing_top_moment_per_coordinate(holes, missed, monkeypatch):
+    # the top-level pairings of each coordinate stop at their first missing
+    # moment of degree 2N+1, which leaves that preservation unset
+    dec = decompose(_table_with_holes(_FOUR_ATOMS, 5, holes), 2)
+    names = []
+    moment = TableFunctional.moment
+
+    def recorded(self, beta):
+        try:
+            return moment(self, beta)
+        except InsufficientMomentsError as exc:
+            names.append(str(exc))
+            raise
+
+    monkeypatch.setattr(TableFunctional, "moment", recorded)
+    ops = build(dec)
+    monkeypatch.undo()
+    assert names == [f"moment {beta} is not in the table" for beta in missed]
+    for j in (1, 2):
+        with pytest.raises(InsufficientMomentsError, match="preservation at top level 2"):
+            ops.zero_matrix(j, 2)
