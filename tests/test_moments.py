@@ -329,6 +329,79 @@ def test_moment_refuses_negative_multi_index_entries(beta):
             f.moment(beta)
 
 
+@pytest.mark.parametrize(
+    "functional,beta,error,text",
+    [
+        (gaussian_functional(1), (1, 1), DimensionMismatchError, "multi-index length 2 != dimension 1"),
+        (atomic_functional([((1,), 1)]), (), DimensionMismatchError, "multi-index length 0 != dimension 1"),
+        (
+            table_functional(1, 2, {(0,): 1, (1,): "1/2", (2,): "1/3"}),
+            (3,),
+            InsufficientMomentsError,
+            "moment of degree 3 requested but only degrees <= 2 are available",
+        ),
+        (
+            table_functional(2, 2, {(0, 0): 1}),
+            (2, 1),
+            InsufficientMomentsError,
+            "moment of degree 3 requested but only degrees <= 2 are available",
+        ),
+    ],
+)
+def test_moment_key_check_texts(functional, beta, error, text):
+    # the whole message, so a fast path for well-formed keys keeps the texts
+    # of the keys it does not take
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        functional.moment(beta)
+
+
+def _gaussian_reference(k):
+    m = [Fraction(1)]
+    for t in range(1, k + 1):
+        m.append(Fraction(0) if t % 2 else m[t - 2] * Fraction(t - 1, 2))
+    return m
+
+
+def _gamma_reference(alpha, k):
+    m = [Fraction(1)]
+    for t in range(1, k + 1):
+        m.append(m[t - 1] * (alpha + t))
+    return m
+
+
+def _beta_reference(a, b, k):
+    # m_t = ((b-a) m_{t-1} + (t-1) m_{t-2}) / (a+b+t+1), in Fractions
+    m = [Fraction(1)]
+    for t in range(1, k + 1):
+        out = (b - a) * m[t - 1]
+        if t >= 2:
+            out += (t - 1) * m[t - 2]
+        m.append(out / (a + b + t + 1))
+    return m
+
+
+_ABOVE_MINUS_ONE = st.fractions(min_value=Fraction(-1), max_denominator=40).filter(lambda x: x > -1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_ABOVE_MINUS_ONE, _ABOVE_MINUS_ONE, _ABOVE_MINUS_ONE, st.integers(min_value=0, max_value=30))
+@example(Fraction(0), Fraction(0), Fraction(0), 30)
+@example(Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3), 30)
+def test_one_dimensional_sequences_are_the_fraction_recurrences(a, b, alpha, k):
+    # each 1-D sequence's integer ratio is the Fraction recurrence's term in
+    # lowest terms with a positive denominator, for every k up to the one asked
+    sequences = [
+        (gaussian_functional(1), _gaussian_reference(k)),
+        (gamma_functional([alpha]), _gamma_reference(alpha, k)),
+        (beta_functional([a], [b]), _beta_reference(a, b, k)),
+    ]
+    for functional, reference in sequences:
+        (seq,) = functional._sequences
+        assert seq.ratio(k) == (reference[k].numerator, reference[k].denominator)
+        assert [seq.ratio(t) for t in range(k + 1)] == [x.as_integer_ratio() for x in reference]
+        assert functional.moment((k,)) == reference[k]
+
+
 def test_functional_from_json_dispatch():
     atoms_doc = {"d": 1, "atoms": [{"x": ["2"], "w": "1"}]}
     table_doc = {"d": 1, "max_degree": 1, "moments": [{"beta": [0], "value": "1"}, {"beta": [1], "value": "0"}]}
