@@ -282,25 +282,22 @@ def solve_consistent(
     """Solve A X = B exactly; free variables are set to 0.
 
     Returns the unique such X when the system is consistent, else None.
-    B may have any number of columns; shapes are rows(A) x cols(B).
+    B may have any number of columns; shapes are rows(A) x cols(B).  The
+    solve is solve_ratios on A's integer rows and B's integer ratios, and
+    a Fraction is built only for each nonzero entry of X.
     """
     rows = len(a)
     assert rows > 0, "solve_consistent needs at least one equation row"
     n = len(a[0])
-    k = len(b[0]) if b and b[0] is not None else 0
     if len(b) != rows:
         raise AssertionError("right-hand side row count disagrees with A")
     if n == 0:
         # no unknowns: consistent iff B vanishes
         return [] if all(x == 0 for row in b for x in row) else None
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    reduced, pivots = rref(aug)
-    if any(p >= n for p in pivots):
+    x = solve_ratios(integer_rows(a), [[v.as_integer_ratio() for v in row] for row in b])
+    if x is None:
         return None
-    x = zeros(n, k)
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r][n:]
-    return x
+    return [[Fraction(p, q) if p else ZERO for p, q in row] for row in x]
 
 
 @dataclass(frozen=True)

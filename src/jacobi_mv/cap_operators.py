@@ -35,10 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from ._linalg import ONE, ZERO, Matrix
+from ._linalg import ZERO, Matrix
 from .errors import (
     InsufficientMomentsError,
     InternalConsistencyError,
@@ -103,9 +103,12 @@ def _times(moments: MomentMatrix, form: IntegerColumn, step: int) -> Tuple[List[
 
 
 def _top_pairings(
-    decomposition: Decomposition, unit: MultiIndex, rows: Dict[Tuple[int, MultiIndex], Fraction]
-) -> Matrix:
-    """<b_i, x^unit b_k> over the top level N, as a matrix indexed (i, k).
+    decomposition: Decomposition,
+    unit: MultiIndex,
+    rows: Dict[Tuple[int, MultiIndex], Tuple[int, int]],
+    gram: Sequence[Tuple[List[int], int]],
+) -> List[List[Tuple[int, int]]]:
+    """<b_i, x^unit b_k> over the top level N, as integer ratios indexed (i, k).
 
     b_k is x^beta_k plus terms of degree <= N-1.  A degree-N monomial
     x^gamma is b_gamma plus lower levels, and every monomial of degree < N
@@ -114,9 +117,12 @@ def _top_pairings(
         <b_i, x^(beta_k+unit)> + sum_{|alpha|=N-1} b_k[alpha] G_N[i][alpha+unit]
 
     It equals phi(x^unit b_i b_k), which is symmetric in i and k, so only
-    i <= k is paired and the lower triangle is mirrored.  Each entry is one
-    integer sum (_linalg.sum_of_products) of the moment row value and the
-    correction terms.  rows caches the moment row value <b_i, x^gamma> per
+    i <= k is paired and the lower triangle is mirrored.  gram is G_N as
+    integer rows (_linalg.integer_rows), row i numerators over den_i, so the
+    correction is one integer dot product of row i with b_k's numerators,
+    over den_i times b_k's denominator; each entry is that plus the moment
+    row value, reduced once, (p, q) in lowest terms with q > 0.  rows caches
+    the moment row value <b_i, x^gamma> (MomentMatrix.pair_ratio) per
     (i, gamma), gamma of degree N+1, across coordinates.
     """
     moments = decomposition.moments
@@ -126,65 +132,73 @@ def _top_pairings(
     start = decomposition.starts[n]
     below = range(decomposition.starts[n - 1] if n else start, start)
     step = moments.code(unit)
-    pairings = [[ZERO] * len(forms) for _ in forms]
+    pairings = [[(0, 1)] * len(forms) for _ in forms]
     for k, (beta, form) in enumerate(zip(lv.monomials, forms)):
         gamma = shift(beta, unit)
-        # b_k[alpha] at level N-1, with the level-N position of alpha+unit
+        # b_k's numerators at level N-1, with the level-N position of alpha+unit
         shifted = [
-            (moments.code_position[moments.codes[a] + step] - start, Fraction(c, form.denominator))
+            (moments.code_position[moments.codes[a] + step] - start, c)
             for a, c in form.terms
             if a in below
         ]
         for i in range(k + 1):
             value = rows.get((i, gamma))
             if value is None:
-                value = rows[(i, gamma)] = moments.pair(forms[i], gamma)
-            row = lv.gram[i]
-            pairings[i][k] = pairings[k][i] = _linalg.sum_of_products(
-                [(value, ONE)] + [(row[q], b) for q, b in shifted]
-            )
+                value = rows[(i, gamma)] = moments.pair_ratio(forms[i], gamma)
+            num, den = value
+            nums, row_den = gram[i]
+            correction = sum(nums[q] * c for q, c in shifted)
+            if correction:
+                scale = row_den * form.denominator
+                num, den = num * scale + correction * den, den * scale
+            pairings[i][k] = pairings[k][i] = _linalg._ratio(num, den) if num else (0, 1)
     return pairings
 
 
-def _solve_stacked(gram: Matrix, systems: Dict[int, Matrix]) -> Optional[Dict[int, Matrix]]:
+def _solve_stacked(
+    gram: Sequence[Tuple[List[int], int]], systems: Dict[int, List[List[Tuple[int, int]]]]
+) -> Optional[Dict[int, Matrix]]:
     """Solve gram X_j = B_j for every right-hand side B_j in one elimination.
 
-    The row operations depend only on the Gram, so each X_j is what its own
-    solve gives; None when some system is inconsistent.
+    gram is integer rows and each B_j integer ratios, as _linalg.solve_ratios
+    takes them.  The row operations depend only on the Gram, so each X_j is
+    what its own solve gives; a Fraction is built only for each nonzero
+    entry of the X_j.  None when some system is inconsistent.
     """
     if not systems:
         return {}
     stacked = [[x for b in systems.values() for x in b[i]] for i in range(len(gram))]
-    x = _linalg.solve_consistent(gram, stacked)
+    x = _linalg.solve_ratios(gram, stacked)
     if x is None:
         return None
     out, s = {}, 0
     for j, b in systems.items():
         e = s + len(b[0])
-        out[j] = [row[s:e] for row in x]
+        out[j] = [[Fraction(p, q) if p else ZERO for p, q in row[s:e]] for row in x]
         s = e
     return out
 
 
 def _raise_first_inconsistent(
-    decomposition: Decomposition, preservation: Dict[int, Matrix], annihilation: Dict[int, Matrix]
+    decomposition: Decomposition,
+    grams: Tuple[Sequence[Tuple[List[int], int]], Sequence[Tuple[List[int], int]]],
+    preservation: Dict[int, List[List[Tuple[int, int]]]],
+    annihilation: Dict[int, List[List[Tuple[int, int]]]],
 ) -> None:
     """Name the first inconsistent top-level system: coordinate by
-    coordinate, preservation before annihilation."""
-    n = decomposition.max_degree
+    coordinate, preservation before annihilation.  grams is G_N and G_{N-1}
+    as integer rows."""
+    top = decomposition.max_degree
+    g_top, g_below = grams
     for j in range(1, decomposition.d + 1):
-        if j in preservation and _linalg.solve_consistent(
-            decomposition.level(n).gram_matrix(), preservation[j]
-        ) is None:
+        if j in preservation and _linalg.solve_ratios(g_top, preservation[j]) is None:
             raise NotAStateError(
-                f"preservation system at level {n}, coordinate {j} is "
+                f"preservation system at level {top}, coordinate {j} is "
                 "inconsistent; no positive functional has these moments"
             )
-        if j in annihilation and _linalg.solve_consistent(
-            decomposition.level(n - 1).gram_matrix(), annihilation[j]
-        ) is None:
+        if j in annihilation and _linalg.solve_ratios(g_below, annihilation[j]) is None:
             raise NotAStateError(
-                f"annihilation system at level {n}, coordinate {j} is "
+                f"annihilation system at level {top}, coordinate {j} is "
                 "inconsistent; no positive functional has these moments"
             )
 
@@ -213,7 +227,7 @@ def build(decomposition: Decomposition) -> CAPSystem:
     plus: Dict[Tuple[int, int], Matrix] = {}
     zero: Dict[Tuple[int, int], Optional[Matrix]] = {}
     minus: Dict[Tuple[int, int], Matrix] = {}
-    rows: Dict[Tuple[int, MultiIndex], Fraction] = {}
+    rows: Dict[Tuple[int, MultiIndex], Tuple[int, int]] = {}
     for n in range(top):
         forms = decomposition.level_forms(n)
         for j in range(1, d + 1):
@@ -234,29 +248,32 @@ def build(decomposition: Decomposition) -> CAPSystem:
             zero[(j, n)] = _linalg.transpose([c[n] for c in images])
             minus[(j, n)] = _linalg.transpose([c[n - 1] for c in images]) if n else []
     # the top level N: every preservation system shares G_N and every
-    # annihilation system G_{N-1}, so each Gram is eliminated once
-    lv = decomposition.level(top)
+    # annihilation system G_{N-1}, so each Gram is eliminated once, on its
+    # integer rows
+    gram = _linalg.integer_rows(decomposition.level(top).gram)
+    below = decomposition.gram_rows[top - 1] if top else []
     start = decomposition.starts[top]
-    preservation: Dict[int, Matrix] = {}
-    annihilation: Dict[int, Matrix] = {}
+    preservation: Dict[int, List[List[Tuple[int, int]]]] = {}
+    annihilation: Dict[int, List[List[Tuple[int, int]]]] = {}
     for j in range(1, d + 1):
         unit = tuple(int(i == j - 1) for i in range(d))
         try:
-            preservation[j] = _top_pairings(decomposition, unit, rows)
+            preservation[j] = _top_pairings(decomposition, unit, rows, gram)
         except InsufficientMomentsError:
             pass  # left unset: raises only if accessed
         if top:
             # <b', x_j b> = <x_j b', b> only sees the creation image of b',
-            # the basis vector of beta' + e_j
+            # the basis vector of beta' + e_j: a row of G_N, as ratios
             step = moments.code(unit)
-            annihilation[j] = [
-                lv.gram[moments.code_position[moments.codes[a] + step] - start]
+            selected = (
+                gram[moments.code_position[moments.codes[a] + step] - start]
                 for a in range(decomposition.starts[top - 1], start)
-            ]
-    zeros = _solve_stacked(lv.gram_matrix(), preservation)
-    minuses = _solve_stacked(decomposition.level(top - 1).gram_matrix(), annihilation) if top else {}
+            )
+            annihilation[j] = [[(x, den) for x in nums] for nums, den in selected]
+    zeros = _solve_stacked(gram, preservation)
+    minuses = _solve_stacked(below, annihilation)
     if zeros is None or minuses is None:
-        _raise_first_inconsistent(decomposition, preservation, annihilation)
+        _raise_first_inconsistent(decomposition, (gram, below), preservation, annihilation)
     for j in range(1, d + 1):
         zero[(j, top)] = zeros.get(j)
         minus[(j, top)] = minuses[j] if top else []

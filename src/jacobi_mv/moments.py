@@ -31,6 +31,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._linalg import _ratio
 from .errors import (
     DimensionMismatchError,
     InsufficientMomentsError,
@@ -101,6 +102,20 @@ class MomentFunctional:
         raise NotImplementedError
 
     def _check_beta(self, beta: MultiIndex) -> None:
+        """Refuse a key that is no multi-index of this dimension, or is of
+        higher degree than the functional holds.
+
+        A key of d non-negative ints within the degree bound, which is every
+        key the library builds itself, returns after one pass over it; any
+        other key takes the checks below in order, for their error texts.
+        """
+        if len(beta) == self.d:
+            for b in beta:
+                if type(b) is not int or b < 0:
+                    break
+            else:
+                if self.max_degree is None or sum(beta) <= self.max_degree:
+                    return
         if len(beta) != self.d:
             raise DimensionMismatchError(
                 f"multi-index length {len(beta)} != dimension {self.d}"
@@ -139,64 +154,71 @@ class MomentFunctional:
 
 
 class _Sequence1D:
-    """Memoized one-dimensional moment sequence with m_0 = 1.
+    """Memoized one-dimensional moment sequence with m_0 = 1, as integer ratios.
 
-    The recurrences read the values as Fractions; products of moments read
-    them as (numerator, denominator) pairs, memoized beside them.
+    Term k is a pair (p, q) in lowest terms with q > 0.  A recurrence reads
+    the earlier terms as pairs, forms the new term as one numerator over
+    one denominator, and reduces it once, with one gcd (_linalg._ratio);
+    products of moments read the same pairs, so no Fraction is built here.
     """
 
     def __init__(self):
-        self._cache: List[Fraction] = [Fraction(1)]
         self._ratios: List[Tuple[int, int]] = [(1, 1)]
 
     def ratio(self, k: int) -> Tuple[int, int]:
-        while len(self._cache) <= k:
-            value = self._next(len(self._cache))
-            self._cache.append(value)
-            self._ratios.append((value.numerator, value.denominator))
-        return self._ratios[k]
+        ratios = self._ratios
+        while len(ratios) <= k:
+            ratios.append(self._next(len(ratios)))
+        return ratios[k]
 
-    def _next(self, k: int) -> Fraction:
+    def _next(self, k: int) -> Tuple[int, int]:
         raise NotImplementedError
 
 
 class _GaussianSeq(_Sequence1D):
     # m_{2t} = m_{2t-2} * (2t-1)/2 for exp(-x^2)/sqrt(pi); odd moments vanish
-    def _next(self, k: int) -> Fraction:
+    def _next(self, k: int) -> Tuple[int, int]:
         if k % 2 == 1:
-            return Fraction(0)
-        return self._cache[k - 2] * Fraction(k - 1, 2)
+            return 0, 1
+        p, q = self._ratios[k - 2]
+        return _ratio(p * (k - 1), q * 2)
 
 
 class _GammaSeq(_Sequence1D):
-    # m_k = m_{k-1} * (alpha + k) for x^alpha exp(-x) / Gamma(alpha+1)
+    # m_k = m_{k-1} * (alpha + k) for x^alpha exp(-x) / Gamma(alpha+1), with
+    # alpha = A/D: m_k = m_{k-1} * (A + k D) / D
     def __init__(self, alpha: Fraction):
         if alpha <= -1:
             raise UnsupportedParameterError(f"gamma parameter must be > -1, got {alpha}")
         super().__init__()
-        self.alpha = alpha
+        self._alpha = alpha.as_integer_ratio()  # (A, D)
 
-    def _next(self, k: int) -> Fraction:
-        return self._cache[k - 1] * (self.alpha + k)
+    def _next(self, k: int) -> Tuple[int, int]:
+        a, den = self._alpha
+        p, q = self._ratios[k - 1]
+        return _ratio(p * (a + k * den), q * den)
 
 
 class _BetaSeq(_Sequence1D):
     # integrate d/dx[(1-x)^(a+1) (1+x)^(b+1) x^(k-1)] over [-1, 1]:
-    # m_k = ((b-a) m_{k-1} + (k-1) m_{k-2}) / (a+b+k+1)
+    # m_k = ((b-a) m_{k-1} + (k-1) m_{k-2}) / (a+b+k+1); with a = A/D and
+    # b = B/D over one denominator D,
+    # m_k = ((B-A) m_{k-1} + (k-1) D m_{k-2}) / (A+B+(k+1)D)
     def __init__(self, a: Fraction, b: Fraction):
         if a <= -1 or b <= -1:
             raise UnsupportedParameterError(
                 f"beta parameters must be > -1, got a={a}, b={b}"
             )
         super().__init__()
-        self.a = a
-        self.b = b
+        den = lcm(a.denominator, b.denominator)
+        self._params = int(a * den), int(b * den), den  # (A, B, D)
 
-    def _next(self, k: int) -> Fraction:
-        out = (self.b - self.a) * self._cache[k - 1]
-        if k >= 2:
-            out += (k - 1) * self._cache[k - 2]
-        return out / (self.a + self.b + k + 1)
+    def _next(self, k: int) -> Tuple[int, int]:
+        big_a, big_b, den = self._params
+        p1, q1 = self._ratios[k - 1]
+        p2, q2 = self._ratios[k - 2] if k >= 2 else (0, 1)
+        bottom = big_a + big_b + (k + 1) * den  # D (a+b+k+1) > 0
+        return _ratio((big_b - big_a) * p1 * q2 + (k - 1) * den * p2 * q1, q1 * q2 * bottom)
 
 
 def _multiplicities(terms: Iterable[Tuple[Fraction, int]]) -> Dict[Fraction, int]:

@@ -246,15 +246,22 @@ class Decomposition:
 
     forms[p] is basis polynomial p (graded order) over the monomial basis,
     as an IntegerColumn: its last term is p, the leading coefficient 1.
+    gram_rows[m] is G_m as integer rows (_linalg.integer_rows) for each
+    level m below the top, as decompose eliminated it.
     """
 
     def __init__(
-        self, moments: MomentMatrix, levels: Sequence[Level], forms: Sequence[IntegerColumn]
+        self,
+        moments: MomentMatrix,
+        levels: Sequence[Level],
+        forms: Sequence[IntegerColumn],
+        gram_rows: Sequence[List[Tuple[List[int], int]]],
     ):
         self.moments = moments
         self.functional = moments.functional
         self.levels = list(levels)
         self.forms = list(forms)
+        self.gram_rows = list(gram_rows)
         self.d = self.functional.d
         self.max_degree = len(self.levels) - 1
         self.starts = list(accumulate((len(lv) for lv in self.levels), initial=0))
@@ -395,4 +402,4 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
         forms.append(block_forms)
         if n < max_degree:
             grams.append(_linalg.integer_rows(gram))
-    return Decomposition(moments, levels, [f for level in forms for f in level])
+    return Decomposition(moments, levels, [f for level in forms for f in level], grams)

@@ -357,6 +357,11 @@ def _unit(d, j):
     return tuple(int(i == j - 1) for i in range(d))
 
 
+def _fractions(ratios):
+    """A matrix of integer ratios as Fractions."""
+    return [[Fraction(*r) for r in row] for row in ratios]
+
+
 @pytest.mark.parametrize("functional,top", SHIFT_CASES)
 def test_creation_is_the_shift_the_top_annihilation_selects(functional, top):
     # every plus_{j|n} is the 0/1 matrix sending class k to the position of
@@ -382,9 +387,10 @@ def test_top_pairings_match_the_polynomial_oracle(functional, top):
     # only the upper triangle is paired and mirrored: phi(b_i x_j b_k) is
     # symmetric in i and k
     dec = decompose(functional, top)
+    gram = _linalg.integer_rows(dec.level(top).gram)
     rows = {}
     for j in range(1, dec.d + 1):
-        pairings = _top_pairings(dec, _unit(dec.d, j), rows)
+        pairings = _fractions(_top_pairings(dec, _unit(dec.d, j), rows, gram))
         assert pairings == top_pairings(dec, j)
         assert pairings == _linalg.transpose(pairings)
 
@@ -393,9 +399,10 @@ def test_top_pairings_pair_the_upper_triangle_once():
     # one moment row value per (i, gamma) with i <= k, shared by the
     # coordinates: 343 at d = 3, N = 5, where the full rows took 28 * 21
     dec = decompose(_jacobi_d3(), 5)
+    gram = _linalg.integer_rows(dec.level(5).gram)
     rows = {}
     for j in range(1, 4):
-        _top_pairings(dec, _unit(3, j), rows)
+        _top_pairings(dec, _unit(3, j), rows, gram)
     assert len(dec.level(5)) == 21 and len(monomials_of_degree(3, 6)) == 28
     assert len(rows) == 343
 
@@ -403,9 +410,10 @@ def test_top_pairings_pair_the_upper_triangle_once():
 def test_top_pairings_need_degree_2n_plus_1():
     # a table of degree exactly 2N leaves every top preservation block unset
     dec = decompose(_twelve_atom_table(6), 3)
+    gram = _linalg.integer_rows(dec.level(3).gram)
     for j in (1, 2):
         with pytest.raises(InsufficientMomentsError):
-            _top_pairings(dec, _unit(2, j), {})
+            _top_pairings(dec, _unit(2, j), {}, gram)
     ops = build(dec)
     for j in (1, 2):
         with pytest.raises(InsufficientMomentsError):
@@ -413,11 +421,12 @@ def test_top_pairings_need_degree_2n_plus_1():
     # one degree more sets them, to the pairing system's solution; the
     # pairings are dense, so the mirrored lower triangle is checked too
     dec = decompose(_twelve_atom_table(7), 3)
+    gram = _linalg.integer_rows(dec.level(3).gram)
     ops = build(dec)
     for j in (1, 2):
         pairings = top_pairings(dec, j)
         assert not _linalg.is_diagonal(pairings)
-        assert _top_pairings(dec, _unit(2, j), {}) == pairings
+        assert _fractions(_top_pairings(dec, _unit(2, j), {}, gram)) == pairings
         assert ops.zero_matrix(j, 3) == _linalg.solve_consistent(dec.level(3).gram_matrix(), pairings)
 
 
