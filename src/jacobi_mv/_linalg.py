@@ -18,27 +18,31 @@ operation:
   Both return the shared ZERO for an exact zero, so no Fraction is built
   for it.
 
-* rref: Gauss-Jordan elimination on integer rows.  Each row is cleared of
-  its denominators once; an update is p*row_i - f*row_r with p the pivot
-  and f the entry to clear, both divided by gcd(p, f), and the new row is
-  divided by its content.  Every integer row is a nonzero multiple of the
-  row the rational loop would hold, so the zero entries, hence the pivot
-  choice (first row with a nonzero entry, scanning top-down), the pivots
-  and the inconsistency test, are those of the rational loop.  Fractions
-  are formed once, when the pivot rows are normalized; the reduced form is
-  unique, so it is the rational loop's byte for byte.  The loop itself is
-  _eliminate, which solve_ratios shares.
+* _eliminate: Gauss-Jordan elimination on integer rows.  Each row is
+  cleared of its denominators once; an update is p*row_i - f*row_r with p
+  the pivot and f the entry to clear, both divided by gcd(p, f), and the
+  new row is divided by its content.  Every integer row is a nonzero
+  multiple of the row the rational loop would hold, so the zero entries,
+  hence the pivot choice (first row with a nonzero entry, scanning
+  top-down), the pivots and the inconsistency test, are those of the
+  rational loop.  The reduced form is unique, so what is read off the
+  rows is the rational loop's byte for byte.  rref (which rank uses)
+  forms its Fractions once, when the pivot rows are normalized.
 
 Three workhorses:
 
-* solve_consistent: Gauss-Jordan solve of A X = B with free variables pinned
-  to 0.  The deterministic pivot choice makes every downstream matrix
-  reproducible byte-for-byte.  Returns None when the system is inconsistent.
+* solve_ratios: Gauss-Jordan solve of A X = B with free variables pinned
+  to 0, A given as integer rows over a denominator (integer_rows) and B
+  and X as integer ratios.  The augmented rows are eliminated in A's
+  columns only, by _eliminate, and no Fraction is built.  The
+  deterministic pivot choice makes every downstream matrix reproducible
+  byte-for-byte.  Returns None when the system is inconsistent.  The
+  projections of orthodecomp.decompose and the top-level solves of
+  cap_operators.build run on it, on Gram rows kept as integer rows.
 
-* solve_ratios: the same solve with A given as integer rows over a
-  denominator (integer_rows) and B and X as integer ratios.  The augmented
-  rows are eliminated in A's columns only, and no Fraction is built; the
-  projections of orthodecomp.decompose run on it.
+* solve_consistent: the same solve on Fraction matrices.  It runs
+  solve_ratios on A's integer rows and B's integer ratios and builds a
+  Fraction only for each nonzero entry of X.
 
 * ldlt_psd: symmetric Gaussian elimination with diagonal pivoting on
   primitive integer rows, each a positive multiple of the rational row, so

@@ -25,7 +25,12 @@ the columns and the level Gram.  They are symmetric, so only the upper
 triangle is paired.  Top-level annihilation needs no product: creation
 shifts leading monomials, so its right-hand side is a selection of the
 rows of the top Gram.  All coordinates' top-level systems of one kind
-share a Gram and are solved in one elimination.
+share a Gram and are solved in one elimination.  The top level stays in
+integers up to its solutions: the pairings are integer ratios (a moment
+row's integer pairing plus an integer dot product with the top Gram's
+integer rows), both stacks are eliminated by _linalg.solve_ratios on
+integer Gram rows (the top one formed once here, the one below kept by
+decompose), and a Fraction is built only for each entry of the blocks.
 
 Matrices are written in the level bases of the decomposition, columns
 indexed by the source level; coordinates j are 1-based.
@@ -181,22 +186,22 @@ def _solve_stacked(
 
 def _raise_first_inconsistent(
     decomposition: Decomposition,
-    grams: Tuple[Sequence[Tuple[List[int], int]], Sequence[Tuple[List[int], int]]],
+    gram: Sequence[Tuple[List[int], int]],
+    below: Sequence[Tuple[List[int], int]],
     preservation: Dict[int, List[List[Tuple[int, int]]]],
     annihilation: Dict[int, List[List[Tuple[int, int]]]],
 ) -> None:
     """Name the first inconsistent top-level system: coordinate by
-    coordinate, preservation before annihilation.  grams is G_N and G_{N-1}
-    as integer rows."""
+    coordinate, preservation before annihilation.  gram and below are G_N
+    and G_{N-1} as integer rows."""
     top = decomposition.max_degree
-    g_top, g_below = grams
     for j in range(1, decomposition.d + 1):
-        if j in preservation and _linalg.solve_ratios(g_top, preservation[j]) is None:
+        if j in preservation and _linalg.solve_ratios(gram, preservation[j]) is None:
             raise NotAStateError(
                 f"preservation system at level {top}, coordinate {j} is "
                 "inconsistent; no positive functional has these moments"
             )
-        if j in annihilation and _linalg.solve_ratios(g_below, annihilation[j]) is None:
+        if j in annihilation and _linalg.solve_ratios(below, annihilation[j]) is None:
             raise NotAStateError(
                 f"annihilation system at level {top}, coordinate {j} is "
                 "inconsistent; no positive functional has these moments"
@@ -217,9 +222,12 @@ def build(decomposition: Decomposition) -> CAPSystem:
     so plus_{j|N-1} sends class k to the class of beta_k + e_j, and its
     right-hand side is the rows of G_N at those positions.  The top-level
     systems of all coordinates share their Gram, so [G_N | P_1 ... P_d]
-    and [G_{N-1} | R_1 ... R_d] are each solved once; when one is
-    inconsistent, the systems are solved one by one, preservation j then
-    annihilation j for j = 1..d, to name the first that fails.
+    and [G_{N-1} | R_1 ... R_d] are each solved once, by
+    _linalg.solve_ratios: G_N is made integer rows once, which the
+    pairings and R_j (its rows as ratios) read too, and G_{N-1}'s rows are
+    decomposition.gram_rows.  When a stack is inconsistent, the systems are
+    solved one by one, preservation j then annihilation j for j = 1..d, to
+    name the first that fails.
     """
     moments = decomposition.moments
     d = decomposition.d
@@ -273,7 +281,7 @@ def build(decomposition: Decomposition) -> CAPSystem:
     zeros = _solve_stacked(gram, preservation)
     minuses = _solve_stacked(below, annihilation)
     if zeros is None or minuses is None:
-        _raise_first_inconsistent(decomposition, (gram, below), preservation, annihilation)
+        _raise_first_inconsistent(decomposition, gram, below, preservation, annihilation)
     for j in range(1, d + 1):
         zero[(j, top)] = zeros.get(j)
         minus[(j, top)] = minuses[j] if top else []

@@ -37,9 +37,10 @@ it, or none for an exact zero.  The projections stay in integers: each
 lower level's Gram is kept as integer rows once its level is done, the
 right-hand sides are pair_ratio's ratios, _linalg.solve_ratios eliminates
 [G_m | R] on integer rows, and its (num, den) coefficients are subtracted
-from the columns (IntegerColumn.subtract_from) with no Fraction built.
-Fractions appear only in the stored level Grams and what the
-Decomposition returns.  All pairings of a level are made, monomial by
+from the columns (IntegerColumn.subtract_from) with no Fraction built;
+the Decomposition keeps those integer rows (gram_rows), and build's
+top-level annihilation solve reads G_{N-1}'s.  Fractions appear only in
+the stored level Grams and what the Decomposition returns.  All pairings of a level are made, monomial by
 monomial, before any is solved, so a missing moment is named before an
 inconsistent projection.  The moments are keyed by packed exponent codes
 (pack), so pairing a column with x^beta shifts each of its monomials by
