@@ -40,12 +40,12 @@ right-hand sides are pair_ratio's ratios, _linalg.solve_ratios eliminates
 from the columns (IntegerColumn.subtract_from) with no Fraction built;
 the Decomposition keeps those integer rows (gram_rows), and build's
 top-level annihilation solve reads G_{N-1}'s.  Fractions appear only in
-the stored level Grams and what the Decomposition returns.  All pairings of a level are made, monomial by
-monomial, before any is solved, so a missing moment is named before an
-inconsistent projection.  The moments are keyed by packed exponent codes
-(pack), so pairing a column with x^beta shifts each of its monomials by
-one integer add; the code of each beta is computed once per moment
-matrix.
+the stored level Grams and what the Decomposition returns.  All pairings
+of a level are made, monomial by monomial, before any is solved, so a
+missing moment is named before an inconsistent projection.  The moments
+are keyed by packed exponent codes (pack), so pairing a column with
+x^beta shifts each of its monomials by one integer add; the code of each
+beta is computed once per moment matrix.
 """
 
 from __future__ import annotations
