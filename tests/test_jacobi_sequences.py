@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from jacobi_mv import _linalg
 from jacobi_mv.cap_operators import build
@@ -34,7 +34,7 @@ from jacobi_mv.moments import (
     gaussian_functional,
     table_functional,
 )
-from jacobi_mv.multiindex import enumerate_classes
+from jacobi_mv.multiindex import enumerate_classes, shift
 from jacobi_mv.orthodecomp import decompose
 from jacobi_mv.polyring import monomial_basis
 
@@ -68,22 +68,17 @@ def _decompositions(draw):
 
 @settings(deadline=None)
 @given(_decompositions())
-def test_alpha_on_full_rank_levels_is_the_solution_of_the_chain_system(dec):
-    # compute reads alpha = Z off a full-rank level; it must be what
-    # solving G_n a = G_n Z gives, formed here independently.  Both rest on
-    # the monic level bases, so every column must end in its leading 1
+def test_alpha_on_every_level_is_the_solution_of_the_chain_system(dec):
+    # compute reads alpha = Z off a full-rank level and combines the rows
+    # of Z through the reduced Gram on a rank-deficient one; either way it
+    # must be what solving G_n a = G_n Z gives, formed here independently.
+    # Both rest on the monic level bases, so every column must end in its
+    # leading 1
     levels = range(dec.max_degree + 1)
     assert all(col[-1] == 1 for n in levels for col in dec.level_columns(n))
-    try:
-        ops = build(dec)
-    except InternalConsistencyError:
-        # build refuses some atomic functionals two levels past n0 (a
-        # recorded defect, tested on its own in test_cap_operators)
-        assume(False)
+    ops = build(dec)
     seq = compute(ops, dec.max_degree)
     for lv in dec.levels:
-        if lv.rank < len(lv):
-            continue
         for j in range(1, dec.d + 1):
             if not seq.alpha_available(j, lv.n):
                 continue
@@ -97,10 +92,11 @@ def test_compute_solves_only_on_rank_deficient_levels(monkeypatch):
     # in R^2 leave level 2 (three classes) null, so its alpha is 0 with no
     # elimination (one elimination of all three rows before); x_1 is
     # constant on the last atom set, so levels 1 and 2 are partially null
-    # and each eliminates only its one row with a nonzero Gram diagonal
+    # and each eliminates only its one row with a nonzero Gram diagonal.
+    # Every elimination goes through the integer kernel, counted here
     three = [(("0", "0"), "1/3"), (("1", "0"), "1/3"), (("0", "2"), "1/3")]
     constant = [(("0", "0"), "1/2"), (("0", "1"), "1/4"), (("0", "3"), "1/4")]
-    solve = _linalg.solve_consistent
+    eliminate = _linalg._eliminate
     for functional, top, sizes in (
         (gaussian_functional(2), 3, []),
         (atomic_functional(three), 2, []),
@@ -109,7 +105,7 @@ def test_compute_solves_only_on_rank_deficient_levels(monkeypatch):
         ops = build(decompose(functional, top))
         calls = []
         monkeypatch.setattr(
-            _linalg, "solve_consistent", lambda a, b: calls.append(len(a)) or solve(a, b)
+            _linalg, "_eliminate", lambda m, stop: calls.append(len(m)) or eliminate(m, stop)
         )
         seq = compute(ops, top)
         monkeypatch.undo()
@@ -393,11 +389,7 @@ def test_moment_table_equals_the_functional(case):
     # the functional's own moment is the oracle; the keys come in
     # monomial_basis order, the order of the CLI's rows
     functional, top = case
-    try:
-        seq = compute_from_functional(functional, top)
-    except InternalConsistencyError:
-        # build refuses some atomic functionals past n0 (a recorded defect)
-        assume(False)
+    seq = compute_from_functional(functional, top)
     table = reconstruct_moment_table(seq, top)
     assert list(table) == monomial_basis(functional.d, top)
     assert table == {beta: functional.moment(beta) for beta in table}
@@ -472,6 +464,49 @@ def test_ladder_and_step_errors_on_hand_built_pairs():
     assert top_state == [[0], [1]]
     with pytest.raises(InsufficientDepthError, match="^operator chain exceeds the truncation at level 1$"):
         sequences._step(seq, ladder, top_state, 1, 2)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_functionals_and_levels())
+def test_ladder_adjoints_are_the_per_coordinate_solutions(case):
+    # the ladder solves the d adjoint systems of a level together; each
+    # block must be what its own solve of Omega_{n-1} A- = (rows of
+    # Omega_n hit by A+_{j|n-1}) gives
+    import jacobi_mv.jacobi_sequences as sequences
+
+    functional, top = case
+    seq = compute_from_functional(functional, top)
+    plus, minus = sequences._ladder(seq)
+    for j in range(1, seq.d + 1):
+        step = tuple(int(i == j - 1) for i in range(seq.d))
+        for n in range(top):
+            nxt = seq.classes(n + 1)
+            assert plus[(j, n)] == [nxt.index(shift(c, step)) for c in seq.classes(n).classes]
+        for n in range(1, top + 1):
+            rows = [seq.omega_matrix(n)[i] for i in plus[(j, n - 1)]]
+            assert minus[(j, n)] == _linalg.solve_consistent(seq.omega_matrix(n - 1), rows)
+
+
+def test_the_first_inconsistent_adjoint_system_is_named_coordinate_first():
+    # d = 2 with Omega_0 = 0, Omega_1 = diag(0, 1) and Omega_2 = 1: the
+    # systems of (j, n) = (2, 1), (1, 2) and (2, 2) are inconsistent, and
+    # coordinate 1 is tried at every level before coordinate 2
+    import jacobi_mv.jacobi_sequences as sequences
+
+    bases = [enumerate_classes(2, n) for n in range(3)]
+    assert bases[1].classes == ((1, 0), (0, 1))
+    omega = [[[Fraction(0)]], [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]],
+             [[Fraction(int(i == k)) for k in range(3)] for i in range(3)]]
+    alpha = [[_linalg.zeros(len(b), len(b))] * 2 for b in bases]
+    pair = JacobiSequencePair(2, 2, bases, omega, alpha)
+    text = "^annihilation adjoint system at level 2, coordinate 1 is inconsistent with the omega sequence$"
+    for call in (
+        lambda: sequences._ladder(pair),
+        lambda: reconstruct_moments(pair, (1, 0)),
+        lambda: reconstruct_moment_table(pair, 2),
+    ):
+        with pytest.raises(RepresentationError, match=text):
+            call()
 
 
 def test_each_state_keeps_only_the_levels_that_reach_the_vacuum(monkeypatch):
@@ -571,10 +606,7 @@ def test_truncated_states_give_the_full_state_moments(case):
         seq = case
     else:
         functional, top = case
-        try:
-            seq = compute_from_functional(functional, top)
-        except InternalConsistencyError:
-            assume(False)
+        seq = compute_from_functional(functional, top)
     top = seq.max_level
     for beta in monomial_basis(seq.d, top):
         expected = _outcome(lambda: _full_state_moment(seq, beta))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -16,9 +17,11 @@ from jacobi_mv.errors import (
     InvalidIndexError,
     NoMassFactorError,
     UnsupportedParameterError,
+    shown,
 )
 from jacobi_mv.moments import (
     AtomicFunctional,
+    _exact,
     atomic_functional,
     beta_functional,
     functional_from_json,
@@ -281,6 +284,45 @@ def test_atomic_json_round_trip():
     doc = mu.to_json_dict()
     again = AtomicFunctional.from_json_dict(doc)
     assert again.moment((3, 1)) == mu.moment((3, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789-+/.e_ \u0663x", max_size=8))
+@example("-007/0140")
+@example("12/00")
+@example("1_0/3")
+@example(" 1/2")
+@example("1 /2")
+@example("\u0663/4")
+@example("-")
+def test_exact_parses_a_string_as_fraction_does(text):
+    # p/q strings of ASCII digits are read directly; every other string
+    # goes through Fraction's own parser, so the two must agree, value for
+    # value and refusal for refusal
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(UnsupportedParameterError) as info:
+            _exact(text, "moment[{}]", (1,))
+        assert str(info.value) == f"bad moment[(1,)]: {shown(text)}"
+    else:
+        value = _exact(text, "moment[{}]", (1,))
+        assert type(value) is Fraction and value == expected
+
+
+def test_exact_keeps_the_int_digit_limit():
+    # a numerator over the int/str digit limit is refused with the same
+    # text as any bad value, and read once the limit is lifted
+    text = "7" * 4301 + "/9"
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(UnsupportedParameterError, match=r"^bad atom weight: '7777"):
+            _exact(text, "atom weight")
+        sys.set_int_max_str_digits(0)
+        assert _exact(text, "atom weight") == Fraction(int(text[:-2]), 9)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_table_functional_access_and_errors():
