@@ -12,7 +12,9 @@ operation:
   numerator over the running lcm of the term denominators and normalized
   once at the end.  mat_mul and mat_vec use it on the nonzero entries
   only: each row of the left factor (or the vector) has its nonzero
-  entries collected once, and only those are paired.  The moment
+  entries collected once, and only those are paired.  An optional integer
+  divisor divides the sum before the one Fraction is built, which is how
+  jacobi_sequences combines the rows of Z over a pivot.  The moment
   pairings of orthodecomp do the same sum on integer columns of their own
   (orthodecomp.MomentMatrix.pair_ratio), so they skip the per-term conversion.
   Both return the shared ZERO for an exact zero, so no Fraction is built
@@ -28,6 +30,8 @@ operation:
   rational loop.  The reduced form is unique, so what is read off the
   rows is the rational loop's byte for byte.  rref (which rank uses)
   forms its Fractions once, when the pivot rows are normalized.
+  jacobi_sequences eliminates a rank-deficient level Gram with it directly
+  and reads alpha off the reduced rows.
 
 Three workhorses:
 
@@ -37,12 +41,15 @@ Three workhorses:
   columns only, by _eliminate, and no Fraction is built.  The
   deterministic pivot choice makes every downstream matrix reproducible
   byte-for-byte.  Returns None when the system is inconsistent.  The
-  projections of orthodecomp.decompose and the top-level solves of
-  cap_operators.build run on it, on Gram rows kept as integer rows.
+  projections of orthodecomp.decompose, the top-level solves of
+  cap_operators.build and the stacked adjoint systems of the
+  reconstruction ladder (jacobi_sequences) run on it, on integer rows.
 
 * solve_consistent: the same solve on Fraction matrices.  It runs
   solve_ratios on A's integer rows and B's integer ratios and builds a
-  Fraction only for each nonzero entry of X.
+  Fraction only for each nonzero entry of X.  No library code calls it any
+  more: it is the reference the tests compare the integer paths against,
+  and the benchmark's traced linalg.solve_consistent span.
 
 * ldlt_psd: symmetric Gaussian elimination with diagonal pivoting on
   primitive integer rows, each a positive multiple of the rational row, so
@@ -103,12 +110,13 @@ def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
     return [sum_of_products((row[k], x) for k, x in support) for row in a]
 
 
-def sum_of_products(pairs: Iterable[Tuple[Fraction, Fraction]]) -> Fraction:
-    """The exact sum of x*y over the pairs, as a normalized Fraction.
+def sum_of_products(pairs: Iterable[Tuple[Fraction, Fraction]], divisor: int = 1) -> Fraction:
+    """The exact sum of x*y over the pairs, divided by the nonzero integer
+    divisor, as a normalized Fraction.
 
     Accumulates one integer numerator over the lcm of the term
     denominators seen so far; terms with a zero factor are skipped, and a
-    zero sum returns the shared ZERO.
+    zero sum returns the shared ZERO.  x and y may be ints as well.
     """
     num, den = 0, 1
     for x, y in pairs:
@@ -125,7 +133,7 @@ def sum_of_products(pairs: Iterable[Tuple[Fraction, Fraction]]) -> Fraction:
             g = gcd(den, d)
             num = num * (d // g) + xn * yn * (den // g)
             den = den // g * d
-    return Fraction(num, den) if num else ZERO
+    return Fraction(num, den * divisor) if num else ZERO
 
 
 def mat_add(a, b) -> Matrix:

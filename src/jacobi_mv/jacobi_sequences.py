@@ -15,8 +15,9 @@ identifies it with a spanning family of P_n, and
   block.  When G_n has full rank that solution is Z, with no elimination;
   on a rank-deficient level the system is solved on the singular G_n with
   free variables set to zero (entries on null directions are 0 by
-  convention), eliminating only on the indices whose diagonal entry of
-  G_n is nonzero.
+  convention), from one integer elimination of G_n itself on the indices
+  whose diagonal entry is nonzero: each pivot row of a is Z's row plus
+  Z's free rows weighted by the reduced Gram row, so G_n Z is never formed.
 
 A functional is finitely atomic exactly when some Omega_{n0} vanishes,
 which detect_atoms decides in exact arithmetic; the number of atoms is
@@ -62,7 +63,7 @@ from .multiindex import (
     degree,
     shift,
 )
-from .orthodecomp import decompose
+from .orthodecomp import Level, decompose
 from .polyring import monomials_of_degree
 
 
@@ -141,10 +142,11 @@ def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
     """Build the sequences from the level Grams and the preservation blocks.
 
     Omega_n is the level Gram G_n, and alpha_{j|n} is the preservation block
-    Z on a full-rank level and otherwise the solution of G_n a = G_n Z, one
-    elimination per level for all coordinates.  That elimination runs on the
-    indices where G_n has a nonzero diagonal; the rows of the others are 0,
-    so a level with G_n = 0 has alpha = 0 with no elimination.
+    Z on a full-rank level and otherwise the solution of G_n a = G_n Z
+    (_deficient_alpha): one integer elimination of G_n per level for all
+    coordinates, with no G_n Z formed.  That elimination runs on the indices
+    where G_n has a nonzero diagonal; the rows of the others are 0, so a
+    level with G_n = 0 has alpha = 0 with no elimination.
     """
     _check_max_level(max_level)
     if ops.max_degree < max_level:
@@ -166,24 +168,42 @@ def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
                 per_level.append(ops.zero_matrix(j, lv.n))
             except InsufficientMomentsError:
                 per_level.append(None)
-        blocks = [z for z in per_level if z is not None]
-        if lv.rank < len(lv) and blocks:
-            # the Gram is certified PSD, so a zero diagonal entry G_ii has a
-            # zero row and column: that unknown is free, pinned to 0, and the
-            # elimination of [G | G Z_1 | ... | G Z_d], one for every
-            # coordinate, runs on the other indices only
-            m = len(om)
-            live = [i for i in range(m) if om[i][i]]
-            rows = [[ZERO] * (m * len(blocks)) for _ in range(m)]
-            if live:
-                g = [[om[i][k] for k in live] for i in live]
-                stacked = [sum((z[k] for z in blocks), []) for k in live]
-                for i, row in zip(live, _linalg.solve_consistent(g, _linalg.mat_mul(g, stacked))):
-                    rows[i] = row
-            solved = iter([[row[k * m:(k + 1) * m] for row in rows] for k in range(len(blocks))])
-            per_level = [None if z is None else next(solved) for z in per_level]
+        if lv.rank < len(lv):
+            per_level = _deficient_alpha(lv, per_level)
         alpha.append(per_level)
     return JacobiSequencePair(d, max_level, class_bases, omega, alpha)
+
+
+def _deficient_alpha(lv: Level, blocks: List[Optional[Matrix]]) -> List[Optional[Matrix]]:
+    """The solution of G a = G Z with free variables set to 0, for each set
+    block Z of a rank-deficient level, from one elimination of G.
+
+    The Gram is certified PSD, so a zero diagonal entry G_ii has a zero row
+    and column: that unknown is free and its row of a is 0.  G is eliminated
+    on the other (live) indices only, as primitive integer rows.  The
+    Gauss-Jordan row operations E on [G | G Z] give E G = [R; 0], so the
+    right-hand side reduces to [R Z; 0] without forming G Z: for the pivot
+    row R_r of column c, with pivot p = R_r[c], a[c] = (R_r Z) / p, that is
+    Z[c] plus (R_r[f] / p) Z[f] over the free live indices f.  Every row
+    that is not a pivot column's is 0.
+    """
+    m = len(lv)
+    out = [None if z is None else [[ZERO] * m for _ in range(m)] for z in blocks]
+    live = [i for i, null in enumerate(lv.null_mask) if not null]
+    if live and any(z is not None for z in blocks):
+        reduced = [
+            _linalg._primitive(nums)
+            for nums, _ in _linalg.integer_rows([[lv.gram[i][k] for k in live] for i in live])
+        ]
+        for row, c in zip(reduced, _linalg._eliminate(reduced, len(live))):
+            terms = [(live[f], x) for f, x in enumerate(row) if x]
+            for z, a in zip(blocks, out):
+                if z is not None:
+                    a[live[c]] = [
+                        _linalg.sum_of_products(((x, z[t][k]) for t, x in terms), row[c])
+                        for k in range(m)
+                    ]
+    return out
 
 
 def compute_from_functional(
@@ -283,7 +303,12 @@ def _ladder(seq: JacobiSequencePair) -> Tuple[dict, dict]:
     A+_{j|n} sends the class nbar of level n to the class nbar + e_j of
     level n+1, so it is kept as an index shift: for each source class, its
     row in level n+1.  A-_{j|n} solves Omega_{n-1} A- = (A+)^T Omega_n,
-    whose right-hand side is the rows of Omega_n that A+_{j|n-1} hits.
+    whose right-hand side is the rows of Omega_n that A+_{j|n-1} hits.  The
+    d systems of a level share Omega_{n-1}, so their right-hand sides are
+    set side by side and solved by one integer elimination
+    (_linalg.solve_ratios), with free variables set to 0; a Fraction is
+    built only for each nonzero entry.  When a level's systems are
+    inconsistent, _raise_first_inconsistent names the first that fails.
     """
     d = seq.d
     bases = seq.class_bases
@@ -293,17 +318,34 @@ def _ladder(seq: JacobiSequencePair) -> Tuple[dict, dict]:
         step = tuple(1 if i == j - 1 else 0 for i in range(d))
         for n in range(seq.max_level):
             plus[(j, n)] = [bases[n + 1].index(shift(nbar, step)) for nbar in bases[n].classes]
+    for n in range(1, seq.max_level + 1):
+        ratios = [[v.as_integer_ratio() for v in row] for row in seq._omega[n]]
+        hits = [plus[(j, n - 1)] for j in range(1, d + 1)]
+        stacked = [list(chain.from_iterable(ratios[i] for i in row)) for row in zip(*hits)]
+        sol = _linalg.solve_ratios(_linalg.integer_rows(seq._omega[n - 1]), stacked)
+        if sol is None:
+            _raise_first_inconsistent(seq, plus)
+        width = len(bases[n])
+        for j in range(1, d + 1):
+            minus[(j, n)] = [
+                [Fraction(p, q) if p else ZERO for p, q in row[(j - 1) * width:j * width]]
+                for row in sol
+            ]
+    return plus, minus
+
+
+def _raise_first_inconsistent(seq: JacobiSequencePair, plus: dict) -> None:
+    """Solve the adjoint systems one at a time, coordinate by coordinate and
+    level by level within each, and name the first inconsistent one."""
+    for j in range(1, seq.d + 1):
         for n in range(1, seq.max_level + 1):
             omega = seq._omega[n]
-            rhs = [omega[i] for i in plus[(j, n - 1)]]
-            sol = _linalg.solve_consistent(seq._omega[n - 1], rhs)
-            if sol is None:
+            rhs = [[v.as_integer_ratio() for v in omega[i]] for i in plus[(j, n - 1)]]
+            if _linalg.solve_ratios(_linalg.integer_rows(seq._omega[n - 1]), rhs) is None:
                 raise RepresentationError(
                     f"annihilation adjoint system at level {n}, coordinate {j} "
                     "is inconsistent with the omega sequence"
                 )
-            minus[(j, n)] = sol
-    return plus, minus
 
 
 def _memo_ladder(seq: JacobiSequencePair) -> Tuple[dict, dict]:

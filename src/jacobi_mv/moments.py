@@ -64,13 +64,28 @@ def _typed(value, kind: type, what: str):
 
 def _exact(value, what: str, *args) -> Fraction:
     """value as a Fraction; the error names it what.format(*args) when
-    args are given, so a label is formatted only for a value refused."""
+    args are given, so a label is formatted only for a value refused.
+
+    A string of an optional '-' and ASCII digits, then optionally '/' and
+    ASCII digits not all zero, is read with int() directly.  Every other
+    value goes through Fraction(value), whose parser refuses the spaces and
+    underscores that int() would accept, so the value or the refusal is
+    Fraction's own.  A digit string over the int/str digit limit raises
+    ValueError either way.
+    """
     if isinstance(value, float):
         what = what.format(*args) if args else what
         raise UnsupportedParameterError(
             f"{what} must be exact (int, Fraction or 'p/q' string), got float {shown(value)}"
         )
     try:
+        if type(value) is str:
+            num, slash, den = value.partition("/")
+            digits = num[1:] if num[:1] == "-" else num
+            if digits.isdigit() and digits.isascii() and (
+                not slash or den.isdigit() and den.isascii() and den.strip("0")
+            ):
+                return Fraction(int(num), int(den) if slash else 1)
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         what = what.format(*args) if args else what
@@ -446,8 +461,14 @@ class TableFunctional(MomentFunctional):
     def from_json_dict(cls, doc: dict) -> "TableFunctional":
         moments = {}
         for e in _field(doc, "moments", "moment table", list):
-            beta = _field(e, "beta", "moment entry", list)
-            beta = tuple(_typed(b, int, "moment entry 'beta' index") for b in beta)
+            beta = e.get("beta") if type(e) is dict else None
+            # a list of ints (not bools) is a well-formed index as it stands;
+            # anything else takes the checks below, for their error texts
+            if type(beta) is list and all(type(b) is int for b in beta):
+                beta = tuple(beta)
+            else:
+                beta = _field(e, "beta", "moment entry", list)
+                beta = tuple(_typed(b, int, "moment entry 'beta' index") for b in beta)
             if beta in moments:
                 raise UnsupportedParameterError(f"moment table lists beta {list(beta)} twice")
             moments[beta] = _field(e, "value", "moment entry")
