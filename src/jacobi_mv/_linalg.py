@@ -12,9 +12,7 @@ operation:
   numerator over the running lcm of the term denominators and normalized
   once at the end.  mat_mul and mat_vec use it on the nonzero entries
   only: each row of the left factor (or the vector) has its nonzero
-  entries collected once, and only those are paired.  An optional integer
-  divisor divides the sum before the one Fraction is built, which is how
-  jacobi_sequences combines the rows of Z over a pivot.  The moment
+  entries collected once, and only those are paired.  The moment
   pairings of orthodecomp do the same sum on integer columns of their own
   (orthodecomp.MomentMatrix.pair_ratio), so they skip the per-term conversion.
   Both return the shared ZERO for an exact zero, so no Fraction is built
@@ -110,13 +108,12 @@ def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
     return [sum_of_products((row[k], x) for k, x in support) for row in a]
 
 
-def sum_of_products(pairs: Iterable[Tuple[Fraction, Fraction]], divisor: int = 1) -> Fraction:
-    """The exact sum of x*y over the pairs, divided by the nonzero integer
-    divisor, as a normalized Fraction.
+def sum_of_products(pairs: Iterable[Tuple[Fraction, Fraction]]) -> Fraction:
+    """The exact sum of x*y over the pairs, as a normalized Fraction.
 
     Accumulates one integer numerator over the lcm of the term
     denominators seen so far; terms with a zero factor are skipped, and a
-    zero sum returns the shared ZERO.  x and y may be ints as well.
+    zero sum returns the shared ZERO.
     """
     num, den = 0, 1
     for x, y in pairs:
@@ -133,7 +130,7 @@ def sum_of_products(pairs: Iterable[Tuple[Fraction, Fraction]], divisor: int = 1
             g = gcd(den, d)
             num = num * (d // g) + xn * yn * (den // g)
             den = den // g * d
-    return Fraction(num, den * divisor) if num else ZERO
+    return Fraction(num, den) if num else ZERO
 
 
 def mat_add(a, b) -> Matrix:

@@ -196,11 +196,12 @@ def _deficient_alpha(lv: Level, blocks: List[Optional[Matrix]]) -> List[Optional
             for nums, _ in _linalg.integer_rows([[lv.gram[i][k] for k in live] for i in live])
         ]
         for row, c in zip(reduced, _linalg._eliminate(reduced, len(live))):
-            terms = [(live[f], x) for f, x in enumerate(row) if x]
+            # R_r[c] / p is 1 and R_r is 0 at the other pivots
+            weights = [(live[f], Fraction(x, row[c])) for f, x in enumerate(row) if x]
             for z, a in zip(blocks, out):
                 if z is not None:
                     a[live[c]] = [
-                        _linalg.sum_of_products(((x, z[t][k]) for t, x in terms), row[c])
+                        _linalg.sum_of_products((w, z[t][k]) for t, w in weights)
                         for k in range(m)
                     ]
     return out
