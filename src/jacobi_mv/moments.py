@@ -68,10 +68,10 @@ def _exact(value, what: str, *args) -> Fraction:
 
     A string of an optional '-' and ASCII digits, then optionally '/' and
     ASCII digits not all zero, is read with int() directly.  Every other
-    value goes through Fraction(value), whose parser refuses the spaces and
-    underscores that int() would accept, so the value or the refusal is
-    Fraction's own.  A digit string over the int/str digit limit raises
-    ValueError either way.
+    value goes through Fraction(value), whose parser refuses some strings
+    that int() accepts (a space next to '/', and underscores on Python
+    3.10), so the value or the refusal is Fraction's own.  A digit string
+    over the int/str digit limit raises ValueError either way.
     """
     if isinstance(value, float):
         what = what.format(*args) if args else what
