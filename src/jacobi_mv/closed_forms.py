@@ -765,7 +765,7 @@ def verify_family(
     assert masses == mass, f"coordinate masses multiply to {masses!r}, not {mass!r}"
 
     def compare_level(n: int) -> LevelComparison:
-        classes = tuple(enumerate_classes(spec.d, n).classes)
+        classes = enumerate_classes(spec.d, n).classes
         om_pipe = seq.omega_matrix(n)
         if variant == "stated":
             om_closed, notes = _stated_omega_matrix(spec, classes, mass)

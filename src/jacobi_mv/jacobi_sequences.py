@@ -61,10 +61,10 @@ from .multiindex import (
     check_index,
     check_integer,
     degree,
+    enumerate_classes,
     shift,
 )
 from .orthodecomp import Level, decompose
-from .polyring import monomials_of_degree
 
 
 class JacobiSequencePair:
@@ -146,7 +146,9 @@ def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
     (_deficient_alpha): one integer elimination of G_n per level for all
     coordinates, with no G_n Z formed.  That elimination runs on the indices
     where G_n has a nonzero diagonal; the rows of the others are 0, so a
-    level with G_n = 0 has alpha = 0 with no elimination.
+    level with G_n = 0 has alpha = 0 with no elimination.  The class basis
+    of each level is enumerate_classes' shared one, whose classes are the
+    level's monomials.
     """
     _check_max_level(max_level)
     if ops.max_degree < max_level:
@@ -156,7 +158,7 @@ def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
     decomp = ops.decomposition
     d = decomp.d
     levels = [decomp.level(n) for n in range(max_level + 1)]
-    class_bases = [ClassBasis(d, lv.n, lv.monomials) for lv in levels]
+    class_bases = [enumerate_classes(d, lv.n) for lv in levels]
     omega: List[Matrix] = []
     alpha: List[List[Optional[Matrix]]] = []
     for lv in levels:
@@ -440,7 +442,9 @@ def reconstruct_moment_table(
     X_j X^(beta - e_j) vac with j the last nonzero coordinate of beta (the
     operator order of reconstruct_moments): one ladder step per moment.
     A state of degree m keeps levels 0..min(m, max_degree - m) only, since
-    a higher level cannot reach the vacuum within the degrees left.
+    a higher level cannot reach the vacuum within the degrees left.  The
+    multi-indices of each degree are enumerate_classes' shared classes,
+    enumerated once per process.
     """
     check_integer(max_degree, "max_degree")
     if max_degree < 0:
@@ -454,7 +458,7 @@ def reconstruct_moment_table(
     for n in range(1, max_degree + 1):
         below, states = states, {}
         top = min(n, max_degree - n)
-        for beta in monomials_of_degree(seq.d, n):
+        for beta in enumerate_classes(seq.d, n).classes:
             j = max(i for i, b in enumerate(beta, start=1) if b)
             prev = beta[: j - 1] + (beta[j - 1] - 1,) + beta[j:]
             states[beta] = state = _step(seq, ladder, below[prev], j, top)

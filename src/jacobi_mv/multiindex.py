@@ -10,10 +10,17 @@ power of C^d, and double as the exponent vectors of the degree-n monomials.
 Canonical order within one degree is graded reverse-lexicographic:
 (n,0,...,0) first, (0,...,0,n) last.  All matrix coordinates downstream
 depend on this order, so it must never change.
+
+enumerate_classes checks its dimension and degree first, and only then
+looks the pair up in a bounded per-process memo: the ClassBasis of each
+(d, n) is enumerated, sorted and validated once, and every later call gets
+that same frozen object.  The memo is keyed by two validated ints and holds
+nothing but these immutable bases.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
@@ -86,6 +93,7 @@ def canonical_key(beta: Sequence[int]) -> Tuple[int, ...]:
 
 def class_count(d: int, n: int) -> int:
     """binomial(n+d-1, d-1): number of weight-n occupation vectors."""
+    check_integer(n, "degree")
     return math.comb(n + d - 1, d - 1)
 
 
@@ -130,11 +138,28 @@ class ClassBasis:
         return self.classes.index(tuple(n_bar))
 
 
+# distinct (d, n) bases kept per process; a pipeline to level N reads N+1
+CLASS_MEMO_SIZE = 256
+
+
 def enumerate_classes(d: int, n: int) -> ClassBasis:
-    """All occupation vectors of weight n over d slots, in canonical order."""
+    """All occupation vectors of weight n over d slots, in canonical order.
+
+    The dimension and then the degree are checked before any work (a
+    non-integer or bool degree raises InvalidIndexError), so the memo only
+    ever sees two ints.  Each (d, n) is enumerated once per process, and the
+    last CLASS_MEMO_SIZE are kept: a repeated call returns the same frozen
+    ClassBasis.
+    """
     _check_dimension(d)
+    check_integer(n, "degree")
     if n < 0:
         raise InvalidIndexError(f"degree must be non-negative, got {n}")
+    return _class_basis(d, n)
+
+
+@functools.lru_cache(maxsize=CLASS_MEMO_SIZE)
+def _class_basis(d: int, n: int) -> ClassBasis:
     classes = sorted(_compositions(d, n), key=canonical_key)
     return ClassBasis(d=d, n=n, classes=tuple(classes))
 

@@ -46,13 +46,19 @@ missing moment is named before an inconsistent projection.  The moments
 are keyed by packed exponent codes (pack), so pairing a column with
 x^beta shifts each of its monomials by one integer add; the code of each
 beta is computed once per moment matrix.
+
+The order itself, the GradedIndex of (d, N), is built once per process:
+the degree classes of every level (enumerate_classes' memoized tuples),
+the basis, each monomial's position and each code.  Every MomentMatrix of
+that (d, N), and so every decomposition, reads the one index.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -66,8 +72,15 @@ from .errors import (
     shown,
 )
 from .moments import MomentFunctional
-from .multiindex import MultiIndex, check_index, check_integer, degree
-from .polyring import Polynomial, monomial_basis, monomials_of_degree
+from .multiindex import (
+    MultiIndex,
+    _check_dimension,
+    check_index,
+    check_integer,
+    degree,
+    enumerate_classes,
+)
+from .polyring import Polynomial
 
 
 @dataclass(frozen=True)
@@ -153,8 +166,69 @@ def pack(beta: Sequence[int], radix: int) -> int:
     return sum(b * radix**i for i, b in enumerate(beta) if b)
 
 
+@dataclass(frozen=True)
+class GradedIndex:
+    """The graded monomial basis of degree <= N over R^d and its moment keys.
+
+    levels[n] is the tuple of degree-n classes in canonical order (the very
+    tuple enumerate_classes(d, n) holds), basis their concatenation, and
+    starts[n] the position of level n's first monomial in it.  position maps
+    a basis monomial to its position, codes[a] is the code of basis
+    monomial a in radix 2N+2 (pack), and code_position maps a code back to
+    its position.  One index serves every caller of its (d, N), so the two
+    dicts are never written after construction.
+    """
+
+    levels: Tuple[Tuple[MultiIndex, ...], ...]
+    basis: Tuple[MultiIndex, ...]
+    starts: Tuple[int, ...]
+    position: Dict[MultiIndex, int]
+    radix: int
+    codes: Tuple[int, ...]
+    code_position: Dict[int, int]
+
+
+# distinct (d, N) indexes kept per process
+INDEX_MEMO_SIZE = 32
+
+
+def _check_max_degree(max_degree: int) -> None:
+    check_integer(max_degree, "max_degree")
+    if max_degree < 0:
+        raise InvalidIndexError(f"max_degree must be >= 0, got {max_degree}")
+
+
+def graded_index(d: int, max_degree: int) -> GradedIndex:
+    """The GradedIndex of (d, N), built on the first call and then shared.
+
+    Both arguments are checked before the memo, which keeps the last
+    INDEX_MEMO_SIZE indexes and nothing else: no functional and no moment.
+    """
+    _check_dimension(d)
+    _check_max_degree(max_degree)
+    return _graded_index(d, max_degree)
+
+
+@functools.lru_cache(maxsize=INDEX_MEMO_SIZE)
+def _graded_index(d: int, max_degree: int) -> GradedIndex:
+    levels = tuple(enumerate_classes(d, n).classes for n in range(max_degree + 1))
+    basis = tuple(chain.from_iterable(levels))
+    radix = 2 * max_degree + 2
+    codes = tuple(pack(alpha, radix) for alpha in basis)
+    return GradedIndex(
+        levels,
+        basis,
+        tuple(accumulate(map(len, levels), initial=0)),
+        {beta: a for a, beta in enumerate(basis)},
+        radix,
+        codes,
+        {c: a for a, c in enumerate(codes)},
+    )
+
+
 class MomentMatrix:
-    """M[a][b] = phi(x^(a+b)) over monomial_basis(d, N), filled on first use.
+    """M[a][b] = phi(x^(a+b)) over the graded basis of degree <= N, filled
+    on first use.
 
     Each distinct moment is fetched once and kept as its integer ratio, and
     one that the functional cannot supply raises only when a computation
@@ -162,18 +236,17 @@ class MomentMatrix:
     radix R = 2N+2 (see pack): a basis monomial has entries <= N and every
     multi-index it is shifted by has degree <= N+1, so the entries of a key
     stay <= 2N+1 and shifting a monomial is one integer add of codes.
-    codes[a] is the code of basis monomial a and code_position maps a code
-    back to its position in the basis.
+    The basis, position, radix, codes and code_position are those of the
+    shared GradedIndex of (d, N) (graded_index), never to be written; the
+    shift codes and the moments stay with this instance.
     """
 
     def __init__(self, functional: MomentFunctional, max_degree: int):
         self.functional = functional
         self.max_degree = max_degree
-        self.basis = monomial_basis(functional.d, max_degree)
-        self.position = {beta: a for a, beta in enumerate(self.basis)}
-        self.radix = 2 * max_degree + 2
-        self.codes = [pack(alpha, self.radix) for alpha in self.basis]
-        self.code_position = {c: a for a, c in enumerate(self.codes)}
+        self.index = index = graded_index(functional.d, max_degree)
+        self.basis, self.position, self.radix = index.basis, index.position, index.radix
+        self.codes, self.code_position = index.codes, index.code_position
         self._shifts: Dict[MultiIndex, int] = {}  # beta -> code, for |beta| <= N+1
         self._moments: Dict[int, Tuple[int, int]] = {}
 
@@ -265,7 +338,7 @@ class Decomposition:
         self.gram_rows = list(gram_rows)
         self.d = self.functional.d
         self.max_degree = len(self.levels) - 1
-        self.starts = list(accumulate((len(lv) for lv in self.levels), initial=0))
+        self.starts = moments.index.starts
 
     def level(self, n: int) -> Level:
         check_index(n, "level", 0, self.max_degree, "computed range ")
@@ -356,22 +429,21 @@ def _raise_first_inconsistent(
 def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
     """Orthogonalize the monomials degree by degree against the functional.
 
-    Needs moments up to degree 2*max_degree.
+    Needs moments up to degree 2*max_degree.  Each level's monomials are
+    the classes of the shared GradedIndex, and Level.monomials is that very
+    tuple.
     """
-    check_integer(max_degree, "max_degree")
-    if max_degree < 0:
-        raise InvalidIndexError(f"max_degree must be >= 0, got {max_degree}")
+    _check_max_degree(max_degree)
     moments = MomentMatrix(functional, max_degree)
     forms: List[List[IntegerColumn]] = []  # basis columns, level by level
     levels: List[Level] = []
     grams: List[List[Tuple[List[int], int]]] = []  # each G_m as integer rows
-    for n in range(max_degree + 1):
-        monos = monomials_of_degree(functional.d, n)
+    for n, (monos, start) in enumerate(zip(moments.index.levels, moments.index.starts)):
         # rhs[k][m][i] = <b_i, x^beta_k> for basis vector i of lower level m,
         # as an integer ratio
         rhs = [[[moments.pair_ratio(f, beta) for f in lower] for lower in forms] for beta in monos]
         # each column x^beta as numerators over denominators, less its projections
-        block = [([0] * a + [1], [1] * (a + 1)) for a in map(moments.position.get, monos)]
+        block = [([0] * a + [1], [1] * (a + 1)) for a in range(start, start + len(monos))]
         for m, (gram, lower) in enumerate(zip(grams, forms)):
             # one elimination of G_m for all monomials: its row operations
             # depend only on G_m, so each column gets what its own solve gives
@@ -399,7 +471,7 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
                 "moment sequence of a positive measure"
             )
         null_mask = tuple(gram[i][i] == 0 for i in range(size))
-        levels.append(Level(n, tuple(monos), tuple(map(tuple, gram)), report.rank, null_mask))
+        levels.append(Level(n, monos, tuple(map(tuple, gram)), report.rank, null_mask))
         forms.append(block_forms)
         if n < max_degree:
             grams.append(_linalg.integer_rows(gram))

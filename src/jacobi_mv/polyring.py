@@ -13,7 +13,14 @@ from fractions import Fraction
 from typing import Dict, Mapping, Sequence
 
 from .errors import DimensionMismatchError, InvalidIndexError
-from .multiindex import MultiIndex, canonical_key, degree as index_degree
+from .multiindex import (
+    MultiIndex,
+    _check_dimension,
+    canonical_key,
+    check_integer,
+    degree as index_degree,
+    enumerate_classes,
+)
 
 NEG_INFINITY = float("-inf")
 
@@ -189,9 +196,11 @@ class Polynomial:
 
 
 def monomials_of_degree(d: int, n: int) -> list[MultiIndex]:
-    """Exponent vectors of total degree exactly n, canonical order."""
-    from .multiindex import enumerate_classes
+    """Exponent vectors of total degree exactly n, canonical order.
 
+    A new list of enumerate_classes' memoized classes, so the caller may
+    change it.
+    """
     return list(enumerate_classes(d, n).classes)
 
 
@@ -199,10 +208,13 @@ def monomial_basis(d: int, n: int) -> list[MultiIndex]:
     """All exponent vectors with |beta| <= n in graded canonical order.
 
     Size is binomial(n+d, d), the dimension of the polynomials of degree
-    at most n.
+    at most n.  The dimension and the degree are checked first, as
+    enumerate_classes checks them; the list is new on every call.
     """
+    _check_dimension(d)
+    check_integer(n, "degree")
     out: list[MultiIndex] = []
     for k in range(n + 1):
-        out.extend(monomials_of_degree(d, k))
+        out.extend(enumerate_classes(d, k).classes)
     assert len(out) == math.comb(n + d, d)
     return out

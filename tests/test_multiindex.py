@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import jacobi_mv
 from jacobi_mv.errors import InvalidDimensionError, InvalidIndexError, OutOfLatticeError
 from jacobi_mv.multiindex import (
     _compositions,
@@ -19,6 +24,7 @@ from jacobi_mv.multiindex import (
     representative_tuple,
     shift,
 )
+from jacobi_mv.polyring import monomial_basis, monomials_of_degree
 
 
 def test_degree_and_factorial():
@@ -132,3 +138,46 @@ def test_large_dimension_does_not_recurse_per_coordinate():
     assert basis.classes[0] == (1,) + (0,) * 1199
     assert basis.classes[-1] == (0,) * 1199 + (1,)
     assert enumerate_classes(1200, 0).classes == ((0,) * 1200,)
+
+
+def test_a_fractional_degree_is_refused_not_enumerated_forever():
+    # before, enumerate_classes(2, 2.5) never returned: _compositions waited
+    # for its last slot to reach 2.5; a fresh process with a timeout keeps a
+    # regression from stalling the suite
+    for call in ("enumerate_classes(2, 2.5)", "monomials_of_degree(2, 2.5)"):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "from jacobi_mv.errors import InvalidIndexError\n"
+             "from jacobi_mv.multiindex import enumerate_classes\n"
+             "from jacobi_mv.polyring import monomials_of_degree\n"
+             "try:\n"
+             f"    {call}\n"
+             "except InvalidIndexError as exc:\n"
+             "    print(exc)\n"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(Path(jacobi_mv.__file__).resolve().parent.parent)),
+        )
+        assert (done.returncode, done.stdout) == (0, "degree must be an integer, got 2.5\n"), done.stderr
+
+
+def test_bool_and_float_degrees_are_refused():
+    # before, monomials_of_degree(2, True) was [(True, 0), (0, 1)] and
+    # class_count(2, True) was 2; a float degree raised a bare TypeError
+    for call in (
+        lambda: enumerate_classes(2, True),
+        lambda: monomials_of_degree(2, True),
+        lambda: monomial_basis(2, True),
+        lambda: class_count(2, True),
+        lambda: enumerate_classes(2, 1.0),
+        lambda: monomial_basis(2, 1.0),
+        lambda: class_count(2, 1.0),
+        lambda: enumerate_classes(2, -1.5),
+    ):
+        with pytest.raises(InvalidIndexError, match="^degree must be an integer, got"):
+            call()
+    # the dimension is still checked first, and a refused degree leaves the
+    # classes of degree 1 as they are
+    with pytest.raises(InvalidDimensionError):
+        monomial_basis(True, 1.0)
+    assert enumerate_classes(2, 1).classes == ((1, 0), (0, 1))
+    assert monomials_of_degree(2, 1) == [(1, 0), (0, 1)]
