@@ -140,10 +140,19 @@ def test_large_dimension_does_not_recurse_per_coordinate():
     assert enumerate_classes(1200, 0).classes == ((0,) * 1200,)
 
 
+def _limit_memory():
+    # the runaway enumeration appends a tuple per step; cap the child's
+    # address space so a regression fails with MemoryError, not by taking
+    # the machine's memory
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 def test_a_fractional_degree_is_refused_not_enumerated_forever():
     # before, enumerate_classes(2, 2.5) never returned: _compositions waited
-    # for its last slot to reach 2.5; a fresh process with a timeout keeps a
-    # regression from stalling the suite
+    # for its last slot to reach 2.5; a fresh process with a timeout and a
+    # memory cap keeps a regression from stalling the suite
     for call in ("enumerate_classes(2, 2.5)", "monomials_of_degree(2, 2.5)"):
         done = subprocess.run(
             [sys.executable, "-c",
@@ -154,7 +163,7 @@ def test_a_fractional_degree_is_refused_not_enumerated_forever():
              f"    {call}\n"
              "except InvalidIndexError as exc:\n"
              "    print(exc)\n"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=30, preexec_fn=_limit_memory,
             env=dict(os.environ, PYTHONPATH=str(Path(jacobi_mv.__file__).resolve().parent.parent)),
         )
         assert (done.returncode, done.stdout) == (0, "degree must be an integer, got 2.5\n"), done.stderr
