@@ -42,6 +42,12 @@ Three workhorses:
   projections of orthodecomp.decompose, the top-level solves of
   cap_operators.build and the stacked adjoint systems of the
   reconstruction ladder (jacobi_sequences) run on it, on integer rows.
+  A square A that is zero off its diagonal, as every level Gram of a
+  product weight is, takes no elimination: each entry of X is
+  B[i][k] / A[i][i], reduced once, and a zero diagonal entry leaves its
+  unknown 0 and its equation consistent only when B's row vanishes.  The
+  test (_is_diagonal) is C-level any() over each row's two off-diagonal
+  slices, so a dense A is refused at its first row.
 
 * solve_consistent: the same solve on Fraction matrices.  It runs
   solve_ratios on A's integer rows and B's integer ratios and builds a
@@ -55,7 +61,10 @@ Three workhorses:
   matrix it either certifies positive semidefiniteness (returning the
   exact rank) or produces a witness vector x with x^T A x < 0.  The
   witness is C e_k (or C(e_i -+ e_j)) for the congruence C of the
-  eliminated pivots, solved for only when the test fails.
+  eliminated pivots, solved for only when the test fails.  A diagonal
+  matrix is read off directly: PSD exactly when no diagonal entry is
+  negative, of rank the number of nonzero ones, with the witness C e_k at
+  the first negative index k.
 """
 
 from __future__ import annotations
@@ -247,18 +256,61 @@ def rref(a: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
     return reduced + zeros(len(m) - len(pivots), cols), pivots
 
 
+def _is_diagonal(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether the integer rows form a square matrix that is zero off its
+    diagonal.  Each row is tested by C-level any() on its two slices, so a
+    dense matrix is refused at its first row."""
+    return len(rows) == len(rows[0]) and not any(
+        any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(rows)
+    )
+
+
 def solve_ratios(
     a: Sequence[Tuple[Sequence[int], int]], b: Sequence[Sequence[Tuple[int, int]]]
 ) -> Optional[List[List[Tuple[int, int]]]]:
     """solve_consistent on integers: A X = B with free variables set to 0.
 
     Row i of A is a[i] = (numerators, denominator), as integer_rows gives,
-    and B[i][k] is the ratio b[i][k] = (p, q) with q > 0.  Each augmented
-    row [A_i | B_i] is made one primitive integer row and eliminated in the
-    columns of A only (_eliminate); the system is inconsistent, and None is
-    returned, when a row left without a pivot has a nonzero entry in B.
-    X[c][k] is returned as (p, q) in lowest terms with q > 0, (0, 1) for
-    zero: the solution solve_consistent gives, with no Fraction built.
+    and B[i][k] is the ratio b[i][k] = (p, q) with q > 0.  X[c][k] is
+    returned as (p, q) in lowest terms with q > 0, (0, 1) for zero: the
+    solution solve_consistent gives, with no Fraction built.  A diagonal A
+    (_is_diagonal) is solved row by row (_solve_diagonal); any other goes
+    through _solve_eliminated.  Both give the same ratios, or both None.
+    """
+    if _is_diagonal([nums for nums, _ in a]):
+        return _solve_diagonal(a, b)
+    return _solve_eliminated(a, b)
+
+
+def _solve_diagonal(
+    a: Sequence[Tuple[Sequence[int], int]], b: Sequence[Sequence[Tuple[int, int]]]
+) -> Optional[List[List[Tuple[int, int]]]]:
+    """solve_ratios for a diagonal A: X[i][k] = B[i][k] den_i / nums_i[i],
+    reduced once.  A zero diagonal entry leaves its unknown free, so 0, and
+    its equation consistent only when B's row i vanishes; None otherwise.
+    This is what the elimination gives: each pivot row is a multiple of its
+    own row, and the rows without a pivot are the zero rows."""
+    x = []
+    for i, ((nums, den), ratios) in enumerate(zip(a, b)):
+        g = nums[i]
+        if g:
+            x.append([_ratio(p * den, q * g) if p else (0, 1) for p, q in ratios])
+        elif any(p for p, _ in ratios):
+            return None
+        else:
+            x.append([(0, 1)] * len(ratios))
+    return x
+
+
+def _solve_eliminated(
+    a: Sequence[Tuple[Sequence[int], int]], b: Sequence[Sequence[Tuple[int, int]]]
+) -> Optional[List[List[Tuple[int, int]]]]:
+    """solve_ratios by Gauss-Jordan elimination, for any A.
+
+    Each augmented row [A_i | B_i] is made one primitive integer row and
+    eliminated in the columns of A only (_eliminate); the system is
+    inconsistent, and None is returned, when a row left without a pivot has
+    a nonzero entry in B.
     """
     n = len(a[0][0])
     m = []
@@ -333,10 +385,30 @@ def ldlt_psd(a: Sequence[Sequence[Fraction]]) -> PSDReport:
     pivots P.  When all remaining diagonal entries are zero but some
     off-diagonal s = S[i][j] is not, C(e_i -+ e_j) is a witness since its
     quadratic value is -+2s.  The witness is formed only then.
+
+    A diagonal matrix (_is_diagonal) takes no elimination: the pivots are
+    its nonzero diagonal entries in index order, so it is PSD exactly when
+    none is negative, its rank is their number, and the witness is C e_k at
+    the first negative index k.
     """
     n = len(a)
     assert is_symmetric(a), "ldlt_psd expects a symmetric matrix"
-    m = [_primitive(nums) for nums, _ in integer_rows(a)]
+    m = [nums for nums, _ in integer_rows(a)]
+    if n and _is_diagonal(m):
+        pivots = []
+        for k, row in enumerate(m):
+            if row[k] < 0:
+                (witness,) = _congruence_columns(a, pivots, (k,))
+                return PSDReport(psd=False, rank=len(pivots), witness=tuple(witness))
+            if row[k]:
+                pivots.append(k)
+        return PSDReport(psd=True, rank=len(pivots), witness=None)
+    return _ldlt_eliminated(a, [_primitive(nums) for nums in m])
+
+
+def _ldlt_eliminated(a: Sequence[Sequence[Fraction]], m: List[List[int]]) -> PSDReport:
+    """ldlt_psd by symmetric elimination of m, the primitive integer rows of a."""
+    n = len(a)
     remaining = list(range(n))
     pivots: list[int] = []
 

@@ -27,7 +27,7 @@ from .closed_forms import FAMILIES, family_spec, verify_family
 from .errors import Error, InputError, InsufficientMomentsError, shown
 from .jacobi_sequences import compute_from_functional, detect_atoms, reconstruct_moment_table
 from .cap_operators import build
-from .moments import MomentFunctional, functional_from_json
+from .moments import MomentFunctional, _fraction, functional_from_json
 from .orthodecomp import decompose
 from .symbolic import ONE
 
@@ -75,7 +75,7 @@ def _parse_rationals(text: str, what: str) -> Tuple[Fraction, ...]:
     for piece in text.split(","):
         piece = piece.strip()
         try:
-            out.append(Fraction(piece))
+            out.append(_fraction(piece))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(
                 f"bad {what} value {shown(piece)}: expected a rational like 3 or 1/2"

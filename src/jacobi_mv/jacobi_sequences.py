@@ -99,12 +99,13 @@ class JacobiSequencePair:
         return _linalg.copy(self._omega[n])
 
     def alpha_matrix(self, j: int, n: int) -> Matrix:
-        return _linalg.copy(self._stored_alpha(j, n))
-
-    def _stored_alpha(self, j: int, n: int) -> Matrix:
-        """alpha_{e_j|n} itself, not a copy; the caller must not change it."""
         self._check_level(n)
         check_index(j, "coordinate", 1, self.d)
+        return _linalg.copy(self._unchecked_alpha(j, n))
+
+    def _unchecked_alpha(self, j: int, n: int) -> Matrix:
+        """alpha_{e_j|n} itself, not a copy, for a level and coordinate in
+        range; the caller must not change it.  An unset alpha raises."""
         stored = self._alpha[n][j - 1]
         if stored is None:
             raise InsufficientMomentsError(
@@ -376,7 +377,8 @@ def _step(
     image gathers the creation image of level n-1 (a scatter along the
     index shift), alpha_{j|n} of level n and A-_{j|n+1} of level n+1.
     alpha is read only on levels up to top where the state is nonzero, so
-    an unset alpha raises only when a step uses it.
+    an unset alpha raises only when a step uses it.  The level and j are in
+    range by construction, so alpha is read with no index check.
     """
     plus, minus = ladder
     if top > seq.max_level:
@@ -392,7 +394,7 @@ def _step(
                 level[i] = state[n - 1][k]
         blocks = []
         if n < held and any(state[n]):
-            blocks.append((seq._stored_alpha(j, n), state[n]))
+            blocks.append((seq._unchecked_alpha(j, n), state[n]))
         if n + 1 < held and any(state[n + 1]):
             blocks.append((minus[(j, n + 1)], state[n + 1]))
         if blocks:

@@ -19,13 +19,23 @@ mass_factor() as an exact GammaProduct.  Atomic and table functionals
 have no associated classical weight, so mass_factor() raises
 NoMassFactorError for them.
 
+reflection_mask() names the coordinates in which a functional is even,
+so that its moments with an odd exponent there vanish.  It is read off
+the parameters: every coordinate of the gaussian weight, the coordinates
+with a_j = b_j of the beta weight, and none for the gamma weight or an
+atom set or table, even a symmetric one.  orthodecomp skips the pairings
+that the mask shows to be zero.
+
 Parameter lists (gamma alphas, beta a and b, atom points, and the family
 parameters of closed_forms) go through _exact_list, which refuses a string
-or a bare number instead of iterating it.
+or a bare number instead of iterating it.  A number written with a
+decimal exponent beyond MAX_EXPONENT is refused before Fraction expands
+it (_fraction), here and in the CLI's parameter lists.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
@@ -62,6 +72,28 @@ def _typed(value, kind: type, what: str):
     raise UnsupportedParameterError(f"{what} must be {_KINDS[kind]}, got {shown(value)}")
 
 
+# the largest decimal exponent a number may be written with: Fraction expands
+# "1e<k>" to an integer of k digits, which takes seconds past a million, so
+# an exponent is held to the digit count that int and str convert by default
+MAX_EXPONENT = getattr(sys.int_info, "default_max_str_digits", 4300)
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), refusing a decimal exponent above MAX_EXPONENT in
+    magnitude with ValueError before Fraction expands it.
+
+    The exponent is what follows the last 'e' or 'E', sign and underscores
+    aside; a text whose tail is no such number is left to Fraction.
+    """
+    _, e, exponent = text.strip().lower().rpartition("e")
+    exponent = exponent.lstrip("+-").replace("_", "")
+    if e and exponent.isdecimal():
+        digits = exponent.lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ValueError(f"decimal exponent beyond {MAX_EXPONENT}")
+    return Fraction(text)
+
+
 def _exact(value, what: str, *args) -> Fraction:
     """value as a Fraction; the error names it what.format(*args) when
     args are given, so a label is formatted only for a value refused.
@@ -70,8 +102,9 @@ def _exact(value, what: str, *args) -> Fraction:
     ASCII digits not all zero, is read with int() directly.  Every other
     value goes through Fraction(value), whose parser refuses some strings
     that int() accepts (a space next to '/', and underscores on Python
-    3.10), so the value or the refusal is Fraction's own.  A digit string
-    over the int/str digit limit raises ValueError either way.
+    3.10), so the value or the refusal is Fraction's own, except that a
+    decimal exponent above MAX_EXPONENT is refused first (_fraction).  A
+    digit string over the int/str digit limit raises ValueError either way.
     """
     if isinstance(value, float):
         what = what.format(*args) if args else what
@@ -86,7 +119,7 @@ def _exact(value, what: str, *args) -> Fraction:
                 not slash or den.isdigit() and den.isascii() and den.strip("0")
             ):
                 return Fraction(int(num), int(den) if slash else 1)
-        return Fraction(value)
+        return _fraction(value) if isinstance(value, str) else Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         what = what.format(*args) if args else what
         raise UnsupportedParameterError(f"bad {what}: {shown(value)}") from exc
@@ -115,6 +148,15 @@ class MomentFunctional:
 
     def moment(self, beta: MultiIndex) -> Fraction:
         raise NotImplementedError
+
+    def reflection_mask(self) -> int:
+        """The coordinates whose odd moments vanish, as a bit set: bit j-1 is
+        set when the functional is invariant under x_j -> -x_j, so that
+        phi(x^beta) = 0 whenever beta_j is odd.  Read off the functional's
+        own parameters; 0, no coordinate, unless a subclass knows better.
+        The pairings of orthodecomp take it on trust and skip those moments,
+        so a subclass that changes moment must keep the mask true."""
+        return 0
 
     def _check_beta(self, beta: MultiIndex) -> None:
         """Refuse a key that is no multi-index of this dimension, or is of
@@ -272,6 +314,10 @@ class GaussianFunctional(ProductFunctional):
         _check_dimension(d)
         super().__init__([_GaussianSeq() for _ in range(d)])
 
+    def reflection_mask(self) -> int:
+        # exp(-x_j^2) is even in every coordinate
+        return (1 << self.d) - 1
+
     def mass_factor(self) -> GammaProduct:
         # integral of exp(-|x|^2) over R^d
         return GammaProduct.pi_power(Fraction(self.d, 2))
@@ -297,6 +343,10 @@ class BetaFunctional(ProductFunctional):
                 f"parameter lists have lengths {len(self.a)} and {len(self.b)}"
             )
         super().__init__([_BetaSeq(x, y) for x, y in zip(self.a, self.b)])
+
+    def reflection_mask(self) -> int:
+        # (1-x)^a (1+x)^b is even exactly when a = b
+        return sum(1 << j for j, (a, b) in enumerate(zip(self.a, self.b)) if a == b)
 
     def mass_factor(self) -> GammaProduct:
         # prod_j integral of (1-x)^a_j (1+x)^b_j over [-1, 1], that is

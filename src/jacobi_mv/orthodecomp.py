@@ -49,18 +49,32 @@ beta is computed once per moment matrix.
 
 The order itself, the GradedIndex of (d, N), is built once per process:
 the degree classes of every level (enumerate_classes' memoized tuples),
-the basis, each monomial's position and each code.  Every MomentMatrix of
-that (d, N), and so every decomposition, reads the one index.
+the basis, each monomial's position, each code and each parity (the bit
+set of its odd exponents, odd_bits).  Every MomentMatrix of that (d, N),
+and so every decomposition, reads the one index.
+
+The classical weights have structural zeros, which cost nothing:
+
+* Reflection parity.  A functional reports the coordinates in which it
+  is even (MomentFunctional.reflection_mask: all of them for the
+  gaussian weight, those with a_j = b_j for the beta weight, none for
+  the others).  Its orthogonal polynomials then have the parity of their
+  leading monomial in those coordinates, so decompose records that
+  parity on each column, and pair_ratio answers 0 without reading a
+  moment when the column's parity and the shift's differ on the mask.
+* Diagonal Grams.  The level Grams of a product weight are diagonal, so
+  the projections, build's top-level solves and the PSD certificates
+  take _linalg's diagonal path instead of an elimination.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import ZERO, Matrix
@@ -110,14 +124,21 @@ class IntegerColumn:
     """A coefficient column as integers over one denominator.
 
     terms holds (a, numerator) for each nonzero entry a of the column, so
-    column[a] = numerator / denominator; every other entry is zero.
+    column[a] = numerator / denominator; every other entry is zero.  parity,
+    when set, is the parity (odd_bits) that the monomials of all the terms
+    share on the moment matrix's nonzero reflection mask (see
+    MomentMatrix.pair_ratio); it is no part of the column's value, so
+    equality ignores it.
     """
 
     terms: Tuple[Tuple[int, int], ...]
     denominator: int
+    parity: Optional[int] = field(default=None, compare=False)
 
     @classmethod
-    def of(cls, ratios: Iterable[Tuple[int, int]]) -> "IntegerColumn":
+    def of(
+        cls, ratios: Iterable[Tuple[int, int]], parity: Optional[int] = None
+    ) -> "IntegerColumn":
         """The column whose entry a is p/q for the a-th pair (p, q), q > 0.
 
         A Fraction column passes map(Fraction.as_integer_ratio, column).
@@ -128,7 +149,7 @@ class IntegerColumn:
                 g = gcd(p, q)
                 reduced.append((a, p // g, q // g))
         den = lcm(*(q for _, _, q in reduced))
-        return cls(tuple((a, p * (den // q)) for a, p, q in reduced), den)
+        return cls(tuple((a, p * (den // q)) for a, p, q in reduced), den, parity)
 
     def subtract_from(self, nums: List[int], dens: List[int], num: int, den: int) -> None:
         """nums[a]/dens[a] -= (num/den) * column[a], each over its running lcm; den > 0."""
@@ -166,6 +187,11 @@ def pack(beta: Sequence[int], radix: int) -> int:
     return sum(b * radix**i for i, b in enumerate(beta) if b)
 
 
+def odd_bits(beta: Sequence[int]) -> int:
+    """The coordinates where beta is odd, as a bit set: bit i for beta[i]."""
+    return sum(1 << i for i, b in enumerate(beta) if b & 1)
+
+
 @dataclass(frozen=True)
 class GradedIndex:
     """The graded monomial basis of degree <= N over R^d and its moment keys.
@@ -175,8 +201,9 @@ class GradedIndex:
     starts[n] the position of level n's first monomial in it.  position maps
     a basis monomial to its position, codes[a] is the code of basis
     monomial a in radix 2N+2 (pack), and code_position maps a code back to
-    its position.  One index serves every caller of its (d, N), so the two
-    dicts are never written after construction.
+    its position.  parities[a] is odd_bits of basis monomial a.  One index
+    serves every caller of its (d, N), so the two dicts are never written
+    after construction.
     """
 
     levels: Tuple[Tuple[MultiIndex, ...], ...]
@@ -186,6 +213,7 @@ class GradedIndex:
     radix: int
     codes: Tuple[int, ...]
     code_position: Dict[int, int]
+    parities: Tuple[int, ...]
 
 
 # distinct (d, N) indexes kept per process
@@ -223,6 +251,7 @@ def _graded_index(d: int, max_degree: int) -> GradedIndex:
         radix,
         codes,
         {c: a for a, c in enumerate(codes)},
+        tuple(map(odd_bits, basis)),
     )
 
 
@@ -239,6 +268,10 @@ class MomentMatrix:
     The basis, position, radix, codes and code_position are those of the
     shared GradedIndex of (d, N) (graded_index), never to be written; the
     shift codes and the moments stay with this instance.
+
+    mask is the functional's reflection_mask: every moment with an odd
+    exponent at a coordinate in it vanishes.  Each shift's parity on the
+    mask (odd_bits) is kept with its code.
     """
 
     def __init__(self, functional: MomentFunctional, max_degree: int):
@@ -247,7 +280,9 @@ class MomentMatrix:
         self.index = index = graded_index(functional.d, max_degree)
         self.basis, self.position, self.radix = index.basis, index.position, index.radix
         self.codes, self.code_position = index.codes, index.code_position
+        self.mask = functional.reflection_mask()
         self._shifts: Dict[MultiIndex, int] = {}  # beta -> code, for |beta| <= N+1
+        self._parities: Dict[MultiIndex, int] = {}  # beta -> odd_bits(beta) & mask
         self._moments: Dict[int, Tuple[int, int]] = {}
 
     def code(self, beta: MultiIndex) -> int:
@@ -270,6 +305,7 @@ class MomentMatrix:
                     f"<= {self.max_degree + 1}"
                 )
             code = self._shifts[beta] = pack(beta, self.radix)
+            self._parities[beta] = odd_bits(beta) & self.mask
         return code
 
     def pair(self, column: IntegerColumn, beta: MultiIndex) -> Fraction:
@@ -285,11 +321,17 @@ class MomentMatrix:
         coefficient at alpha is nonzero, so a table that lacks the moments at
         the zero coefficients still pairs.  The sum is one integer numerator
         over the running lcm of the moment denominators, times the column's
-        denominator.
+        denominator.  When the column's parity on the mask is known and is
+        not beta's, every alpha+beta is odd at some coordinate of the mask,
+        so every moment read would be 0: the pairing is (0, 1), once beta is
+        checked, and no moment is read.
         """
         shift = self._shifts.get(beta)
         if shift is None:
             shift = self.code(beta)
+        parity = column.parity
+        if parity is not None and parity != self._parities[beta]:
+            return 0, 1
         codes, moments = self.codes, self._moments
         num, den = 0, 1
         for a, c in column.terms:
@@ -431,10 +473,16 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
 
     Needs moments up to degree 2*max_degree.  Each level's monomials are
     the classes of the shared GradedIndex, and Level.monomials is that very
-    tuple.
+    tuple.  When the functional has a reflection mask, each basis column
+    records its parity on it, that of its leading monomial, which
+    MomentMatrix.pair_ratio reads.  The functional being even in the
+    coordinates of the mask, b_beta has the parity of x^beta there: the
+    pairings across parities are exactly zero, so the projections and
+    the level Grams pair x^beta only with columns of its own parity.
     """
     _check_max_degree(max_degree)
     moments = MomentMatrix(functional, max_degree)
+    parities, mask = moments.index.parities, moments.mask
     forms: List[List[IntegerColumn]] = []  # basis columns, level by level
     levels: List[Level] = []
     grams: List[List[Tuple[List[int], int]]] = []  # each G_m as integer rows
@@ -455,7 +503,10 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
                     num, den = coeffs[k]
                     if num:
                         f.subtract_from(*col, num, den)
-        block_forms = [IntegerColumn.of(zip(*col)) for col in block]
+        block_forms = [
+            IntegerColumn.of(zip(*col), parities[a] & mask if mask else None)
+            for a, col in enumerate(block, start=start)
+        ]
         # b_i is orthogonal to the lower levels, so <b_i, x^beta_k> = <b_i, b_k>
         # and the lower triangle mirrors the upper one
         size = len(block)

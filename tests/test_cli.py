@@ -707,9 +707,10 @@ def _table_doc(top):
 
 def test_exact_output_over_the_interpreters_digit_limit(tmp_path, capsys):
     # before, str() of the 100001-digit omega entry raised ValueError
-    # (Exceeds the limit (4300 digits)) out of main
+    # (Exceeds the limit (4300 digits)) out of main; the moment is written
+    # out in full, since an exponent that large is refused
     limit = sys.get_int_max_str_digits()
-    path = _write(tmp_path, "big.json", _table_doc("1e100000"))
+    path = _write(tmp_path, "big.json", _table_doc("1" + "0" * 100000))
     code, out, err = _outcome(["omega", "--measure", path, "--max-level", "1"], capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)["levels"][1]["omega"] == [["1" + "0" * 100000]]
@@ -836,3 +837,36 @@ def test_malformed_moment_table_texts_and_order(doc, message, tmp_path, capsys):
     path = _write(tmp_path, "bad.json", doc)
     code, out, err = _outcome(["decompose", "--measure", path, "--max-level", "1"], capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _limit_memory():
+    # Fraction expands "1e<k>" to a k-digit integer; cap the child's address
+    # space so a regression fails with MemoryError, not by taking the
+    # machine's memory
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_a_huge_decimal_exponent_exits_2_at_once(tmp_path):
+    # before, both runs below ran until killed: Fraction("1e10000000") alone
+    # takes 14 s, and cli.run lifts the digit limit that would stop it
+    def cli(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "jacobi_mv.cli", *args],
+            capture_output=True, text=True, timeout=30, preexec_fn=_limit_memory,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+
+    done = cli("omega", "--family", "laguerre", "--alpha", "1e10000000", "--max-level", "1")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        "error: bad alpha value '1e10000000': expected a rational like 3 or 1/2\n"
+    )
+    path = _write(tmp_path, "far.json", {"d": 1, "atoms": [{"x": ["1e99999999"], "w": "1"}]})
+    done = cli("atoms", "--measure", path, "--max-level", "1")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: UnsupportedParameterError: bad atom coordinate: '1e99999999'\n"
+    # exponents within the limit still parse
+    done = cli("omega", "--family", "laguerre", "--alpha", "1e3,25e-2", "--max-level", "1")
+    assert done.returncode == 0 and '"omega":[["1001","0"],["0","5/4"]]' in done.stdout

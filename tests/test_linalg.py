@@ -6,7 +6,7 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 from jacobi_mv import _linalg
-from jacobi_mv._linalg import ONE, ZERO
+from jacobi_mv._linalg import ONE, ZERO, PSDReport
 
 
 def _m(rows):
@@ -432,3 +432,73 @@ def test_solve_ratios_is_solve_consistent_on_integers(data):
         assert got is None
     else:
         assert got == [[x.as_integer_ratio() for x in row] for row in expected]
+
+
+@st.composite
+def _diagonal_system(draw):
+    """A square diagonal A of positive, negative and zero entries, as integer
+    rows, and a right-hand side of 0 to 4 columns whose rows at A's zero
+    entries are zero unless the system is meant to be inconsistent."""
+    n = draw(st.integers(1, 6))
+    entries = [draw(st.sampled_from(["positive", "negative", "zero"])) for _ in range(n)]
+    diagonal = [
+        ZERO if kind == "zero"
+        else Fraction(draw(st.integers(1, 40)) * (-1 if kind == "negative" else 1),
+                      draw(st.integers(1, 12)))
+        for kind in entries
+    ]
+    a = [[diagonal[i] if i == j else ZERO for j in range(n)] for i in range(n)]
+    width = draw(st.integers(0, 4))
+    inconsistent = draw(st.booleans())
+    b = [
+        [
+            draw(_small) if diagonal[i] or inconsistent else ZERO
+            for _ in range(width)
+        ]
+        for i in range(n)
+    ]
+    if draw(st.booleans()):
+        b[draw(st.integers(0, n - 1))] = [ZERO] * width  # a zero row
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_diagonal_system())
+def test_solve_ratios_on_a_diagonal_system_is_the_elimination(case):
+    # the diagonal path gives the elimination's exact ratios, or None with it
+    a, b = case
+    rows = _linalg.integer_rows(a)
+    ratios = [[x.as_integer_ratio() for x in row] for row in b]
+    assert _linalg._is_diagonal([nums for nums, _ in rows])
+    got = _linalg.solve_ratios(rows, ratios)
+    assert got == _linalg._solve_eliminated(rows, ratios)
+    consistent = all(a[i][i] or not any(b[i]) for i in range(len(a)))
+    assert (got is not None) == consistent
+    if got is not None:
+        for i, row in enumerate(got):
+            for k, (p, q) in enumerate(row):
+                assert q > 0 and gcd(p, q) == 1
+                assert a[i][i] * Fraction(p, q) == b[i][k]
+
+
+def test_a_dense_matrix_is_not_taken_for_diagonal():
+    assert not _linalg._is_diagonal([[1, 0], [1, 1]])
+    assert not _linalg._is_diagonal([[1, 0, 0], [0, 1, 2], [0, 0, 1]])
+    assert not _linalg._is_diagonal([[1, 0], [0, 1], [0, 0]])  # not square
+    assert _linalg._is_diagonal([[0, 0], [0, -3]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([ZERO, ONE, Fraction(-2, 3), Fraction(5, 7), Fraction(-1)]),
+                min_size=1, max_size=7))
+def test_ldlt_psd_on_a_diagonal_matrix_is_the_elimination(diagonal):
+    # same psd, rank and witness bytes as the symmetric elimination
+    n = len(diagonal)
+    a = [[diagonal[i] if i == j else ZERO for j in range(n)] for i in range(n)]
+    report = _linalg.ldlt_psd(a)
+    rows = [_linalg._primitive(nums) for nums, _ in _linalg.integer_rows(a)]
+    expected = _linalg._ldlt_eliminated(a, rows)
+    assert report == expected
+    assert repr(report.witness) == repr(expected.witness)
+    assert report.psd == all(x >= 0 for x in diagonal)
+    assert report == PSDReport(*_congruence_ldlt(a))

@@ -20,6 +20,7 @@ from jacobi_mv.errors import (
     shown,
 )
 from jacobi_mv.moments import (
+    MAX_EXPONENT,
     AtomicFunctional,
     _exact,
     atomic_functional,
@@ -295,11 +296,19 @@ def test_atomic_json_round_trip():
 @example("1 /2")
 @example("\u0663/4")
 @example("-")
+@example("1e4300")
+@example("1e-4301")
+@example("4_3_0_1e0_1")
+@example("0e99999")
 def test_exact_parses_a_string_as_fraction_does(text):
     # p/q strings of ASCII digits are read directly; every other string
     # goes through Fraction's own parser, so the two must agree, value for
-    # value and refusal for refusal
+    # value and refusal for refusal, except that a decimal exponent beyond
+    # MAX_EXPONENT is refused before Fraction expands it
+    exponent = re.search(r"e[-+]?(\d+(?:_\d+)*)\s*$", text, re.IGNORECASE)
     try:
+        if exponent and int(exponent.group(1)) > MAX_EXPONENT:
+            raise ValueError("exponent too large")
         expected = Fraction(text)
     except (ValueError, ZeroDivisionError):
         with pytest.raises(UnsupportedParameterError) as info:
@@ -308,6 +317,23 @@ def test_exact_parses_a_string_as_fraction_does(text):
     else:
         value = _exact(text, "moment[{}]", (1,))
         assert type(value) is Fraction and value == expected
+
+
+def test_a_decimal_exponent_beyond_the_digit_limit_is_refused():
+    # before, "1e10000000" took 14 s in Fraction, which expanded it to a
+    # ten-million-digit integer; exponents up to MAX_EXPONENT still parse
+    assert MAX_EXPONENT == getattr(sys.int_info, "default_max_str_digits", 4300)
+    for text in ("1e10000000", "1e99999999", "-2.5E+4301", "1e-4301", "7e00000000000000004301"):
+        with pytest.raises(UnsupportedParameterError) as info:
+            _exact(text, "atom coordinate")
+        assert str(info.value) == f"bad atom coordinate: {shown(text)}"
+    assert _exact("1e3", "x") == 1000
+    assert _exact("25e-2", "x") == Fraction(1, 4)
+    assert _exact("1e4300", "x") == 10**4300
+    assert _exact("-1E-4300", "x") == Fraction(-1, 10**4300)
+    assert _exact("7e0000000000000000000003", "x") == 7000
+    long = "12345678901234567890" * 10
+    assert _exact(long + ".5", "x") == Fraction(int(long + "5"), 10)
 
 
 def test_exact_keeps_the_int_digit_limit():

@@ -15,8 +15,11 @@ from jacobi_mv.errors import (
     NotAStateError,
     UnsupportedParameterError,
 )
+from jacobi_mv.jacobi_sequences import compute
 from jacobi_mv.moments import (
     AtomicFunctional,
+    BetaFunctional,
+    GaussianFunctional,
     MomentFunctional,
     TableFunctional,
     atomic_functional,
@@ -25,7 +28,8 @@ from jacobi_mv.moments import (
     gaussian_functional,
     table_functional,
 )
-from jacobi_mv.orthodecomp import IntegerColumn, MomentMatrix, decompose, pack
+from jacobi_mv.multiindex import shift
+from jacobi_mv.orthodecomp import IntegerColumn, MomentMatrix, decompose, odd_bits, pack
 from jacobi_mv.polyring import Polynomial, monomial_basis, monomials_of_degree
 
 from polynomial_oracle import vector
@@ -503,3 +507,102 @@ def test_build_names_the_first_missing_top_moment_per_coordinate(holes, missed, 
     for j in (1, 2):
         with pytest.raises(InsufficientMomentsError, match="preservation at top level 2"):
             ops.zero_matrix(j, 2)
+
+
+_MIXED = ([0, Fraction(1, 2), Fraction(-1, 2)], [0, Fraction(1, 3), Fraction(-1, 2)])
+
+
+class _Unmasked(BetaFunctional):
+    """The same weight, with its reflection mask forced to 0: no pairing is
+    skipped."""
+
+    def reflection_mask(self) -> int:
+        return 0
+
+
+class _CountingGaussian(GaussianFunctional):
+    def __init__(self, d):
+        super().__init__(d)
+        self.fetched = []
+
+    def moment(self, beta):
+        self.fetched.append(tuple(beta))
+        return super().moment(beta)
+
+
+def test_reflection_masks_come_from_the_parameters():
+    assert gaussian_functional(3).reflection_mask() == 0b111
+    # a_j == b_j on the first and the third coordinate only
+    assert beta_functional(*_MIXED).reflection_mask() == 0b101
+    assert beta_functional([Fraction(1, 2)], [Fraction(2, 4)]).reflection_mask() == 1
+    assert beta_functional([0, 1], [1, 0]).reflection_mask() == 0
+    assert gamma_functional([0, 1]).reflection_mask() == 0
+    # a symmetric atom set or table has no mask: only parameters give one
+    atoms = atomic_functional([((1,), "1/2"), ((-1,), "1/2")])
+    assert atoms.reflection_mask() == 0
+    assert all(f.parity is None for f in decompose(atoms, 2).forms)
+    assert table_functional(1, 2, {(0,): 1, (1,): 0, (2,): 1}).reflection_mask() == 0
+
+
+@pytest.mark.parametrize(
+    "phi, n",
+    [
+        (gaussian_functional(2), 4),
+        (gaussian_functional(3), 3),
+        (beta_functional(*_MIXED), 3),
+        (beta_functional([Fraction(1, 2)], [Fraction(1, 2)]), 6),
+    ],
+    ids=["gaussian-d2", "gaussian-d3", "mixed-beta-d3", "gegenbauer-d1"],
+)
+def test_pair_ratio_with_the_parity_skip_is_the_full_sum(phi, n):
+    dec = decompose(phi, n)
+    moments = dec.moments
+    skipped = 0
+    for form in dec.forms:
+        # the parity of the leading monomial, the column's own position
+        assert moments.mask
+        assert form.parity == moments.index.parities[form.terms[-1][0]] & moments.mask
+        bare = IntegerColumn(form.terms, form.denominator)  # no parity: no skip
+        assert bare == form
+        for beta in monomial_basis(phi.d, n + 1):
+            full = sum(
+                (Fraction(c, form.denominator) * phi.moment(shift(moments.basis[a], beta))
+                 for a, c in form.terms),
+                ZERO,
+            )
+            got = moments.pair_ratio(form, beta)
+            assert Fraction(*got) == Fraction(*moments.pair_ratio(bare, beta)) == full
+            skipped += got == (0, 1) and full == 0
+    assert skipped
+
+
+def test_a_mixed_symmetry_beta_weight_gives_the_same_outputs_with_its_mask_and_without():
+    masked, unmasked = beta_functional(*_MIXED), _Unmasked(*_MIXED)
+    assert (masked.reflection_mask(), unmasked.reflection_mask()) == (0b101, 0)
+    dec, ref = decompose(masked, 4), decompose(unmasked, 4)
+    assert dec.levels == ref.levels
+    assert [(f.terms, f.denominator) for f in dec.forms] == [
+        (f.terms, f.denominator) for f in ref.forms
+    ]
+    assert dec.gram_rows == ref.gram_rows
+    ops, ref_ops = build(dec), build(ref)
+    assert (ops._plus, ops._zero, ops._minus) == (ref_ops._plus, ref_ops._zero, ref_ops._minus)
+    seq, ref_seq = compute(ops, 4), compute(ref_ops, 4)
+    assert (seq._omega, seq._alpha) == (ref_seq._omega, ref_seq._alpha)
+    # the mask skips every pairing whose moments are odd in x_1 or x_3
+    assert len(dec.moments._moments) < len(ref.moments._moments)
+    radix = dec.moments.radix
+    keys = [tuple(code // radix**i % radix for i in range(3)) for code in dec.moments._moments]
+    assert all(odd_bits(beta) & 0b101 == 0 for beta in keys)
+
+
+def test_hermite_fetches_only_moments_with_all_exponents_even():
+    phi = _CountingGaussian(3)
+    compute(build(decompose(phi, 3)), 3)
+    assert all(b % 2 == 0 for beta in phi.fetched for b in beta)
+    # every even multi-index of degree <= 6, each fetched once (the pipeline
+    # without the mask fetched 84 moments, odd ones included)
+    assert sorted(phi.fetched) == sorted(
+        beta for beta in monomial_basis(3, 7) if all(b % 2 == 0 for b in beta)
+    )
+
