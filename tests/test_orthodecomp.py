@@ -600,8 +600,9 @@ def test_hermite_fetches_only_moments_with_all_exponents_even():
     phi = _CountingGaussian(3)
     compute(build(decompose(phi, 3)), 3)
     assert all(b % 2 == 0 for beta in phi.fetched for b in beta)
-    # every even multi-index of degree <= 6, each fetched once (the pipeline
-    # without the mask fetched 84 moments, odd ones included)
+    # the 20 even multi-indices of degree <= 6, each fetched once; with the
+    # mask forced to 0 the same pipeline fetches 120, odd ones included
+    assert len(phi.fetched) == 20
     assert sorted(phi.fetched) == sorted(
         beta for beta in monomial_basis(3, 7) if all(b % 2 == 0 for b in beta)
     )
