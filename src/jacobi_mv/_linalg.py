@@ -14,7 +14,7 @@ operation:
   only: each row of the left factor (or the vector) has its nonzero
   entries collected once, and only those are paired.  The moment
   pairings of orthodecomp do the same sum on integer columns of their own
-  (orthodecomp.MomentMatrix.pair_ratio), so they skip the per-term conversion.
+  (orthodecomp.MomentMatrix.pair_code), so they skip the per-term conversion.
   Both return the shared ZERO for an exact zero, so no Fraction is built
   for it.
 

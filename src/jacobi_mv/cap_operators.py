@@ -32,6 +32,15 @@ integer rows), both stacks are eliminated by _linalg.solve_ratios on
 integer Gram rows (the top one formed once here, the one below kept by
 decompose), and a Fraction is built only for each entry of the blocks.
 
+Every shift is addressed by position in the graded index (GradedIndex):
+a shifted leading monomial beta_k + e_j is the code codes[a_k] + units[j],
+and a shifted lower term, the image of x_j b below the top and the
+annihilation row selection read the creation map up[j].  So build packs,
+checks and shifts no multi-index, and does O(1) Python steps per
+coordinate on a level-0 functional.  A top pairing across reflection
+parity is not visited: its moment row and G_N both vanish between the
+two parities.
+
 Matrices are written in the level bases of the decomposition, columns
 indexed by the source level; coordinates j are 1-based.
 """
@@ -49,7 +58,7 @@ from .errors import (
     InternalConsistencyError,
     NotAStateError,
 )
-from .multiindex import MultiIndex, check_index, shift
+from .multiindex import check_index
 from .orthodecomp import Decomposition, IntegerColumn, MomentMatrix
 from .polyring import Polynomial
 
@@ -97,59 +106,70 @@ class CAPSystem:
         return _linalg.copy(self._minus[(j, n)])
 
 
-def _times(moments: MomentMatrix, form: IntegerColumn, step: int) -> Tuple[List[int], List[int]]:
+def _times(moments: MomentMatrix, form: IntegerColumn, up: Sequence[int]) -> Tuple[List[int], List[int]]:
     """Coefficient vector of x_j * b, as numerators and denominators, for
-    the polynomial b with this column; step is the code of e_j."""
+    the polynomial b with this column below the top degree; up is the
+    index's creation map of e_j (GradedIndex.up[j - 1])."""
     nums, dens = [0] * len(moments.basis), [1] * len(moments.basis)
     for a, c in form.terms:
-        p = moments.code_position[moments.codes[a] + step]
-        nums[p], dens[p] = c, form.denominator
+        nums[up[a]], dens[up[a]] = c, form.denominator
     return nums, dens
 
 
 def _top_pairings(
     decomposition: Decomposition,
-    unit: MultiIndex,
-    rows: Dict[Tuple[int, MultiIndex], Tuple[int, int]],
+    j: int,
+    rows: Dict[Tuple[int, int], Tuple[int, int]],
     gram: Sequence[Tuple[List[int], int]],
 ) -> List[List[Tuple[int, int]]]:
-    """<b_i, x^unit b_k> over the top level N, as integer ratios indexed (i, k).
+    """<b_i, x_j b_k> over the top level N, as integer ratios indexed (i, k).
 
     b_k is x^beta_k plus terms of degree <= N-1.  A degree-N monomial
     x^gamma is b_gamma plus lower levels, and every monomial of degree < N
     lies in the lower levels, which are orthogonal to b_i.  So the pairing is
 
-        <b_i, x^(beta_k+unit)> + sum_{|alpha|=N-1} b_k[alpha] G_N[i][alpha+unit]
+        <b_i, x^(beta_k+e_j)> + sum_{|alpha|=N-1} b_k[alpha] G_N[i][alpha+e_j]
 
-    It equals phi(x^unit b_i b_k), which is symmetric in i and k, so only
+    It equals phi(x_j b_i b_k), which is symmetric in i and k, so only
     i <= k is paired and the lower triangle is mirrored.  gram is G_N as
     integer rows (_linalg.integer_rows), row i numerators over den_i, so the
     correction is one integer dot product of row i with b_k's numerators,
     over den_i times b_k's denominator; each entry is that plus the moment
-    row value, reduced once, (p, q) in lowest terms with q > 0.  rows caches
-    the moment row value <b_i, x^gamma> (MomentMatrix.pair_ratio) per
-    (i, gamma), gamma of degree N+1, across coordinates.
+    row value, reduced once, (p, q) in lowest terms with q > 0.
+
+    Everything is addressed by position in the graded index: gamma =
+    beta_k + e_j is the code codes[a_k] + units[j-1], alpha + e_j the
+    creation map's up[j-1][alpha], and rows caches the moment row value
+    <b_i, x^gamma> (MomentMatrix.pair_code) per (i, code of gamma) across
+    coordinates; gamma's multi-index is built only for a moment row not
+    yet paired.  When b_i and x^gamma differ in parity on the reflection
+    mask, both terms vanish (G_N is zero between the two parities), so the
+    pair is not visited.
     """
     moments = decomposition.moments
+    index = moments.index
     n = decomposition.max_degree
-    lv = decomposition.level(n)
     forms = decomposition.level_forms(n)
     start = decomposition.starts[n]
     below = range(decomposition.starts[n - 1] if n else start, start)
-    step = moments.code(unit)
+    unit, bit, up = index.units[j - 1], 1 << (j - 1), index.up[j - 1]
     pairings = [[(0, 1)] * len(forms) for _ in forms]
-    for k, (beta, form) in enumerate(zip(lv.monomials, forms)):
-        gamma = shift(beta, unit)
-        # b_k's numerators at level N-1, with the level-N position of alpha+unit
-        shifted = [
-            (moments.code_position[moments.codes[a] + step] - start, c)
-            for a, c in form.terms
-            if a in below
-        ]
+    for k, form in enumerate(forms):
+        a_k = start + k
+        shift = index.codes[a_k] + unit
+        parity = (index.parities[a_k] ^ bit) & moments.mask if moments.mask else None
+        gamma = None
+        # b_k's numerators at level N-1, with the level-N position of alpha+e_j
+        shifted = [(up[a] - start, c) for a, c in form.terms if a in below]
         for i in range(k + 1):
-            value = rows.get((i, gamma))
+            if forms[i].parity != parity:
+                continue
+            value = rows.get((i, shift))
             if value is None:
-                value = rows[(i, gamma)] = moments.pair_ratio(forms[i], gamma)
+                if gamma is None:
+                    beta = index.basis[a_k]
+                    gamma = beta[: j - 1] + (beta[j - 1] + 1,) + beta[j:]
+                value = rows[(i, shift)] = moments.pair_code(forms[i], shift, parity, gamma)
             num, den = value
             nums, row_den = gram[i]
             correction = sum(nums[q] * c for q, c in shifted)
@@ -235,12 +255,12 @@ def build(decomposition: Decomposition) -> CAPSystem:
     plus: Dict[Tuple[int, int], Matrix] = {}
     zero: Dict[Tuple[int, int], Optional[Matrix]] = {}
     minus: Dict[Tuple[int, int], Matrix] = {}
-    rows: Dict[Tuple[int, MultiIndex], Tuple[int, int]] = {}
+    up = moments.index.up
+    rows: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for n in range(top):
         forms = decomposition.level_forms(n)
         for j in range(1, d + 1):
-            step = moments.code(tuple(int(i == j - 1) for i in range(d)))
-            images = [decomposition.split_ratios(*_times(moments, f, step)) for f in forms]
+            images = [decomposition.split_ratios(*_times(moments, f, up[j - 1])) for f in forms]
             for k, coords in enumerate(images):
                 for m, c in enumerate(coords):
                     if abs(m - n) < 2 or not any(c):
@@ -264,18 +284,15 @@ def build(decomposition: Decomposition) -> CAPSystem:
     preservation: Dict[int, List[List[Tuple[int, int]]]] = {}
     annihilation: Dict[int, List[List[Tuple[int, int]]]] = {}
     for j in range(1, d + 1):
-        unit = tuple(int(i == j - 1) for i in range(d))
         try:
-            preservation[j] = _top_pairings(decomposition, unit, rows, gram)
+            preservation[j] = _top_pairings(decomposition, j, rows, gram)
         except InsufficientMomentsError:
             pass  # left unset: raises only if accessed
         if top:
             # <b', x_j b> = <x_j b', b> only sees the creation image of b',
             # the basis vector of beta' + e_j: a row of G_N, as ratios
-            step = moments.code(unit)
             selected = (
-                gram[moments.code_position[moments.codes[a] + step] - start]
-                for a in range(decomposition.starts[top - 1], start)
+                gram[up[j - 1][a] - start] for a in range(decomposition.starts[top - 1], start)
             )
             annihilation[j] = [[(x, den) for x in nums] for nums, den in selected]
     zeros = _solve_stacked(gram, preservation)
@@ -359,12 +376,12 @@ def verify_quantum_decomposition(system: CAPSystem) -> QuantumDecompositionRepor
     for n in range(decomp.max_degree):
         forms = decomp.level_forms(n)
         for j in range(1, system.d + 1):
-            step = moments.code(tuple(int(i == j - 1) for i in range(system.d)))
+            up = moments.index.up[j - 1]
             blocks = [(n + 1, system._plus[(j, n)]), (n, system._zero[(j, n)])]
             if n:
                 blocks.append((n - 1, system._minus[(j, n)]))
             for k, form in enumerate(forms):
-                nums, dens = _times(moments, form, step)
+                nums, dens = _times(moments, form, up)
                 for m, block in blocks:
                     for lower, row in zip(decomp.level_forms(m), block):
                         if row[k]:

@@ -62,9 +62,8 @@ from .multiindex import (
     check_integer,
     degree,
     enumerate_classes,
-    shift,
 )
-from .orthodecomp import Level, decompose
+from .orthodecomp import Level, decompose, graded_index
 
 
 class JacobiSequencePair:
@@ -306,7 +305,9 @@ def _ladder(seq: JacobiSequencePair) -> Tuple[dict, dict]:
 
     A+_{j|n} sends the class nbar of level n to the class nbar + e_j of
     level n+1, so it is kept as an index shift: for each source class, its
-    row in level n+1.  A-_{j|n} solves Omega_{n-1} A- = (A+)^T Omega_n,
+    row in level n+1, read off the creation map of the graded index of
+    (d, max_level) (GradedIndex.up), whose levels are the pair's canonical
+    class bases.  A-_{j|n} solves Omega_{n-1} A- = (A+)^T Omega_n,
     whose right-hand side is the rows of Omega_n that A+_{j|n-1} hits.  The
     d systems of a level share Omega_{n-1}, so their right-hand sides are
     set side by side and solved by one integer elimination
@@ -316,12 +317,13 @@ def _ladder(seq: JacobiSequencePair) -> Tuple[dict, dict]:
     """
     d = seq.d
     bases = seq.class_bases
+    index = graded_index(d, seq.max_level)
+    starts = index.starts
     plus: dict = {}
     minus: dict = {}
     for j in range(1, d + 1):
-        step = tuple(1 if i == j - 1 else 0 for i in range(d))
         for n in range(seq.max_level):
-            plus[(j, n)] = [bases[n + 1].index(shift(nbar, step)) for nbar in bases[n].classes]
+            plus[(j, n)] = [p - starts[n + 1] for p in index.up[j - 1][starts[n] : starts[n + 1]]]
     for n in range(1, seq.max_level + 1):
         ratios = [[v.as_integer_ratio() for v in row] for row in seq._omega[n]]
         hits = [plus[(j, n - 1)] for j in range(1, d + 1)]

@@ -23,7 +23,8 @@ reflection_mask() names the coordinates in which a functional is even,
 so that its moments with an odd exponent there vanish.  It is read off
 the parameters: every coordinate of the gaussian weight, the coordinates
 with a_j = b_j of the beta weight, and none for the gamma weight or an
-atom set or table, even a symmetric one.  orthodecomp skips the pairings
+atom set or table, even a symmetric one, or for a subclass that overrides
+moment without stating a mask of its own.  orthodecomp skips the pairings
 that the mask shows to be zero.
 
 Parameter lists (gamma alphas, beta a and b, atom points, and the family
@@ -146,6 +147,13 @@ class MomentFunctional:
         self.d = d
         self.max_degree = max_degree
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # new moments say nothing of their symmetry, so an inherited mask
+        # would be taken on trust for moments it was never stated for
+        if "moment" in vars(cls) and "reflection_mask" not in vars(cls):
+            cls.reflection_mask = MomentFunctional.reflection_mask
+
     def moment(self, beta: MultiIndex) -> Fraction:
         raise NotImplementedError
 
@@ -154,8 +162,13 @@ class MomentFunctional:
         set when the functional is invariant under x_j -> -x_j, so that
         phi(x^beta) = 0 whenever beta_j is odd.  Read off the functional's
         own parameters; 0, no coordinate, unless a subclass knows better.
-        The pairings of orthodecomp take it on trust and skip those moments,
-        so a subclass that changes moment must keep the mask true."""
+
+        A subclass that defines moment but not reflection_mask gets 0, so
+        overriding the moments of a gaussian or beta weight drops the
+        inherited mask (__init_subclass__).  A subclass that defines
+        reflection_mask itself is trusted: the pairings of orthodecomp skip
+        the moments it names without reading them, so it must be true of
+        the subclass's moments."""
         return 0
 
     def _check_beta(self, beta: MultiIndex) -> None:

@@ -15,15 +15,17 @@ enumerate_classes checks its dimension and degree first, and only then
 looks the pair up in a bounded per-process memo: the ClassBasis of each
 (d, n) is enumerated, sorted and validated once, and every later call gets
 that same frozen object.  The memo is keyed by two validated ints and holds
-nothing but these immutable bases.
+nothing but these immutable bases, and it is bounded by the exponent
+entries they hold (SizedMemo), so one basis of a large d is not kept.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Callable, Generic, Iterable, Optional, Sequence, Tuple, TypeVar
 
 from .errors import InvalidDimensionError, InvalidIndexError, OutOfLatticeError, shown
 
@@ -138,8 +140,48 @@ class ClassBasis:
         return self.classes.index(tuple(n_bar))
 
 
-# distinct (d, n) bases kept per process; a pipeline to level N reads N+1
-CLASS_MEMO_SIZE = 256
+# exponent entries (monomials times d) a memo of the graded order keeps per
+# process: one level of d = 1200 at degree 1 alone holds 1.44 million
+MEMO_ENTRIES = 1 << 18
+
+T = TypeVar("T")
+
+
+class SizedMemo(Generic[T]):
+    """A memo of a function of validated ints, bounded by the exponent
+    entries its results hold, as entries(result) counts them.
+
+    The most recently used results are kept while their entries sum to at
+    most MEMO_ENTRIES; a result over that budget alone is built on every
+    call and never kept.  A kept result is handed to every caller, so it
+    must be immutable.
+    """
+
+    def __init__(self, build: Callable[..., T], entries: Callable[[T], int]):
+        self._build = build
+        self._entries = entries
+        self._kept: "OrderedDict[tuple, Tuple[T, int]]" = OrderedDict()
+        self._held = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, *key: int) -> T:
+        with self._lock:
+            hit = self._kept.get(key)
+            if hit is not None:
+                self._kept.move_to_end(key)
+                return hit[0]
+        result = self._build(*key)
+        size = self._entries(result)
+        if size > MEMO_ENTRIES:
+            return result
+        with self._lock:
+            if key in self._kept:  # built meanwhile by another thread
+                return self._kept[key][0]
+            self._kept[key] = result, size
+            self._held += size
+            while self._held > MEMO_ENTRIES:
+                self._held -= self._kept.popitem(last=False)[1][1]
+        return result
 
 
 def enumerate_classes(d: int, n: int) -> ClassBasis:
@@ -147,9 +189,10 @@ def enumerate_classes(d: int, n: int) -> ClassBasis:
 
     The dimension and then the degree are checked before any work (a
     non-integer or bool degree raises InvalidIndexError), so the memo only
-    ever sees two ints.  Each (d, n) is enumerated once per process, and the
-    last CLASS_MEMO_SIZE are kept: a repeated call returns the same frozen
-    ClassBasis.
+    ever sees two ints.  Each (d, n) is enumerated once per process and kept
+    while the memo's budget of MEMO_ENTRIES exponent entries allows: a
+    repeated call returns the same frozen ClassBasis.  A basis of more than
+    MEMO_ENTRIES entries is enumerated on every call.
     """
     _check_dimension(d)
     check_integer(n, "degree")
@@ -158,10 +201,12 @@ def enumerate_classes(d: int, n: int) -> ClassBasis:
     return _class_basis(d, n)
 
 
-@functools.lru_cache(maxsize=CLASS_MEMO_SIZE)
-def _class_basis(d: int, n: int) -> ClassBasis:
+def _enumerate(d: int, n: int) -> ClassBasis:
     classes = sorted(_compositions(d, n), key=canonical_key)
     return ClassBasis(d=d, n=n, classes=tuple(classes))
+
+
+_class_basis = SizedMemo(_enumerate, lambda basis: basis.d * len(basis.classes))
 
 
 def check_index(

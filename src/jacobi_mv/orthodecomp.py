@@ -31,11 +31,11 @@ too.
 
 Each column is kept once, as an IntegerColumn: its nonzero entries as
 integer numerators over one denominator, built when its level is done.
-MomentMatrix.pair_ratio takes that form, so a pairing is an integer dot
-product against the moments' integer ratios; pair makes one Fraction of
-it, or none for an exact zero.  The projections stay in integers: each
+MomentMatrix.pair_code, the one summation kernel, takes that form, so a
+pairing is an integer dot product against the moments' integer ratios.
+The projections stay in integers: each
 lower level's Gram is kept as integer rows once its level is done, the
-right-hand sides are pair_ratio's ratios, _linalg.solve_ratios eliminates
+right-hand sides are pair_code's ratios, _linalg.solve_ratios eliminates
 [G_m | R] on integer rows, and its (num, den) coefficients are subtracted
 from the columns (IntegerColumn.subtract_from) with no Fraction built;
 the Decomposition keeps those integer rows (gram_rows), and build's
@@ -44,14 +44,21 @@ the stored level Grams and what the Decomposition returns.  All pairings
 of a level are made, monomial by monomial, before any is solved, so a
 missing moment is named before an inconsistent projection.  The moments
 are keyed by packed exponent codes (pack), so pairing a column with
-x^beta shifts each of its monomials by one integer add; the code of each
-beta is computed once per moment matrix.
+x^beta shifts each of its monomials by one integer add.
 
 The order itself, the GradedIndex of (d, N), is built once per process:
 the degree classes of every level (enumerate_classes' memoized tuples),
 the basis, each monomial's position, each code and each parity (the bit
-set of its odd exponents, odd_bits).  Every MomentMatrix of that (d, N),
-and so every decomposition, reads the one index.
+set of its odd exponents, odd_bits), the code of each e_j, and the
+creation map, the position of each monomial below the top degree times
+each x_j.  Every MomentMatrix of that (d, N), and so every decomposition,
+reads the one index, and the library's pairings address every shift by
+position in it: the shift by basis monomial a is codes[a] with parity
+parities[a], the shift by beta_k + e_j is codes[a_k] + units[j] with
+parity parities[a_k] ^ (1 << j), and no multi-index is packed or checked
+on the way.  A moment's multi-index is built only when the moment is
+first fetched.  pair_ratio and pair take a multi-index instead, which
+they check and pack once per moment matrix, and then call pair_code.
 
 The classical weights have structural zeros, which cost nothing:
 
@@ -60,8 +67,10 @@ The classical weights have structural zeros, which cost nothing:
   gaussian weight, those with a_j = b_j for the beta weight, none for
   the others).  Its orthogonal polynomials then have the parity of their
   leading monomial in those coordinates, so decompose records that
-  parity on each column, and pair_ratio answers 0 without reading a
-  moment when the column's parity and the shift's differ on the mask.
+  parity on each column.  A pairing of a column with a shift of the
+  other parity on the mask is 0: decompose and build's top pairings test
+  the parity inline and never visit such a pair, and pair_code answers
+  (0, 1) for one without reading a moment.
 * Diagonal Grams.  The level Grams of a product weight are diagonal, so
   the projections, build's top-level solves and the PSD certificates
   take _linalg's diagonal path instead of an elimination.
@@ -69,11 +78,11 @@ The classical weights have structural zeros, which cost nothing:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import gcd, lcm
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _linalg
@@ -88,6 +97,7 @@ from .errors import (
 from .moments import MomentFunctional
 from .multiindex import (
     MultiIndex,
+    SizedMemo,
     _check_dimension,
     check_index,
     check_integer,
@@ -127,7 +137,7 @@ class IntegerColumn:
     column[a] = numerator / denominator; every other entry is zero.  parity,
     when set, is the parity (odd_bits) that the monomials of all the terms
     share on the moment matrix's nonzero reflection mask (see
-    MomentMatrix.pair_ratio); it is no part of the column's value, so
+    MomentMatrix.pair_code); it is no part of the column's value, so
     equality ignores it.
     """
 
@@ -201,9 +211,13 @@ class GradedIndex:
     starts[n] the position of level n's first monomial in it.  position maps
     a basis monomial to its position, codes[a] is the code of basis
     monomial a in radix 2N+2 (pack), and code_position maps a code back to
-    its position.  parities[a] is odd_bits of basis monomial a.  One index
-    serves every caller of its (d, N), so the two dicts are never written
-    after construction.
+    its position.  parities[a] is odd_bits of basis monomial a.
+
+    Shifting by e_j (j from 0) needs no multi-index: its code is
+    units[j] = radix**j and its parity the bit 1 << j.  up is the creation
+    map: up[j][a] is the position of basis[a] + e_j, for every a below the
+    top degree.  One index serves every caller of its (d, N), so the two
+    dicts are never written after construction.
     """
 
     levels: Tuple[Tuple[MultiIndex, ...], ...]
@@ -214,10 +228,12 @@ class GradedIndex:
     codes: Tuple[int, ...]
     code_position: Dict[int, int]
     parities: Tuple[int, ...]
+    units: Tuple[int, ...]
+    up: Tuple[Tuple[int, ...], ...]
 
-
-# distinct (d, N) indexes kept per process
-INDEX_MEMO_SIZE = 32
+    def entries(self) -> int:
+        """The exponent entries held: the basis's and the creation map's."""
+        return len(self.units) * (len(self.basis) + self.starts[-2])
 
 
 def _check_max_degree(max_degree: int) -> None:
@@ -229,30 +245,42 @@ def _check_max_degree(max_degree: int) -> None:
 def graded_index(d: int, max_degree: int) -> GradedIndex:
     """The GradedIndex of (d, N), built on the first call and then shared.
 
-    Both arguments are checked before the memo, which keeps the last
-    INDEX_MEMO_SIZE indexes and nothing else: no functional and no moment.
+    Both arguments are checked before the memo, which keeps the most
+    recently used indexes up to MEMO_ENTRIES exponent entries (SizedMemo)
+    and nothing else: no functional and no moment.  An index larger than
+    that is built on every call.
     """
     _check_dimension(d)
     _check_max_degree(max_degree)
     return _graded_index(d, max_degree)
 
 
-@functools.lru_cache(maxsize=INDEX_MEMO_SIZE)
-def _graded_index(d: int, max_degree: int) -> GradedIndex:
+def _build_index(d: int, max_degree: int) -> GradedIndex:
     levels = tuple(enumerate_classes(d, n).classes for n in range(max_degree + 1))
     basis = tuple(chain.from_iterable(levels))
+    starts = tuple(accumulate(map(len, levels), initial=0))
     radix = 2 * max_degree + 2
     codes = tuple(pack(alpha, radix) for alpha in basis)
+    code_position = {c: a for a, c in enumerate(codes)}
+    units = tuple(radix**j for j in range(d))
+    # below the top degree a monomial plus e_j stays in the basis, with no carry
+    below = codes[: starts[max_degree]]
+    up = tuple(tuple(map(code_position.__getitem__, map(u.__add__, below))) for u in units)
     return GradedIndex(
         levels,
         basis,
-        tuple(accumulate(map(len, levels), initial=0)),
+        starts,
         {beta: a for a, beta in enumerate(basis)},
         radix,
         codes,
-        {c: a for a, c in enumerate(codes)},
+        code_position,
         tuple(map(odd_bits, basis)),
+        units,
+        up,
     )
+
+
+_graded_index = SizedMemo(_build_index, GradedIndex.entries)
 
 
 class MomentMatrix:
@@ -267,11 +295,14 @@ class MomentMatrix:
     stay <= 2N+1 and shifting a monomial is one integer add of codes.
     The basis, position, radix, codes and code_position are those of the
     shared GradedIndex of (d, N) (graded_index), never to be written; the
-    shift codes and the moments stay with this instance.
+    moments stay with this instance.
 
     mask is the functional's reflection_mask: every moment with an odd
-    exponent at a coordinate in it vanishes.  Each shift's parity on the
-    mask (odd_bits) is kept with its code.
+    exponent at a coordinate in it vanishes.  pair_code is the one
+    summation kernel: it takes a shift as its code and its parity on the
+    mask, which the library's callers read off the index by position.
+    pair_ratio and pair take the shift as a multi-index, which they check,
+    pack and keep with its parity once per instance (code).
     """
 
     def __init__(self, functional: MomentFunctional, max_degree: int):
@@ -282,8 +313,15 @@ class MomentMatrix:
         self.codes, self.code_position = index.codes, index.code_position
         self.mask = functional.reflection_mask()
         self._shifts: Dict[MultiIndex, int] = {}  # beta -> code, for |beta| <= N+1
-        self._parities: Dict[MultiIndex, int] = {}  # beta -> odd_bits(beta) & mask
+        self._parities: Dict[MultiIndex, Optional[int]] = {}  # beta -> its parity on the mask
         self._moments: Dict[int, Tuple[int, int]] = {}
+
+    def parity(self, a: int) -> Optional[int]:
+        """The parity of basis monomial a on the mask (odd_bits & mask), or
+        None when the mask is empty: the parity a column of that leading
+        monomial records (IntegerColumn.parity), and pair_code's argument
+        for a shift by it."""
+        return self.index.parities[a] & self.mask if self.mask else None
 
     def code(self, beta: MultiIndex) -> int:
         """The code of a multi-index that basis monomials are shifted by.
@@ -305,7 +343,7 @@ class MomentMatrix:
                     f"<= {self.max_degree + 1}"
                 )
             code = self._shifts[beta] = pack(beta, self.radix)
-            self._parities[beta] = odd_bits(beta) & self.mask
+            self._parities[beta] = odd_bits(beta) & self.mask if self.mask else None
         return code
 
     def pair(self, column: IntegerColumn, beta: MultiIndex) -> Fraction:
@@ -315,7 +353,19 @@ class MomentMatrix:
         return Fraction(num, den) if num else ZERO
 
     def pair_ratio(self, column: IntegerColumn, beta: MultiIndex) -> Tuple[int, int]:
-        """phi(b * x^beta) as an integer ratio (p, q), q > 0, not reduced.
+        """phi(b * x^beta) as an integer ratio (p, q), q > 0, not reduced:
+        pair_code of beta's code and parity, once beta is checked."""
+        shift = self._shifts.get(beta)
+        if shift is None:
+            shift = self.code(beta)
+        return self.pair_code(column, shift, self._parities[beta], beta)
+
+    def pair_code(
+        self, column: IntegerColumn, shift: int, parity: Optional[int], beta: MultiIndex
+    ) -> Tuple[int, int]:
+        """phi(b * x^beta) as an integer ratio (p, q), q > 0, not reduced,
+        for the shift beta of this code and parity on the mask (None when
+        the mask is empty).
 
         The moment phi(x^(alpha+beta)) is fetched only where the column's
         coefficient at alpha is nonzero, so a table that lacks the moments at
@@ -323,21 +373,17 @@ class MomentMatrix:
         over the running lcm of the moment denominators, times the column's
         denominator.  When the column's parity on the mask is known and is
         not beta's, every alpha+beta is odd at some coordinate of the mask,
-        so every moment read would be 0: the pairing is (0, 1), once beta is
-        checked, and no moment is read.
+        so every moment read would be 0: the pairing is (0, 1), and no moment
+        is read.  beta itself is read only to name a moment not yet fetched.
         """
-        shift = self._shifts.get(beta)
-        if shift is None:
-            shift = self.code(beta)
-        parity = column.parity
-        if parity is not None and parity != self._parities[beta]:
+        if column.parity is not None and column.parity != parity:
             return 0, 1
         codes, moments = self.codes, self._moments
         num, den = 0, 1
         for a, c in column.terms:
             moment = moments.get(codes[a] + shift)
             if moment is None:
-                moment = self._fetch(a, beta)
+                moment = self._fetch(a, shift, beta)
             mn, md = moment
             if not mn:
                 continue
@@ -349,11 +395,11 @@ class MomentMatrix:
                 den = den // g * md
         return num, den * column.denominator
 
-    def _fetch(self, a: int, beta: MultiIndex) -> Tuple[int, int]:
+    def _fetch(self, a: int, shift: int, beta: MultiIndex) -> Tuple[int, int]:
         """Fetch phi(x^(alpha+beta)) for basis monomial a and keep its ratio."""
-        key = tuple(x + y for x, y in zip(self.basis[a], beta))
+        key = tuple(map(add, self.basis[a], beta))
         moment = self.functional.moment(key).as_integer_ratio()
-        self._moments[self.codes[a] + self._shifts[beta]] = moment
+        self._moments[self.codes[a] + shift] = moment
         return moment
 
 
@@ -473,25 +519,35 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
 
     Needs moments up to degree 2*max_degree.  Each level's monomials are
     the classes of the shared GradedIndex, and Level.monomials is that very
-    tuple.  When the functional has a reflection mask, each basis column
-    records its parity on it, that of its leading monomial, which
-    MomentMatrix.pair_ratio reads.  The functional being even in the
-    coordinates of the mask, b_beta has the parity of x^beta there: the
-    pairings across parities are exactly zero, so the projections and
-    the level Grams pair x^beta only with columns of its own parity.
+    tuple; each x^beta is paired by its position in the index
+    (MomentMatrix.pair_code).  When the functional has a reflection mask,
+    each basis column records its parity on it, that of its leading
+    monomial.  The functional being even in the coordinates of the mask,
+    b_beta has the parity of x^beta there: the pairings across parities are
+    exactly zero, so the projections and the level Grams pair x^beta only
+    with columns of its own parity, and the others are never visited.
     """
     _check_max_degree(max_degree)
     moments = MomentMatrix(functional, max_degree)
-    parities, mask = moments.index.parities, moments.mask
+    index, pair = moments.index, moments.pair_code
     forms: List[List[IntegerColumn]] = []  # basis columns, level by level
     levels: List[Level] = []
     grams: List[List[Tuple[List[int], int]]] = []  # each G_m as integer rows
-    for n, (monos, start) in enumerate(zip(moments.index.levels, moments.index.starts)):
+    for n, (monos, start) in enumerate(zip(index.levels, index.starts)):
+        positions = range(start, start + len(monos))
+        codes = index.codes[start : start + len(monos)]
+        parities = [moments.parity(a) for a in positions]
         # rhs[k][m][i] = <b_i, x^beta_k> for basis vector i of lower level m,
         # as an integer ratio
-        rhs = [[[moments.pair_ratio(f, beta) for f in lower] for lower in forms] for beta in monos]
+        rhs = [
+            [
+                [pair(f, code, parity, beta) if f.parity == parity else (0, 1) for f in lower]
+                for lower in forms
+            ]
+            for code, parity, beta in zip(codes, parities, monos)
+        ]
         # each column x^beta as numerators over denominators, less its projections
-        block = [([0] * a + [1], [1] * (a + 1)) for a in range(start, start + len(monos))]
+        block = [([0] * a + [1], [1] * (a + 1)) for a in positions]
         for m, (gram, lower) in enumerate(zip(grams, forms)):
             # one elimination of G_m for all monomials: its row operations
             # depend only on G_m, so each column gets what its own solve gives
@@ -503,17 +559,17 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
                     num, den = coeffs[k]
                     if num:
                         f.subtract_from(*col, num, den)
-        block_forms = [
-            IntegerColumn.of(zip(*col), parities[a] & mask if mask else None)
-            for a, col in enumerate(block, start=start)
-        ]
+        block_forms = [IntegerColumn.of(zip(*col), parity) for col, parity in zip(block, parities)]
         # b_i is orthogonal to the lower levels, so <b_i, x^beta_k> = <b_i, b_k>
         # and the lower triangle mirrors the upper one
         size = len(block)
         gram = [[ZERO] * size for _ in range(size)]
         for i, f in enumerate(block_forms):
             for k in range(i, size):
-                gram[i][k] = gram[k][i] = moments.pair(f, monos[k])
+                if f.parity == parities[k]:
+                    num, den = pair(f, codes[k], parities[k], monos[k])
+                    if num:
+                        gram[i][k] = gram[k][i] = Fraction(num, den)
         report = _linalg.ldlt_psd(gram)
         if not report.psd:
             raise NotAStateError(

@@ -390,7 +390,7 @@ def test_top_pairings_match_the_polynomial_oracle(functional, top):
     gram = _linalg.integer_rows(dec.level(top).gram)
     rows = {}
     for j in range(1, dec.d + 1):
-        pairings = _fractions(_top_pairings(dec, _unit(dec.d, j), rows, gram))
+        pairings = _fractions(_top_pairings(dec, j, rows, gram))
         assert pairings == top_pairings(dec, j)
         assert pairings == _linalg.transpose(pairings)
 
@@ -402,7 +402,7 @@ def test_top_pairings_pair_the_upper_triangle_once():
     gram = _linalg.integer_rows(dec.level(5).gram)
     rows = {}
     for j in range(1, 4):
-        _top_pairings(dec, _unit(3, j), rows, gram)
+        _top_pairings(dec, j, rows, gram)
     assert len(dec.level(5)) == 21 and len(monomials_of_degree(3, 6)) == 28
     assert len(rows) == 343
 
@@ -413,7 +413,7 @@ def test_top_pairings_need_degree_2n_plus_1():
     gram = _linalg.integer_rows(dec.level(3).gram)
     for j in (1, 2):
         with pytest.raises(InsufficientMomentsError):
-            _top_pairings(dec, _unit(2, j), {}, gram)
+            _top_pairings(dec, j, {}, gram)
     ops = build(dec)
     for j in (1, 2):
         with pytest.raises(InsufficientMomentsError):
@@ -426,7 +426,7 @@ def test_top_pairings_need_degree_2n_plus_1():
     for j in (1, 2):
         pairings = top_pairings(dec, j)
         assert not _linalg.is_diagonal(pairings)
-        assert _fractions(_top_pairings(dec, _unit(2, j), {}, gram)) == pairings
+        assert _fractions(_top_pairings(dec, j, {}, gram)) == pairings
         assert ops.zero_matrix(j, 3) == _linalg.solve_consistent(dec.level(3).gram_matrix(), pairings)
 
 
@@ -507,3 +507,37 @@ def test_stacked_top_solves_name_the_first_inconsistent_system(atoms, top, chang
     assert str(raised.value) == (
         f"{first} is inconsistent; no positive functional has these moments"
     )
+
+
+def test_build_of_a_level_0_table_does_no_tuple_work_per_coordinate(monkeypatch):
+    # the unit codes and creation positions come from the graded index, so
+    # build makes as many pack, odd_bits and shift calls at d = 100 as at
+    # d = 50; before, each coordinate packed its unit and shifted by it
+    import jacobi_mv.cap_operators as cap_operators
+    import jacobi_mv.multiindex as multiindex
+    import jacobi_mv.orthodecomp as orthodecomp
+
+    counts = []
+    for d in (50, 100):
+        units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+        table = {(0,) * d: 1, **{e: Fraction(j + 1, j + 2) for j, e in enumerate(units)}}
+        dec = decompose(table_functional(d, 1, table), 0)
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            return wrapper
+
+        for module in (multiindex, orthodecomp, cap_operators):
+            for name in ("pack", "odd_bits", "shift"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        ops = build(dec)
+        monkeypatch.undo()
+        assert [ops.zero_matrix(j, 0) for j in (1, d)] == [
+            [[Fraction(1, 2)]], [[Fraction(d, d + 1)]]
+        ]
+        counts.append(calls)
+    assert counts[0] == counts[1]

@@ -12,7 +12,10 @@ from hypothesis import given, strategies as st
 
 import jacobi_mv
 from jacobi_mv.errors import InvalidDimensionError, InvalidIndexError, OutOfLatticeError
+from jacobi_mv import multiindex
 from jacobi_mv.multiindex import (
+    MEMO_ENTRIES,
+    SizedMemo,
     _compositions,
     canonical_key,
     check_index,
@@ -138,6 +141,40 @@ def test_large_dimension_does_not_recurse_per_coordinate():
     assert basis.classes[0] == (1,) + (0,) * 1199
     assert basis.classes[-1] == (0,) * 1199 + (1,)
     assert enumerate_classes(1200, 0).classes == ((0,) * 1200,)
+
+
+def test_the_class_memo_keeps_no_basis_over_its_entry_budget():
+    # 1200 classes of 1200 entries are over MEMO_ENTRIES: each call builds
+    # its own, and none is kept alive for the next
+    assert 1200 * 1200 > MEMO_ENTRIES
+    big = enumerate_classes(1200, 1)
+    again = enumerate_classes(1200, 1)
+    assert again.classes == big.classes and again.classes is not big.classes
+    # a small basis is still the one shared object
+    assert enumerate_classes(3, 4) is enumerate_classes(3, 4)
+    assert enumerate_classes(1200, 0) is enumerate_classes(1200, 0)
+
+
+def test_a_sized_memo_evicts_the_least_recently_used_by_entries(monkeypatch):
+    monkeypatch.setattr(multiindex, "MEMO_ENTRIES", 10)
+    built = []
+
+    def build(n):
+        built.append(n)
+        return tuple(range(n))
+
+    memo = SizedMemo(build, len)
+    four = memo(4)
+    memo(3)
+    assert memo(4) is four  # 7 entries held; 4 is now the most recent
+    memo(2)  # 9 held
+    memo(5)  # 14 held: the least recently used go, 3 and then 4
+    memo(2), memo(5)
+    assert built == [4, 3, 2, 5]
+    again = memo(4)
+    assert again == four and again is not four
+    memo(11), memo(11)  # over the budget alone: built each time, never kept
+    assert built == [4, 3, 2, 5, 4, 11, 11]
 
 
 def _limit_memory():

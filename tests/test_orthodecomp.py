@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -521,6 +522,8 @@ class _Unmasked(BetaFunctional):
 
 
 class _CountingGaussian(GaussianFunctional):
+    """Overrides moment and states no mask, so its mask is 0."""
+
     def __init__(self, d):
         super().__init__(d)
         self.fetched = []
@@ -528,6 +531,33 @@ class _CountingGaussian(GaussianFunctional):
     def moment(self, beta):
         self.fetched.append(tuple(beta))
         return super().moment(beta)
+
+
+class _TrustedCountingGaussian(_CountingGaussian):
+    """States the gaussian mask itself, so it is trusted."""
+
+    def reflection_mask(self):
+        return GaussianFunctional.reflection_mask(self)
+
+
+class _ShiftedGaussian(GaussianFunctional):
+    """The gaussian weight moved to center (1/2, -1, ...): no longer even in
+    any coordinate, though it inherits from the even weight."""
+
+    def moment(self, beta):
+        center = (Fraction(1, 2), Fraction(-1))
+        total = Fraction(1)
+        for j, k in enumerate(beta):
+            c = center[j % 2]
+            # E[(X + c)^k] = sum_i C(k, i) c^(k-i) E[X^i]
+            unit = tuple(int(i == j) for i in range(self.d))
+            total *= sum(
+                comb(k, i) * c ** (k - i) * super(_ShiftedGaussian, self).moment(
+                    tuple(i * u for u in unit)
+                )
+                for i in range(k + 1)
+            )
+        return total
 
 
 def test_reflection_masks_come_from_the_parameters():
@@ -544,6 +574,12 @@ def test_reflection_masks_come_from_the_parameters():
     assert table_functional(1, 2, {(0,): 1, (1,): 0, (2,): 1}).reflection_mask() == 0
 
 
+_FIVE_ATOMS = atomic_functional([
+    (("0", "1"), "1/5"), (("1", "-1"), "1/5"), (("2", "1/2"), "1/5"),
+    (("-1/3", "2"), "1/5"), (("3", "3"), "1/5"),
+])
+
+
 @pytest.mark.parametrize(
     "phi, n",
     [
@@ -551,29 +587,44 @@ def test_reflection_masks_come_from_the_parameters():
         (gaussian_functional(3), 3),
         (beta_functional(*_MIXED), 3),
         (beta_functional([Fraction(1, 2)], [Fraction(1, 2)]), 6),
+        (_FIVE_ATOMS, 3),
+        (table_functional(2, 7, {b: _FIVE_ATOMS.moment(b) for b in monomial_basis(2, 7)}), 3),
     ],
-    ids=["gaussian-d2", "gaussian-d3", "mixed-beta-d3", "gegenbauer-d1"],
+    ids=["gaussian-d2", "gaussian-d3", "mixed-beta-d3", "gegenbauer-d1", "atoms-d2", "atom-table-d2"],
 )
 def test_pair_ratio_with_the_parity_skip_is_the_full_sum(phi, n):
     dec = decompose(phi, n)
-    moments = dec.moments
+    moments, index, mask = dec.moments, dec.moments.index, dec.moments.mask
+    # the kernel's shifts as the library addresses them: every basis
+    # monomial by its position, and every top-level beta_k + e_j by the code
+    # codes[a_k] + units[j] and the parity parities[a_k] ^ (1 << j)
+    shifts = [(index.codes[b], moments.parity(b), beta) for b, beta in enumerate(index.basis)]
+    for a in range(index.starts[n], index.starts[n + 1]):
+        for j in range(phi.d):
+            beta = shift(index.basis[a], tuple(int(i == j) for i in range(phi.d)))
+            parity = (index.parities[a] ^ 1 << j) & mask if mask else None
+            shifts.append((index.codes[a] + index.units[j], parity, beta))
     skipped = 0
     for form in dec.forms:
         # the parity of the leading monomial, the column's own position
-        assert moments.mask
-        assert form.parity == moments.index.parities[form.terms[-1][0]] & moments.mask
+        assert form.parity == moments.parity(form.terms[-1][0])
         bare = IntegerColumn(form.terms, form.denominator)  # no parity: no skip
         assert bare == form
-        for beta in monomial_basis(phi.d, n + 1):
+        for code, parity, beta in shifts:
+            assert code == pack(beta, moments.radix)
+            assert parity == (odd_bits(beta) & mask if mask else None)
             full = sum(
                 (Fraction(c, form.denominator) * phi.moment(shift(moments.basis[a], beta))
                  for a, c in form.terms),
                 ZERO,
             )
-            got = moments.pair_ratio(form, beta)
-            assert Fraction(*got) == Fraction(*moments.pair_ratio(bare, beta)) == full
-            skipped += got == (0, 1) and full == 0
-    assert skipped
+            got = moments.pair_code(form, code, parity, beta)
+            assert Fraction(*got) == Fraction(*moments.pair_ratio(form, beta)) == full
+            assert Fraction(*moments.pair_ratio(bare, beta)) == full
+            if form.parity is not None and form.parity != parity:
+                assert got == (0, 1)
+                skipped += 1
+    assert bool(skipped) == bool(mask)
 
 
 def test_a_mixed_symmetry_beta_weight_gives_the_same_outputs_with_its_mask_and_without():
@@ -597,13 +648,34 @@ def test_a_mixed_symmetry_beta_weight_gives_the_same_outputs_with_its_mask_and_w
 
 
 def test_hermite_fetches_only_moments_with_all_exponents_even():
-    phi = _CountingGaussian(3)
+    phi = _TrustedCountingGaussian(3)
     compute(build(decompose(phi, 3)), 3)
     assert all(b % 2 == 0 for beta in phi.fetched for b in beta)
-    # the 20 even multi-indices of degree <= 6, each fetched once; with the
-    # mask forced to 0 the same pipeline fetches 120, odd ones included
+    # the 20 even multi-indices of degree <= 6, each fetched once
     assert len(phi.fetched) == 20
     assert sorted(phi.fetched) == sorted(
         beta for beta in monomial_basis(3, 7) if all(b % 2 == 0 for b in beta)
     )
+    # overriding moment without stating a mask drops it: the same pipeline
+    # fetches all 120 multi-indices of degree <= 7, odd ones included
+    unstated = _CountingGaussian(3)
+    assert (phi.reflection_mask(), unstated.reflection_mask()) == (0b111, 0)
+    compute(build(decompose(unstated, 3)), 3)
+    assert sorted(unstated.fetched) == sorted(monomial_basis(3, 7))
+
+
+def test_overriding_the_moments_of_an_even_weight_drops_its_mask():
+    # a subclass of the gaussian weight whose moments are not even: with the
+    # inherited mask, decompose would skip nonzero pairings and return
+    # wrong bases without an error
+    phi = _ShiftedGaussian(2)
+    assert phi.reflection_mask() == 0
+    assert phi.moment((1, 0)) == Fraction(1, 2) and phi.moment((0, 1)) == -1
+    table = table_functional(2, 6, {beta: phi.moment(beta) for beta in monomial_basis(2, 6)})
+    dec, ref = decompose(phi, 3), decompose(table, 3)
+    assert [lv.gram for lv in dec.levels] == [lv.gram for lv in ref.levels]
+    assert all(f.parity is None for f in dec.forms)
+    # a subclass that states a mask of its own is trusted
+    assert _Unmasked(*_MIXED).reflection_mask() == 0
+    assert _TrustedCountingGaussian(2).reflection_mask() == 0b11
 
