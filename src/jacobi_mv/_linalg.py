@@ -18,20 +18,20 @@ operation:
   Both return the shared ZERO for an exact zero, so no Fraction is built
   for it.
 
-* _eliminate: Gauss-Jordan elimination on integer rows.  Each row is
-  cleared of its denominators once; an update is p*row_i - f*row_r with p
-  the pivot and f the entry to clear, both divided by gcd(p, f), and the
-  new row is divided by its content.  Every integer row is a nonzero
-  multiple of the row the rational loop would hold, so the zero entries,
-  hence the pivot choice (first row with a nonzero entry, scanning
-  top-down), the pivots and the inconsistency test, are those of the
-  rational loop.  The reduced form is unique, so what is read off the
-  rows is the rational loop's byte for byte.  rref (which rank uses)
-  forms its Fractions once, when the pivot rows are normalized.
-  jacobi_sequences eliminates a rank-deficient level Gram with it directly
-  and reads alpha off the reduced rows.
+* _clear_column: the one row update, which both eliminations share.
+  Each row is cleared of its denominators once; an update is
+  p*row_i - f*row_r with p the pivot and f the entry to clear, both
+  divided by gcd(p, f), and the new row is divided by its content.  Every
+  integer row is a nonzero multiple of the row the rational loop would
+  hold, so the zero entries, hence the pivots and the inconsistency test,
+  are the rational loop's.  _eliminate (Gauss-Jordan) pivots on the first
+  row at or below the current one with a nonzero entry in the column; its
+  reduced form is unique, so what is read off the rows is the rational
+  loop's byte for byte.  rank counts its pivots, and jacobi_sequences
+  reads alpha off its reduced rows.  ldlt_psd pivots on the first
+  remaining nonzero diagonal entry.
 
-Three workhorses:
+The solves and the certificate built on it:
 
 * solve_ratios: Gauss-Jordan solve of A X = B with free variables pinned
   to 0, A given as integer rows over a denominator (integer_rows) and B
@@ -47,7 +47,9 @@ Three workhorses:
   B[i][k] / A[i][i], reduced once, and a zero diagonal entry leaves its
   unknown 0 and its equation consistent only when B's row vanishes.  The
   test (_is_diagonal) is C-level any() over each row's two off-diagonal
-  slices, so a dense A is refused at its first row.
+  slices, so a dense A is refused at its first row.  When a caller's
+  stacked solve is refused, first_inconsistent solves its systems one at
+  a time, in the caller's order, to name the first that fails.
 
 * solve_consistent: the same solve on Fraction matrices.  It runs
   solve_ratios on A's integer rows and B's integer ratios and builds a
@@ -76,6 +78,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
+# A as integer rows over a denominator (integer_rows), and B or X as ratios
+Rows = Sequence[Tuple[Sequence[int], int]]
+Ratios = Sequence[Sequence[Tuple[int, int]]]
+Solution = Optional[List[List[Tuple[int, int]]]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -83,10 +89,6 @@ ONE = Fraction(1)
 
 def zeros(rows: int, cols: int) -> Matrix:
     return [[ZERO] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(1) if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def copy(a: Sequence[Sequence[Fraction]]) -> Matrix:
@@ -151,14 +153,6 @@ def mat_scale(a, s) -> Matrix:
     return [[s * x for x in row] for row in a]
 
 
-def mat_eq(a, b) -> bool:
-    return [list(r) for r in a] == [list(r) for r in b]
-
-
-def is_zero_matrix(a) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def is_symmetric(a) -> bool:
     n = len(a)
     return all(len(row) == n for row in a) and all(
@@ -209,15 +203,41 @@ def _ratio(p: int, q: int) -> Tuple[int, int]:
     return p // g, q // g
 
 
+def _primitive_rows(a: Sequence[Sequence[Fraction]]) -> List[List[int]]:
+    """The primitive integer rows of a, each a positive multiple of its row."""
+    return [_primitive(nums) for nums, _ in integer_rows(a)]
+
+
+def _clear_column(m: List[List[int]], r: int, c: int, targets: Iterable[int]) -> None:
+    """Clear column c of the target rows of m with pivot row r, in place.
+
+    Each target i != r with f = m[i][c] nonzero becomes p*row_i - f*row_r,
+    p = m[r][c] and f divided by gcd(p, f) first (Bareiss's step without
+    its exact division), then _primitive.  With p > 0 each new row is a
+    positive multiple of the rational row it stands for.
+    """
+    row = m[r]
+    p = row[c]
+    # the update leaves the pivot row's zeros alone
+    support = [(k, x) for k, x in enumerate(row) if x]
+    for i in targets:
+        f = m[i][c]
+        if f and i != r:
+            g = gcd(p, f)
+            scale, f = p // g, f // g
+            target = [scale * x for x in m[i]] if scale != 1 else m[i]
+            for k, x in support:
+                target[k] -= f * x
+            m[i] = _primitive(target)
+
+
 def _eliminate(m: List[List[int]], stop: int) -> List[int]:
     """Gauss-Jordan elimination of integer rows in place; the pivot columns.
 
     Pivots are taken in the columns before stop, left to right, each in
     the first row at or below the current one with a nonzero entry there;
-    pivot r is moved to row r.  An update p*row_i - f*row_r (p the pivot,
-    f the entry to clear, both divided by gcd(p, f)) is applied on the
-    pivot row's nonzero entries, to the rows with a nonzero entry in the
-    pivot column, and leaves the row primitive.
+    pivot r is moved to row r and cleared from every other row
+    (_clear_column).
     """
     rows = len(m)
     pivots: List[int] = []
@@ -229,31 +249,10 @@ def _eliminate(m: List[List[int]], stop: int) -> List[int]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        row = m[r]
-        p = row[c]
-        # the update leaves the pivot row's zeros alone
-        support = [(k, x) for k, x in enumerate(row) if x]
-        for i in range(rows):
-            f = m[i][c]
-            if i != r and f:
-                g = gcd(p, f)
-                scale, f = p // g, f // g
-                target = [scale * x for x in m[i]] if scale != 1 else m[i]
-                for k, x in support:
-                    target[k] -= f * x
-                m[i] = _primitive(target)
+        _clear_column(m, r, c, range(rows))
         pivots.append(c)
         r += 1
     return pivots
-
-
-def rref(a: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = [_primitive(nums) for nums, _ in integer_rows(a)]
-    cols = len(m[0]) if m else 0
-    pivots = _eliminate(m, cols)
-    reduced = [[Fraction(x, row[c]) if x else ZERO for x in row] for row, c in zip(m, pivots)]
-    return reduced + zeros(len(m) - len(pivots), cols), pivots
 
 
 def _is_diagonal(rows: Sequence[Sequence[int]]) -> bool:
@@ -265,9 +264,7 @@ def _is_diagonal(rows: Sequence[Sequence[int]]) -> bool:
     )
 
 
-def solve_ratios(
-    a: Sequence[Tuple[Sequence[int], int]], b: Sequence[Sequence[Tuple[int, int]]]
-) -> Optional[List[List[Tuple[int, int]]]]:
+def solve_ratios(a: Rows, b: Ratios) -> Solution:
     """solve_consistent on integers: A X = B with free variables set to 0.
 
     Row i of A is a[i] = (numerators, denominator), as integer_rows gives,
@@ -282,9 +279,28 @@ def solve_ratios(
     return _solve_eliminated(a, b)
 
 
-def _solve_diagonal(
-    a: Sequence[Tuple[Sequence[int], int]], b: Sequence[Sequence[Tuple[int, int]]]
-) -> Optional[List[List[Tuple[int, int]]]]:
+def solve_stacked(a: Rows, blocks: Sequence[Ratios]) -> Optional[List[Matrix]]:
+    """Solve A X_t = B_t for every block B_t at once, the X_t as Fractions.
+
+    The blocks are set side by side and solved by one solve_ratios; its row
+    operations depend only on A, so each X_t is what its own solve gives.
+    A Fraction is built only for each nonzero entry.  None when some system
+    is inconsistent, [] for no blocks.
+    """
+    if not blocks:
+        return []
+    x = solve_ratios(a, [[v for b in blocks for v in b[i]] for i in range(len(a))])
+    if x is None:
+        return None
+    out, s = [], 0
+    for b in blocks:
+        e = s + len(b[0])
+        out.append([[Fraction(p, q) if p else ZERO for p, q in row[s:e]] for row in x])
+        s = e
+    return out
+
+
+def _solve_diagonal(a: Rows, b: Ratios) -> Solution:
     """solve_ratios for a diagonal A: X[i][k] = B[i][k] den_i / nums_i[i],
     reduced once.  A zero diagonal entry leaves its unknown free, so 0, and
     its equation consistent only when B's row i vanishes; None otherwise.
@@ -302,9 +318,7 @@ def _solve_diagonal(
     return x
 
 
-def _solve_eliminated(
-    a: Sequence[Tuple[Sequence[int], int]], b: Sequence[Sequence[Tuple[int, int]]]
-) -> Optional[List[List[Tuple[int, int]]]]:
+def _solve_eliminated(a: Rows, b: Ratios) -> Solution:
     """solve_ratios by Gauss-Jordan elimination, for any A.
 
     Each augmented row [A_i | B_i] is made one primitive integer row and
@@ -332,9 +346,20 @@ def _solve_eliminated(
 
 
 def rank(a: Sequence[Sequence[Fraction]]) -> int:
+    """The exact rank of a: the number of _eliminate's pivots on its
+    primitive integer rows."""
     if not a or not a[0]:
         return 0
-    return len(rref(a)[1])
+    return len(_eliminate(_primitive_rows(a), len(a[0])))
+
+
+def first_inconsistent(systems: Iterable[Tuple[object, Rows, Ratios]]) -> object:
+    """The key of the first (key, a, b) that solve_ratios refuses, else None.
+
+    The systems are solved one at a time, in the caller's order; a lazy
+    iterable forms each only when it is reached.
+    """
+    return next((key for key, a, b in systems if solve_ratios(a, b) is None), None)
 
 
 def solve_consistent(
@@ -376,9 +401,9 @@ def ldlt_psd(a: Sequence[Sequence[Fraction]]) -> PSDReport:
     The pivot is the first remaining index with a nonzero diagonal entry;
     eliminating it leaves the Schur complement on the remaining indices.
     Each row is kept as a primitive integer row, a positive multiple of the
-    rational row (integer_rows), and only the rows with a nonzero entry in
-    the pivot column are updated, as in _eliminate, so every sign read off
-    a row is the sign of the Schur complement entry.  A negative pivot at
+    rational row (integer_rows), and the remaining rows are cleared of the
+    pivot column by _clear_column, whose pivot is positive here, so every
+    sign read off a row is the sign of the Schur complement entry.  A negative pivot at
     index k yields the witness C e_k, where C is the congruence that
     diagonalizes the eliminated pivots: C e_k is 1 at k, 0 at the other
     indices that are not pivots, and solves G[P,P] x = -G[P,k] on the
@@ -425,23 +450,12 @@ def _ldlt_eliminated(a: Sequence[Sequence[Fraction]], m: List[List[int]]) -> PSD
                         witness = tuple(x + sign * y for x, y in zip(ci, cj))
                         return PSDReport(psd=False, rank=len(pivots), witness=witness)
             break  # remaining block is entirely zero: done
-        row = m[k]
-        p = row[k]
-        if p < 0:
+        if m[k][k] < 0:
             (witness,) = _congruence_columns(a, pivots, (k,))
             return PSDReport(psd=False, rank=len(pivots), witness=tuple(witness))
         pivots.append(k)
         remaining.remove(k)
-        support = [(c, x) for c, x in enumerate(row) if x]
-        for i in remaining:
-            f = m[i][k]
-            if f:
-                g = gcd(p, f)
-                scale, f = p // g, f // g
-                target = [scale * x for x in m[i]] if scale != 1 else m[i]
-                for c, x in support:
-                    target[c] -= f * x
-                m[i] = _primitive(target)
+        _clear_column(m, k, k, remaining)
 
     return PSDReport(psd=True, rank=len(pivots), witness=None)
 

@@ -180,54 +180,6 @@ def _top_pairings(
     return pairings
 
 
-def _solve_stacked(
-    gram: Sequence[Tuple[List[int], int]], systems: Dict[int, List[List[Tuple[int, int]]]]
-) -> Optional[Dict[int, Matrix]]:
-    """Solve gram X_j = B_j for every right-hand side B_j in one elimination.
-
-    gram is integer rows and each B_j integer ratios, as _linalg.solve_ratios
-    takes them.  The row operations depend only on the Gram, so each X_j is
-    what its own solve gives; a Fraction is built only for each nonzero
-    entry of the X_j.  None when some system is inconsistent.
-    """
-    if not systems:
-        return {}
-    stacked = [[x for b in systems.values() for x in b[i]] for i in range(len(gram))]
-    x = _linalg.solve_ratios(gram, stacked)
-    if x is None:
-        return None
-    out, s = {}, 0
-    for j, b in systems.items():
-        e = s + len(b[0])
-        out[j] = [[Fraction(p, q) if p else ZERO for p, q in row[s:e]] for row in x]
-        s = e
-    return out
-
-
-def _raise_first_inconsistent(
-    decomposition: Decomposition,
-    gram: Sequence[Tuple[List[int], int]],
-    below: Sequence[Tuple[List[int], int]],
-    preservation: Dict[int, List[List[Tuple[int, int]]]],
-    annihilation: Dict[int, List[List[Tuple[int, int]]]],
-) -> None:
-    """Name the first inconsistent top-level system: coordinate by
-    coordinate, preservation before annihilation.  gram and below are G_N
-    and G_{N-1} as integer rows."""
-    top = decomposition.max_degree
-    for j in range(1, decomposition.d + 1):
-        if j in preservation and _linalg.solve_ratios(gram, preservation[j]) is None:
-            raise NotAStateError(
-                f"preservation system at level {top}, coordinate {j} is "
-                "inconsistent; no positive functional has these moments"
-            )
-        if j in annihilation and _linalg.solve_ratios(below, annihilation[j]) is None:
-            raise NotAStateError(
-                f"annihilation system at level {top}, coordinate {j} is "
-                "inconsistent; no positive functional has these moments"
-            )
-
-
 def build(decomposition: Decomposition) -> CAPSystem:
     """Compute all operator matrices for the given decomposition.
 
@@ -243,11 +195,11 @@ def build(decomposition: Decomposition) -> CAPSystem:
     right-hand side is the rows of G_N at those positions.  The top-level
     systems of all coordinates share their Gram, so [G_N | P_1 ... P_d]
     and [G_{N-1} | R_1 ... R_d] are each solved once, by
-    _linalg.solve_ratios: G_N is made integer rows once, which the
+    _linalg.solve_stacked: G_N is made integer rows once, which the
     pairings and R_j (its rows as ratios) read too, and G_{N-1}'s rows are
     decomposition.gram_rows.  When a stack is inconsistent, the systems are
-    solved one by one, preservation j then annihilation j for j = 1..d, to
-    name the first that fails.
+    solved one by one (_linalg.first_inconsistent), preservation j then
+    annihilation j for j = 1..d, to name the first that fails.
     """
     moments = decomposition.moments
     d = decomposition.d
@@ -295,10 +247,25 @@ def build(decomposition: Decomposition) -> CAPSystem:
                 gram[up[j - 1][a] - start] for a in range(decomposition.starts[top - 1], start)
             )
             annihilation[j] = [[(x, den) for x in nums] for nums, den in selected]
-    zeros = _solve_stacked(gram, preservation)
-    minuses = _solve_stacked(below, annihilation)
+    zeros = _linalg.solve_stacked(gram, list(preservation.values()))
+    minuses = _linalg.solve_stacked(below, list(annihilation.values()))
     if zeros is None or minuses is None:
-        _raise_first_inconsistent(decomposition, gram, below, preservation, annihilation)
+        # name the first inconsistent system: coordinate by coordinate,
+        # preservation before annihilation
+        kind, j = _linalg.first_inconsistent(
+            ((kind, j), g, systems[j])
+            for j in range(1, d + 1)
+            for kind, g, systems in (
+                ("preservation", gram, preservation),
+                ("annihilation", below, annihilation),
+            )
+            if j in systems
+        )
+        raise NotAStateError(
+            f"{kind} system at level {top}, coordinate {j} is "
+            "inconsistent; no positive functional has these moments"
+        )
+    zeros, minuses = dict(zip(preservation, zeros)), dict(zip(annihilation, minuses))
     for j in range(1, d + 1):
         zero[(j, top)] = zeros.get(j)
         minus[(j, top)] = minuses[j] if top else []
@@ -372,6 +339,7 @@ def verify_quantum_decomposition(system: CAPSystem) -> QuantumDecompositionRepor
     """
     decomp = system.decomposition
     moments = decomp.moments
+    pair, parity, codes, basis = moments.pair_code, moments.parity, moments.codes, moments.basis
     entries = []
     for n in range(decomp.max_degree):
         forms = decomp.level_forms(n)
@@ -388,8 +356,9 @@ def verify_quantum_decomposition(system: CAPSystem) -> QuantumDecompositionRepor
                             lower.subtract_from(nums, dens, *row[k].as_integer_ratio())
                 residual = [Fraction(p, q) if p else ZERO for p, q in zip(nums, dens)]
                 r = IntegerColumn.of(zip(nums, dens))
+                # r^T M r, pairing r with each basis monomial by its position
                 norm_sq = sum(
-                    (c * moments.pair(r, moments.basis[a]) for a, c in r.terms), ZERO
+                    (c * Fraction(*pair(r, codes[a], parity(a), basis[a])) for a, c in r.terms), ZERO
                 ) / r.denominator
                 entries.append(
                     QuantumDecompositionEntry(j, n, k, decomp.polynomial(residual), norm_sq)
@@ -421,7 +390,7 @@ def verify_adjoints(system: CAPSystem) -> AdjointReport:
             m = system.minus_matrix(j, n + 1)
             lhs = _linalg.mat_mul(g_hi, p)
             rhs = _linalg.mat_mul(_linalg.transpose(m), g_lo)
-            if not _linalg.mat_eq(lhs, rhs):
+            if lhs != rhs:
                 failures.append(
                     f"creation/annihilation adjoint pair fails at level {n}, "
                     f"coordinate {j}"
@@ -433,7 +402,7 @@ def verify_adjoints(system: CAPSystem) -> AdjointReport:
             if stored is None:
                 continue
             gz = _linalg.mat_mul(g, stored)
-            if not _linalg.mat_eq(gz, _linalg.transpose(gz)):
+            if gz != _linalg.transpose(gz):
                 failures.append(
                     f"preservation not self-adjoint at level {n}, coordinate {j}"
                 )
@@ -442,7 +411,7 @@ def verify_adjoints(system: CAPSystem) -> AdjointReport:
             for k in range(j + 1, system.d + 1):
                 jk = _linalg.mat_mul(system.plus_matrix(j, n + 1), system.plus_matrix(k, n))
                 kj = _linalg.mat_mul(system.plus_matrix(k, n + 1), system.plus_matrix(j, n))
-                if not _linalg.mat_eq(jk, kj):
+                if jk != kj:
                     failures.append(
                         f"creation operators {j} and {k} fail to commute out of "
                         f"level {n}"

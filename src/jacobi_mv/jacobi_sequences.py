@@ -193,10 +193,7 @@ def _deficient_alpha(lv: Level, blocks: List[Optional[Matrix]]) -> List[Optional
     out = [None if z is None else [[ZERO] * m for _ in range(m)] for z in blocks]
     live = [i for i, null in enumerate(lv.null_mask) if not null]
     if live and any(z is not None for z in blocks):
-        reduced = [
-            _linalg._primitive(nums)
-            for nums, _ in _linalg.integer_rows([[lv.gram[i][k] for k in live] for i in live])
-        ]
+        reduced = _linalg._primitive_rows([[lv.gram[i][k] for k in live] for i in live])
         for row, c in zip(reduced, _linalg._eliminate(reduced, len(live))):
             # R_r[c] / p is 1 and R_r is 0 at the other pivots
             weights = [(live[f], Fraction(x, row[c])) for f, x in enumerate(row) if x]
@@ -311,12 +308,11 @@ def _ladder(seq: JacobiSequencePair) -> Tuple[dict, dict]:
     whose right-hand side is the rows of Omega_n that A+_{j|n-1} hits.  The
     d systems of a level share Omega_{n-1}, so their right-hand sides are
     set side by side and solved by one integer elimination
-    (_linalg.solve_ratios), with free variables set to 0; a Fraction is
-    built only for each nonzero entry.  When a level's systems are
-    inconsistent, _raise_first_inconsistent names the first that fails.
+    (_linalg.solve_stacked), with free variables set to 0.  When a level's
+    systems are inconsistent, they are solved one at a time
+    (_linalg.first_inconsistent) to name the first that fails.
     """
     d = seq.d
-    bases = seq.class_bases
     index = graded_index(d, seq.max_level)
     starts = index.starts
     plus: dict = {}
@@ -326,32 +322,29 @@ def _ladder(seq: JacobiSequencePair) -> Tuple[dict, dict]:
             plus[(j, n)] = [p - starts[n + 1] for p in index.up[j - 1][starts[n] : starts[n + 1]]]
     for n in range(1, seq.max_level + 1):
         ratios = [[v.as_integer_ratio() for v in row] for row in seq._omega[n]]
-        hits = [plus[(j, n - 1)] for j in range(1, d + 1)]
-        stacked = [list(chain.from_iterable(ratios[i] for i in row)) for row in zip(*hits)]
-        sol = _linalg.solve_ratios(_linalg.integer_rows(seq._omega[n - 1]), stacked)
-        if sol is None:
-            _raise_first_inconsistent(seq, plus)
-        width = len(bases[n])
-        for j in range(1, d + 1):
-            minus[(j, n)] = [
-                [Fraction(p, q) if p else ZERO for p, q in row[(j - 1) * width:j * width]]
-                for row in sol
-            ]
-    return plus, minus
-
-
-def _raise_first_inconsistent(seq: JacobiSequencePair, plus: dict) -> None:
-    """Solve the adjoint systems one at a time, coordinate by coordinate and
-    level by level within each, and name the first inconsistent one."""
-    for j in range(1, seq.d + 1):
-        for n in range(1, seq.max_level + 1):
-            omega = seq._omega[n]
-            rhs = [[v.as_integer_ratio() for v in omega[i]] for i in plus[(j, n - 1)]]
-            if _linalg.solve_ratios(_linalg.integer_rows(seq._omega[n - 1]), rhs) is None:
-                raise RepresentationError(
-                    f"annihilation adjoint system at level {n}, coordinate {j} "
-                    "is inconsistent with the omega sequence"
+        blocks = _linalg.solve_stacked(
+            _linalg.integer_rows(seq._omega[n - 1]),
+            [[ratios[i] for i in plus[(j, n - 1)]] for j in range(1, d + 1)],
+        )
+        if blocks is None:
+            # name the first inconsistent system, coordinate by coordinate
+            # and level by level within each
+            j, level = _linalg.first_inconsistent(
+                (
+                    (j, m),
+                    _linalg.integer_rows(seq._omega[m - 1]),
+                    [[v.as_integer_ratio() for v in seq._omega[m][i]] for i in plus[(j, m - 1)]],
                 )
+                for j in range(1, d + 1)
+                for m in range(1, seq.max_level + 1)
+            )
+            raise RepresentationError(
+                f"annihilation adjoint system at level {level}, coordinate {j} "
+                "is inconsistent with the omega sequence"
+            )
+        for j, block in enumerate(blocks, 1):
+            minus[(j, n)] = block
+    return plus, minus
 
 
 def _memo_ladder(seq: JacobiSequencePair) -> Tuple[dict, dict]:

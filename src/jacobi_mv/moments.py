@@ -106,11 +106,14 @@ def _exact(value, what: str, *args) -> Fraction:
     3.10), so the value or the refusal is Fraction's own, except that a
     decimal exponent above MAX_EXPONENT is refused first (_fraction).  A
     digit string over the int/str digit limit raises ValueError either way.
+    A float is refused, and so is a bool, which Fraction would take as 0 or
+    1: a JSON true or false is no number.
     """
-    if isinstance(value, float):
+    if isinstance(value, (float, bool)):
         what = what.format(*args) if args else what
+        kind = "bool" if isinstance(value, bool) else "float"
         raise UnsupportedParameterError(
-            f"{what} must be exact (int, Fraction or 'p/q' string), got float {shown(value)}"
+            f"{what} must be exact (int, Fraction or 'p/q' string), got {kind} {shown(value)}"
         )
     try:
         if type(value) is str:

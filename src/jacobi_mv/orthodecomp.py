@@ -57,8 +57,9 @@ position in it: the shift by basis monomial a is codes[a] with parity
 parities[a], the shift by beta_k + e_j is codes[a_k] + units[j] with
 parity parities[a_k] ^ (1 << j), and no multi-index is packed or checked
 on the way.  A moment's multi-index is built only when the moment is
-first fetched.  pair_ratio and pair take a multi-index instead, which
-they check and pack once per moment matrix, and then call pair_code.
+first fetched.  pair_code is the one pairing entry: every shift the
+library makes stays inside the radix, so there is no multi-index to
+check.
 
 The classical weights have structural zeros, which cost nothing:
 
@@ -101,7 +102,6 @@ from .multiindex import (
     _check_dimension,
     check_index,
     check_integer,
-    degree,
     enumerate_classes,
 )
 from .polyring import Polynomial
@@ -301,8 +301,6 @@ class MomentMatrix:
     exponent at a coordinate in it vanishes.  pair_code is the one
     summation kernel: it takes a shift as its code and its parity on the
     mask, which the library's callers read off the index by position.
-    pair_ratio and pair take the shift as a multi-index, which they check,
-    pack and keep with its parity once per instance (code).
     """
 
     def __init__(self, functional: MomentFunctional, max_degree: int):
@@ -312,8 +310,6 @@ class MomentMatrix:
         self.basis, self.position, self.radix = index.basis, index.position, index.radix
         self.codes, self.code_position = index.codes, index.code_position
         self.mask = functional.reflection_mask()
-        self._shifts: Dict[MultiIndex, int] = {}  # beta -> code, for |beta| <= N+1
-        self._parities: Dict[MultiIndex, Optional[int]] = {}  # beta -> its parity on the mask
         self._moments: Dict[int, Tuple[int, int]] = {}
 
     def parity(self, a: int) -> Optional[int]:
@@ -322,43 +318,6 @@ class MomentMatrix:
         monomial records (IntegerColumn.parity), and pair_code's argument
         for a shift by it."""
         return self.index.parities[a] & self.mask if self.mask else None
-
-    def code(self, beta: MultiIndex) -> int:
-        """The code of a multi-index that basis monomials are shifted by.
-
-        Computed once per beta.  A beta of degree above N+1 (or with a
-        negative entry, or of the wrong length) is refused: a shift by it
-        could carry out of the radix.
-        """
-        code = self._shifts.get(beta)
-        if code is None:
-            if (
-                len(beta) != self.functional.d
-                or min(beta) < 0
-                or degree(beta) > self.max_degree + 1
-            ):
-                raise InvalidIndexError(
-                    f"cannot shift the degree-{self.max_degree} basis by {shown(beta)}: "
-                    f"moment keys hold shifts in N^{self.functional.d} of degree "
-                    f"<= {self.max_degree + 1}"
-                )
-            code = self._shifts[beta] = pack(beta, self.radix)
-            self._parities[beta] = odd_bits(beta) & self.mask if self.mask else None
-        return code
-
-    def pair(self, column: IntegerColumn, beta: MultiIndex) -> Fraction:
-        """phi(b * x^beta) for the polynomial b with this integer column, as
-        one Fraction of pair_ratio; a zero sum returns the shared ZERO."""
-        num, den = self.pair_ratio(column, beta)
-        return Fraction(num, den) if num else ZERO
-
-    def pair_ratio(self, column: IntegerColumn, beta: MultiIndex) -> Tuple[int, int]:
-        """phi(b * x^beta) as an integer ratio (p, q), q > 0, not reduced:
-        pair_code of beta's code and parity, once beta is checked."""
-        shift = self._shifts.get(beta)
-        if shift is None:
-            shift = self.code(beta)
-        return self.pair_code(column, shift, self._parities[beta], beta)
 
     def pair_code(
         self, column: IntegerColumn, shift: int, parity: Optional[int], beta: MultiIndex
@@ -437,7 +396,7 @@ class Decomposition:
         return [f.column() for f in self.level_forms(n)]
 
     def level_forms(self, n: int) -> List[IntegerColumn]:
-        """The integer forms of level n's columns, for MomentMatrix.pair."""
+        """The integer forms of level n's columns, for MomentMatrix.pair_code."""
         self.level(n)  # range check
         return self.forms[self.starts[n] : self.starts[n + 1]]
 
@@ -498,22 +457,6 @@ class Decomposition:
         )
 
 
-def _raise_first_inconsistent(
-    levels: Sequence[Level],
-    grams: Sequence[List[Tuple[List[int], int]]],
-    monos: Sequence[MultiIndex],
-    rhs: List[List[List[Tuple[int, int]]]],
-) -> None:
-    """Name the first inconsistent projection, monomial by monomial."""
-    for beta, per_level in zip(monos, rhs):
-        for lv, gram, r in zip(levels, grams, per_level):
-            if _linalg.solve_ratios(gram, [[v] for v in r]) is None:
-                raise NotAStateError(
-                    f"projection of x^{tuple(beta)} onto degree {lv.n} is "
-                    "inconsistent; the moments are not positive semidefinite"
-                )
-
-
 def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
     """Orthogonalize the monomials degree by degree against the functional.
 
@@ -553,7 +496,16 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
             # depend only on G_m, so each column gets what its own solve gives
             sol = _linalg.solve_ratios(gram, [list(column) for column in zip(*(r[m] for r in rhs))])
             if sol is None:
-                _raise_first_inconsistent(levels, grams, monos, rhs)
+                # name the first inconsistent projection, monomial by monomial
+                beta, lower_n = _linalg.first_inconsistent(
+                    ((beta, lv.n), g, [[v] for v in r])
+                    for beta, per_level in zip(monos, rhs)
+                    for lv, g, r in zip(levels, grams, per_level)
+                )
+                raise NotAStateError(
+                    f"projection of x^{tuple(beta)} onto degree {lower_n} is "
+                    "inconsistent; the moments are not positive semidefinite"
+                )
             for k, col in enumerate(block):
                 for coeffs, f in zip(sol, lower):
                     num, den = coeffs[k]

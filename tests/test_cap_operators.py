@@ -201,11 +201,29 @@ def test_adjoint_identities_hold():
 def test_adjoint_check_detects_corruption():
     f = gaussian_functional(2)
     ops = build(decompose(f, 2))
-    zero = {k: (None if v is None else _linalg.copy(v)) for k, v in ops._zero.items()}
-    zero[(1, 1)][0][1] += Fraction(1, 3)  # Gram-weighted symmetry broken
-    bad = CAPSystem(ops.decomposition, ops._plus, zero, ops._minus)
+    assert verify_adjoints(ops).failures == ()
+
+    def tampered(blocks, key, i, k):
+        out = {b: (None if v is None else _linalg.copy(v)) for b, v in blocks.items()}
+        out[key][i][k] += Fraction(1, 3)
+        return out
+
+    # Gram-weighted symmetry broken
+    bad = CAPSystem(ops.decomposition, ops._plus, tampered(ops._zero, (1, 1), 0, 1), ops._minus)
     report = verify_adjoints(bad)
     assert not report.ok
+    assert report.failures == ("preservation not self-adjoint at level 1, coordinate 1",)
+    # x_1 * 1 given a component on b_(0,1): the adjoint pair of a+_{1|0}
+    # fails, and so does its commutation with a+_2
+    bad = CAPSystem(ops.decomposition, tampered(ops._plus, (1, 0), 1, 0), ops._zero, ops._minus)
+    assert verify_adjoints(bad).failures == (
+        "creation/annihilation adjoint pair fails at level 0, coordinate 1",
+        "creation operators 1 and 2 fail to commute out of level 0",
+    )
+    bad = CAPSystem(ops.decomposition, ops._plus, ops._zero, tampered(ops._minus, (2, 1), 0, 0))
+    assert verify_adjoints(bad).failures == (
+        "creation/annihilation adjoint pair fails at level 0, coordinate 2",
+    )
 
 
 def test_creation_commutativity():

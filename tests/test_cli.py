@@ -235,6 +235,15 @@ def test_library_errors_surface_with_type_name(tmp_path):
             },
             "moment table lists beta [2] twice",
         ),
+        # before, JSON false and true were taken as the numbers 0 and 1
+        (
+            {"d": 1, "atoms": [{"x": [False], "w": "1"}]},
+            "atom coordinate must be exact (int, Fraction or 'p/q' string), got bool False",
+        ),
+        (
+            {"d": 1, "atoms": [{"x": ["0"], "w": True}]},
+            "atom weight must be exact (int, Fraction or 'p/q' string), got bool True",
+        ),
     ],
 )
 def test_malformed_measure_file_exits_2_with_its_cause(tmp_path, capsys, doc, cause):
@@ -830,6 +839,12 @@ def _entries(d, max_degree, *pairs):
         (
             _entries(1, 1, ([0], "y"), ([2], "1")),
             "UnsupportedParameterError: bad moment[(0,)]: 'y'",
+        ),
+        # before, a JSON true was taken as the moment 1
+        (
+            _entries(1, 2, ([0], "1"), ([1], True)),
+            "UnsupportedParameterError: moment[(1,)] must be exact "
+            "(int, Fraction or 'p/q' string), got bool True",
         ),
     ],
 )

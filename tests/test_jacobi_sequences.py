@@ -121,7 +121,7 @@ def test_compute_solves_only_on_rank_deficient_levels(monkeypatch):
 def test_null_level_alpha_is_zero():
     three = [(("0", "0"), "1/3"), (("1", "0"), "1/3"), (("0", "2"), "1/3")]
     seq = compute(build(decompose(atomic_functional(three), 2)), 2)
-    assert _linalg.is_zero_matrix(seq.omega_matrix(2))
+    assert not any(map(any, seq.omega_matrix(2)))
     for j in (1, 2):
         assert seq.alpha_matrix(j, 2) == _linalg.zeros(3, 3)
 
@@ -135,7 +135,7 @@ def test_rank_deficient_alpha_is_the_free_variables_zero_solution():
     seq = compute(ops, 2)
     for n in (1, 2):
         g = seq.omega_matrix(n)
-        assert _linalg.rref(g)[1] == [len(g) - 1]
+        assert _linalg._eliminate(_linalg._primitive_rows(g), len(g)) == [len(g) - 1]
         for j in (1, 2):
             z = ops.zero_matrix(j, n)
             reference = _linalg.solve_consistent(g, _linalg.mat_mul(g, z))
@@ -157,7 +157,7 @@ def test_gaussian_frozen_omega():
     ]
     for n in range(3):
         for j in (1, 2):
-            assert _linalg.is_zero_matrix(seq.alpha_matrix(j, n))
+            assert not any(map(any, seq.alpha_matrix(j, n)))
 
 
 def test_gamma_frozen_alpha():
@@ -285,7 +285,7 @@ def test_rank_profile_examples():
 
 def test_single_atom_omega_vanishes_at_level_one():
     seq = compute_from_functional(atomic_functional([(("3/2",), "1")]), 2)
-    assert _linalg.is_zero_matrix(seq.omega_matrix(1))
+    assert not any(map(any, seq.omega_matrix(1)))
     assert rank_profile(seq) == [(0, 1, 1), (1, 0, 1), (2, 0, 1)]
 
 

@@ -13,8 +13,17 @@ def _m(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def test_rref_and_rank():
-    reduced, pivots = _linalg.rref(_m([[1, 2], [2, 4]]))
+def _eliminated(a):
+    """_eliminate on a's primitive integer rows: its rows as Fractions, each
+    pivot row scaled to 1 at its pivot, and the pivot columns."""
+    m = _linalg._primitive_rows(a)
+    pivots = _linalg._eliminate(m, len(m[0]) if m else 0)
+    scales = [row[c] for row, c in zip(m, pivots)] + [1] * (len(m) - len(pivots))
+    return [[Fraction(x, s) for x in row] for row, s in zip(m, scales)], pivots
+
+
+def test_eliminate_pivots_and_rank():
+    reduced, pivots = _eliminated(_m([[1, 2], [2, 4]]))
     assert pivots == [0]
     assert reduced[0] == [Fraction(1), Fraction(2)]
     assert reduced[1] == [Fraction(0), Fraction(0)]
@@ -81,8 +90,6 @@ def test_predicates():
     assert not _linalg.is_diagonal(_m([[1, 1], [0, 5]]))
     assert _linalg.is_symmetric(_m([[1, 2], [2, 3]]))
     assert not _linalg.is_symmetric(_m([[1, 2], [3, 4]]))
-    assert _linalg.is_zero_matrix(_m([[0, 0]]))
-    assert not _linalg.is_zero_matrix(_m([[0, 1]]))
 
 
 @st.composite
@@ -99,6 +106,38 @@ def test_gram_of_anything_is_psd(a):
     report = _linalg.ldlt_psd(gram)
     assert report.psd
     assert report.rank == _linalg.rank(a)
+
+
+_MONOMIALS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+@st.composite
+def _atomic_gram(draw):
+    """The Gram sum_t w_t v(x_t) v(x_t)^T of the monomials of degree <= 2 in
+    R^2 over a few rational atoms x_t with weights w_t > 0.
+
+    The atoms are drawn from a small set, so they repeat, and there may be
+    fewer of them than monomials: many of the Grams are rank-deficient.
+    """
+    size = draw(st.integers(1, len(_MONOMIALS)))
+    coordinate = st.sampled_from([Fraction(p, q) for p in range(-2, 3) for q in (1, 3)])
+    atoms = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=7))
+    weights = [Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9))) for _ in atoms]
+    values = [[x**i * y**j for i, j in _MONOMIALS[:size]] for x, y in atoms]
+    return [
+        [sum((w * v[i] * v[k] for w, v in zip(weights, values)), ZERO) for k in range(size)]
+        for i in range(size)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_atomic_gram())
+def test_rank_is_the_psd_certificate_rank_on_atomic_grams(gram):
+    # rank runs _eliminate's pivot rule and ldlt_psd the symmetric one, on
+    # the one shared row update
+    report = _linalg.ldlt_psd(gram)
+    assert report.psd
+    assert _linalg.rank(gram) == report.rank == len(_dense_rref(gram)[1])
 
 
 @st.composite
@@ -159,7 +198,7 @@ def test_transpose_of_product(a, b):
 
 
 def _dense_rref(a):
-    """The Gauss-Jordan loop in Fractions, the reference for rref's integer rows."""
+    """The Gauss-Jordan loop in Fractions, the reference for _eliminate's integer rows."""
     m = _linalg.copy(a)
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -205,8 +244,8 @@ _PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
 def _dense(draw, rows=None, cols=None):
     """A matrix with no zero entry whose denominators are primes up to 97.
 
-    The lcm of a row's denominators is large, so the integer rows of rref
-    grow before their content is divided out.
+    The lcm of a row's denominators is large, so the integer rows of
+    _eliminate grow before their content is divided out.
     """
     rows = rows or draw(st.integers(1, 5))
     cols = cols or draw(st.integers(1, 6))
@@ -245,10 +284,10 @@ def _matrices(rows=None, cols=None):
 
 
 @given(_matrices())
-def test_rref_on_sparse_input_matches_the_dense_loop(a):
-    reduced, pivots = _linalg.rref(a)
-    assert (reduced, pivots) == _dense_rref(a)
-    assert all(type(x) is Fraction for row in reduced for x in row)
+def test_eliminate_on_sparse_input_matches_the_dense_loop(a):
+    # the rows without a pivot are zero, as the dense loop's are
+    assert _eliminated(a) == _dense_rref(a)
+    assert _linalg.rank(a) == len(_dense_rref(a)[1])
 
 
 @given(st.data())
@@ -296,7 +335,7 @@ def _congruence_ldlt(a):
     """
     n = len(a)
     m = _linalg.copy(a)
-    c = _linalg.identity(n)
+    c = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     remaining = list(range(n))
     pivots = []
     while remaining:

@@ -155,6 +155,15 @@ def test_parameter_validation():
         beta_functional([Fraction(-3, 2)], [0])
     with pytest.raises(UnsupportedParameterError):
         gamma_functional([0.5])
+    # before, a bool was taken as the number 0 or 1
+    for call, text in (
+        (lambda: gamma_functional([True]), "gamma parameter"),
+        (lambda: atomic_functional([((False,), "1")]), "atom coordinate"),
+        (lambda: atomic_functional([(("0",), True)]), "atom weight"),
+        (lambda: table_functional(1, 0, {(0,): True}), r"moment\[\(0,\)\]"),
+    ):
+        with pytest.raises(UnsupportedParameterError, match=f"^{text} must be exact .*got bool"):
+            call()
     # before, a non-integer max_degree was kept and written out by to_json_dict
     for bad in (2.5, 2.0, True):
         with pytest.raises(UnsupportedParameterError, match="^max_degree must be an integer"):

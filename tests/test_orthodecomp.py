@@ -399,13 +399,18 @@ def test_pair_skips_the_moments_at_zero_coefficients():
     moments = MomentMatrix(table, 2)
     column = IntegerColumn.of([(-2, 1), (0, 1), (1, 1)])  # x^2 - 2
     assert column == IntegerColumn(((0, -2), (2, 1)), 1)
-    assert moments.pair(column, (0,)) == g.moment((2,)) - 2
-    assert moments.pair(column, (2,)) == g.moment((4,)) - 2 * g.moment((2,))
-    # phi(x^2 - 2) = 0 when phi(1) = 1 and phi(x^2) = 2: an exact zero is
-    # the shared ZERO
-    assert MomentMatrix(table_functional(1, 2, {(0,): 1, (2,): 2}), 2).pair(column, (0,)) is ZERO
+    assert _pair(moments, column, (0,)) == g.moment((2,)) - 2
+    assert _pair(moments, column, (2,)) == g.moment((4,)) - 2 * g.moment((2,))
+    # phi(x^2 - 2) = 0 when phi(1) = 1 and phi(x^2) = 2
+    assert _pair(MomentMatrix(table_functional(1, 2, {(0,): 1, (2,): 2}), 2), column, (0,)) == 0
     with pytest.raises(InsufficientMomentsError, match=r"^moment \(1,\) is not in the table$"):
-        moments.pair(IntegerColumn.of([(0, 1), (1, 1)]), (0,))
+        _pair(moments, IntegerColumn.of([(0, 1), (1, 1)]), (0,))
+
+
+def _pair(moments, column, beta):
+    """phi(b x^beta) for a basis monomial beta, paired by its position."""
+    a = moments.position[beta]
+    return Fraction(*moments.pair_code(column, moments.codes[a], moments.parity(a), beta))
 
 
 @settings(max_examples=300, deadline=None)
@@ -423,20 +428,24 @@ def test_packed_codes_are_injective_and_additive(data):
     assert pack(alpha, radix) + pack(beta, radix) == pack(a, radix)
 
 
-def test_moment_matrix_shifts_by_codes_and_refuses_a_carry():
+def test_moment_matrix_shifts_by_codes():
     moments = MomentMatrix(gaussian_functional(2), 2)
+    index = moments.index
     assert moments.radix == 6
-    for beta in monomial_basis(2, 3):  # every shift of degree <= N+1
+    # the shifts the library makes, by position: each basis monomial's code,
+    # and each degree-N monomial's code plus a unit; together they are every
+    # shift of degree <= N+1
+    shifts = {beta: index.codes[b] for b, beta in enumerate(moments.basis)}
+    for a in range(index.starts[2], index.starts[3]):
+        for j, unit in enumerate(index.units):
+            e_j = tuple(int(i == j) for i in range(2))
+            shifts[shift(moments.basis[a], e_j)] = index.codes[a] + unit
+    assert sorted(shifts) == sorted(monomial_basis(2, 3))
+    for beta, code in shifts.items():
         for a, alpha in enumerate(moments.basis):
             key = tuple(x + y for x, y in zip(alpha, beta))
-            assert moments.codes[a] + moments.code(beta) == pack(key, 6)
+            assert moments.codes[a] + code == pack(key, 6)
     assert [moments.code_position[c] for c in moments.codes] == list(range(6))
-    # degree N+2 could carry out of the radix, and so could a negative entry
-    for beta in ((4, 0), (2, 2), (-1, 1), (1, 1, 1)):
-        with pytest.raises(InvalidIndexError, match="cannot shift the degree-2 basis by"):
-            moments.code(beta)
-    with pytest.raises(InvalidIndexError):
-        moments.pair(IntegerColumn.of([(1, 1)]), (0, 4))
 
 
 _FOUR_ATOMS = [
@@ -619,8 +628,7 @@ def test_pair_ratio_with_the_parity_skip_is_the_full_sum(phi, n):
                 ZERO,
             )
             got = moments.pair_code(form, code, parity, beta)
-            assert Fraction(*got) == Fraction(*moments.pair_ratio(form, beta)) == full
-            assert Fraction(*moments.pair_ratio(bare, beta)) == full
+            assert Fraction(*got) == Fraction(*moments.pair_code(bare, code, parity, beta)) == full
             if form.parity is not None and form.parity != parity:
                 assert got == (0, 1)
                 skipped += 1
