@@ -154,10 +154,16 @@ def mat_scale(a, s) -> Matrix:
 
 
 def is_symmetric(a) -> bool:
+    """a is square and equals its transpose.
+
+    One C-level comparison of its rows, as tuples, with its columns
+    (zip(*a)); tuple equality takes an entry that is one object on both
+    sides as equal without comparing it, so a Gram whose mirrored entries
+    are shared, as decompose builds them, costs almost no Fraction
+    comparison.
+    """
     n = len(a)
-    return all(len(row) == n for row in a) and all(
-        a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n)
-    )
+    return all(map(n.__eq__, map(len, a))) and list(map(tuple, a)) == list(zip(*a))
 
 
 def is_diagonal(a) -> bool:

@@ -31,14 +31,17 @@ mass, the mass factor (the table's one GammaProduct) and the 1-D
 coefficient lists, as integer numerators over one denominator per
 degree.  Coordinates with the same weight share it, and the master
 closed forms are read off it; the stated route keeps its per-class
-quoted forms.  The creation lemma is checked on level coordinates: each
-distinct family polynomial is formed as an integer column keyed by
-packed exponent codes and split once per call into its level bases, and
-the split of f * F is that split scaled by the creation factor f,
-compared cross-multiplied in integers.  Each creation step applies the
-stored block a+_{i|n} by columns: every nonzero coordinate of level
-n < N scatters the nonzero entries of its column into level n+1, and
-each target row is one integer sum.
+quoted forms.  The creation lemma is checked on level coordinates, each
+kept as a map from basis position to nonzero Fraction: on a product
+weight every such vector has one nonzero entry.  Each distinct family
+polynomial is formed as an integer column keyed by packed exponent codes
+and split once per call, by Decomposition.back_substitute, into its
+nonzero map; the split of f * F is that split scaled by the creation
+factor f, compared over the union of the two supports, cross-multiplied
+in integers.  Each creation step applies the stored blocks a+_{i|n} by
+columns: every nonzero coordinate scatters the nonzero entries of its
+one column into the level above, and each reached position is one sum.
+A column is read off its block the first time a check reaches it.
 
 Two evaluation routes exist for the symmetric families:
 
@@ -61,15 +64,14 @@ cancels the Gamma cores and yields the exact rational for the normalized
 from __future__ import annotations
 
 import math
-import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from ._linalg import ONE, ZERO, Matrix
+from ._linalg import ZERO, Matrix
 from .cap_operators import build
 from .errors import (
     InvalidDimensionError,
@@ -363,11 +365,12 @@ def _norm_factor(spec: FamilySpec, coordinate: int, k: int) -> GammaProduct:
                 two_pow=a + b + 1,
                 gammas=_multiplicities(((a + 1, 1), (b + 1, 1), (a + b + 2, -1))),
             )
-    return mass * _norm_ratio(weight, k) if k else mass
+    return mass * Fraction(*_norm_ratio(weight, k)) if k else mass
 
 
-def _norm_ratio(weight: Tuple[Fraction, ...], k: int) -> Fraction:
-    """norm(k) / norm(0) of a one-variable weight (see _norm_factor).
+def _norm_ratio(weight: Tuple[Fraction, ...], k: int) -> Tuple[int, int]:
+    """norm(k) / norm(0) of a one-variable weight (see _norm_factor), as an
+    integer ratio (p, q), q > 0, not reduced.
 
     Each Gamma quotient is its rising product, (z)_k = Gamma(z+k) /
     Gamma(z), formed in integers over the parameters' common denominator q
@@ -376,16 +379,16 @@ def _norm_ratio(weight: Tuple[Fraction, ...], k: int) -> Fraction:
     (a+1)_k (b+1)_k / (k! (2k+s+1) (s+2)_{k-1}).
     """
     if not k:
-        return ONE
+        return 1, 1
     if not weight:
-        return Fraction(math.factorial(k) << k)
+        return math.factorial(k) << k, 1
     nums, q = _over_one_denominator(weight)
     rising = [math.prod(range(p + q, p + q + k * q, q)) for p in nums]
     if len(weight) == 1:
-        return Fraction(rising[0], q**k * math.factorial(k))
+        return rising[0], q**k * math.factorial(k)
     sq = sum(nums)  # s q
     below = (2 * k * q + sq + q) * math.prod(range(sq + 2 * q, sq + 2 * q + (k - 1) * q, q))
-    return Fraction(rising[0] * rising[1], q**k * math.factorial(k) * below)
+    return rising[0] * rising[1], q**k * math.factorial(k) * below
 
 
 def family_norm_squared(spec: FamilySpec, index: MultiIndex) -> GammaProduct:
@@ -694,7 +697,10 @@ class _WeightTable:
     (omega(k) is the classical norm times lead_k^2, see _omega_factor), as
     rationals with no GammaProduct per degree, mass the k = 0 norm, the
     table's one GammaProduct, and one_d the coefficient lists of P_0..P_top
-    as integer numerators over one denominator per degree.
+    as integer numerators over one denominator per degree.  Each ratio is
+    one Fraction of integer products: _norm_ratio's pair times the square
+    of lead_k = prod_{p<k} c_plus(p), whose numerators and denominators
+    are multiplied up unreduced.
     """
 
     rows: List[Tuple[Fraction, Fraction, Fraction]]
@@ -706,28 +712,29 @@ class _WeightTable:
 def _weight_table(spec: FamilySpec, coordinate: int, top: int) -> _WeightTable:
     weight = spec.weights[coordinate - 1]
     rows = [_recurrence(spec, coordinate, k) for k in range(top + 1)]
-    leads = accumulate((c_plus for c_plus, _, _ in rows), operator.mul, initial=ONE)
-    ratio = [_norm_ratio(weight, k) * lead * lead for k, lead in zip(range(top + 1), leads)]
+    ratio, ln, ld = [], 1, 1  # lead_k as ln / ld
+    for k, (c_plus, _, _) in enumerate(rows):
+        nn, nd = _norm_ratio(weight, k)
+        ratio.append(Fraction(nn * ln * ln, nd * ld * ld))
+        pn, pd = c_plus.as_integer_ratio()
+        ln, ld = ln * pn, ld * pd
     return _WeightTable(rows, ratio, _norm_factor(spec, coordinate, 0), _one_d(rows[:top]))
 
 
-def _scaled_equal(
-    lhs: Sequence[Sequence[Fraction]], split: Sequence[Sequence[Fraction]], factor: Fraction
-) -> bool:
-    """lhs == factor * split, entry by entry, cross-multiplied in integers.
+_Coordinates = Dict[int, Fraction]
+"""Level coordinates as a map from basis position to nonzero Fraction."""
 
-    Both sides hold the shared ZERO for most zero entries, which match
-    without a product.
-    """
+
+def _scaled_equal(lhs: _Coordinates, split: _Coordinates, factor: Fraction) -> bool:
+    """lhs == factor * split at every basis position, cross-multiplied in
+    integers; a position outside both supports is 0 on both sides, so only
+    their union is compared."""
     fn, fd = factor.as_integer_ratio()
-    for lhs_level, split_level in zip(lhs, split):
-        for x, y in zip(lhs_level, split_level):
-            if x is ZERO and y is ZERO:
-                continue
-            xn, xd = x.as_integer_ratio()
-            yn, yd = y.as_integer_ratio()
-            if xn * fd * yd != fn * yn * xd:
-                return False
+    for p in lhs.keys() | split.keys():
+        xn, xd = lhs.get(p, ZERO).as_integer_ratio()
+        yn, yd = split.get(p, ZERO).as_integer_ratio()
+        if xn * fd * yd != fn * yn * xd:
+            return False
     return True
 
 
@@ -797,43 +804,52 @@ def verify_family(
 
     levels = tuple(compare_level(n) for n in range(max_level + 1))
 
-    # creation lemma on level coordinates: the family polynomials are built
-    # as integer columns over the graded monomial basis, and each distinct
-    # one is split once
+    # creation lemma on level coordinates, each kept as its nonzero map: the
+    # family polynomials are built as integer columns over the graded
+    # monomial basis, and each distinct one is split once
     one_d = [w.one_d for w in weights]
     moments = decomp.moments
     size = len(moments.basis)
-    splits: Dict[MultiIndex, List[List[Fraction]]] = {}
+    starts = decomp.starts
+    splits: Dict[MultiIndex, _Coordinates] = {}
 
-    def split(index: MultiIndex) -> List[List[Fraction]]:
+    def split(index: MultiIndex) -> _Coordinates:
         if index not in splits:
             terms, den = _tensor(one_d, index, moments.radix)
             nums = [0] * size
             for code, c in terms.items():
                 nums[moments.code_position[code]] = c
-            splits[index] = decomp.split_ratios(nums, [den] * size)
+            x = decomp.back_substitute(nums, [den] * size)
+            # back_substitute leaves the shared ZERO at every zero coordinate
+            splits[index] = {p: v for p, v in enumerate(x) if v is not ZERO}
         return splits[index]
 
-    # the nonzero (row, entry) pairs of each column of a+_{i|n}, read off the
-    # stored block once per call
-    columns: Dict[Tuple[int, int], List[List[Tuple[int, Fraction]]]] = {}
+    # the nonzero (position, entry) pairs of the column of a+_{i|n} that a
+    # level-n basis position p feeds, n < N, read off the stored block the
+    # first time a check reaches (i, p)
+    columns: Dict[Tuple[int, int], List[Tuple[int, Fraction]]] = {}
 
-    def create(i: int, n: int, coords: List[Fraction]) -> List[Fraction]:
-        """a+_{i|n} times level n's coordinates: each nonzero coordinate
-        scatters its block column over the rows of level n+1, and each row
-        is one sum."""
-        block = ops._plus[(i, n)]
-        if (i, n) not in columns:
-            columns[(i, n)] = [
-                [(r, row[k]) for r, row in enumerate(block) if row[k]]
-                for k in range(len(coords))
+    def column(i: int, p: int) -> List[Tuple[int, Fraction]]:
+        if (i, p) not in columns:
+            n = bisect_right(starts, p) - 1
+            k, start = p - starts[n], starts[n + 1]
+            columns[(i, p)] = [
+                (start + r, row[k]) for r, row in enumerate(ops._plus[(i, n)]) if row[k]
             ]
-        rows: List[List[Tuple[Fraction, Fraction]]] = [[] for _ in block]
-        for k, x in enumerate(coords):
-            if x:
-                for r, entry in columns[(i, n)][k]:
-                    rows[r].append((entry, x))
-        return [_linalg.sum_of_products(terms) if terms else ZERO for terms in rows]
+        return columns[(i, p)]
+
+    def create(i: int, coords: _Coordinates) -> _Coordinates:
+        """a+_i level by level: each nonzero coordinate scatters its block
+        column into the level above, and each reached position is one sum.
+        coords never reaches level N: the split of F_base lies in the levels
+        up to |base|, each power raises it one level, and the last power
+        stops at N."""
+        rows: Dict[int, List[Tuple[Fraction, Fraction]]] = {}
+        for p, x in coords.items():
+            for q, entry in column(i, p):
+                rows.setdefault(q, []).append((entry, x))
+        sums = {q: _linalg.sum_of_products(terms) for q, terms in rows.items()}
+        return {q: v for q, v in sums.items() if v is not ZERO}
 
     lemma_checks = []
     # F_0, then F_{e_i} for each coordinate
@@ -849,7 +865,7 @@ def verify_family(
                 factor *= weights[i - 1].rows[base[i - 1] + m - 1][0]
                 result = base[: i - 1] + (base[i - 1] + m,) + base[i:]
                 # (a+_i)^m F_base: level n < N goes into level n+1 by a+_{i|n}
-                lhs = [[ZERO]] + [create(i, n, c) for n, c in enumerate(lhs[:-1])]
+                lhs = create(i, lhs)
                 # split is linear: the split of factor * F_result is the scaled split
                 lemma_checks.append(
                     LemmaCheck(i, base, m, factor, _scaled_equal(lhs, split(result), factor))

@@ -179,9 +179,13 @@ class IntegerColumn:
 
 
 def _check_exact(entries: Sequence[Fraction], what: str) -> None:
-    """Refuse an entry that is not an int or a Fraction, without converting."""
+    """Refuse an entry that is not an int or a Fraction, without converting.
+
+    A bool is an int to isinstance but no coefficient, so it is refused as
+    a float is.
+    """
     for v in entries:
-        if not isinstance(v, (int, Fraction)):
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
             raise UnsupportedParameterError(
                 f"{what} entries must be int or Fraction, got {shown(v)}"
             )
@@ -415,19 +419,27 @@ class Decomposition:
         return self.split_ratios(nums, dens)
 
     def split_ratios(self, nums: List[int], dens: List[int]) -> List[List[Fraction]]:
-        """Level coordinates of the vector with entries nums[a]/dens[a].
+        """Level coordinates of the vector with entries nums[a]/dens[a]:
+        back_substitute's coordinates, sliced level by level."""
+        x = self.back_substitute(nums, dens)
+        return [x[s:e] for s, e in zip(self.starts, self.starts[1:])]
+
+    def back_substitute(self, nums: List[int], dens: List[int]) -> List[Fraction]:
+        """The coordinates of the vector with entries nums[a]/dens[a] in the
+        basis, one per basis position.
 
         The columns are monic, so the coordinate of basis vector p is the
         entry left at p once the higher basis vectors are subtracted, in
-        integers; each entry becomes a Fraction once, when it is reached.
-        The two lists are used as scratch space.
+        integers; each entry becomes a Fraction once, when it is reached,
+        and every other coordinate is the shared ZERO.  The two lists are
+        used as scratch space.
         """
         x = [ZERO] * len(nums)
         for p in reversed(range(len(x))):
             if nums[p]:
                 x[p] = Fraction(nums[p], dens[p])
                 self.forms[p].subtract_from(nums, dens, *x[p].as_integer_ratio())
-        return [x[s:e] for s, e in zip(self.starts, self.starts[1:])]
+        return x
 
     def polynomial(self, vector: Sequence[Fraction]) -> Polynomial:
         """The polynomial with this coefficient vector over the monomial basis."""

@@ -100,6 +100,13 @@ def _cases():
     # in a per-coordinate mass or omega factor changes these bytes
     out.append(("laguerre_d3_n3.verify", dict(command="verify", family="laguerre",
                                               alpha="0,1/2,-1/3", max_level=3)))
+    # the creation lemma at d = 4, with a different alpha per coordinate
+    out.append(("laguerre_d4_n3.verify", dict(command="verify", family="laguerre",
+                                              alpha="1/2,0,1,-1/3", max_level=3)))
+    # the classical benchmark's big job: the deepest creation powers the
+    # benchmark checks, m = 1..5 from F_0
+    out.append(("jacobi_d3_n5.verify", dict(command="verify", family="jacobi",
+                                            a="0,1/2,-1/2", b="1/2,1,1/3", max_level=5)))
     # the only reconstruct documents in d = 3: states reach level 4 of 15
     # classes, so a slip in which state levels a ladder step keeps shows here
     out.append(("laguerre_d3_n4.reconstruct", dict(command="reconstruct", family="laguerre",

@@ -211,7 +211,7 @@ def test_integer_recurrence_and_norm_ratio_on_edge_weights(spec):
         assert phi.inner_product(xf, f[k]) == c_zero * sq[k]
         assert c_minus == (phi.inner_product(xf, f[k - 1]) / sq[k - 1] if k else 0)
         # norm(k) / norm(0) of the unnormalized weight is the normalized norm
-        assert _norm_ratio(weight, k) == sq[k]
+        assert Fraction(*_norm_ratio(weight, k)) == sq[k]
         assert _norm_factor(spec, 1, k) == _norm_factor(spec, 1, 0) * sq[k]
     assert _norm_factor(spec, 1, 0) == spec.mass_factor()
 
@@ -619,6 +619,91 @@ def test_verify_family_lemma_reads_the_stored_creation_block(monkeypatch):
     # a+_{1|2} maps class (2, 0) to (3, 0): the third power from F_0 and the
     # second from F_{e_1} pass through it
     assert shift == {(1, (0, 0), 3), (1, (1, 0), 2)}
+
+
+def _dense_lemma(spec, top, ops):
+    """The creation lemma checked entry by entry on dense level vectors.
+
+    Each family polynomial is split by decomp.split, (a+_i)^m is applied
+    level by level with _linalg.mat_vec on the stored plus blocks, and every
+    entry is compared with factor times the split of F_{base + m e_i}.
+    """
+    decomp = ops.decomposition
+    basis = decomp.moments.basis
+
+    def coords(index):
+        terms = family_polynomial(spec, index).terms
+        return decomp.split([terms.get(beta, Fraction(0)) for beta in basis])
+
+    checks = []
+    bases = [(0,) * spec.d] + [
+        tuple(int(k == i) for k in range(spec.d)) for i in range(spec.d)
+    ]
+    for base in bases:
+        if sum(base) >= top:
+            continue
+        for i in range(1, spec.d + 1):
+            lhs = coords(base)
+            for m in range(1, top - sum(base) + 1):
+                factor, result = creation_power(spec, base, i, m)
+                lhs = [[Fraction(0)]] + [
+                    _linalg.mat_vec(ops.plus_matrix(i, n), c) for n, c in enumerate(lhs[:-1])
+                ]
+                rhs = coords(result)
+                match = all(
+                    x == factor * y for xs, ys in zip(lhs, rhs) for x, y in zip(xs, ys)
+                )
+                checks.append(closed_forms.LemmaCheck(i, base, m, factor, match))
+    return checks
+
+
+# each ROSTER family's parameters for d = 1..3, one list entry per coordinate
+ROSTER_PARAMETERS = {
+    "hermite": lambda d: {"d": d},
+    "laguerre": lambda d: {"alpha": ["1/2", "3/2", "-1/3"][:d]},
+    "jacobi": lambda d: {"a": [0, 1, "1/2"][:d], "b": [1, 0, "-1/3"][:d]},
+    "gegenbauer": lambda d: {"lam": ["1/3", 2, "3/4"][:d]},
+    "chebyshev1": lambda d: {"d": d},
+    "chebyshev2": lambda d: {"d": d},
+    "legendre": lambda d: {"d": d},
+}
+LEMMA_TOP = {1: 5, 2: 3, 3: 3}
+
+
+@pytest.mark.parametrize("d", sorted(LEMMA_TOP))
+@pytest.mark.parametrize("family", [spec.family for spec in ROSTER])
+def test_verify_family_lemma_matches_a_dense_entrywise_reference(family, d):
+    # the sparse lemma (nonzero maps, columns read on demand, the union of
+    # the two supports compared) gives the checks, factors and verdicts of
+    # a dense one in the same order
+    spec = family_spec(family, **ROSTER_PARAMETERS[family](d))
+    top = LEMMA_TOP[d]
+    report = verify_family(spec, top)
+    expected = _dense_lemma(spec, top, build(decompose(spec.functional(), top)))
+    assert expected and all(c.match for c in expected)
+    assert list(report.lemma_checks) == expected
+
+
+def test_verify_family_lemma_matches_the_dense_reference_on_corrupted_blocks(monkeypatch):
+    # an entry off the shift set nonzero, a shift entry changed and a shift
+    # entry zeroed, so that some split has a position the created vector
+    # lacks: the sparse lemma fails exactly the checks the dense reference
+    # fails
+    ops = build(decompose(JACOBI2.functional(), 3))
+    plus = {k: _linalg.copy(v) for k, v in ops._plus.items()}
+    for key, source, target, change in (
+        ((2, 1), (1, 0), (0, 2), lambda v: v + Fraction(2, 3)),
+        ((1, 2), (2, 0), (3, 0), lambda v: v + 1),
+        ((2, 0), (0, 0), (0, 1), lambda v: 0 * v),
+    ):
+        row, col = _plus_position(key, source, target)
+        plus[key][row][col] = change(plus[key][row][col])
+    corrupted = CAPSystem(ops.decomposition, plus, ops._zero, ops._minus)
+    monkeypatch.setattr(closed_forms, "build", lambda decomposition: corrupted)
+    report = verify_family(JACOBI2, 3)
+    expected = _dense_lemma(JACOBI2, 3, corrupted)
+    assert {c.match for c in expected} == {True, False}
+    assert list(report.lemma_checks) == expected
 
 
 def test_compare_level_flags_exactly_the_changed_entries(monkeypatch):

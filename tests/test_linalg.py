@@ -90,6 +90,11 @@ def test_predicates():
     assert not _linalg.is_diagonal(_m([[1, 1], [0, 5]]))
     assert _linalg.is_symmetric(_m([[1, 2], [2, 3]]))
     assert not _linalg.is_symmetric(_m([[1, 2], [3, 4]]))
+    # zip(*a) stops at the shortest row: a ragged or non-square a is refused
+    # by its row lengths
+    assert not _linalg.is_symmetric(_m([[1, 2], [2]]))
+    assert not _linalg.is_symmetric(_m([[1, 2]]))
+    assert _linalg.is_symmetric(tuple(map(tuple, _m([[1, 2], [2, 3]]))))
 
 
 @st.composite

@@ -213,6 +213,26 @@ def test_split_and_expand_refuse_inexact_entries_and_wrong_lengths():
     assert dec.expand(1, [1, Fraction(2)]) == [0, 1, 2, 0, 0, 0]
 
 
+def test_split_expand_and_polynomial_refuse_a_bool_as_a_float():
+    # before, a bool passed as the int it subclasses: expand(1, [True])
+    # returned [0, 1, 0] and split([True, False, True]) returned level
+    # coordinates
+    dec = decompose(gaussian_functional(1), 2)
+    for vector in ([True, False, True], [0, 0, False]):
+        with pytest.raises(
+            UnsupportedParameterError, match=r"^vector entries must be int or Fraction, got (True|False)$"
+        ):
+            dec.split(vector)
+        with pytest.raises(UnsupportedParameterError, match="^vector entries must be int or Fraction"):
+            dec.polynomial(vector)
+    for coords in ([True], [False]):
+        with pytest.raises(
+            UnsupportedParameterError, match=r"^coordinate entries must be int or Fraction, got (True|False)$"
+        ):
+            dec.expand(1, coords)
+    assert dec.expand(1, [1]) == [0, 1, 0]
+
+
 def test_polynomial_refuses_wrong_lengths_and_inexact_entries():
     # before, [1, 2] came back as 1 + 2*x1, [1, 2, 3, 4] was cut to its
     # first three entries, and 0.5 raised a bare TypeError from Polynomial
