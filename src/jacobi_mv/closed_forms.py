@@ -18,29 +18,31 @@ x P_k = c_plus(k) P_{k+1} + c_zero(k) P_k + c_minus(k) P_{k-1}
 (hermite 1/2, 0, k; laguerre -(k+1), 2k+alpha+1, -(k+alpha); an (a, b)
 weight the jacobi coefficients below).  The recurrence yields the 1-D coefficient
 lists whose tensor products are the family polynomials, the alpha
-entries (c_zero) and the creation factors (products of c_plus).  One
-per-coordinate Gamma formula gives the squared norm of the classical
-degree-k polynomial, stated once as the mass (k = 0) times the integer
-ratio norm(k) / norm(0) (_norm_ratio).  The monic polynomial is the
-classical one times lead_k = prod_{p<k} c_plus(p), so the omega factor
-omega_i(k), its squared norm, is the classical norm times lead_k^2; an
-omega entry is the product of the factors of its class.  verify_family
-builds one table per distinct one-variable weight for degrees
-0..max_level: the recurrence rows, the omega ratios r(k) = omega(k) /
-mass, the mass factor (the table's one GammaProduct) and the 1-D
-coefficient lists, as integer numerators over one denominator per
-degree.  Coordinates with the same weight share it, and the master
-closed forms are read off it; the stated route keeps its per-class
-quoted forms.  The creation lemma is checked on level coordinates, each
-kept as a map from basis position to nonzero Fraction: on a product
-weight every such vector has one nonzero entry.  Each distinct family
-polynomial is formed as an integer column keyed by packed exponent codes
-and split once per call, by Decomposition.back_substitute, into its
-nonzero map; the split of f * F is that split scaled by the creation
-factor f, compared over the union of the two supports, cross-multiplied
-in integers.  Each creation step applies the stored blocks a+_{i|n} by
-columns: every nonzero coordinate scatters the nonzero entries of its
-one column into the level above, and each reached position is one sum.
+entries (c_zero) and the creation factors (products of c_plus).  The
+squared norm of the classical degree-k polynomial is the weight's mass
+times the integer ratio norm(k) / norm(0) (_norm_ratio).  The mass is
+the functional's (FamilySpec.mass_factor), the one place that states it.
+The monic polynomial is the classical one times lead_k = prod_{p<k}
+c_plus(p), so the omega factor omega_i(k), its squared norm, is the
+mass times the ratio r(k) = _norm_ratio(k) lead_k^2; an omega entry is
+the spec's mass times the product of the ratios of its class.  One table
+per distinct one-variable weight (_weight_table) holds, for degrees
+0..top, the recurrence rows, the omega ratios and the 1-D coefficient
+lists, as integer numerators over one denominator per degree; it holds
+no mass.  Coordinates with the same weight share it.  master_omega,
+closed_form_omega and verify_family read the master closed forms off
+the tables and multiply by the mass once; the stated route keeps its
+per-class quoted forms.  The creation lemma is checked on level
+coordinates, each kept as a map from basis position to nonzero
+Fraction: on a product weight every such vector has one nonzero entry.
+Each distinct family polynomial is formed as an integer column keyed by
+packed exponent codes and split once per call, by
+Decomposition.back_substitute, into its nonzero map; the split of f * F
+is that split scaled by the creation factor f, compared over the union
+of the two supports, cross-multiplied in integers.  Each creation step
+applies the stored blocks a+_{i|n} by columns: every nonzero coordinate
+scatters the nonzero entries of its one column into the level above, and
+each reached position is one sum.
 A column is read off its block the first time a check reaches it.
 
 Two evaluation routes exist for the symmetric families:
@@ -67,8 +69,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import ZERO, Matrix
@@ -86,7 +89,6 @@ from .moments import (
     GaussianFunctional,
     MomentFunctional,
     _exact_list,
-    _multiplicities,
 )
 from .multiindex import (
     MultiIndex,
@@ -203,8 +205,8 @@ def family_spec(family: str, d: Optional[int] = None, a=None, b=None,
 # --------------------------------------------------------------------------
 
 
-def _recurrence(spec: FamilySpec, coordinate: int, k: int) -> Tuple[Fraction, Fraction, Fraction]:
-    """(c_plus, c_zero, c_minus)(k) of one coordinate's three-term recurrence.
+def _recurrence(weight: Tuple[Fraction, ...], k: int) -> Tuple[Fraction, Fraction, Fraction]:
+    """(c_plus, c_zero, c_minus)(k) of a one-variable weight's three-term recurrence.
 
     x P_k = c_plus P_{k+1} + c_zero P_k + c_minus P_{k-1} in the classical
     normalization.  c_minus(0) multiplies P_{-1} = 0; it is reported as 0
@@ -218,7 +220,7 @@ def _recurrence(spec: FamilySpec, coordinate: int, k: int) -> Tuple[Fraction, Fr
     c_plus(k) = 2 (k+1) (k q + s q + q) q / ((2k+s+1) q (2k+s+2) q)), and
     one Fraction.
     """
-    match spec.weights[coordinate - 1]:
+    match weight:
         case ():
             return HALF, ZERO, Fraction(k)
         case (alpha,):
@@ -332,8 +334,8 @@ def family_polynomial(spec: FamilySpec, index: MultiIndex) -> Polynomial:
     """
     _check_index(spec, index)
     one_d = [
-        _one_d([_recurrence(spec, i, p) for p in range(k)])
-        for i, k in enumerate(index, start=1)
+        _one_d([_recurrence(weight, p) for p in range(k)])
+        for weight, k in zip(spec.weights, index)
     ]
     radix = max(index) + 1
     terms, den = _tensor(one_d, index, radix)
@@ -343,40 +345,21 @@ def family_polynomial(spec: FamilySpec, index: MultiIndex) -> Polynomial:
     })
 
 
-def _norm_factor(spec: FamilySpec, coordinate: int, k: int) -> GammaProduct:
-    """Squared norm of one coordinate's classical degree-k polynomial.
-
-    Against the unnormalized one-variable weight: hermite 2^k k! pi^(1/2),
-    laguerre Gamma(k+alpha+1) / k!, jacobi 2^(s+1) Gamma(k+a+1) Gamma(k+b+1)
-    / (k! (2k+s+1) Gamma(k+s+1)) with s = a + b, where the k = 0
-    denominator is the cancelled (2k+s+1) Gamma(k+s+1) -> Gamma(s+2),
-    finite for all valid parameters.  At k = 0 it is the coordinate's mass,
-    built as one GammaProduct; degree k is that mass times the rational
-    _norm_ratio(weight, k).
-    """
-    weight = spec.weights[coordinate - 1]
-    match weight:
-        case ():
-            mass = GammaProduct(pi_pow=HALF)
-        case (alpha,):
-            mass = GammaProduct(gammas={alpha + 1: 1})
-        case (a, b):
-            mass = GammaProduct(
-                two_pow=a + b + 1,
-                gammas=_multiplicities(((a + 1, 1), (b + 1, 1), (a + b + 2, -1))),
-            )
-    return mass * Fraction(*_norm_ratio(weight, k)) if k else mass
-
-
 def _norm_ratio(weight: Tuple[Fraction, ...], k: int) -> Tuple[int, int]:
-    """norm(k) / norm(0) of a one-variable weight (see _norm_factor), as an
-    integer ratio (p, q), q > 0, not reduced.
+    """norm(k) / norm(0) of a one-variable weight, as an integer ratio
+    (p, q), q > 0, not reduced.
 
-    Each Gamma quotient is its rising product, (z)_k = Gamma(z+k) /
-    Gamma(z), formed in integers over the parameters' common denominator q
-    as (p/q)_k = p (p+q) ... (p+(k-1)q) / q^k: hermite 2^k k!, laguerre
-    (alpha+1)_k / k!, and jacobi, for k >= 1,
-    (a+1)_k (b+1)_k / (k! (2k+s+1) (s+2)_{k-1}).
+    norm(k) is the squared norm of the classical degree-k polynomial against
+    the unnormalized weight: hermite 2^k k! pi^(1/2), laguerre
+    Gamma(k+alpha+1) / k!, jacobi 2^(s+1) Gamma(k+a+1) Gamma(k+b+1) /
+    (k! (2k+s+1) Gamma(k+s+1)) with s = a + b, where the k = 0 denominator
+    is the cancelled (2k+s+1) Gamma(k+s+1) -> Gamma(s+2), finite for all
+    valid parameters.  norm(0) is the weight's mass, which the functional
+    states; only the ratio is formed here.  Each Gamma quotient is its
+    rising product, (z)_k = Gamma(z+k) / Gamma(z), formed in integers over
+    the parameters' common denominator q as (p/q)_k = p (p+q) ...
+    (p+(k-1)q) / q^k: hermite 2^k k!, laguerre (alpha+1)_k / k!, and
+    jacobi, for k >= 1, (a+1)_k (b+1)_k / (k! (2k+s+1) (s+2)_{k-1}).
     """
     if not k:
         return 1, 1
@@ -391,13 +374,17 @@ def _norm_ratio(weight: Tuple[Fraction, ...], k: int) -> Tuple[int, int]:
     return rising[0] * rising[1], q**k * math.factorial(k) * below
 
 
+def _product(ratios: Iterable[Tuple[int, int]]) -> Fraction:
+    """The product of integer ratios (p, q) as one Fraction of integer products."""
+    nums, dens = zip(*ratios)
+    return Fraction(math.prod(nums), math.prod(dens))
+
+
 def family_norm_squared(spec: FamilySpec, index: MultiIndex) -> GammaProduct:
-    """Squared norm of family_polynomial(index) against the unnormalized weight."""
+    """Squared norm of family_polynomial(index) against the unnormalized weight:
+    the mass times the product of the coordinates' norm ratios."""
     _check_index(spec, index)
-    out = GammaProduct.from_rational(1)
-    for i, k in enumerate(index, start=1):
-        out = out * _norm_factor(spec, i, k)
-    return out
+    return spec.mass_factor() * _product(map(_norm_ratio, spec.weights, index))
 
 
 def creation_power(
@@ -416,9 +403,10 @@ def creation_power(
     result = tuple(
         v + power if i == coordinate - 1 else v for i, v in enumerate(base)
     )
+    weight = spec.weights[coordinate - 1]
     factor = Fraction(1)
     for p in range(power):
-        factor *= _recurrence(spec, coordinate, k + p)[0]
+        factor *= _recurrence(weight, k + p)[0]
     return factor, result
 
 
@@ -427,27 +415,14 @@ def creation_power(
 # --------------------------------------------------------------------------
 
 
-def _omega_factor(spec: FamilySpec, coordinate: int, n: int) -> GammaProduct:
-    """One coordinate's factor of the omega closed form, unnormalized weight.
-
-    The squared norm of that coordinate's monic degree-n polynomial: the
-    classical polynomial times lead = prod_{p<n} c_plus(p), the inverse of
-    its leading coefficient, so its norm times lead^2.
-    """
-    lead = math.prod(_recurrence(spec, coordinate, p)[0] for p in range(n))
-    return _norm_factor(spec, coordinate, n) * (lead * lead)
-
-
 def master_omega(spec: FamilySpec, n_bar: MultiIndex) -> GammaProduct:
     """Diagonal omega entry for class n_bar, unnormalized-weight convention.
 
-    The product over the coordinates of their omega factors.
+    The mass times the product over the coordinates of their omega ratios,
+    read off one table per distinct one-variable weight.
     """
     _check_index(spec, n_bar)
-    out = GammaProduct.from_rational(1)
-    for i, k in enumerate(n_bar, start=1):
-        out = out * _omega_factor(spec, i, k)
-    return out
+    return spec.mass_factor() * _omega_ratio(_tables(spec, max(n_bar)), n_bar)
 
 
 def stated_omega(spec: FamilySpec, n_bar: MultiIndex) -> Tuple[GammaProduct, Tuple[str, ...]]:
@@ -489,7 +464,7 @@ def stated_omega(spec: FamilySpec, n_bar: MultiIndex) -> Tuple[GammaProduct, Tup
         out = GammaProduct.from_rational(Fraction(1, factorial_of(n_bar)))
         for i, n in enumerate(n_bar, start=1):
             if n == 0:
-                out = out * _norm_factor(spec, i, 0)
+                out = out * FamilySpec(spec.family, 1, spec.weights[i - 1:i]).mass_factor()
                 notes.append(
                     f"coordinate {i}: stated denominator 2n*Gamma(n) undefined "
                     "at zero occupation; master factor used"
@@ -560,15 +535,12 @@ def closed_form_omega(spec: FamilySpec, n: int) -> List[ClosedFormEntry]:
     """Diagonal entries over the canonical class order at level n."""
     check_index(n, "level", 0)
     mass = spec.mass_factor()
+    tables = _tables(spec, n)
     entries = []
     for n_bar in enumerate_classes(spec.d, n).classes:
-        paper = master_omega(spec, n_bar)
-        alphas = tuple(
-            _recurrence(spec, j, n_bar[j - 1])[1] for j in range(1, spec.d + 1)
-        )
-        entries.append(
-            ClosedFormEntry(n_bar, _normalized(paper, mass), paper, mass, alphas)
-        )
+        value = _omega_ratio(tables, n_bar)
+        alphas = tuple(t.rows[k][1] for t, k in zip(tables, n_bar))
+        entries.append(ClosedFormEntry(n_bar, value, mass * value, mass, alphas))
     return entries
 
 
@@ -576,8 +548,9 @@ def closed_form_alpha(spec: FamilySpec, n: int, coordinate: int) -> Matrix:
     """The diagonal matrix alpha_{e_coordinate|n} over the class basis."""
     check_index(coordinate, "coordinate", 1, spec.d)
     check_index(n, "level", 0)
+    weight = spec.weights[coordinate - 1]
     return _diagonal([
-        _recurrence(spec, coordinate, n_bar[coordinate - 1])[1]
+        _recurrence(weight, n_bar[coordinate - 1])[1]
         for n_bar in enumerate_classes(spec.d, n).classes
     ])
 
@@ -690,14 +663,15 @@ def _stated_omega_matrix(
 
 @dataclass(frozen=True)
 class _WeightTable:
-    """One coordinate's one-variable weight over the degrees k = 0..top.
+    """One one-variable weight over the degrees k = 0..top.
 
     rows holds the recurrence triples (one _recurrence call per degree),
     ratio the omega ratios r(k) = omega(k) / mass = _norm_ratio(k) lead_k^2
-    (omega(k) is the classical norm times lead_k^2, see _omega_factor), as
-    rationals with no GammaProduct per degree, mass the k = 0 norm, the
-    table's one GammaProduct, and one_d the coefficient lists of P_0..P_top
-    as integer numerators over one denominator per degree.  Each ratio is
+    (omega(k), the squared norm of the monic polynomial, is the classical
+    norm times lead_k^2), and one_d, built on first read (only the
+    creation lemma reads it), the coefficient lists of P_0..P_top as
+    integer numerators over one denominator per degree.  The table holds no
+    mass: every reader multiplies by the functional's once.  Each ratio is
     one Fraction of integer products: _norm_ratio's pair times the square
     of lead_k = prod_{p<k} c_plus(p), whose numerators and denominators
     are multiplied up unreduced.
@@ -705,20 +679,36 @@ class _WeightTable:
 
     rows: List[Tuple[Fraction, Fraction, Fraction]]
     ratio: List[Fraction]
-    mass: GammaProduct
-    one_d: List[_IntegerList]
+
+    @cached_property
+    def one_d(self) -> List[_IntegerList]:
+        return _one_d(self.rows[:-1])
 
 
-def _weight_table(spec: FamilySpec, coordinate: int, top: int) -> _WeightTable:
-    weight = spec.weights[coordinate - 1]
-    rows = [_recurrence(spec, coordinate, k) for k in range(top + 1)]
+def _weight_table(weight: Tuple[Fraction, ...], top: int) -> _WeightTable:
+    rows = [_recurrence(weight, k) for k in range(top + 1)]
     ratio, ln, ld = [], 1, 1  # lead_k as ln / ld
     for k, (c_plus, _, _) in enumerate(rows):
         nn, nd = _norm_ratio(weight, k)
         ratio.append(Fraction(nn * ln * ln, nd * ld * ld))
         pn, pd = c_plus.as_integer_ratio()
         ln, ld = ln * pn, ld * pd
-    return _WeightTable(rows, ratio, _norm_factor(spec, coordinate, 0), _one_d(rows[:top]))
+    return _WeightTable(rows, ratio)
+
+
+def _tables(spec: FamilySpec, top: int) -> List[_WeightTable]:
+    """Each coordinate's table to degree top, one per distinct one-variable
+    weight, shared by the coordinates that carry it."""
+    tables: Dict[Tuple[Fraction, ...], _WeightTable] = {}
+    for weight in spec.weights:
+        if weight not in tables:
+            tables[weight] = _weight_table(weight, top)
+    return [tables[weight] for weight in spec.weights]
+
+
+def _omega_ratio(tables: Sequence[_WeightTable], n_bar: MultiIndex) -> Fraction:
+    """omega(n_bar) / mass, the product of the coordinates' omega ratios."""
+    return _product(t.ratio[k].as_integer_ratio() for t, k in zip(tables, n_bar))
 
 
 _Coordinates = Dict[int, Fraction]
@@ -759,17 +749,8 @@ def verify_family(
     ops = build(decomp)
     seq = compute(ops, max_level)
     mass = functional.mass_factor()
-
-    # one table per distinct one-variable weight, shared by the coordinates
-    # that carry it
     coordinates = range(1, spec.d + 1)
-    tables: Dict[Tuple[Fraction, ...], _WeightTable] = {}
-    for i, weight in enumerate(spec.weights, start=1):
-        if weight not in tables:
-            tables[weight] = _weight_table(spec, i, max_level)
-    weights = [tables[weight] for weight in spec.weights]
-    masses = math.prod((w.mass for w in weights), start=GammaProduct.from_rational(1))
-    assert masses == mass, f"coordinate masses multiply to {masses!r}, not {mass!r}"
+    tables = _tables(spec, max_level)
 
     def compare_level(n: int) -> LevelComparison:
         classes = enumerate_classes(spec.d, n).classes
@@ -777,20 +758,13 @@ def verify_family(
         if variant == "stated":
             om_closed, notes = _stated_omega_matrix(spec, classes, mass)
         else:
-            # each entry is one Fraction of the integer products of the ratios
-            om_closed = _diagonal([
-                Fraction(
-                    math.prod(w.ratio[k].numerator for w, k in zip(weights, n_bar)),
-                    math.prod(w.ratio[k].denominator for w, k in zip(weights, n_bar)),
-                )
-                for n_bar in classes
-            ])
+            om_closed = _diagonal([_omega_ratio(tables, n_bar) for n_bar in classes])
             notes = ()
         alphas = []
         # both sides are new lists of row lists, so == compares them entrywise
         for j in coordinates:
             pipe = seq.alpha_matrix(j, n)
-            closed = _diagonal([weights[j - 1].rows[n_bar[j - 1]][1] for n_bar in classes])
+            closed = _diagonal([tables[j - 1].rows[n_bar[j - 1]][1] for n_bar in classes])
             alphas.append(AlphaComparison(j, pipe, closed, pipe == closed))
         return LevelComparison(
             n,
@@ -807,7 +781,7 @@ def verify_family(
     # creation lemma on level coordinates, each kept as its nonzero map: the
     # family polynomials are built as integer columns over the graded
     # monomial basis, and each distinct one is split once
-    one_d = [w.one_d for w in weights]
+    one_d = [t.one_d for t in tables]
     moments = decomp.moments
     size = len(moments.basis)
     starts = decomp.starts
@@ -862,7 +836,7 @@ def verify_family(
             factor = Fraction(1)
             for m in range(1, max_level - degree(base) + 1):
                 # creation_power(spec, base, i, m), one c_plus at a time
-                factor *= weights[i - 1].rows[base[i - 1] + m - 1][0]
+                factor *= tables[i - 1].rows[base[i - 1] + m - 1][0]
                 result = base[: i - 1] + (base[i - 1] + m,) + base[i:]
                 # (a+_i)^m F_base: level n < N goes into level n+1 by a+_{i|n}
                 lhs = create(i, lhs)

@@ -58,6 +58,7 @@ from .moments import MomentFunctional, _exact_list
 from .multiindex import (
     ClassBasis,
     MultiIndex,
+    check_degree,
     check_index,
     check_integer,
     degree,
@@ -132,12 +133,6 @@ class JacobiSequencePair:
         return out
 
 
-def _check_max_level(max_level: int) -> None:
-    check_integer(max_level, "max_level")
-    if max_level < 0:
-        raise InvalidIndexError(f"max_level must be >= 0, got {max_level}")
-
-
 def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
     """Build the sequences from the level Grams and the preservation blocks.
 
@@ -150,7 +145,7 @@ def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
     of each level is enumerate_classes' shared one, whose classes are the
     level's monomials.
     """
-    _check_max_level(max_level)
+    check_degree(max_level, "max_level")
     if ops.max_degree < max_level:
         raise InvalidIndexError(
             f"operator set reaches degree {ops.max_degree}, need {max_level}"
@@ -255,7 +250,7 @@ def detect_atoms(functional: MomentFunctional, max_level: int) -> AtomDetection:
     the monic bases the chain Gram Omega_n coincides with the level Gram,
     so the scan reads the decomposition directly.
     """
-    _check_max_level(max_level)
+    check_degree(max_level, "max_level")
     decomp = decompose(functional, max_level)
     # a Gram vanishes exactly when its rank is 0
     ranks = tuple(lv.rank for lv in decomp.levels)
@@ -443,9 +438,7 @@ def reconstruct_moment_table(
     multi-indices of each degree are enumerate_classes' shared classes,
     enumerated once per process.
     """
-    check_integer(max_degree, "max_degree")
-    if max_degree < 0:
-        raise InvalidIndexError(f"max_degree must be >= 0, got {max_degree}")
+    check_degree(max_degree, "max_degree")
     # refuse before any ladder work, naming the first degree out of reach
     _check_depth(seq, min(max_degree, seq.max_level + 1))
     ladder = _memo_ladder(seq)

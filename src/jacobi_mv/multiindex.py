@@ -232,6 +232,13 @@ def check_integer(value, what: str, error: type = InvalidIndexError) -> None:
         raise error(f"{what} must be an integer, got {shown(value)}")
 
 
+def check_degree(value, what: str) -> None:
+    """Refuse a top degree or level that is no integer or is negative."""
+    check_integer(value, what)
+    if value < 0:
+        raise InvalidIndexError(f"{what} must be >= 0, got {value}")
+
+
 def _check_dimension(d: int) -> None:
     check_integer(d, "dimension", InvalidDimensionError)
     if d < 1:

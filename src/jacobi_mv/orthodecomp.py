@@ -90,7 +90,6 @@ from . import _linalg
 from ._linalg import ZERO, Matrix
 from .errors import (
     DimensionMismatchError,
-    InvalidIndexError,
     NotAStateError,
     UnsupportedParameterError,
     shown,
@@ -100,8 +99,8 @@ from .multiindex import (
     MultiIndex,
     SizedMemo,
     _check_dimension,
+    check_degree,
     check_index,
-    check_integer,
     enumerate_classes,
 )
 from .polyring import Polynomial
@@ -240,12 +239,6 @@ class GradedIndex:
         return len(self.units) * (len(self.basis) + self.starts[-2])
 
 
-def _check_max_degree(max_degree: int) -> None:
-    check_integer(max_degree, "max_degree")
-    if max_degree < 0:
-        raise InvalidIndexError(f"max_degree must be >= 0, got {max_degree}")
-
-
 def graded_index(d: int, max_degree: int) -> GradedIndex:
     """The GradedIndex of (d, N), built on the first call and then shared.
 
@@ -255,7 +248,7 @@ def graded_index(d: int, max_degree: int) -> GradedIndex:
     that is built on every call.
     """
     _check_dimension(d)
-    _check_max_degree(max_degree)
+    check_degree(max_degree, "max_degree")
     return _graded_index(d, max_degree)
 
 
@@ -482,7 +475,7 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
     exactly zero, so the projections and the level Grams pair x^beta only
     with columns of its own parity, and the others are never visited.
     """
-    _check_max_degree(max_degree)
+    check_degree(max_degree, "max_degree")
     moments = MomentMatrix(functional, max_degree)
     index, pair = moments.index, moments.pair_code
     forms: List[List[IntegerColumn]] = []  # basis columns, level by level

@@ -26,8 +26,11 @@ NEG_INFINITY = float("-inf")
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError(f"coefficients must be exact rationals, got float {value!r}")
+    """value as a Fraction; a float and a bool are refused alike."""
+    if isinstance(value, (float, bool)):
+        raise TypeError(
+            f"coefficients must be exact rationals, got {type(value).__name__} {value!r}"
+        )
     return Fraction(value)
 
 
@@ -41,6 +44,8 @@ class Polynomial:
         if terms:
             for beta, coeff in terms.items():
                 beta = tuple(beta)
+                for b in beta:
+                    check_integer(b, "exponent")
                 if len(beta) != d or any(b < 0 for b in beta):
                     raise InvalidIndexError(f"bad exponent vector {beta} for d={d}")
                 c = _as_fraction(coeff)

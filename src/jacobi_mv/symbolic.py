@@ -31,13 +31,17 @@ from fractions import Fraction
 from typing import Dict, Mapping, Tuple
 
 from .errors import UnsupportedParameterError
+from .multiindex import check_integer
 
 
 def _fr(value) -> Fraction:
+    """value as a Fraction; a float and a bool are refused."""
     if isinstance(value, float):
         raise UnsupportedParameterError(
             f"irrational/float value {value!r}; supply an exact rational"
         )
+    if isinstance(value, bool):
+        raise UnsupportedParameterError(f"bool value {value!r}; supply an exact rational")
     return Fraction(value)
 
 
@@ -67,7 +71,7 @@ class GammaProduct:
         cores: Dict[Fraction, int] = {}
         for arg, mult in (gammas or {}).items():
             arg = _fr(arg)
-            mult = int(mult)
+            check_integer(mult, "Gamma multiplicity", UnsupportedParameterError)
             if mult == 0:
                 continue
             if arg <= 0:

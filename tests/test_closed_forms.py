@@ -13,9 +13,7 @@ from jacobi_mv import _linalg
 from jacobi_mv.cap_operators import CAPSystem, build, verify_quantum_decomposition
 from jacobi_mv.closed_forms import (
     FAMILIES,
-    _norm_factor,
     _norm_ratio,
-    _omega_factor,
     _recurrence,
     closed_form_alpha,
     closed_form_omega,
@@ -162,17 +160,18 @@ def test_recurrence_table_against_the_functional(spec):
     sq = [phi.inner_product(p, p) for p in f]
     lead = Fraction(1)  # prod_{p<k} c_plus(p), the inverse leading coefficient of F_k
     for k in range(7):
-        c_plus, c_zero, c_minus = _recurrence(spec, 1, k)
+        c_plus, c_zero, c_minus = _recurrence(spec.weights[0], k)
         xf = f[k] * Polynomial.variable(1, 1)
         assert all(phi.inner_product(f[k], f[m]) == 0 for m in range(k))
         assert phi.inner_product(xf, f[k]) == c_zero * sq[k]
         assert closed_form_alpha(spec, k, 1) == [[c_zero]]
+        assert creation_power(spec, (k,), 1, 1)[0] == c_plus
         if k:
             assert phi.inner_product(xf, f[k - 1]) == c_minus * sq[k - 1]
         if k < 6:
             assert phi.inner_product(xf, f[k + 1]) == c_plus * sq[k + 1]
         assert mass * sq[k] == family_norm_squared(spec, (k,))
-        assert mass * sq[k] * lead**2 == _omega_factor(spec, 1, k)
+        assert mass * sq[k] * lead**2 == master_omega(spec, (k,))
         lead *= c_plus
 
 
@@ -203,21 +202,24 @@ def test_integer_recurrence_and_norm_ratio_on_edge_weights(spec):
     f = [family_polynomial(spec, (k,)) for k in range(EDGE_TOP + 2)]
     sq = [phi.inner_product(p, p) for p in f]
     assert sq[0] == 1
+    mass = spec.mass_factor()
     for k in range(EDGE_TOP + 1):
-        c_plus, c_zero, c_minus = _recurrence(spec, 1, k)
+        c_plus, c_zero, c_minus = _recurrence(weight, k)
         xf = f[k] * Polynomial.variable(1, 1)
         assert all(phi.inner_product(f[k], f[m]) == 0 for m in range(k))
         assert phi.inner_product(xf, f[k + 1]) == c_plus * sq[k + 1]
         assert phi.inner_product(xf, f[k]) == c_zero * sq[k]
         assert c_minus == (phi.inner_product(xf, f[k - 1]) / sq[k - 1] if k else 0)
+        assert creation_power(spec, (k,), 1, 1)[0] == c_plus
+        assert closed_form_alpha(spec, k, 1) == [[c_zero]]
         # norm(k) / norm(0) of the unnormalized weight is the normalized norm
         assert Fraction(*_norm_ratio(weight, k)) == sq[k]
-        assert _norm_factor(spec, 1, k) == _norm_factor(spec, 1, 0) * sq[k]
-    assert _norm_factor(spec, 1, 0) == spec.mass_factor()
+        assert family_norm_squared(spec, (k,)) == mass * sq[k]
 
 
 def _explicit_norm(weight, k):
-    """The Gamma norm formula of _norm_factor, one GammaProduct operation at a time."""
+    """The Gamma norm formula of _norm_ratio's docstring, one GammaProduct
+    operation at a time; at k = 0 it is the weight's mass."""
     if not weight:
         return GammaProduct.pi_power(Fraction(1, 2)) * (math.factorial(k) << k)
     if len(weight) == 1:
@@ -237,10 +239,27 @@ def _explicit_norm(weight, k):
 @pytest.mark.parametrize("spec", EDGE_WEIGHTS, ids=lambda spec: str(spec.weights[0]))
 def test_norm_factor_is_the_explicit_gamma_expression_on_edge_weights(spec):
     for k in range(EDGE_TOP + 1):
-        norm = _norm_factor(spec, 1, k)
+        norm = family_norm_squared(spec, (k,))
         explicit = _explicit_norm(spec.weights[0], k)
         assert norm == explicit
         assert norm.compact_str() == explicit.compact_str()
+
+
+def test_verify_family_builds_one_gamma_product(monkeypatch):
+    # the mass comes from the functional alone: the tables hold none, so the
+    # report's mass factor is the only GammaProduct a master check builds
+    built = []
+
+    def counted(self, *args, _original=GammaProduct._set):
+        built.append(self)
+        _original(self, *args)
+
+    monkeypatch.setattr(GammaProduct, "_set", counted)
+    for spec in ROSTER:
+        built.clear()
+        report = verify_family(spec, 3)
+        assert report.ok
+        assert len(built) == 1 and built[0] is report.mass_factor
 
 
 def test_pipeline_and_verify_build_no_polynomial(monkeypatch):
@@ -273,19 +292,31 @@ def test_pipeline_and_verify_build_no_polynomial(monkeypatch):
         assert verify_quantum_decomposition(build(decompose(functional, 3))).ok
 
 
+def _explicit_omega(spec, n_bar):
+    """omega(n_bar) / mass from _explicit_norm: each coordinate's classical
+    norm times lead^2, lead = prod_{p<k} c_plus(p) the creation factor from
+    degree 0, divided by the functional's mass."""
+    out = GammaProduct.from_rational(1)
+    for i, (weight, k) in enumerate(zip(spec.weights, n_bar), start=1):
+        lead = creation_power(spec, (0,) * spec.d, i, k)[0] if k else 1
+        out = out * _explicit_norm(weight, k) * (lead * lead)
+    return (out / spec.mass_factor()).rational_value()
+
+
 @settings(max_examples=25, deadline=None)
 @given(_random_spec(max_d=3), st.integers(0, 4))
 def test_verify_table_against_the_per_class_functions(spec, max_level):
-    # verify_family reads every closed form off one per-coordinate table;
-    # the public per-class functions are the reference for each entry
+    # verify_family and master_omega read every closed form off one table
+    # per weight; the explicit Gamma norms are the reference for each entry
     mass = spec.mass_factor()
-    masses = GammaProduct.from_rational(1)
-    for i in range(1, spec.d + 1):
-        masses = masses * _omega_factor(spec, i, 0)
+    masses = math.prod(
+        (_explicit_norm(w, 0) for w in spec.weights), start=GammaProduct.from_rational(1)
+    )
     assert masses == mass
     report = verify_family(spec, max_level)
     for lv in report.levels:
-        values = [(master_omega(spec, c) / mass).rational_value() for c in lv.classes]
+        values = [_explicit_omega(spec, c) for c in lv.classes]
+        assert [master_omega(spec, c) for c in lv.classes] == [mass * v for v in values]
         assert lv.omega_closed == [
             [v if r == k else 0 for k in range(len(values))]
             for r, v in enumerate(values)
@@ -300,22 +331,20 @@ def test_verify_table_against_the_per_class_functions(spec, max_level):
 def test_verify_family_evaluates_each_closed_form_once_per_coordinate_and_degree(
     monkeypatch,
 ):
-    # the per-class route made one omega evaluation per class and coordinate
-    # (168 here) and one _recurrence call per closed alpha entry; the omega
-    # factors reuse the table's c_plus column instead of their own recurrence.
-    # A table builds one GammaProduct, its mass, and takes each degree's
-    # norm as the integer ratio _norm_ratio
+    # one table per distinct weight (three here), each taking one _recurrence
+    # call and one integer _norm_ratio per degree; no closed form is
+    # evaluated per class
     spec = family_spec("jacobi", a=["1/2", 0, "-1/3"], b=["-1/2", 1, "2/5"])
     top = 5
     calls = Counter()
-    for name in ("_norm_factor", "_norm_ratio", "_recurrence"):
+    for name in ("_weight_table", "_norm_ratio", "_recurrence"):
         def counted(*args, _original=getattr(closed_forms, name), _name=name):
             calls[_name] += 1
             return _original(*args)
 
         monkeypatch.setattr(closed_forms, name, counted)
     assert verify_family(spec, top, variant="master").ok
-    assert 0 < calls["_norm_factor"] <= spec.d
+    assert calls["_weight_table"] == spec.d
     assert 0 < calls["_norm_ratio"] <= spec.d * (top + 1)
     assert 0 < calls["_recurrence"] <= spec.d * (top + 1)
 
@@ -354,7 +383,7 @@ def test_verify_table_is_one_per_one_variable_weight(kwargs, distinct, monkeypat
     top = 3
     spec = family_spec(**kwargs)
     calls = Counter()
-    for name in ("_norm_factor", "_norm_ratio"):
+    for name in ("_weight_table", "_norm_ratio"):
         def counted(*args, _original=getattr(closed_forms, name), _name=name):
             calls[_name] += 1
             return _original(*args)
@@ -363,12 +392,11 @@ def test_verify_table_is_one_per_one_variable_weight(kwargs, distinct, monkeypat
     report = verify_family(spec, top)
     monkeypatch.undo()
     assert report.ok
-    # one table per distinct weight: its mass once, its norm ratio per degree
-    assert calls["_norm_factor"] == distinct
+    # one table per distinct weight, its norm ratio once per degree
+    assert calls["_weight_table"] == distinct
     assert calls["_norm_ratio"] == distinct * (top + 1)
-    mass = spec.mass_factor()
     for lv in report.levels:
-        expected = [(master_omega(spec, c) / mass).rational_value() for c in lv.classes]
+        expected = [_explicit_omega(spec, c) for c in lv.classes]
         assert _diagonal_entries(lv.omega_closed) == expected
     # coordinate i of the permuted spec is coordinate order[i] of this one
     order = (2, 0, 1)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,26 @@ def test_evaluate_exact():
     assert p.evaluate((Fraction(1, 2), Fraction(1, 3))) == Fraction(1, 4) - 1
     with pytest.raises(DimensionMismatchError):
         p.evaluate((1,))
+
+
+def test_non_integer_exponents_and_bool_numbers_are_refused():
+    # before, (0.5,) printed as x1^0.5, (True,) was stored as a key, and a
+    # bool coefficient or point entry was read as 0 or 1
+    for beta, shown in (((0.5,), "0.5"), ((True,), "True"), ((1, Fraction(1)), "Fraction(1, 1)")):
+        text = f"^exponent must be an integer, got {re.escape(shown)}$"
+        with pytest.raises(InvalidIndexError, match=text):
+            Polynomial(len(beta), {beta: 1})
+    for make in (
+        lambda: Polynomial(1, {(1,): True}),
+        lambda: Polynomial(1, {(1,): 1}).evaluate([True]),
+        lambda: Polynomial.one(1).scale(False),
+    ):
+        with pytest.raises(TypeError, match=r"^coefficients must be exact rationals, got bool "):
+            make()
+    with pytest.raises(TypeError, match=r"^coefficients must be exact rationals, got float 0\.5$"):
+        Polynomial(1, {(1,): 0.5})
+    with pytest.raises(InvalidIndexError, match=r"^bad exponent vector \(-1,\) for d=1$"):
+        Polynomial(1, {(-1,): 1})
 
 
 def test_dimension_mismatch_in_arithmetic():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,30 @@ def test_nonpositive_gamma_argument_rejected():
         GammaProduct.gamma(Fraction(-1, 2))
     with pytest.raises(UnsupportedParameterError):
         GammaProduct.gamma(0.5)
+
+
+def test_non_integer_multiplicities_and_bool_values_are_refused():
+    # before, int(mult) took Gamma(1/3)^1.5 as Gamma(1/3) and a multiplicity
+    # True as 1, and a bool value was read as 0 or 1
+    for mult in (1.5, Fraction(3, 2), True, "2"):
+        with pytest.raises(
+            UnsupportedParameterError,
+            match=f"^Gamma multiplicity must be an integer, got {re.escape(repr(mult))}$",
+        ):
+            GammaProduct(gammas={Fraction(1, 3): mult})
+    for make in (
+        lambda: GammaProduct.from_rational(True),
+        lambda: GammaProduct.gamma(True),
+        lambda: GammaProduct.two_power(False),
+        lambda: GammaProduct(rational=True),
+        lambda: GammaProduct(pi_pow=True),
+        lambda: GammaProduct(gammas={True: 1}),
+    ):
+        with pytest.raises(UnsupportedParameterError, match=r"^bool value (True|False); "):
+            make()
+    # integer multiplicities keep their meaning
+    assert GammaProduct(gammas={Fraction(1, 3): 2}) == GammaProduct.gamma(Fraction(1, 3)) ** 2
+    assert GammaProduct(gammas={Fraction(1, 3): 0}) == 1
 
 
 def test_mul_div_cancellation():
