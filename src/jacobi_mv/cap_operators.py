@@ -39,7 +39,9 @@ annihilation row selection read the creation map up[j].  So build packs,
 checks and shifts no multi-index, and does O(1) Python steps per
 coordinate on a level-0 functional.  A top pairing across reflection
 parity is not visited: its moment row and G_N both vanish between the
-two parities.
+two parities.  Nor is one with a null vector of level N when the
+functional is positive (MomentFunctional.positive): phi(x_j b_i b_k) is
+then 0 by Cauchy-Schwarz.
 
 Matrices are written in the level bases of the decomposition, columns
 indexed by the source level; coordinates j are 1-based.
@@ -144,7 +146,10 @@ def _top_pairings(
     coordinates; gamma's multi-index is built only for a moment row not
     yet paired.  When b_i and x^gamma differ in parity on the reflection
     mask, both terms vanish (G_N is zero between the two parities), so the
-    pair is not visited.
+    pair is not visited.  For a positive functional, a pair in which b_i or
+    b_k is null (its G_N diagonal is 0) is 0, since phi(x_j b_i b_k)^2 is at
+    most phi(b_i^2) phi((x_j b_k)^2) and phi((x_j b_i)^2) phi(b_k^2): such
+    a pair is not visited either.
     """
     moments = decomposition.moments
     index = moments.index
@@ -154,14 +159,18 @@ def _top_pairings(
     below = range(decomposition.starts[n - 1] if n else start, start)
     unit, bit, up = index.units[j - 1], 1 << (j - 1), index.up[j - 1]
     pairings = [[(0, 1)] * len(forms) for _ in forms]
-    for k, form in enumerate(forms):
+    live = range(len(forms))
+    if moments.positive:
+        live = [k for k, null in enumerate(decomposition.level(n).null_mask) if not null]
+    for p, k in enumerate(live):
+        form = forms[k]
         a_k = start + k
         shift = index.codes[a_k] + unit
         parity = (index.parities[a_k] ^ bit) & moments.mask if moments.mask else None
         gamma = None
         # b_k's numerators at level N-1, with the level-N position of alpha+e_j
         shifted = [(up[a] - start, c) for a, c in form.terms if a in below]
-        for i in range(k + 1):
+        for i in live[: p + 1]:
             if forms[i].parity != parity:
                 continue
             value = rows.get((i, shift))

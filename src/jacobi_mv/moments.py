@@ -25,7 +25,9 @@ the parameters: every coordinate of the gaussian weight, the coordinates
 with a_j = b_j of the beta weight, and none for the gamma weight or an
 atom set or table, even a symmetric one, or for a subclass that overrides
 moment without stating a mask of its own.  orthodecomp skips the pairings
-that the mask shows to be zero.
+that the mask shows to be zero.  positive() says that phi(p^2) >= 0 holds
+by construction, which is true of an atom set alone; then orthodecomp and
+cap_operators skip every pairing with a null basis vector.
 
 Parameter lists (gamma alphas, beta a and b, atom points, and the family
 parameters of closed_forms) go through _exact_list, which refuses a string
@@ -152,10 +154,13 @@ class MomentFunctional:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # new moments say nothing of their symmetry, so an inherited mask
-        # would be taken on trust for moments it was never stated for
-        if "moment" in vars(cls) and "reflection_mask" not in vars(cls):
-            cls.reflection_mask = MomentFunctional.reflection_mask
+        # new moments say nothing of their symmetry or positivity, so an
+        # inherited declaration would be taken on trust for moments it was
+        # never stated for
+        if "moment" in vars(cls):
+            for name in ("reflection_mask", "positive"):
+                if name not in vars(cls):
+                    setattr(cls, name, getattr(MomentFunctional, name))
 
     def moment(self, beta: MultiIndex) -> Fraction:
         raise NotImplementedError
@@ -173,6 +178,21 @@ class MomentFunctional:
         the moments it names without reading them, so it must be true of
         the subclass's moments."""
         return 0
+
+    def positive(self) -> bool:
+        """Whether the functional is positive by construction: phi(p^2) >= 0
+        for every polynomial p, known from its definition, not from its
+        moments.  False unless a subclass knows better; True for an atom
+        set, whose weights are checked positive.  A moment table is
+        unverified data, so it stays False.
+
+        Then a null polynomial b, phi(b^2) = 0, pairs to 0 with every p
+        (Cauchy-Schwarz), and the pairings of orthodecomp and cap_operators
+        skip every null basis vector without reading a moment.  Like
+        reflection_mask, a subclass that defines moment but not positive
+        gets False (__init_subclass__), and one that defines positive
+        itself is trusted."""
+        return False
 
     def _check_beta(self, beta: MultiIndex) -> None:
         """Refuse a key that is no multi-index of this dimension, or is of
@@ -442,6 +462,9 @@ class AtomicFunctional(MomentFunctional):
             )
             for w, row in self._rows
         ]
+
+    def positive(self) -> bool:
+        return True
 
     def moment(self, beta: MultiIndex) -> Fraction:
         self._check_beta(beta)

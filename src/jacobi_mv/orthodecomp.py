@@ -61,7 +61,7 @@ first fetched.  pair_code is the one pairing entry: every shift the
 library makes stays inside the radix, so there is no multi-index to
 check.
 
-The classical weights have structural zeros, which cost nothing:
+Structural zeros cost nothing:
 
 * Reflection parity.  A functional reports the coordinates in which it
   is even (MomentFunctional.reflection_mask: all of them for the
@@ -75,6 +75,18 @@ The classical weights have structural zeros, which cost nothing:
 * Diagonal Grams.  The level Grams of a product weight are diagonal, so
   the projections, build's top-level solves and the PSD certificates
   take _linalg's diagonal path instead of an elimination.
+* Null directions.  A functional that is positive by construction says
+  so (MomentFunctional.positive: an atom set, never a table).  A basis
+  vector b with phi(b^2) = 0 then pairs to 0 with every polynomial p,
+  since phi(b p)^2 <= phi(b^2) phi(p^2) (Cauchy-Schwarz); these vectors
+  span the ideal N_phi of null polynomials, every direction past the
+  first vanishing level of an atom set and the degenerate ones below it.
+  decompose pairs each level Gram's diagonal first, and then neither the
+  Gram nor any later projection pairs a null column; build's top
+  pairings skip every pair with a null vector of level N.  The null
+  columns are left out of the lists that are paired, so a functional
+  that is not positive pays no test per pairing, and its pairings keep
+  their order, in which a missing moment is named.
 """
 
 from __future__ import annotations
@@ -307,6 +319,7 @@ class MomentMatrix:
         self.basis, self.position, self.radix = index.basis, index.position, index.radix
         self.codes, self.code_position = index.codes, index.code_position
         self.mask = functional.reflection_mask()
+        self.positive = functional.positive()
         self._moments: Dict[int, Tuple[int, int]] = {}
 
     def parity(self, a: int) -> Optional[int]:
@@ -474,11 +487,17 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
     b_beta has the parity of x^beta there: the pairings across parities are
     exactly zero, so the projections and the level Grams pair x^beta only
     with columns of its own parity, and the others are never visited.
+    When the functional is positive (MomentFunctional.positive), each
+    level Gram's diagonal is paired first; a null column, one whose
+    diagonal is 0, pairs to 0 with everything, so its row and column of
+    the Gram and its entry of every later projection are left 0 unpaired.
     """
     check_degree(max_degree, "max_degree")
     moments = MomentMatrix(functional, max_degree)
     index, pair = moments.index, moments.pair_code
     forms: List[List[IntegerColumn]] = []  # basis columns, level by level
+    # (position, column) of each level's columns that a projection pairs
+    paired: List[List[Tuple[int, IntegerColumn]]] = []
     levels: List[Level] = []
     grams: List[List[Tuple[List[int], int]]] = []  # each G_m as integer rows
     for n, (monos, start) in enumerate(zip(index.levels, index.starts)):
@@ -486,14 +505,17 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
         codes = index.codes[start : start + len(monos)]
         parities = [moments.parity(a) for a in positions]
         # rhs[k][m][i] = <b_i, x^beta_k> for basis vector i of lower level m,
-        # as an integer ratio
-        rhs = [
-            [
-                [pair(f, code, parity, beta) if f.parity == parity else (0, 1) for f in lower]
-                for lower in forms
-            ]
-            for code, parity, beta in zip(codes, parities, monos)
-        ]
+        # as an integer ratio; only the columns in paired[m] are paired
+        rhs = []
+        for code, parity, beta in zip(codes, parities, monos):
+            per_level = []
+            for lower, live in zip(forms, paired):
+                r = [(0, 1)] * len(lower)
+                for i, f in live:
+                    if f.parity == parity:
+                        r[i] = pair(f, code, parity, beta)
+                per_level.append(r)
+            rhs.append(per_level)
         # each column x^beta as numerators over denominators, less its projections
         block = [([0] * a + [1], [1] * (a + 1)) for a in positions]
         for m, (gram, lower) in enumerate(zip(grams, forms)):
@@ -521,8 +543,21 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
         # and the lower triangle mirrors the upper one
         size = len(block)
         gram = [[ZERO] * size for _ in range(size)]
-        for i, f in enumerate(block_forms):
-            for k in range(i, size):
+        if moments.positive:
+            # a null b_i pairs to 0 with every b_k, so the diagonal is paired
+            # first and a null column's row and column are never visited
+            for i, f in enumerate(block_forms):
+                num, den = pair(f, codes[i], parities[i], monos[i])
+                if num:
+                    gram[i][i] = Fraction(num, den)
+            live = [i for i in range(size) if gram[i][i]]
+            rows = [(i, live[p + 1 :]) for p, i in enumerate(live)]
+        else:
+            live = range(size)
+            rows = [(i, range(i, size)) for i in live]
+        for i, ks in rows:
+            f = block_forms[i]
+            for k in ks:
                 if f.parity == parities[k]:
                     num, den = pair(f, codes[k], parities[k], monos[k])
                     if num:
@@ -537,6 +572,7 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
         null_mask = tuple(gram[i][i] == 0 for i in range(size))
         levels.append(Level(n, monos, tuple(map(tuple, gram)), report.rank, null_mask))
         forms.append(block_forms)
+        paired.append([(i, block_forms[i]) for i in live])
         if n < max_degree:
             grams.append(_linalg.integer_rows(gram))
     return Decomposition(moments, levels, [f for level in forms for f in level], grams)

@@ -35,11 +35,16 @@ def _as_fraction(value) -> Fraction:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.
+
+    The dimension d must be a positive int, not a bool, as everywhere else
+    in the library (InvalidDimensionError otherwise).
+    """
 
     __slots__ = ("d", "terms")
 
     def __init__(self, d: int, terms: Mapping[Sequence[int], object] | None = None):
+        _check_dimension(d)
         cleaned: Dict[MultiIndex, Fraction] = {}
         if terms:
             for beta, coeff in terms.items():
@@ -66,6 +71,7 @@ class Polynomial:
 
     @classmethod
     def one(cls, d: int) -> "Polynomial":
+        _check_dimension(d)
         return cls(d, {(0,) * d: 1})
 
     @classmethod
@@ -75,6 +81,7 @@ class Polynomial:
     @classmethod
     def variable(cls, d: int, j: int) -> "Polynomial":
         """The coordinate polynomial X_j, with j in 1..d."""
+        _check_dimension(d)
         if not 1 <= j <= d:
             raise InvalidIndexError(f"variable index {j} not in 1..{d}")
         beta = [0] * d

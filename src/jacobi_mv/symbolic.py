@@ -161,7 +161,8 @@ class GammaProduct:
         return GammaProduct.from_rational(other) / self
 
     def __pow__(self, exponent: int) -> "GammaProduct":
-        if not isinstance(exponent, int):
+        # a bool is an int to isinstance but no exponent
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise TypeError("only integer powers are supported")
         if exponent < 0 and self.rational == 0:
             raise ZeroDivisionError("division by zero GammaProduct")

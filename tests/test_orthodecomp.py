@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -16,7 +18,12 @@ from jacobi_mv.errors import (
     NotAStateError,
     UnsupportedParameterError,
 )
-from jacobi_mv.jacobi_sequences import compute
+from jacobi_mv.jacobi_sequences import (
+    compute,
+    compute_from_functional,
+    detect_atoms,
+    reconstruct_moment_table,
+)
 from jacobi_mv.moments import (
     AtomicFunctional,
     BetaFunctional,
@@ -707,3 +714,144 @@ def test_overriding_the_moments_of_an_even_weight_drops_its_mask():
     assert _Unmasked(*_MIXED).reflection_mask() == 0
     assert _TrustedCountingGaussian(2).reflection_mask() == 0b11
 
+
+
+# ------------------------------------------------------------ null directions
+
+
+def _table_twin(phi, max_degree):
+    """The moment table of phi to this degree: the same moments, not positive."""
+    return table_functional(phi.d, max_degree, {b: phi.moment(b) for b in monomial_basis(phi.d, max_degree)})
+
+
+class _EditedAtoms(AtomicFunctional):
+    """Two atoms with the moment (2, 0) moved from 1/2 to 1/4: Omega_1 is
+    then [[0, 1/4], [1/4, 1/4]], which has a negative direction."""
+
+    def moment(self, beta):
+        return Fraction(1, 4) if tuple(beta) == (2, 0) else super().moment(beta)
+
+
+class _TrustedEditedAtoms(_EditedAtoms):
+    """States positivity itself, so it is trusted, wrongly here."""
+
+    def positive(self):
+        return True
+
+
+def test_positive_is_declared_by_atom_sets_only():
+    two = [(("0", "0"), "1/2"), (("1", "1"), "1/2")]
+    assert atomic_functional(two).positive()
+    assert not MomentFunctional(2).positive()
+    assert not _table_twin(atomic_functional(two), 2).positive()
+    assert [phi.positive() for phi in _functionals()] == [False] * 5 + [True]
+    # new moments drop the inherited declaration, as they drop the mask: the
+    # edited moments are no positive functional's, and decompose says so
+    # as it does for their table
+    edited = _EditedAtoms(two)
+    assert not edited.positive()
+    with pytest.raises(NotAStateError) as table_error:
+        decompose(_table_twin(edited, 2), 1)
+    with pytest.raises(NotAStateError, match=f"^{re.escape(str(table_error.value))}$"):
+        decompose(edited, 1)
+    # a subclass that declares positivity itself is trusted: the null x
+    # direction then skips its nonzero pairing with y, and the negative
+    # direction goes unseen
+    trusted = _TrustedEditedAtoms(two)
+    assert trusted.positive()
+    assert decompose(trusted, 1).level(1).gram == ((0, 0), (0, Fraction(1, 4)))
+
+
+_COORDINATE = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _degenerate_atom_sets(draw):
+    """Rational atoms in R^d, d = 1..3: in general position, on a line, on a
+    plane, or with repeated coordinates; repeated points merge."""
+    d = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(("general", "collinear", "coplanar", "repeated")))
+    point = st.tuples(*[_COORDINATE] * d)
+    if shape in ("collinear", "coplanar"):
+        base, *directions = draw(st.lists(point, min_size=3, max_size=3))
+        directions = directions[: 1 if shape == "collinear" else 2]
+        steps = st.tuples(*[st.integers(-3, 3)] * len(directions))
+        points = [
+            tuple(b + sum(t * v[i] for t, v in zip(ts, directions)) for i, b in enumerate(base))
+            for ts in draw(st.lists(steps, min_size=count, max_size=count))
+        ]
+    elif shape == "repeated":
+        values = draw(st.lists(_COORDINATE, min_size=1, max_size=2))
+        points = draw(st.lists(st.tuples(*[st.sampled_from(values)] * d), min_size=count, max_size=count))
+    else:
+        points = draw(st.lists(point, min_size=count, max_size=count))
+    mass = {}
+    for p in points:
+        mass[p] = mass.get(p, 0) + draw(st.integers(1, 3))
+    total = sum(mass.values())
+    return atomic_functional([(p, Fraction(w, total)) for p, w in mass.items()]), draw(st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_degenerate_atom_sets())
+def test_an_atom_set_gives_what_its_moment_table_gives(case):
+    # the atom set skips every pairing with a null basis vector, the table
+    # of its moments sums them all: every output must be the same
+    phi, top = case
+    table = _table_twin(phi, 2 * top + 1)
+    dec, ref = decompose(phi, top), decompose(table, top)
+    assert dec.levels == ref.levels
+    assert [(f.terms, f.denominator) for f in dec.forms] == [
+        (f.terms, f.denominator) for f in ref.forms
+    ]
+    assert dec.gram_rows == ref.gram_rows
+    ops, ref_ops = build(dec), build(ref)
+    assert (ops._plus, ops._zero, ops._minus) == (ref_ops._plus, ref_ops._zero, ref_ops._minus)
+    seq, ref_seq = compute_from_functional(phi, top), compute_from_functional(table, top)
+    assert (seq._omega, seq._alpha) == (ref_seq._omega, ref_seq._alpha)
+    assert detect_atoms(phi, top) == detect_atoms(table, top)
+    assert reconstruct_moment_table(seq, top) == reconstruct_moment_table(ref_seq, top)
+
+
+_COPLANAR = [
+    (("-2", "1", "-3"), "1/4"), (("-1/2", "-2", "9/2"), "1/4"),
+    (("0", "3/2", "-2"), "1/4"), (("1/3", "0", "4/3"), "1/4"),
+]
+
+
+def _null_pairings(phi, top, monkeypatch):
+    """(calls, off, null): the pair_code calls of decompose and build, those
+    that pair a null basis vector with anything but its own leading monomial,
+    and the ids of the null basis vectors."""
+    calls = []
+    pair_code = MomentMatrix.pair_code
+
+    def record(self, column, shift, parity, beta):
+        calls.append((column, shift, self.codes[column.terms[-1][0]]))
+        return pair_code(self, column, shift, parity, beta)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MomentMatrix, "pair_code", record)
+        dec = decompose(phi, top)
+        build(dec)
+    null = {
+        id(f) for n in range(top + 1)
+        for f, is_null in zip(dec.level_forms(n), dec.level(n).null_mask) if is_null
+    }
+    off = [c for c, shift, own in calls if id(c) in null and shift != own]
+    return calls, off, null
+
+
+def test_no_pairing_of_an_atom_set_reads_a_null_column_beyond_its_diagonal(monkeypatch):
+    # four coplanar atoms in R^3 at level 4, n0 = 3: every column of levels
+    # 3 and 4 is null; a null column is paired once, with its own leading
+    # monomial, which finds it null
+    phi = atomic_functional(_COPLANAR)
+    calls, off, null = _null_pairings(phi, 4, monkeypatch)
+    assert len(null) == 10 + 15
+    assert off == []
+    assert sorted(Counter(id(c) for c, _, _ in calls if id(c) in null).values()) == [1] * len(null)
+    # the table of the same moments is not positive: it pairs them all
+    table_calls, table_off, _ = _null_pairings(_table_twin(phi, 9), 4, monkeypatch)
+    assert table_off and len(calls) < len(table_calls)

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from jacobi_mv.errors import DimensionMismatchError, InvalidIndexError
+from jacobi_mv.errors import DimensionMismatchError, InvalidDimensionError, InvalidIndexError
+from jacobi_mv.multiindex import enumerate_classes
 from jacobi_mv.polyring import Polynomial, monomial_basis, monomials_of_degree
 
 
@@ -70,6 +71,23 @@ def test_non_integer_exponents_and_bool_numbers_are_refused():
         Polynomial(1, {(1,): 0.5})
     with pytest.raises(InvalidIndexError, match=r"^bad exponent vector \(-1,\) for d=1$"):
         Polynomial(1, {(-1,): 1})
+
+
+@pytest.mark.parametrize("d", [True, 2.0, 0, -1, "2"])
+def test_a_dimension_that_is_no_positive_int_is_refused_as_enumerate_classes_refuses_it(d):
+    with pytest.raises(InvalidDimensionError) as expected:
+        enumerate_classes(d, 1)
+    text = f"^{re.escape(str(expected.value))}$"
+    for make in (
+        lambda: Polynomial(d),
+        lambda: Polynomial(d, {(1, 0): 1}),
+        lambda: Polynomial.zero(d),
+        lambda: Polynomial.one(d),
+        lambda: Polynomial.monomial(d, (1,)),
+        lambda: Polynomial.variable(d, 1),
+    ):
+        with pytest.raises(InvalidDimensionError, match=text):
+            make()
 
 
 def test_dimension_mismatch_in_arithmetic():

@@ -77,6 +77,10 @@ def test_pow():
     assert (g**-2) == GammaProduct.pi_power(-1)
     with pytest.raises(TypeError):
         g ** Fraction(1, 2)
+    # a bool is an int to isinstance but no exponent
+    for exponent in (True, False, Fraction(1)):
+        with pytest.raises(TypeError, match="^only integer powers are supported$"):
+            g**exponent
 
 
 def test_rational_interop():
