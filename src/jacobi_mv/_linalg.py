@@ -46,7 +46,7 @@ The solves and the certificate built on it:
   product weight is, takes no elimination: each entry of X is
   B[i][k] / A[i][i], reduced once, and a zero diagonal entry leaves its
   unknown 0 and its equation consistent only when B's row vanishes.  The
-  test (_is_diagonal) is C-level any() over each row's two off-diagonal
+  test (is_diagonal) is C-level any() over each row's two off-diagonal
   slices, so a dense A is refused at its first row.  When a caller's
   stacked solve is refused, first_inconsistent solves its systems one at
   a time, in the caller's order, to name the first that fails.
@@ -149,7 +149,6 @@ def mat_add(a, b) -> Matrix:
 
 
 def mat_scale(a, s) -> Matrix:
-    s = Fraction(s)
     return [[s * x for x in row] for row in a]
 
 
@@ -164,10 +163,6 @@ def is_symmetric(a) -> bool:
     """
     n = len(a)
     return all(map(n.__eq__, map(len, a))) and list(map(tuple, a)) == list(zip(*a))
-
-
-def is_diagonal(a) -> bool:
-    return all(x == 0 for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
 
 
 def integer_rows(a: Sequence[Sequence[Fraction]]) -> List[Tuple[List[int], int]]:
@@ -261,10 +256,10 @@ def _eliminate(m: List[List[int]], stop: int) -> List[int]:
     return pivots
 
 
-def _is_diagonal(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether the integer rows form a square matrix that is zero off its
-    diagonal.  Each row is tested by C-level any() on its two slices, so a
-    dense matrix is refused at its first row."""
+def is_diagonal(rows: Sequence[Sequence]) -> bool:
+    """Whether the rows, of integers or Fractions, form a square matrix
+    that is zero off its diagonal.  Each row is tested by C-level any() on
+    its two slices, so a dense matrix is refused at its first row."""
     return len(rows) == len(rows[0]) and not any(
         any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(rows)
     )
@@ -277,10 +272,10 @@ def solve_ratios(a: Rows, b: Ratios) -> Solution:
     and B[i][k] is the ratio b[i][k] = (p, q) with q > 0.  X[c][k] is
     returned as (p, q) in lowest terms with q > 0, (0, 1) for zero: the
     solution solve_consistent gives, with no Fraction built.  A diagonal A
-    (_is_diagonal) is solved row by row (_solve_diagonal); any other goes
+    (is_diagonal) is solved row by row (_solve_diagonal); any other goes
     through _solve_eliminated.  Both give the same ratios, or both None.
     """
-    if _is_diagonal([nums for nums, _ in a]):
+    if is_diagonal([nums for nums, _ in a]):
         return _solve_diagonal(a, b)
     return _solve_eliminated(a, b)
 
@@ -417,7 +412,7 @@ def ldlt_psd(a: Sequence[Sequence[Fraction]]) -> PSDReport:
     off-diagonal s = S[i][j] is not, C(e_i -+ e_j) is a witness since its
     quadratic value is -+2s.  The witness is formed only then.
 
-    A diagonal matrix (_is_diagonal) takes no elimination: the pivots are
+    A diagonal matrix (is_diagonal) takes no elimination: the pivots are
     its nonzero diagonal entries in index order, so it is PSD exactly when
     none is negative, its rank is their number, and the witness is C e_k at
     the first negative index k.
@@ -425,7 +420,7 @@ def ldlt_psd(a: Sequence[Sequence[Fraction]]) -> PSDReport:
     n = len(a)
     assert is_symmetric(a), "ldlt_psd expects a symmetric matrix"
     m = [nums for nums, _ in integer_rows(a)]
-    if n and _is_diagonal(m):
+    if n and is_diagonal(m):
         pivots = []
         for k, row in enumerate(m):
             if row[k] < 0:

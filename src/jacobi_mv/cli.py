@@ -24,10 +24,10 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import _linalg
 from .closed_forms import FAMILIES, family_spec, verify_family
-from .errors import Error, InputError, InsufficientMomentsError, shown
+from .errors import Error, InputError, InsufficientMomentsError
 from .jacobi_sequences import compute_from_functional, detect_atoms, reconstruct_moment_table
 from .cap_operators import build
-from .moments import MomentFunctional, _fraction, functional_from_json
+from .moments import MomentFunctional, functional_from_json
 from .orthodecomp import decompose
 from .symbolic import ONE
 
@@ -70,19 +70,6 @@ _FAMILY_OPTIONS = (
 )
 
 
-def _parse_rationals(text: str, what: str) -> Tuple[Fraction, ...]:
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        try:
-            out.append(_fraction(piece))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(
-                f"bad {what} value {shown(piece)}: expected a rational like 3 or 1/2"
-            ) from exc
-    return tuple(out)
-
-
 def _load_measure(path: str) -> MomentFunctional:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -105,8 +92,7 @@ def _resolve(config: RunConfig):
     given = [(o, getattr(config, o.field)) for o in _FAMILY_OPTIONS]
     given = [(o, value) for o, value in given if value is not None]
     if config.family is not None:
-        params = {o.field: _parse_rationals(value, o.flag[2:]) if o.rational else value
-                  for o, value in given}
+        params = {o.field: value.split(",") if o.rational else value for o, value in given}
         spec = family_spec(config.family, **params)
         return spec.functional(), spec
     if config.measure is not None:

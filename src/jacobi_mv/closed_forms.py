@@ -88,7 +88,6 @@ from .moments import (
     GammaFunctional,
     GaussianFunctional,
     MomentFunctional,
-    _exact_list,
 )
 from .multiindex import (
     MultiIndex,
@@ -96,6 +95,7 @@ from .multiindex import (
     check_integer,
     degree,
     enumerate_classes,
+    exact_list,
     factorial_of,
 )
 from .orthodecomp import decompose
@@ -123,7 +123,7 @@ _OPTION_NAMES = {key: name for params, _ in _FAMILIES.values() for key, name, _ 
 
 
 def _exact_params(values, what: str, low: Fraction) -> Tuple[Fraction, ...]:
-    out = tuple(_exact_list(values, what))
+    out = tuple(exact_list(values, what))
     for v in out:
         if v <= low:
             raise UnsupportedParameterError(f"{what} must be > {low}, got {v}")

@@ -54,7 +54,7 @@ from .errors import (
     InvalidIndexError,
     RepresentationError,
 )
-from .moments import MomentFunctional, _exact_list
+from .moments import MomentFunctional
 from .multiindex import (
     ClassBasis,
     MultiIndex,
@@ -63,6 +63,7 @@ from .multiindex import (
     check_integer,
     degree,
     enumerate_classes,
+    exact_list,
 )
 from .orthodecomp import Level, decompose, graded_index
 
@@ -121,7 +122,7 @@ class JacobiSequencePair:
 
     def alpha_for_direction(self, v: Sequence, n: int) -> Matrix:
         """alpha_{v|n} = sum_j v_j alpha_{e_j|n} (linearity in the direction)."""
-        v = _exact_list(v, "direction")
+        v = exact_list(v, "direction")
         if len(v) != self.d:
             raise InvalidIndexError(
                 f"direction vector must have d entries, got {len(v)} for d = {self.d}"

@@ -29,16 +29,14 @@ that the mask shows to be zero.  positive() says that phi(p^2) >= 0 holds
 by construction, which is true of an atom set alone; then orthodecomp and
 cap_operators skip every pairing with a null basis vector.
 
-Parameter lists (gamma alphas, beta a and b, atom points, and the family
-parameters of closed_forms) go through _exact_list, which refuses a string
-or a bare number instead of iterating it.  A number written with a
-decimal exponent beyond MAX_EXPONENT is refused before Fraction expands
-it (_fraction), here and in the CLI's parameter lists.
+Every number a caller supplies (a parameter, an atom coordinate or
+weight, a table value) becomes a Fraction through multiindex.exact, and
+every parameter list through multiindex.exact_list, which refuses a string
+or a bare number instead of iterating it.
 """
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
@@ -53,7 +51,7 @@ from .errors import (
     UnsupportedParameterError,
     shown,
 )
-from .multiindex import MultiIndex, _check_dimension, check_integer, degree
+from .multiindex import MultiIndex, _check_dimension, check_integer, degree, exact, exact_list
 from .polyring import Polynomial
 from .symbolic import GammaProduct
 
@@ -73,75 +71,6 @@ def _typed(value, kind: type, what: str):
     if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
         return value
     raise UnsupportedParameterError(f"{what} must be {_KINDS[kind]}, got {shown(value)}")
-
-
-# the largest decimal exponent a number may be written with: Fraction expands
-# "1e<k>" to an integer of k digits, which takes seconds past a million, so
-# an exponent is held to the digit count that int and str convert by default
-MAX_EXPONENT = getattr(sys.int_info, "default_max_str_digits", 4300)
-
-
-def _fraction(text: str) -> Fraction:
-    """Fraction(text), refusing a decimal exponent above MAX_EXPONENT in
-    magnitude with ValueError before Fraction expands it.
-
-    The exponent is what follows the last 'e' or 'E', sign and underscores
-    aside; a text whose tail is no such number is left to Fraction.
-    """
-    _, e, exponent = text.strip().lower().rpartition("e")
-    exponent = exponent.lstrip("+-").replace("_", "")
-    if e and exponent.isdecimal():
-        digits = exponent.lstrip("0")
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
-            raise ValueError(f"decimal exponent beyond {MAX_EXPONENT}")
-    return Fraction(text)
-
-
-def _exact(value, what: str, *args) -> Fraction:
-    """value as a Fraction; the error names it what.format(*args) when
-    args are given, so a label is formatted only for a value refused.
-
-    A string of an optional '-' and ASCII digits, then optionally '/' and
-    ASCII digits not all zero, is read with int() directly.  Every other
-    value goes through Fraction(value), whose parser refuses some strings
-    that int() accepts (a space next to '/', and underscores on Python
-    3.10), so the value or the refusal is Fraction's own, except that a
-    decimal exponent above MAX_EXPONENT is refused first (_fraction).  A
-    digit string over the int/str digit limit raises ValueError either way.
-    A float is refused, and so is a bool, which Fraction would take as 0 or
-    1: a JSON true or false is no number.
-    """
-    if isinstance(value, (float, bool)):
-        what = what.format(*args) if args else what
-        kind = "bool" if isinstance(value, bool) else "float"
-        raise UnsupportedParameterError(
-            f"{what} must be exact (int, Fraction or 'p/q' string), got {kind} {shown(value)}"
-        )
-    try:
-        if type(value) is str:
-            num, slash, den = value.partition("/")
-            digits = num[1:] if num[:1] == "-" else num
-            if digits.isdigit() and digits.isascii() and (
-                not slash or den.isdigit() and den.isascii() and den.strip("0")
-            ):
-                return Fraction(int(num), int(den) if slash else 1)
-        return _fraction(value) if isinstance(value, str) else Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        what = what.format(*args) if args else what
-        raise UnsupportedParameterError(f"bad {what}: {shown(value)}") from exc
-
-
-def _exact_list(values, what: str) -> List[Fraction]:
-    """The entries of a parameter list, each through _exact.
-
-    A string would iterate as its characters and a bare number is no list,
-    so both are refused, naming the parameter.
-    """
-    if isinstance(values, str) or not isinstance(values, Iterable):
-        raise UnsupportedParameterError(
-            f"{what} list must be a sequence of exact numbers, got {shown(values)}"
-        )
-    return [_exact(v, what) for v in values]
 
 
 class MomentFunctional:
@@ -361,7 +290,7 @@ class GaussianFunctional(ProductFunctional):
 
 class GammaFunctional(ProductFunctional):
     def __init__(self, alphas: Sequence):
-        self.alphas = _exact_list(alphas, "gamma parameter")
+        self.alphas = exact_list(alphas, "gamma parameter")
         super().__init__([_GammaSeq(a) for a in self.alphas])
 
     def mass_factor(self) -> GammaProduct:
@@ -372,8 +301,8 @@ class GammaFunctional(ProductFunctional):
 
 class BetaFunctional(ProductFunctional):
     def __init__(self, a: Sequence, b: Sequence):
-        self.a = _exact_list(a, "beta parameter a")
-        self.b = _exact_list(b, "beta parameter b")
+        self.a = exact_list(a, "beta parameter a")
+        self.b = exact_list(b, "beta parameter b")
         if len(self.a) != len(self.b):
             raise DimensionMismatchError(
                 f"parameter lists have lengths {len(self.a)} and {len(self.b)}"
@@ -422,16 +351,16 @@ class AtomicFunctional(MomentFunctional):
         if not atoms:
             raise UnsupportedParameterError("need at least one atom")
         if d is None:
-            d = len(_exact_list(atoms[0][0], "atom coordinate"))
+            d = len(exact_list(atoms[0][0], "atom coordinate"))
         super().__init__(d)
         points, weights = [], []
         for point, weight in atoms:
-            pt = tuple(_exact_list(point, "atom coordinate"))
+            pt = tuple(exact_list(point, "atom coordinate"))
             if len(pt) != self.d:
                 raise DimensionMismatchError(
                     f"atom {pt} has {len(pt)} coordinates, expected {self.d}"
                 )
-            w = _exact(weight, "atom weight")
+            w = exact(weight, "atom weight")
             if w <= 0:
                 raise UnsupportedParameterError(f"atom weights must be positive, got {w}")
             points.append(pt)
@@ -527,7 +456,7 @@ class TableFunctional(MomentFunctional):
                 raise UnsupportedParameterError(
                     f"table entry {beta} exceeds max_degree {max_degree}"
                 )
-            self._table[beta] = _exact(value, "moment[{}]", beta)
+            self._table[beta] = exact(value, "moment[{}]", beta)
 
     def moment(self, beta: MultiIndex) -> Fraction:
         self._check_beta(beta)

@@ -17,17 +17,32 @@ looks the pair up in a bounded per-process memo: the ClassBasis of each
 that same frozen object.  The memo is keyed by two validated ints and holds
 nothing but these immutable bases, and it is bounded by the exponent
 entries they hold (SizedMemo), so one basis of a large d is not kept.
+
+The module also holds the gates for values from outside: check_integer
+(and check_index, check_degree) for integers, and exact and exact_list for
+numbers.  exact is the only place where a caller's value becomes a
+Fraction, so every entry point takes the same numbers and refuses the
+rest in the same words.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from collections import OrderedDict
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Callable, Generic, Iterable, Optional, Sequence, Tuple, TypeVar
+from fractions import Fraction
+from typing import Callable, Generic, List, Optional, Sequence, Tuple, TypeVar
 
-from .errors import InvalidDimensionError, InvalidIndexError, OutOfLatticeError, shown
+from .errors import (
+    InvalidDimensionError,
+    InvalidIndexError,
+    OutOfLatticeError,
+    UnsupportedParameterError,
+    shown,
+)
 
 MultiIndex = Tuple[int, ...]
 
@@ -230,6 +245,70 @@ def check_integer(value, what: str, error: type = InvalidIndexError) -> None:
     """Refuse a value that is no integer, as check_index does before its range."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise error(f"{what} must be an integer, got {shown(value)}")
+
+
+# the largest decimal exponent a number may be written with: Fraction expands
+# "1e<k>" to an integer of k digits, which takes seconds past a million, so
+# an exponent is held to the digit count that int and str convert by default
+MAX_EXPONENT = getattr(sys.int_info, "default_max_str_digits", 4300)
+
+
+def exact(value, what: str, *args, error: type = UnsupportedParameterError) -> Fraction:
+    """value as a Fraction, or error naming it what.format(*args) when args
+    are given, so a label is formatted only for a value refused.
+
+    Accepted: an int, a Fraction, or a string that Fraction parses with a
+    decimal exponent of at most MAX_EXPONENT in magnitude.  A float is
+    refused, and so is a bool, which Fraction would take as 0 or 1: a JSON
+    true or false is no number.  A string of an optional '-' and ASCII
+    digits, then optionally '/' and ASCII digits not all zero, is read with
+    int() directly.  Every other value goes through Fraction(value), whose
+    parser refuses some strings that int() accepts (a space next to '/',
+    and underscores on Python 3.10), so the value or the refusal is
+    Fraction's own (it also takes a Decimal, exactly), except that the
+    exponent of a string, what follows its last 'e' or 'E' with sign and
+    underscores aside, is checked first.  A digit string over the int/str
+    digit limit is refused either way.
+    """
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (float, bool)):
+        what = what.format(*args) if args else what
+        kind = "bool" if isinstance(value, bool) else "float"
+        raise error(
+            f"{what} must be exact (int, Fraction or 'p/q' string), got {kind} {shown(value)}"
+        )
+    try:
+        if isinstance(value, str):
+            num, slash, den = value.partition("/")
+            digits = num[1:] if num[:1] == "-" else num
+            if digits.isdigit() and digits.isascii() and (
+                not slash or den.isdigit() and den.isascii() and den.strip("0")
+            ):
+                return Fraction(int(num), int(den) if slash else 1)
+            _, e, exponent = value.strip().lower().rpartition("e")
+            exponent = exponent.lstrip("+-").replace("_", "")
+            if e and exponent.isdecimal():
+                digits = exponent.lstrip("0")
+                if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+                    raise ValueError(f"decimal exponent beyond {MAX_EXPONENT}")
+        return Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        what = what.format(*args) if args else what
+        raise error(f"bad {what}: {shown(value)}") from exc
+
+
+def exact_list(values, what: str) -> List[Fraction]:
+    """The entries of a parameter list, each through exact.
+
+    A string would iterate as its characters and a bare number is no list,
+    so both are refused, naming the parameter.
+    """
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise UnsupportedParameterError(
+            f"{what} list must be a sequence of exact numbers, got {shown(values)}"
+        )
+    return [exact(v, what) for v in values]
 
 
 def check_degree(value, what: str) -> None:

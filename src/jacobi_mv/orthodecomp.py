@@ -100,12 +100,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import ZERO, Matrix
-from .errors import (
-    DimensionMismatchError,
-    NotAStateError,
-    UnsupportedParameterError,
-    shown,
-)
+from .errors import DimensionMismatchError, NotAStateError
 from .moments import MomentFunctional
 from .multiindex import (
     MultiIndex,
@@ -114,6 +109,7 @@ from .multiindex import (
     check_degree,
     check_index,
     enumerate_classes,
+    exact,
 )
 from .polyring import Polynomial
 
@@ -187,19 +183,6 @@ class IntegerColumn:
         """A new Fraction list of the entries up to the last nonzero one."""
         entries = dict(self.terms)
         return [Fraction(entries.get(a, 0), self.denominator) for a in range(self.terms[-1][0] + 1)]
-
-
-def _check_exact(entries: Sequence[Fraction], what: str) -> None:
-    """Refuse an entry that is not an int or a Fraction, without converting.
-
-    A bool is an int to isinstance but no coefficient, so it is refused as
-    a float is.
-    """
-    for v in entries:
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-            raise UnsupportedParameterError(
-                f"{what} entries must be int or Fraction, got {shown(v)}"
-            )
 
 
 def pack(beta: Sequence[int], radix: int) -> int:
@@ -410,17 +393,18 @@ class Decomposition:
         self.level(n)  # range check
         return self.forms[self.starts[n] : self.starts[n + 1]]
 
-    def _check_vector(self, vector: Sequence[Fraction]) -> None:
-        """Refuse a coefficient vector of the wrong length or with inexact entries."""
+    def _exact_vector(self, vector: Sequence) -> List[Fraction]:
+        """The entries of a coefficient vector as Fractions; a vector of the
+        wrong length or with an inexact entry is refused."""
         if len(vector) != len(self.forms):
             raise DimensionMismatchError(
                 f"vector length {len(vector)} != basis size {len(self.forms)}"
             )
-        _check_exact(vector, "vector")
+        return [exact(v, "vector entry") for v in vector]
 
-    def split(self, vector: Sequence[Fraction]) -> List[List[Fraction]]:
+    def split(self, vector: Sequence) -> List[List[Fraction]]:
         """Level coordinates of a coefficient vector, by back substitution."""
-        self._check_vector(vector)
+        vector = self._exact_vector(vector)
         nums, dens = map(list, zip(*(v.as_integer_ratio() for v in vector)))
         return self.split_ratios(nums, dens)
 
@@ -447,21 +431,20 @@ class Decomposition:
                 self.forms[p].subtract_from(nums, dens, *x[p].as_integer_ratio())
         return x
 
-    def polynomial(self, vector: Sequence[Fraction]) -> Polynomial:
+    def polynomial(self, vector: Sequence) -> Polynomial:
         """The polynomial with this coefficient vector over the monomial basis."""
-        self._check_vector(vector)
-        return Polynomial(self.d, dict(zip(self.moments.basis, vector)))
+        return Polynomial(self.d, dict(zip(self.moments.basis, self._exact_vector(vector))))
 
-    def expand(self, n: int, coords: Sequence[Fraction]) -> List[Fraction]:
+    def expand(self, n: int, coords: Sequence) -> List[Fraction]:
         """Coefficient vector of the level-n combination with these coordinates."""
         forms = self.level_forms(n)
         if len(coords) != len(forms):
             raise DimensionMismatchError(
                 f"coordinate count {len(coords)} != level {n} size {len(forms)}"
             )
-        _check_exact(coords, "coordinate")
         nums, dens = [0] * len(self.forms), [1] * len(self.forms)
         for coeff, form in zip(coords, forms):
+            coeff = exact(coeff, "coordinate")
             if coeff:
                 form.subtract_from(nums, dens, *(-coeff).as_integer_ratio())
         return [Fraction(p, q) if p else ZERO for p, q in zip(nums, dens)]

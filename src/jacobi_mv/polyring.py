@@ -20,25 +20,19 @@ from .multiindex import (
     check_integer,
     degree as index_degree,
     enumerate_classes,
+    exact,
 )
 
 NEG_INFINITY = float("-inf")
-
-
-def _as_fraction(value) -> Fraction:
-    """value as a Fraction; a float and a bool are refused alike."""
-    if isinstance(value, (float, bool)):
-        raise TypeError(
-            f"coefficients must be exact rationals, got {type(value).__name__} {value!r}"
-        )
-    return Fraction(value)
 
 
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients.
 
     The dimension d must be a positive int, not a bool, as everywhere else
-    in the library (InvalidDimensionError otherwise).
+    in the library (InvalidDimensionError otherwise).  A coefficient, a
+    scalar or a point entry goes through multiindex.exact, and one that is
+    not exact raises TypeError.
     """
 
     __slots__ = ("d", "terms")
@@ -53,7 +47,7 @@ class Polynomial:
                     check_integer(b, "exponent")
                 if len(beta) != d or any(b < 0 for b in beta):
                     raise InvalidIndexError(f"bad exponent vector {beta} for d={d}")
-                c = _as_fraction(coeff)
+                c = exact(coeff, "coefficient", error=TypeError)
                 if c != 0:
                     cleaned[beta] = cleaned.get(beta, Fraction(0)) + c
                     if cleaned[beta] == 0:
@@ -148,14 +142,14 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, scalar) -> "Polynomial":
-        c = _as_fraction(scalar)
+        c = exact(scalar, "scalar", error=TypeError)
         return Polynomial(self.d, {b: c * v for b, v in self.terms.items()})
 
     def evaluate(self, x: Sequence) -> Fraction:
         """Exact value at a rational point of length d."""
         if len(x) != self.d:
             raise DimensionMismatchError(f"point of length {len(x)} for d={self.d}")
-        point = [_as_fraction(v) for v in x]
+        point = [exact(v, "point entry", error=TypeError) for v in x]
         total = Fraction(0)
         for beta, c in self.terms.items():
             term = c
@@ -203,8 +197,7 @@ class Polynomial:
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "Polynomial":
         d = doc["d"]
-        terms = {tuple(entry["beta"]): Fraction(entry["c"]) for entry in doc["terms"]}
-        return cls(d, terms)
+        return cls(d, {tuple(entry["beta"]): entry["c"] for entry in doc["terms"]})
 
 
 def monomials_of_degree(d: int, n: int) -> list[MultiIndex]:

@@ -31,18 +31,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Tuple
 
 from .errors import UnsupportedParameterError
-from .multiindex import check_integer
-
-
-def _fr(value) -> Fraction:
-    """value as a Fraction; a float and a bool are refused."""
-    if isinstance(value, float):
-        raise UnsupportedParameterError(
-            f"irrational/float value {value!r}; supply an exact rational"
-        )
-    if isinstance(value, bool):
-        raise UnsupportedParameterError(f"bool value {value!r}; supply an exact rational")
-    return Fraction(value)
+from .multiindex import check_integer, exact
 
 
 _HALF = Fraction(1, 2)
@@ -66,11 +55,11 @@ class GammaProduct:
     __slots__ = ("rational", "two_pow", "pi_pow", "gammas")
 
     def __init__(self, rational=1, two_pow=0, pi_pow=0, gammas: Mapping | None = None):
-        pi = _fr(pi_pow)
+        pi = exact(pi_pow, "pi_pow")
         num, den = 1, 1
         cores: Dict[Fraction, int] = {}
         for arg, mult in (gammas or {}).items():
-            arg = _fr(arg)
+            arg = exact(arg, "Gamma argument")
             check_integer(mult, "Gamma multiplicity", UnsupportedParameterError)
             if mult == 0:
                 continue
@@ -85,7 +74,8 @@ class GammaProduct:
                 pi += Fraction(mult, 2)
             elif core != 1:
                 cores[core] = cores.get(core, 0) + mult
-        self._set(_fr(rational) * Fraction(num, den), _fr(two_pow), pi, cores)
+        rational = exact(rational, "rational") * Fraction(num, den)
+        self._set(rational, exact(two_pow, "two_pow"), pi, cores)
 
     def _set(self, rational: Fraction, two_pow: Fraction, pi_pow: Fraction,
              cores: Mapping[Fraction, int]) -> None:
@@ -120,11 +110,11 @@ class GammaProduct:
     # --------------------------------------------------------------- factory
     @classmethod
     def from_rational(cls, value) -> "GammaProduct":
-        return cls._canonical(_fr(value), Fraction(0), Fraction(0), {})
+        return cls._canonical(exact(value, "rational"), Fraction(0), Fraction(0), {})
 
     @classmethod
     def gamma(cls, arg) -> "GammaProduct":
-        return cls(gammas={_fr(arg): 1})
+        return cls(gammas={arg: 1})
 
     @classmethod
     def pi_power(cls, exponent) -> "GammaProduct":
@@ -244,10 +234,10 @@ class GammaProduct:
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "GammaProduct":
         return cls(
-            rational=Fraction(doc["rational"]),
-            two_pow=Fraction(doc.get("two_pow", 0)),
-            pi_pow=Fraction(doc.get("pi_pow", 0)),
-            gammas={Fraction(arg): mult for arg, mult in doc.get("gamma", [])},
+            rational=doc["rational"],
+            two_pow=doc.get("two_pow", 0),
+            pi_pow=doc.get("pi_pow", 0),
+            gammas=dict(doc.get("gamma", [])),
         )
 
 

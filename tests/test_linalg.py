@@ -513,7 +513,7 @@ def test_solve_ratios_on_a_diagonal_system_is_the_elimination(case):
     a, b = case
     rows = _linalg.integer_rows(a)
     ratios = [[x.as_integer_ratio() for x in row] for row in b]
-    assert _linalg._is_diagonal([nums for nums, _ in rows])
+    assert _linalg.is_diagonal([nums for nums, _ in rows])
     got = _linalg.solve_ratios(rows, ratios)
     assert got == _linalg._solve_eliminated(rows, ratios)
     consistent = all(a[i][i] or not any(b[i]) for i in range(len(a)))
@@ -526,10 +526,14 @@ def test_solve_ratios_on_a_diagonal_system_is_the_elimination(case):
 
 
 def test_a_dense_matrix_is_not_taken_for_diagonal():
-    assert not _linalg._is_diagonal([[1, 0], [1, 1]])
-    assert not _linalg._is_diagonal([[1, 0, 0], [0, 1, 2], [0, 0, 1]])
-    assert not _linalg._is_diagonal([[1, 0], [0, 1], [0, 0]])  # not square
-    assert _linalg._is_diagonal([[0, 0], [0, -3]])
+    assert not _linalg.is_diagonal([[1, 0], [1, 1]])
+    assert not _linalg.is_diagonal([[1, 0, 0], [0, 1, 2], [0, 0, 1]])
+    assert not _linalg.is_diagonal([[1, 0], [0, 1], [0, 0]])  # not square
+    assert _linalg.is_diagonal([[0, 0], [0, -3]])
+    # the same test on Fraction rows, as the CLI's csv check makes it
+    assert _linalg.is_diagonal(_m([[Fraction(1, 2), 0], [0, 0]]))
+    assert not _linalg.is_diagonal(_m([[1, 0], [Fraction(1, 3), 1]]))
+    assert not _linalg.is_diagonal(_m([[1, 0, 0], [0, 1, 0]]))  # not square
 
 
 @settings(max_examples=300, deadline=None)

@@ -20,9 +20,7 @@ from jacobi_mv.errors import (
     shown,
 )
 from jacobi_mv.moments import (
-    MAX_EXPONENT,
     AtomicFunctional,
-    _exact,
     atomic_functional,
     beta_functional,
     functional_from_json,
@@ -30,6 +28,7 @@ from jacobi_mv.moments import (
     gaussian_functional,
     table_functional,
 )
+from jacobi_mv.multiindex import MAX_EXPONENT, exact
 from jacobi_mv.polyring import Polynomial
 
 mpmath.mp.dps = 40
@@ -321,10 +320,10 @@ def test_exact_parses_a_string_as_fraction_does(text):
         expected = Fraction(text)
     except (ValueError, ZeroDivisionError):
         with pytest.raises(UnsupportedParameterError) as info:
-            _exact(text, "moment[{}]", (1,))
+            exact(text, "moment[{}]", (1,))
         assert str(info.value) == f"bad moment[(1,)]: {shown(text)}"
     else:
-        value = _exact(text, "moment[{}]", (1,))
+        value = exact(text, "moment[{}]", (1,))
         assert type(value) is Fraction and value == expected
 
 
@@ -334,15 +333,15 @@ def test_a_decimal_exponent_beyond_the_digit_limit_is_refused():
     assert MAX_EXPONENT == getattr(sys.int_info, "default_max_str_digits", 4300)
     for text in ("1e10000000", "1e99999999", "-2.5E+4301", "1e-4301", "7e00000000000000004301"):
         with pytest.raises(UnsupportedParameterError) as info:
-            _exact(text, "atom coordinate")
+            exact(text, "atom coordinate")
         assert str(info.value) == f"bad atom coordinate: {shown(text)}"
-    assert _exact("1e3", "x") == 1000
-    assert _exact("25e-2", "x") == Fraction(1, 4)
-    assert _exact("1e4300", "x") == 10**4300
-    assert _exact("-1E-4300", "x") == Fraction(-1, 10**4300)
-    assert _exact("7e0000000000000000000003", "x") == 7000
+    assert exact("1e3", "x") == 1000
+    assert exact("25e-2", "x") == Fraction(1, 4)
+    assert exact("1e4300", "x") == 10**4300
+    assert exact("-1E-4300", "x") == Fraction(-1, 10**4300)
+    assert exact("7e0000000000000000000003", "x") == 7000
     long = "12345678901234567890" * 10
-    assert _exact(long + ".5", "x") == Fraction(int(long + "5"), 10)
+    assert exact(long + ".5", "x") == Fraction(int(long + "5"), 10)
 
 
 def test_exact_keeps_the_int_digit_limit():
@@ -353,9 +352,9 @@ def test_exact_keeps_the_int_digit_limit():
     try:
         sys.set_int_max_str_digits(4300)
         with pytest.raises(UnsupportedParameterError, match=r"^bad atom weight: '7777"):
-            _exact(text, "atom weight")
+            exact(text, "atom weight")
         sys.set_int_max_str_digits(0)
-        assert _exact(text, "atom weight") == Fraction(int(text[:-2]), 9)
+        assert exact(text, "atom weight") == Fraction(int(text[:-2]), 9)
     finally:
         sys.set_int_max_str_digits(limit)
 

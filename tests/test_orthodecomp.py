@@ -204,19 +204,31 @@ def test_level_columns_and_split_check_their_arguments():
 
 def test_split_and_expand_refuse_inexact_entries_and_wrong_lengths():
     # an inexact entry or a wrong count is refused, never read through
-    # as_integer_ratio, padded with zeros or cut short
+    # as_integer_ratio, padded with zeros or cut short; a 'p/q' string is
+    # read as its number, as at every other entry point
     dec = decompose(gaussian_functional(1), 2)
-    for vector in ([0, 0, 0.1], ["0", "0", "1"], [0, 0, None]):
-        with pytest.raises(UnsupportedParameterError, match="^vector entries must be int or Fraction"):
+    for vector, text in (
+        ([0, 0, 0.1], "vector entry must be exact (int, Fraction or 'p/q' string), got float 0.1"),
+        ([0, 0, None], "bad vector entry: None"),
+        ([0, 0, "x"], "bad vector entry: 'x'"),
+    ):
+        with pytest.raises(UnsupportedParameterError) as info:
             dec.split(vector)
+        assert str(info.value) == text
+    assert dec.split(["0", "0", "1"]) == dec.split([0, 0, 1])
+    assert dec.split([0, "1/2", " 1 "]) == dec.split([0, Fraction(1, 2), 1])
     assert dec.split([0, Fraction(1, 2), 1]) == [[Fraction(1, 2)], [Fraction(1, 2)], [1]]
     dec = decompose(gaussian_functional(2), 2)
     for coords in ([1], [1, 2, 3, 4], []):
         with pytest.raises(DimensionMismatchError, match=r"^coordinate count \d != level 1 size 2$"):
             dec.expand(1, coords)
-    for coords in ([0.5, 0], [0, "1"]):
-        with pytest.raises(UnsupportedParameterError, match="^coordinate entries must be int or Fraction"):
-            dec.expand(1, coords)
+    with pytest.raises(UnsupportedParameterError) as info:
+        dec.expand(1, [0.5, 0])
+    assert str(info.value) == (
+        "coordinate must be exact (int, Fraction or 'p/q' string), got float 0.5"
+    )
+    assert dec.expand(1, [0, "1"]) == dec.expand(1, [0, 1])
+    assert dec.expand(1, ["-2/3", "25e-2"]) == dec.expand(1, [Fraction(-2, 3), Fraction(1, 4)])
     assert dec.expand(1, [1, Fraction(2)]) == [0, 1, 2, 0, 0, 0]
 
 
@@ -225,18 +237,16 @@ def test_split_expand_and_polynomial_refuse_a_bool_as_a_float():
     # returned [0, 1, 0] and split([True, False, True]) returned level
     # coordinates
     dec = decompose(gaussian_functional(1), 2)
-    for vector in ([True, False, True], [0, 0, False]):
-        with pytest.raises(
-            UnsupportedParameterError, match=r"^vector entries must be int or Fraction, got (True|False)$"
-        ):
-            dec.split(vector)
-        with pytest.raises(UnsupportedParameterError, match="^vector entries must be int or Fraction"):
-            dec.polynomial(vector)
+    gate = "must be exact (int, Fraction or 'p/q' string), got bool"
+    for vector, bad in (([True, False, True], True), ([0, 0, False], False)):
+        for entry_point in (dec.split, dec.polynomial):
+            with pytest.raises(UnsupportedParameterError) as info:
+                entry_point(vector)
+            assert str(info.value) == f"vector entry {gate} {bad}"
     for coords in ([True], [False]):
-        with pytest.raises(
-            UnsupportedParameterError, match=r"^coordinate entries must be int or Fraction, got (True|False)$"
-        ):
+        with pytest.raises(UnsupportedParameterError) as info:
             dec.expand(1, coords)
+        assert str(info.value) == f"coordinate {gate} {coords[0]}"
     assert dec.expand(1, [1]) == [0, 1, 0]
 
 
@@ -247,9 +257,13 @@ def test_polynomial_refuses_wrong_lengths_and_inexact_entries():
     for bad in ([1, 2], [1, 2, 3, 4], []):
         with pytest.raises(DimensionMismatchError, match=r"^vector length \d != basis size 3$"):
             dec.polynomial(bad)
-    for bad in ([0.5, 0, 0], [0, "1", 0]):
-        with pytest.raises(UnsupportedParameterError, match="^vector entries must be int or Fraction"):
-            dec.polynomial(bad)
+    with pytest.raises(UnsupportedParameterError) as info:
+        dec.polynomial([0.5, 0, 0])
+    assert str(info.value) == (
+        "vector entry must be exact (int, Fraction or 'p/q' string), got float 0.5"
+    )
+    assert dec.polynomial([0, "1", 0]) == dec.polynomial([0, 1, 0])
+    assert dec.polynomial(["1", "0", "1/2"]) == dec.polynomial([1, 0, Fraction(1, 2)])
     assert dec.polynomial([1, 0, Fraction(1, 2)]) == Polynomial(
         1, {(0,): 1, (2,): Fraction(1, 2)}
     )

@@ -60,15 +60,16 @@ def test_non_integer_exponents_and_bool_numbers_are_refused():
         text = f"^exponent must be an integer, got {re.escape(shown)}$"
         with pytest.raises(InvalidIndexError, match=text):
             Polynomial(len(beta), {beta: 1})
-    for make in (
-        lambda: Polynomial(1, {(1,): True}),
-        lambda: Polynomial(1, {(1,): 1}).evaluate([True]),
-        lambda: Polynomial.one(1).scale(False),
+    gate = "must be exact (int, Fraction or 'p/q' string), got"
+    for make, text in (
+        (lambda: Polynomial(1, {(1,): True}), f"coefficient {gate} bool True"),
+        (lambda: Polynomial(1, {(1,): 1}).evaluate([True]), f"point entry {gate} bool True"),
+        (lambda: Polynomial.one(1).scale(False), f"scalar {gate} bool False"),
+        (lambda: Polynomial(1, {(1,): 0.5}), f"coefficient {gate} float 0.5"),
     ):
-        with pytest.raises(TypeError, match=r"^coefficients must be exact rationals, got bool "):
+        with pytest.raises(TypeError) as info:
             make()
-    with pytest.raises(TypeError, match=r"^coefficients must be exact rationals, got float 0\.5$"):
-        Polynomial(1, {(1,): 0.5})
+        assert str(info.value) == text
     with pytest.raises(InvalidIndexError, match=r"^bad exponent vector \(-1,\) for d=1$"):
         Polynomial(1, {(-1,): 1})
 

@@ -48,16 +48,18 @@ def test_non_integer_multiplicities_and_bool_values_are_refused():
             match=f"^Gamma multiplicity must be an integer, got {re.escape(repr(mult))}$",
         ):
             GammaProduct(gammas={Fraction(1, 3): mult})
-    for make in (
-        lambda: GammaProduct.from_rational(True),
-        lambda: GammaProduct.gamma(True),
-        lambda: GammaProduct.two_power(False),
-        lambda: GammaProduct(rational=True),
-        lambda: GammaProduct(pi_pow=True),
-        lambda: GammaProduct(gammas={True: 1}),
+    gate = "must be exact (int, Fraction or 'p/q' string), got bool"
+    for make, text in (
+        (lambda: GammaProduct.from_rational(True), f"rational {gate} True"),
+        (lambda: GammaProduct.gamma(True), f"Gamma argument {gate} True"),
+        (lambda: GammaProduct.two_power(False), f"two_pow {gate} False"),
+        (lambda: GammaProduct(rational=True), f"rational {gate} True"),
+        (lambda: GammaProduct(pi_pow=True), f"pi_pow {gate} True"),
+        (lambda: GammaProduct(gammas={True: 1}), f"Gamma argument {gate} True"),
     ):
-        with pytest.raises(UnsupportedParameterError, match=r"^bool value (True|False); "):
+        with pytest.raises(UnsupportedParameterError) as info:
             make()
+        assert str(info.value) == text
     # integer multiplicities keep their meaning
     assert GammaProduct(gammas={Fraction(1, 3): 2}) == GammaProduct.gamma(Fraction(1, 3)) ** 2
     assert GammaProduct(gammas={Fraction(1, 3): 0}) == 1
