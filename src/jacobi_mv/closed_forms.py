@@ -78,7 +78,6 @@ from ._linalg import ZERO, Matrix
 from .cap_operators import build
 from .errors import (
     InvalidDimensionError,
-    InvalidIndexError,
     SingularParameterError,
     UnsupportedParameterError,
 )
@@ -93,6 +92,7 @@ from .multiindex import (
     MultiIndex,
     check_index,
     check_integer,
+    check_multi_index,
     degree,
     enumerate_classes,
     exact_list,
@@ -314,17 +314,6 @@ def _tensor(
     return terms, den
 
 
-def _check_index(spec: FamilySpec, index: MultiIndex) -> None:
-    if len(index) != spec.d:
-        raise InvalidIndexError(
-            f"index length {len(index)} != dimension {spec.d}"
-        )
-    if any(isinstance(k, bool) or not isinstance(k, int) or k < 0 for k in index):
-        raise InvalidIndexError(
-            f"index {tuple(index)} needs integer entries >= 0"
-        )
-
-
 def family_polynomial(spec: FamilySpec, index: MultiIndex) -> Polynomial:
     """Tensor product of the 1-D family polynomials, classical normalization.
 
@@ -332,7 +321,7 @@ def family_polynomial(spec: FamilySpec, index: MultiIndex) -> Polynomial:
     jacobi the leading coefficient its recurrence produces.  The symmetric
     families are realized through their (a, b) parameters.
     """
-    _check_index(spec, index)
+    index = check_multi_index(index, spec.d)
     one_d = [
         _one_d([_recurrence(weight, p) for p in range(k)])
         for weight, k in zip(spec.weights, index)
@@ -383,7 +372,7 @@ def _product(ratios: Iterable[Tuple[int, int]]) -> Fraction:
 def family_norm_squared(spec: FamilySpec, index: MultiIndex) -> GammaProduct:
     """Squared norm of family_polynomial(index) against the unnormalized weight:
     the mass times the product of the coordinates' norm ratios."""
-    _check_index(spec, index)
+    index = check_multi_index(index, spec.d)
     return spec.mass_factor() * _product(map(_norm_ratio, spec.weights, index))
 
 
@@ -398,7 +387,7 @@ def creation_power(
     """
     check_index(coordinate, "coordinate", 1, spec.d)
     check_index(power, "power", 1)
-    _check_index(spec, base)
+    base = check_multi_index(base, spec.d)
     k = base[coordinate - 1]
     result = tuple(
         v + power if i == coordinate - 1 else v for i, v in enumerate(base)
@@ -421,7 +410,7 @@ def master_omega(spec: FamilySpec, n_bar: MultiIndex) -> GammaProduct:
     The mass times the product over the coordinates of their omega ratios,
     read off one table per distinct one-variable weight.
     """
-    _check_index(spec, n_bar)
+    n_bar = check_multi_index(n_bar, spec.d)
     return spec.mass_factor() * _omega_ratio(_tables(spec, max(n_bar)), n_bar)
 
 
@@ -435,7 +424,7 @@ def stated_omega(spec: FamilySpec, n_bar: MultiIndex) -> Tuple[GammaProduct, Tup
     legendre squares the (p+1) numerator once too often.  The pipeline
     arbitrates; see verify_family.
     """
-    _check_index(spec, n_bar)
+    n_bar = check_multi_index(n_bar, spec.d)
     notes: List[str] = []
     if spec.family in ("hermite", "laguerre", "jacobi"):
         return master_omega(spec, n_bar), ()

@@ -60,7 +60,7 @@ from .multiindex import (
     MultiIndex,
     check_degree,
     check_index,
-    check_integer,
+    check_multi_index,
     degree,
     enumerate_classes,
     exact_list,
@@ -280,19 +280,6 @@ def _check_depth(seq: JacobiSequencePair, total: int) -> None:
         )
 
 
-def _check_multi_index(seq: JacobiSequencePair, beta: MultiIndex) -> None:
-    d = seq.d
-    if len(beta) != d:
-        raise InvalidIndexError(
-            f"multi-index length {len(beta)} != dimension {d}"
-        )
-    for b in beta:
-        check_integer(b, "multi-index entry")
-    if any(b < 0 for b in beta):
-        raise InvalidIndexError(f"negative entry in multi-index {tuple(beta)}")
-    _check_depth(seq, degree(beta))
-
-
 def _ladder(seq: JacobiSequencePair) -> Tuple[dict, dict]:
     """A+ (the occupation shifts) and A- (their Omega-adjoints) of one pair.
 
@@ -414,9 +401,10 @@ def reconstruct_moments(seq: JacobiSequencePair, beta: MultiIndex) -> Fraction:
     After step t the state keeps levels 0..min(t, |beta| - t), the ones
     that the |beta| - t steps left can still bring down to the vacuum.
     """
-    _check_multi_index(seq, beta)
-    ladder = _memo_ladder(seq)
+    beta = check_multi_index(beta, seq.d)
     total = degree(beta)
+    _check_depth(seq, total)
+    ladder = _memo_ladder(seq)
     state: List[Vector] = [[ONE]]
     steps = chain.from_iterable([j] * power for j, power in enumerate(beta, start=1))
     for t, j in enumerate(steps, start=1):

@@ -32,7 +32,9 @@ cap_operators skip every pairing with a null basis vector.
 Every number a caller supplies (a parameter, an atom coordinate or
 weight, a table value) becomes a Fraction through multiindex.exact, and
 every parameter list through multiindex.exact_list, which refuses a string
-or a bare number instead of iterating it.
+or a bare number instead of iterating it.  Every multi-index a caller
+supplies (a moment's key, a table's key) is checked by
+multiindex.check_multi_index; the degree bound stays with the functional.
 """
 
 from __future__ import annotations
@@ -46,12 +48,11 @@ from ._linalg import _ratio
 from .errors import (
     DimensionMismatchError,
     InsufficientMomentsError,
-    InvalidIndexError,
     NoMassFactorError,
     UnsupportedParameterError,
     shown,
 )
-from .multiindex import MultiIndex, _check_dimension, check_integer, degree, exact, exact_list
+from .multiindex import MultiIndex, _check_dimension, check_multi_index, degree, exact, exact_list
 from .polyring import Polynomial
 from .symbolic import GammaProduct
 
@@ -123,34 +124,19 @@ class MomentFunctional:
         itself is trusted."""
         return False
 
-    def _check_beta(self, beta: MultiIndex) -> None:
-        """Refuse a key that is no multi-index of this dimension, or is of
-        higher degree than the functional holds.
-
-        A key of d non-negative ints within the degree bound, which is every
-        key the library builds itself, returns after one pass over it; any
-        other key takes the checks below in order, for their error texts.
+    def _check_beta(self, beta: MultiIndex) -> MultiIndex:
+        """beta as a tuple, or the refusal of a key that is no multi-index of
+        this dimension (multiindex.check_multi_index, in its order and
+        words) or is of higher degree than the functional holds
+        (InsufficientMomentsError).
         """
-        if len(beta) == self.d:
-            for b in beta:
-                if type(b) is not int or b < 0:
-                    break
-            else:
-                if self.max_degree is None or sum(beta) <= self.max_degree:
-                    return
-        if len(beta) != self.d:
-            raise DimensionMismatchError(
-                f"multi-index length {len(beta)} != dimension {self.d}"
-            )
-        for b in beta:
-            check_integer(b, "multi-index entry")
-        if any(b < 0 for b in beta):
-            raise InvalidIndexError(f"negative entry in multi-index {tuple(beta)}")
-        if self.max_degree is not None and degree(beta) > self.max_degree:
+        beta = check_multi_index(beta, self.d)
+        if self.max_degree is not None and sum(beta) > self.max_degree:
             raise InsufficientMomentsError(
                 f"moment of degree {degree(beta)} requested but only degrees "
                 f"<= {self.max_degree} are available"
             )
+        return beta
 
     def inner_product(self, p: Polynomial, q: Polynomial) -> Fraction:
         """phi(p*q), the (possibly degenerate) pre-Hilbert pairing."""
@@ -431,27 +417,14 @@ class TableFunctional(MomentFunctional):
     """Explicit finite moment table; absent entries raise on access."""
 
     def __init__(self, d: int, max_degree: int, moments: Dict):
-        # each index is typed as its entry is reached, after the header
-        self._fill(d, max_degree, (
-            (tuple(_typed(b, int, "moment entry 'beta' index") for b in beta), value)
-            for beta, value in moments.items()
-        ))
-
-    def _fill(
-        self, d: int, max_degree: int, entries: Iterable[Tuple[MultiIndex, object]]
-    ) -> None:
-        """Check the header, then enter each (beta, value), in order.
-
-        Every beta is a tuple of ints; the entries are checked one at a time.
-        """
+        # the header is checked first, then each entry in turn
         _typed(max_degree, int, "max_degree")
         if max_degree < 0:
             raise UnsupportedParameterError(f"max_degree must be >= 0, got {max_degree}")
         super().__init__(d, max_degree=max_degree)
         self._table: Dict[MultiIndex, Fraction] = {}
-        for beta, value in entries:
-            if len(beta) != d or min(beta) < 0:
-                raise DimensionMismatchError(f"bad multi-index {beta} for dimension {d}")
+        for beta, value in moments.items():
+            beta = check_multi_index(beta, d)
             if degree(beta) > max_degree:
                 raise UnsupportedParameterError(
                     f"table entry {beta} exceeds max_degree {max_degree}"
@@ -459,8 +432,7 @@ class TableFunctional(MomentFunctional):
             self._table[beta] = exact(value, "moment[{}]", beta)
 
     def moment(self, beta: MultiIndex) -> Fraction:
-        self._check_beta(beta)
-        beta = tuple(beta)
+        beta = self._check_beta(beta)
         if beta not in self._table:
             raise InsufficientMomentsError(f"moment {beta} is not in the table")
         return self._table[beta]
@@ -492,10 +464,7 @@ class TableFunctional(MomentFunctional):
             moments[beta] = _field(e, "value", "moment entry")
         d = _field(doc, "d", "moment table", int)
         max_degree = _field(doc, "max_degree", "moment table", int)
-        # the indices are typed above, so they are not typed again
-        table = cls.__new__(cls)
-        table._fill(d, max_degree, moments.items())
-        return table
+        return cls(d, max_degree, moments)
 
 
 # --------------------------------------------------------------------------

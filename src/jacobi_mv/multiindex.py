@@ -19,9 +19,11 @@ nothing but these immutable bases, and it is bounded by the exponent
 entries they hold (SizedMemo), so one basis of a large d is not kept.
 
 The module also holds the gates for values from outside: check_integer
-(and check_index, check_degree) for integers, and exact and exact_list for
-numbers.  exact is the only place where a caller's value becomes a
-Fraction, so every entry point takes the same numbers and refuses the
+(and check_index, check_degree) for integers, check_multi_index for
+multi-indices, and exact and exact_list for numbers.  exact is the only
+place where a caller's value becomes a Fraction, and check_multi_index the
+only place where a multi-index is refused for its shape, length, entry
+type or sign, so every entry point takes the same values and refuses the
 rest in the same words.
 """
 
@@ -31,12 +33,14 @@ import math
 import sys
 import threading
 from collections import OrderedDict
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Generic, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Generic, List, Optional, Tuple, TypeVar
 
 from .errors import (
+    DimensionMismatchError,
     InvalidDimensionError,
     InvalidIndexError,
     OutOfLatticeError,
@@ -85,8 +89,7 @@ def occupation(d: int, letters: Iterable[int]) -> MultiIndex:
     _check_dimension(d)
     counts = [0] * d
     for letter in letters:
-        if not isinstance(letter, int) or not 1 <= letter <= d:
-            raise InvalidIndexError(f"index {shown(letter)} not in 1..{d}")
+        check_index(letter, "index", 1, d)
         counts[letter - 1] += 1
     return tuple(counts)
 
@@ -152,7 +155,12 @@ class ClassBasis:
         return len(self.classes)
 
     def index(self, n_bar: Sequence[int]) -> int:
-        return self.classes.index(tuple(n_bar))
+        """Position of n_bar in the basis; InvalidIndexError for a class of
+        another weight."""
+        n_bar = check_multi_index(n_bar, self.d)
+        if sum(n_bar) != self.n:
+            raise InvalidIndexError(f"class {n_bar} is not of weight {self.n}")
+        return self.classes.index(n_bar)
 
 
 # exponent entries (monomials times d) a memo of the graded order keeps per
@@ -247,6 +255,36 @@ def check_integer(value, what: str, error: type = InvalidIndexError) -> None:
         raise error(f"{what} must be an integer, got {shown(value)}")
 
 
+def check_multi_index(beta, d: int) -> MultiIndex:
+    """beta as a tuple of d non-negative ints, or the refusal of the first
+    check it fails, in this order: no sequence, or a string
+    (InvalidIndexError); a length other than d (DimensionMismatchError); an
+    entry that is no int, bools included; a negative entry
+    (InvalidIndexError).  Each caller keeps its own degree bound.
+
+    A tuple of d non-negative ints, which is every multi-index the library
+    builds itself, is returned as it is after one pass over its entries.
+    """
+    if type(beta) is not tuple:
+        if isinstance(beta, str) or not isinstance(beta, Sequence):
+            raise InvalidIndexError(
+                f"multi-index must be a sequence of integers, got {shown(beta)}"
+            )
+        beta = tuple(beta)
+    if len(beta) == d:
+        for b in beta:
+            if type(b) is not int or b < 0:
+                break
+        else:
+            return beta
+        for b in beta:
+            check_integer(b, "multi-index entry")
+        if any(b < 0 for b in beta):
+            raise InvalidIndexError(f"negative entry in multi-index {beta}")
+        return beta
+    raise DimensionMismatchError(f"multi-index length {len(beta)} != dimension {d}")
+
+
 # the largest decimal exponent a number may be written with: Fraction expands
 # "1e<k>" to an integer of k digits, which takes seconds past a million, so
 # an exponent is held to the digit count that int and str convert by default
@@ -267,8 +305,9 @@ def exact(value, what: str, *args, error: type = UnsupportedParameterError) -> F
     and underscores on Python 3.10), so the value or the refusal is
     Fraction's own (it also takes a Decimal, exactly), except that the
     exponent of a string, what follows its last 'e' or 'E' with sign and
-    underscores aside, is checked first.  A digit string over the int/str
-    digit limit is refused either way.
+    underscores aside, is checked first, and so is a Decimal's own
+    exponent, whose value must also be finite.  A digit string over the
+    int/str digit limit is refused either way.
     """
     if type(value) is Fraction:
         return value
@@ -292,6 +331,9 @@ def exact(value, what: str, *args, error: type = UnsupportedParameterError) -> F
                 digits = exponent.lstrip("0")
                 if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
                     raise ValueError(f"decimal exponent beyond {MAX_EXPONENT}")
+        elif isinstance(value, Decimal):
+            if not value.is_finite() or abs(value.as_tuple().exponent) > MAX_EXPONENT:
+                raise ValueError(f"no finite Decimal with exponent within {MAX_EXPONENT}")
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         what = what.format(*args) if args else what

@@ -12,12 +12,14 @@ import math
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence
 
-from .errors import DimensionMismatchError, InvalidIndexError
+from .errors import DimensionMismatchError
 from .multiindex import (
     MultiIndex,
     _check_dimension,
     canonical_key,
+    check_index,
     check_integer,
+    check_multi_index,
     degree as index_degree,
     enumerate_classes,
     exact,
@@ -30,9 +32,10 @@ class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients.
 
     The dimension d must be a positive int, not a bool, as everywhere else
-    in the library (InvalidDimensionError otherwise).  A coefficient, a
-    scalar or a point entry goes through multiindex.exact, and one that is
-    not exact raises TypeError.
+    in the library (InvalidDimensionError otherwise).  An exponent vector
+    goes through multiindex.check_multi_index.  A coefficient, a scalar or
+    a point entry goes through multiindex.exact, and one that is not exact
+    raises TypeError.
     """
 
     __slots__ = ("d", "terms")
@@ -42,11 +45,7 @@ class Polynomial:
         cleaned: Dict[MultiIndex, Fraction] = {}
         if terms:
             for beta, coeff in terms.items():
-                beta = tuple(beta)
-                for b in beta:
-                    check_integer(b, "exponent")
-                if len(beta) != d or any(b < 0 for b in beta):
-                    raise InvalidIndexError(f"bad exponent vector {beta} for d={d}")
+                beta = check_multi_index(beta, d)
                 c = exact(coeff, "coefficient", error=TypeError)
                 if c != 0:
                     cleaned[beta] = cleaned.get(beta, Fraction(0)) + c
@@ -70,14 +69,14 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, d: int, beta: Sequence[int], coeff=1) -> "Polynomial":
-        return cls(d, {tuple(beta): coeff})
+        _check_dimension(d)
+        return cls(d, {check_multi_index(beta, d): coeff})
 
     @classmethod
     def variable(cls, d: int, j: int) -> "Polynomial":
         """The coordinate polynomial X_j, with j in 1..d."""
         _check_dimension(d)
-        if not 1 <= j <= d:
-            raise InvalidIndexError(f"variable index {j} not in 1..{d}")
+        check_index(j, "variable index", 1, d)
         beta = [0] * d
         beta[j - 1] = 1
         return cls(d, {tuple(beta): 1})

@@ -793,13 +793,14 @@ def _entries(d, max_degree, *pairs):
             _entries(1, 2, ([1.0], "1")),
             "UnsupportedParameterError: moment entry 'beta' index must be an integer, got 1.0",
         ),
+        # the table's entries go through the one multi-index gate
         (
             _entries(2, 2, ([0, 0], "1"), ([1, -1], "1")),
-            "DimensionMismatchError: bad multi-index (1, -1) for dimension 2",
+            "InvalidIndexError: negative entry in multi-index (1, -1)",
         ),
         (
             _entries(2, 2, ([0], "1")),
-            "DimensionMismatchError: bad multi-index (0,) for dimension 2",
+            "DimensionMismatchError: multi-index length 1 != dimension 2",
         ),
         (
             _entries(2, 2, ([0, 0], "1"), ([2, 1], "1")),

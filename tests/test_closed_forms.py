@@ -26,6 +26,7 @@ from jacobi_mv.closed_forms import (
     verify_family,
 )
 from jacobi_mv.errors import (
+    DimensionMismatchError,
     InvalidDimensionError,
     InvalidIndexError,
     UnsupportedParameterError,
@@ -85,9 +86,9 @@ def test_hermite_derivative_identity():
 
 
 def test_family_polynomial_index_validation():
-    with pytest.raises(InvalidIndexError):
+    with pytest.raises(DimensionMismatchError, match=r"^multi-index length 1 != dimension 2$"):
         family_polynomial(HERMITE2, (1,))
-    with pytest.raises(InvalidIndexError):
+    with pytest.raises(InvalidIndexError, match=r"^negative entry in multi-index \(-1,\)$"):
         family_polynomial(HERMITE1, (-1,))
 
 
@@ -95,20 +96,22 @@ def test_family_norm_squared_index_validation():
     # one index check for both: before, hermite (-1,) raised a bare
     # ValueError from math.factorial and jacobi (-2,) a Gamma-argument error
     jac = family_spec("jacobi", a=[0], b=[0])
-    for spec, index in (
-        (HERMITE1, (-1,)),
-        (jac, (-2,)),
-        (HERMITE2, (1,)),
-        (HERMITE1, (Fraction(1, 2),)),
+    for spec, index, error, text in (
+        (HERMITE1, (-1,), InvalidIndexError, "negative entry in multi-index (-1,)"),
+        (jac, (-2,), InvalidIndexError, "negative entry in multi-index (-2,)"),
+        (HERMITE2, (1,), DimensionMismatchError, "multi-index length 1 != dimension 2"),
+        (
+            HERMITE1,
+            (Fraction(1, 2),),
+            InvalidIndexError,
+            "multi-index entry must be an integer, got Fraction(1, 2)",
+        ),
         # before, True read as index 1
-        (HERMITE1, (True,)),
+        (HERMITE1, (True,), InvalidIndexError, "multi-index entry must be an integer, got True"),
     ):
-        with pytest.raises(InvalidIndexError):
-            family_norm_squared(spec, index)
-        with pytest.raises(InvalidIndexError):
-            family_polynomial(spec, index)
-        with pytest.raises(InvalidIndexError):
-            master_omega(spec, index)
+        for call in (family_norm_squared, family_polynomial, master_omega):
+            with pytest.raises(error, match=f"^{re.escape(text)}$"):
+                call(spec, index)
 
 
 def test_norm_squared_frozen_values():
@@ -493,11 +496,11 @@ def test_creation_power_composes():
 
 
 def test_creation_power_validation():
-    with pytest.raises(InvalidIndexError):
+    with pytest.raises(InvalidIndexError, match=r"^power must be an integer >= 1, got 0$"):
         creation_power(HERMITE1, (0,), 1, 0)
-    with pytest.raises(InvalidIndexError):
+    with pytest.raises(InvalidIndexError, match=r"^coordinate 2 outside 1\.\.1$"):
         creation_power(HERMITE1, (0,), 2, 1)
-    with pytest.raises(InvalidIndexError):
+    with pytest.raises(DimensionMismatchError, match=r"^multi-index length 2 != dimension 1$"):
         creation_power(HERMITE1, (0, 0), 1, 1)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ ACCEPTED = [
     ("25e-2", Fraction(1, 4)),
     (" 1 ", Fraction(1)),
     ("1e4300", Fraction(10**4300)),
+    (Decimal("0.25"), Fraction(1, 4)),
 ]
 
 # (value, how the refusal shows it after "got " or "bad <what>: ")
@@ -41,6 +43,10 @@ REFUSED = [
     ("1/0", "'1/0'"),
     ("x", "'x'"),
     ("1e5000", "'1e5000'"),
+    # before, a Decimal's exponent was not held to the bound of a string's,
+    # and an infinite one raised a bare OverflowError
+    (Decimal("1e5000"), "Decimal('1E+5000')"),
+    (Decimal("-Infinity"), "Decimal('-Infinity')"),
 ]
 
 

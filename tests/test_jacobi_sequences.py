@@ -10,6 +10,7 @@ from jacobi_mv import _linalg
 from jacobi_mv.cap_operators import build
 from jacobi_mv.closed_forms import FAMILIES, family_spec
 from jacobi_mv.errors import (
+    DimensionMismatchError,
     Error as JacobiError,
     InsufficientDepthError,
     InsufficientMomentsError,
@@ -634,9 +635,9 @@ def test_reconstruct_depth_and_index_validation(monkeypatch):
     seq = compute_from_functional(gaussian_functional(1), 2)
     with pytest.raises(InsufficientDepthError):
         reconstruct_moments(seq, (3,))
-    with pytest.raises(InvalidIndexError):
+    with pytest.raises(DimensionMismatchError, match=r"^multi-index length 2 != dimension 1$"):
         reconstruct_moments(seq, (1, 1))
-    with pytest.raises(InvalidIndexError):
+    with pytest.raises(InvalidIndexError, match=r"^negative entry in multi-index \(-1,\)$"):
         reconstruct_moments(seq, (-1,))
     # before, a negative degree gave {} and a degree past the truncation
     # raised only after every lower degree was built; both now refuse

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -342,6 +343,14 @@ def test_a_decimal_exponent_beyond_the_digit_limit_is_refused():
     assert exact("7e0000000000000000000003", "x") == 7000
     long = "12345678901234567890" * 10
     assert exact(long + ".5", "x") == Fraction(int(long + "5"), 10)
+    # a Decimal's own exponent is held to the same bound; before,
+    # Decimal("1e1000000") was expanded, in 0.2 s
+    for value in (Decimal("1e1000000"), Decimal("-25e-4301")):
+        with pytest.raises(UnsupportedParameterError) as info:
+            exact(value, "atom coordinate")
+        assert str(info.value) == f"bad atom coordinate: {shown(value)}"
+    assert exact(Decimal("1e4300"), "x") == 10**4300
+    assert exact(Decimal("-1E-4300"), "x") == Fraction(-1, 10**4300)
 
 
 def test_exact_keeps_the_int_digit_limit():
@@ -374,7 +383,8 @@ def test_table_functional_access_and_errors():
 @pytest.mark.parametrize("beta", [(Fraction(3, 2),), (1.5,), ("1",), (True,)])
 def test_table_functional_refuses_non_integer_indices(beta):
     # no silent truncation: (1.5,) was stored as (1,)
-    with pytest.raises(UnsupportedParameterError, match="index must be an integer"):
+    text = f"multi-index entry must be an integer, got {shown(beta[0])}"
+    with pytest.raises(InvalidIndexError, match=f"^{re.escape(text)}$"):
         table_functional(1, 2, {(0,): 1, beta: "1/2"})
 
 

@@ -57,7 +57,7 @@ def test_non_integer_exponents_and_bool_numbers_are_refused():
     # before, (0.5,) printed as x1^0.5, (True,) was stored as a key, and a
     # bool coefficient or point entry was read as 0 or 1
     for beta, shown in (((0.5,), "0.5"), ((True,), "True"), ((1, Fraction(1)), "Fraction(1, 1)")):
-        text = f"^exponent must be an integer, got {re.escape(shown)}$"
+        text = f"^multi-index entry must be an integer, got {re.escape(shown)}$"
         with pytest.raises(InvalidIndexError, match=text):
             Polynomial(len(beta), {beta: 1})
     gate = "must be exact (int, Fraction or 'p/q' string), got"
@@ -70,7 +70,7 @@ def test_non_integer_exponents_and_bool_numbers_are_refused():
         with pytest.raises(TypeError) as info:
             make()
         assert str(info.value) == text
-    with pytest.raises(InvalidIndexError, match=r"^bad exponent vector \(-1,\) for d=1$"):
+    with pytest.raises(InvalidIndexError, match=r"^negative entry in multi-index \(-1,\)$"):
         Polynomial(1, {(-1,): 1})
 
 
