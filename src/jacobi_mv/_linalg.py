@@ -41,7 +41,9 @@ The solves and the certificate built on it:
   byte-for-byte.  Returns None when the system is inconsistent.  The
   projections of orthodecomp.decompose, the top-level solves of
   cap_operators.build and the stacked adjoint systems of the
-  reconstruction ladder (jacobi_sequences) run on it, on integer rows.
+  reconstruction ladder (jacobi_sequences) run on it, on integer rows;
+  decompose's, for a positive functional, on the principal rows of a
+  level Gram at its PSD pivots (principal_rows).
   A square A that is zero off its diagonal, as every level Gram of a
   product weight is, takes no elimination: each entry of X is
   B[i][k] / A[i][i], reduced once, and a zero diagonal entry leaves its
@@ -59,9 +61,15 @@ The solves and the certificate built on it:
 
 * ldlt_psd: symmetric Gaussian elimination with diagonal pivoting on
   primitive integer rows, each a positive multiple of the rational row, so
-  every sign it tests is the rational Schur complement's.  For a symmetric
-  matrix it either certifies positive semidefiniteness (returning the
-  exact rank) or produces a witness vector x with x^T A x < 0.  The
+  every sign it tests is the rational Schur complement's.  It reads the
+  matrix's integer rows from its caller when given (decompose forms each
+  level Gram's once and keeps them), and copies them before it
+  eliminates.  For a symmetric matrix it either certifies positive
+  semidefiniteness (returning the exact rank and the pivots) or produces
+  a witness vector x with x^T A x < 0.  On a PSD matrix the pivots are
+  _eliminate's pivot columns, the first independent columns in index
+  order, so a consistent solve restricted to them is the Gauss-Jordan
+  solve with its free variables at 0.  The
   witness is C e_k (or C(e_i -+ e_j)) for the congruence C of the
   eliminated pivots, solved for only when the test fails.  A diagonal
   matrix is read off directly: PSD exactly when no diagonal entry is
@@ -177,6 +185,18 @@ def integer_rows(a: Sequence[Sequence[Fraction]]) -> List[Tuple[List[int], int]]
         den = _common_denominator(1, ratios)
         out.append(([p * (den // q) for p, q in ratios], den))
     return out
+
+
+def principal_rows(rows: Rows, cols: Sequence[int]) -> Rows:
+    """The integer rows of A[cols, cols] from A's integer rows (integer_rows),
+    cols ascending: the rows themselves when cols are all of A's indices.
+
+    Each row keeps its denominator, a multiple of the lcm of the entries
+    kept, which every solve here takes as it takes the lcm itself.
+    """
+    if len(cols) == len(rows):
+        return rows
+    return [([nums[c] for c in cols], den) for nums, den in map(rows.__getitem__, cols)]
 
 
 def _common_denominator(den: int, ratios: Iterable[Tuple[int, int]]) -> int:
@@ -389,18 +409,27 @@ def solve_consistent(
 
 @dataclass(frozen=True)
 class PSDReport:
-    """Outcome of the exact LDL^T positivity test."""
+    """Outcome of the exact LDL^T positivity test.
+
+    pivots are the indices eliminated, in the order they were taken, so
+    rank == len(pivots); on a PSD matrix they ascend, and they are the
+    pivot columns of _eliminate on it (see ldlt_psd).
+    """
 
     psd: bool
     rank: int
     witness: Optional[tuple]  # x with x^T A x < 0 when psd is False
+    pivots: Tuple[int, ...]
 
 
-def ldlt_psd(a: Sequence[Sequence[Fraction]]) -> PSDReport:
+def ldlt_psd(a: Sequence[Sequence[Fraction]], rows: Optional[Rows] = None) -> PSDReport:
     """Certify PSD-ness of a symmetric matrix by symmetric Gaussian elimination.
 
-    The pivot is the first remaining index with a nonzero diagonal entry;
-    eliminating it leaves the Schur complement on the remaining indices.
+    rows, when given, are a's integer rows (integer_rows), which a caller
+    that keeps them for its own solves forms once; they are read, never
+    written.  The pivot is the first remaining index with a nonzero
+    diagonal entry; eliminating it leaves the Schur complement on the
+    remaining indices.
     Each row is kept as a primitive integer row, a positive multiple of the
     rational row (integer_rows), and the remaining rows are cleared of the
     pivot column by _clear_column, whose pivot is positive here, so every
@@ -412,6 +441,13 @@ def ldlt_psd(a: Sequence[Sequence[Fraction]]) -> PSDReport:
     off-diagonal s = S[i][j] is not, C(e_i -+ e_j) is a witness since its
     quadratic value is -+2s.  The witness is formed only then.
 
+    On a PSD matrix, a Gram of vectors v_i, the Schur diagonal at i is the
+    squared norm of v_i less its projection on the pivots' vectors, and a
+    zero one stays zero.  So the pivots are the first independent columns
+    in index order, ascending, which are _eliminate's pivot columns;
+    G[P,P] is invertible, and every column of G is a combination of G's
+    columns at P.
+
     A diagonal matrix (is_diagonal) takes no elimination: the pivots are
     its nonzero diagonal entries in index order, so it is PSD exactly when
     none is negative, its rank is their number, and the witness is C e_k at
@@ -419,17 +455,18 @@ def ldlt_psd(a: Sequence[Sequence[Fraction]]) -> PSDReport:
     """
     n = len(a)
     assert is_symmetric(a), "ldlt_psd expects a symmetric matrix"
-    m = [nums for nums, _ in integer_rows(a)]
+    m = [nums for nums, _ in (integer_rows(a) if rows is None else rows)]
     if n and is_diagonal(m):
         pivots = []
         for k, row in enumerate(m):
             if row[k] < 0:
                 (witness,) = _congruence_columns(a, pivots, (k,))
-                return PSDReport(psd=False, rank=len(pivots), witness=tuple(witness))
+                return PSDReport(False, len(pivots), tuple(witness), tuple(pivots))
             if row[k]:
                 pivots.append(k)
-        return PSDReport(psd=True, rank=len(pivots), witness=None)
-    return _ldlt_eliminated(a, [_primitive(nums) for nums in m])
+        return PSDReport(True, len(pivots), None, tuple(pivots))
+    # _clear_column may write a row in place, so each is copied first
+    return _ldlt_eliminated(a, [_primitive(list(nums)) for nums in m])
 
 
 def _ldlt_eliminated(a: Sequence[Sequence[Fraction]], m: List[List[int]]) -> PSDReport:
@@ -449,16 +486,16 @@ def _ldlt_eliminated(a: Sequence[Sequence[Fraction]], m: List[List[int]]) -> PSD
                         ci, cj = _congruence_columns(a, pivots, (i, j))
                         sign = -1 if row[j] > 0 else 1
                         witness = tuple(x + sign * y for x, y in zip(ci, cj))
-                        return PSDReport(psd=False, rank=len(pivots), witness=witness)
+                        return PSDReport(False, len(pivots), witness, tuple(pivots))
             break  # remaining block is entirely zero: done
         if m[k][k] < 0:
             (witness,) = _congruence_columns(a, pivots, (k,))
-            return PSDReport(psd=False, rank=len(pivots), witness=tuple(witness))
+            return PSDReport(False, len(pivots), tuple(witness), tuple(pivots))
         pivots.append(k)
         remaining.remove(k)
         _clear_column(m, k, k, remaining)
 
-    return PSDReport(psd=True, rank=len(pivots), witness=None)
+    return PSDReport(True, len(pivots), None, tuple(pivots))
 
 
 def _congruence_columns(

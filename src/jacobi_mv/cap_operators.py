@@ -29,8 +29,8 @@ share a Gram and are solved in one elimination.  The top level stays in
 integers up to its solutions: the pairings are integer ratios (a moment
 row's integer pairing plus an integer dot product with the top Gram's
 integer rows), both stacks are eliminated by _linalg.solve_ratios on
-integer Gram rows (the top one formed once here, the one below kept by
-decompose), and a Fraction is built only for each entry of the blocks.
+integer Gram rows (both kept by decompose, which formed them for its
+PSD certificates), and a Fraction is built only for each entry of the blocks.
 
 Every shift is addressed by position in the graded index (GradedIndex):
 a shifted leading monomial beta_k + e_j is the code codes[a_k] + units[j],
@@ -204,9 +204,9 @@ def build(decomposition: Decomposition) -> CAPSystem:
     right-hand side is the rows of G_N at those positions.  The top-level
     systems of all coordinates share their Gram, so [G_N | P_1 ... P_d]
     and [G_{N-1} | R_1 ... R_d] are each solved once, by
-    _linalg.solve_stacked: G_N is made integer rows once, which the
-    pairings and R_j (its rows as ratios) read too, and G_{N-1}'s rows are
-    decomposition.gram_rows.  When a stack is inconsistent, the systems are
+    _linalg.solve_stacked, on the integer rows of G_N and G_{N-1} that
+    decompose formed (decomposition.gram_rows), which the pairings and
+    R_j (G_N's rows as ratios) read too.  When a stack is inconsistent, the systems are
     solved one by one (_linalg.first_inconsistent), preservation j then
     annihilation j for j = 1..d, to name the first that fails.
     """
@@ -239,7 +239,7 @@ def build(decomposition: Decomposition) -> CAPSystem:
     # the top level N: every preservation system shares G_N and every
     # annihilation system G_{N-1}, so each Gram is eliminated once, on its
     # integer rows
-    gram = _linalg.integer_rows(decomposition.level(top).gram)
+    gram = decomposition.gram_rows[top]
     below = decomposition.gram_rows[top - 1] if top else []
     start = decomposition.starts[top]
     preservation: Dict[int, List[List[Tuple[int, int]]]] = {}

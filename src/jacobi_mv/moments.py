@@ -50,28 +50,19 @@ from .errors import (
     InsufficientMomentsError,
     NoMassFactorError,
     UnsupportedParameterError,
-    shown,
 )
-from .multiindex import MultiIndex, _check_dimension, check_multi_index, degree, exact, exact_list
+from .multiindex import (
+    MultiIndex,
+    _check_dimension,
+    _field,
+    _typed,
+    check_multi_index,
+    degree,
+    exact,
+    exact_list,
+)
 from .polyring import Polynomial
 from .symbolic import GammaProduct
-
-
-_KINDS = {int: "an integer", list: "a list"}
-
-
-def _field(doc, key: str, what: str, kind: type = object):
-    """doc[key] of a JSON object, or a named error when it is missing or mistyped."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise UnsupportedParameterError(f"{what} needs a {key!r} field")
-    return _typed(doc[key], kind, f"{what} field {key!r}")
-
-
-def _typed(value, kind: type, what: str):
-    # JSON true/false parse to bool, an int subclass; they are no count
-    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
-        return value
-    raise UnsupportedParameterError(f"{what} must be {_KINDS[kind]}, got {shown(value)}")
 
 
 class MomentFunctional:

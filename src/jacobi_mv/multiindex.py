@@ -20,7 +20,8 @@ entries they hold (SizedMemo), so one basis of a large d is not kept.
 
 The module also holds the gates for values from outside: check_integer
 (and check_index, check_degree) for integers, check_multi_index for
-multi-indices, and exact and exact_list for numbers.  exact is the only
+multi-indices, exact and exact_list for numbers, and _field and _typed for
+the fields of a JSON document, which every from_json_dict reads through.  exact is the only
 place where a caller's value becomes a Fraction, and check_multi_index the
 only place where a multi-index is refused for its shape, length, entry
 type or sign, so every entry point takes the same values and refuses the
@@ -351,6 +352,23 @@ def exact_list(values, what: str) -> List[Fraction]:
             f"{what} list must be a sequence of exact numbers, got {shown(values)}"
         )
     return [exact(v, what) for v in values]
+
+
+_KINDS = {int: "an integer", list: "a list"}
+
+
+def _field(doc, key: str, what: str, kind: type = object):
+    """doc[key] of a JSON object, or a named error when it is missing or mistyped."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise UnsupportedParameterError(f"{what} needs a {key!r} field")
+    return _typed(doc[key], kind, f"{what} field {key!r}")
+
+
+def _typed(value, kind: type, what: str):
+    # JSON true/false parse to bool, an int subclass; they are no count
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise UnsupportedParameterError(f"{what} must be {_KINDS[kind]}, got {shown(value)}")
 
 
 def check_degree(value, what: str) -> None:

@@ -33,17 +33,18 @@ Each column is kept once, as an IntegerColumn: its nonzero entries as
 integer numerators over one denominator, built when its level is done.
 MomentMatrix.pair_code, the one summation kernel, takes that form, so a
 pairing is an integer dot product against the moments' integer ratios.
-The projections stay in integers: each
-lower level's Gram is kept as integer rows once its level is done, the
-right-hand sides are pair_code's ratios, _linalg.solve_ratios eliminates
-[G_m | R] on integer rows, and its (num, den) coefficients are subtracted
-from the columns (IntegerColumn.subtract_from) with no Fraction built;
-the Decomposition keeps those integer rows (gram_rows), and build's
-top-level annihilation solve reads G_{N-1}'s.  Fractions appear only in
-the stored level Grams and what the Decomposition returns.  All pairings
-of a level are made, monomial by monomial, before any is solved, so a
-missing moment is named before an inconsistent projection.  The moments
-are keyed by packed exponent codes (pack), so pairing a column with
+The projections stay in integers.  Each level's Gram is made integer
+rows once, when its level is done: its PSD certificate (_linalg.ldlt_psd)
+reads them, the Decomposition keeps them (gram_rows), and build's
+top-level solves read G_N's and G_{N-1}'s.  The right-hand sides are
+pair_code's ratios, _linalg.solve_ratios eliminates [G_m | R] on those
+rows restricted to the columns level m offers (see Null directions), and
+its (num, den) coefficients are subtracted from the columns
+(IntegerColumn.subtract_from) with no Fraction built.  Fractions appear
+only in the stored level Grams and what the Decomposition returns.  All
+pairings of a level are made, monomial by monomial, before any is solved,
+so a missing moment is named before an inconsistent projection.  The
+moments are keyed by packed exponent codes (pack), so pairing a column with
 x^beta shifts each of its monomials by one integer add.
 
 The order itself, the GradedIndex of (d, N), is built once per process:
@@ -76,17 +77,27 @@ Structural zeros cost nothing:
   the projections, build's top-level solves and the PSD certificates
   take _linalg's diagonal path instead of an elimination.
 * Null directions.  A functional that is positive by construction says
-  so (MomentFunctional.positive: an atom set, never a table).  A basis
-  vector b with phi(b^2) = 0 then pairs to 0 with every polynomial p,
-  since phi(b p)^2 <= phi(b^2) phi(p^2) (Cauchy-Schwarz); these vectors
-  span the ideal N_phi of null polynomials, every direction past the
-  first vanishing level of an atom set and the degenerate ones below it.
-  decompose pairs each level Gram's diagonal first, and then neither the
-  Gram nor any later projection pairs a null column; build's top
-  pairings skip every pair with a null vector of level N.  The null
-  columns are left out of the lists that are paired, so a functional
-  that is not positive pays no test per pairing, and its pairings keep
-  their order, in which a missing moment is named.
+  so (MomentFunctional.positive: an atom set, never a table).  A
+  polynomial b with phi(b^2) = 0 then pairs to 0 with every polynomial p,
+  since phi(b p)^2 <= phi(b^2) phi(p^2) (Cauchy-Schwarz); these
+  polynomials form the ideal N_phi of null polynomials, which holds every
+  direction past the first vanishing level of an atom set and the
+  degenerate ones below it, and a projection onto P_m needs only a basis
+  of P_m modulo N_phi.  So decompose uses the ideal in full:
+  - a column b_beta with a null parent b_(beta-e_j) is null, being
+    x_j b_(beta-e_j) less lower levels, so its diagonal is not paired;
+  - every other diagonal is paired first, and neither the Gram nor any
+    later projection pairs a null column;
+  - the projections onto P_m pair only the pivots P of G_m, which
+    ldlt_psd returns: they are G_m's first independent columns, every
+    other column differs from a combination of them by a null
+    polynomial, and the solve on G_m[P, P] gives what the solve on all of
+    G_m gives, with the free variables at 0.
+  build's top pairings skip every pair with a null vector of level N.  A
+  functional that is not positive offers every column of each level, on
+  the same code path, so it pays no test per pairing, its projections
+  still certify consistency, and its pairings keep their order, in which
+  a missing moment is named.
 """
 
 from __future__ import annotations
@@ -360,8 +371,8 @@ class Decomposition:
 
     forms[p] is basis polynomial p (graded order) over the monomial basis,
     as an IntegerColumn: its last term is p, the leading coefficient 1.
-    gram_rows[m] is G_m as integer rows (_linalg.integer_rows) for each
-    level m below the top, as decompose eliminated it.
+    gram_rows[m] is G_m as integer rows (_linalg.integer_rows) for every
+    level m, formed once by decompose for its PSD certificate.
     """
 
     def __init__(
@@ -471,46 +482,51 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
     exactly zero, so the projections and the level Grams pair x^beta only
     with columns of its own parity, and the others are never visited.
     When the functional is positive (MomentFunctional.positive), each
-    level Gram's diagonal is paired first; a null column, one whose
-    diagonal is 0, pairs to 0 with everything, so its row and column of
-    the Gram and its entry of every later projection are left 0 unpaired.
+    level Gram's diagonal is paired first, except at a column with a null
+    parent b_(beta-e_j), which the ideal of null polynomials makes null
+    unpaired; a null column, one whose diagonal is 0, pairs to 0 with
+    everything, so its row and column of the Gram are left 0 unpaired.
+    The later projections onto a level then pair only the pivots of its
+    Gram (ldlt_psd's PSDReport.pivots) and solve on the Gram restricted to
+    them, on rows sliced from the level's integer rows; for any other
+    functional every column is offered.  Either way the columns are those
+    of the full solve with its free variables at 0.
     """
     check_degree(max_degree, "max_degree")
     moments = MomentMatrix(functional, max_degree)
     index, pair = moments.index, moments.pair_code
     forms: List[List[IntegerColumn]] = []  # basis columns, level by level
-    # (position, column) of each level's columns that a projection pairs
-    paired: List[List[Tuple[int, IntegerColumn]]] = []
-    levels: List[Level] = []
     grams: List[List[Tuple[List[int], int]]] = []  # each G_m as integer rows
+    # (m, G_m on the offered columns as integer rows, those columns) for
+    # each lower level m that offers a column to the projections
+    offered: List[Tuple[int, List[Tuple[List[int], int]], List[IntegerColumn]]] = []
+    levels: List[Level] = []
+    null: List[int] = []  # positions of the previous level's null columns
     for n, (monos, start) in enumerate(zip(index.levels, index.starts)):
         positions = range(start, start + len(monos))
         codes = index.codes[start : start + len(monos)]
         parities = [moments.parity(a) for a in positions]
-        # rhs[k][m][i] = <b_i, x^beta_k> for basis vector i of lower level m,
-        # as an integer ratio; only the columns in paired[m] are paired
-        rhs = []
-        for code, parity, beta in zip(codes, parities, monos):
-            per_level = []
-            for lower, live in zip(forms, paired):
-                r = [(0, 1)] * len(lower)
-                for i, f in live:
-                    if f.parity == parity:
-                        r[i] = pair(f, code, parity, beta)
-                per_level.append(r)
-            rhs.append(per_level)
+        # rhs[k][t][i] = <b_i, x^beta_k> for the i-th column offered by the
+        # t-th lower level in offered, as an integer ratio
+        rhs = [
+            [
+                [pair(f, code, parity, beta) if f.parity == parity else (0, 1) for f in lower]
+                for _, _, lower in offered
+            ]
+            for code, parity, beta in zip(codes, parities, monos)
+        ]
         # each column x^beta as numerators over denominators, less its projections
         block = [([0] * a + [1], [1] * (a + 1)) for a in positions]
-        for m, (gram, lower) in enumerate(zip(grams, forms)):
+        for t, (_, g, lower) in enumerate(offered):
             # one elimination of G_m for all monomials: its row operations
             # depend only on G_m, so each column gets what its own solve gives
-            sol = _linalg.solve_ratios(gram, [list(column) for column in zip(*(r[m] for r in rhs))])
+            sol = _linalg.solve_ratios(g, [list(column) for column in zip(*(r[t] for r in rhs))])
             if sol is None:
                 # name the first inconsistent projection, monomial by monomial
                 beta, lower_n = _linalg.first_inconsistent(
-                    ((beta, lv.n), g, [[v] for v in r])
+                    ((beta, m), g, [[v] for v in r])
                     for beta, per_level in zip(monos, rhs)
-                    for lv, g, r in zip(levels, grams, per_level)
+                    for (m, g, _), r in zip(offered, per_level)
                 )
                 raise NotAStateError(
                     f"projection of x^{tuple(beta)} onto degree {lower_n} is "
@@ -527,25 +543,30 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
         size = len(block)
         gram = [[ZERO] * size for _ in range(size)]
         if moments.positive:
+            # the null polynomials form an ideal: x_j b_(beta-e_j) is null when
+            # its parent is, and b_beta differs from it by lower levels, to
+            # which b_beta is orthogonal, so b_beta is null too, unpaired
+            inherited = {up[a] - start for up in index.up for a in null}
             # a null b_i pairs to 0 with every b_k, so the diagonal is paired
             # first and a null column's row and column are never visited
             for i, f in enumerate(block_forms):
-                num, den = pair(f, codes[i], parities[i], monos[i])
-                if num:
-                    gram[i][i] = Fraction(num, den)
+                if i not in inherited:
+                    num, den = pair(f, codes[i], parities[i], monos[i])
+                    if num:
+                        gram[i][i] = Fraction(num, den)
             live = [i for i in range(size) if gram[i][i]]
-            rows = [(i, live[p + 1 :]) for p, i in enumerate(live)]
+            pairs = [(i, live[p + 1 :]) for p, i in enumerate(live)]
         else:
-            live = range(size)
-            rows = [(i, range(i, size)) for i in live]
-        for i, ks in rows:
+            pairs = [(i, range(i, size)) for i in range(size)]
+        for i, ks in pairs:
             f = block_forms[i]
             for k in ks:
                 if f.parity == parities[k]:
                     num, den = pair(f, codes[k], parities[k], monos[k])
                     if num:
                         gram[i][k] = gram[k][i] = Fraction(num, den)
-        report = _linalg.ldlt_psd(gram)
+        rows = _linalg.integer_rows(gram)
+        report = _linalg.ldlt_psd(gram, rows)
         if not report.psd:
             raise NotAStateError(
                 f"degree-{n} Gram matrix has a negative direction "
@@ -555,7 +576,14 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
         null_mask = tuple(gram[i][i] == 0 for i in range(size))
         levels.append(Level(n, monos, tuple(map(tuple, gram)), report.rank, null_mask))
         forms.append(block_forms)
-        paired.append([(i, block_forms[i]) for i in live])
-        if n < max_degree:
-            grams.append(_linalg.integer_rows(gram))
+        grams.append(rows)
+        null = [a for a, is_null in zip(positions, null_mask) if is_null]
+        # a positive functional's projections pair only the pivots P of G_n
+        # (ldlt_psd): each other b_i less a combination of the b_c at P is
+        # null, so it pairs as that combination (Cauchy-Schwarz), its
+        # equation is redundant, and the solve on G_n[P, P] is the full
+        # solve with its free variables at 0
+        cols = report.pivots if moments.positive else range(size)
+        if cols and n < max_degree:
+            offered.append((n, _linalg.principal_rows(rows, cols), [block_forms[c] for c in cols]))
     return Decomposition(moments, levels, [f for level in forms for f in level], grams)

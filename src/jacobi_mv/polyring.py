@@ -16,6 +16,7 @@ from .errors import DimensionMismatchError
 from .multiindex import (
     MultiIndex,
     _check_dimension,
+    _field,
     canonical_key,
     check_index,
     check_integer,
@@ -194,9 +195,17 @@ class Polynomial:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "Polynomial":
-        d = doc["d"]
-        return cls(d, {tuple(entry["beta"]): entry["c"] for entry in doc["terms"]})
+    def from_json_dict(cls, doc: dict) -> "Polynomial":
+        """The polynomial of a to_json_dict document.  A missing field, a
+        terms or beta that is no list, or a term that is no object raises
+        UnsupportedParameterError naming the field; the values then go
+        through the constructor's gates."""
+        d = _field(doc, "d", "polynomial")
+        terms = {
+            tuple(_field(entry, "beta", "polynomial term", list)): _field(entry, "c", "polynomial term")
+            for entry in _field(doc, "terms", "polynomial", list)
+        }
+        return cls(d, terms)
 
 
 def monomials_of_degree(d: int, n: int) -> list[MultiIndex]:

@@ -172,3 +172,21 @@ def test_json_readers_refuse_a_json_float_and_bool():
     assert GammaProduct.from_json_dict(json.loads(json.dumps(value.to_json_dict()))) == value
     p = Polynomial(2, {(1, 0): Fraction(-3, 7), (0, 2): 4})
     assert Polynomial.from_json_dict(json.loads(json.dumps(p.to_json_dict()))) == p
+
+
+@pytest.mark.parametrize("doc,text", [
+    ({"terms": []}, "polynomial needs a 'd' field"),
+    ({"d": 1}, "polynomial needs a 'terms' field"),
+    ({"d": 1, "terms": 5}, "polynomial field 'terms' must be a list, got 5"),
+    ({"d": 1, "terms": [{"c": "1"}]}, "polynomial term needs a 'beta' field"),
+    ({"d": 1, "terms": [{"beta": [0]}]}, "polynomial term needs a 'c' field"),
+    ({"d": 1, "terms": [{"beta": 5, "c": "1"}]}, "polynomial term field 'beta' must be a list, got 5"),
+    ({"d": 1, "terms": [7]}, "polynomial term needs a 'beta' field"),
+    ([1], "polynomial needs a 'd' field"),
+])
+def test_a_polynomial_document_names_its_missing_or_mistyped_field(doc, text):
+    # before, a missing field raised a bare KeyError and a beta of 5 a bare
+    # TypeError from tuple(5); the JSON readers' field texts name them now
+    with pytest.raises(UnsupportedParameterError) as info:
+        Polynomial.from_json_dict(doc)
+    assert str(info.value) == text

@@ -6,7 +6,7 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 from jacobi_mv import _linalg
-from jacobi_mv._linalg import ONE, ZERO, PSDReport
+from jacobi_mv._linalg import ONE, ZERO
 
 
 def _m(rows):
@@ -549,4 +549,48 @@ def test_ldlt_psd_on_a_diagonal_matrix_is_the_elimination(diagonal):
     assert report == expected
     assert repr(report.witness) == repr(expected.witness)
     assert report.psd == all(x >= 0 for x in diagonal)
-    assert report == PSDReport(*_congruence_ldlt(a))
+    assert (report.psd, report.rank, report.witness) == _congruence_ldlt(a)
+    # the pivots are the nonzero diagonal entries before the first negative one
+    first = next((k for k, x in enumerate(diagonal) if x < 0), n)
+    assert report.pivots == tuple(k for k in range(first) if diagonal[k])
+
+
+@st.composite
+def _psd_system(draw):
+    """A PSD matrix, an atomic Gram or the Gram of 1 to n rational rows (so
+    often singular), and a right-hand side in its range: A Y for a drawn Y
+    of 1 to 3 columns."""
+    if draw(st.booleans()):
+        a = draw(_atomic_gram())
+    else:
+        n = draw(st.integers(1, 6))
+        rows = [[draw(_small) for _ in range(n)] for _ in range(draw(st.integers(1, n)))]
+        a = _linalg.mat_mul(_linalg.transpose(rows), rows)
+    width = draw(st.integers(1, 3))
+    y = [[draw(_small) for _ in range(width)] for _ in a]
+    return a, _linalg.mat_mul(a, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_psd_system())
+def test_the_solve_on_the_pivots_of_a_psd_matrix_is_the_full_solve(case):
+    # on a PSD matrix the symmetric pivots are the Gauss-Jordan pivot
+    # columns, and for a right-hand side in the range the solve of
+    # A[P, P] on the rows P is the full solve with its free variables at 0
+    a, b = case
+    rows = _linalg.integer_rows(a)
+    kept = [(list(nums), den) for nums, den in rows]
+    report = _linalg.ldlt_psd(a, rows)
+    assert rows == kept  # read, never written
+    assert report == _linalg.ldlt_psd(a)
+    pivots = _eliminated(a)[1]
+    assert report.psd and report.pivots == tuple(pivots)
+    ratios = [[x.as_integer_ratio() for x in row] for row in b]
+    expected = [[(0, 1)] * len(b[0]) for _ in a]
+    if pivots:
+        solved = _linalg.solve_ratios(
+            _linalg.principal_rows(rows, pivots), [ratios[p] for p in pivots]
+        )
+        for p, x in zip(pivots, solved):
+            expected[p] = x
+    assert _linalg.solve_ratios(rows, ratios) == expected

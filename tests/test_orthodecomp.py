@@ -828,6 +828,25 @@ def test_an_atom_set_gives_what_its_moment_table_gives(case):
     assert reconstruct_moment_table(seq, top) == reconstruct_moment_table(ref_seq, top)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_degenerate_atom_sets(), st.integers(0, 5))
+def test_an_atom_set_decomposes_as_its_moment_table(case, top):
+    # the atom set pairs only the pivots of each lower level and no column
+    # with a null parent; the table of its moments is not positive, so it
+    # offers every column and pairs every diagonal: the same levels
+    # (monomials, Grams, ranks, null masks), columns and integer Gram rows,
+    # past the first vanishing level too
+    phi, _ = case
+    table = _table_twin(phi, 2 * top)
+    assert phi.positive() and not table.positive()
+    dec, ref = decompose(phi, top), decompose(table, top)
+    assert dec.levels == ref.levels
+    assert [(f.terms, f.denominator) for f in dec.forms] == [
+        (f.terms, f.denominator) for f in ref.forms
+    ]
+    assert dec.gram_rows == ref.gram_rows
+
+
 _COPLANAR = [
     (("-2", "1", "-3"), "1/4"), (("-1/2", "-2", "9/2"), "1/4"),
     (("0", "3/2", "-2"), "1/4"), (("1/3", "0", "4/3"), "1/4"),
@@ -837,7 +856,7 @@ _COPLANAR = [
 def _null_pairings(phi, top, monkeypatch):
     """(calls, off, null): the pair_code calls of decompose and build, those
     that pair a null basis vector with anything but its own leading monomial,
-    and the ids of the null basis vectors."""
+    and the null basis vectors, by id, with their multi-indices."""
     calls = []
     pair_code = MomentMatrix.pair_code
 
@@ -850,8 +869,9 @@ def _null_pairings(phi, top, monkeypatch):
         dec = decompose(phi, top)
         build(dec)
     null = {
-        id(f) for n in range(top + 1)
-        for f, is_null in zip(dec.level_forms(n), dec.level(n).null_mask) if is_null
+        id(f): beta for n in range(top + 1)
+        for f, beta, is_null in zip(dec.level_forms(n), dec.level(n).monomials, dec.level(n).null_mask)
+        if is_null
     }
     off = [c for c, shift, own in calls if id(c) in null and shift != own]
     return calls, off, null
@@ -859,13 +879,24 @@ def _null_pairings(phi, top, monkeypatch):
 
 def test_no_pairing_of_an_atom_set_reads_a_null_column_beyond_its_diagonal(monkeypatch):
     # four coplanar atoms in R^3 at level 4, n0 = 3: every column of levels
-    # 3 and 4 is null; a null column is paired once, with its own leading
-    # monomial, which finds it null
+    # 3 and 4 is null.  The null polynomials form an ideal, so a column with
+    # a null parent b_(beta - e_j) is known null and never paired; any other
+    # null column is paired once, with its own leading monomial, which finds
+    # it null
     phi = atomic_functional(_COPLANAR)
     calls, off, null = _null_pairings(phi, 4, monkeypatch)
     assert len(null) == 10 + 15
     assert off == []
-    assert sorted(Counter(id(c) for c, _, _ in calls if id(c) in null).values()) == [1] * len(null)
+    inherited = {
+        key for key, beta in null.items()
+        if any(b and beta[:j] + (b - 1,) + beta[j + 1:] in null.values() for j, b in enumerate(beta))
+    }
+    assert sorted(sum(null[key]) for key in inherited) == [4] * 15
+    paired = Counter(id(c) for c, _, _ in calls if id(c) in null)
+    assert paired == {key: 1 for key in null if key not in inherited}
+    # the projections pair only each lower level's pivots: 330 calls when
+    # every live column was paired and every null diagonal read
+    assert len(calls) == 159
     # the table of the same moments is not positive: it pairs them all
     table_calls, table_off, _ = _null_pairings(_table_twin(phi, 9), 4, monkeypatch)
     assert table_off and len(calls) < len(table_calls)
