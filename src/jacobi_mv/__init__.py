@@ -22,13 +22,12 @@ from .errors import (
     InvalidIndexError,
     NoMassFactorError,
     NotAStateError,
-    OutOfLatticeError,
     RepresentationError,
     SingularParameterError,
     UnsupportedParameterError,
 )
 from .multiindex import ClassBasis, canonical_key, class_count, degree, enumerate_classes
-from .polyring import Polynomial, monomial_basis, monomials_of_degree
+from .polyring import Polynomial, monomial_basis
 from .symbolic import GammaProduct
 from .moments import (
     AtomicFunctional,
@@ -107,7 +106,6 @@ __all__ = [
     "MomentFunctional",
     "NoMassFactorError",
     "NotAStateError",
-    "OutOfLatticeError",
     "Polynomial",
     "QuantumDecompositionReport",
     "RepresentationError",
@@ -136,7 +134,6 @@ __all__ = [
     "gaussian_functional",
     "master_omega",
     "monomial_basis",
-    "monomials_of_degree",
     "rank_profile",
     "reconstruct_moment_table",
     "reconstruct_moments",

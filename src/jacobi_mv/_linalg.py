@@ -28,7 +28,9 @@ operation:
   row at or below the current one with a nonzero entry in the column; its
   reduced form is unique, so what is read off the rows is the rational
   loop's byte for byte.  rank counts its pivots, and jacobi_sequences
-  reads alpha off its reduced rows.  ldlt_psd pivots on the first
+  reads alpha off its reduced rows, made primitive from the integer rows
+  that decompose kept for the level Gram (principal_rows), on copies,
+  since the elimination writes rows in place.  ldlt_psd pivots on the first
   remaining nonzero diagonal entry.
 
 The solves and the certificate built on it:
@@ -189,7 +191,8 @@ def integer_rows(a: Sequence[Sequence[Fraction]]) -> List[Tuple[List[int], int]]
 
 def principal_rows(rows: Rows, cols: Sequence[int]) -> Rows:
     """The integer rows of A[cols, cols] from A's integer rows (integer_rows),
-    cols ascending: the rows themselves when cols are all of A's indices.
+    cols ascending: the rows themselves when cols are all of A's indices,
+    so a caller that eliminates on them copies them first.
 
     Each row keeps its denominator, a multiple of the lcm of the entries
     kept, which every solve here takes as it takes the lcm itself.
@@ -222,11 +225,6 @@ def _ratio(p: int, q: int) -> Tuple[int, int]:
     if q < 0:
         g = -g
     return p // g, q // g
-
-
-def _primitive_rows(a: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    """The primitive integer rows of a, each a positive multiple of its row."""
-    return [_primitive(nums) for nums, _ in integer_rows(a)]
 
 
 def _clear_column(m: List[List[int]], r: int, c: int, targets: Iterable[int]) -> None:
@@ -371,7 +369,7 @@ def rank(a: Sequence[Sequence[Fraction]]) -> int:
     primitive integer rows."""
     if not a or not a[0]:
         return 0
-    return len(_eliminate(_primitive_rows(a), len(a[0])))
+    return len(_eliminate([_primitive(nums) for nums, _ in integer_rows(a)], len(a[0])))
 
 
 def first_inconsistent(systems: Iterable[Tuple[object, Rows, Ratios]]) -> object:

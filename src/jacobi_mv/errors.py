@@ -29,10 +29,6 @@ class InvalidIndexError(Error):
     """A coordinate index lies outside {1..d}."""
 
 
-class OutOfLatticeError(Error):
-    """A shifted multi-index left N^d (some component went negative)."""
-
-
 class DimensionMismatchError(Error):
     """Operands of a polynomial or matrix operation disagree on dimension."""
 

@@ -167,18 +167,22 @@ def compute(ops: CAPSystem, max_level: int) -> JacobiSequencePair:
             except InsufficientMomentsError:
                 per_level.append(None)
         if lv.rank < len(lv):
-            per_level = _deficient_alpha(lv, per_level)
+            per_level = _deficient_alpha(lv, decomp.gram_rows[lv.n], per_level)
         alpha.append(per_level)
     return JacobiSequencePair(d, max_level, class_bases, omega, alpha)
 
 
-def _deficient_alpha(lv: Level, blocks: List[Optional[Matrix]]) -> List[Optional[Matrix]]:
+def _deficient_alpha(
+    lv: Level, rows: _linalg.Rows, blocks: List[Optional[Matrix]]
+) -> List[Optional[Matrix]]:
     """The solution of G a = G Z with free variables set to 0, for each set
     block Z of a rank-deficient level, from one elimination of G.
 
     The Gram is certified PSD, so a zero diagonal entry G_ii has a zero row
     and column: that unknown is free and its row of a is 0.  G is eliminated
-    on the other (live) indices only, as primitive integer rows.  The
+    on the other (live) indices only, as primitive integer rows made from
+    rows, G's integer rows that decompose kept (Decomposition.gram_rows),
+    each copied first, since the elimination writes rows in place.  The
     Gauss-Jordan row operations E on [G | G Z] give E G = [R; 0], so the
     right-hand side reduces to [R Z; 0] without forming G Z: for the pivot
     row R_r of column c, with pivot p = R_r[c], a[c] = (R_r Z) / p, that is
@@ -189,7 +193,9 @@ def _deficient_alpha(lv: Level, blocks: List[Optional[Matrix]]) -> List[Optional
     out = [None if z is None else [[ZERO] * m for _ in range(m)] for z in blocks]
     live = [i for i, null in enumerate(lv.null_mask) if not null]
     if live and any(z is not None for z in blocks):
-        reduced = _linalg._primitive_rows([[lv.gram[i][k] for k in live] for i in live])
+        reduced = [
+            _linalg._primitive(list(nums)) for nums, _ in _linalg.principal_rows(rows, live)
+        ]
         for row, c in zip(reduced, _linalg._eliminate(reduced, len(live))):
             # R_r[c] / p is 1 and R_r is 0 at the other pivots
             weights = [(live[f], Fraction(x, row[c])) for f, x in enumerate(row) if x]

@@ -39,7 +39,7 @@ multiindex.check_multi_index; the degree bound stays with the functional.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -405,17 +405,25 @@ class AtomicFunctional(MomentFunctional):
 
 
 class TableFunctional(MomentFunctional):
-    """Explicit finite moment table; absent entries raise on access."""
+    """Explicit finite moment table; absent entries raise on access.
 
-    def __init__(self, d: int, max_degree: int, moments: Dict):
-        # the header is checked first, then each entry in turn
+    moments maps each multi-index to its value, or lists (beta, value)
+    pairs, as a measure file does: its indices may be lists, which are no
+    dict keys.  The header is checked first, then each entry in turn: its
+    index through multiindex.check_multi_index, then for a repeat and for
+    its degree, then its value through multiindex.exact.
+    """
+
+    def __init__(self, d: int, max_degree: int, moments: Mapping | Iterable):
         _typed(max_degree, int, "max_degree")
         if max_degree < 0:
             raise UnsupportedParameterError(f"max_degree must be >= 0, got {max_degree}")
         super().__init__(d, max_degree=max_degree)
         self._table: Dict[MultiIndex, Fraction] = {}
-        for beta, value in moments.items():
+        for beta, value in moments.items() if isinstance(moments, Mapping) else moments:
             beta = check_multi_index(beta, d)
+            if beta in self._table:
+                raise UnsupportedParameterError(f"moment table lists beta {list(beta)} twice")
             if degree(beta) > max_degree:
                 raise UnsupportedParameterError(
                     f"table entry {beta} exceeds max_degree {max_degree}"
@@ -428,34 +436,15 @@ class TableFunctional(MomentFunctional):
             raise InsufficientMomentsError(f"moment {beta} is not in the table")
         return self._table[beta]
 
-    def to_json_dict(self) -> dict:
-        entries = sorted(self._table.items(), key=lambda kv: (degree(kv[0]), kv[0]))
-        return {
-            "d": self.d,
-            "max_degree": self.max_degree,
-            "moments": [
-                {"beta": list(beta), "value": str(value)} for beta, value in entries
-            ],
-        }
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TableFunctional":
-        moments = {}
-        for e in _field(doc, "moments", "moment table", list):
-            beta = e.get("beta") if type(e) is dict else None
-            # a list of ints (not bools) is a well-formed index as it stands;
-            # anything else takes the checks below, for their error texts
-            if type(beta) is list and all(type(b) is int for b in beta):
-                beta = tuple(beta)
-            else:
-                beta = _field(e, "beta", "moment entry", list)
-                beta = tuple(_typed(b, int, "moment entry 'beta' index") for b in beta)
-            if beta in moments:
-                raise UnsupportedParameterError(f"moment table lists beta {list(beta)} twice")
-            moments[beta] = _field(e, "value", "moment entry")
+        entries = [
+            (_field(e, "beta", "moment entry", list), _field(e, "value", "moment entry"))
+            for e in _field(doc, "moments", "moment table", list)
+        ]
         d = _field(doc, "d", "moment table", int)
         max_degree = _field(doc, "max_degree", "moment table", int)
-        return cls(d, max_degree, moments)
+        return cls(d, max_degree, entries)
 
 
 # --------------------------------------------------------------------------
@@ -479,7 +468,7 @@ def atomic_functional(atoms, d: Optional[int] = None) -> AtomicFunctional:
     return AtomicFunctional(atoms, d=d)
 
 
-def table_functional(d: int, max_degree: int, moments: Dict) -> TableFunctional:
+def table_functional(d: int, max_degree: int, moments) -> TableFunctional:
     return TableFunctional(d, max_degree, moments)
 
 

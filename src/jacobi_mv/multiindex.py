@@ -21,11 +21,12 @@ entries they hold (SizedMemo), so one basis of a large d is not kept.
 The module also holds the gates for values from outside: check_integer
 (and check_index, check_degree) for integers, check_multi_index for
 multi-indices, exact and exact_list for numbers, and _field and _typed for
-the fields of a JSON document, which every from_json_dict reads through.  exact is the only
-place where a caller's value becomes a Fraction, and check_multi_index the
-only place where a multi-index is refused for its shape, length, entry
-type or sign, so every entry point takes the same values and refuses the
-rest in the same words.
+the fields of a measure file, which the two readers in moments (atom list
+and moment table) read through.  exact is the only place where a
+caller's value becomes a Fraction, and check_multi_index the only place
+where a multi-index is refused for its shape, length, entry type or sign,
+so every entry point takes the same values and refuses the rest in the
+same words.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidDimensionError,
     InvalidIndexError,
-    OutOfLatticeError,
     UnsupportedParameterError,
     shown,
 )
@@ -63,36 +63,6 @@ def factorial_of(beta: Sequence[int]) -> int:
     for b in beta:
         out *= math.factorial(b)
     return out
-
-
-def shift(beta: Sequence[int], r: Sequence[int]) -> MultiIndex:
-    """Componentwise sum beta + r, staying inside N^d.
-
-    Raises OutOfLatticeError if any component would go negative.  The
-    library shifts only by unit vectors e_j (multiplication by x_j).
-    """
-    if len(beta) != len(r):
-        raise OutOfLatticeError(
-            f"shift vectors have different lengths: {len(beta)} vs {len(r)}"
-        )
-    out = tuple(b + s for b, s in zip(beta, r))
-    if any(c < 0 for c in out):
-        raise OutOfLatticeError(f"shift of {tuple(beta)} by {tuple(r)} leaves N^d")
-    return out
-
-
-def occupation(d: int, letters: Iterable[int]) -> MultiIndex:
-    """Occupation vector of a tuple over {1..d}.
-
-    Two tuples yield the same vector exactly when one is a reordering of the
-    other, so the vector is a canonical label of the equivalence class.
-    """
-    _check_dimension(d)
-    counts = [0] * d
-    for letter in letters:
-        check_index(letter, "index", 1, d)
-        counts[letter - 1] += 1
-    return tuple(counts)
 
 
 def representative_tuple(n_bar: Sequence[int]) -> Tuple[int, ...]:

@@ -190,11 +190,6 @@ class IntegerColumn:
                 nums[a] = nums[a] * (den // g) - num * c * (dens[a] // g)
                 dens[a] = dens[a] // g * den
 
-    def column(self) -> List[Fraction]:
-        """A new Fraction list of the entries up to the last nonzero one."""
-        entries = dict(self.terms)
-        return [Fraction(entries.get(a, 0), self.denominator) for a in range(self.terms[-1][0] + 1)]
-
 
 def pack(beta: Sequence[int], radix: int) -> int:
     """The exponent code sum_i beta_i radix^i of a multi-index.
@@ -394,10 +389,6 @@ class Decomposition:
     def level(self, n: int) -> Level:
         check_index(n, "level", 0, self.max_degree, "computed range ")
         return self.levels[n]
-
-    def level_columns(self, n: int) -> List[List[Fraction]]:
-        """Level n's coefficient columns, as new Fraction lists."""
-        return [f.column() for f in self.level_forms(n)]
 
     def level_forms(self, n: int) -> List[IntegerColumn]:
         """The integer forms of level n's columns, for MomentMatrix.pair_code."""

@@ -16,7 +16,6 @@ from .errors import DimensionMismatchError
 from .multiindex import (
     MultiIndex,
     _check_dimension,
-    _field,
     canonical_key,
     check_index,
     check_integer,
@@ -26,17 +25,15 @@ from .multiindex import (
     exact,
 )
 
-NEG_INFINITY = float("-inf")
-
 
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients.
 
     The dimension d must be a positive int, not a bool, as everywhere else
     in the library (InvalidDimensionError otherwise).  An exponent vector
-    goes through multiindex.check_multi_index.  A coefficient, a scalar or
-    a point entry goes through multiindex.exact, and one that is not exact
-    raises TypeError.
+    goes through multiindex.check_multi_index.  A coefficient or a scalar
+    goes through multiindex.exact, and one that is not exact raises
+    TypeError.
     """
 
     __slots__ = ("d", "terms")
@@ -60,10 +57,6 @@ class Polynomial:
 
     # ---------------------------------------------------------------- factory
     @classmethod
-    def zero(cls, d: int) -> "Polynomial":
-        return cls(d)
-
-    @classmethod
     def one(cls, d: int) -> "Polynomial":
         _check_dimension(d)
         return cls(d, {(0,) * d: 1})
@@ -85,15 +78,6 @@ class Polynomial:
     # ------------------------------------------------------------- structure
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self):
-        """Total degree; the zero polynomial reports -inf."""
-        if not self.terms:
-            return NEG_INFINITY
-        return max(index_degree(beta) for beta in self.terms)
-
-    def coefficient(self, beta: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(beta), Fraction(0))
 
     def degree_slice(self, n: int) -> Dict[MultiIndex, Fraction]:
         """The terms of total degree exactly n."""
@@ -138,25 +122,9 @@ class Polynomial:
             return Polynomial(self.d, out)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def scale(self, scalar) -> "Polynomial":
         c = exact(scalar, "scalar", error=TypeError)
         return Polynomial(self.d, {b: c * v for b, v in self.terms.items()})
-
-    def evaluate(self, x: Sequence) -> Fraction:
-        """Exact value at a rational point of length d."""
-        if len(x) != self.d:
-            raise DimensionMismatchError(f"point of length {len(x)} for d={self.d}")
-        point = [exact(v, "point entry", error=TypeError) for v in x]
-        total = Fraction(0)
-        for beta, c in self.terms.items():
-            term = c
-            for base, exp in zip(point, beta):
-                term *= base**exp
-            total += term
-        return total
 
     # ------------------------------------------------------------- equality
     def __eq__(self, other) -> bool:
@@ -193,28 +161,6 @@ class Polynomial:
                 {"beta": list(beta), "c": str(c)} for beta, c in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Polynomial":
-        """The polynomial of a to_json_dict document.  A missing field, a
-        terms or beta that is no list, or a term that is no object raises
-        UnsupportedParameterError naming the field; the values then go
-        through the constructor's gates."""
-        d = _field(doc, "d", "polynomial")
-        terms = {
-            tuple(_field(entry, "beta", "polynomial term", list)): _field(entry, "c", "polynomial term")
-            for entry in _field(doc, "terms", "polynomial", list)
-        }
-        return cls(d, terms)
-
-
-def monomials_of_degree(d: int, n: int) -> list[MultiIndex]:
-    """Exponent vectors of total degree exactly n, canonical order.
-
-    A new list of enumerate_classes' memoized classes, so the caller may
-    change it.
-    """
-    return list(enumerate_classes(d, n).classes)
 
 
 def monomial_basis(d: int, n: int) -> list[MultiIndex]:

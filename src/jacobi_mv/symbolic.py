@@ -147,9 +147,6 @@ class GammaProduct:
     def __truediv__(self, other) -> "GammaProduct":
         return self._combine(other, -1)
 
-    def __rtruediv__(self, other) -> "GammaProduct":
-        return GammaProduct.from_rational(other) / self
-
     def __pow__(self, exponent: int) -> "GammaProduct":
         # a bool is an int to isinstance but no exponent
         if not isinstance(exponent, int) or isinstance(exponent, bool):
@@ -196,14 +193,6 @@ class GammaProduct:
     def __hash__(self):
         return hash((self.rational, self.two_pow, self.pi_pow, self.gammas))
 
-    def __float__(self) -> float:
-        out = float(self.rational)
-        out *= 2.0 ** float(self.two_pow)
-        out *= math.pi ** float(self.pi_pow)
-        for arg, mult in self.gammas:
-            out *= math.gamma(float(arg)) ** mult
-        return out
-
     # ---------------------------------------------------------- serialization
     def compact_str(self) -> str:
         """Short human form, e.g. "pi^(1)" or "1/2*2^(1/2)*gamma(1/4)^2"."""
@@ -230,15 +219,6 @@ class GammaProduct:
             "pi_pow": str(self.pi_pow),
             "gamma": [[str(arg), mult] for arg, mult in self.gammas],
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "GammaProduct":
-        return cls(
-            rational=doc["rational"],
-            two_pow=doc.get("two_pow", 0),
-            pi_pow=doc.get("pi_pow", 0),
-            gammas=dict(doc.get("gamma", [])),
-        )
 
 
 ONE = GammaProduct.from_rational(1)

@@ -785,15 +785,16 @@ def _entries(d, max_degree, *pairs):
 @pytest.mark.parametrize(
     "doc, message",
     [
+        # the table's entries go through the one multi-index gate, their
+        # entry types too
         (
             _entries(1, 2, ([0], "1"), ([True], "1")),
-            "UnsupportedParameterError: moment entry 'beta' index must be an integer, got True",
+            "InvalidIndexError: multi-index entry must be an integer, got True",
         ),
         (
             _entries(1, 2, ([1.0], "1")),
-            "UnsupportedParameterError: moment entry 'beta' index must be an integer, got 1.0",
+            "InvalidIndexError: multi-index entry must be an integer, got 1.0",
         ),
-        # the table's entries go through the one multi-index gate
         (
             _entries(2, 2, ([0, 0], "1"), ([1, -1], "1")),
             "InvalidIndexError: negative entry in multi-index (1, -1)",
@@ -819,19 +820,19 @@ def _entries(d, max_degree, *pairs):
             _entries(1, 2, ([0], "1"), ([2], "3/x")),
             "UnsupportedParameterError: bad moment[(2,)]: '3/x'",
         ),
-        # the order: every index is typed and checked for a repeat before
-        # any entry is checked further, then the header, then entry by entry
+        # the order: the header first, then entry by entry, each index
+        # through the gate, then for a repeat and its degree, then its value
         (
             _entries(1, 2, ([0], "x"), ([2], "1"), ([2], "1")),
-            "UnsupportedParameterError: moment table lists beta [2] twice",
+            "UnsupportedParameterError: bad moment[(0,)]: 'x'",
         ),
         (
             _entries(1, 2, ([-1], "1"), (["1"], "1")),
-            "UnsupportedParameterError: moment entry 'beta' index must be an integer, got '1'",
+            "InvalidIndexError: negative entry in multi-index (-1,)",
         ),
         (
             _entries(1, -1, ([0.5], "1")),
-            "UnsupportedParameterError: moment entry 'beta' index must be an integer, got 0.5",
+            "UnsupportedParameterError: max_degree must be >= 0, got -1",
         ),
         (
             _entries(1, -1, ([0], "x")),

@@ -23,7 +23,7 @@ from jacobi_mv.closed_forms import (
 from jacobi_mv.errors import DimensionMismatchError, InvalidIndexError
 from jacobi_mv.jacobi_sequences import compute_from_functional, reconstruct_moments
 from jacobi_mv.moments import atomic_functional, gaussian_functional, table_functional
-from jacobi_mv.multiindex import enumerate_classes, occupation
+from jacobi_mv.multiindex import enumerate_classes
 from jacobi_mv.polyring import Polynomial
 
 # every refusal at d = 2: (multi-index, error type, text)
@@ -93,20 +93,17 @@ def test_a_list_reads_as_its_tuple(name, call):
 
 
 def test_the_small_index_validators_refuse_through_the_gates():
-    # before, variable(2, True) was x1 and occupation(2, [True]) was
-    # (1, 0); variable(2, 1.0) raised a bare TypeError, and ClassBasis.index
-    # a bare ValueError for a class of another weight
+    # before, variable(2, True) was x1; variable(2, 1.0) raised a bare
+    # TypeError, and ClassBasis.index a bare ValueError for a class of
+    # another weight
     for call, text in (
         (lambda: Polynomial.variable(2, True), "variable index must be an integer, got True"),
         (lambda: Polynomial.variable(2, 1.0), "variable index must be an integer, got 1.0"),
         (lambda: Polynomial.variable(2, 3), "variable index 3 outside 1..2"),
-        (lambda: occupation(2, [True]), "index must be an integer, got True"),
-        (lambda: occupation(2, [3]), "index 3 outside 1..2"),
         (lambda: enumerate_classes(2, 2).index((1, 0)), "class (1, 0) is not of weight 2"),
     ):
         with pytest.raises(InvalidIndexError) as info:
             call()
         assert str(info.value) == text
     assert Polynomial.variable(2, 2) == Polynomial.monomial(2, (0, 1))
-    assert occupation(2, [2, 1, 2]) == (1, 2)
     assert enumerate_classes(2, 2).index([1, 1]) == 1

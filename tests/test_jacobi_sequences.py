@@ -35,7 +35,7 @@ from jacobi_mv.moments import (
     gaussian_functional,
     table_functional,
 )
-from jacobi_mv.multiindex import enumerate_classes, shift
+from jacobi_mv.multiindex import enumerate_classes
 from jacobi_mv.orthodecomp import decompose
 from jacobi_mv.polyring import monomial_basis
 
@@ -76,7 +76,11 @@ def test_alpha_on_every_level_is_the_solution_of_the_chain_system(dec):
     # Both rest on the monic level bases, so every column must end in its
     # leading 1
     levels = range(dec.max_degree + 1)
-    assert all(col[-1] == 1 for n in levels for col in dec.level_columns(n))
+    assert all(
+        form.terms[-1] == (dec.starts[n] + k, form.denominator)
+        for n in levels
+        for k, form in enumerate(dec.level_forms(n))
+    )
     ops = build(dec)
     seq = compute(ops, dec.max_degree)
     for lv in dec.levels:
@@ -136,7 +140,8 @@ def test_rank_deficient_alpha_is_the_free_variables_zero_solution():
     seq = compute(ops, 2)
     for n in (1, 2):
         g = seq.omega_matrix(n)
-        assert _linalg._eliminate(_linalg._primitive_rows(g), len(g)) == [len(g) - 1]
+        rows = [_linalg._primitive(nums) for nums, _ in _linalg.integer_rows(g)]
+        assert _linalg._eliminate(rows, len(g)) == [len(g) - 1]
         for j in (1, 2):
             z = ops.zero_matrix(j, n)
             reference = _linalg.solve_consistent(g, _linalg.mat_mul(g, z))
@@ -482,7 +487,8 @@ def test_ladder_adjoints_are_the_per_coordinate_solutions(case):
         step = tuple(int(i == j - 1) for i in range(seq.d))
         for n in range(top):
             nxt = seq.classes(n + 1)
-            assert plus[(j, n)] == [nxt.index(shift(c, step)) for c in seq.classes(n).classes]
+            shifted = [tuple(b + s for b, s in zip(c, step)) for c in seq.classes(n).classes]
+            assert plus[(j, n)] == [nxt.index(c) for c in shifted]
         for n in range(1, top + 1):
             rows = [seq.omega_matrix(n)[i] for i in plus[(j, n - 1)]]
             assert minus[(j, n)] == _linalg.solve_consistent(seq.omega_matrix(n - 1), rows)

@@ -16,7 +16,7 @@ def _m(rows):
 def _eliminated(a):
     """_eliminate on a's primitive integer rows: its rows as Fractions, each
     pivot row scaled to 1 at its pivot, and the pivot columns."""
-    m = _linalg._primitive_rows(a)
+    m = [_linalg._primitive(nums) for nums, _ in _linalg.integer_rows(a)]
     pivots = _linalg._eliminate(m, len(m[0]) if m else 0)
     scales = [row[c] for row, c in zip(m, pivots)] + [1] * (len(m) - len(pivots))
     return [[Fraction(x, s) for x in row] for row, s in zip(m, scales)], pivots

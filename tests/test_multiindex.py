@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import jacobi_mv
-from jacobi_mv.errors import InvalidDimensionError, InvalidIndexError, OutOfLatticeError
+from jacobi_mv.errors import InvalidDimensionError, InvalidIndexError
 from jacobi_mv import multiindex
 from jacobi_mv.multiindex import (
     MEMO_ENTRIES,
@@ -23,11 +23,9 @@ from jacobi_mv.multiindex import (
     degree,
     enumerate_classes,
     factorial_of,
-    occupation,
     representative_tuple,
-    shift,
 )
-from jacobi_mv.polyring import monomial_basis, monomials_of_degree
+from jacobi_mv.polyring import monomial_basis
 
 
 def test_degree_and_factorial():
@@ -37,36 +35,12 @@ def test_degree_and_factorial():
     assert factorial_of((0, 0)) == 1
 
 
-def test_shift_roundtrip_and_boundary():
-    assert shift((1, 2), (1, -1)) == (2, 1)
-    with pytest.raises(OutOfLatticeError):
-        shift((0, 0), (-1, 0))
-    with pytest.raises(OutOfLatticeError):
-        shift((1,), (1, 1))
-
-
-def test_occupation_of_tuple():
-    assert occupation(3, (1, 3, 1)) == (2, 0, 1)
-    assert occupation(2, ()) == (0, 0)
-    with pytest.raises(InvalidIndexError):
-        occupation(2, (3,))
-    with pytest.raises(InvalidDimensionError, match=r"^dimension must be a positive integer, got 0$"):
-        occupation(0, ())
-    # before, a bool passed as a dimension: enumerate_classes(True, 2) was ((2,),)
-    for call in (
-        lambda: enumerate_classes(True, 2),
-        lambda: enumerate_classes(2.0, 1),
-        lambda: occupation(True, ()),
-    ):
-        with pytest.raises(InvalidDimensionError, match="^dimension must be an integer, got"):
-            call()
-
-
 def test_representative_is_weakly_increasing_and_inverts_occupation():
     rep = representative_tuple((2, 0, 1))
     assert rep == (1, 1, 3)
     assert list(rep) == sorted(rep)
-    assert occupation(3, rep) == (2, 0, 1)
+    # the occupation vector counts each letter of the tuple
+    assert tuple(rep.count(letter) for letter in (1, 2, 3)) == (2, 0, 1)
 
 
 def test_canonical_order_d2_n2():
@@ -95,13 +69,6 @@ def test_enumeration_sorted_unique_and_full(d, n):
     assert keys == sorted(keys)
     assert len(set(basis.classes)) == len(basis.classes)
     assert all(sum(c) == n and len(c) == d for c in basis.classes)
-
-
-@given(st.lists(st.integers(1, 3), max_size=6))
-def test_occupation_invariant_under_reordering(letters):
-    direct = occupation(3, letters)
-    assert occupation(3, sorted(letters)) == direct
-    assert degree(direct) == len(letters)
 
 
 def test_check_index_refuses_non_integers_and_keeps_range_messages():
@@ -190,12 +157,12 @@ def test_a_fractional_degree_is_refused_not_enumerated_forever():
     # before, enumerate_classes(2, 2.5) never returned: _compositions waited
     # for its last slot to reach 2.5; a fresh process with a timeout and a
     # memory cap keeps a regression from stalling the suite
-    for call in ("enumerate_classes(2, 2.5)", "monomials_of_degree(2, 2.5)"):
+    for call in ("enumerate_classes(2, 2.5)", "monomial_basis(2, 2.5)"):
         done = subprocess.run(
             [sys.executable, "-c",
              "from jacobi_mv.errors import InvalidIndexError\n"
              "from jacobi_mv.multiindex import enumerate_classes\n"
-             "from jacobi_mv.polyring import monomials_of_degree\n"
+             "from jacobi_mv.polyring import monomial_basis\n"
              "try:\n"
              f"    {call}\n"
              "except InvalidIndexError as exc:\n"
@@ -207,11 +174,10 @@ def test_a_fractional_degree_is_refused_not_enumerated_forever():
 
 
 def test_bool_and_float_degrees_are_refused():
-    # before, monomials_of_degree(2, True) was [(True, 0), (0, 1)] and
+    # before, a bool degree was enumerated as the int it is to Python and
     # class_count(2, True) was 2; a float degree raised a bare TypeError
     for call in (
         lambda: enumerate_classes(2, True),
-        lambda: monomials_of_degree(2, True),
         lambda: monomial_basis(2, True),
         lambda: class_count(2, True),
         lambda: enumerate_classes(2, 1.0),
@@ -222,8 +188,13 @@ def test_bool_and_float_degrees_are_refused():
         with pytest.raises(InvalidIndexError, match="^degree must be an integer, got"):
             call()
     # the dimension is still checked first, and a refused degree leaves the
-    # classes of degree 1 as they are
+    # classes of degree 1 as they are; before, a bool passed as a dimension:
+    # enumerate_classes(True, 2) was ((2,),)
     with pytest.raises(InvalidDimensionError):
         monomial_basis(True, 1.0)
+    for call in (lambda: enumerate_classes(True, 2), lambda: enumerate_classes(2.0, 1)):
+        with pytest.raises(InvalidDimensionError, match="^dimension must be an integer, got"):
+            call()
+    with pytest.raises(InvalidDimensionError, match=r"^dimension must be a positive integer, got 0$"):
+        enumerate_classes(0, 1)
     assert enumerate_classes(2, 1).classes == ((1, 0), (0, 1))
-    assert monomials_of_degree(2, 1) == [(1, 0), (0, 1)]

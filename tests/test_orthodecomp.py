@@ -4,6 +4,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,9 +37,9 @@ from jacobi_mv.moments import (
     gaussian_functional,
     table_functional,
 )
-from jacobi_mv.multiindex import shift
+from jacobi_mv.multiindex import enumerate_classes
 from jacobi_mv.orthodecomp import IntegerColumn, MomentMatrix, decompose, odd_bits, pack
-from jacobi_mv.polyring import Polynomial, monomial_basis, monomials_of_degree
+from jacobi_mv.polyring import Polynomial, monomial_basis
 
 from polynomial_oracle import vector
 
@@ -134,15 +135,6 @@ def test_coordinates_reconstruct_and_components_sum():
             assert not any(any(c) for m, c in enumerate(dec.split(part)) if m != n)
 
 
-def test_level_columns_are_new_lists():
-    # before, level_columns handed out the stored columns, so writing into
-    # one changed every later split
-    dec = decompose(gaussian_functional(1), 2)
-    dec.level_columns(2)[0][0] = 99
-    assert dec.level_columns(2) == [[Fraction(-1, 2), 0, 1]]
-    assert dec.split([0, 0, 1]) == [[Fraction(1, 2)], [0], [1]]
-
-
 def test_projection_idempotent_and_orthogonal():
     f = gaussian_functional(2)
     dec = decompose(f, 3)
@@ -173,7 +165,7 @@ def test_degree_overflow_raises():
 def test_level_accessors_refuse_non_integer_levels():
     # before, level(1.0) raised a bare TypeError from list indexing
     dec = decompose(gaussian_functional(1), 2)
-    for call in (dec.level, dec.level_columns):
+    for call in (dec.level, dec.level_forms):
         with pytest.raises(InvalidIndexError, match="level must be an integer"):
             call(1.0)
     with pytest.raises(InvalidIndexError, match=r"^level 3 outside computed range 0\.\.2$"):
@@ -191,12 +183,12 @@ def test_decompose_refuses_a_non_integer_degree():
 
 
 def test_level_columns_and_split_check_their_arguments():
-    # before, level_columns(-1) returned [] and split([1, 2]) returned
+    # before, a level accessor at -1 returned [] and split([1, 2]) returned
     # [[1], [2], []]; the other two raised a bare IndexError
     dec = decompose(gaussian_functional(1), 2)
     for n in (-1, 3, 5):
         with pytest.raises(InvalidIndexError):
-            dec.level_columns(n)
+            dec.level_forms(n)
     for vector in ([1, 2], [1, 2, 3, 4]):
         with pytest.raises(DimensionMismatchError):
             dec.split(vector)
@@ -311,7 +303,7 @@ def _reference_decompose(phi, max_degree):
     levels = []  # (gram, polynomials) per degree
     for n in range(max_degree + 1):
         polys = []
-        for beta in monomials_of_degree(d, n):
+        for beta in enumerate_classes(d, n).classes:
             mono = Polynomial.monomial(d, beta)
             b = mono
             for m, (gram, lower) in enumerate(levels):
@@ -357,10 +349,8 @@ def test_decompose_matches_per_monomial_reference(case):
             decompose(phi, max_degree)
         assert str(info.value).startswith(expected)
     else:
-        basis = monomial_basis(phi.d, max_degree)
-        columns = [[p.terms.get(a, 0) for a in basis[: k + 1]] for k, p in enumerate(expected)]
         dec = decompose(phi, max_degree)
-        assert [col for n in range(max_degree + 1) for col in dec.level_columns(n)] == columns
+        assert [p for n in range(max_degree + 1) for p in dec.polynomials(n)] == expected
 
 
 class _Recording(MomentFunctional):
@@ -480,7 +470,7 @@ def test_moment_matrix_shifts_by_codes():
     for a in range(index.starts[2], index.starts[3]):
         for j, unit in enumerate(index.units):
             e_j = tuple(int(i == j) for i in range(2))
-            shifts[shift(moments.basis[a], e_j)] = index.codes[a] + unit
+            shifts[tuple(map(add, moments.basis[a], e_j))] = index.codes[a] + unit
     assert sorted(shifts) == sorted(monomial_basis(2, 3))
     for beta, code in shifts.items():
         for a, alpha in enumerate(moments.basis):
@@ -651,7 +641,7 @@ def test_pair_ratio_with_the_parity_skip_is_the_full_sum(phi, n):
     shifts = [(index.codes[b], moments.parity(b), beta) for b, beta in enumerate(index.basis)]
     for a in range(index.starts[n], index.starts[n + 1]):
         for j in range(phi.d):
-            beta = shift(index.basis[a], tuple(int(i == j) for i in range(phi.d)))
+            beta = tuple(b + (i == j) for i, b in enumerate(index.basis[a]))
             parity = (index.parities[a] ^ 1 << j) & mask if mask else None
             shifts.append((index.codes[a] + index.units[j], parity, beta))
     skipped = 0
@@ -664,7 +654,7 @@ def test_pair_ratio_with_the_parity_skip_is_the_full_sum(phi, n):
             assert code == pack(beta, moments.radix)
             assert parity == (odd_bits(beta) & mask if mask else None)
             full = sum(
-                (Fraction(c, form.denominator) * phi.moment(shift(moments.basis[a], beta))
+                (Fraction(c, form.denominator) * phi.moment(tuple(map(add, moments.basis[a], beta)))
                  for a, c in form.terms),
                 ZERO,
             )
