@@ -41,7 +41,12 @@ coordinate on a level-0 functional.  A top pairing across reflection
 parity is not visited: its moment row and G_N both vanish between the
 two parities.  Nor is one with a null vector of level N when the
 functional is positive (MomentFunctional.positive): phi(x_j b_i b_k) is
-then 0 by Cauchy-Schwarz.
+then 0 by Cauchy-Schwarz.  Nor is one off the diagonal for a product
+weight (MomentFunctional.product): b_i = prod_l p_(i_l)(x_l), so by
+Fubini phi(x_j b_i b_k) is phi_j(x_j p_(i_j) p_(k_j)) times the
+phi_l(p_(i_l) p_(k_l)) for l != j, which one-variable orthogonality makes
+0 unless i_l = k_l; equal degree then gives i_j = k_j.  On the jacobi
+weight at d = 3, N = 5 the top pairings take 63 moment rows, not 343.
 
 Matrices are written in the level bases of the decomposition, columns
 indexed by the source level; coordinates j are 1-based.
@@ -149,7 +154,8 @@ def _top_pairings(
     pair is not visited.  For a positive functional, a pair in which b_i or
     b_k is null (its G_N diagonal is 0) is 0, since phi(x_j b_i b_k)^2 is at
     most phi(b_i^2) phi((x_j b_k)^2) and phi((x_j b_i)^2) phi(b_k^2): such
-    a pair is not visited either.
+    a pair is not visited either.  For a product weight only i = k is paired,
+    since phi(x_j b_i b_k) vanishes off the diagonal.
     """
     moments = decomposition.moments
     index = moments.index
@@ -170,7 +176,7 @@ def _top_pairings(
         gamma = None
         # b_k's numerators at level N-1, with the level-N position of alpha+e_j
         shifted = [(up[a] - start, c) for a, c in form.terms if a in below]
-        for i in live[: p + 1]:
+        for i in (k,) if moments.product else live[: p + 1]:
             if forms[i].parity != parity:
                 continue
             value = rows.get((i, shift))

@@ -27,7 +27,14 @@ atom set or table, even a symmetric one, or for a subclass that overrides
 moment without stating a mask of its own.  orthodecomp skips the pairings
 that the mask shows to be zero.  positive() says that phi(p^2) >= 0 holds
 by construction, which is true of an atom set alone; then orthodecomp and
-cap_operators skip every pairing with a null basis vector.
+cap_operators skip every pairing with a null basis vector.  product() says
+that phi is phi_1 x ... x phi_d with each factor positive definite, which
+is true of the three classical weights alone.  Their monic orthogonal
+polynomials are then b_i = prod_j p_(i_j)(x_j), and by Fubini and
+one-variable orthogonality <b_i, x^gamma> = prod_j phi_j(p_(i_j) x^gamma_j)
+is 0 unless i <= gamma in every coordinate; orthodecomp and cap_operators
+pair only the dominated pairs, 462 and 63 pairings instead of 1,596 and
+343 on the jacobi weight at d = 3, N = 5.
 
 Every number a caller supplies (a parameter, an atom coordinate or
 weight, a table value) becomes a Fraction through multiindex.exact, and
@@ -75,11 +82,11 @@ class MomentFunctional:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # new moments say nothing of their symmetry or positivity, so an
-        # inherited declaration would be taken on trust for moments it was
-        # never stated for
+        # new moments say nothing of their symmetry, positivity or factors,
+        # so an inherited declaration would be taken on trust for moments it
+        # was never stated for
         if "moment" in vars(cls):
-            for name in ("reflection_mask", "positive"):
+            for name in ("reflection_mask", "positive", "product"):
                 if name not in vars(cls):
                     setattr(cls, name, getattr(MomentFunctional, name))
 
@@ -113,6 +120,25 @@ class MomentFunctional:
         reflection_mask, a subclass that defines moment but not positive
         gets False (__init_subclass__), and one that defines positive
         itself is trusted."""
+        return False
+
+    def product(self) -> bool:
+        """Whether the functional is a product phi_1 x ... x phi_d of
+        positive definite one-variable functionals, known from its
+        definition: True for the gaussian, gamma and beta weights, whose
+        parameter gates make each factor positive definite.
+
+        Then b_i = prod_j p_(i_j)(x_j) for the monic orthogonal p_k of the
+        factors, and by Fubini <b_i, x^gamma> = prod_j phi_j(p_(i_j) x^gamma_j),
+        which by one-variable orthogonality is 0 unless i <= gamma in every
+        coordinate.  So orthodecomp pairs a lower column only with the
+        monomials that dominate it and a level Gram only on its diagonal,
+        and cap_operators pairs the top preservation only on its diagonal:
+        on the jacobi weight at d = 3, N = 5 that is 462 pairings in
+        decompose and 63 in build instead of 1,596 and 343.  Like
+        reflection_mask, a subclass that defines moment but not product
+        gets False (__init_subclass__), and one that defines product itself
+        is trusted."""
         return False
 
     def _check_beta(self, beta: MultiIndex) -> MultiIndex:
@@ -238,6 +264,9 @@ class ProductFunctional(MomentFunctional):
     def __init__(self, sequences: Sequence[_Sequence1D]):
         super().__init__(len(sequences))
         self._sequences = list(sequences)
+
+    def product(self) -> bool:
+        return True
 
     def moment(self, beta: MultiIndex) -> Fraction:
         self._check_beta(beta)

@@ -73,9 +73,18 @@ Structural zeros cost nothing:
   other parity on the mask is 0: decompose and build's top pairings test
   the parity inline and never visit such a pair, and pair_code answers
   (0, 1) for one without reading a moment.
-* Diagonal Grams.  The level Grams of a product weight are diagonal, so
-  the projections, build's top-level solves and the PSD certificates
-  take _linalg's diagonal path instead of an elimination.
+* Diagonal Grams.  A product weight says so (MomentFunctional.product:
+  the gaussian, gamma and beta weights, never an atom set or a table).
+  Its basis is b_i = prod_j p_(i_j)(x_j), so by Fubini <b_i, x^beta> is
+  prod_j phi_j(p_(i_j) x^(beta_j)), which one-variable orthogonality makes
+  0 unless i <= beta in every coordinate.  So decompose pairs x^beta only
+  with the lower columns it dominates, read off the GradedIndex by
+  position (of beta's parity on the mask), and each level Gram only on its
+  diagonal, since i <= k with |i| = |k| forces i = k: on the jacobi
+  weight at d = 3, N = 5 that is 462 pairings instead of 1,596.  The
+  level Grams are diagonal, so the projections, build's top-level solves
+  and the PSD certificates take _linalg's diagonal path instead of an
+  elimination.
 * Null directions.  A functional that is positive by construction says
   so (MomentFunctional.positive: an atom set, never a table).  A
   polynomial b with phi(b^2) = 0 then pairs to 0 with every polynomial p,
@@ -104,7 +113,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 from math import gcd, lcm
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -309,6 +318,7 @@ class MomentMatrix:
         self.codes, self.code_position = index.codes, index.code_position
         self.mask = functional.reflection_mask()
         self.positive = functional.positive()
+        self.product = functional.product()
         self._moments: Dict[int, Tuple[int, int]] = {}
 
     def parity(self, a: int) -> Optional[int]:
@@ -481,7 +491,10 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
     Gram (ldlt_psd's PSDReport.pivots) and solve on the Gram restricted to
     them, on rows sliced from the level's integer rows; for any other
     functional every column is offered.  Either way the columns are those
-    of the full solve with its free variables at 0.
+    of the full solve with its free variables at 0.  For a product weight
+    (MomentFunctional.product) x^beta is paired only with the lower
+    columns b_i with i <= beta, and each level Gram only on its diagonal;
+    every other pairing is 0.
     """
     check_degree(max_degree, "max_degree")
     moments = MomentMatrix(functional, max_degree)
@@ -499,13 +512,26 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
         parities = [moments.parity(a) for a in positions]
         # rhs[k][t][i] = <b_i, x^beta_k> for the i-th column offered by the
         # t-th lower level in offered, as an integer ratio
-        rhs = [
-            [
-                [pair(f, code, parity, beta) if f.parity == parity else (0, 1) for f in lower]
-                for _, _, lower in offered
+        if moments.product:
+            # <b_i, x^beta> = 0 unless i <= beta (MomentFunctional.product),
+            # and every lower level is offered whole: pair only the columns
+            # that x^beta dominates, of its parity on the mask
+            rhs = [[[(0, 1)] * len(lower) for _, _, lower in offered] for _ in monos]
+            steps = [1 + (moments.mask >> j & 1) for j in range(functional.d)]
+            for r, code, parity, beta in zip(rhs, codes, parities, monos):
+                for alpha in product(*(range(b % s, b + 1, s) for b, s in zip(beta, steps))):
+                    m = sum(alpha)
+                    if m < n:
+                        i = index.position[alpha] - index.starts[m]
+                        r[m][i] = pair(offered[m][2][i], code, parity, beta)
+        else:
+            rhs = [
+                [
+                    [pair(f, code, parity, beta) if f.parity == parity else (0, 1) for f in lower]
+                    for _, _, lower in offered
+                ]
+                for code, parity, beta in zip(codes, parities, monos)
             ]
-            for code, parity, beta in zip(codes, parities, monos)
-        ]
         # each column x^beta as numerators over denominators, less its projections
         block = [([0] * a + [1], [1] * (a + 1)) for a in positions]
         for t, (_, g, lower) in enumerate(offered):
@@ -547,6 +573,9 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
                         gram[i][i] = Fraction(num, den)
             live = [i for i in range(size) if gram[i][i]]
             pairs = [(i, live[p + 1 :]) for p, i in enumerate(live)]
+        elif moments.product:
+            # i <= k with |i| = |k| forces i = k: only the diagonal is paired
+            pairs = [(i, (i,)) for i in range(size)]
         else:
             pairs = [(i, range(i, size)) for i in range(size)]
         for i, ks in pairs:

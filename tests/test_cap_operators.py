@@ -414,16 +414,43 @@ def test_top_pairings_match_the_polynomial_oracle(functional, top):
         assert pairings == _linalg.transpose(pairings)
 
 
+def _jacobi_d3_table():
+    # the big job's moments to degree 2N+1 = 11 as a table, which declares
+    # no product
+    phi = _jacobi_d3()
+    return table_functional(3, 11, {b: phi.moment(b) for b in monomial_basis(3, 11)})
+
+
+def _top_rows(dec):
+    """The moment rows every coordinate's top pairings pair, keyed (i, code)."""
+    gram = _linalg.integer_rows(dec.level(dec.max_degree).gram)
+    rows = {}
+    pairings = [_top_pairings(dec, j, rows, gram) for j in range(1, dec.d + 1)]
+    return rows, pairings
+
+
 def test_top_pairings_pair_the_upper_triangle_once():
     # one moment row value per (i, gamma) with i <= k, shared by the
-    # coordinates: 343 at d = 3, N = 5, where the full rows took 28 * 21
-    dec = decompose(_jacobi_d3(), 5)
-    gram = _linalg.integer_rows(dec.level(5).gram)
-    rows = {}
-    for j in range(1, 4):
-        _top_pairings(dec, j, rows, gram)
+    # coordinates: 343 at d = 3, N = 5, where the full rows took 28 * 21.
+    # The big job's moments as a table pair the whole upper triangle
+    dec = decompose(_jacobi_d3_table(), 5)
+    rows, _ = _top_rows(dec)
     assert len(dec.level(5)) == 21 and len(enumerate_classes(3, 6).classes) == 28
     assert len(rows) == 343
+
+
+def test_a_product_weight_pairs_only_the_top_diagonal():
+    # phi(x_j b_i b_k) factors over the coordinates: those other than j force
+    # i_l = k_l, and equal degree then i_j = k_j, so the jacobi weight pairs
+    # the diagonal alone, 21 rows per coordinate, and its table pairs the
+    # whole upper triangle to the same values
+    phi, table = _jacobi_d3(), _jacobi_d3_table()
+    assert phi.product() and not table.product()
+    rows, pairings = _top_rows(decompose(phi, 5))
+    assert len(rows) == 63 and sorted({i for i, _ in rows}) == list(range(21))
+    _, full = _top_rows(decompose(table, 5))
+    assert [_fractions(p) for p in pairings] == [_fractions(p) for p in full]
+    assert all(_linalg.is_diagonal(_fractions(p)) for p in full)
 
 
 def test_top_pairings_need_degree_2n_plus_1():

@@ -7,7 +7,7 @@ from math import comb
 from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jacobi_mv import _linalg
 from jacobi_mv._linalg import ZERO
@@ -28,6 +28,7 @@ from jacobi_mv.jacobi_sequences import (
 from jacobi_mv.moments import (
     AtomicFunctional,
     BetaFunctional,
+    GammaFunctional,
     GaussianFunctional,
     MomentFunctional,
     TableFunctional,
@@ -890,3 +891,117 @@ def test_no_pairing_of_an_atom_set_reads_a_null_column_beyond_its_diagonal(monke
     # the table of the same moments is not positive: it pairs them all
     table_calls, table_off, _ = _null_pairings(_table_twin(phi, 9), 4, monkeypatch)
     assert table_off and len(calls) < len(table_calls)
+
+
+# ------------------------------------------------------------ product weights
+
+
+def _pair_counts(phi, top, monkeypatch):
+    """The pair_code calls of decompose and of build, on phi to level top."""
+    calls = []
+    pair_code = MomentMatrix.pair_code
+
+    def record(self, *args):
+        calls.append(args)
+        return pair_code(self, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MomentMatrix, "pair_code", record)
+        dec = decompose(phi, top)
+        paired = len(calls)
+        build(dec)
+    return paired, len(calls) - paired
+
+
+def test_decompose_pairs_only_what_a_product_weight_dominates(monkeypatch):
+    # the jacobi weight of the classical benchmark's big job, with a_j != b_j
+    # everywhere: no mask applies.  <b_i, x^beta> vanishes unless i <= beta,
+    # so the pairs (i, beta) with |beta| <= 5 are the pairs of multi-indices
+    # with |i| + |beta - i| <= 5, C(11, 6) = 462, the 56 diagonals among
+    # them; the table of its moments pairs every column in full
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    phi = beta_functional([0, half, -half], [half, 1, third])
+    assert phi.product() and phi.reflection_mask() == 0
+    assert _pair_counts(phi, 5, monkeypatch) == (462, 63)
+    assert _pair_counts(_table_twin(phi, 11), 5, monkeypatch) == (1596, 343)
+
+
+class _GammaMixture(GammaFunctional):
+    """Half the gamma weight with these parameters and half the one with each
+    raised by 1: positive definite, but no product, and x_1 and x_2 are
+    correlated, though it inherits from a product."""
+
+    def __init__(self, alphas):
+        super().__init__(alphas)
+        self._raised = gamma_functional([a + 1 for a in self.alphas])
+
+    def moment(self, beta):
+        return (super().moment(beta) + self._raised.moment(beta)) / 2
+
+
+class _TrustedGammaMixture(_GammaMixture):
+    """States the product itself, so it is trusted, wrongly here."""
+
+    def product(self):
+        return True
+
+
+def test_product_is_declared_by_the_classical_weights_only(monkeypatch):
+    assert [phi.product() for phi in _functionals()] == [True] * 5 + [False]
+    assert not MomentFunctional(2).product()
+    assert not _table_twin(gaussian_functional(2), 2).product()
+    # new moments drop the inherited declaration, as they drop the mask and
+    # positivity: the mixture pairs in full, as its table does, to the same
+    # levels
+    mixture = _GammaMixture([0, Fraction(1, 2)])
+    assert not mixture.product()
+    table = _table_twin(mixture, 7)
+    assert _pair_counts(mixture, 3, monkeypatch) == _pair_counts(table, 3, monkeypatch)
+    assert decompose(mixture, 3).levels == decompose(table, 3).levels
+    # a subclass that declares the product itself is trusted: it pairs only
+    # the diagonal of G_1 and misses the correlation
+    trusted = _TrustedGammaMixture([0, Fraction(1, 2)])
+    assert trusted.product()
+    assert _pair_counts(trusted, 2, monkeypatch) == _pair_counts(gamma_functional([0, 0]), 2, monkeypatch)
+    assert decompose(mixture, 1).level(1).gram[0][1] == Fraction(1, 4)
+    assert decompose(trusted, 1).level(1).gram[0][1] == 0
+
+
+_PARAMETER = st.fractions(min_value=Fraction(-3, 4), max_value=3, max_denominator=4)
+
+
+@st.composite
+def _product_weights(draw):
+    """A gaussian, gamma or beta weight on R^d, d = 1..3, and a level N <= 4;
+    some beta coordinates have a_j = b_j, so that the mask covers them."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("gaussian", "gamma", "beta")))
+    if kind == "gaussian":
+        phi = gaussian_functional(d)
+    elif kind == "gamma":
+        phi = gamma_functional(draw(st.lists(_PARAMETER, min_size=d, max_size=d)))
+    else:
+        a = draw(st.lists(_PARAMETER, min_size=d, max_size=d))
+        phi = beta_functional(a, [x if draw(st.booleans()) else draw(_PARAMETER) for x in a])
+    return phi, draw(st.integers(0, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_product_weights())
+@example((beta_functional(*_MIXED), 4))
+def test_a_product_weight_gives_what_its_moment_table_gives(case):
+    # the weight pairs only the dominated pairs, of one parity on its mask;
+    # the table of its moments to degree 2N+1 declares nothing and sums every
+    # pairing: the columns, the levels and the blocks must be the same
+    phi, top = case
+    table = _table_twin(phi, 2 * top + 1)
+    assert phi.product() and not table.product()
+    dec, ref = decompose(phi, top), decompose(table, top)
+    assert [(f.terms, f.denominator) for f in dec.forms] == [
+        (f.terms, f.denominator) for f in ref.forms
+    ]
+    assert [(lv.gram, lv.rank, lv.null_mask) for lv in dec.levels] == [
+        (lv.gram, lv.rank, lv.null_mask) for lv in ref.levels
+    ]
+    ops, ref_ops = build(dec), build(ref)
+    assert (ops._plus, ops._zero, ops._minus) == (ref_ops._plus, ref_ops._zero, ref_ops._minus)

@@ -163,7 +163,12 @@ def _cli(argv):
 def _ci_tables(work):
     """The moment tables the CI steps generate, written as they write them,
     with their max levels."""
-    from jacobi_mv.moments import atomic_functional, functional_from_json, gaussian_functional
+    from jacobi_mv.moments import (
+        atomic_functional,
+        beta_functional,
+        functional_from_json,
+        gaussian_functional,
+    )
     from jacobi_mv.polyring import monomial_basis
 
     out = []
@@ -176,6 +181,7 @@ def _ci_tables(work):
         out.append((path, level))
 
     table("hermite_d2.json", gaussian_functional(2), 2, 7, 3)
+    table("jacobi_d3.json", beta_functional(["0", "1/2", "-1/2"], ["1/2", "1", "1/3"]), 3, 7, 3)
     phi = atomic_functional(COPLANAR)
     path = os.path.join(work, "coplanar_atoms.json")
     with open(path, "w", encoding="utf-8") as handle:
