@@ -47,7 +47,8 @@ The solves and the certificate built on it:
   decompose's, for a positive functional, on the principal rows of a
   level Gram at its PSD pivots (principal_rows).
   A square A that is zero off its diagonal, as every level Gram of a
-  product weight is, takes no elimination: each entry of X is
+  product weight's moment table is, and every Omega_n of a product weight
+  in the reconstruction ladder, takes no elimination: each entry of X is
   B[i][k] / A[i][i], reduced once, and a zero diagonal entry leaves its
   unknown 0 and its equation consistent only when B's row vanishes.  The
   test (is_diagonal) is C-level any() over each row's two off-diagonal

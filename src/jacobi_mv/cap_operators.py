@@ -41,12 +41,13 @@ coordinate on a level-0 functional.  A top pairing across reflection
 parity is not visited: its moment row and G_N both vanish between the
 two parities.  Nor is one with a null vector of level N when the
 functional is positive (MomentFunctional.positive): phi(x_j b_i b_k) is
-then 0 by Cauchy-Schwarz.  Nor is one off the diagonal for a product
-weight (MomentFunctional.product): b_i = prod_l p_(i_l)(x_l), so by
-Fubini phi(x_j b_i b_k) is phi_j(x_j p_(i_j) p_(k_j)) times the
-phi_l(p_(i_l) p_(k_l)) for l != j, which one-variable orthogonality makes
-0 unless i_l = k_l; equal degree then gives i_j = k_j.  On the jacobi
-weight at d = 3, N = 5 the top pairings take 63 moment rows, not 343.
+then 0 by Cauchy-Schwarz.
+
+A product weight (MomentFunctional.product) takes none of this: its basis
+is b_beta = prod_l p^(l)_(beta_l)(x_l), so factor j's recurrence gives
+x_j b_beta = b_(beta+e_j) + c0_(beta_j) b_beta + g_(beta_j) b_(beta-e_j),
+and every block, the top level's included, is read off
+Decomposition.recurrences with no pairing or solve (_tensor_build).
 
 Matrices are written in the level bases of the decomposition, columns
 indexed by the source level; coordinates j are 1-based.
@@ -59,7 +60,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from ._linalg import ZERO, Matrix
+from ._linalg import ONE, ZERO, Matrix
 from .errors import (
     InsufficientMomentsError,
     InternalConsistencyError,
@@ -154,8 +155,7 @@ def _top_pairings(
     pair is not visited.  For a positive functional, a pair in which b_i or
     b_k is null (its G_N diagonal is 0) is 0, since phi(x_j b_i b_k)^2 is at
     most phi(b_i^2) phi((x_j b_k)^2) and phi((x_j b_i)^2) phi(b_k^2): such
-    a pair is not visited either.  For a product weight only i = k is paired,
-    since phi(x_j b_i b_k) vanishes off the diagonal.
+    a pair is not visited either.
     """
     moments = decomposition.moments
     index = moments.index
@@ -176,7 +176,7 @@ def _top_pairings(
         gamma = None
         # b_k's numerators at level N-1, with the level-N position of alpha+e_j
         shifted = [(up[a] - start, c) for a, c in form.terms if a in below]
-        for i in (k,) if moments.product else live[: p + 1]:
+        for i in live[: p + 1]:
             if forms[i].parity != parity:
                 continue
             value = rows.get((i, shift))
@@ -214,8 +214,11 @@ def build(decomposition: Decomposition) -> CAPSystem:
     decompose formed (decomposition.gram_rows), which the pairings and
     R_j (G_N's rows as ratios) read too.  When a stack is inconsistent, the systems are
     solved one by one (_linalg.first_inconsistent), preservation j then
-    annihilation j for j = 1..d, to name the first that fails.
+    annihilation j for j = 1..d, to name the first that fails.  A product
+    weight's blocks are read off its recurrences instead (_tensor_build).
     """
+    if decomposition.recurrences is not None:
+        return _tensor_build(decomposition)
     moments = decomposition.moments
     d = decomposition.d
     top = decomposition.max_degree
@@ -284,6 +287,34 @@ def build(decomposition: Decomposition) -> CAPSystem:
     for j in range(1, d + 1):
         zero[(j, top)] = zeros.get(j)
         minus[(j, top)] = minuses[j] if top else []
+    return CAPSystem(decomposition, plus, zero, minus)
+
+
+def _tensor_build(decomposition: Decomposition) -> CAPSystem:
+    """build for a product weight, each block read off coordinate j's
+    Recurrence; a-_{j|n} is g at (alpha, alpha + e_j), the creation map's
+    image of each alpha of level n-1.  a0_{j|n} is unset where c0 stops
+    short of n, to raise only if accessed."""
+    index, top = decomposition.moments.index, decomposition.max_degree
+    starts, levels = index.starts, index.levels
+    plus: Dict[Tuple[int, int], Matrix] = {}
+    zero: Dict[Tuple[int, int], Optional[Matrix]] = {}
+    minus: Dict[Tuple[int, int], Matrix] = {}
+    for n, monos in enumerate(levels[: top + 1]):
+        start, size = starts[n], len(monos)
+        for j, (_, _, c0, g) in enumerate(decomposition.recurrences, start=1):
+            up = index.up[j - 1]
+            if n < top:
+                plus[(j, n)] = block = _linalg.zeros(len(levels[n + 1]), size)
+                for k in range(size):
+                    block[up[start + k] - starts[n + 1]][k] = ONE
+            zero[(j, n)] = block = _linalg.zeros(size, size) if n < len(c0) else None
+            for k, beta in enumerate(monos if block else ()):
+                block[k][k] = c0[beta[j - 1]]
+            minus[(j, n)] = block = _linalg.zeros(len(levels[n - 1]), size) if n else []
+            for r, a in enumerate(range(starts[n - 1], start) if n else ()):
+                k = up[a] - start
+                block[r][k] = g[monos[k][j - 1]]
     return CAPSystem(decomposition, plus, zero, minus)
 
 

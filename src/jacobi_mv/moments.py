@@ -30,11 +30,10 @@ by construction, which is true of an atom set alone; then orthodecomp and
 cap_operators skip every pairing with a null basis vector.  product() says
 that phi is phi_1 x ... x phi_d with each factor positive definite, which
 is true of the three classical weights alone.  Their monic orthogonal
-polynomials are then b_i = prod_j p_(i_j)(x_j), and by Fubini and
-one-variable orthogonality <b_i, x^gamma> = prod_j phi_j(p_(i_j) x^gamma_j)
-is 0 unless i <= gamma in every coordinate; orthodecomp and cap_operators
-pair only the dominated pairs, 462 and 63 pairings instead of 1,596 and
-343 on the jacobi weight at d = 3, N = 5.
+basis is then the tensor product b_beta = prod_j p^(j)_(beta_j)(x_j), and
+orthodecomp and cap_operators assemble it and its blocks from each
+factor's three-term recurrence, read off the axis moments phi(x_j^k),
+k <= 2N+1, with no pairing.
 
 Every number a caller supplies (a parameter, an atom coordinate or
 weight, a table value) becomes a Fraction through multiindex.exact, and
@@ -128,17 +127,19 @@ class MomentFunctional:
         definition: True for the gaussian, gamma and beta weights, whose
         parameter gates make each factor positive definite.
 
-        Then b_i = prod_j p_(i_j)(x_j) for the monic orthogonal p_k of the
-        factors, and by Fubini <b_i, x^gamma> = prod_j phi_j(p_(i_j) x^gamma_j),
-        which by one-variable orthogonality is 0 unless i <= gamma in every
-        coordinate.  So orthodecomp pairs a lower column only with the
-        monomials that dominate it and a level Gram only on its diagonal,
-        and cap_operators pairs the top preservation only on its diagonal:
-        on the jacobi weight at d = 3, N = 5 that is 462 pairings in
-        decompose and 63 in build instead of 1,596 and 343.  Like
+        Then b_beta = prod_j p^(j)_(beta_j)(x_j) for the monic orthogonal
+        p^(j)_k of the factors: it is monic, and by Fubini
+        phi(b_beta x^gamma) = prod_j phi_j(p^(j)_(beta_j) x^(gamma_j)) is 0 for
+        every gamma of lower degree.  So orthodecomp reads only the axis
+        moments phi(x_j^k), k <= 2N+1, runs each distinct factor's exact
+        Stieltjes step, and assembles the columns, the diagonal level Grams
+        and, in cap_operators, the blocks from x p_k = p_(k+1) + c0_k p_k +
+        g_k p_(k-1), with no pairing: on the jacobi weight at d = 3, N = 5
+        its table pairs 1,596 times in decompose and 343 in build.  Like
         reflection_mask, a subclass that defines moment but not product
         gets False (__init_subclass__), and one that defines product itself
-        is trusted."""
+        is trusted; axis moments that give a factor h_k <= 0 raise
+        NotAStateError."""
         return False
 
     def _check_beta(self, beta: MultiIndex) -> MultiIndex:

@@ -73,18 +73,17 @@ Structural zeros cost nothing:
   other parity on the mask is 0: decompose and build's top pairings test
   the parity inline and never visit such a pair, and pair_code answers
   (0, 1) for one without reading a moment.
-* Diagonal Grams.  A product weight says so (MomentFunctional.product:
+* Product weights.  A product weight says so (MomentFunctional.product:
   the gaussian, gamma and beta weights, never an atom set or a table).
-  Its basis is b_i = prod_j p_(i_j)(x_j), so by Fubini <b_i, x^beta> is
-  prod_j phi_j(p_(i_j) x^(beta_j)), which one-variable orthogonality makes
-  0 unless i <= beta in every coordinate.  So decompose pairs x^beta only
-  with the lower columns it dominates, read off the GradedIndex by
-  position (of beta's parity on the mask), and each level Gram only on its
-  diagonal, since i <= k with |i| = |k| forces i = k: on the jacobi
-  weight at d = 3, N = 5 that is 462 pairings instead of 1,596.  The
-  level Grams are diagonal, so the projections, build's top-level solves
-  and the PSD certificates take _linalg's diagonal path instead of an
-  elimination.
+  Its monic basis is the tensor product b_beta = prod_j p^(j)_(beta_j)(x_j)
+  of its factors' monic orthogonal polynomials, which by Fubini is
+  orthogonal to every x^gamma of lower degree (some gamma_j < beta_j).  So
+  decompose pairs, projects and certifies nothing: it reads the axis
+  moments phi(x_j^k), k <= 2N+1 (MomentMatrix.axis), runs each distinct
+  factor's exact Stieltjes step (_stieltjes) and assembles the columns and
+  the diagonal Grams from the recurrences (_tensor_decompose), which it
+  keeps for build (Decomposition.recurrences).  closed_forms is never
+  read, so verify_family still checks this against independent formulas.
 * Null directions.  A functional that is positive by construction says
   so (MomentFunctional.positive: an atom set, never a table).  A
   polynomial b with phi(b^2) = 0 then pairs to 0 with every polynomial p,
@@ -113,14 +112,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import add
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import ZERO, Matrix
-from .errors import DimensionMismatchError, NotAStateError
+from .errors import DimensionMismatchError, InsufficientMomentsError, NotAStateError
 from .moments import MomentFunctional
 from .multiindex import (
     MultiIndex,
@@ -318,7 +317,6 @@ class MomentMatrix:
         self.codes, self.code_position = index.codes, index.code_position
         self.mask = functional.reflection_mask()
         self.positive = functional.positive()
-        self.product = functional.product()
         self._moments: Dict[int, Tuple[int, int]] = {}
 
     def parity(self, a: int) -> Optional[int]:
@@ -363,6 +361,16 @@ class MomentMatrix:
                 den = den // g * md
         return num, den * column.denominator
 
+    def axis(self, j: int, k: int) -> Tuple[int, int]:
+        """phi(x_j^k), j from 0 and k <= 2N+1, as an integer ratio: (0, 1)
+        unread when k is odd and coordinate j is in the mask, else fetched
+        once and kept under its code."""
+        if k & 1 and self.mask >> j & 1:
+            return 0, 1
+        shift = k * self.index.units[j]
+        beta = (0,) * j + (k,) + (0,) * (self.functional.d - j - 1)
+        return self._moments.get(shift) or self._fetch(0, shift, beta)
+
     def _fetch(self, a: int, shift: int, beta: MultiIndex) -> Tuple[int, int]:
         """Fetch phi(x^(alpha+beta)) for basis monomial a and keep its ratio."""
         key = tuple(map(add, self.basis[a], beta))
@@ -377,7 +385,10 @@ class Decomposition:
     forms[p] is basis polynomial p (graded order) over the monomial basis,
     as an IntegerColumn: its last term is p, the leading coefficient 1.
     gram_rows[m] is G_m as integer rows (_linalg.integer_rows) for every
-    level m, formed once by decompose for its PSD certificate.
+    level m, formed once by decompose for its PSD certificate (or read off
+    a product weight's diagonal G_m).
+    recurrences[j-1] is the Recurrence of coordinate j's factor for a
+    product weight (MomentFunctional.product), and None otherwise.
     """
 
     def __init__(
@@ -386,12 +397,14 @@ class Decomposition:
         levels: Sequence[Level],
         forms: Sequence[IntegerColumn],
         gram_rows: Sequence[List[Tuple[List[int], int]]],
+        recurrences: Optional[Sequence["Recurrence"]] = None,
     ):
         self.moments = moments
         self.functional = moments.functional
         self.levels = list(levels)
         self.forms = list(forms)
         self.gram_rows = list(gram_rows)
+        self.recurrences = recurrences
         self.d = self.functional.d
         self.max_degree = len(self.levels) - 1
         self.starts = moments.index.starts
@@ -491,13 +504,14 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
     Gram (ldlt_psd's PSDReport.pivots) and solve on the Gram restricted to
     them, on rows sliced from the level's integer rows; for any other
     functional every column is offered.  Either way the columns are those
-    of the full solve with its free variables at 0.  For a product weight
-    (MomentFunctional.product) x^beta is paired only with the lower
-    columns b_i with i <= beta, and each level Gram only on its diagonal;
-    every other pairing is 0.
+    of the full solve with its free variables at 0.  A product weight
+    (MomentFunctional.product) pairs nothing: its decomposition is
+    assembled from its factors' recurrences (_tensor_decompose).
     """
     check_degree(max_degree, "max_degree")
     moments = MomentMatrix(functional, max_degree)
+    if functional.product():
+        return _tensor_decompose(moments)
     index, pair = moments.index, moments.pair_code
     forms: List[List[IntegerColumn]] = []  # basis columns, level by level
     grams: List[List[Tuple[List[int], int]]] = []  # each G_m as integer rows
@@ -512,26 +526,13 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
         parities = [moments.parity(a) for a in positions]
         # rhs[k][t][i] = <b_i, x^beta_k> for the i-th column offered by the
         # t-th lower level in offered, as an integer ratio
-        if moments.product:
-            # <b_i, x^beta> = 0 unless i <= beta (MomentFunctional.product),
-            # and every lower level is offered whole: pair only the columns
-            # that x^beta dominates, of its parity on the mask
-            rhs = [[[(0, 1)] * len(lower) for _, _, lower in offered] for _ in monos]
-            steps = [1 + (moments.mask >> j & 1) for j in range(functional.d)]
-            for r, code, parity, beta in zip(rhs, codes, parities, monos):
-                for alpha in product(*(range(b % s, b + 1, s) for b, s in zip(beta, steps))):
-                    m = sum(alpha)
-                    if m < n:
-                        i = index.position[alpha] - index.starts[m]
-                        r[m][i] = pair(offered[m][2][i], code, parity, beta)
-        else:
-            rhs = [
-                [
-                    [pair(f, code, parity, beta) if f.parity == parity else (0, 1) for f in lower]
-                    for _, _, lower in offered
-                ]
-                for code, parity, beta in zip(codes, parities, monos)
+        rhs = [
+            [
+                [pair(f, code, parity, beta) if f.parity == parity else (0, 1) for f in lower]
+                for _, _, lower in offered
             ]
+            for code, parity, beta in zip(codes, parities, monos)
+        ]
         # each column x^beta as numerators over denominators, less its projections
         block = [([0] * a + [1], [1] * (a + 1)) for a in positions]
         for t, (_, g, lower) in enumerate(offered):
@@ -573,9 +574,6 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
                         gram[i][i] = Fraction(num, den)
             live = [i for i in range(size) if gram[i][i]]
             pairs = [(i, live[p + 1 :]) for p, i in enumerate(live)]
-        elif moments.product:
-            # i <= k with |i| = |k| forces i = k: only the diagonal is paired
-            pairs = [(i, (i,)) for i in range(size)]
         else:
             pairs = [(i, range(i, size)) for i in range(size)]
         for i, ks in pairs:
@@ -607,3 +605,113 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
         if cols and n < max_degree:
             offered.append((n, _linalg.principal_rows(rows, cols), [block_forms[c] for c in cols]))
     return Decomposition(moments, levels, [f for level in forms for f in level], grams)
+
+
+class Recurrence(NamedTuple):
+    """One factor's x p_k = p_(k+1) + c0[k] p_k + g[k] p_(k-1), k <= N.
+
+    polys[k] is the monic p_k as (terms, D), the (i, P_k[i]) of its nonzero
+    coefficients with p_k = sum_i P_k[i] x^i / D; h[k] = phi_j(p_k^2) with
+    phi_j(1) = 1; g[0] = 0; c0 stops at N-1 without the moment of degree 2N+1.
+    """
+
+    polys: Tuple[Tuple[Tuple[Tuple[int, int], ...], int], ...]
+    h: Tuple[Fraction, ...]
+    c0: Tuple[Fraction, ...]
+    g: Tuple[Fraction, ...]
+
+
+def _stieltjes(axis: Sequence[Tuple[int, int]], top: int, j: int) -> Recurrence:
+    """The Recurrence of coordinate j's factor from its moments axis[k],
+    k <= 2top (2top+1 when given), by the exact Stieltjes step: h_k =
+    phi_j(p_k x^k), c0_k = phi_j(p_k x^(k+1)) / h_k + s_k with s_k the
+    x^(k-1) coefficient of p_k, and g_k = h_k / h_(k-1).
+
+    The moments are integers M over one denominator Q and p_k integers P_k
+    over D_k, so H_k = sum_i P_k[i] M[i+k] = D_k Q phi(p_k(x_j)^2); H_k <= 0
+    raises NotAStateError before anything divides by it.  p_(k+1) =
+    (x - u/v) p_k - (s/t) p_(k-1) is formed over v t D_k D_(k-1), reduced
+    by one gcd.
+    """
+    q = lcm(*(den for _, den in axis))
+    m = [p * (q // den) for p, den in axis]
+    polys, h, c0, g = [], [], [], [ZERO]
+    coeffs, den, prev, prev_den, prev_h = [1], 1, [], 1, 1
+    for k in range(top + 1):
+        hk = sum(c * m[i + k] for i, c in enumerate(coeffs))
+        if hk <= 0:
+            raise NotAStateError(
+                f"coordinate {j}: phi(p_{k}(x_{j})^2) = {Fraction(hk, den * q)} is not "
+                f"positive at degree {k}; the moments are not those of a product "
+                "of positive definite weights"
+            )
+        polys.append((tuple((i, c) for i, c in enumerate(coeffs) if c), den))
+        h.append(Fraction(hk, den * m[0]))
+        if k:
+            g.append(Fraction(hk * prev_den, prev_h * den))
+        if 2 * k + 1 < len(m):
+            ck = sum(c * m[i + k + 1] for i, c in enumerate(coeffs))
+            c0.append(Fraction(ck * den + (coeffs[k - 1] if k else 0) * hk, hk * den))
+        if k < top:
+            (u, v), (s, t) = c0[k].as_integer_ratio(), g[k].as_integer_ratio()
+            nxt = [0] + [c * v * t * prev_den for c in coeffs]
+            for i, c in enumerate(coeffs):
+                nxt[i] -= u * t * prev_den * c
+            for i, c in enumerate(prev):
+                nxt[i] -= s * v * den * c
+            scale = v * t * den * prev_den
+            div = gcd(scale, *nxt)
+            prev, prev_den, prev_h = coeffs, den, hk
+            coeffs, den = [c // div for c in nxt], scale // div
+    return Recurrence(tuple(polys), tuple(h), tuple(c0), tuple(g))
+
+
+def _tensor_decompose(moments: MomentMatrix) -> Decomposition:
+    """decompose for a product weight, from its factors' recurrences.
+
+    Factors with the same axis moments share one _stieltjes.  Column b_beta
+    is that of its parent, beta with its last nonzero entry j zeroed, times
+    p_(beta_j)(x_j); one gcd over its numerators and denominator gives
+    IntegerColumn.of's form.  G[beta][beta] = G[parent][parent] h_(beta_j),
+    from G[0][0] = phi(1).
+    """
+    index, top = moments.index, moments.max_degree
+    codes, code_position = index.codes, index.code_position
+    factors: Dict[Tuple[Tuple[int, int], ...], Recurrence] = {}
+    recurrences = []
+    for j in range(moments.functional.d):
+        axis = [moments.axis(j, k) for k in range(2 * top + 1)]
+        try:
+            axis.append(moments.axis(j, 2 * top + 1))
+        except InsufficientMomentsError:
+            pass  # the top preservation stays unset, to raise if accessed
+        key = tuple(axis)
+        if key not in factors:
+            factors[key] = _stieltjes(axis, top, j + 1)
+        recurrences.append(factors[key])
+    forms = [IntegerColumn(((0, 1),), 1, moments.parity(0))]
+    diagonal = [Fraction(*moments.axis(0, 0))]
+    for a, beta in enumerate(index.basis[1:], start=1):
+        j = max(i for i, b in enumerate(beta) if b)
+        unit, rec = index.units[j], recurrences[j]
+        parent = forms[code_position[codes[a] - beta[j] * unit]]
+        terms, den = rec.polys[beta[j]]
+        column = sorted(
+            (code_position[codes[b] + i * unit], c * x) for b, c in parent.terms for i, x in terms
+        )
+        den *= parent.denominator
+        div = gcd(den, *(c for _, c in column))
+        terms = tuple((b, c // div) for b, c in column)
+        forms.append(IntegerColumn(terms, den // div, moments.parity(a)))
+        diagonal.append(diagonal[parent.terms[-1][0]] * rec.h[beta[j]])
+    levels, grams = [], []
+    for n, (monos, start) in enumerate(zip(index.levels, index.starts)):
+        size, entries = len(monos), diagonal[start : start + len(monos)]
+        gram = tuple((ZERO,) * i + (x,) + (ZERO,) * (size - 1 - i) for i, x in enumerate(entries))
+        levels.append(Level(n, monos, gram, size, (False,) * size))
+        # _linalg.integer_rows(gram), read off the diagonal
+        grams.append([
+            ([0] * i + [p] + [0] * (size - 1 - i), q)
+            for i, (p, q) in enumerate(map(Fraction.as_integer_ratio, entries))
+        ])
+    return Decomposition(moments, levels, forms, grams, recurrences)

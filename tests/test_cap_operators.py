@@ -29,7 +29,7 @@ from jacobi_mv.moments import (
 )
 from jacobi_mv.jacobi_sequences import compute, reconstruct_moment_table
 from jacobi_mv.multiindex import enumerate_classes
-from jacobi_mv.orthodecomp import decompose
+from jacobi_mv.orthodecomp import MomentMatrix, decompose
 from jacobi_mv.polyring import Polynomial, monomial_basis
 
 from golden.regen import MEASURES
@@ -307,8 +307,11 @@ def test_build_past_n0_drops_null_components(atoms, top):
 
 def test_out_of_band_component_must_be_null():
     # a tampered split that adds a level-0 component of norm 1 to x b_2:
-    # outside the band and not null, so build refuses it
-    decomp = decompose(gaussian_functional(1), 3)
+    # outside the band and not null, so build refuses it.  The gaussian
+    # weight builds from its recurrence with no split, so its moment table
+    # to degree 7 is tampered
+    hermite = gaussian_functional(1)
+    decomp = decompose(table_functional(1, 7, {b: hermite.moment(b) for b in monomial_basis(1, 7)}), 3)
     split = decomp.split_ratios
 
     def tampered(nums, dens):
@@ -439,18 +442,25 @@ def test_top_pairings_pair_the_upper_triangle_once():
     assert len(rows) == 343
 
 
-def test_a_product_weight_pairs_only_the_top_diagonal():
-    # phi(x_j b_i b_k) factors over the coordinates: those other than j force
-    # i_l = k_l, and equal degree then i_j = k_j, so the jacobi weight pairs
-    # the diagonal alone, 21 rows per coordinate, and its table pairs the
-    # whole upper triangle to the same values
+def test_a_product_weight_pairs_no_top_moment_row(monkeypatch):
+    # phi(x_j b_i b_k) factors over the coordinates, so the jacobi weight's
+    # top preservation is diag(c0_(beta_j)) from its factors' recurrences:
+    # build pairs no moment row.  Its table pairs the whole upper triangle,
+    # 343 rows, finds every pairing off the diagonal 0, and solves to the
+    # same blocks
     phi, table = _jacobi_d3(), _jacobi_d3_table()
     assert phi.product() and not table.product()
-    rows, pairings = _top_rows(decompose(phi, 5))
-    assert len(rows) == 63 and sorted({i for i, _ in rows}) == list(range(21))
-    _, full = _top_rows(decompose(table, 5))
-    assert [_fractions(p) for p in pairings] == [_fractions(p) for p in full]
+    dec, ref = decompose(phi, 5), decompose(table, 5)
+    calls = []
+    monkeypatch.setattr(MomentMatrix, "pair_code", lambda *args: calls.append(args))
+    ops = build(dec)
+    monkeypatch.undo()
+    assert calls == []
+    rows, full = _top_rows(ref)
+    assert len(rows) == 343
     assert all(_linalg.is_diagonal(_fractions(p)) for p in full)
+    ref_ops = build(ref)
+    assert (ops._plus, ops._zero, ops._minus) == (ref_ops._plus, ref_ops._zero, ref_ops._minus)
 
 
 def test_top_pairings_need_degree_2n_plus_1():

@@ -9,7 +9,7 @@ from operator import add
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jacobi_mv import _linalg
+from jacobi_mv import _linalg, orthodecomp
 from jacobi_mv._linalg import ZERO
 from jacobi_mv.cap_operators import build
 from jacobi_mv.errors import (
@@ -667,24 +667,44 @@ def test_pair_ratio_with_the_parity_skip_is_the_full_sum(phi, n):
     assert bool(skipped) == bool(mask)
 
 
+class _PairedBeta(BetaFunctional):
+    """The same weight with its moments restated, so it declares no product
+    and pairs in d variables; it states the weight's mask itself."""
+
+    def moment(self, beta):
+        return super().moment(beta)
+
+    def reflection_mask(self):
+        return BetaFunctional.reflection_mask(self)
+
+
+class _PairedUnmasked(_PairedBeta):
+    def reflection_mask(self):
+        return 0
+
+
 def test_a_mixed_symmetry_beta_weight_gives_the_same_outputs_with_its_mask_and_without():
-    masked, unmasked = beta_functional(*_MIXED), _Unmasked(*_MIXED)
-    assert (masked.reflection_mask(), unmasked.reflection_mask()) == (0b101, 0)
-    dec, ref = decompose(masked, 4), decompose(unmasked, 4)
-    assert dec.levels == ref.levels
-    assert [(f.terms, f.denominator) for f in dec.forms] == [
-        (f.terms, f.denominator) for f in ref.forms
+    weights = [
+        beta_functional(*_MIXED), _Unmasked(*_MIXED), _PairedBeta(*_MIXED), _PairedUnmasked(*_MIXED)
     ]
-    assert dec.gram_rows == ref.gram_rows
-    ops, ref_ops = build(dec), build(ref)
-    assert (ops._plus, ops._zero, ops._minus) == (ref_ops._plus, ref_ops._zero, ref_ops._minus)
-    seq, ref_seq = compute(ops, 4), compute(ref_ops, 4)
-    assert (seq._omega, seq._alpha) == (ref_seq._omega, ref_seq._alpha)
-    # the mask skips every pairing whose moments are odd in x_1 or x_3
-    assert len(dec.moments._moments) < len(ref.moments._moments)
-    radix = dec.moments.radix
-    keys = [tuple(code // radix**i % radix for i in range(3)) for code in dec.moments._moments]
-    assert all(odd_bits(beta) & 0b101 == 0 for beta in keys)
+    assert [(phi.reflection_mask(), phi.product()) for phi in weights] == [
+        (0b101, True), (0, True), (0b101, False), (0, False)
+    ]
+    decs = [decompose(phi, 4) for phi in weights]
+    outputs = [_outputs(dec) for dec in decs]
+    assert all(out == outputs[0] for out in outputs)
+    radix = decs[0].moments.radix
+    keys = [{tuple(c // radix**i % radix for i in range(3)) for c in dec.moments._moments} for dec in decs]
+    # the weight reads axis moments only, x_j^k for k <= 2N+1 = 9: those odd
+    # in x_1 or x_3 unread on its mask, so 1 + 9 + 4 + 4, and 1 + 3 * 9
+    # without it
+    axis = {tuple(k * (i == j) for i in range(3)) for j in range(3) for k in range(10)}
+    assert keys[0] < keys[1] == axis and (len(keys[0]), len(keys[1])) == (18, 28)
+    assert all(odd_bits(beta) & 0b101 == 0 for beta in keys[0])
+    # the twins pair in d variables: the mask skips every pairing whose
+    # moments are odd in x_1 or x_3
+    assert len(keys[2]) < len(keys[3])
+    assert all(odd_bits(beta) & 0b101 == 0 for beta in keys[2])
 
 
 def test_hermite_fetches_only_moments_with_all_exponents_even():
@@ -913,17 +933,45 @@ def _pair_counts(phi, top, monkeypatch):
     return paired, len(calls) - paired
 
 
-def test_decompose_pairs_only_what_a_product_weight_dominates(monkeypatch):
-    # the jacobi weight of the classical benchmark's big job, with a_j != b_j
-    # everywhere: no mask applies.  <b_i, x^beta> vanishes unless i <= beta,
-    # so the pairs (i, beta) with |beta| <= 5 are the pairs of multi-indices
-    # with |i| + |beta - i| <= 5, C(11, 6) = 462, the 56 diagonals among
-    # them; the table of its moments pairs every column in full
+def _outputs(dec):
+    """Everything decompose, build and compute give, as plain values."""
+    ops = build(dec)
+    seq = compute(ops, dec.max_degree)
+    return (
+        [(f.terms, f.denominator) for f in dec.forms],
+        dec.levels,
+        dec.gram_rows,
+        (ops._plus, ops._zero, ops._minus),
+        (seq._omega, seq._alpha),
+    )
+
+
+def _jacobi_d3():
+    # the classical benchmark's big job, a_j != b_j everywhere: no mask
     half, third = Fraction(1, 2), Fraction(1, 3)
-    phi = beta_functional([0, half, -half], [half, 1, third])
+    return beta_functional([0, half, -half], [half, 1, third])
+
+
+def test_a_product_weight_pairs_nothing_where_its_table_pairs_in_full(monkeypatch):
+    # the jacobi weight is assembled from its factors' recurrences: no
+    # pair_code call in decompose or build, and only the axis moments x_j^k,
+    # k <= 2N+1 = 11, are read, 12 per factor with phi(1) shared.  The table
+    # of its moments pairs every column in full
+    phi = _jacobi_d3()
     assert phi.product() and phi.reflection_mask() == 0
-    assert _pair_counts(phi, 5, monkeypatch) == (462, 63)
+    assert _pair_counts(phi, 5, monkeypatch) == (0, 0)
     assert _pair_counts(_table_twin(phi, 11), 5, monkeypatch) == (1596, 343)
+    dec = decompose(phi, 5)
+    units = dec.moments.index.units
+    assert set(dec.moments._moments) == {k * u for u in units for k in range(12)}
+    # each distinct factor runs the Stieltjes step once: the three gaussian
+    # factors share theirs
+    calls = []
+    stieltjes = orthodecomp._stieltjes
+    monkeypatch.setattr(orthodecomp, "_stieltjes", lambda *args: calls.append(args) or stieltjes(*args))
+    decompose(gaussian_functional(3), 4)
+    decompose(phi, 4)
+    assert [j for _, _, j in calls] == [1, 1, 2, 3]
 
 
 class _GammaMixture(GammaFunctional):
@@ -958,13 +1006,77 @@ def test_product_is_declared_by_the_classical_weights_only(monkeypatch):
     table = _table_twin(mixture, 7)
     assert _pair_counts(mixture, 3, monkeypatch) == _pair_counts(table, 3, monkeypatch)
     assert decompose(mixture, 3).levels == decompose(table, 3).levels
-    # a subclass that declares the product itself is trusted: it pairs only
-    # the diagonal of G_1 and misses the correlation
+    # a subclass that declares the product itself is trusted: it pairs
+    # nothing, reads only its own axis moments, and so misses the correlation
     trusted = _TrustedGammaMixture([0, Fraction(1, 2)])
     assert trusted.product()
-    assert _pair_counts(trusted, 2, monkeypatch) == _pair_counts(gamma_functional([0, 0]), 2, monkeypatch)
+    assert _pair_counts(trusted, 2, monkeypatch) == (0, 0)
+    dec = decompose(trusted, 2)
+    assert sorted(dec.moments._moments) == [0, 1, 2, 3, 4, 5, 6, 12, 18, 24, 30]
     assert decompose(mixture, 1).level(1).gram[0][1] == Fraction(1, 4)
     assert decompose(trusted, 1).level(1).gram[0][1] == 0
+    assert dec.level(1).gram[0][0] == decompose(mixture, 1).level(1).gram[0][0]
+
+
+class _DeclaredProduct(MomentFunctional):
+    """phi(x^beta) = prod_j sequences[j][beta_j], declaring the product
+    itself, so it is trusted even where a factor is no positive definite
+    weight; moments past a sequence's end are missing."""
+
+    def __init__(self, *sequences):
+        super().__init__(len(sequences))
+        self.sequences = sequences
+
+    def moment(self, beta):
+        out = Fraction(1)
+        for seq, k in zip(self.sequences, self._check_beta(beta)):
+            if k >= len(seq):
+                raise InsufficientMomentsError(f"moment {beta} is not in the table")
+            out *= seq[k]
+        return out
+
+    def product(self):
+        return True
+
+
+_GAUSSIAN_1D = [1, 0, Fraction(1, 2), 0, Fraction(3, 4), 0, Fraction(15, 8), 0]
+
+
+@pytest.mark.parametrize(
+    "factors, top, j, k, norm",
+    [
+        ([_GAUSSIAN_1D, [1, 0, -1]], 1, 2, 1, "-1"),  # a negative variance
+        ([_GAUSSIAN_1D, [1, 2, 4, 8]], 1, 2, 1, "0"),  # one atom at 2: x - 2 is null
+        ([_GAUSSIAN_1D, [1, 0, 1, 0, 1]], 2, 2, 2, "0"),  # atoms at -1, 1: x^2 - 1 is null
+        ([_GAUSSIAN_1D, [1] * 8, [-1] * 8], 1, 1, 0, "-1"),  # phi(1) < 0
+    ],
+)
+def test_a_false_product_declaration_is_refused_by_coordinate_and_degree(factors, top, j, k, norm):
+    # h_k <= 0 is refused before anything divides by it
+    with pytest.raises(NotAStateError) as info:
+        decompose(_DeclaredProduct(*factors), top)
+    assert str(info.value) == (
+        f"coordinate {j}: phi(p_{k}(x_{j})^2) = {norm} is not positive at degree {k}; "
+        "the moments are not those of a product of positive definite weights"
+    )
+
+
+def test_a_product_without_its_top_axis_moment_leaves_the_top_preservation_unset():
+    # at N = 3 the gaussian factor has its moments to degree 2N+1 = 7, the
+    # gamma factor only to 2N = 6: coordinate 2's top preservation is unset,
+    # as it is for the table of the same moments, which lacks every moment
+    # of degree 7
+    gamma = gamma_functional([Fraction(1, 2)])
+    phi = _DeclaredProduct(_GAUSSIAN_1D, [gamma.moment((k,)) for k in range(7)])
+    ops = build(decompose(phi, 3))
+    ref = build(decompose(_table_twin(phi, 6), 3))
+    assert ops._zero[(2, 3)] is None and ref._zero[(2, 3)] is None
+    with pytest.raises(InsufficientMomentsError, match="^preservation at top level 3 needs moments of degree 7"):
+        ops.zero_matrix(2, 3)
+    assert ops.zero_matrix(1, 3) == [[0] * 4 for _ in range(4)] and ref._zero[(1, 3)] is None
+    # every other block is the table's
+    ops._zero[(1, 3)] = None
+    assert (ops._plus, ops._zero, ops._minus) == (ref._plus, ref._zero, ref._minus)
 
 
 _PARAMETER = st.fractions(min_value=Fraction(-3, 4), max_value=3, max_denominator=4)
@@ -989,19 +1101,14 @@ def _product_weights(draw):
 @settings(max_examples=60, deadline=None)
 @given(_product_weights())
 @example((beta_functional(*_MIXED), 4))
+@example((gaussian_functional(4), 3))
+@example((beta_functional([Fraction(1, 2), -Fraction(1, 3), 2], [Fraction(1, 2), -Fraction(1, 3), 2]), 5))
 def test_a_product_weight_gives_what_its_moment_table_gives(case):
-    # the weight pairs only the dominated pairs, of one parity on its mask;
-    # the table of its moments to degree 2N+1 declares nothing and sums every
-    # pairing: the columns, the levels and the blocks must be the same
+    # the weight is assembled from its factors' recurrences; the table of
+    # its moments to degree 2N+1 declares nothing and pairs, projects and
+    # solves in full: the columns, the levels, the Gram rows, the blocks and
+    # the pair (Omega, alpha) must be the same
     phi, top = case
     table = _table_twin(phi, 2 * top + 1)
     assert phi.product() and not table.product()
-    dec, ref = decompose(phi, top), decompose(table, top)
-    assert [(f.terms, f.denominator) for f in dec.forms] == [
-        (f.terms, f.denominator) for f in ref.forms
-    ]
-    assert [(lv.gram, lv.rank, lv.null_mask) for lv in dec.levels] == [
-        (lv.gram, lv.rank, lv.null_mask) for lv in ref.levels
-    ]
-    ops, ref_ops = build(dec), build(ref)
-    assert (ops._plus, ops._zero, ops._minus) == (ref_ops._plus, ref_ops._zero, ref_ops._minus)
+    assert _outputs(decompose(phi, top)) == _outputs(decompose(table, top))

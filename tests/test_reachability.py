@@ -167,6 +167,7 @@ def _ci_tables(work):
         atomic_functional,
         beta_functional,
         functional_from_json,
+        gamma_functional,
         gaussian_functional,
     )
     from jacobi_mv.polyring import monomial_basis
@@ -182,6 +183,7 @@ def _ci_tables(work):
 
     table("hermite_d2.json", gaussian_functional(2), 2, 7, 3)
     table("jacobi_d3.json", beta_functional(["0", "1/2", "-1/2"], ["1/2", "1", "1/3"]), 3, 7, 3)
+    table("laguerre_d3.json", gamma_functional(["1/2", "0", "2/3"]), 3, 7, 3)
     phi = atomic_functional(COPLANAR)
     path = os.path.join(work, "coplanar_atoms.json")
     with open(path, "w", encoding="utf-8") as handle:
