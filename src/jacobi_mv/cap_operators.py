@@ -67,7 +67,7 @@ from .errors import (
     NotAStateError,
 )
 from .multiindex import check_index
-from .orthodecomp import Decomposition, IntegerColumn, MomentMatrix
+from .orthodecomp import Decomposition, IntegerColumn
 from .polyring import Polynomial
 
 
@@ -114,11 +114,11 @@ class CAPSystem:
         return _linalg.copy(self._minus[(j, n)])
 
 
-def _times(moments: MomentMatrix, form: IntegerColumn, up: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """Coefficient vector of x_j * b, as numerators and denominators, for
-    the polynomial b with this column below the top degree; up is the
-    index's creation map of e_j (GradedIndex.up[j - 1])."""
-    nums, dens = [0] * len(moments.basis), [1] * len(moments.basis)
+def _times(size: int, form: IntegerColumn, up: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """Coefficient vector of x_j * b over the size positions of a
+    decomposition's basis, as numerators and denominators, for the b with
+    this column below the top degree; up is GradedIndex.up[j - 1]."""
+    nums, dens = [0] * size, [1] * size
     for a, c in form.terms:
         nums[up[a]], dens[up[a]] = c, form.denominator
     return nums, dens
@@ -225,12 +225,12 @@ def build(decomposition: Decomposition) -> CAPSystem:
     plus: Dict[Tuple[int, int], Matrix] = {}
     zero: Dict[Tuple[int, int], Optional[Matrix]] = {}
     minus: Dict[Tuple[int, int], Matrix] = {}
-    up = moments.index.up
+    up, size = moments.index.up, len(decomposition.forms)
     rows: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for n in range(top):
         forms = decomposition.level_forms(n)
         for j in range(1, d + 1):
-            images = [decomposition.split_ratios(*_times(moments, f, up[j - 1])) for f in forms]
+            images = [decomposition.split_ratios(*_times(size, f, up[j - 1])) for f in forms]
             for k, coords in enumerate(images):
                 for m, c in enumerate(coords):
                     if abs(m - n) < 2 or not any(c):
@@ -395,7 +395,7 @@ def verify_quantum_decomposition(system: CAPSystem) -> QuantumDecompositionRepor
             if n:
                 blocks.append((n - 1, system._minus[(j, n)]))
             for k, form in enumerate(forms):
-                nums, dens = _times(moments, form, up)
+                nums, dens = _times(len(decomp.forms), form, up)
                 for m, block in blocks:
                     for lower, row in zip(decomp.level_forms(m), block):
                         if row[k]:

@@ -21,7 +21,9 @@ identifies it with a spanning family of P_n, and
 
 A functional is finitely atomic exactly when some Omega_{n0} vanishes,
 which detect_atoms decides in exact arithmetic; the number of atoms is
-then at most the dimension of the polynomials of degree < n0.
+then the sum of the ranks below n0, at most the dimension of the
+polynomials of degree < n0.  For a positive functional every level past
+n0 is null, so detect_atoms and compute_from_functional stop at n0.
 Conversely the sequences determine the moments: the
 truncated interacting Fock space over the class spaces with level inner
 products <xi, Omega_n eta> carries commuting operators
@@ -65,7 +67,7 @@ from .multiindex import (
     enumerate_classes,
     exact_list,
 )
-from .orthodecomp import Level, decompose, graded_index
+from .orthodecomp import Level, _decompose_to_n0, graded_index
 
 
 class JacobiSequencePair:
@@ -211,8 +213,22 @@ def _deficient_alpha(
 def compute_from_functional(
     functional: MomentFunctional, max_level: int
 ) -> JacobiSequencePair:
-    """Convenience: decompose, build operators, compute sequences."""
-    return compute(build(decompose(functional, max_level)), max_level)
+    """Convenience: decompose, build operators, compute sequences.
+
+    A positive functional goes only up to its first vanishing level n0
+    (_decompose_to_n0): every column past n0 has a null parent, so every
+    later level is null, and its Omega_n and alpha_{j|n} (free variables
+    at 0, as in _deficient_alpha) are set zero matrices.
+    """
+    decomp = _decompose_to_n0(functional, max_level)
+    seq = compute(build(decomp), decomp.max_degree)
+    for n in range(decomp.max_degree + 1, max_level + 1):
+        seq.class_bases.append(enumerate_classes(seq.d, n))
+        size = len(seq.class_bases[n])
+        seq._omega.append(_linalg.zeros(size, size))
+        seq._alpha.append([_linalg.zeros(size, size) for _ in range(seq.d)])
+    seq.max_level = max_level
+    return seq
 
 
 def rank_profile(seq: JacobiSequencePair) -> List[Tuple[int, int, int]]:
@@ -240,29 +256,38 @@ def rank_profile(seq: JacobiSequencePair) -> List[Tuple[int, int, int]]:
 
 @dataclass(frozen=True)
 class AtomDetection:
-    """Outcome of the vanishing-level scan; inconclusive is explicit."""
+    """Outcome of the vanishing-level scan; inconclusive is explicit.
+
+    atom_count is sum(ranks[:n0]) when a level vanishes, else None: the
+    moment matrix is then flat, so its rank, the number of atoms, is that
+    of degree < n0 (Curto & Fialkow, Solution of the truncated complex
+    moment problem for flat data, Mem. AMS 1996)."""
 
     found: bool
     n0: Optional[int]
     atom_bound: Optional[int]
     ranks: Tuple[int, ...]
     max_level: int
+    atom_count: Optional[int]
 
 
 def detect_atoms(functional: MomentFunctional, max_level: int) -> AtomDetection:
     """Scan for the smallest level n0 with Omega_{n0} = 0 exactly.
 
     A vanishing level certifies a finitely atomic functional with at most
-    binomial(n0-1+d, d) atoms.  Needs moments to degree 2*max_level.  With
-    the monic bases the chain Gram Omega_n coincides with the level Gram,
-    so the scan reads the decomposition directly.
+    binomial(n0-1+d, d) atoms, exactly sum(ranks[:n0]) of them.  Needs
+    moments to degree 2*max_level.  With the monic bases the chain Gram
+    Omega_n coincides with the level Gram, so the scan reads the
+    decomposition directly.  A positive functional is decomposed only up to
+    n0 (_decompose_to_n0): every column past it has a null parent, so every
+    later level is null, of rank 0.
     """
     check_degree(max_level, "max_level")
-    decomp = decompose(functional, max_level)
+    decomp = _decompose_to_n0(functional, max_level)
     # a Gram vanishes exactly when its rank is 0
-    ranks = tuple(lv.rank for lv in decomp.levels)
+    ranks = tuple(lv.rank for lv in decomp.levels) + (0,) * (max_level - decomp.max_degree)
     if 0 not in ranks:
-        return AtomDetection(False, None, None, ranks, max_level)
+        return AtomDetection(False, None, None, ranks, max_level, None)
     n0 = ranks.index(0)
     for n, rank in enumerate(ranks[n0:], start=n0):
         if rank:
@@ -270,7 +295,7 @@ def detect_atoms(functional: MomentFunctional, max_level: int) -> AtomDetection:
                 f"Omega vanishes at level {n0} but not at level {n}"
             )
     bound = math.comb(n0 - 1 + functional.d, functional.d)
-    return AtomDetection(True, n0, bound, ranks, max_level)
+    return AtomDetection(True, n0, bound, ranks, max_level, sum(ranks[:n0]))
 
 
 # --------------------------------------------------------------------------

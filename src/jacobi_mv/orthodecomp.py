@@ -101,7 +101,9 @@ Structural zeros cost nothing:
     other column differs from a combination of them by a null
     polynomial, and the solve on G_m[P, P] gives what the solve on all of
     G_m gives, with the free variables at 0.
-  build's top pairings skip every pair with a null vector of level N.  A
+  build's top pairings skip every pair with a null vector of level N.
+  Past the first level n0 of rank 0 every column has a null parent, so
+  every later level is null: _decompose_to_n0 stops after n0.  A
   functional that is not positive offers every column of each level, on
   the same code path, so it pays no test per pairing, its projections
   still certify consistency, and its pairings keep their order, in which
@@ -115,7 +117,7 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import add
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import ZERO, Matrix
@@ -407,7 +409,7 @@ class Decomposition:
         self.recurrences = recurrences
         self.d = self.functional.d
         self.max_degree = len(self.levels) - 1
-        self.starts = moments.index.starts
+        self.starts = moments.index.starts[: len(self.levels) + 1]
 
     def level(self, n: int) -> Level:
         check_index(n, "level", 0, self.max_degree, "computed range ")
@@ -483,6 +485,9 @@ class Decomposition:
         )
 
 
+Step = Tuple[Level, List[IntegerColumn], _linalg.Rows]
+
+
 def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
     """Orthogonalize the monomials degree by degree against the functional.
 
@@ -512,13 +517,39 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
     moments = MomentMatrix(functional, max_degree)
     if functional.product():
         return _tensor_decompose(moments)
+    return _assemble(moments, _generic_levels(moments))
+
+
+def _decompose_to_n0(functional: MomentFunctional, max_degree: int) -> Decomposition:
+    """decompose, stopped after the first level n0 of rank 0 for a positive
+    functional: each degree-(n0+1) column is x_j times a null column less
+    lower levels, so it is null, and so is every later level, G_n = 0.
+    Any other functional gets decompose's whole decomposition."""
+    if functional.product() or not functional.positive():
+        return decompose(functional, max_degree)
+    check_degree(max_degree, "max_degree")
+    moments = MomentMatrix(functional, max_degree)
+    steps = []
+    for step in _generic_levels(moments):
+        steps.append(step)
+        if not step[0].rank:
+            break
+    return _assemble(moments, steps)
+
+
+def _assemble(moments: MomentMatrix, steps: Iterable[Step]) -> Decomposition:
+    """The Decomposition of _generic_levels' steps, level by level."""
+    levels, forms, grams = zip(*steps)
+    return Decomposition(moments, levels, chain.from_iterable(forms), grams)
+
+
+def _generic_levels(moments: MomentMatrix) -> Iterator[Step]:
+    """decompose's levels 0..N for any functional but a product weight, one
+    at a time: each Level with its basis columns and G_n as integer rows."""
     index, pair = moments.index, moments.pair_code
-    forms: List[List[IntegerColumn]] = []  # basis columns, level by level
-    grams: List[List[Tuple[List[int], int]]] = []  # each G_m as integer rows
     # (m, G_m on the offered columns as integer rows, those columns) for
     # each lower level m that offers a column to the projections
     offered: List[Tuple[int, List[Tuple[List[int], int]], List[IntegerColumn]]] = []
-    levels: List[Level] = []
     null: List[int] = []  # positions of the previous level's null columns
     for n, (monos, start) in enumerate(zip(index.levels, index.starts)):
         positions = range(start, start + len(monos))
@@ -592,9 +623,7 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
                 "moment sequence of a positive measure"
             )
         null_mask = tuple(gram[i][i] == 0 for i in range(size))
-        levels.append(Level(n, monos, tuple(map(tuple, gram)), report.rank, null_mask))
-        forms.append(block_forms)
-        grams.append(rows)
+        yield Level(n, monos, tuple(map(tuple, gram)), report.rank, null_mask), block_forms, rows
         null = [a for a, is_null in zip(positions, null_mask) if is_null]
         # a positive functional's projections pair only the pivots P of G_n
         # (ldlt_psd): each other b_i less a combination of the b_c at P is
@@ -602,9 +631,8 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
         # equation is redundant, and the solve on G_n[P, P] is the full
         # solve with its free variables at 0
         cols = report.pivots if moments.positive else range(size)
-        if cols and n < max_degree:
+        if cols and n < moments.max_degree:
             offered.append((n, _linalg.principal_rows(rows, cols), [block_forms[c] for c in cols]))
-    return Decomposition(moments, levels, [f for level in forms for f in level], grams)
 
 
 class Recurrence(NamedTuple):

@@ -29,6 +29,7 @@ from jacobi_mv.jacobi_sequences import (
     reconstruct_moments,
 )
 from jacobi_mv.moments import (
+    TableFunctional,
     atomic_functional,
     beta_functional,
     gamma_functional,
@@ -36,7 +37,7 @@ from jacobi_mv.moments import (
     table_functional,
 )
 from jacobi_mv.multiindex import enumerate_classes
-from jacobi_mv.orthodecomp import decompose
+from jacobi_mv.orthodecomp import MomentMatrix, decompose
 from jacobi_mv.polyring import monomial_basis
 
 def _rationals(low=None):
@@ -297,15 +298,16 @@ def test_single_atom_omega_vanishes_at_level_one():
 
 def test_detect_atoms_two_point_measure():
     det = detect_atoms(atomic_functional(TWO_ATOMS), 4)
-    assert det.found and det.n0 == 2 and det.atom_bound == 3
-    assert det.ranks[:3] == (1, 1, 0)
+    assert det.found and det.n0 == 2 and det.atom_bound == 3 and det.atom_count == 2
+    assert det.ranks == (1, 1, 0, 0, 0)
 
 
 def test_detect_atoms_single_atom_and_inconclusive():
     det = detect_atoms(atomic_functional([(("7",), "1")]), 3)
-    assert det.found and det.n0 == 1 and det.atom_bound == 1
+    assert det.found and det.n0 == 1 and det.atom_bound == 1 and det.atom_count == 1
     non = detect_atoms(gaussian_functional(1), 6)
     assert not non.found and non.n0 is None and non.atom_bound is None
+    assert non.atom_count is None
 
 
 def test_detect_atoms_rejects_non_state_zero_pattern():
@@ -669,3 +671,119 @@ def test_alpha_top_level_needs_extra_moment_degree():
     # reconstruction to full depth only needs alpha below the top
     for beta in monomial_basis(1, 2):
         assert reconstruct_moments(seq, beta) == f.moment(beta)
+
+
+# ---------------------------------------------------------------- the stop at n0
+
+# the benchmark's six atoms in general position in R^2: ranks 1, 2, 3, so n0 = 3
+SIX_ATOMS = [
+    ((x, y), Fraction(w, 12))
+    for x, y, w in zip(("-2", "-1/2", "0", "1/3", "1", "3/2"),
+                       ("1", "-2", "3/2", "0", "-1/2", "1/3"), (1, 2, 3, 1, 2, 3))
+]
+
+
+def _table_of(functional, max_degree):
+    """The functional's moments to max_degree as a table, which is never positive."""
+    moments = {beta: functional.moment(beta) for beta in monomial_basis(functional.d, max_degree)}
+    return table_functional(functional.d, max_degree, moments)
+
+
+def _pair_calls(monkeypatch, call):
+    calls = []
+    pair_code = MomentMatrix.pair_code
+    monkeypatch.setattr(MomentMatrix, "pair_code",
+                        lambda self, *args: calls.append(args) or pair_code(self, *args))
+    call()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_an_atom_set_pairs_nothing_past_its_vanishing_level(monkeypatch):
+    # every level past n0 is null, so neither the scan nor the sequences
+    # pair anything there: the pair_code count stays that of level n0
+    phi = atomic_functional(SIX_ATOMS)
+    scans = {top: _pair_calls(monkeypatch, lambda: detect_atoms(phi, top)) for top in range(3, 7)}
+    pairs = {
+        top: _pair_calls(monkeypatch, lambda: compute_from_functional(phi, top))
+        for top in range(3, 6)
+    }
+    assert len(set(scans.values())) == 1, scans
+    assert len(set(pairs.values())) == 1, pairs
+    det = detect_atoms(phi, 6)
+    assert (det.n0, det.ranks, det.atom_count) == (3, (1, 2, 3, 0, 0, 0, 0), 6)
+    # the table of the same moments pairs every level in full
+    table = _table_of(phi, 13)
+    assert _pair_calls(monkeypatch, lambda: detect_atoms(table, 6)) > scans[6]
+    assert detect_atoms(table, 6) == det
+
+
+def test_a_trusted_positive_table_needs_no_moment_past_its_vanishing_level():
+    # the two atoms' moments to degree 5 = 2 n0 + 1 only, from a subclass
+    # that declares itself positive: the scan and the sequences to level 4
+    # read no moment past degree 5, and every alpha past n0 is a set 0
+    class Trusted(TableFunctional):
+        def positive(self):
+            return True
+
+    phi = atomic_functional(TWO_ATOMS)
+    trusted = Trusted(2, 5, {beta: phi.moment(beta) for beta in monomial_basis(2, 5)})
+    assert detect_atoms(trusted, 4) == detect_atoms(phi, 4)
+    seq = compute_from_functional(trusted, 4)
+    assert seq.max_level == 4
+    for n in (3, 4):
+        size = len(enumerate_classes(2, n))
+        assert seq.omega_matrix(n) == _linalg.zeros(size, size)
+        assert seq.alpha_available(1, n) and seq.alpha_matrix(2, n) == _linalg.zeros(size, size)
+    assert reconstruct_moment_table(seq, 4) == {b: phi.moment(b) for b in monomial_basis(2, 4)}
+
+
+@st.composite
+def _atom_sets(draw):
+    """Distinct rational atoms in general position, on a line or on a plane,
+    in d = 1..3, with positive weights; at most 4 atoms in d = 3."""
+    shape = draw(st.sampled_from(("general", "collinear", "coplanar")))
+    d = draw(st.integers({"general": 1, "collinear": 2, "coplanar": 3}[shape], 3))
+    count = draw(st.integers(1, 5 if d < 3 else 4))
+    point = st.tuples(*[_rationals()] * d)
+    if shape == "general":
+        points = draw(st.lists(point, min_size=count, max_size=count, unique=True))
+    else:
+        base, u, v = draw(point), draw(point), draw(point)
+        second = _rationals() if shape == "coplanar" else st.just(0)
+        steps = draw(st.lists(st.tuples(_rationals(), second), min_size=count, max_size=count))
+        # u and v may be dependent, so distinct steps can meet at one point
+        points = list(dict.fromkeys(
+            tuple(b + s * x + t * y for b, x, y in zip(base, u, v)) for s, t in steps
+        ))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points)))
+    return [(p, Fraction(w, sum(weights))) for p, w in zip(points, weights)]
+
+
+@settings(deadline=None, max_examples=25)
+@given(_atom_sets())
+def test_the_atom_count_is_the_number_of_atoms(atoms):
+    # n0 <= the atom count, since every level below n0 has rank >= 1
+    phi = atomic_functional(atoms)
+    for functional in (phi, _table_of(phi, 2 * len(atoms))):
+        det = detect_atoms(functional, len(atoms))
+        assert det.found and det.atom_count == len(atoms)
+
+
+@settings(deadline=None, max_examples=20)
+@given(_atom_sets())
+def test_an_atom_list_stopped_at_n0_gives_what_its_table_gives(atoms):
+    # the table takes the full path, every level formed, paired and
+    # eliminated; the atom list stops at n0 and sets the levels past it to 0
+    phi = atomic_functional(atoms)
+    top = detect_atoms(phi, len(atoms)).n0 + 2
+    table = _table_of(phi, 2 * top + 1)
+    assert detect_atoms(phi, top).ranks == detect_atoms(table, top).ranks
+    seq, full = compute_from_functional(phi, top), compute_from_functional(table, top)
+    assert seq.max_level == full.max_level == top
+    for n in range(top + 1):
+        assert seq.classes(n).classes == full.classes(n).classes
+        assert seq.omega_matrix(n) == full.omega_matrix(n)
+        for j in range(1, phi.d + 1):
+            assert seq.alpha_available(j, n) and full.alpha_available(j, n)
+            assert seq.alpha_matrix(j, n) == full.alpha_matrix(j, n)

@@ -30,6 +30,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -117,6 +118,7 @@ COPLANAR = [
     (["0", "3/2", "-2"], "1/4"),
     (["1/3", "0", "4/3"], "1/4"),
 ]
+SIX_POINTS = list(zip(["-2", "-1/2", "0", "1/3", "1", "3/2"], ["1", "-2", "3/2", "0", "-1/2", "1/3"]))
 TWO_ATOMS = '{"d": 2, "atoms": [{"x": ["0", "0"], "w": "1/2"}, {"x": ["1", "1"], "w": "1/2"}]}'
 LINE = '{"d": 2, "atoms": [{"x": ["0", "1"], "w": "1/2"}, {"x": ["1", "2"], "w": "1/4"}, {"x": ["3", "4"], "w": "1/4"}]}'
 TWO_ATOMS_MOMENTS = (
@@ -190,6 +192,12 @@ def _ci_tables(work):
         json.dump(phi.to_json_dict(), handle)
     out.append((path, 4))
     table("coplanar_table.json", phi, 3, 9, 4)
+    six = atomic_functional([(p, Fraction(w, 12)) for p, w in zip(SIX_POINTS, (1, 2, 3, 1, 2, 3))])
+    path = os.path.join(work, "six_atoms.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(six.to_json_dict(), handle)
+    out.append((path, 5))
+    table("six_table.json", six, 2, 13, 5)
     table("line_table.json", functional_from_json(json.loads(LINE)), 2, 7, 3)
     return out
 
