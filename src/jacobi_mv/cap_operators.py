@@ -37,11 +37,10 @@ a shifted leading monomial beta_k + e_j is the code codes[a_k] + units[j],
 and a shifted lower term, the image of x_j b below the top and the
 annihilation row selection read the creation map up[j].  So build packs,
 checks and shifts no multi-index, and does O(1) Python steps per
-coordinate on a level-0 functional.  A top pairing across reflection
-parity is not visited: its moment row and G_N both vanish between the
-two parities.  Nor is one with a null vector of level N when the
-functional is positive (MomentFunctional.positive): phi(x_j b_i b_k) is
-then 0 by Cauchy-Schwarz.
+coordinate on a level-0 functional.  A top pairing with a null vector of
+level N is not visited when the functional is positive
+(MomentFunctional.positive): phi(x_j b_i b_k) is then 0 by
+Cauchy-Schwarz.
 
 A product weight (MomentFunctional.product) takes none of this: its basis
 is b_beta = prod_l p^(l)_(beta_l)(x_l), so factor j's recurrence gives
@@ -150,9 +149,7 @@ def _top_pairings(
     creation map's up[j-1][alpha], and rows caches the moment row value
     <b_i, x^gamma> (MomentMatrix.pair_code) per (i, code of gamma) across
     coordinates; gamma's multi-index is built only for a moment row not
-    yet paired.  When b_i and x^gamma differ in parity on the reflection
-    mask, both terms vanish (G_N is zero between the two parities), so the
-    pair is not visited.  For a positive functional, a pair in which b_i or
+    yet paired.  For a positive functional, a pair in which b_i or
     b_k is null (its G_N diagonal is 0) is 0, since phi(x_j b_i b_k)^2 is at
     most phi(b_i^2) phi((x_j b_k)^2) and phi((x_j b_i)^2) phi(b_k^2): such
     a pair is not visited either.
@@ -163,7 +160,7 @@ def _top_pairings(
     forms = decomposition.level_forms(n)
     start = decomposition.starts[n]
     below = range(decomposition.starts[n - 1] if n else start, start)
-    unit, bit, up = index.units[j - 1], 1 << (j - 1), index.up[j - 1]
+    unit, up = index.units[j - 1], index.up[j - 1]
     pairings = [[(0, 1)] * len(forms) for _ in forms]
     live = range(len(forms))
     if moments.positive:
@@ -172,19 +169,16 @@ def _top_pairings(
         form = forms[k]
         a_k = start + k
         shift = index.codes[a_k] + unit
-        parity = (index.parities[a_k] ^ bit) & moments.mask if moments.mask else None
         gamma = None
         # b_k's numerators at level N-1, with the level-N position of alpha+e_j
         shifted = [(up[a] - start, c) for a, c in form.terms if a in below]
         for i in live[: p + 1]:
-            if forms[i].parity != parity:
-                continue
             value = rows.get((i, shift))
             if value is None:
                 if gamma is None:
                     beta = index.basis[a_k]
                     gamma = beta[: j - 1] + (beta[j - 1] + 1,) + beta[j:]
-                value = rows[(i, shift)] = moments.pair_code(forms[i], shift, parity, gamma)
+                value = rows[(i, shift)] = moments.pair_code(forms[i], shift, gamma)
             num, den = value
             nums, row_den = gram[i]
             correction = sum(nums[q] * c for q, c in shifted)
@@ -385,7 +379,7 @@ def verify_quantum_decomposition(system: CAPSystem) -> QuantumDecompositionRepor
     """
     decomp = system.decomposition
     moments = decomp.moments
-    pair, parity, codes, basis = moments.pair_code, moments.parity, moments.codes, moments.basis
+    pair, codes, basis = moments.pair_code, moments.codes, moments.basis
     entries = []
     for n in range(decomp.max_degree):
         forms = decomp.level_forms(n)
@@ -404,7 +398,7 @@ def verify_quantum_decomposition(system: CAPSystem) -> QuantumDecompositionRepor
                 r = IntegerColumn.of(zip(nums, dens))
                 # r^T M r, pairing r with each basis monomial by its position
                 norm_sq = sum(
-                    (c * Fraction(*pair(r, codes[a], parity(a), basis[a])) for a, c in r.terms), ZERO
+                    (c * Fraction(*pair(r, codes[a], basis[a])) for a, c in r.terms), ZERO
                 ) / r.denominator
                 entries.append(
                     QuantumDecompositionEntry(j, n, k, decomp.polynomial(residual), norm_sq)

@@ -90,6 +90,7 @@ from .moments import (
 )
 from .multiindex import (
     MultiIndex,
+    _check_dimension,
     check_index,
     check_integer,
     check_multi_index,
@@ -164,7 +165,8 @@ def family_spec(family: str, d: Optional[int] = None, a=None, b=None,
     laguerre needs alpha (> -1 entrywise), jacobi needs a and b (> -1),
     gegenbauer needs lam (> -1/2); the remaining families take only d.
     A family refuses another family's parameters.  The dimension is
-    inferred from the parameter lists when omitted.
+    inferred from the parameter lists when omitted, and is held to
+    multiindex.MAX_DIMENSION before the weights are built.
     """
     if family not in _FAMILIES:
         raise UnsupportedParameterError(
@@ -179,6 +181,7 @@ def family_spec(family: str, d: Optional[int] = None, a=None, b=None,
             raise InvalidDimensionError(f"{family} needs a dimension d >= 1")
         if any(p is not None for p in given.values()):
             raise UnsupportedParameterError(f"{family} takes no parameters")
+        _check_dimension(d)
         return FamilySpec(family, d, (weight(),) * d)
     if any(given[key] is None for key, _, _ in params):
         names = " and ".join(name for _, name, _ in params)
@@ -197,6 +200,7 @@ def family_spec(family: str, d: Optional[int] = None, a=None, b=None,
     foreign = [_OPTION_NAMES[key] for key, p in given.items() if p is not None and key not in own]
     if foreign:
         raise UnsupportedParameterError(f"{family} takes no {' or '.join(foreign)} parameters")
+    _check_dimension(d)
     return FamilySpec(family, d, tuple(weight(*p) for p in zip(*lists)))
 
 

@@ -19,21 +19,15 @@ mass_factor() as an exact GammaProduct.  Atomic and table functionals
 have no associated classical weight, so mass_factor() raises
 NoMassFactorError for them.
 
-reflection_mask() names the coordinates in which a functional is even,
-so that its moments with an odd exponent there vanish.  It is read off
-the parameters: every coordinate of the gaussian weight, the coordinates
-with a_j = b_j of the beta weight, and none for the gamma weight or an
-atom set or table, even a symmetric one, or for a subclass that overrides
-moment without stating a mask of its own.  orthodecomp skips the pairings
-that the mask shows to be zero.  positive() says that phi(p^2) >= 0 holds
-by construction, which is true of an atom set alone; then orthodecomp and
-cap_operators skip every pairing with a null basis vector.  product() says
-that phi is phi_1 x ... x phi_d with each factor positive definite, which
-is true of the three classical weights alone.  Their monic orthogonal
-basis is then the tensor product b_beta = prod_j p^(j)_(beta_j)(x_j), and
-orthodecomp and cap_operators assemble it and its blocks from each
-factor's three-term recurrence, read off the axis moments phi(x_j^k),
-k <= 2N+1, with no pairing.
+positive() says that phi(p^2) >= 0 holds by construction, which is true
+of an atom set alone; then orthodecomp and cap_operators skip every
+pairing with a null basis vector.  product() says that phi is
+phi_1 x ... x phi_d with each factor positive definite, which is true of
+the three classical weights alone.  Their monic orthogonal basis is then
+the tensor product b_beta = prod_j p^(j)_(beta_j)(x_j), and orthodecomp
+and cap_operators assemble it and its blocks from each factor's
+three-term recurrence, read off the axis moments phi(x_j^k), k <= 2N+1,
+with no pairing.
 
 Every number a caller supplies (a parameter, an atom coordinate or
 weight, a table value) becomes a Fraction through multiindex.exact, and
@@ -81,30 +75,16 @@ class MomentFunctional:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # new moments say nothing of their symmetry, positivity or factors,
-        # so an inherited declaration would be taken on trust for moments it
-        # was never stated for
+        # new moments say nothing of their positivity or factors, so an
+        # inherited declaration would be taken on trust for moments it was
+        # never stated for
         if "moment" in vars(cls):
-            for name in ("reflection_mask", "positive", "product"):
+            for name in ("positive", "product"):
                 if name not in vars(cls):
                     setattr(cls, name, getattr(MomentFunctional, name))
 
     def moment(self, beta: MultiIndex) -> Fraction:
         raise NotImplementedError
-
-    def reflection_mask(self) -> int:
-        """The coordinates whose odd moments vanish, as a bit set: bit j-1 is
-        set when the functional is invariant under x_j -> -x_j, so that
-        phi(x^beta) = 0 whenever beta_j is odd.  Read off the functional's
-        own parameters; 0, no coordinate, unless a subclass knows better.
-
-        A subclass that defines moment but not reflection_mask gets 0, so
-        overriding the moments of a gaussian or beta weight drops the
-        inherited mask (__init_subclass__).  A subclass that defines
-        reflection_mask itself is trusted: the pairings of orthodecomp skip
-        the moments it names without reading them, so it must be true of
-        the subclass's moments."""
-        return 0
 
     def positive(self) -> bool:
         """Whether the functional is positive by construction: phi(p^2) >= 0
@@ -115,10 +95,11 @@ class MomentFunctional:
 
         Then a null polynomial b, phi(b^2) = 0, pairs to 0 with every p
         (Cauchy-Schwarz), and the pairings of orthodecomp and cap_operators
-        skip every null basis vector without reading a moment.  Like
-        reflection_mask, a subclass that defines moment but not positive
-        gets False (__init_subclass__), and one that defines positive
-        itself is trusted."""
+        skip every null basis vector without reading a moment.  A subclass
+        that defines moment but not positive gets False, so overriding the
+        moments of an atom set drops the inherited declaration
+        (__init_subclass__), and one that defines positive itself is
+        trusted."""
         return False
 
     def product(self) -> bool:
@@ -136,9 +117,9 @@ class MomentFunctional:
         and, in cap_operators, the blocks from x p_k = p_(k+1) + c0_k p_k +
         g_k p_(k-1), with no pairing: on the jacobi weight at d = 3, N = 5
         its table pairs 1,596 times in decompose and 343 in build.  Like
-        reflection_mask, a subclass that defines moment but not product
-        gets False (__init_subclass__), and one that defines product itself
-        is trusted; axis moments that give a factor h_k <= 0 raise
+        positive, a subclass that defines moment but not product gets False
+        (__init_subclass__), and one that defines product itself is
+        trusted; axis moments that give a factor h_k <= 0 raise
         NotAStateError."""
         return False
 
@@ -286,10 +267,6 @@ class GaussianFunctional(ProductFunctional):
         _check_dimension(d)
         super().__init__([_GaussianSeq() for _ in range(d)])
 
-    def reflection_mask(self) -> int:
-        # exp(-x_j^2) is even in every coordinate
-        return (1 << self.d) - 1
-
     def mass_factor(self) -> GammaProduct:
         # integral of exp(-|x|^2) over R^d
         return GammaProduct.pi_power(Fraction(self.d, 2))
@@ -315,10 +292,6 @@ class BetaFunctional(ProductFunctional):
                 f"parameter lists have lengths {len(self.a)} and {len(self.b)}"
             )
         super().__init__([_BetaSeq(x, y) for x, y in zip(self.a, self.b)])
-
-    def reflection_mask(self) -> int:
-        # (1-x)^a (1+x)^b is even exactly when a = b
-        return sum(1 << j for j, (a, b) in enumerate(zip(self.a, self.b)) if a == b)
 
     def mass_factor(self) -> GammaProduct:
         # prod_j integral of (1-x)^a_j (1+x)^b_j over [-1, 1], that is

@@ -49,30 +49,19 @@ x^beta shifts each of its monomials by one integer add.
 
 The order itself, the GradedIndex of (d, N), is built once per process:
 the degree classes of every level (enumerate_classes' memoized tuples),
-the basis, each monomial's position, each code and each parity (the bit
-set of its odd exponents, odd_bits), the code of each e_j, and the
-creation map, the position of each monomial below the top degree times
-each x_j.  Every MomentMatrix of that (d, N), and so every decomposition,
-reads the one index, and the library's pairings address every shift by
-position in it: the shift by basis monomial a is codes[a] with parity
-parities[a], the shift by beta_k + e_j is codes[a_k] + units[j] with
-parity parities[a_k] ^ (1 << j), and no multi-index is packed or checked
-on the way.  A moment's multi-index is built only when the moment is
-first fetched.  pair_code is the one pairing entry: every shift the
-library makes stays inside the radix, so there is no multi-index to
-check.
+the basis, each monomial's position and code, the code of each e_j, and
+the creation map, the position of each monomial below the top degree
+times each x_j.  Every MomentMatrix of that (d, N), and so every
+decomposition, reads the one index, and the library's pairings address
+every shift by position in it: the shift by basis monomial a is
+codes[a], the shift by beta_k + e_j is codes[a_k] + units[j], and no
+multi-index is packed or checked on the way.  A moment's multi-index is
+built only when the moment is first fetched.  pair_code is the one
+pairing entry: every shift the library makes stays inside the radix, so
+there is no multi-index to check.
 
 Structural zeros cost nothing:
 
-* Reflection parity.  A functional reports the coordinates in which it
-  is even (MomentFunctional.reflection_mask: all of them for the
-  gaussian weight, those with a_j = b_j for the beta weight, none for
-  the others).  Its orthogonal polynomials then have the parity of their
-  leading monomial in those coordinates, so decompose records that
-  parity on each column.  A pairing of a column with a shift of the
-  other parity on the mask is 0: decompose and build's top pairings test
-  the parity inline and never visit such a pair, and pair_code answers
-  (0, 1) for one without reading a moment.
 * Product weights.  A product weight says so (MomentFunctional.product:
   the gaussian, gamma and beta weights, never an atom set or a table).
   Its monic basis is the tensor product b_beta = prod_j p^(j)_(beta_j)(x_j)
@@ -112,7 +101,7 @@ Structural zeros cost nothing:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import gcd, lcm
@@ -162,21 +151,14 @@ class IntegerColumn:
     """A coefficient column as integers over one denominator.
 
     terms holds (a, numerator) for each nonzero entry a of the column, so
-    column[a] = numerator / denominator; every other entry is zero.  parity,
-    when set, is the parity (odd_bits) that the monomials of all the terms
-    share on the moment matrix's nonzero reflection mask (see
-    MomentMatrix.pair_code); it is no part of the column's value, so
-    equality ignores it.
+    column[a] = numerator / denominator; every other entry is zero.
     """
 
     terms: Tuple[Tuple[int, int], ...]
     denominator: int
-    parity: Optional[int] = field(default=None, compare=False)
 
     @classmethod
-    def of(
-        cls, ratios: Iterable[Tuple[int, int]], parity: Optional[int] = None
-    ) -> "IntegerColumn":
+    def of(cls, ratios: Iterable[Tuple[int, int]]) -> "IntegerColumn":
         """The column whose entry a is p/q for the a-th pair (p, q), q > 0.
 
         A Fraction column passes map(Fraction.as_integer_ratio, column).
@@ -187,7 +169,7 @@ class IntegerColumn:
                 g = gcd(p, q)
                 reduced.append((a, p // g, q // g))
         den = lcm(*(q for _, _, q in reduced))
-        return cls(tuple((a, p * (den // q)) for a, p, q in reduced), den, parity)
+        return cls(tuple((a, p * (den // q)) for a, p, q in reduced), den)
 
     def subtract_from(self, nums: List[int], dens: List[int], num: int, den: int) -> None:
         """nums[a]/dens[a] -= (num/den) * column[a], each over its running lcm; den > 0."""
@@ -211,11 +193,6 @@ def pack(beta: Sequence[int], radix: int) -> int:
     return sum(b * radix**i for i, b in enumerate(beta) if b)
 
 
-def odd_bits(beta: Sequence[int]) -> int:
-    """The coordinates where beta is odd, as a bit set: bit i for beta[i]."""
-    return sum(1 << i for i, b in enumerate(beta) if b & 1)
-
-
 @dataclass(frozen=True)
 class GradedIndex:
     """The graded monomial basis of degree <= N over R^d and its moment keys.
@@ -225,13 +202,13 @@ class GradedIndex:
     starts[n] the position of level n's first monomial in it.  position maps
     a basis monomial to its position, codes[a] is the code of basis
     monomial a in radix 2N+2 (pack), and code_position maps a code back to
-    its position.  parities[a] is odd_bits of basis monomial a.
+    its position.
 
     Shifting by e_j (j from 0) needs no multi-index: its code is
-    units[j] = radix**j and its parity the bit 1 << j.  up is the creation
-    map: up[j][a] is the position of basis[a] + e_j, for every a below the
-    top degree.  One index serves every caller of its (d, N), so the two
-    dicts are never written after construction.
+    units[j] = radix**j.  up is the creation map: up[j][a] is the position
+    of basis[a] + e_j, for every a below the top degree.  One index serves
+    every caller of its (d, N), so the two dicts are never written after
+    construction.
     """
 
     levels: Tuple[Tuple[MultiIndex, ...], ...]
@@ -241,7 +218,6 @@ class GradedIndex:
     radix: int
     codes: Tuple[int, ...]
     code_position: Dict[int, int]
-    parities: Tuple[int, ...]
     units: Tuple[int, ...]
     up: Tuple[Tuple[int, ...], ...]
 
@@ -282,7 +258,6 @@ def _build_index(d: int, max_degree: int) -> GradedIndex:
         radix,
         codes,
         code_position,
-        tuple(map(odd_bits, basis)),
         units,
         up,
     )
@@ -305,10 +280,8 @@ class MomentMatrix:
     shared GradedIndex of (d, N) (graded_index), never to be written; the
     moments stay with this instance.
 
-    mask is the functional's reflection_mask: every moment with an odd
-    exponent at a coordinate in it vanishes.  pair_code is the one
-    summation kernel: it takes a shift as its code and its parity on the
-    mask, which the library's callers read off the index by position.
+    pair_code is the one summation kernel: it takes a shift as its code,
+    which the library's callers read off the index by position.
     """
 
     def __init__(self, functional: MomentFunctional, max_degree: int):
@@ -317,35 +290,20 @@ class MomentMatrix:
         self.index = index = graded_index(functional.d, max_degree)
         self.basis, self.position, self.radix = index.basis, index.position, index.radix
         self.codes, self.code_position = index.codes, index.code_position
-        self.mask = functional.reflection_mask()
         self.positive = functional.positive()
         self._moments: Dict[int, Tuple[int, int]] = {}
 
-    def parity(self, a: int) -> Optional[int]:
-        """The parity of basis monomial a on the mask (odd_bits & mask), or
-        None when the mask is empty: the parity a column of that leading
-        monomial records (IntegerColumn.parity), and pair_code's argument
-        for a shift by it."""
-        return self.index.parities[a] & self.mask if self.mask else None
-
-    def pair_code(
-        self, column: IntegerColumn, shift: int, parity: Optional[int], beta: MultiIndex
-    ) -> Tuple[int, int]:
+    def pair_code(self, column: IntegerColumn, shift: int, beta: MultiIndex) -> Tuple[int, int]:
         """phi(b * x^beta) as an integer ratio (p, q), q > 0, not reduced,
-        for the shift beta of this code and parity on the mask (None when
-        the mask is empty).
+        for the shift beta of this code.
 
         The moment phi(x^(alpha+beta)) is fetched only where the column's
         coefficient at alpha is nonzero, so a table that lacks the moments at
         the zero coefficients still pairs.  The sum is one integer numerator
         over the running lcm of the moment denominators, times the column's
-        denominator.  When the column's parity on the mask is known and is
-        not beta's, every alpha+beta is odd at some coordinate of the mask,
-        so every moment read would be 0: the pairing is (0, 1), and no moment
-        is read.  beta itself is read only to name a moment not yet fetched.
+        denominator.  beta itself is read only to name a moment not yet
+        fetched.
         """
-        if column.parity is not None and column.parity != parity:
-            return 0, 1
         codes, moments = self.codes, self._moments
         num, den = 0, 1
         for a, c in column.terms:
@@ -364,11 +322,8 @@ class MomentMatrix:
         return num, den * column.denominator
 
     def axis(self, j: int, k: int) -> Tuple[int, int]:
-        """phi(x_j^k), j from 0 and k <= 2N+1, as an integer ratio: (0, 1)
-        unread when k is odd and coordinate j is in the mask, else fetched
+        """phi(x_j^k), j from 0 and k <= 2N+1, as an integer ratio, fetched
         once and kept under its code."""
-        if k & 1 and self.mask >> j & 1:
-            return 0, 1
         shift = k * self.index.units[j]
         beta = (0,) * j + (k,) + (0,) * (self.functional.d - j - 1)
         return self._moments.get(shift) or self._fetch(0, shift, beta)
@@ -494,17 +449,12 @@ def decompose(functional: MomentFunctional, max_degree: int) -> Decomposition:
     Needs moments up to degree 2*max_degree.  Each level's monomials are
     the classes of the shared GradedIndex, and Level.monomials is that very
     tuple; each x^beta is paired by its position in the index
-    (MomentMatrix.pair_code).  When the functional has a reflection mask,
-    each basis column records its parity on it, that of its leading
-    monomial.  The functional being even in the coordinates of the mask,
-    b_beta has the parity of x^beta there: the pairings across parities are
-    exactly zero, so the projections and the level Grams pair x^beta only
-    with columns of its own parity, and the others are never visited.
-    When the functional is positive (MomentFunctional.positive), each
-    level Gram's diagonal is paired first, except at a column with a null
-    parent b_(beta-e_j), which the ideal of null polynomials makes null
-    unpaired; a null column, one whose diagonal is 0, pairs to 0 with
-    everything, so its row and column of the Gram are left 0 unpaired.
+    (MomentMatrix.pair_code).  When the functional is positive
+    (MomentFunctional.positive), each level Gram's diagonal is paired
+    first, except at a column with a null parent b_(beta-e_j), which the
+    ideal of null polynomials makes null unpaired; a null column, one
+    whose diagonal is 0, pairs to 0 with everything, so its row and column
+    of the Gram are left 0 unpaired.
     The later projections onto a level then pair only the pivots of its
     Gram (ldlt_psd's PSDReport.pivots) and solve on the Gram restricted to
     them, on rows sliced from the level's integer rows; for any other
@@ -554,15 +504,11 @@ def _generic_levels(moments: MomentMatrix) -> Iterator[Step]:
     for n, (monos, start) in enumerate(zip(index.levels, index.starts)):
         positions = range(start, start + len(monos))
         codes = index.codes[start : start + len(monos)]
-        parities = [moments.parity(a) for a in positions]
         # rhs[k][t][i] = <b_i, x^beta_k> for the i-th column offered by the
         # t-th lower level in offered, as an integer ratio
         rhs = [
-            [
-                [pair(f, code, parity, beta) if f.parity == parity else (0, 1) for f in lower]
-                for _, _, lower in offered
-            ]
-            for code, parity, beta in zip(codes, parities, monos)
+            [[pair(f, code, beta) for f in lower] for _, _, lower in offered]
+            for code, beta in zip(codes, monos)
         ]
         # each column x^beta as numerators over denominators, less its projections
         block = [([0] * a + [1], [1] * (a + 1)) for a in positions]
@@ -586,7 +532,7 @@ def _generic_levels(moments: MomentMatrix) -> Iterator[Step]:
                     num, den = coeffs[k]
                     if num:
                         f.subtract_from(*col, num, den)
-        block_forms = [IntegerColumn.of(zip(*col), parity) for col, parity in zip(block, parities)]
+        block_forms = [IntegerColumn.of(zip(*col)) for col in block]
         # b_i is orthogonal to the lower levels, so <b_i, x^beta_k> = <b_i, b_k>
         # and the lower triangle mirrors the upper one
         size = len(block)
@@ -600,7 +546,7 @@ def _generic_levels(moments: MomentMatrix) -> Iterator[Step]:
             # first and a null column's row and column are never visited
             for i, f in enumerate(block_forms):
                 if i not in inherited:
-                    num, den = pair(f, codes[i], parities[i], monos[i])
+                    num, den = pair(f, codes[i], monos[i])
                     if num:
                         gram[i][i] = Fraction(num, den)
             live = [i for i in range(size) if gram[i][i]]
@@ -610,10 +556,9 @@ def _generic_levels(moments: MomentMatrix) -> Iterator[Step]:
         for i, ks in pairs:
             f = block_forms[i]
             for k in ks:
-                if f.parity == parities[k]:
-                    num, den = pair(f, codes[k], parities[k], monos[k])
-                    if num:
-                        gram[i][k] = gram[k][i] = Fraction(num, den)
+                num, den = pair(f, codes[k], monos[k])
+                if num:
+                    gram[i][k] = gram[k][i] = Fraction(num, den)
         rows = _linalg.integer_rows(gram)
         report = _linalg.ldlt_psd(gram, rows)
         if not report.psd:
@@ -717,7 +662,7 @@ def _tensor_decompose(moments: MomentMatrix) -> Decomposition:
         if key not in factors:
             factors[key] = _stieltjes(axis, top, j + 1)
         recurrences.append(factors[key])
-    forms = [IntegerColumn(((0, 1),), 1, moments.parity(0))]
+    forms = [IntegerColumn(((0, 1),), 1)]
     diagonal = [Fraction(*moments.axis(0, 0))]
     for a, beta in enumerate(index.basis[1:], start=1):
         j = max(i for i, b in enumerate(beta) if b)
@@ -730,7 +675,7 @@ def _tensor_decompose(moments: MomentMatrix) -> Decomposition:
         den *= parent.denominator
         div = gcd(den, *(c for _, c in column))
         terms = tuple((b, c // div) for b, c in column)
-        forms.append(IntegerColumn(terms, den // div, moments.parity(a)))
+        forms.append(IntegerColumn(terms, den // div))
         diagonal.append(diagonal[parent.terms[-1][0]] * rec.h[beta[j]])
     levels, grams = [], []
     for n, (monos, start) in enumerate(zip(index.levels, index.starts)):

@@ -15,10 +15,10 @@ from typing import Dict, Mapping, Sequence
 from .errors import DimensionMismatchError
 from .multiindex import (
     MultiIndex,
+    _check_classes,
     _check_dimension,
     canonical_key,
     check_index,
-    check_integer,
     check_multi_index,
     degree as index_degree,
     enumerate_classes,
@@ -170,8 +170,7 @@ def monomial_basis(d: int, n: int) -> list[MultiIndex]:
     at most n.  The dimension and the degree are checked first, as
     enumerate_classes checks them; the list is new on every call.
     """
-    _check_dimension(d)
-    check_integer(n, "degree")
+    _check_classes(d, n)
     out: list[MultiIndex] = []
     for k in range(n + 1):
         out.extend(enumerate_classes(d, k).classes)

@@ -567,7 +567,7 @@ def test_stacked_top_solves_name_the_first_inconsistent_system(atoms, top, chang
 
 def test_build_of_a_level_0_table_does_no_tuple_work_per_coordinate(monkeypatch):
     # the unit codes and creation positions come from the graded index, so
-    # build makes as many pack, odd_bits and shift calls at d = 100 as at
+    # build makes as many pack and shift calls at d = 100 as at
     # d = 50; before, each coordinate packed its unit and shifted by it
     import jacobi_mv.cap_operators as cap_operators
     import jacobi_mv.multiindex as multiindex
@@ -587,7 +587,7 @@ def test_build_of_a_level_0_table_does_no_tuple_work_per_coordinate(monkeypatch)
             return wrapper
 
         for module in (multiindex, orthodecomp, cap_operators):
-            for name in ("pack", "odd_bits", "shift"):
+            for name in ("pack", "shift"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         ops = build(dec)

@@ -1,14 +1,23 @@
 from __future__ import annotations
 
+import contextlib
+import copy
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacobi_mv.cli import RunConfig, _build_parser, main, run
+from jacobi_mv.moments import atomic_functional
+from jacobi_mv.multiindex import MAX_DIMENSION
+from jacobi_mv.polyring import monomial_basis
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -775,6 +784,22 @@ def test_large_dimension_at_level_zero(tmp_path, capsys):
         "mass_factor": "1",
         "mass_factor_struct": {"rational": "1", "two_pow": "0", "pi_pow": "0", "gamma": []},
     }]
+    # a dimension over the cap exits 2 before any work, from a family or a
+    # table; before, nothing bounded d: level 0 took time quadratic in d,
+    # and a table of no entries at d = 10^40 raised OverflowError with a
+    # traceback
+    over = MAX_DIMENSION + 1
+    tables = [
+        {"d": over, "max_degree": 0, "moments": [{"beta": [0] * over, "value": "1"}]},
+        {"d": 10**40, "max_degree": 0, "moments": []},
+    ]
+    runs = [(["omega", "--family", "hermite", "--d", str(over), "--max-level", "0"], over)]
+    for k, table in enumerate(tables):
+        path = _write(tmp_path, f"over{k}.json", table)
+        runs.append((["omega", "--measure", path, "--max-level", "0"], table["d"]))
+    for argv, d in runs:
+        refused = f"error: InvalidDimensionError: dimension must be at most {MAX_DIMENSION}, got {d}\n"
+        assert _outcome(argv, capsys) == (2, "", refused)
 
 
 def _entries(d, max_degree, *pairs):
@@ -889,3 +914,99 @@ def test_a_huge_decimal_exponent_exits_2_at_once(tmp_path):
     # exponents within the limit still parse
     done = cli("omega", "--family", "laguerre", "--alpha", "1e3,25e-2", "--max-level", "1")
     assert done.returncode == 0 and '"omega":[["1001","0"],["0","5/4"]]' in done.stdout
+
+
+# ------------------------------------------------------------ boundary fuzz
+
+# a value in a field that wants something else: wrong types, bools, floats,
+# long numbers, large decimal exponents within and beyond the limit
+_JUNK = st.one_of(
+    st.sampled_from([
+        None, True, False, 0.5, float("nan"), "", "x", "1/0", " 1/2", "1e300", "-1e-300",
+        "1e4301", "1e99999999", 0, -1, MAX_DIMENSION + 1, 10**40, [], {}, [0, 0], {"x": 1},
+    ]),
+    st.integers(10**30, 10**60),
+    st.integers(10**30, 10**60).map(str),
+)
+_COORDINATES = st.integers(-2, 2).map(str) | st.sampled_from(["1/2", "-2/3", "1e3"])
+
+
+@st.composite
+def _near_valid_documents(draw):
+    """A valid atom list, or the moment table of one, of at most 8 entries,
+    then up to three edits: a field dropped or replaced by junk, an entry
+    duplicated, an index or point made negative, short or long."""
+    d = draw(st.integers(1, 3))
+    points = draw(st.lists(st.tuples(*[_COORDINATES] * d), min_size=1, max_size=4, unique=True))
+    weight = f"1/{len(points)}"
+    if draw(st.booleans()):
+        doc = {"d": d, "atoms": [{"x": list(p), "w": weight} for p in points]}
+        entries, index = doc["atoms"], "x"
+    else:
+        phi = atomic_functional([(p, weight) for p in points])
+        top = max(n for n in range(8) if math.comb(n + d, d) <= 8)
+        top = draw(st.integers(0, top))
+        doc = {"d": d, "max_degree": top, "moments": [
+            {"beta": list(b), "value": str(phi.moment(b))} for b in monomial_basis(d, top)
+        ]}
+        entries, index = doc["moments"], "beta"
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("drop", "junk", "entry", "duplicate", "index")))
+        if edit in ("drop", "junk"):
+            # a field of the document or of one entry still an object
+            target = draw(st.sampled_from([doc] + [e for e in entries if isinstance(e, dict)]))
+            if not target:
+                continue
+            key = draw(st.sampled_from(sorted(target)))
+            if edit == "drop":
+                del target[key]
+            else:
+                target[key] = draw(_JUNK)
+        elif not entries:
+            continue
+        elif edit == "entry":
+            entries[draw(st.integers(0, len(entries) - 1))] = draw(_JUNK)
+        elif edit == "duplicate" and len(entries) < 8:
+            entries.append(copy.deepcopy(draw(st.sampled_from(entries))))
+        elif edit == "index":
+            entry = draw(st.sampled_from(entries))
+            if isinstance(entry, dict) and isinstance(entry.get(index), list):
+                entry[index] = draw(st.sampled_from([
+                    entry[index][:-1], entry[index] + [0], [-1] * len(entry[index]),
+                    [str(c) for c in entry[index]], [True] * len(entry[index]),
+                ]))
+    return doc
+
+
+_COMMANDS = ["decompose", "cap", "omega", "alpha", "verify", "atoms", "reconstruct"]
+# family options that do not apply to --measure, and output settings
+_EXTRA = st.sampled_from([
+    [], [], ["--d", "2"], ["--a", "0"], ["--lambda", "-1/2"], ["--family", "hermite"],
+    ["--format", "csv"], ["--convention", "paper"],
+])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(doc=_near_valid_documents(), command=st.sampled_from(_COMMANDS),
+       level=st.integers(-1, 3), extra=_EXTRA)
+def test_near_valid_measure_documents_exit_cleanly(tmp_path_factory, doc, command, level, extra):
+    # every input ends in a document (exit 0 or 1) or in one error line
+    # (exit 2), never in a traceback
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [command, "--measure", str(path), "--max-level", str(level), *extra]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err, (argv, doc, err)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, doc, err)
+    elif "csv" in extra:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows and len({len(row) for row in rows}) == 1
+    else:
+        json.loads(out)

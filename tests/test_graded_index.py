@@ -20,7 +20,7 @@ from jacobi_mv.errors import InsufficientMomentsError
 from jacobi_mv.jacobi_sequences import compute_from_functional, reconstruct_moment_table
 from jacobi_mv.moments import atomic_functional, gamma_functional, table_functional
 from jacobi_mv.multiindex import _compositions, canonical_key, enumerate_classes
-from jacobi_mv.orthodecomp import MomentMatrix, decompose, odd_bits, pack
+from jacobi_mv.orthodecomp import MomentMatrix, decompose, pack
 from jacobi_mv.polyring import monomial_basis
 
 SRC = Path(jacobi_mv.__file__).resolve().parent.parent
@@ -55,12 +55,11 @@ def test_moment_matrix_codes_and_positions_invert_the_basis(functional):
         for a, beta in enumerate(basis):
             assert moments.position[beta] == a
             assert moments.code_position[moments.codes[a]] == a
-        # the shift by e_j: code units[j], parity bit j, and below the top
+        # the shift by e_j: code units[j], and below the top
         # degree the creation map up[j][a], the position of basis[a] + e_j
         index, d = moments.index, functional.d
         units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
         assert list(index.units) == [pack(e, 2 * top + 2) for e in units]
-        assert [odd_bits(e) for e in units] == [1 << j for j in range(d)]
         assert [len(row) for row in index.up] == [index.starts[top]] * d
         for j, e in enumerate(units):
             for a in range(index.starts[top]):

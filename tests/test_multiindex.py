@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +15,7 @@ import jacobi_mv
 from jacobi_mv.errors import InvalidDimensionError, InvalidIndexError
 from jacobi_mv import multiindex
 from jacobi_mv.multiindex import (
+    MAX_DIMENSION,
     MEMO_ENTRIES,
     SizedMemo,
     _compositions,
@@ -197,4 +199,53 @@ def test_bool_and_float_degrees_are_refused():
             call()
     with pytest.raises(InvalidDimensionError, match=r"^dimension must be a positive integer, got 0$"):
         enumerate_classes(0, 1)
+    # class_count and monomial_basis take the gate of enumerate_classes:
+    # before, class_count(0, 1) raised a bare ValueError from math.comb,
+    # class_count(1.5, 1) a bare TypeError, class_count(True, 2) was 1, and
+    # a negative degree gave 0 classes and an empty basis
+    for call, message in (
+        (lambda: class_count(0, 1), "dimension must be a positive integer, got 0"),
+        (lambda: class_count(1.5, 1), "dimension must be an integer, got 1.5"),
+        (lambda: class_count(True, 2), "dimension must be an integer, got True"),
+    ):
+        with pytest.raises(InvalidDimensionError, match=f"^{re.escape(message)}$"):
+            call()
+    for call in (lambda: class_count(2, -1), lambda: monomial_basis(2, -1), lambda: enumerate_classes(2, -1)):
+        with pytest.raises(InvalidIndexError, match=r"^degree must be non-negative, got -1$"):
+            call()
     assert enumerate_classes(2, 1).classes == ((1, 0), (0, 1))
+
+
+def test_the_dimension_is_capped_before_anything_is_built(monkeypatch):
+    # before, nothing bounded d: the graded index of d = 8000 at N = 0 held
+    # 32 million bits of unit codes, and a family spec of d = 10^9 began a
+    # tuple of 10^9 weights before any functional checked d
+    import jacobi_mv.orthodecomp as orthodecomp
+    from jacobi_mv.closed_forms import family_spec
+    from jacobi_mv.moments import atomic_functional, gaussian_functional, table_functional
+    from jacobi_mv.polyring import Polynomial
+
+    built = []
+    # the memos of the class bases and graded indexes build nothing
+    monkeypatch.setattr(multiindex._class_basis, "_build", lambda *key: built.append(key))
+    monkeypatch.setattr(orthodecomp._graded_index, "_build", lambda *key: built.append(key))
+    cap = MAX_DIMENSION
+    assert class_count(cap, 1) == cap
+    assert gaussian_functional(cap).d == family_spec("hermite", d=cap).d == cap
+    over = cap + 1
+    for call in (
+        lambda: enumerate_classes(over, 0),
+        lambda: class_count(over, 0),
+        lambda: monomial_basis(over, 0),
+        lambda: orthodecomp.graded_index(over, 0),
+        lambda: Polynomial(over, {}),
+        lambda: gaussian_functional(over),
+        lambda: table_functional(over, 0, {}),
+        lambda: atomic_functional([((0,) * over, 1)]),
+        lambda: family_spec("hermite", d=over),
+        lambda: family_spec("jacobi", a=[0] * over, b=[0] * over),
+        lambda: family_spec("hermite", d=10**9),
+    ):
+        with pytest.raises(InvalidDimensionError, match=rf"^dimension must be at most {cap}, got \d+$"):
+            call()
+    assert built == []

@@ -39,7 +39,7 @@ from jacobi_mv.moments import (
     table_functional,
 )
 from jacobi_mv.multiindex import enumerate_classes
-from jacobi_mv.orthodecomp import IntegerColumn, MomentMatrix, decompose, odd_bits, pack
+from jacobi_mv.orthodecomp import IntegerColumn, MomentMatrix, decompose, pack
 from jacobi_mv.polyring import Polynomial, monomial_basis
 
 from polynomial_oracle import vector
@@ -442,7 +442,7 @@ def test_pair_skips_the_moments_at_zero_coefficients():
 def _pair(moments, column, beta):
     """phi(b x^beta) for a basis monomial beta, paired by its position."""
     a = moments.position[beta]
-    return Fraction(*moments.pair_code(column, moments.codes[a], moments.parity(a), beta))
+    return Fraction(*moments.pair_code(column, moments.codes[a], beta))
 
 
 @settings(max_examples=300, deadline=None)
@@ -554,16 +554,8 @@ def test_build_names_the_first_missing_top_moment_per_coordinate(holes, missed, 
 _MIXED = ([0, Fraction(1, 2), Fraction(-1, 2)], [0, Fraction(1, 3), Fraction(-1, 2)])
 
 
-class _Unmasked(BetaFunctional):
-    """The same weight, with its reflection mask forced to 0: no pairing is
-    skipped."""
-
-    def reflection_mask(self) -> int:
-        return 0
-
-
 class _CountingGaussian(GaussianFunctional):
-    """Overrides moment and states no mask, so its mask is 0."""
+    """Overrides moment and states no product, so it pairs in d variables."""
 
     def __init__(self, d):
         super().__init__(d)
@@ -575,10 +567,10 @@ class _CountingGaussian(GaussianFunctional):
 
 
 class _TrustedCountingGaussian(_CountingGaussian):
-    """States the gaussian mask itself, so it is trusted."""
+    """States the product itself, so it is trusted."""
 
-    def reflection_mask(self):
-        return GaussianFunctional.reflection_mask(self)
+    def product(self):
+        return True
 
 
 class _ShiftedGaussian(GaussianFunctional):
@@ -601,20 +593,6 @@ class _ShiftedGaussian(GaussianFunctional):
         return total
 
 
-def test_reflection_masks_come_from_the_parameters():
-    assert gaussian_functional(3).reflection_mask() == 0b111
-    # a_j == b_j on the first and the third coordinate only
-    assert beta_functional(*_MIXED).reflection_mask() == 0b101
-    assert beta_functional([Fraction(1, 2)], [Fraction(2, 4)]).reflection_mask() == 1
-    assert beta_functional([0, 1], [1, 0]).reflection_mask() == 0
-    assert gamma_functional([0, 1]).reflection_mask() == 0
-    # a symmetric atom set or table has no mask: only parameters give one
-    atoms = atomic_functional([((1,), "1/2"), ((-1,), "1/2")])
-    assert atoms.reflection_mask() == 0
-    assert all(f.parity is None for f in decompose(atoms, 2).forms)
-    assert table_functional(1, 2, {(0,): 1, (1,): 0, (2,): 1}).reflection_mask() == 0
-
-
 _FIVE_ATOMS = atomic_functional([
     (("0", "1"), "1/5"), (("1", "-1"), "1/5"), (("2", "1/2"), "1/5"),
     (("-1/3", "2"), "1/5"), (("3", "3"), "1/5"),
@@ -633,111 +611,79 @@ _FIVE_ATOMS = atomic_functional([
     ],
     ids=["gaussian-d2", "gaussian-d3", "mixed-beta-d3", "gegenbauer-d1", "atoms-d2", "atom-table-d2"],
 )
-def test_pair_ratio_with_the_parity_skip_is_the_full_sum(phi, n):
+def test_pair_ratio_is_the_full_sum(phi, n):
     dec = decompose(phi, n)
-    moments, index, mask = dec.moments, dec.moments.index, dec.moments.mask
+    moments, index = dec.moments, dec.moments.index
     # the kernel's shifts as the library addresses them: every basis
     # monomial by its position, and every top-level beta_k + e_j by the code
-    # codes[a_k] + units[j] and the parity parities[a_k] ^ (1 << j)
-    shifts = [(index.codes[b], moments.parity(b), beta) for b, beta in enumerate(index.basis)]
+    # codes[a_k] + units[j]
+    shifts = [(index.codes[b], beta) for b, beta in enumerate(index.basis)]
     for a in range(index.starts[n], index.starts[n + 1]):
         for j in range(phi.d):
             beta = tuple(b + (i == j) for i, b in enumerate(index.basis[a]))
-            parity = (index.parities[a] ^ 1 << j) & mask if mask else None
-            shifts.append((index.codes[a] + index.units[j], parity, beta))
-    skipped = 0
+            shifts.append((index.codes[a] + index.units[j], beta))
     for form in dec.forms:
-        # the parity of the leading monomial, the column's own position
-        assert form.parity == moments.parity(form.terms[-1][0])
-        bare = IntegerColumn(form.terms, form.denominator)  # no parity: no skip
-        assert bare == form
-        for code, parity, beta in shifts:
+        for code, beta in shifts:
             assert code == pack(beta, moments.radix)
-            assert parity == (odd_bits(beta) & mask if mask else None)
             full = sum(
                 (Fraction(c, form.denominator) * phi.moment(tuple(map(add, moments.basis[a], beta)))
                  for a, c in form.terms),
                 ZERO,
             )
-            got = moments.pair_code(form, code, parity, beta)
-            assert Fraction(*got) == Fraction(*moments.pair_code(bare, code, parity, beta)) == full
-            if form.parity is not None and form.parity != parity:
-                assert got == (0, 1)
-                skipped += 1
-    assert bool(skipped) == bool(mask)
+            assert Fraction(*moments.pair_code(form, code, beta)) == full
 
 
 class _PairedBeta(BetaFunctional):
     """The same weight with its moments restated, so it declares no product
-    and pairs in d variables; it states the weight's mask itself."""
+    and pairs in d variables."""
 
     def moment(self, beta):
         return super().moment(beta)
 
-    def reflection_mask(self):
-        return BetaFunctional.reflection_mask(self)
 
-
-class _PairedUnmasked(_PairedBeta):
-    def reflection_mask(self):
-        return 0
-
-
-def test_a_mixed_symmetry_beta_weight_gives_the_same_outputs_with_its_mask_and_without():
-    weights = [
-        beta_functional(*_MIXED), _Unmasked(*_MIXED), _PairedBeta(*_MIXED), _PairedUnmasked(*_MIXED)
-    ]
-    assert [(phi.reflection_mask(), phi.product()) for phi in weights] == [
-        (0b101, True), (0, True), (0b101, False), (0, False)
-    ]
+def test_a_mixed_symmetry_beta_weight_gives_the_same_outputs_as_its_paired_twin():
+    weights = [beta_functional(*_MIXED), _PairedBeta(*_MIXED)]
+    assert [phi.product() for phi in weights] == [True, False]
     decs = [decompose(phi, 4) for phi in weights]
-    outputs = [_outputs(dec) for dec in decs]
-    assert all(out == outputs[0] for out in outputs)
+    assert _outputs(decs[0]) == _outputs(decs[1])
     radix = decs[0].moments.radix
     keys = [{tuple(c // radix**i % radix for i in range(3)) for c in dec.moments._moments} for dec in decs]
-    # the weight reads axis moments only, x_j^k for k <= 2N+1 = 9: those odd
-    # in x_1 or x_3 unread on its mask, so 1 + 9 + 4 + 4, and 1 + 3 * 9
-    # without it
+    # the weight reads axis moments only, x_j^k for k <= 2N+1 = 9, odd ones
+    # included: 1 + 3 * 9; the twin pairs in d variables
     axis = {tuple(k * (i == j) for i in range(3)) for j in range(3) for k in range(10)}
-    assert keys[0] < keys[1] == axis and (len(keys[0]), len(keys[1])) == (18, 28)
-    assert all(odd_bits(beta) & 0b101 == 0 for beta in keys[0])
-    # the twins pair in d variables: the mask skips every pairing whose
-    # moments are odd in x_1 or x_3
-    assert len(keys[2]) < len(keys[3])
-    assert all(odd_bits(beta) & 0b101 == 0 for beta in keys[2])
+    assert keys[0] == axis and len(keys[0]) == 28
+    assert keys[0] < keys[1]
 
 
-def test_hermite_fetches_only_moments_with_all_exponents_even():
+def test_a_product_gaussian_fetches_only_its_axis_moments():
     phi = _TrustedCountingGaussian(3)
     compute(build(decompose(phi, 3)), 3)
-    assert all(b % 2 == 0 for beta in phi.fetched for b in beta)
-    # the 20 even multi-indices of degree <= 6, each fetched once
-    assert len(phi.fetched) == 20
+    # x_j^k for k <= 2N+1 = 7, odd ones included, each fetched once: 1 + 3 * 7
+    assert len(phi.fetched) == 22
     assert sorted(phi.fetched) == sorted(
-        beta for beta in monomial_basis(3, 7) if all(b % 2 == 0 for b in beta)
+        beta for beta in monomial_basis(3, 7) if sum(map(bool, beta)) <= 1
     )
-    # overriding moment without stating a mask drops it: the same pipeline
-    # fetches all 120 multi-indices of degree <= 7, odd ones included
+    # overriding moment without stating the product drops it: the same
+    # pipeline fetches all 120 multi-indices of degree <= 7
     unstated = _CountingGaussian(3)
-    assert (phi.reflection_mask(), unstated.reflection_mask()) == (0b111, 0)
+    assert (phi.product(), unstated.product()) == (True, False)
     compute(build(decompose(unstated, 3)), 3)
     assert sorted(unstated.fetched) == sorted(monomial_basis(3, 7))
 
 
-def test_overriding_the_moments_of_an_even_weight_drops_its_mask():
-    # a subclass of the gaussian weight whose moments are not even: with the
-    # inherited mask, decompose would skip nonzero pairings and return
-    # wrong bases without an error
+def test_overriding_the_moments_of_a_product_weight_drops_its_declaration():
+    # a subclass of the gaussian weight whose moments are restated: it
+    # declares no product, so it pairs in d variables, to the Grams of the
+    # table of its moments
     phi = _ShiftedGaussian(2)
-    assert phi.reflection_mask() == 0
+    assert not phi.product()
     assert phi.moment((1, 0)) == Fraction(1, 2) and phi.moment((0, 1)) == -1
     table = table_functional(2, 6, {beta: phi.moment(beta) for beta in monomial_basis(2, 6)})
     dec, ref = decompose(phi, 3), decompose(table, 3)
+    assert dec.recurrences is None
     assert [lv.gram for lv in dec.levels] == [lv.gram for lv in ref.levels]
-    assert all(f.parity is None for f in dec.forms)
-    # a subclass that states a mask of its own is trusted
-    assert _Unmasked(*_MIXED).reflection_mask() == 0
-    assert _TrustedCountingGaussian(2).reflection_mask() == 0b11
+    # a subclass that declares the product itself is trusted
+    assert _TrustedCountingGaussian(2).product()
 
 
 
@@ -770,8 +716,8 @@ def test_positive_is_declared_by_atom_sets_only():
     assert not MomentFunctional(2).positive()
     assert not _table_twin(atomic_functional(two), 2).positive()
     assert [phi.positive() for phi in _functionals()] == [False] * 5 + [True]
-    # new moments drop the inherited declaration, as they drop the mask: the
-    # edited moments are no positive functional's, and decompose says so
+    # new moments drop the inherited declaration, as they drop the product:
+    # the edited moments are no positive functional's, and decompose says so
     # as it does for their table
     edited = _EditedAtoms(two)
     assert not edited.positive()
@@ -871,9 +817,9 @@ def _null_pairings(phi, top, monkeypatch):
     calls = []
     pair_code = MomentMatrix.pair_code
 
-    def record(self, column, shift, parity, beta):
+    def record(self, column, shift, beta):
         calls.append((column, shift, self.codes[column.terms[-1][0]]))
-        return pair_code(self, column, shift, parity, beta)
+        return pair_code(self, column, shift, beta)
 
     with monkeypatch.context() as patch:
         patch.setattr(MomentMatrix, "pair_code", record)
@@ -947,7 +893,8 @@ def _outputs(dec):
 
 
 def _jacobi_d3():
-    # the classical benchmark's big job, a_j != b_j everywhere: no mask
+    # the classical benchmark's big job, a_j != b_j everywhere: no factor is
+    # even
     half, third = Fraction(1, 2), Fraction(1, 3)
     return beta_functional([0, half, -half], [half, 1, third])
 
@@ -958,7 +905,7 @@ def test_a_product_weight_pairs_nothing_where_its_table_pairs_in_full(monkeypatc
     # k <= 2N+1 = 11, are read, 12 per factor with phi(1) shared.  The table
     # of its moments pairs every column in full
     phi = _jacobi_d3()
-    assert phi.product() and phi.reflection_mask() == 0
+    assert phi.product()
     assert _pair_counts(phi, 5, monkeypatch) == (0, 0)
     assert _pair_counts(_table_twin(phi, 11), 5, monkeypatch) == (1596, 343)
     dec = decompose(phi, 5)
@@ -998,9 +945,8 @@ def test_product_is_declared_by_the_classical_weights_only(monkeypatch):
     assert [phi.product() for phi in _functionals()] == [True] * 5 + [False]
     assert not MomentFunctional(2).product()
     assert not _table_twin(gaussian_functional(2), 2).product()
-    # new moments drop the inherited declaration, as they drop the mask and
-    # positivity: the mixture pairs in full, as its table does, to the same
-    # levels
+    # new moments drop the inherited declaration, as they drop positivity:
+    # the mixture pairs in full, as its table does, to the same levels
     mixture = _GammaMixture([0, Fraction(1, 2)])
     assert not mixture.product()
     table = _table_twin(mixture, 7)
@@ -1085,7 +1031,7 @@ _PARAMETER = st.fractions(min_value=Fraction(-3, 4), max_value=3, max_denominato
 @st.composite
 def _product_weights(draw):
     """A gaussian, gamma or beta weight on R^d, d = 1..3, and a level N <= 4;
-    some beta coordinates have a_j = b_j, so that the mask covers them."""
+    some beta coordinates have a_j = b_j, so that their factors are even."""
     d = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(("gaussian", "gamma", "beta")))
     if kind == "gaussian":
